@@ -2,7 +2,7 @@
 
 .PHONY: install test bench perfsmoke telemetry-gate chaos-smoke \
 	trace-smoke parallel-smoke snapshot-smoke live-smoke service-smoke \
-	fabric-smoke trajectory check paper report examples clean
+	fabric-smoke bench-e2e trajectory check paper report examples clean
 
 install:
 	pip install -e .
@@ -78,6 +78,13 @@ service-smoke:
 fabric-smoke:
 	PYTHONPATH=src python benchmarks/fabric_smoke.py --smoke
 
+# The repo benchmark's own correctness check (BENCHMARK.json,
+# benchmarks/e2e/README.md): every workload once, simulated statistics
+# against their pins, failed-operation share 0.  Gates simplifications:
+# a deleted path must leave every unit's results unchanged.
+bench-e2e:
+	python3 benchmarks/e2e/run.py --selfcheck
+
 # Render the committed perf-trajectory artifacts and gate the newest
 # point against the median of its priors (docs/PERFORMANCE.md).
 trajectory:
@@ -85,9 +92,10 @@ trajectory:
 
 # The full gate: correctness, throughput, telemetry overhead, chaos,
 # causal tracing, parallel determinism, checkpoint/restore, live
-# monitoring, fault-tolerant service, fabric observatory.
+# monitoring, fault-tolerant service, fabric observatory, the repo
+# benchmark's selfcheck.
 check: test telemetry-gate chaos-smoke trace-smoke parallel-smoke \
-	snapshot-smoke live-smoke service-smoke fabric-smoke
+	snapshot-smoke live-smoke service-smoke fabric-smoke bench-e2e
 
 # Regenerate every table and figure at the paper's sizes (slow).
 paper:

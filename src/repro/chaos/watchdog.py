@@ -11,9 +11,12 @@ raises :class:`~repro.core.errors.DeadlockError` carrying a
 threads, spill occupancy — so a hung run fails with a diagnosis instead
 of timing out with a generic error.
 
-The watchdog is pull-based and cheap: ``JMachine.run`` polls it once per
-loop iteration with a single integer comparison; the (O(nodes)) progress
-signature is only computed every ``interval`` cycles.
+The watchdog is pull-based and cheap: the run loops poll it through
+:class:`~repro.core.hooks.RunHooks` (one integer comparison per pass);
+the (O(nodes)) progress signature is only computed every ``interval``
+cycles.  What counts as progress is the *target's* business — a machine
+reports it from its nodes, a parallel coordinator from its shard
+reports — so one detector serves both.
 """
 
 from __future__ import annotations
@@ -35,11 +38,12 @@ class ProgressGauge:
     real work happens — together with a monotone clock reading, and it
     answers how long the signature has been frozen.
     :class:`DeadlockWatchdog` applies the idea to a machine's
-    instruction/delivery counters on the simulated clock; the
-    simulation service's supervisor applies it to each worker's
-    relayed ``sim_now`` on the wall clock to catch a *hung* worker
-    (heartbeats still arriving, simulation pinned) that lease expiry
-    alone would never see.
+    instruction/delivery counters on the simulated clock; the live
+    sampler applies it to its frames' counters on the wall clock (the
+    ``stalled`` flag); the simulation service's supervisor applies it
+    to each worker's relayed ``sim_now`` on the wall clock to catch a
+    *hung* worker (heartbeats still arriving, simulation pinned) that
+    lease expiry alone would never see.
 
     The clock is generic: pass cycles and get cycles back, pass wall
     seconds and get seconds back.
@@ -169,6 +173,11 @@ class DeadlockWatchdog:
     delivery stalls are *not* progress — they are precisely the activity
     a deadlocked machine keeps burning.
 
+    The polled target supplies ``progress_signature()`` (those four
+    counters) and ``wedged_machine(now)`` (the machine to diagnose once
+    the window has passed; a parallel coordinator folds its shards into
+    the parent first).
+
     Args:
         window: cycles without progress before the watchdog trips.
         interval: how often (in cycles) the progress signature is
@@ -182,41 +191,26 @@ class DeadlockWatchdog:
             raise ValueError("watchdog window must be positive")
         self.window = window
         self.interval = max(1, window // 8) if interval is None else interval
-        self.next_check = 0
-        self._last_signature: Optional[Tuple[int, int, int, int]] = None
-        self._last_progress_at = 0
+        self.next_due = 0
+        self._gauge = ProgressGauge()
         #: Number of times the watchdog has tripped (before raising).
         self.trips = 0
 
-    def reset(self, now: int = 0) -> None:
-        """Forget history (call between independent runs)."""
-        self.next_check = now
-        self._last_signature = None
-        self._last_progress_at = now
+    def arm(self, now: int = 0) -> None:
+        """Forget history: every run starts a fresh window."""
+        self.next_due = now
+        self._gauge.reset(now)
 
     # -- the hot-path poll ---------------------------------------------------
 
-    def poll(self, machine, now: int) -> None:
-        """Cheap per-iteration check; raises :class:`DeadlockError`."""
-        if now < self.next_check:
+    def poll(self, target, now: int, run_limit: Optional[int] = None) -> None:
+        """Cheap per-pass check; raises :class:`DeadlockError`."""
+        if now < self.next_due:
             return
-        self.next_check = now + self.interval
-        signature = self._signature(machine)
-        if signature != self._last_signature:
-            self._last_signature = signature
-            self._last_progress_at = now
-            return
-        if now - self._last_progress_at >= self.window:
-            self._trip(machine, now)
-
-    @staticmethod
-    def _signature(machine) -> Tuple[int, int, int, int]:
-        instructions = 0
-        for node in machine.nodes:
-            instructions += node.proc.counters.instructions
-        stats = machine.fabric.stats
-        return (instructions, stats.completed, stats.submitted,
-                machine.deliveries_committed)
+        self.next_due = now + self.interval
+        stalled = self._gauge.observe(target.progress_signature(), now)
+        if stalled >= self.window:
+            self._trip(target.wedged_machine(now), now)
 
     # -- the trip ------------------------------------------------------------
 

@@ -354,27 +354,15 @@ class Mdp:
             self._spill.append(message)
             self.counters.spills += 1
             if self._events is not None:
-                t = message.trace
-                if t is None:
-                    self._events.emit("queue-overflow", now, self.node_id,
-                                      int(message.priority),
-                                      src=message.source)
-                else:
-                    self._events.emit("queue-overflow", now, self.node_id,
-                                      int(message.priority),
-                                      src=message.source,
-                                      trace=t[0], span=t[1], parent=t[2])
+                self._events.emit("queue-overflow", now, self.node_id,
+                                  int(message.priority),
+                                  src=message.source, trace=message.trace)
             return
         queue.enqueue(message)
         if self._events is not None:
-            t = message.trace
-            if t is None:
-                self._events.emit("deliver", now, self.node_id,
-                                  int(message.priority), src=message.source)
-            else:
-                self._events.emit("deliver", now, self.node_id,
-                                  int(message.priority), src=message.source,
-                                  trace=t[0], span=t[1], parent=t[2])
+            self._events.emit("deliver", now, self.node_id,
+                              int(message.priority), src=message.source,
+                              trace=message.trace)
 
     def checksum_reject(self, message: Message, now: int) -> int:
         """Discard a corrupted arrival: the software integrity check failed.
@@ -389,16 +377,10 @@ class Mdp:
         cost = self.costs.fault_vector + 2 * message.length
         self._charge("fault", cost)
         if self._events is not None:
-            t = message.trace
-            if t is None:
-                self._events.emit("chaos", now, self.node_id,
-                                  int(message.priority),
-                                  name="checksum-reject", src=message.source)
-            else:
-                self._events.emit("chaos", now, self.node_id,
-                                  int(message.priority),
-                                  name="checksum-reject", src=message.source,
-                                  trace=t[0], span=t[1], parent=t[2])
+            self._events.emit("chaos", now, self.node_id,
+                              int(message.priority),
+                              name="checksum-reject", src=message.source,
+                              trace=message.trace)
         return cost
 
     def _refill_from_spill(self) -> int:
@@ -772,18 +754,10 @@ class Mdp:
         counters.dispatches += 1
         counters.dispatch_cycles += self.costs.dispatch
         if self._events is not None:
-            t = message.trace
-            if t is None:
-                self._events.emit("dispatch", now, self.node_id,
-                                  int(priority),
-                                  name=f"handler@{message.handler_ip}",
-                                  src=message.source)
-            else:
-                self._events.emit("dispatch", now, self.node_id,
-                                  int(priority),
-                                  name=f"handler@{message.handler_ip}",
-                                  src=message.source,
-                                  trace=t[0], span=t[1], parent=t[2])
+            self._events.emit("dispatch", now, self.node_id,
+                              int(priority),
+                              name=f"handler@{message.handler_ip}",
+                              src=message.source, trace=message.trace)
         return self.costs.dispatch
 
     def _do_restart(self, priority: Priority, now: int) -> int:
@@ -803,14 +777,9 @@ class Mdp:
         self.counters.restarts += 1
         self._charge("sync", suspended.restart_cycles)
         if self._events is not None:
-            t = suspended.trace
-            if t is None:
-                self._events.emit("restart", now, self.node_id,
-                                  int(priority), name=f"restart@{suspended.ip}")
-            else:
-                self._events.emit("restart", now, self.node_id,
-                                  int(priority), name=f"restart@{suspended.ip}",
-                                  trace=t[0], span=t[1], parent=t[2])
+            self._events.emit("restart", now, self.node_id,
+                              int(priority), name=f"restart@{suspended.ip}",
+                              trace=suspended.trace)
         return suspended.restart_cycles
 
     # -------------------------------------------------------------- execution
@@ -969,14 +938,9 @@ class Mdp:
         if self._events is not None:
             # _event_time is the faulting instruction's start time, which
             # is identical on the fast and reference paths.
-            t = thread.trace
-            if t is None:
-                self._events.emit("suspend", self._event_time, self.node_id,
-                                  int(priority), addr=address)
-            else:
-                self._events.emit("suspend", self._event_time, self.node_id,
-                                  int(priority), addr=address,
-                                  trace=t[0], span=t[1], parent=t[2])
+            self._events.emit("suspend", self._event_time, self.node_id,
+                              int(priority), addr=address,
+                              trace=thread.trace)
 
     def _wake_watchers(self, address: int) -> None:
         woke = False
@@ -1137,14 +1101,9 @@ class Mdp:
             self._current[priority] = None
             self.counters.threads_completed += 1
         if self._events is not None:
-            t = thread.trace if thread is not None else None
-            if t is None:
-                self._events.emit("thread-end", self._event_time,
-                                  self.node_id, int(priority))
-            else:
-                self._events.emit("thread-end", self._event_time,
-                                  self.node_id, int(priority),
-                                  trace=t[0], span=t[1], parent=t[2])
+            self._events.emit(
+                "thread-end", self._event_time, self.node_id, int(priority),
+                trace=thread.trace if thread is not None else None)
         for observer in self.on_thread_complete:
             observer(self, message)
 

@@ -29,6 +29,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from ..core.costs import CostModel, DEFAULT_COSTS
 from ..core.errors import ConfigurationError, SimulationError
+from ..core.hooks import RunHooks
 from ..network.topology import Mesh3D
 from .netmodel import LatencyModel
 from .profile import Profile, _CATEGORY_SET
@@ -342,16 +343,9 @@ class MacroSimulator:
             raise SimulationError(f"destination {dest} out of range")
         self.messages_sent += 1
         if self._ebus is not None:
-            if trace is None:
-                self._ebus.emit("send", send_time, source,
-                                1 if priority else 0,
-                                name=handler, dest=dest, words=length)
-            else:
-                self._ebus.emit("send", send_time, source,
-                                1 if priority else 0,
-                                name=handler, dest=dest, words=length,
-                                trace=trace[0], span=trace[1],
-                                parent=trace[2])
+            self._ebus.emit("send", send_time, source, 1 if priority else 0,
+                            name=handler, dest=dest, words=length,
+                            trace=trace)
         latency = self.network.latency(source, dest, length, send_time)
         if self._chaos is not None:
             dropped, extra = self._chaos.macro_verdict(
@@ -435,8 +429,7 @@ class MacroSimulator:
                 cats["dispatch"] = dispatch
                 self._ebus.emit("task", start, node.node_id, priority,
                                 name=handler_name, dur=end - start,
-                                trace=trace[0], span=trace[1],
-                                parent=trace[2], cats=cats)
+                                trace=trace, cats=cats)
         node.busy_until = end
         node.running = True
         if end > self.end_time:
@@ -463,25 +456,19 @@ class MacroSimulator:
         timer = self._TIMER
         start_task = self._start_task
         ebus = self._ebus
-        checkpoint = self.checkpoint
-        sampler = self.sampler
+        # Simulated time only advances when the next event is processed,
+        # so observers are armed and polled at that event's time (saves
+        # are recorded there, or back-to-back saves would loop on one
+        # long gap); it is never before ``self.now``, because nothing is
+        # scheduled into the past.  Both observers are read-only: the
+        # event stream is unchanged.
+        hooks = RunHooks(self, events[0][0], max_time,
+                         self.checkpoint, self.sampler) if events else None
         processed = 0
         while events:
-            if checkpoint is not None:
-                # Simulated time only advances when the next event is
-                # processed, so checkpoint eligibility is judged at that
-                # event's time (and recorded there, or back-to-back
-                # saves would loop on one long gap).
-                horizon = max(self.now, events[0][0])
-                if checkpoint.due(horizon):
-                    checkpoint.save(self, run_limit=max_time, at=horizon)
-            if sampler is not None:
-                # Same horizon rule as checkpoints; sampling is a
-                # read-only metric snapshot, so it cannot perturb the
-                # event stream.
-                horizon = max(self.now, events[0][0])
-                if sampler.due(horizon):
-                    sampler.sample(self, horizon, run_limit=max_time)
+            horizon = events[0][0]
+            if horizon >= hooks.next_due:
+                hooks.fire(horizon)
             (time, seq, kind, dest, handler_name, args, length, priority,
              trace) = heappop(events)
             if max_time is not None and time > max_time:
@@ -508,14 +495,8 @@ class MacroSimulator:
                 node.messages_received += 1
                 handler_stats[handler_name].message_words += length
                 if ebus is not None:
-                    if trace is None:
-                        ebus.emit("deliver", time, dest,
-                                  1 if priority else 0, name=handler_name)
-                    else:
-                        ebus.emit("deliver", time, dest,
-                                  1 if priority else 0, name=handler_name,
-                                  trace=trace[0], span=trace[1],
-                                  parent=trace[2])
+                    ebus.emit("deliver", time, dest, 1 if priority else 0,
+                              name=handler_name, trace=trace)
                 queues[1 if priority else 0].append(
                     (handler_name, args, trace))
                 depth = len(queues[0]) + len(queues[1])

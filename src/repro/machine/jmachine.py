@@ -20,7 +20,8 @@ import heapq
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from ..asm.assembler import Program
-from ..core.errors import DeadlockError, QueueOverflowFault
+from ..core.errors import DeadlockError
+from ..core.hooks import RunHooks
 from ..core.message import Message
 from ..core.registers import Priority
 from ..core.word import Word
@@ -77,7 +78,7 @@ class JMachine:
         #: injection, and every hook below is skipped.
         self.chaos = None
         #: Optional :class:`~repro.chaos.watchdog.DeadlockWatchdog`;
-        #: polled once per run-loop iteration when set.
+        #: polled after every run-loop pass when set.
         self.watchdog = None
         #: Causal-tracing allocator (:mod:`repro.telemetry.trace`),
         #: installed by the wiring when ``Telemetry(trace=True)``; host
@@ -101,8 +102,7 @@ class JMachine:
         self.checkpoint = None
         #: Optional :class:`~repro.telemetry.live.LiveSampler`; when
         #: set, the run loops take periodic read-only metric snapshots
-        #: at the same safe points checkpoints use (serial: loop top;
-        #: parallel: epoch barriers).
+        #: (serial: loop top; parallel: epoch barriers).
         self.sampler = None
         #: Attached telemetry rig (see :mod:`repro.telemetry`), or None.
         self.telemetry = telemetry
@@ -206,12 +206,10 @@ class JMachine:
                     chaos.counters["checksum_rejects"] += 1
                     self._schedule_proc(node_id, self.now)
                     continue
-            try:
-                self.nodes[node_id].proc.deliver(message, self.now)
-            except QueueOverflowFault:
-                # The accept check reserved space, so this indicates a
-                # host-side inject overwhelmed the queue; surface it.
-                raise
+            # The accept check reserved space, so a QueueOverflowFault
+            # here means a host-side inject overwhelmed the queue; it
+            # surfaces to the caller.
+            self.nodes[node_id].proc.deliver(message, self.now)
             self._schedule_proc(node_id, self.now)
 
     def _tick_procs(
@@ -357,9 +355,6 @@ class JMachine:
         loop on the untouched machine (see :mod:`repro.parallel`).
         """
         limit = self.now + max_cycles
-        watchdog = self.watchdog
-        if watchdog is not None:
-            watchdog.reset(self.now)
         self._parallel_skip_reason = None
         try:
             if self.parallel_shards and self.parallel_shards > 1:
@@ -382,7 +377,15 @@ class JMachine:
         limit: int,
         until: Optional[Callable[["JMachine"], bool]] = None,
     ) -> int:
-        """The reference single-process run loop (see :meth:`run`)."""
+        """The reference single-process run loop (see :meth:`run`).
+
+        Two hook sites, because the observers read two different states:
+        checkpoints and live frames are taken *between* passes (loop
+        top, where a restored machine would resume), the deadlock
+        watchdog looks *after* the pass at ``now`` has ticked.
+        """
+        hooks = RunHooks(self, self.now, limit, self.checkpoint, self.sampler)
+        pass_hooks = RunHooks(self, self.now, limit, self.watchdog)
         probe: Optional[Callable[[int], bool]] = None
         fired: List[Optional[int]] = [None]
         if until is not None:
@@ -403,27 +406,20 @@ class JMachine:
             # stream: its hooks are all no-ops, so let the loop batch
             # and run ahead exactly as if no engine were attached.
             chaos = None
-        watchdog = self.watchdog
         fabric = self.fabric
         # Quiet-window batching: while nothing but the fabric has
         # work scheduled, hand it a whole window of cycles at once
-        # (see Fabric.advance).  Gated off whenever any per-cycle
+        # (see Fabric.advance).  Gated off whenever any per-pass
         # observer is installed, which keeps those paths on the
         # exact reference interleaving.
-        batchable = until is None and watchdog is None
-        checkpoint = self.checkpoint
-        sampler = self.sampler
+        batchable = until is None and not pass_hooks.observers
         while self.now < limit:
-            if checkpoint is not None and checkpoint.due(self.now):
-                # Saving is read-only, so a run with checkpointing
-                # enabled stays bit-identical to one without.
-                checkpoint.save(self, run_limit=limit)
-            if sampler is not None and sampler.due(self.now):
-                # Sampling is likewise read-only (a pull-source metric
-                # snapshot), so it never perturbs the run.  It does not
-                # gate quiet-window batching either: frames observe
-                # whatever cycle the loop lands on.
-                sampler.sample(self, self.now, run_limit=limit)
+            if self.now >= hooks.next_due:
+                # Saving and sampling are read-only, so an observed run
+                # stays bit-identical to a bare one.  Neither gates
+                # quiet-window batching: they see whatever cycle the
+                # loop lands on.
+                hooks.fire(self.now)
             if chaos is not None:
                 chaos.machine_tick(self, self.now)
             self._commit_deliveries()
@@ -443,8 +439,8 @@ class JMachine:
                 fabric.step(self.now)
                 inj_bound = fabric.injection_quiet_cycles()
             self._tick_procs(limit, probe, inj_bound)
-            if watchdog is not None:
-                watchdog.poll(self, self.now)
+            if self.now >= pass_hooks.next_due:
+                pass_hooks.fire(self.now)
             if until is not None:
                 fired_at = fired[0]
                 if fired_at is not None and fired_at > self.now:
@@ -470,6 +466,21 @@ class JMachine:
                 return self.now  # quiescent
             self.now = max(self.now + 1, min(next_times))
         return self.now
+
+    def progress_signature(self) -> Tuple[int, int, int, int]:
+        """What the deadlock watchdog watches: the counters that move
+        whenever real work happens (see
+        :class:`~repro.chaos.watchdog.DeadlockWatchdog`)."""
+        instructions = 0
+        for node in self.nodes:
+            instructions += node.proc.counters.instructions
+        stats = self.fabric.stats
+        return (instructions, stats.completed, stats.submitted,
+                self.deliveries_committed)
+
+    def wedged_machine(self, now: int) -> "JMachine":
+        """The machine a tripped watchdog diagnoses: this one, as is."""
+        return self
 
     def _run_ended(self) -> None:
         """End-of-run hook (normal return or raise): telemetry run-end."""

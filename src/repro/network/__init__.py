@@ -3,7 +3,7 @@
 from .fabric import BUFFER_PHITS, Fabric, Worm
 from .observatory import FABRIC_METRICS, FabricProbe, FabricReport
 from .routing import ChannelKey, EJECT, INJECT, ecube_route, route_hops
-from .stats import LatencySummary, NetworkStats, format_channel_heatmap
+from .stats import LatencySummary, NetworkStats
 from .topology import Mesh3D
 from .traffic import (
     DEFAULT_LOOP_OVERHEAD,
@@ -27,7 +27,6 @@ __all__ = [
     "route_hops",
     "LatencySummary",
     "NetworkStats",
-    "format_channel_heatmap",
     "Mesh3D",
     "DEFAULT_LOOP_OVERHEAD",
     "RandomTrafficExperiment",

@@ -45,10 +45,10 @@ from ..core.errors import ConfigurationError, DeadlockError
 from ..core.message import Message
 from ..core.registers import Priority
 from .observatory import FabricProbe
-from .routing import ChannelKey, INJECT, route
+from .routing import ChannelKey, route
 from .stats import NetworkStats
 from .topology import Mesh3D
-from .vectorize import HAVE_NUMPY, SoloLanes
+from .vectorize import PyLanes
 
 __all__ = ["Fabric", "Worm", "BUFFER_PHITS", "FRAMING_PHITS"]
 
@@ -173,19 +173,10 @@ class Fabric:
         self.route_cache_hits = 0
         self.route_cache_misses = 0
         self._seq = 0
-        #: Worm-population threshold above which the batched advance
-        #: switches from the per-worm Python loop to the numpy lanes
-        #: (see repro.network.vectorize); ignored without numpy.
-        self.vector_threshold = 24 if HAVE_NUMPY else None
         self.stats = NetworkStats(mesh)
         #: Optional callback fired once per worm when its tail has fully
         #: left the sending interface (frees the node's send buffer).
         self.on_injected: Optional[Callable[[Message], None]] = None
-        #: When True, per-channel phit counts are accumulated in
-        #: :attr:`channel_phits` (keyed by (node, dim, dir)) — used by
-        #: the channel-load studies; off by default for speed.
-        self.track_channel_load = False
-        self.channel_phits: Dict[Tuple[int, int, int], int] = {}
         #: Deadlock watchdog: if no worm moves a phit for this many
         #: consecutive cycles while worms are active, :meth:`step`
         #: raises with a diagnostic.  0 disables.
@@ -226,16 +217,9 @@ class Fabric:
         heapq.heappush(self._staged, (now + self.inject_latency, worm.seq, worm))
         self.stats.submitted += 1
         if self._events is not None:
-            t = message.trace
-            if t is None:
-                self._events.emit("send", now, message.source,
-                                  int(message.priority), dest=message.dest,
-                                  words=message.length)
-            else:
-                self._events.emit("send", now, message.source,
-                                  int(message.priority), dest=message.dest,
-                                  words=message.length,
-                                  trace=t[0], span=t[1], parent=t[2])
+            self._events.emit("send", now, message.source,
+                              int(message.priority), dest=message.dest,
+                              words=message.length, trace=message.trace)
 
     def _make_worm(self, message: Message, now: int) -> Worm:
         if not 0 <= message.dest < self.mesh.n_nodes:
@@ -341,7 +325,8 @@ class Fabric:
             if not queue:
                 del self._pending[queue_key]
 
-    def _sort_active(self, now: int) -> None:
+    def _arbitrate(self, worms: List[Worm], now: int) -> None:
+        """Sort ``worms`` into this cycle's stepping order, in place."""
         # Priority-1 worms are stepped (and hence arbitrate) first.
         # Within a class, "fixed" arbitration models the MDP router's
         # fixed input-port priority: worms already in the mesh (through
@@ -351,10 +336,10 @@ class Fabric:
         # rotates precedence across source nodes each cycle — the fair
         # alternative.
         if self.arbitration == "fixed":
-            self._active.sort(key=attrgetter("akey"))
+            worms.sort(key=attrgetter("akey"))
         else:
             n = self.mesh.n_nodes
-            self._active.sort(
+            worms.sort(
                 key=lambda w: (-w.pri, (w.message.source - now) % n, w.seq)
             )
 
@@ -366,7 +351,7 @@ class Fabric:
             self._activate_pending(now)
         if not self._active:
             return
-        self._sort_active(now)
+        self._arbitrate(self._active, now)
         finished = False
         moved_any = False
         for worm in self._active:
@@ -443,11 +428,8 @@ class Fabric:
             if worm.injected - worm.delivered < BUFFER_PHITS * span:
                 worm.injected += 1
                 moved = True
-                if (worm.injected == worm.total_phits and self.on_injected
-                        and worm.message.bounce_of is None
-                        and not worm.message.injection_reported):
-                    worm.message.injection_reported = True
-                    self.on_injected(worm.message)
+                if worm.injected == worm.total_phits:
+                    self._report_injected(worm.message)
 
         # 4. Tail release: after full injection the tail advances with the
         #    pipe, freeing channels behind the in-flight span.
@@ -459,6 +441,14 @@ class Fabric:
                 self._release(worm, worm.released)
                 worm.released += 1
         return False
+
+    def _report_injected(self, message: Message) -> None:
+        """The tail left the sending interface: tell the owner, once per
+        message (a bounced copy is not the sender's to free)."""
+        if (self.on_injected is not None and message.bounce_of is None
+                and not message.injection_reported):
+            message.injection_reported = True
+            self.on_injected(message)
 
     # ------------------------------------------------------------- batching
 
@@ -489,7 +479,7 @@ class Fabric:
         channel key with another active, pending, or staged worm — and a
         *solo* rest.  Conflict worms go through :meth:`_step_worm`
         per cycle in exact arbitration order; solo worms advance on
-        integer lanes (numpy above :attr:`vector_threshold`), touching
+        integer lanes (:class:`~repro.network.vectorize.PyLanes`), touching
         the owner map only on entry/exit of the batch.  The window ends
         early when a completion schedules a delivery commit the machine
         must observe (``completion + eject_latency``).
@@ -518,21 +508,12 @@ class Fabric:
         solo = [w for w in self._active if w.seq not in conflicted]
         lanes = None
         if solo:
-            accept_fn = self.accept_fn
-
-            def probe(worm: Worm) -> bool:
-                message = worm.message
-                return accept_fn(message.dest, message)
-
-            use_numpy = (self.vector_threshold is not None
-                         and len(solo) >= self.vector_threshold)
-            lanes = SoloLanes(solo, BUFFER_PHITS, probe, use_numpy,
-                              track_stalls=self.probe is not None)
+            lanes = PyLanes(solo, BUFFER_PHITS, self.accept_fn,
+                            track_stalls=self.probe is not None)
 
         staged = self._staged
         stats = self.stats
         eject = self.eject_latency
-        on_injected = self.on_injected
         owner = self._owner
         any_finished = False
         end = horizon
@@ -549,13 +530,7 @@ class Fabric:
                 pool.extend(self._active[before:])
             if pool:
                 if len(pool) > 1:
-                    if self.arbitration == "fixed":
-                        pool.sort(key=attrgetter("akey"))
-                    else:
-                        n = self.mesh.n_nodes
-                        cyc = c
-                        pool.sort(key=lambda w: (
-                            -w.pri, (w.message.source - cyc) % n, w.seq))
+                    self._arbitrate(pool, c)
                 finished_here = False
                 for w in pool:
                     if self._step_worm(w, c):
@@ -566,27 +541,22 @@ class Fabric:
                             end = arrival
                 if finished_here:
                     pool = [w for w in pool if not w.done]
-            if lanes is not None and lanes.n_alive:
+            if lanes is not None and lanes.alive:
                 completed, inj_done, stalls = lanes.cycle()
                 if stalls:
                     stats.delivery_stall_cycles += stalls
                 if inj_done is not None:
                     for j in inj_done:
-                        message = lanes.worm(j).message
-                        if (on_injected is not None
-                                and message.bounce_of is None
-                                and not message.injection_reported):
-                            message.injection_reported = True
-                            on_injected(message)
+                        self._report_injected(solo[j].message)
                 if completed is not None:
                     any_finished = True
                     for j in completed:
-                        self._finish_solo(lanes.worm(j), c)
+                        self._finish_solo(solo[j], c)
                     arrival = c + eject
                     if arrival < end:
                         end = arrival
             c += 1
-            if (not pool and (lanes is None or not lanes.n_alive)
+            if (not pool and (lanes is None or not lanes.alive)
                     and not staged and not self._pending_count):
                 break  # the fabric drained inside the window
 
@@ -614,48 +584,36 @@ class Fabric:
                 # the probe; totals match the per-cycle reference path
                 # (order of accumulation is immaterial for counters).
                 for j, n in lanes.stall_counts():
-                    self.probe.record_backpressure(
-                        lanes.worm(j).message.dest, n)
+                    self.probe.record_backpressure(solo[j].message.dest, n)
         if any_finished:
             self._active = [w for w in self._active if not w.done]
         return c
 
     def _finish_solo(self, worm: Worm, now: int) -> None:
-        """Deferred :meth:`_complete` for a solo-lane worm (no chaos,
-        block flow control): free its owner entries and hand it over."""
-        owner = self._owner
-        for key in worm.keys:
-            if owner.get(key) is worm:
-                del owner[key]
-        worm.released = len(worm.keys)
+        """A solo-lane worm delivered its last phit: write the lane's
+        end state back, then :meth:`_complete` it.  ``released`` keeps
+        its pre-batch value so every channel the worm still holds in
+        the owner map (the lanes never touch it) is freed."""
         worm.head = len(worm.path) - 1
         worm.injected = worm.delivered = worm.total_phits
         worm.reserved = True
-        worm.done = True
-        arrival = now + self.eject_latency
-        worm.message.arrive_time = arrival
-        if self.track_channel_load:
-            for channel in worm.path:
-                if channel[1] < INJECT:  # mesh channels only
-                    self.channel_phits[channel] = (
-                        self.channel_phits.get(channel, 0) + worm.total_phits
-                    )
-        if self.probe is not None:
-            self.probe.record_completion(worm)
-        self.deliver_fn(worm.message.dest, worm.message, arrival)
-        self.stats.record_completion(worm, arrival)
+        self._complete(worm, now)
 
     def _release(self, worm: Worm, index: int) -> None:
         key = worm.keys[index]
         if self._owner.get(key) is worm:
             del self._owner[key]
 
-    def _complete(self, worm: Worm, now: int) -> None:
-        """Tail arrived: free remaining channels, hand the message over."""
+    def _retire(self, worm: Worm) -> None:
+        """Free every channel ``worm`` still holds and mark it done."""
         for index in range(worm.released, len(worm.keys)):
             self._release(worm, index)
         worm.released = len(worm.keys)
         worm.done = True
+
+    def _complete(self, worm: Worm, now: int) -> None:
+        """Tail arrived: free remaining channels, hand the message over."""
+        self._retire(worm)
         arrival = now + self.eject_latency
         original = getattr(worm.message, "bounce_of", None)
         if original is not None:
@@ -674,13 +632,6 @@ class Fabric:
             if verdict == 2:  # corrupted: delivered, but checksum-dead
                 worm.message.corrupted = True
         worm.message.arrive_time = arrival
-        if self.track_channel_load:
-            # Every phit crossed every channel of the path exactly once.
-            for channel in worm.path:
-                if channel[1] < INJECT:  # mesh channels only
-                    self.channel_phits[channel] = (
-                        self.channel_phits.get(channel, 0) + worm.total_phits
-                    )
         if self.probe is not None:
             self.probe.record_completion(worm)
         self.deliver_fn(worm.message.dest, worm.message, arrival)
@@ -688,10 +639,7 @@ class Fabric:
 
     def _bounce(self, worm: Worm, now: int) -> None:
         """Return-to-sender: free the path and send the message back."""
-        for index in range(worm.released, len(worm.keys)):
-            self._release(worm, index)
-        worm.released = len(worm.keys)
-        worm.done = True
+        self._retire(worm)
         self.stats.bounces += 1
         original = worm.message
         returned = Message(
@@ -763,10 +711,7 @@ class Fabric:
             "route_cache_hits": self.route_cache_hits,
             "route_cache_misses": self.route_cache_misses,
             "seq": self._seq,
-            "vector_threshold": self.vector_threshold,
             "stats": self.stats,
-            "track_channel_load": self.track_channel_load,
-            "channel_phits": dict(self.channel_phits),
             "watchdog_cycles": self.watchdog_cycles,
             "stagnant_cycles": self._stagnant_cycles,
             "probe": self.probe,
@@ -777,7 +722,11 @@ class Fabric:
 
         The fabric must have been constructed with the same topology and
         wiring as the captured one; everything in
-        :data:`EXTERNAL_ATTRS` is left untouched.
+        :data:`EXTERNAL_ATTRS` is left untouched.  Only the keys
+        :meth:`state_dict` writes today are read: a capture from an
+        older build may carry keys for since-retired fields, which are
+        ignored (the ``version <= FORMAT_VERSION`` rule; docs/SNAPSHOT.md
+        §1 lists them).
         """
         self._owner = dict(state["owner"])
         self._active = list(state["active"])
@@ -790,14 +739,8 @@ class Fabric:
         self.route_cache_hits = state["route_cache_hits"]
         self.route_cache_misses = state["route_cache_misses"]
         self._seq = state["seq"]
-        # The threshold is a host capability, not machine state: honour
-        # the captured tuning only where numpy exists at all.
-        self.vector_threshold = (state["vector_threshold"]
-                                 if HAVE_NUMPY else None)
         self.stats = state["stats"]
         self.stats.mesh = self.mesh
-        self.track_channel_load = state["track_channel_load"]
-        self.channel_phits = dict(state["channel_phits"])
         self.watchdog_cycles = state["watchdog_cycles"]
         self._stagnant_cycles = state["stagnant_cycles"]
         # Absent in pre-observatory captures: restore to un-probed.

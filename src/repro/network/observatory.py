@@ -376,9 +376,11 @@ class FabricReport:
     def heatmap(self, dim: int = 0, z: int = 0, direction: int = 1) -> str:
         """One Z-plane's link loads as an ASCII grid (0-9, '.' unused).
 
-        Same rendering convention as
-        :func:`~repro.network.stats.format_channel_heatmap`, but over
-        the probe's counters instead of ``track_channel_load``.
+        Each cell shows the relative load of the node's output channel
+        in dimension ``dim`` toward ``direction``, scaled against the
+        busiest such channel.  For uniform random traffic under e-cube
+        routing the X midplane columns glow — the bisection-concentration
+        effect Figure 3's saturation comes from.
         """
         x_dim, y_dim, z_dim = self.dims
         if not 0 <= z < z_dim:

@@ -179,40 +179,3 @@ class NetworkStats:
     def message_rate_per_cycle(self, now: int) -> float:
         """Completed messages per cycle in the current window."""
         return self.window_completed / self.window_cycles(now)
-
-
-def format_channel_heatmap(fabric, dim: int = 0, z: int = 0,
-                           direction: int = 1) -> str:
-    """Render one Z-plane's channel loads as an ASCII heat map.
-
-    Requires the fabric to have been run with ``track_channel_load``
-    enabled.  Each cell shows the relative load of the node's output
-    channel in dimension ``dim`` toward ``direction``, scaled 0-9
-    against the busiest such channel ('.' = unused).  For uniform random
-    traffic under e-cube routing the X midplane columns glow — the
-    bisection-concentration effect Figure 3's saturation comes from.
-    """
-    mesh = fabric.mesh
-    x_dim, y_dim, z_dim = mesh.dims
-    if not 0 <= z < z_dim:
-        raise ValueError(f"z={z} outside mesh")
-    loads = {}
-    peak = 0
-    for (node, channel_dim, channel_dir), phits in \
-            fabric.channel_phits.items():
-        if channel_dim == dim and channel_dir == direction:
-            loads[node] = phits
-            peak = max(peak, phits)
-    lines = [f"channel load: dim={'XYZ'[dim]} dir={direction:+d} "
-             f"z-plane {z} (peak {peak} phits)"]
-    for y in range(y_dim - 1, -1, -1):
-        row = []
-        for x in range(x_dim):
-            node = mesh.node_id((x, y, z))
-            phits = loads.get(node)
-            if not phits:
-                row.append(".")
-            else:
-                row.append(str(min(9, int(round(9 * phits / peak)))))
-        lines.append(" ".join(row))
-    return "\n".join(lines)

@@ -1,4 +1,4 @@
-"""Vectorized lanes for conflict-free worms in the flit fabric.
+"""Integer lanes for conflict-free worms in the flit fabric.
 
 :meth:`repro.network.fabric.Fabric.advance` partitions in-flight worms
 into a *conflict pool* (worms sharing at least one virtual channel with
@@ -6,51 +6,32 @@ another worm, stepped one-by-one through the exact arbitration path) and
 a *solo* set whose channel footprints are disjoint from every other
 worm's.  A solo worm's per-cycle evolution never consults the channel
 owner map — its head always advances, nothing ever blocks on it — so the
-whole solo population can be advanced with pure integer arithmetic over
-parallel state lanes: head position, released tail, injected and
-delivered phit counts.
+whole solo population is advanced by :class:`PyLanes` with pure integer
+arithmetic over parallel state lists: head position, released tail,
+injected and delivered phit counts.
 
-Two interchangeable backends implement the same cycle-exact update:
-
-* :class:`PyLanes` — flat Python lists, one short loop per worm per
-  cycle.  Fastest for the small populations typical of runtime apps,
-  and the only backend when numpy is unavailable.
-* :class:`NumpyLanes` — one int64 array per state field; each simulated
-  cycle is a fixed sequence of whole-array operations, so cost per cycle
-  is (nearly) independent of population size.  Selected automatically
-  above :attr:`Fabric.vector_threshold` worms.
-
-Both backends must produce bit-identical worm state; the equivalence
-tests drive them against each other and against the per-cycle reference
-:meth:`Fabric.step`.
-
-numpy is an optional dependency: this module imports without it
-(``HAVE_NUMPY`` is False and only :class:`PyLanes` is offered), so the
-package — and the tier-1 suite — works on a pure-Python install.
+The lanes must produce worm state bit-identical to the per-cycle
+reference :meth:`Fabric.step`; tests/network/test_lanes.py drives the
+two against each other.  (A whole-array backend for large solo
+populations was measured and removed: docs/PERFORMANCE.md, "Solo lanes:
+one backend".)
 """
 
 from __future__ import annotations
 
 from typing import Callable, List, Optional, Tuple
 
-try:  # pragma: no cover - exercised implicitly by every import
-    import numpy as _np
-except Exception:  # pragma: no cover - numpy-less installs
-    _np = None
+__all__ = ["PyLanes"]
 
-HAVE_NUMPY = _np is not None
-
-__all__ = ["HAVE_NUMPY", "SoloLanes", "PyLanes", "NumpyLanes"]
-
-#: accept(worm) -> bool: may the destination take this message now?
-AcceptProbe = Callable[[object], bool]
+#: accept(node, message) -> bool: the fabric's ``accept_fn``.
+AcceptFn = Callable[[int, object], bool]
 
 
 class PyLanes:
-    """Pure-Python solo lanes: parallel lists of ints, loop per worm."""
+    """Solo lanes: parallel lists of ints, one short loop per worm."""
 
     def __init__(self, worms: List, buffer_phits: int,
-                 accept: AcceptProbe, track_stalls: bool = False) -> None:
+                 accept: AcceptFn, track_stalls: bool = False) -> None:
         self.worms = worms
         self.buffer = buffer_phits
         self.accept = accept
@@ -70,14 +51,8 @@ class PyLanes:
         # -1 unknown, 0 refused, 1 reserved.  The caller guarantees the
         # accept function's inputs cannot change inside the window.
         self.acc = [-1] * len(worms)
+        #: Lane indices (into ``worms``) still in flight.
         self.alive = list(range(len(worms)))
-
-    @property
-    def n_alive(self) -> int:
-        return len(self.alive)
-
-    def worm(self, j: int):
-        return self.worms[j]
 
     def cycle(self) -> Tuple[Optional[List[int]], Optional[List[int]], int]:
         """Advance every live lane one cycle.
@@ -106,7 +81,9 @@ class PyLanes:
                 if not res[j]:
                     a = acc[j]
                     if a < 0:
-                        a = acc[j] = 1 if self.accept(self.worms[j]) else 0
+                        message = self.worms[j].message
+                        a = acc[j] = \
+                            1 if self.accept(message.dest, message) else 0
                     if a:
                         res[j] = True
                     else:
@@ -170,109 +147,3 @@ class PyLanes:
         for j, n in enumerate(self.stall_lane):
             if n:
                 yield j, n
-
-
-class NumpyLanes:
-    """numpy solo lanes: one array per field, array ops per cycle."""
-
-    def __init__(self, worms: List, buffer_phits: int,
-                 accept: AcceptProbe, track_stalls: bool = False) -> None:
-        if _np is None:  # pragma: no cover - guarded by the factory
-            raise RuntimeError("numpy is not available")
-        self.worms = worms
-        self.buffer = buffer_phits
-        self.accept = accept
-        #: See :attr:`PyLanes.stall_lane` (same contract, int64 array).
-        self.stall_lane = (_np.zeros(len(worms), dtype=_np.int64)
-                           if track_stalls else None)
-        self.h = _np.array([w.head for w in worms], dtype=_np.int64)
-        self.r = _np.array([w.released for w in worms], dtype=_np.int64)
-        self.inj = _np.array([w.injected for w in worms], dtype=_np.int64)
-        self.dlv = _np.array([w.delivered for w in worms], dtype=_np.int64)
-        self.tot = _np.array([w.total_phits for w in worms], dtype=_np.int64)
-        self.last = _np.array([len(w.path) - 1 for w in worms],
-                              dtype=_np.int64)
-        self.res = _np.array([w.reserved for w in worms], dtype=bool)
-        self.acc = _np.full(len(worms), -1, dtype=_np.int8)
-        self.av = _np.ones(len(worms), dtype=bool)
-        self.n_alive = len(worms)
-
-    def worm(self, j: int):
-        return self.worms[j]
-
-    def cycle(self) -> Tuple[Optional[List[int]], Optional[List[int]], int]:
-        """One simulated cycle for all live lanes via whole-array ops.
-
-        Same contract as :meth:`PyLanes.cycle`; the phase order (head,
-        delivery, injection, tail release) matches the scalar reference
-        so intermediate values observed by later phases are identical.
-        """
-        np = _np
-        av = self.av
-        h, r, inj, dlv = self.h, self.r, self.inj, self.dlv
-        tot, last, res = self.tot, self.last, self.res
-        # 1. Head acquisition.
-        adv = av & (h < last)
-        h[adv] += 1
-        # 2. Reservation and delivery streaming.
-        at_eject = av & (h == last)
-        need = at_eject & ~res
-        stalls = 0
-        if need.any():
-            unknown = need & (self.acc == -1)
-            if unknown.any():
-                for j in np.nonzero(unknown)[0]:
-                    self.acc[j] = 1 if self.accept(self.worms[j]) else 0
-            res |= need & (self.acc == 1)
-            still = at_eject & ~res
-            stalls = int(still.sum())
-            if self.stall_lane is not None and stalls:
-                self.stall_lane[still] += 1
-        deliver = at_eject & res & (dlv < np.minimum(inj, tot))
-        dlv[deliver] += 1
-        done = deliver & (dlv == tot)
-        completed: Optional[List[int]] = None
-        if done.any():
-            completed = np.nonzero(done)[0].tolist()
-            av = self.av = av & ~done
-            self.n_alive -= len(completed)
-        live = av  # completions skip phases 3 and 4
-        moved = (adv | deliver) & live
-        # 3. Injection, bounded by buffer slack over the held span.
-        can_inject = (live & (inj < tot)
-                      & (inj - dlv < self.buffer * (h - r + 1)))
-        inj[can_inject] += 1
-        moved |= can_inject
-        inj_done: Optional[List[int]] = None
-        just_full = can_inject & (inj == tot)
-        if just_full.any():
-            inj_done = np.nonzero(just_full)[0].tolist()
-        # 4. Tail release.
-        full = live & (inj == tot) & moved
-        if full.any():
-            in_flight = inj - dlv
-            span_needed = np.maximum(
-                1, -(-in_flight // self.buffer))
-            target = h - span_needed + 1
-            r[:] = np.where(full, np.maximum(r, target), r)
-        return completed, inj_done, stalls
-
-    def alive_states(self):
-        for j in _np.nonzero(self.av)[0]:
-            yield (self.worms[j], int(self.h[j]), int(self.r[j]),
-                   int(self.inj[j]), int(self.dlv[j]), bool(self.res[j]))
-
-    def stall_counts(self):
-        """Same contract as :meth:`PyLanes.stall_counts`."""
-        if self.stall_lane is None:
-            return
-        for j in _np.nonzero(self.stall_lane)[0]:
-            yield int(j), int(self.stall_lane[j])
-
-
-def SoloLanes(worms: List, buffer_phits: int, accept: AcceptProbe,
-              use_numpy: bool, track_stalls: bool = False):
-    """Backend factory: numpy lanes when requested and available."""
-    if use_numpy and HAVE_NUMPY:
-        return NumpyLanes(worms, buffer_phits, accept, track_stalls)
-    return PyLanes(worms, buffer_phits, accept, track_stalls)

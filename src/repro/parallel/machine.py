@@ -28,6 +28,7 @@ import copy
 import heapq
 from typing import Dict, List, Optional, Tuple
 
+from ..core.hooks import RunHooks
 from ..core.message import Message
 from ..core.queues import MessageQueue
 from ..core.registers import Priority
@@ -62,23 +63,23 @@ def run_parallel(machine, limit: int) -> Optional[int]:
     if reason is not None:
         machine._note_parallel_skip(reason)
         return None
-    checkpoint = getattr(machine, "checkpoint", None)
-    if checkpoint is not None and checkpoint.next_due is None:
-        # Arm the clock at run start, as the serial loop's first
-        # ``due`` poll would; idle jumps are too rare to spend one.
-        checkpoint.due(machine.now)
-    sampler = getattr(machine, "sampler", None)
-    if sampler is not None:
-        # Same arming convention as the serial loop's first poll.
-        sampler.due(machine.now)
-    # Checkpointing splits the run into segments: each pause folds the
-    # attempt back into the machine at an epoch-barrier idle point (a
-    # cycle the serial loop would also pass through with an empty
-    # fabric), saves, and a fresh coordinator picks the run back up.
-    # The segments partition the event stream at the pause cycle, so
-    # the merged stream is identical to an unpaused attempt's.
+    # Two hook sites, because only an idle jump is resumable: saves
+    # happen there (a cycle the serial loop would also pass through
+    # with an empty fabric); the watchdog and the live sampler read the
+    # coordinator's own counters after every epoch.  Built once per
+    # run — the observers are armed at run start, as in the serial
+    # loop — and handed to each segment's coordinator.
+    idle_hooks = RunHooks(None, machine.now, limit, machine.checkpoint)
+    epoch_hooks = RunHooks(None, machine.now, limit,
+                           machine.watchdog, machine.sampler)
+    # Checkpointing splits the run into segments: each save folds the
+    # attempt back into the machine, and a fresh coordinator picks the
+    # run back up.  The segments partition the event stream at the
+    # save cycle, so the merged stream is identical to an unpaused
+    # attempt's.
     while True:
-        coordinator = _Coordinator(machine, shards, limit, pause=checkpoint)
+        coordinator = _Coordinator(machine, shards, limit,
+                                   idle_hooks, epoch_hooks)
         try:
             final = coordinator.run()
         except ParallelFallback as exc:
@@ -88,23 +89,32 @@ def run_parallel(machine, limit: int) -> Optional[int]:
             coordinator.shutdown()
         if not coordinator.paused:
             return final
-        checkpoint.save(machine, run_limit=limit)
 
 
 class _Coordinator:
     """One parallel run attempt: owns workers, replay fabric, schedule."""
 
     def __init__(self, machine, shards: int, limit: int,
-                 pause=None) -> None:
+                 idle_hooks: RunHooks, epoch_hooks: RunHooks) -> None:
         self.machine = machine
         self.limit = limit
-        #: Checkpoint policy consulted at idle points; when it says a
-        #: save is due, the attempt folds into the machine and returns
-        #: with :attr:`paused` set instead of running to the limit.
-        self.pause = pause
+        #: Observers polled at idle jumps / after each epoch; this
+        #: coordinator is what they inspect (see :meth:`save`,
+        #: :meth:`progress_signature`, ``LiveSampler.sample_parallel``).
+        self.idle_hooks = idle_hooks
+        self.epoch_hooks = epoch_hooks
+        idle_hooks.target = epoch_hooks.target = self
+        #: The idle-jump cycle a :meth:`save` folds the attempt at.
+        self.now = machine.now
+        #: Set by :meth:`save`: the attempt has been folded into the
+        #: machine, so :meth:`run` returns instead of reaching the limit.
         self.paused = False
         self.shard_nodes = shard_ranges(machine.mesh.n_nodes, shards)
         self.n_shards = len(self.shard_nodes)
+        self._shard_of = [0] * machine.mesh.n_nodes
+        for s, owned in enumerate(self.shard_nodes):
+            for node_id in owned:
+                self._shard_of[node_id] = s
         self.procs: list = []
         self.pipes: list = []
         self._forked = False
@@ -167,9 +177,6 @@ class _Coordinator:
         fab.route_cache_misses = src.route_cache_misses
         fab._seq = src._seq
         fab.stats = copy.deepcopy(src.stats)
-        fab.vector_threshold = src.vector_threshold
-        fab.track_channel_load = src.track_channel_load
-        fab.channel_phits = dict(src.channel_phits)
         fab.watchdog_cycles = src.watchdog_cycles
         # Observatory counters accumulate on the replay clone (the
         # whole fabric runs here); fold-back installs them like stats.
@@ -274,12 +281,8 @@ class _Coordinator:
                 )
         for arrival, node_id, index in sorted(machine._delivery_heap):
             self._schedule(node_id, machine._staged_messages[index], arrival)
-        shard_of = [0] * machine.mesh.n_nodes
-        for s, owned in enumerate(self.shard_nodes):
-            for node_id in owned:
-                shard_of[node_id] = s
         for when, node_id in machine._proc_heap:
-            s = shard_of[node_id]
+            s = self._shard_of[node_id]
             if self.wake[s] is None or when < self.wake[s]:
                 self.wake[s] = when
         for s, owned in enumerate(self.shard_nodes):
@@ -291,6 +294,8 @@ class _Coordinator:
         w_idle = idle_window(self.replay.inject_latency,
                              self.replay.eject_latency,
                              self.replay.costs.phits_per_word)
+        idle_hooks = self.idle_hooks
+        epoch_hooks = self.epoch_hooks
         now = machine.now
         final = now
         while True:
@@ -305,18 +310,14 @@ class _Coordinator:
                     # and only then notices it crossed the limit.
                     final = max(final, target)
                     break
-                pause = self.pause
-                if (pause is not None and target > now
-                        and pause.due(target)):
-                    # Fold at the jump target, exactly where the serial
+                if target > now and target >= idle_hooks.next_due:
+                    # The jump target is exactly where the serial
                     # loop's top-of-iteration state would be: fabric
                     # empty, no pending commits, clock at `target`.
-                    # The caller saves and resumes with a fresh
-                    # coordinator (worker deltas are cumulative since
-                    # fork, so this one cannot continue after folding).
-                    self._finalize(target)
-                    self.paused = True
-                    return target
+                    self.now = target
+                    idle_hooks.fire(target)
+                    if self.paused:
+                        return target
                 now = target
             elif now >= limit:
                 final = max(final, limit)
@@ -326,8 +327,8 @@ class _Coordinator:
             if end <= now:
                 end = now + 1
             final = max(final, self._run_epoch(now, end))
-            self._poll_watchdog(end)
-            self._poll_sampler(end)
+            if end >= epoch_hooks.next_due:
+                epoch_hooks.fire(end)
             now = end
         self._finalize(final)
         return final
@@ -414,51 +415,39 @@ class _Coordinator:
             c += 1
         return latest
 
-    def _poll_watchdog(self, now: int) -> None:
-        watchdog = self.machine.watchdog
-        if watchdog is None or now < watchdog.next_check:
-            return
-        watchdog.next_check = now + watchdog.interval
-        stats = self.replay.stats
-        deliveries = (self.deliveries_base
-                      + sum(self.deliv_abs)
-                      - self.n_shards * self.deliveries_base)
-        signature = (sum(self.instr_abs), stats.completed, stats.submitted,
-                     deliveries)
-        if signature != watchdog._last_signature:
-            watchdog._last_signature = signature
-            watchdog._last_progress_at = now
-            return
-        if now - watchdog._last_progress_at >= watchdog.window:
-            # Pull worker state first so the DeadlockError's per-node
-            # snapshots describe the wedged state, not the fork point.
-            self._finalize(now)
-            watchdog._trip(self.machine, now)
-
-    def _poll_sampler(self, now: int) -> None:
-        """Live-sampler poll at the epoch barrier (read-only).
-
-        The parent machine's node state is stale mid-attempt (the
-        forked workers own it), so the sampler folds the coordinator's
-        own exact knowledge — shard instruction/delivery absolutes and
-        the replay fabric's statistics — into a reduced frame instead
-        of snapshotting the parent registry (see
-        ``LiveSampler.sample_parallel``).
-        """
-        sampler = getattr(self.machine, "sampler", None)
-        if sampler is not None and sampler.due(now):
-            sampler.sample_parallel(self, now)
+    # ------------------------------------------- what the observers inspect
 
     @property
-    def _shard_of(self) -> List[int]:
-        cached = getattr(self, "_shard_of_cache", None)
-        if cached is None:
-            cached = [0] * self.machine.mesh.n_nodes
-            for s, owned in enumerate(self.shard_nodes):
-                for node_id in owned:
-                    cached[node_id] = s
-            self._shard_of_cache = cached
-        return cached
+    def deliveries_committed(self) -> int:
+        """Machine-wide committed deliveries as of the last barrier."""
+        return (self.deliveries_base + sum(self.deliv_abs)
+                - self.n_shards * self.deliveries_base)
+
+    def progress_signature(self) -> Tuple[int, int, int, int]:
+        """``JMachine.progress_signature`` from the coordinator's own
+        exact knowledge (the parent's node state is stale mid-attempt:
+        the forked workers own it)."""
+        stats = self.replay.stats
+        return (sum(self.instr_abs), stats.completed, stats.submitted,
+                self.deliveries_committed)
+
+    def wedged_machine(self, now: int):
+        """Pull worker state first so the DeadlockError's per-node
+        snapshots describe the wedged state, not the fork point."""
+        self._finalize(now)
+        return self.machine
+
+    def save(self, path: str, run_limit: Optional[int] = None,
+             meta=None) -> dict:
+        """Fold the attempt into the machine and checkpoint *it*.
+
+        Worker deltas are cumulative since fork, so this coordinator
+        cannot continue after folding: it is :attr:`paused`, and
+        ``run_parallel`` resumes with a fresh one.
+        """
+        self._finalize(self.now)
+        self.paused = True
+        return self.machine.save(path, run_limit=run_limit, meta=meta)
 
     # --------------------------------------------------------------- install
 
@@ -508,9 +497,7 @@ class _Coordinator:
         machine._staged_words_per_node = [0] * machine.mesh.n_nodes
         for arrival, node_id, _tb, message in sorted(self.sched):
             machine._deliver(node_id, message, arrival)
-        machine.deliveries_committed = (
-            self.deliveries_base
-            + sum(self.deliv_abs) - self.n_shards * self.deliveries_base)
+        machine.deliveries_committed = self.deliveries_committed
         machine.now = final_now
 
         dst = machine.fabric
@@ -525,7 +512,6 @@ class _Coordinator:
         dst.route_cache_misses = src.route_cache_misses
         dst._seq = src._seq
         dst.stats = src.stats
-        dst.channel_phits = src.channel_phits
         dst.probe = src.probe
 
         if self._real_bus is not None and new_events:

@@ -306,13 +306,9 @@ class ReliableLayer:
             chaos.counters["retries"] += 1
         ebus = getattr(self.sim, "_ebus", None)
         if ebus is not None:
-            if trace is None:
-                ebus.emit("retry", now, source, 1 if priority else 0,
-                          name=handler, dest=dest, seq=seq, attempt=attempts)
-            else:
-                ebus.emit("retry", now, source, 1 if priority else 0,
-                          name=handler, dest=dest, seq=seq, attempt=attempts,
-                          trace=trace[0], span=trace[1], parent=trace[2])
+            ebus.emit("retry", now, source, 1 if priority else 0,
+                      name=handler, dest=dest, seq=seq, attempt=attempts,
+                      trace=trace)
         self._pending[seq] = (source, dest, handler, args, wrapped_length,
                               priority, attempts, sseq, trace)
         # Retransmit with the *original* trace context (same span id).

@@ -132,7 +132,7 @@ def bisect_deadlock(path: str, max_cycles: int = 10_000_000,
     else:
         raise SnapshotError(
             f"{path}: run completed without deadlocking; nothing to bisect")
-    signature = DeadlockWatchdog._signature(detector)
+    signature = detector.progress_signature()
 
     probes = 0
 
@@ -151,7 +151,7 @@ def bisect_deadlock(path: str, max_cycles: int = 10_000_000,
     while lo < hi:
         mid = (lo + hi) // 2
         machine = replay(mid)
-        if DeadlockWatchdog._signature(machine) == signature:
+        if machine.progress_signature() == signature:
             hi = mid
         else:
             lo = mid + 1

@@ -1,12 +1,12 @@
 """When to checkpoint: the periodic auto-save policy.
 
 A :class:`CheckpointPolicy` is handed to a simulator via its
-``checkpoint`` attribute; the run loops consult it at their safe points
-(the serial cycle loop's top, the macro event loop's top, the parallel
-coordinator's epoch-barrier idle jumps) and call :meth:`save` when
-:meth:`due` says so.  The policy deliberately knows nothing about the
-simulator beyond its ``save(path, run_limit=...)`` method, so one class
-serves both levels and the parallel backend.
+``checkpoint`` attribute; the run loops poll it through
+:class:`~repro.core.hooks.RunHooks` at their resumable points (the
+serial cycle loop's top, the macro event loop's top, the parallel
+coordinator's epoch-barrier idle jumps).  The policy deliberately knows
+nothing about the target beyond its ``save(path, run_limit=...)``
+method, so one class serves both levels and the parallel backend.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ class CheckpointPolicy:
     successive checkpoints keep distinct files (a plain path is
     overwritten in place — crash-safe, see ``write_snapshot``).
 
-    The first ``due`` call only arms the clock: a checkpoint at cycle 0
-    would capture the state the caller already has.  Arming also sweeps
+    Run start only arms the clock: a checkpoint at cycle 0 would
+    capture the state the caller already has.  Arming also sweeps
     any orphaned ``*.tmp.<pid>`` siblings of ``path`` left by a writer
     that died mid-checkpoint (:func:`~repro.snapshot.format
     .sweep_stale_tmp`) — the policy taking ownership of the path family
@@ -49,22 +49,32 @@ class CheckpointPolicy:
         #: Stale temp files removed when the policy armed.
         self.swept: list = []
 
-    def due(self, now: int) -> bool:
-        """Is a checkpoint due at simulated time ``now``?  O(1)."""
+    def arm(self, now: int) -> None:
+        """Start the clock at a run's first cycle (no-op once armed)."""
         if self.next_due is None:
             self.next_due = now + self.every
             from .format import sweep_stale_tmp
 
             self.swept = sweep_stale_tmp(self.path)
+
+    def due(self, now: int) -> bool:
+        """Is a checkpoint due at simulated time ``now``?  O(1)."""
+        if self.next_due is None:
+            self.arm(now)
             return False
         return now >= self.next_due
+
+    def poll(self, target, now: int, run_limit: Optional[int] = None) -> None:
+        """The run-loop hook: save ``target`` if a checkpoint is due."""
+        if self.due(now):
+            self.save(target, run_limit=run_limit, at=now)
 
     def save(self, target, run_limit: Optional[int] = None,
              at: Optional[int] = None) -> str:
         """Checkpoint ``target`` (a machine or macro sim) and re-arm.
 
         ``at`` overrides the cycle the clock re-arms from — the macro
-        loop passes the *next event's* time, since its own clock only
+        loop polls at the *next event's* time, since its own clock only
         advances when that event is processed.
         """
         reached = target.now if at is None else at

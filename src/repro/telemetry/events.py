@@ -107,14 +107,22 @@ class EventBus:
         priority: int = 0,
         name: Optional[str] = None,
         dur: Optional[int] = None,
+        trace: Optional[tuple] = None,
         **args: Any,
     ) -> None:
-        """Record one event at simulated cycle ``ts`` on ``node``."""
+        """Record one event at simulated cycle ``ts`` on ``node``.
+
+        ``trace`` is a causal-tracing context ``(trace, span, parent)``
+        (:mod:`repro.telemetry.trace`) or None; a context is recorded as
+        those three args, None leaves the event exactly as untraced.
+        """
         if kind not in EVENT_KINDS:
             raise ValueError(f"unknown event kind {kind!r}")
         if len(self.events) >= self.limit:
             self.dropped += 1
             return
+        if trace is not None:
+            args["trace"], args["span"], args["parent"] = trace
         self.events.append(
             (int(ts), kind, node, int(priority), name, dur, args or None)
         )

@@ -4,8 +4,8 @@ Everything else in :mod:`repro.telemetry` is after-the-fact — a
 :class:`~repro.telemetry.report.SimReport` only exists once ``run()``
 returns, so a Figure-5-scale run is minutes of opaque wall clock.  This
 module closes that gap: a :class:`LiveSampler` attached to a simulator
-takes periodic snapshots *during* the run, at the same three safe poll
-sites the checkpoint policy already uses (the serial cycle loop's top,
+takes periodic snapshots *during* the run, polled through the run
+loops' :class:`~repro.core.hooks.RunHooks` (the serial cycle loop's top,
 the macro event loop's top, and the parallel coordinator's epoch
 barriers), and keeps them in a bounded ring of
 :class:`SamplePoint` time-series frames.  Consumers — the ``/metrics``
@@ -15,10 +15,9 @@ read that ring.
 
 House rules, inherited from the rest of the telemetry layer:
 
-* **Zero cost when detached.**  The run loops hold ``None`` until a
-  sampler is installed; the disabled price is one ``is None`` test per
-  loop iteration, exactly like checkpoints and the watchdog, and
-  nothing at all per instruction.
+* **Zero cost when detached.**  A run with no sampler pays the hook
+  site's one integer compare per loop iteration, shared with
+  checkpoints, and nothing at all per instruction.
 * **Read-only when attached.**  A sample is a
   :meth:`~repro.telemetry.metrics.MetricsRegistry.snapshot` — pull
   sources over counters the subsystems maintain anyway — so a sampled
@@ -43,6 +42,7 @@ import time
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
+from ..chaos.watchdog import ProgressGauge, machine_snapshots
 from .metrics import MetricsRegistry
 
 __all__ = ["SamplePolicy", "SamplePoint", "LiveSampler"]
@@ -54,12 +54,13 @@ class SamplePolicy:
     """When to take a live sample: every N simulated cycles and/or every
     S wall-clock seconds.
 
-    Mirrors :class:`~repro.snapshot.CheckpointPolicy`: the first
-    :meth:`due` call only arms the clocks (a sample at cycle 0 would
-    capture the state the caller already has), and :meth:`mark` re-arms
-    both after a sample is taken.  The wall clock is only consulted
-    every ``wall_stride`` polls so a wall-interval-only policy still
-    costs an integer compare on almost every loop iteration.
+    Mirrors :class:`~repro.snapshot.CheckpointPolicy`: run start (or
+    the first :meth:`due` call) only arms the clocks (a sample at cycle
+    0 would capture the state the caller already has), and :meth:`mark`
+    re-arms both after a sample is taken.  A wall interval can pass at
+    any cycle, so a policy with one asks to be polled every iteration
+    (:attr:`next_due` is 0); the wall clock itself is only consulted
+    every ``wall_stride`` polls, so those polls stay an integer compare.
     """
 
     __slots__ = ("every_cycles", "every_wall_s", "wall_stride",
@@ -85,6 +86,16 @@ class SamplePolicy:
         self._next_cycle: Optional[int] = None
         self._next_wall: Optional[float] = None
         self._wall_countdown = 0
+
+    def arm(self, now: int) -> None:
+        """Start the clocks at a run's first cycle (no-op once armed)."""
+        if not self._armed:
+            self.mark(now)
+
+    @property
+    def next_due(self) -> int:
+        """Earliest simulated cycle :meth:`due` can answer True."""
+        return 0 if self.every_wall_s is not None else self._next_cycle
 
     def due(self, now: int) -> bool:
         """Is a sample due at simulated time ``now``?  O(1)."""
@@ -175,7 +186,7 @@ class SamplePoint:
 
 def _progress_signature(metrics: Dict[str, Number]
                         ) -> Tuple[float, float, float]:
-    """The live analogue of ``DeadlockWatchdog._signature``.
+    """The live analogue of ``JMachine.progress_signature``.
 
     Instructions retired anywhere, messages completed, messages
     submitted — computed from whichever of the cycle-level or
@@ -203,8 +214,8 @@ class LiveSampler:
     """The in-run sampling rig: policy + bounded frame ring + health.
 
     Attach with :meth:`attach` (sets ``target.sampler``); the target's
-    run loops then poll :meth:`due` at their safe points and call
-    :meth:`sample`.  Frames are appended under a lock so the HTTP
+    run loops then :meth:`poll` it at their safe points.  Frames are
+    appended under a lock so the HTTP
     server and the dashboard can read them from other threads while
     the simulation is running; the simulation itself never blocks on a
     reader (appends only contend with O(1) ring reads).
@@ -242,8 +253,8 @@ class LiveSampler:
         self._limit_pinned = False
         self._target: Any = None
         self._wall0 = time.monotonic()
-        self._last_sig: Optional[Tuple[float, float, float]] = None
-        self._sig_changed_at_wall = 0.0
+        #: Wall-clock stall detector over the frames' progress signature.
+        self._progress = ProgressGauge()
         self._seq = 0
 
     # -- wiring --------------------------------------------------------------
@@ -304,9 +315,25 @@ class LiveSampler:
 
     # -- the run-loop hooks --------------------------------------------------
 
-    def due(self, now: int) -> bool:
-        """Proxy to the policy — what the run loops poll."""
-        return self.policy.due(now)
+    def arm(self, now: int) -> None:
+        self.policy.arm(now)
+
+    @property
+    def next_due(self) -> int:
+        return self.policy.next_due
+
+    def poll(self, target, now: int, run_limit: Optional[int] = None) -> None:
+        """The run-loop hook: take a frame of ``target`` if one is due.
+
+        A parallel coordinator (it owns a ``replay`` fabric) is folded
+        by :meth:`sample_parallel`; machines and macro simulators by
+        :meth:`sample`.
+        """
+        if self.policy.due(now):
+            if hasattr(target, "replay"):
+                self.sample_parallel(target, now)
+            else:
+                self.sample(target, now, run_limit=run_limit)
 
     def sample(self, target, now: int,
                run_limit: Optional[int] = None) -> SamplePoint:
@@ -356,15 +383,12 @@ class LiveSampler:
         machine = coordinator.machine
         replay = coordinator.replay
         stats = replay.stats
-        deliveries = (coordinator.deliveries_base
-                      + sum(coordinator.deliv_abs)
-                      - coordinator.n_shards * coordinator.deliveries_base)
         metrics: Dict[str, Number] = {
             "machine.cycles": now,
             "machine.nodes": machine.mesh.n_nodes,
             "parallel.shards": coordinator.n_shards,
             "parallel.instructions": float(sum(coordinator.instr_abs)),
-            "parallel.deliveries": float(deliveries),
+            "parallel.deliveries": float(coordinator.deliveries_committed),
             "net.submitted": stats.submitted,
             "net.completed": stats.completed,
             "net.in_flight": replay.worms_in_flight,
@@ -420,28 +444,19 @@ class LiveSampler:
             if rate:
                 derived["eta_s"] = round(max(0, limit - now) / rate, 3)
         stall = None
-        signature = _progress_signature(metrics)
-        if signature != self._last_sig:
-            self._last_sig = signature
-            self._sig_changed_at_wall = wall
-            derived["stalled"] = 0
-        elif prev is not None:
-            derived["stalled"] = 1
-            derived["stalled_wall_s"] = round(
-                wall - self._sig_changed_at_wall, 3)
+        frozen_s = self._progress.observe(_progress_signature(metrics), wall)
+        derived["stalled"] = 1 if frozen_s else 0
+        if frozen_s:
+            derived["stalled_wall_s"] = round(frozen_s, 3)
             if target is not None and hasattr(target, "fabric"):
                 # Reuse the deadlock watchdog's diagnostic machinery:
                 # the implicated-node snapshots are read-only and only
                 # taken on already-stalled frames.
-                from ..chaos.watchdog import machine_snapshots
-
                 snaps = machine_snapshots(target)
                 stall = {
                     "nodes_implicated": len(snaps),
                     "nodes": [snap.to_dict() for snap in snaps[:8]],
                 }
-        else:
-            derived["stalled"] = 0
         point = SamplePoint(self._seq, now, round(wall, 6), source,
                             metrics, derived, stall, fabric)
         with self._new_frame:

@@ -29,25 +29,26 @@ class TestChannelLoad:
                         lambda n, m, t: None)
         fabric.send(_message(0, 3), 0)
         _run(fabric)
-        assert fabric.channel_phits == {}
+        assert fabric.probe is None
 
     def test_counts_every_path_channel(self):
         fabric = Fabric(Mesh3D(4, 1, 1), lambda n, m: True,
                         lambda n, m, t: None)
-        fabric.track_channel_load = True
+        link_phits = fabric.attach_probe().link_phits
         fabric.send(_message(0, 3, length=2), 0)
         _run(fabric)
         # 3 hops, each crossed by 2*2+2 = 6 phits.
-        assert len(fabric.channel_phits) == 3
-        assert all(v == 6 for v in fabric.channel_phits.values())
+        assert len(link_phits) == 3
+        assert all(v == 6 for v in link_phits.values())
 
     def test_mesh_channels_only(self):
         fabric = Fabric(Mesh3D(2, 2, 2), lambda n, m: True,
                         lambda n, m, t: None)
-        fabric.track_channel_load = True
+        link_phits = fabric.attach_probe().link_phits
         fabric.send(_message(0, 7), 0)
         _run(fabric)
-        assert all(dim < INJECT for (_, dim, _) in fabric.channel_phits)
+        assert link_phits
+        assert all(dim < INJECT for (_, dim, _) in link_phits)
 
     def test_ecube_concentrates_load_in_x(self):
         """Uniform random traffic loads X channels hardest (e-cube
@@ -55,7 +56,7 @@ class TestChannelLoad:
         import random
         fabric = Fabric(Mesh3D(4, 4, 4), lambda n, m: True,
                         lambda n, m, t: None)
-        fabric.track_channel_load = True
+        link_phits = fabric.attach_probe().link_phits
         rng = random.Random(11)
         for _ in range(300):
             src = rng.randrange(64)
@@ -64,11 +65,11 @@ class TestChannelLoad:
                 fabric.send(_message(src, dst, 4), 0)
         _run(fabric, limit=100_000)
         by_dim = {0: 0, 1: 0, 2: 0}
-        for (_, dim, _), phits in fabric.channel_phits.items():
+        for (_, dim, _), phits in link_phits.items():
             by_dim[dim] += phits
         # Symmetric traffic: roughly equal by dimension (each corrected
         # once); but midplane X channels individually carry the most.
-        x_channels = {k: v for k, v in fabric.channel_phits.items()
+        x_channels = {k: v for k, v in link_phits.items()
                       if k[1] == 0}
         mid_x = [v for (node, _, _), v in x_channels.items()
                  if fabric.mesh.coord(node)[0] in (1, 2)]

@@ -1,4 +1,4 @@
-"""Tests for the channel-load heat map."""
+"""Tests for the link-load heat map (the observatory probe's view)."""
 
 import random
 
@@ -7,13 +7,13 @@ import pytest
 from repro.core.message import Message
 from repro.core.word import Word
 from repro.network.fabric import Fabric
-from repro.network.stats import format_channel_heatmap
+from repro.network.observatory import FabricReport
 from repro.network.topology import Mesh3D
 
 
 def loaded_fabric(dims=(4, 4, 1), messages=200, seed=3):
     fabric = Fabric(Mesh3D(*dims), lambda n, m: True, lambda n, m, t: None)
-    fabric.track_channel_load = True
+    fabric.attach_probe()
     rng = random.Random(seed)
     n = fabric.mesh.n_nodes
     for _ in range(messages):
@@ -28,6 +28,10 @@ def loaded_fabric(dims=(4, 4, 1), messages=200, seed=3):
         fabric.step(now)
         now += 1
     return fabric
+
+
+def format_channel_heatmap(fabric, **where):
+    return FabricReport.from_fabric(fabric, now=1).heatmap(**where)
 
 
 def test_heatmap_shape():
@@ -62,5 +66,8 @@ def test_bad_plane_rejected():
 
 def test_requires_tracking_gracefully():
     fabric = Fabric(Mesh3D(2, 2, 1), lambda n, m: True, lambda n, m, t: None)
+    with pytest.raises(ValueError, match="attach_probe"):
+        format_channel_heatmap(fabric)
+    fabric.attach_probe()
     text = format_channel_heatmap(fabric)
     assert "peak 0" in text

@@ -22,6 +22,7 @@ from repro.core.word import Word
 from repro.machine.config import MachineConfig
 from repro.machine.jmachine import JMachine
 from repro.parallel.machine import _event_sort_key
+from repro.telemetry import Telemetry
 
 ECHO = """
 ; request: [IP:echo, replyto, value]
@@ -357,6 +358,39 @@ class TestWatchdogUnderParallel:
         # may lag by up to one epoch plus the poll interval.
         assert 2_000 <= err.now < 2_000 + machine.watchdog.interval + 11
         assert not multiprocessing.active_children()
+
+    def test_trips_at_the_serial_cycle_through_the_shared_gauge(self):
+        """Both backends feed one ProgressGauge their progress
+        signature, so when their poll grids coincide they trip at the
+        same cycle.  The grids coincide here: a link dies at cycle 10
+        under all-to-all echo traffic, the fabric stays busy from cycle
+        0 on, so the coordinator's barriers fall every 5 cycles
+        (eject_latency) and the watchdog's interval is those 5."""
+        tripped = []
+        for shards in (0, 2):
+            machine = JMachine(
+                MachineConfig(dims=(4, 2, 1), parallel_shards=shards),
+                telemetry=Telemetry())
+            program, _base = _load(machine, ECHO)
+            ChaosEngine(FaultPlan(seed=1, specs=(
+                FaultSpec(kind="link", node=0, start=10),
+            ))).attach_machine(machine)
+            for i in range(8):
+                machine.inject(
+                    i, program.entry("echo"),
+                    [Word.from_int((i + 3) % 8), Word.from_int(100 + i)],
+                    source=(i + 1) % 8)
+            machine.watchdog = DeadlockWatchdog(window=200, interval=5)
+            with pytest.raises(DeadlockError) as info:
+                machine.run(max_cycles=50_000)
+            assert machine.parallel_skip_reason is None
+            assert machine.watchdog.trips == 1
+            events = [e[0] for e in machine.telemetry.events.events
+                      if e[1] == "watchdog"]
+            tripped.append((info.value.now, events,
+                            machine.progress_signature()))
+        assert tripped[0] == tripped[1]
+        assert tripped[0][:2] == (251, [251])
 
     def test_healthy_run_under_watchdog_identical(self):
         digests = []

@@ -110,3 +110,10 @@ def test_bench_targets_in_design_exist():
     design = (ROOT / "DESIGN.md").read_text()
     for match in re.finditer(r"`benchmarks/(bench_[a-z0-9_]+\.py)`", design):
         assert (ROOT / "benchmarks" / match.group(1)).exists(), match.group(1)
+
+
+def test_src_is_pure_python_no_numpy():
+    """pyproject declares no dependencies; keep it true."""
+    for path in (ROOT / "src").rglob("*.py"):
+        assert not re.search(r"^\s*(import|from)\s+numpy\b",
+                             path.read_text(), re.M), path
