@@ -92,8 +92,7 @@ class Program:
 
     def load(self, proc: Mdp) -> None:
         """Install this program's code and data into a processor."""
-        for addr, instr in self.instrs:
-            proc.code[addr] = instr
+        proc.install_code(self.instrs)
         for addr, word in self.data:
             proc.memory.poke(addr, word)
 

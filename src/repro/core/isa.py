@@ -219,7 +219,7 @@ class Instr:
         line: source line (diagnostics).
     """
 
-    __slots__ = ("op", "operands", "label", "line")
+    __slots__ = ("op", "operands", "label", "line", "_text")
 
     def __init__(
         self,
@@ -253,10 +253,26 @@ class Instr:
             if isinstance(operand, (MemOff, MemIdx))
         )
 
-    def __repr__(self) -> str:
+    @property
+    def text(self) -> str:
+        """``OP a, b`` without the label: what the instruction *is*.
+
+        Cached on first use (operands are final once a program is
+        assembled); the block compiler keys its shared code cache on it.
+        """
+        try:
+            return self._text
+        except AttributeError:
+            self._text = text = self._render()
+            return text
+
+    def _render(self) -> str:
         parts = ", ".join(repr(operand) for operand in self.operands)
-        prefix = f"{self.label}: " if self.label else ""
-        return f"{prefix}{self.op} {parts}".strip()
+        return f"{self.op} {parts}".strip()
+
+    def __repr__(self) -> str:
+        # Not ``text``: a repr taken mid-assembly must not be cached.
+        return f"{self.label}: {self._render()}" if self.label else self._render()
 
 
 def tag_imm(tag: Tag) -> Imm:

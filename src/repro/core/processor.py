@@ -31,8 +31,9 @@ returns ``None`` and is woken by message delivery.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .amt import AssociativeMatchTable
 from .costs import CostModel, DEFAULT_COSTS
@@ -45,7 +46,7 @@ from .errors import (
     XlateMissFault,
 )
 from .faults import FaultPolicy, RuntimeFaultPolicy
-from .fastpath import Decoded, compile_instr
+from .fastpath import STATS, bind_block, block_text, context
 from .isa import Imm, Instr, MemIdx, MemOff, Operand, Reg
 from .memory import NodeMemory
 from .message import Message
@@ -245,6 +246,14 @@ def _lsh(a: int, b: int) -> int:
 class Mdp:
     """One Message-Driven Processor with its memory, AMT, and queues."""
 
+    #: Attributes owned by the machine wiring or rebuilt on demand, never
+    #: part of the processor's captured state: the network binding, the
+    #: telemetry bus, the compiled blocks with the context they run
+    #: against, and the host completion callbacks.  Snapshot capture and
+    #: the parallel workers build their skip lists on this tuple.
+    UNCAPTURED_ATTRS = ("network", "_events", "_blocks", "_context",
+                        "on_thread_complete")
+
     def __init__(
         self,
         node_id: int,
@@ -291,12 +300,15 @@ class Mdp:
         self._current_instr_addr: int = 0
         self._suspended_by_fault = False
         self.halted = False
-        #: Fast-path block executor (see :mod:`repro.core.fastpath`).  Off
+        #: Compiled-block execution (see :mod:`repro.core.fastpath`).  Off
         #: by default so bare processors keep the documented one-step-per-
         #: tick contract; the machine turns it on via MachineConfig.
         self.fast_path = fast_path
-        #: Decoded-instruction cache keyed by address (fast path only).
-        self._decoded: Dict[int, "Decoded"] = {}
+        #: Compiled blocks for this processor's code, keyed by start
+        #: address: one table per emitted mode (events attached + 2 *
+        #: probe present); and what they run against (fastpath.context).
+        self._blocks: Tuple[Dict[int, Callable], ...] = ({}, {}, {}, {})
+        self._context: Optional[tuple] = None
         #: Set by :meth:`_wake_watchers`; tells a running block that the
         #: scheduler's view changed and the block must end.
         self._woke = False
@@ -312,17 +324,45 @@ class Mdp:
 
     # ------------------------------------------------------------------ setup
 
-    def install_code(self, base: int, instrs: Sequence[Instr]) -> int:
-        """Place decoded instructions at sequential addresses from ``base``.
+    def install_code(self, placed: Iterable[Tuple[int, Instr]]) -> None:
+        """Place decoded instructions at their ``(address, instr)`` slots.
 
-        Returns the next free address.  Instruction *objects* live in a
-        side table; their addresses still classify as internal/external
-        memory for fetch-cost purposes.
+        The one way code gets into a processor.  Instruction *objects*
+        live in a side table; their addresses still classify as
+        internal/external memory for fetch-cost purposes.  A load
+        invalidates every block compiled from the old code.
         """
-        for i, instr in enumerate(instrs):
-            self.code[base + i] = instr
-        self._decoded.clear()  # self-modifying loads invalidate the fast path
-        return base + len(instrs)
+        self.code.update(placed)
+        self.drop_compiled()
+
+    def drop_compiled(self) -> None:
+        """Forget every compiled block (rebuilt on next execution).
+
+        The tables map this processor's code to shared blocks and the
+        context holds its memory, counters and watch table by identity,
+        so anything that replaces either — a code load, a snapshot
+        restore, a shard fold-back — must call this.
+        """
+        for table in self._blocks:
+            table.clear()
+        self._context = None
+
+    def block_source(self, addr: int) -> str:
+        """The generated Python of the compiled block containing ``addr``.
+
+        Each instruction is preceded by a ``# @<addr> <OP> <operands>``
+        comment.  Blocks overlap (a branch into the middle of a run
+        starts a new one), so the block *starting* at ``addr`` wins, then
+        any bound block covering it; with neither, the block at ``addr``
+        is compiled.  "" for an instruction the generator declines.
+        """
+        bound = self._blocks[0]
+        for block in [bound[addr]] if addr in bound else bound.values():
+            text = block_text(block)
+            if f"# @{addr} " in text:
+                return text
+        block = bind_block(self, addr, False, False)
+        return block_text(block) if block is not None else ""
 
     def set_background(self, ip: Optional[int]) -> None:
         """Install (or clear) the background thread's entry point."""
@@ -515,17 +555,10 @@ class Mdp:
             if deadline is not None and vnow >= deadline:
                 return vnow
 
-        thread = self._current[priority]
-        if priority is Priority.BACKGROUND and thread is None:
-            thread = _Thread(Priority.BACKGROUND)
-            self._current[Priority.BACKGROUND] = thread
-        assert thread is not None
-        if self._events is None and probe is None:
-            self._active_priority = priority
-            self._suspended_by_fault = False
-            self._woke = False
-            return self._run_block_quiet(priority, thread, vnow, deadline)
-        return self._run_block(priority, thread, vnow, deadline, probe)
+        if priority is Priority.BACKGROUND and self._current[priority] is None:
+            self._current[priority] = _Thread(Priority.BACKGROUND)
+        assert self._current[priority] is not None
+        return self._run_blocks(priority, vnow, deadline, probe)
 
     def _tick_reference(self, now: int) -> Optional[int]:
         """The per-step scheduler: one dispatch/restart/instruction."""
@@ -553,184 +586,85 @@ class Mdp:
         assert thread is not None
         return now + self._execute_one(priority, thread, now)
 
-    def _run_block(
+    def _run_blocks(
         self,
         priority: Priority,
-        thread: _Thread,
         vnow: int,
         deadline: Optional[int],
         probe: Optional[Callable[[int], bool]],
     ) -> int:
-        """Run straight-line instructions until a block boundary.
+        """Run compiled blocks, chained, until one must stop.
 
-        Replicates :meth:`_execute_one` per instruction — same charge
-        order, same fault handling, same counter updates — but without
-        re-entering the scheduler between instructions.
+        A block replicates :meth:`_execute_one` per instruction — same
+        charge order, same fault handling, same counter updates — and
+        returns ``(vnow, stop)``: ``stop`` after a boundary op, a fault,
+        a woken watcher or a truthy probe; otherwise the block at the
+        new ``ip`` runs next, without re-entering the scheduler.
         """
         regset = self.registers[priority]
-        decoded = self._decoded
-        decoded_get = decoded.get
-        code_get = self.code.get
-        counters = self.counters.__dict__
-        meter = self.memory.meter
-        current = self._current
-        events = self._events
+        events = self._events is not None
+        blocks = self._blocks[events + 2 * (probe is not None)]
+        ctx = self._context
+        if ctx is None:
+            ctx = self._context = context(self)
+        end = deadline if deadline is not None else sys.maxsize
         self._active_priority = priority
         self._suspended_by_fault = False
         self._woke = False
-
-        while True:
-            if deadline is not None and vnow >= deadline:
-                break
-            addr = regset.ip
-            dec = decoded_get(addr)
-            if dec is None:
-                instr = code_get(addr)
-                if instr is None:
-                    raise IllegalInstructionFault(
-                        f"node {self.node_id}: no instruction at {addr}"
-                    )
-                dec = compile_instr(self, addr, instr)
-                decoded[addr] = dec
-            runner, cat_key, base, boundary, writes = dec
-
-            if runner is None:
-                # Operand form the compiler does not handle: run this one
-                # instruction through the reference interpreter and end
-                # the block (conservative, and vanishingly rare).
-                start = vnow
-                vnow += self._execute_one(priority, thread, vnow)
-                if probe is not None:
-                    probe(start)
-                break
-
-            regset.ip = addr + 1
-            meter.cycles = 0  # discard any stale charge
-
-            start = vnow
-            if events is not None:
-                self._event_time = start
-            try:
-                extra = runner(regset, vnow)
-            except SendFault as fault:
-                regset.ip = addr  # retry the send
-                meter.cycles = 0
-                self._current_instr_addr = addr
-                cost = self.fault_policy.on_send_fault(self, fault)
-                counters["stall_cycles"] += cost
-                vnow += cost
-                if probe is not None:
-                    probe(start)
-                break
-            except CfutFault as fault:
-                self._current_instr_addr = addr
-                cost = self.fault_policy.on_cfut(self, fault_address(fault), fault)
-                counters["sync_cycles"] += cost
-                meter.cycles = 0
-                vnow += cost
-                if probe is not None:
-                    probe(start)
-                break
-            except FutUseFault as fault:
-                self._current_instr_addr = addr
-                cost = self.fault_policy.on_fut_use(self, fault_address(fault), fault)
-                counters["sync_cycles"] += cost
-                meter.cycles = 0
-                vnow += cost
-                if probe is not None:
-                    probe(start)
-                break
-
-            mem_cycles = meter.cycles
-            meter.cycles = 0
-            cost = base + extra + mem_cycles
-            counters["instructions"] += 1
-            counters[cat_key] += cost
-            vnow += cost
-
-            if writes and probe is not None and probe(start):
-                break
-            if boundary or self._woke or current[priority] is None:
-                self._woke = False
-                break
+        stop = False
+        while vnow < end and not stop:
+            block = blocks.get(regset.ip)
+            if block is None:
+                block = blocks[regset.ip] = (
+                    bind_block(self, regset.ip, events, probe is not None)
+                    or self._step_block)
+            vnow, stop = block(regset, vnow, end, probe, ctx)
         return vnow
 
-    def _run_block_quiet(
-        self,
-        priority: Priority,
-        thread: _Thread,
-        vnow: int,
-        deadline: Optional[int],
-    ) -> int:
-        """:meth:`_run_block` specialised for the dominant case: no event
-        bus attached and no ``until`` probe.  Semantics are identical —
-        same charge order, same fault handling — with the per-instruction
-        probe/event branches hoisted out of the loop.
-        """
-        regset = self.registers[priority]
-        decoded = self._decoded
-        decoded_get = decoded.get
-        code_get = self.code.get
-        counters = self.counters.__dict__
+    def _step_block(self, regset: RegisterSet, vnow: int, end: int,
+                    probe: Optional[Callable[[int], bool]],
+                    ctx: tuple) -> Tuple[int, bool]:
+        """Stand-in block for an instruction the generator declines: one
+        reference step, then stop (conservative, and vanishingly rare)."""
+        STATS["fallback_instructions"] += 1
+        priority = self._active_priority
+        cost = self._execute_one(priority, self._current[priority], vnow)
+        if probe is not None:
+            probe(vnow)
+        return vnow + cost, True
+
+    def _block_fault(self, exc: BaseException, regset: RegisterSet, addr: int,
+                     vnow: int, probe: Optional[Callable[[int], bool]],
+                     ) -> Tuple[int, bool]:
+        """A compiled block's ``except``: the instruction at ``addr``,
+        started at ``vnow``, raised ``exc``.  Leaves what the
+        per-instruction loop leaves, then resolves or re-raises."""
+        regset.ip = addr + 1
+        self._current_instr_addr = addr
+        if not isinstance(exc, (SendFault, CfutFault, FutUseFault)):
+            raise exc
+        cost = self._resolve_fault(exc, regset, addr)
+        if probe is not None:
+            probe(vnow)
+        return vnow + cost, True
+
+    def _resolve_fault(self, fault: Exception, regset: RegisterSet,
+                       addr: int) -> int:
+        """Hand a send or presence fault from the instruction at ``addr``
+        to the fault policy; return the cycles it charged."""
         meter = self.memory.meter
-        current = self._current
-        end = deadline if deadline is not None else 0x7FFFFFFFFFFFFFFF
-        while vnow < end:
-            addr = regset.ip
-            dec = decoded_get(addr)
-            if dec is None:
-                instr = code_get(addr)
-                if instr is None:
-                    raise IllegalInstructionFault(
-                        f"node {self.node_id}: no instruction at {addr}"
-                    )
-                dec = compile_instr(self, addr, instr)
-                decoded[addr] = dec
-            runner, cat_key, base, boundary, writes = dec
-
-            if runner is None:
-                vnow += self._execute_one(priority, thread, vnow)
-                break
-
-            regset.ip = addr + 1
-            meter.cycles = 0  # discard any stale charge
-
-            try:
-                extra = runner(regset, vnow)
-            except SendFault as fault:
-                regset.ip = addr  # retry the send
-                meter.cycles = 0
-                self._current_instr_addr = addr
-                cost = self.fault_policy.on_send_fault(self, fault)
-                counters["stall_cycles"] += cost
-                vnow += cost
-                break
-            except CfutFault as fault:
-                self._current_instr_addr = addr
-                cost = self.fault_policy.on_cfut(self, fault_address(fault), fault)
-                counters["sync_cycles"] += cost
-                meter.cycles = 0
-                vnow += cost
-                break
-            except FutUseFault as fault:
-                self._current_instr_addr = addr
-                cost = self.fault_policy.on_fut_use(self, fault_address(fault), fault)
-                counters["sync_cycles"] += cost
-                meter.cycles = 0
-                vnow += cost
-                break
-
-            mem_cycles = meter.cycles
+        if isinstance(fault, SendFault):
+            regset.ip = addr  # retry the send
             meter.cycles = 0
-            cost = base + extra + mem_cycles
-            counters["instructions"] += 1
-            counters[cat_key] += cost
-            vnow += cost
-
-            if boundary or self._woke or current[priority] is None:
-                self._woke = False
-                break
-        return vnow
+            cost = self.fault_policy.on_send_fault(self, fault)
+            self.counters.stall_cycles += cost
+            return cost
+        resolve = (self.fault_policy.on_cfut if isinstance(fault, CfutFault)
+                   else self.fault_policy.on_fut_use)
+        cost = resolve(self, fault_address(fault), fault)
+        self.counters.sync_cycles += cost
+        meter.cycles = 0
+        return cost
 
     def _do_dispatch(self, priority: Priority, now: int) -> int:
         """Hardware dispatch: 4 cycles from queue head to runnable thread."""
@@ -807,22 +741,8 @@ class Mdp:
 
         try:
             extra = self._dispatch_instr(instr, regset, priority, now)
-        except SendFault as fault:
-            regset.ip = addr  # retry the send
-            self.memory.meter.take_cycles()
-            cost = self.fault_policy.on_send_fault(self, fault)
-            self._charge("stall", cost)
-            return cost
-        except CfutFault as fault:
-            cost = self.fault_policy.on_cfut(self, fault_address(fault), fault)
-            self._charge("sync", cost)
-            self.memory.meter.take_cycles()
-            return cost
-        except FutUseFault as fault:
-            cost = self.fault_policy.on_fut_use(self, fault_address(fault), fault)
-            self._charge("sync", cost)
-            self.memory.meter.take_cycles()
-            return cost
+        except (SendFault, CfutFault, FutUseFault) as fault:
+            return self._resolve_fault(fault, regset, addr)
 
         mem_cycles = self.memory.meter.take_cycles()
         cost = base + extra + mem_cycles

@@ -483,7 +483,7 @@ class _Coordinator:
                 proc.__dict__.update(state)
                 for name, value in keep.items():
                     setattr(proc, name, value)
-                proc._decoded = {}
+                proc.drop_compiled()
                 iface = node.interface
                 iface._outstanding_words = (outstanding
                                             - pending.get(node_id, 0))

@@ -28,6 +28,7 @@ import heapq
 import traceback
 from typing import List, Optional, Tuple
 
+from ..core.processor import Mdp
 from ..core.registers import Priority
 from .epoch import EpochPlan, EpochReport, FinalState
 
@@ -35,8 +36,7 @@ __all__ = ["EpochAbort", "ShardWorker", "worker_main"]
 
 #: Processor attributes that stay parent-side: re-attached on install
 #: instead of being pickled (closures and shared infrastructure).
-PROC_SKIP_ATTRS = ("network", "_events", "_decoded", "code",
-                   "on_thread_complete")
+PROC_SKIP_ATTRS = Mdp.UNCAPTURED_ATTRS + ("code",)
 
 
 class EpochAbort(BaseException):

@@ -36,6 +36,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from ..core.errors import SnapshotError
+from ..core.processor import Mdp
 
 __all__ = [
     "PROC_EXTERNAL_ATTRS", "MACHINE_CAPTURED_ATTRS", "MACHINE_EXTERNAL_ATTRS",
@@ -44,14 +45,12 @@ __all__ = [
 ]
 
 #: Processor attributes owned by the machine wiring, not by the
-#: processor's architectural state: the network interface binding, the
-#: telemetry bus, the decoded-instruction cache (rebuilt lazily), and
-#: host completion callbacks (closures).  Everything else in
+#: processor's architectural state (``Mdp.UNCAPTURED_ATTRS``: the
+#: network interface binding, the telemetry bus, the bound compiled
+#: blocks, host completion callbacks).  Everything else in
 #: ``Mdp.__dict__`` — registers, memory, queues, AMT, code, suspended
 #: threads, counters — is captured wholesale.
-PROC_EXTERNAL_ATTRS = frozenset({
-    "network", "_events", "_decoded", "on_thread_complete",
-})
+PROC_EXTERNAL_ATTRS = frozenset(Mdp.UNCAPTURED_ATTRS)
 
 #: ``JMachine.__dict__`` partition, asserted complete by
 #: tests/snapshot/test_contract.py so new machine attributes must be
@@ -212,7 +211,7 @@ def restore_machine(payload: dict):
         # fabric's accept/deliver callbacks) keeps pointing at it.
         proc = node.proc
         proc.__dict__.update(state["proc"])
-        proc._decoded = {}  # rebuilt lazily, invalidated like a load
+        proc.drop_compiled()  # bound to the replaced state
         iface = node.interface
         iface._building = {priority: list(words)
                            for priority, words in state["building"].items()}

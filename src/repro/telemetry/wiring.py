@@ -49,6 +49,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "register_machine_metrics",
+    "register_codegen_metrics",
     "install_machine_events",
     "instrument_machine",
     "register_macro_metrics",
@@ -138,6 +139,20 @@ def _route_cache_source(fabric):
         }
 
     return sample
+
+
+def register_codegen_metrics(registry: MetricsRegistry) -> None:
+    """Add ``machine.codegen.*``: the block compiler's process-wide
+    activity (:data:`repro.core.fastpath.CODEGEN_METRICS`).
+
+    Host-side, like ``live.*``: the numbers depend on which execution
+    path ran and on what the process compiled before, so the standard
+    wiring — whose snapshots are bit-identical between the fast and
+    reference paths — leaves them out; ask for them here.
+    """
+    from ..core.fastpath import STATS
+
+    registry.register_source("machine.codegen", lambda: dict(STATS))
 
 
 # The fabric-observatory sources below return ``{}`` while no probe is

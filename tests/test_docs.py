@@ -117,3 +117,22 @@ def test_src_is_pure_python_no_numpy():
     for path in (ROOT / "src").rglob("*.py"):
         assert not re.search(r"^\s*(import|from)\s+numpy\b",
                              path.read_text(), re.M), path
+
+
+def test_observability_documents_codegen_metrics():
+    """Every ``machine.codegen.*`` name has a docs row, and no other."""
+    from repro.core.fastpath import CODEGEN_METRICS
+
+    text = (DOCS / "OBSERVABILITY.md").read_text()
+    documented = re.findall(r"^\| `machine\.codegen\.([a-z_]+)` \|", text,
+                            flags=re.MULTILINE)
+    assert sorted(documented) == sorted(CODEGEN_METRICS)
+
+
+def test_per_instruction_closure_path_stays_deleted():
+    """The MDP has two execution paths (oracle interpreter, compiled
+    blocks); the closure compiler they replaced must not drift back."""
+    gone = re.compile(r"\b(Decoded|compile_instr|_run_block_quiet)\b")
+    for tree, pattern in ((ROOT / "src", "*.py"), (DOCS, "*.md")):
+        for path in tree.rglob(pattern):
+            assert not gone.search(path.read_text()), path

@@ -330,3 +330,120 @@ def test_random_straight_line_programs_identical(body):
     fast = _run_straight_line(body, fast=True)
     slow = _run_straight_line(body, fast=False)
     assert fast == slow
+
+
+# ------------------------------------------- random control flow + deadlines
+
+# R2 is the loop counter and R3 the (always in-bounds) index register, so
+# generated bodies only write R0, R1 and memory; R3 changes only through
+# the two forms below.
+_CF_MEM = st.one_of(_MEM, st.just("[A0+R3]"))
+_CF_SRC = st.one_of(_REGS, _IMM, _CF_MEM)
+_CF_DST = st.one_of(st.sampled_from(("R0", "R1")), _CF_MEM)
+_CF_INSTR = st.one_of(
+    st.tuples(_SAFE_ALU, _CF_SRC, _CF_SRC, _CF_DST).map(
+        lambda t: f"{t[0]} {t[1]}, {t[2]}, {t[3]}"),
+    st.tuples(_DIVIDE, _CF_SRC, _NONZERO_IMM, _CF_DST).map(
+        lambda t: f"{t[0]} {t[1]}, {t[2]}, {t[3]}"),
+    st.tuples(_UNARY, _CF_SRC, _CF_DST).map(
+        lambda t: f"{t[0]} {t[1]}, {t[2]}"),
+    st.tuples(st.just("MOVE"), _CF_SRC, _CF_DST).map(
+        lambda t: f"{t[0]} {t[1]}, {t[2]}"),
+    st.tuples(_CF_SRC).map(lambda t: f"AND {t[0]}, #7, R3"),
+    st.integers(0, 7).map(lambda k: f"MOVE #{k}, R3"),
+)
+_CF_BODY = st.lists(_CF_INSTR, min_size=0, max_size=4)
+#: ("skip", branch, body): a forward branch over ``body``.
+_CF_SKIP = st.tuples(
+    st.just("skip"),
+    st.sampled_from(("BT R0,", "BF R0,", "BT R1,", "BF [A0+2],", "BR")),
+    _CF_BODY)
+_CF_ITEM = st.one_of(st.tuples(st.just("straight"), _CF_BODY), _CF_SKIP)
+#: ("loop", trips, items): a backward branch taken ``trips - 1`` times.
+_CF_LOOP = st.tuples(st.just("loop"), st.integers(1, 4),
+                     st.lists(_CF_ITEM, min_size=1, max_size=3))
+_CF_PROGRAM = st.lists(st.one_of(_CF_ITEM, _CF_LOOP), min_size=1, max_size=5)
+
+
+def _render(segments):
+    lines, labels = ["start:"], iter(range(10_000))
+
+    def item(entry):
+        if entry[0] == "straight":
+            lines.extend(f"    {line}" for line in entry[1])
+        else:
+            label = f"skip{next(labels)}"
+            lines.append(f"    {entry[1]} {label}")
+            lines.extend(f"    {line}" for line in entry[2])
+            lines.append(f"{label}:")
+
+    for segment in segments:
+        if segment[0] == "loop":
+            label = f"loop{next(labels)}"
+            lines.append(f"    MOVE #{segment[1]}, R2")
+            lines.append(f"{label}:")
+            for entry in segment[2]:
+                item(entry)
+            lines.append("    SUB R2, #1, R2")
+            lines.append(f"    BT R2, {label}")
+        else:
+            item(segment)
+    lines.append("    HALT")
+    return "\n".join(lines) + "\n"
+
+
+def _cf_proc(program, fast):
+    proc = Mdp(node_id=0, fast_path=fast)
+    program.load(proc)
+    base = program.end + 4
+    for i in range(8):
+        proc.memory.poke(base + i, Word.from_int(3 * i - 5))
+    regs = proc.registers[Priority.BACKGROUND]
+    for i, name in enumerate(DATA_REG_NAMES):
+        regs.write(name, Word.from_int(i + 1))
+    regs.write("A0", Word.segment(base, 8))
+    proc.set_background(program.entry("start"))
+    return proc, regs, base
+
+
+def _cf_state(proc, regs, base, now):
+    return (
+        now,
+        regs.ip,
+        dict(proc.counters.__dict__),
+        {name: repr(regs.regs[name])
+         for name in DATA_REG_NAMES + ADDR_REG_NAMES},
+        [repr(proc.memory.peek(base + i)) for i in range(8)],
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(_CF_PROGRAM)
+def test_random_control_flow_identical_at_every_deadline(segments):
+    """Branches, loops, indexed operands, memory destinations — and the
+    deadline landing on every cycle of the first blocks: a compiled block
+    cut short must leave exactly what per-instruction stepping leaves."""
+    program = assemble(_render(segments))
+
+    # Reference stepping: the state after each retired instruction.
+    proc, regs, base = _cf_proc(program, fast=False)
+    now, trace = 0, [_cf_state(proc, regs, base, 0)]
+    while not proc.halted:
+        now = proc.tick(now)
+        trace.append(_cf_state(proc, regs, base, now))
+        assert len(trace) < 5_000
+    final = trace[-1]
+
+    for deadline in range(1, min(final[0], 40) + 1):
+        # Every instruction *starting* before the deadline completes.
+        expected = next(state for state in trace if state[0] >= deadline)
+        proc, regs, base = _cf_proc(program, fast=True)
+        now = 0
+        while now < deadline and not proc.halted:
+            now = proc.tick(now, deadline=deadline)
+        assert _cf_state(proc, regs, base, now) == expected, deadline
+        # Resuming mid-program (a block entered at an arbitrary address)
+        # still reaches the reference's final state.
+        while not proc.halted:
+            now = proc.tick(now)
+        assert _cf_state(proc, regs, base, now) == final, deadline
