@@ -36,6 +36,7 @@ Modelling choices, and why they preserve the paper's behaviour:
 from __future__ import annotations
 
 import heapq
+import sys
 from collections import deque
 from operator import attrgetter
 from typing import Callable, Deque, Dict, List, Optional, Tuple
@@ -48,7 +49,6 @@ from .observatory import FabricProbe
 from .routing import ChannelKey, route
 from .stats import NetworkStats
 from .topology import Mesh3D
-from .vectorize import PyLanes
 
 __all__ = ["Fabric", "Worm", "BUFFER_PHITS", "FRAMING_PHITS"]
 
@@ -67,6 +67,13 @@ DEFAULT_INJECT_LATENCY = 2
 #: Calibration: cycles from last phit at router to message queued.
 DEFAULT_EJECT_LATENCY = 5
 
+#: ``Worm.wake`` of a worm that is visited every cycle.
+AWAKE = -1
+
+#: ``Worm.wake`` of a frozen worm: only a release of its parked key
+#: wakes it.
+NEVER = sys.maxsize
+
 AcceptFn = Callable[[int, Message], bool]
 DeliverFn = Callable[[int, Message, int], None]
 
@@ -78,6 +85,7 @@ class Worm:
         "message", "path", "keys", "hops", "total_phits", "head", "released",
         "injected", "delivered", "reserved", "submit_time", "launch_time",
         "seq", "block_cycles", "crosses_bisection", "done", "pri", "akey",
+        "wake", "seen", "parked",
     )
 
     def __init__(
@@ -112,8 +120,17 @@ class Worm:
         self.pri = int(message.priority)
         #: Cached fixed-arbitration sort key ``(-pri, through, seq)``;
         #: the through flag flips to 0 when the head leaves the
-        #: injection port (see :meth:`Fabric.step`).
+        #: injection port (see :meth:`Fabric.advance`).
         self.akey = (-self.pri, 1, seq)
+        #: Sleep state, derived (see :meth:`Fabric.advance`): the next
+        #: cycle the kernel visits this worm (:data:`AWAKE`: every
+        #: cycle), the cycle it last did, and — while frozen — the
+        #: owned channel key the worm is parked under.  ``injected``,
+        #: ``delivered`` and ``block_cycles`` are as of ``seen`` until
+        #: :meth:`Fabric.sync`.
+        self.wake = AWAKE
+        self.seen = 0
+        self.parked: Optional[Tuple[int, int, int, int]] = None
 
 
 class Fabric:
@@ -121,7 +138,8 @@ class Fabric:
 
     The fabric is cycle stepped: the owner (a machine or a synthetic
     traffic harness) calls :meth:`step` once per simulated cycle while
-    :attr:`active` is truthy.  Message hand-off to nodes goes through two
+    :attr:`active` is truthy, or :meth:`advance` over a window in which
+    it has nothing to do itself.  Message hand-off to nodes goes through two
     callbacks so the fabric stays independent of what a "node" is:
 
     * ``accept_fn(node, message) -> bool`` — may the destination take this
@@ -182,17 +200,35 @@ class Fabric:
         #: raises with a diagnostic.  0 disables.
         self.watchdog_cycles = 0
         self._stagnant_cycles = 0
+        #: Frozen worms by the owned channel key that blocks them, their
+        #: number, and the last simulated cycle (what a sleeper's stale
+        #: fields are measured against).  All derived: see :meth:`sync`.
+        self._waiters: Dict[Tuple[int, int, int, int], List[Worm]] = {}
+        self._n_frozen = 0
+        self._cycle = -1
         #: Telemetry event bus (installed by repro.telemetry.wiring).
         self._events = None
         #: Fault-injection engine (installed by
         #: :meth:`repro.chaos.ChaosEngine.attach_machine`); None keeps
         #: every injection site on its cheap ``is None`` branch.
         self.chaos = None
-        #: Fabric observatory probe
-        #: (:class:`~repro.network.observatory.FabricProbe`); None keeps
-        #: every accumulation site on its cheap ``is None`` branch so
-        #: un-probed runs stay bit-identical.
-        self.probe: Optional[FabricProbe] = None
+        self._probe: Optional[FabricProbe] = None
+
+    @property
+    def probe(self) -> Optional[FabricProbe]:
+        """Fabric observatory probe
+        (:class:`~repro.network.observatory.FabricProbe`); None keeps
+        every accumulation site on its cheap ``is None`` branch so
+        un-probed runs stay bit-identical.  Reading it first credits
+        the blocked cycles of sleeping worms (:meth:`sync`), so every
+        reader sees exact counters."""
+        if self._probe is not None:
+            self.sync()
+        return self._probe
+
+    @probe.setter
+    def probe(self, probe: Optional[FabricProbe]) -> None:
+        self._probe = probe
 
     def attach_probe(self, now: int = 0) -> FabricProbe:
         """Attach (and return) a fresh observatory probe.
@@ -200,8 +236,8 @@ class Fabric:
         Call before traffic starts so utilization denominators cover the
         whole run; re-attaching discards previous counters.
         """
-        self.probe = FabricProbe(opened_at=now)
-        return self.probe
+        self._probe = FabricProbe(opened_at=now)
+        return self._probe
 
     # ------------------------------------------------------------------ send
 
@@ -271,10 +307,15 @@ class Fabric:
         the fabric is busy.
         """
         best: Optional[int] = None
+        cycle = self._cycle
         for worm in self._active:
             remaining = worm.total_phits - worm.injected
-            if remaining > 0 and (best is None or remaining < best):
-                best = remaining
+            if remaining > 0:
+                if worm.wake >= 0 and worm.parked is None:
+                    # Streaming sleeper: one phit per cycle since.
+                    remaining -= cycle - worm.seen
+                if best is None or remaining < best:
+                    best = remaining
         for queue in self._pending.values():
             for worm in queue:
                 if best is None or worm.total_phits < best:
@@ -290,7 +331,7 @@ class Fabric:
         """Move staged worms whose release time has come into the
         per-(source, priority) pending queues, in submission order."""
         staged = self._staged
-        probe = self.probe
+        probe = self._probe
         while staged and staged[0][0] <= now:
             _, _, worm = heapq.heappop(staged)
             queue_key = (worm.message.source, worm.pri)
@@ -344,103 +385,277 @@ class Fabric:
             )
 
     def step(self, now: int) -> None:
-        """Advance every worm by one cycle of network time."""
-        if self._staged and self._staged[0][0] <= now:
-            self._release_staged(now)
-        if self._pending_count:
-            self._activate_pending(now)
-        if not self._active:
-            return
-        self._arbitrate(self._active, now)
-        finished = False
-        moved_any = False
-        for worm in self._active:
-            before = worm.injected + worm.delivered + worm.head
-            if self._step_worm(worm, now):
-                finished = True
-                moved_any = True
-            elif worm.injected + worm.delivered + worm.head != before:
-                moved_any = True
-        if finished:
-            self._active = [w for w in self._active if not w.done]
-        if self.watchdog_cycles:
-            self._stagnant_cycles = 0 if moved_any else self._stagnant_cycles + 1
-            if self._stagnant_cycles >= self.watchdog_cycles:
-                self._raise_stagnation(now)
+        """Advance the network by the one cycle ``now``."""
+        self.advance(now, now + 1)
 
-    def _step_worm(self, worm: Worm, now: int) -> bool:
-        """Advance one worm one cycle; True if it completed delivery."""
-        last = len(worm.path) - 1
-        moved = False
+    def can_batch(self) -> bool:
+        """May the owner hand :meth:`advance` a multi-cycle window?
 
-        # 1. Head acquisition: one hop per cycle when the next VC is free
-        #    *and* the link is up (chaos link outages hold the head in
-        #    place exactly like contention, so backpressure — and, if the
-        #    outage persists, deadlock — propagates realistically).
-        if worm.head < last:
-            key = worm.keys[worm.head + 1]
-            blocked = self._owner.get(key) is not None
-            outage = False
-            if (not blocked and self.chaos is not None
-                    and self.chaos.link_blocked(key, now)):
-                blocked = outage = True
-            if blocked:
-                worm.block_cycles += 1
-                self.stats.block_cycles += 1
-                if self.probe is not None:
-                    self.probe.record_block(key, outage)
-            else:
-                self._owner[key] = worm
-                worm.head += 1
-                if worm.head == 1:
-                    # Left the injection port: now "through traffic",
-                    # which fixed arbitration favours.
-                    worm.akey = (-worm.pri, 0, worm.seq)
-                moved = True
+        The kernel itself is exact under every feature; the gate is the
+        *owner's* side of the quiet-window contract.  Fault injection,
+        the stagnation watchdog and return-to-sender bounces all have
+        per-cycle effects outside the fabric (chaos ticks, the trip
+        cycle, re-staged worms) that a machine skipping its own loop
+        iterations would not interleave with, so it keeps those runs on
+        one :meth:`step` per loop pass.
+        """
+        return ((self.chaos is None or self.chaos.inert)
+                and self.watchdog_cycles == 0
+                and self.flow_control == "block")
 
-        # 2. Delivery: once the ejection port is held, stream phits out.
-        if worm.head == last:
-            if not worm.reserved:
-                message = worm.message
-                is_bounce = getattr(message, "bounce_of", None) is not None
-                if is_bounce or self.accept_fn(message.dest, message):
-                    worm.reserved = True
-                elif self.flow_control == "return_to_sender":
-                    # Refused: turn the worm around instead of blocking
-                    # the network (the critique's proposed protocol).
-                    self._bounce(worm, now)
-                    return True
+    def advance(self, now: int, horizon: int) -> int:
+        """Simulate cycles ``[now, end)``; returns ``end <= horizon``.
+
+        This is the fabric's one stepping kernel; :meth:`step` is the
+        one-cycle window.  For a longer window the caller (the
+        machine's run loop) guarantees it is *quiet*: no new sends, no
+        delivery commits and no processor activity before ``horizon``,
+        and an ``accept_fn`` whose answer cannot change inside it.  The
+        window ends early when a completion schedules a delivery commit
+        the owner must observe (``completion + eject_latency``) and
+        when the fabric drains.
+
+        Each cycle walks ``_active`` in arbitration order, but *visits*
+        a worm only when the visit can change something another worm,
+        the owner or a callback can see (``worm.wake <= cycle``).  Two
+        kinds of worm sleep:
+
+        * **Frozen** — the head is blocked by a channel *owner* (not a
+          link outage) and no phit moved.  Its state is a fixed point
+          until that key leaves the owner map, so it parks under the
+          key and :meth:`_release` wakes it.  A worm woken by a release
+          is visited this cycle if it sorts after the releaser and next
+          cycle if before — what visiting every worm would do; a loser
+          of the re-arbitration freezes again.  Each frozen cycle is a
+          block cycle: ``stats.block_cycles`` is credited at the top of
+          every cycle (owners read ``stats`` between cycles), the
+          worm's own count and the probe when it wakes
+          (:meth:`_catch_up`).
+        * **Streaming** — the head holds the ejection port with the
+          reservation granted, so the worm never reads the owner map
+          again: it moves one phit in and one out per cycle, and
+          nothing visible happens until injection completes, then at
+          each tail release and at completion.  It sleeps to the next
+          of those cycles and the skipped phits are applied in closed
+          form.
+
+        Everything else — routing heads, blocked worms whose buffers
+        are still filling, refused worms polling ``accept_fn`` — is
+        visited every cycle.  After a cycle that visited nobody the
+        window jumps to the earliest wake or staged release.  Sleep is
+        derived state: visiting a sleeper early is exact, so
+        :meth:`sync` may wake everyone at any cycle boundary.
+        """
+        if now != self._cycle + 1:
+            # The owner skipped cycles: they are not network time, so
+            # no sleeper may count them.
+            self.sync()
+        staged = self._staged
+        owner = self._owner
+        waiters = self._waiters
+        stats = self.stats
+        probe = self._probe
+        chaos = self.chaos
+        end = horizon
+        c = now
+        while c < end:
+            self._cycle = c
+            if staged and staged[0][0] <= c:
+                self._release_staged(c)
+            if self._pending_count:
+                self._activate_pending(c)
+            active = self._active
+            if not active:
+                # Every injection port is free, so nothing is pending.
+                if not staged:
+                    return c + 1
+                c = min(staged[0][0], end)
+                continue
+            if self._n_frozen:
+                stats.block_cycles += self._n_frozen
+            if len(active) > 1:
+                self._arbitrate(active, c)
+            visited = finished = moved_any = False
+            for worm in active:
+                if worm.wake > c:
+                    continue
+                visited = True
+                if worm.wake >= 0:
+                    self._catch_up(worm, c)
+                keys = worm.keys
+                last = len(keys) - 1
+                head = worm.head
+                total = worm.total_phits
+                injected = worm.injected
+                delivered = worm.delivered
+                moved = False
+                busy_key = None
+
+                # 1. Head acquisition: one hop per cycle when the next
+                #    VC is free *and* the link is up (chaos link outages
+                #    hold the head in place exactly like contention, so
+                #    backpressure — and, if the outage persists,
+                #    deadlock — propagates realistically).
+                if head < last:
+                    key = keys[head + 1]
+                    owned = key in owner
+                    if owned or (chaos is not None
+                                 and chaos.link_blocked(key, c)):
+                        if owned:
+                            busy_key = key
+                        worm.block_cycles += 1
+                        stats.block_cycles += 1
+                        if probe is not None:
+                            probe.record_block(key, not owned)
+                    else:
+                        owner[key] = worm
+                        worm.head = head = head + 1
+                        if head == 1:
+                            # Left the injection port: now "through
+                            # traffic", which fixed arbitration favours.
+                            worm.akey = (-worm.pri, 0, worm.seq)
+                        moved = True
+
+                # 2. Delivery: once the ejection port is held, stream
+                #    phits out.
+                if head == last:
+                    if not worm.reserved:
+                        message = worm.message
+                        if (message.bounce_of is not None
+                                or self.accept_fn(message.dest, message)):
+                            worm.reserved = True
+                        elif self.flow_control == "return_to_sender":
+                            # Refused: turn the worm around instead of
+                            # blocking the network (the critique's
+                            # proposed protocol).
+                            self._bounce(worm, c)
+                            finished = moved_any = True
+                            continue
+                        else:
+                            stats.delivery_stall_cycles += 1
+                            if probe is not None:
+                                probe.record_backpressure(message.dest)
+                    if worm.reserved and delivered < injected:
+                        worm.delivered = delivered = delivered + 1
+                        moved = True
+                        if delivered == total:
+                            self._complete(worm, c)
+                            finished = moved_any = True
+                            continue
+
+                # 3. Injection: the source streams one phit per cycle
+                #    while the held span has buffer slack.
+                if (injected < total and injected - delivered
+                        < BUFFER_PHITS * (head - worm.released + 1)):
+                    worm.injected = injected = injected + 1
+                    moved = True
+                    if injected == total:
+                        self._report_injected(worm.message)
+
+                if moved:
+                    moved_any = True
+                    # 4. Tail release: after full injection the tail
+                    #    advances with the pipe, freeing channels behind
+                    #    the in-flight span.
+                    if injected == total:
+                        span_needed = max(
+                            1, -(-(total - delivered) // BUFFER_PHITS))
+                        target = head - span_needed + 1
+                        while worm.released < target:
+                            self._release(worm, worm.released)
+                            worm.released += 1
+                    if head == last and worm.reserved:
+                        # Streaming: the next visible cycle is the end
+                        # of injection, else the next tail release (one
+                        # per BUFFER_PHITS delivered), else completion.
+                        if injected < total:
+                            quiet = total - injected
+                        else:
+                            quiet = (total - delivered - BUFFER_PHITS
+                                     * (head - worm.released))
+                        if quiet > 1:
+                            worm.wake = c + quiet
+                            worm.seen = c
+                elif busy_key is not None:
+                    worm.parked = busy_key
+                    worm.wake = NEVER
+                    worm.seen = c
+                    parked = waiters.get(busy_key)
+                    if parked is None:
+                        waiters[busy_key] = [worm]
+                    else:
+                        parked.append(worm)
+                    self._n_frozen += 1
+
+            if finished:
+                self._active = active = [w for w in active if not w.done]
+                arrival = c + self.eject_latency
+                if arrival < end:
+                    end = arrival
+            if self.watchdog_cycles:
+                # A streaming sleeper moves a phit every cycle.
+                if moved_any or any(w.wake > c and w.parked is None
+                                    for w in active):
+                    self._stagnant_cycles = 0
                 else:
-                    self.stats.delivery_stall_cycles += 1
-                    if self.probe is not None:
-                        self.probe.record_backpressure(message.dest)
-            if worm.reserved and worm.delivered < min(worm.total_phits, worm.injected):
-                worm.delivered += 1
-                moved = True
-                if worm.delivered == worm.total_phits:
-                    self._complete(worm, now)
-                    return True
+                    self._stagnant_cycles += 1
+                    if self._stagnant_cycles >= self.watchdog_cycles:
+                        self._raise_stagnation(c)
+            c += 1
+            if not active and not staged and not self._pending_count:
+                break  # the fabric drained inside the window
+            if not visited and c < end and not self.watchdog_cycles:
+                # Everyone in the mesh sleeps: nothing can change before
+                # the earliest wake or staged release.
+                target = min(w.wake for w in active)
+                if staged and staged[0][0] < target:
+                    target = staged[0][0]
+                if target > end:
+                    target = end
+                if target > c:
+                    stats.block_cycles += self._n_frozen * (target - c)
+                    c = target
+                    self._cycle = c - 1
+        return c
 
-        # 3. Injection: the source streams one phit per cycle while the
-        #    held span has buffer slack.
-        if worm.head >= 0 and worm.injected < worm.total_phits:
-            span = worm.head - worm.released + 1
-            if worm.injected - worm.delivered < BUFFER_PHITS * span:
-                worm.injected += 1
-                moved = True
-                if worm.injected == worm.total_phits:
-                    self._report_injected(worm.message)
+    def _catch_up(self, worm: Worm, now: int) -> None:
+        """Apply the cycles ``worm`` slept through, as of the start of
+        cycle ``now``, and mark it awake."""
+        skipped = now - worm.seen - 1
+        key = worm.parked
+        if key is not None:
+            worm.parked = None
+            if worm.wake == now:
+                # Woken by a release earlier in this very cycle, whose
+                # top-of-cycle credit still counted the worm as frozen;
+                # the visit that follows does its own counting.
+                self.stats.block_cycles -= 1
+            if skipped:
+                worm.block_cycles += skipped
+                if self._probe is not None:
+                    self._probe.record_block(key, False, skipped)
+        elif skipped:
+            if worm.injected < worm.total_phits:
+                worm.injected += skipped
+            worm.delivered += skipped
+        worm.wake = AWAKE
 
-        # 4. Tail release: after full injection the tail advances with the
-        #    pipe, freeing channels behind the in-flight span.
-        if worm.injected == worm.total_phits and moved:
-            in_flight = worm.injected - worm.delivered
-            span_needed = max(1, -(-in_flight // BUFFER_PHITS))
-            target = worm.head - span_needed + 1
-            while worm.released < target:
-                self._release(worm, worm.released)
-                worm.released += 1
-        return False
+    def sync(self) -> None:
+        """Bring every worm's fields up to the last simulated cycle.
+
+        A sleeper's ``injected`` / ``delivered`` / ``block_cycles`` and
+        its share of the probe are stale between visits.  This wakes
+        every sleeper (exact: an early visit just re-decides), so
+        afterwards no derived sleep state is left.  Call it between
+        cycles before reading worm fields; :meth:`state_dict`, the
+        :attr:`probe` getter and the stagnation report do.
+        """
+        boundary = self._cycle + 1
+        for worm in self._active:
+            if worm.wake >= 0:
+                self._catch_up(worm, boundary)
+        self._waiters.clear()
+        self._n_frozen = 0
 
     def _report_injected(self, message: Message) -> None:
         """The tail left the sending interface: tell the owner, once per
@@ -450,159 +665,17 @@ class Fabric:
             message.injection_reported = True
             self.on_injected(message)
 
-    # ------------------------------------------------------------- batching
-
-    def can_batch(self) -> bool:
-        """May :meth:`advance` replace per-cycle :meth:`step` calls?
-
-        Batch eligibility is conservative: any feature whose per-cycle
-        hooks observe or perturb the cycle-by-cycle interleaving (fault
-        injection, the stagnation watchdog, return-to-sender bounces)
-        keeps the fabric on the exact reference path.
-        """
-        return ((self.chaos is None or self.chaos.inert)
-                and self.watchdog_cycles == 0
-                and self.flow_control == "block")
-
-    def advance(self, now: int, horizon: int) -> int:
-        """Simulate cycles ``[now, end)`` in one call; returns ``end``.
-
-        The caller (the machine's run loop) guarantees a *quiet window*:
-        no new sends, no delivery commits, and no processor activity can
-        occur before ``horizon``, and ``accept_fn`` is a pure function of
-        state that cannot change inside the window.  Under those
-        conditions this method is cycle-exact with ``step(now) ..
-        step(end - 1)``: identical worm state, owner map, statistics,
-        and callback timing.
-
-        Worms are split into a *conflict pool* — any worm sharing a
-        channel key with another active, pending, or staged worm — and a
-        *solo* rest.  Conflict worms go through :meth:`_step_worm`
-        per cycle in exact arbitration order; solo worms advance on
-        integer lanes (:class:`~repro.network.vectorize.PyLanes`), touching
-        the owner map only on entry/exit of the batch.  The window ends
-        early when a completion schedules a delivery commit the machine
-        must observe (``completion + eject_latency``).
-        """
-        # ---- conflict partition over every worm that could touch a channel
-        seen: Dict[Tuple[int, int, int, int], Worm] = {}
-        conflicted = set()
-
-        def scan(worm: Worm) -> None:
-            for key in worm.keys:
-                other = seen.get(key)
-                if other is None:
-                    seen[key] = worm
-                else:
-                    conflicted.add(other.seq)
-                    conflicted.add(worm.seq)
-
-        for w in self._active:
-            scan(w)
-        for q in self._pending.values():
-            for w in q:
-                scan(w)
-        for _, _, w in self._staged:
-            scan(w)
-        pool = [w for w in self._active if w.seq in conflicted]
-        solo = [w for w in self._active if w.seq not in conflicted]
-        lanes = None
-        if solo:
-            lanes = PyLanes(solo, BUFFER_PHITS, self.accept_fn,
-                            track_stalls=self.probe is not None)
-
-        staged = self._staged
-        stats = self.stats
-        eject = self.eject_latency
-        owner = self._owner
-        any_finished = False
-        end = horizon
-        c = now
-        while c < end:
-            if staged and staged[0][0] <= c:
-                self._release_staged(c)
-            if self._pending_count:
-                before = len(self._active)
-                self._activate_pending(c)
-                # Fresh worms join the conflict pool: the partition
-                # already proved they cannot touch a solo worm (pending
-                # and staged footprints were scanned above).
-                pool.extend(self._active[before:])
-            if pool:
-                if len(pool) > 1:
-                    self._arbitrate(pool, c)
-                finished_here = False
-                for w in pool:
-                    if self._step_worm(w, c):
-                        finished_here = True
-                        any_finished = True
-                        arrival = c + eject
-                        if arrival < end:
-                            end = arrival
-                if finished_here:
-                    pool = [w for w in pool if not w.done]
-            if lanes is not None and lanes.alive:
-                completed, inj_done, stalls = lanes.cycle()
-                if stalls:
-                    stats.delivery_stall_cycles += stalls
-                if inj_done is not None:
-                    for j in inj_done:
-                        self._report_injected(solo[j].message)
-                if completed is not None:
-                    any_finished = True
-                    for j in completed:
-                        self._finish_solo(solo[j], c)
-                    arrival = c + eject
-                    if arrival < end:
-                        end = arrival
-            c += 1
-            if (not pool and (lanes is None or not lanes.alive)
-                    and not staged and not self._pending_count):
-                break  # the fabric drained inside the window
-
-        # Write live solo lanes back and reconcile the owner map: the
-        # net effect of the skipped acquisitions/releases is that each
-        # worm owns exactly keys[released : head + 1].
-        if lanes is not None:
-            for w, nh, nr, ni, nd, nres in lanes.alive_states():
-                keys = w.keys
-                for idx in range(w.head + 1, nh + 1):
-                    owner[keys[idx]] = w
-                for idx in range(w.released, nr):
-                    key = keys[idx]
-                    if owner.get(key) is w:
-                        del owner[key]
-                if nh > 0 and w.head == 0:
-                    w.akey = (-w.pri, 0, w.seq)
-                w.head = nh
-                w.released = nr
-                w.injected = ni
-                w.delivered = nd
-                w.reserved = nres
-            if self.probe is not None:
-                # Fold the lanes' per-worm refused-at-eject counts into
-                # the probe; totals match the per-cycle reference path
-                # (order of accumulation is immaterial for counters).
-                for j, n in lanes.stall_counts():
-                    self.probe.record_backpressure(solo[j].message.dest, n)
-        if any_finished:
-            self._active = [w for w in self._active if not w.done]
-        return c
-
-    def _finish_solo(self, worm: Worm, now: int) -> None:
-        """A solo-lane worm delivered its last phit: write the lane's
-        end state back, then :meth:`_complete` it.  ``released`` keeps
-        its pre-batch value so every channel the worm still holds in
-        the owner map (the lanes never touch it) is freed."""
-        worm.head = len(worm.path) - 1
-        worm.injected = worm.delivered = worm.total_phits
-        worm.reserved = True
-        self._complete(worm, now)
-
     def _release(self, worm: Worm, index: int) -> None:
         key = worm.keys[index]
         if self._owner.get(key) is worm:
             del self._owner[key]
+            parked = self._waiters.pop(key, None)
+            if parked is not None:
+                # Visited from this cycle on: later in this walk if they
+                # sort after the releaser, else next cycle.
+                for sleeper in parked:
+                    sleeper.wake = self._cycle
+                self._n_frozen -= len(parked)
 
     def _retire(self, worm: Worm) -> None:
         """Free every channel ``worm`` still holds and mark it done."""
@@ -615,7 +688,7 @@ class Fabric:
         """Tail arrived: free remaining channels, hand the message over."""
         self._retire(worm)
         arrival = now + self.eject_latency
-        original = getattr(worm.message, "bounce_of", None)
+        original = worm.message.bounce_of
         if original is not None:
             # A returned message reached its sender: retry the original
             # after the interface re-processes it.
@@ -632,8 +705,8 @@ class Fabric:
             if verdict == 2:  # corrupted: delivered, but checksum-dead
                 worm.message.corrupted = True
         worm.message.arrive_time = arrival
-        if self.probe is not None:
-            self.probe.record_completion(worm)
+        if self._probe is not None:
+            self._probe.record_completion(worm)
         self.deliver_fn(worm.message.dest, worm.message, arrival)
         self.stats.record_completion(worm, arrival)
 
@@ -656,6 +729,7 @@ class Fabric:
 
     def _raise_stagnation(self, now: int) -> None:
         """Watchdog trip: describe every stuck worm and fail loudly."""
+        self.sync()
         details = []
         for worm in self._active[:8]:
             blocker = None
@@ -691,14 +765,22 @@ class Fabric:
         "_events", "chaos",
     })
 
+    #: Sleep bookkeeping that :meth:`state_dict` does not capture
+    #: either, because :meth:`sync` (which it calls first) leaves it at
+    #: rest: nobody parked, nobody frozen, every ``Worm.wake`` AWAKE.
+    DERIVED_ATTRS = frozenset({"_waiters", "_n_frozen", "_cycle"})
+
     def state_dict(self) -> dict:
         """Every run-mutable piece of fabric state, picklable.
 
         Worms are captured by reference (they pickle via ``__slots__``),
         so the sharing structure — one worm appearing as a channel owner,
         in the active list, and in a pending queue — survives the
-        round trip through the snapshot's single pickle.
+        round trip through the snapshot's single pickle.  Sleepers are
+        woken first, so a capture holds exact worm fields and no sleep
+        state.
         """
+        self.sync()
         return {
             "owner": dict(self._owner),
             "active": list(self._active),
@@ -714,7 +796,7 @@ class Fabric:
             "stats": self.stats,
             "watchdog_cycles": self.watchdog_cycles,
             "stagnant_cycles": self._stagnant_cycles,
-            "probe": self.probe,
+            "probe": self._probe,
         }
 
     def load_state(self, state: dict) -> None:
@@ -744,7 +826,18 @@ class Fabric:
         self.watchdog_cycles = state["watchdog_cycles"]
         self._stagnant_cycles = state["stagnant_cycles"]
         # Absent in pre-observatory captures: restore to un-probed.
-        self.probe = state.get("probe")
+        self._probe = state.get("probe")
+        # Every captured worm is awake; a capture written before the
+        # worm kernel lacks the sleep slots altogether.
+        self._waiters = {}
+        self._n_frozen = 0
+        self._cycle = -1
+        for worms in (self._active, *self._pending.values(),
+                      (entry[2] for entry in self._staged)):
+            for worm in worms:
+                worm.wake = AWAKE
+                worm.seen = 0
+                worm.parked = None
 
     # ---------------------------------------------------------------- helpers
 

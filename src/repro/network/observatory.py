@@ -115,13 +115,15 @@ class FabricProbe:
     backend clones it with the fabric and the snapshot layer captures it
     with :meth:`Fabric.state_dict`.
 
-    Accumulation sites (all in ``fabric.py``/``vectorize.py``, all
-    behind ``probe is None`` guards):
+    Accumulation sites (all in ``fabric.py``, all behind ``probe is
+    None`` guards):
 
     * :meth:`record_completion` — message delivered: every phit crossed
       every mesh channel of the path exactly once.
     * :meth:`record_block` — a head flit failed to acquire its next
-      virtual channel this cycle (contention or chaos outage).
+      virtual channel this cycle (contention or chaos outage); the
+      cycles a frozen worm slept through arrive in one call when it
+      wakes or the fabric is synced (reading ``fabric.probe`` syncs).
     * :meth:`record_backpressure` — a fully-arrived worm was refused by
       the destination queue this cycle.
     * :meth:`record_queue_depth` — a worm entered its source's
@@ -167,18 +169,18 @@ class FabricProbe:
                 dim_hops[dim] += 1
                 dim_phits[dim] += phits
 
-    def record_block(self, key, outage: bool) -> None:
-        """One blocked-at-head cycle on the channel behind ``key``.
+    def record_block(self, key, outage: bool, cycles: int = 1) -> None:
+        """``cycles`` blocked-at-head cycles on the channel behind ``key``.
 
         ``key`` is the virtual-channel tuple ``(node, dim, dir, pclass)``;
         blocked cycles aggregate on the physical link.
         """
         link = key[:3]
-        self.link_blocked[link] = self.link_blocked.get(link, 0) + 1
+        self.link_blocked[link] = self.link_blocked.get(link, 0) + cycles
         if outage:
-            self.stall_link_outage += 1
+            self.stall_link_outage += cycles
         else:
-            self.stall_channel_busy += 1
+            self.stall_channel_busy += cycles
 
     def record_backpressure(self, dest: int, cycles: int = 1) -> None:
         """``cycles`` of delivery refusal by ``dest``'s queue."""

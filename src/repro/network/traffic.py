@@ -95,6 +95,11 @@ class RandomTrafficExperiment:
         self._measuring = False
         # Ack routing: remember who asked (one outstanding request/node).
         self._requester_of: Dict[int, List[int]] = {}
+        # Message.words is an immutable tuple, so every request shares
+        # one payload and every ack another.
+        body = (Word.from_int(0),) * (message_words - 1)
+        self._payloads = {ip: (Word.ip(ip),) + body
+                          for ip in (_REQUEST_IP, _ACK_IP)}
 
     _ITERATE = 0
     _REPLY = 1
@@ -119,10 +124,8 @@ class RandomTrafficExperiment:
         self._event_seq += 1
 
     def _message(self, source: int, dest: int, header_ip: int) -> Message:
-        words = [Word.ip(header_ip)] + [
-            Word.from_int(0) for _ in range(self.message_words - 1)
-        ]
-        return Message(words, source=source, dest=dest, priority=Priority.P0)
+        return Message(self._payloads[header_ip], source=source, dest=dest,
+                       priority=Priority.P0)
 
     def _random_dest(self, source: int) -> int:
         n = self.mesh.n_nodes
@@ -238,6 +241,9 @@ class TerminalBandwidthExperiment:
         self._delivered_words = 0
         self._in_flight = 0
         self._measuring = False
+        # One payload for the whole stream (Message.words is immutable).
+        self._words = (Word.ip(0),) + tuple(
+            Word.from_int(i) for i in range(message_words - 1))
 
     def _accept(self, node: int, message: Message) -> bool:
         return self._queued_words + message.length <= self.queue_capacity_words
@@ -279,11 +285,9 @@ class TerminalBandwidthExperiment:
                 self._delivered_words = 0
             # Keep the source's injection pipeline full.
             while self._in_flight < self.pipeline_depth:
-                words = [Word.ip(0)] + [
-                    Word.from_int(i) for i in range(self.message_words - 1)
-                ]
                 self.fabric.send(
-                    Message(words, source=0, dest=1, priority=Priority.P0), now
+                    Message(self._words, source=0, dest=1,
+                            priority=Priority.P0), now
                 )
                 self._in_flight += 1
                 message_count += 1

@@ -502,6 +502,7 @@ class _Coordinator:
 
         dst = machine.fabric
         src = self.replay
+        src.sync()  # worms move over awake: sleep bookkeeping stays behind
         dst._owner = src._owner
         dst._active = src._active
         dst._pending = src._pending

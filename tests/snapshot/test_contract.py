@@ -52,11 +52,38 @@ class TestPartitions:
 
     def test_fabric(self):
         fabric = JMachine.build(4).fabric
+        assert not Fabric.EXTERNAL_ATTRS & Fabric.DERIVED_ATTRS
         stateful = {name.lstrip("_") for name in
-                    set(fabric.__dict__) - Fabric.EXTERNAL_ATTRS}
+                    set(fabric.__dict__) - Fabric.EXTERNAL_ATTRS
+                    - Fabric.DERIVED_ATTRS}
         captured = set(fabric.state_dict())
         assert stateful == captured, _partition_message(
             stateful - captured, captured - stateful)
+
+    def test_fabric_capture_leaves_no_sleep_state(self):
+        """``DERIVED_ATTRS`` may stay out of a capture only because
+        ``state_dict`` wakes every sleeper first: mid-flight, with worms
+        frozen behind a hotspot and streaming into it, the capture holds
+        awake worms with exact fields and the bookkeeping is at rest."""
+        from repro.core.message import Message
+        from repro.core.word import Word
+        from repro.network.fabric import AWAKE
+        from repro.network.topology import Mesh3D
+
+        fabric = Fabric(Mesh3D(4, 4, 1), lambda node, message: True,
+                        lambda node, message, at: None)
+        for source in range(1, 16):
+            fabric.send(Message([Word.ip(1)] + [Word.from_int(0)] * 7,
+                                source=source, dest=0), 0)
+        for now in range(40):
+            fabric.step(now)
+        assert fabric._n_frozen and fabric._waiters
+        assert any(0 <= w.wake and w.parked is None
+                   for w in fabric._active), "nobody is streaming"
+        state = fabric.state_dict()
+        assert fabric._n_frozen == 0 and not fabric._waiters
+        assert all(w.wake == AWAKE and w.parked is None
+                   for w in state["active"])
 
     def test_latency_model(self):
         model = MacroSimulator(4).network

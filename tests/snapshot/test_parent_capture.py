@@ -1,0 +1,66 @@
+"""Captures written before the worm kernel still restore.
+
+The kernel added three derived sleep slots to ``Worm`` (``wake`` /
+``seen`` / ``parked``) and captures nothing new in the fabric's
+``state_dict`` (``Fabric.sync`` leaves the sleep bookkeeping at rest
+before every capture).  A file written by the previous build therefore
+has the same fabric keys but worms that unpickle *without* those slots;
+``Fabric.load_state`` defaults them to "awake".  Here such a capture is
+reproduced — mid-flight, plain, probed and under an active chaos plan —
+by deleting the slots from every captured worm, which is exactly the
+object a parent-written pickle unpickles to; the resumed run must finish
+digest-equal.  (Real parent-written files were also restored by hand:
+docs/SNAPSHOT.md §1.)
+"""
+
+import pytest
+
+from repro.chaos import FaultSpec
+from repro.snapshot import CheckpointPolicy, read_snapshot, restore_machine
+
+from .test_cycle_resume import _build, _digest
+
+SLEEP_SLOTS = ("wake", "seen", "parked")
+
+CHAOS_SPECS = (FaultSpec(kind="drop", rate=0.3),
+               FaultSpec(kind="corrupt", rate=0.2))
+
+
+def _machine(specs, probe):
+    machine = _build(specs=specs)
+    if probe:
+        machine.fabric.attach_probe()
+    return machine
+
+
+def _finish(machine):
+    machine.run(max_cycles=20_000)
+    probe = machine.fabric.probe
+    return _digest(machine), probe.to_dict() if probe is not None else None
+
+
+@pytest.mark.parametrize("specs, probe", [
+    ((), False), ((), True), (CHAOS_SPECS, False),
+], ids=["plain", "probed", "chaos"])
+def test_capture_without_sleep_slots_restores(tmp_path, specs, probe):
+    reference = _finish(_machine(specs, probe))
+    machine = _machine(specs, probe)
+    # The loop top first meets worms in the mesh at cycle 27 (earlier
+    # windows go through one Fabric.advance call).
+    machine.checkpoint = CheckpointPolicy(
+        str(tmp_path / "old-{cycle}.ckpt"), every=27)
+    machine.run(max_cycles=20_000)
+    first = min(tmp_path.iterdir(),
+                key=lambda p: int(p.stem.split("-")[1]))
+    _header, payload = read_snapshot(str(first))
+    fabric = payload["fabric"]
+    assert fabric["active"], "capture is not mid-flight"
+    worms = (fabric["active"]
+             + [w for queue in fabric["pending"].values() for w in queue]
+             + [entry[2] for entry in fabric["staged"]])
+    for worm in worms:
+        for slot in SLEEP_SLOTS:
+            delattr(worm, slot)
+    resumed = restore_machine(payload)
+    assert resumed.fabric.worms_in_flight > 0
+    assert _finish(resumed) == reference

@@ -136,3 +136,12 @@ def test_per_instruction_closure_path_stays_deleted():
     for tree, pattern in ((ROOT / "src", "*.py"), (DOCS, "*.md")):
         for path in tree.rglob(pattern):
             assert not gone.search(path.read_text()), path
+
+
+def test_fabric_has_one_way_to_move_a_worm():
+    """``Fabric.step`` and ``Fabric.advance`` drive one kernel; the solo
+    lanes, the conflict partition's write-back and the per-worm step
+    method it replaced live on only as the oracle under ``tests/``."""
+    gone = re.compile(r"\b(PyLanes|vectorize|_finish_solo|_step_worm)\b")
+    for path in (ROOT / "src").rglob("*.py"):
+        assert not gone.search(path.read_text()), path
