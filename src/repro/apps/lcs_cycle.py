@@ -36,6 +36,7 @@ from ..core.registers import Priority
 from ..core.word import Word
 from ..machine.config import MachineConfig
 from ..machine.jmachine import JMachine
+from ..machine.stop import StopFlags
 from ..network.topology import Mesh3D
 from .lcs import LcsParams, generate_strings, lcs_reference
 
@@ -179,16 +180,11 @@ def run_cycle_lcs(
                         Word.segment(chunk_base, chunk))
 
     last = machine.node(n_nodes - 1).proc
-    done_addr = globals_base + 4
+    done = StopFlags([(n_nodes - 1, globals_base + 4, 1)])
     machine.inject(0, program.entry("startup"), [Word.from_int(0)])
-    if stop == "quiescent":
-        machine.run(max_cycles=max_cycles)
-    else:
-        machine.run(
-            max_cycles=max_cycles,
-            until=lambda m: last.memory.peek(done_addr).value == 1,
-        )
-    if last.memory.peek(done_addr).value != 1:
+    machine.run(max_cycles=max_cycles,
+                until=None if stop == "quiescent" else done)
+    if not done.holds(machine):
         raise ConfigurationError("cycle-level LCS did not complete")
 
     length = last.memory.peek(globals_base + 5).value

@@ -27,6 +27,7 @@ from ..core.registers import Priority
 from ..core.word import Word
 from ..machine.config import MachineConfig
 from ..machine.jmachine import JMachine
+from ..machine.stop import StopFlags
 from ..network.topology import Mesh3D
 
 __all__ = ["CycleRadixResult", "run_cycle_radix", "radix_cycle_source"]
@@ -239,8 +240,14 @@ def run_cycle_radix(
     n_digits: int = 4,
     max_cycles: int = 50_000_000,
     fast_path: bool = True,
+    stop: str = "predicate",
 ) -> CycleRadixResult:
-    """Sort ``keys`` (< 4**n_digits) in assembly; verify the order."""
+    """Sort ``keys`` (< 4**n_digits) in assembly; verify the order.
+
+    ``stop="quiescent"`` runs to machine quiescence instead of stopping
+    when every node's done flag is set (a free run: the cycle count then
+    includes the final drain).
+    """
     if len(keys) % n_nodes:
         raise ConfigurationError("keys must divide evenly across nodes")
     kpn = len(keys) // n_nodes
@@ -275,18 +282,13 @@ def run_cycle_radix(
         if node_id == 0:
             regs.write("A2", Word.segment(matrix_base, matrix_words))
 
-    done_addr = globals_base + 9
+    done = StopFlags([(node_id, globals_base + 9, 1)
+                      for node_id in range(n_nodes)])
     for node_id in range(n_nodes):
         machine.inject(node_id, program.entry("sortkick"))
-    machine.run(
-        max_cycles=max_cycles,
-        until=lambda m: all(
-            m.node(i).proc.memory.peek(done_addr).value == 1
-            for i in range(n_nodes)
-        ),
-    )
-    if not all(machine.node(i).proc.memory.peek(done_addr).value == 1
-               for i in range(n_nodes)):
+    machine.run(max_cycles=max_cycles,
+                until=None if stop == "quiescent" else done)
+    if not done.holds(machine):
         raise ConfigurationError("cycle-level radix sort did not finish")
 
     gathered: List[int] = []

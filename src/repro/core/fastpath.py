@@ -18,9 +18,12 @@ exactness against the reference, enforced by
   presence guards, operand 2, then the numeric check; segment bounds
   before the memory call) and its fault messages and ``fault.address``;
 * every memory access goes through ``NodeMemory.read``/``write``, a
-  write to a watched address calls ``_wake_watchers`` and ends the block;
+  write to a watched address calls ``_wake_watchers`` with the
+  instruction's start cycle and ends the block;
 * ``if vnow >= end`` before *every* instruction, so an instruction
-  starts iff it starts before the deadline;
+  starts iff it starts before the deadline, and ``vnow >= send_before``
+  before the four SEND ops, whose order into the fabric the machine
+  must control under a stop condition;
 * a raise from instruction *k* leaves instructions ``0..k-1`` charged,
   ``regset.ip == addr_k + 1``, ``_current_instr_addr == addr_k`` and
   virtual time at the start of *k* (``Mdp._block_fault``).
@@ -34,9 +37,9 @@ reference interpreter, one step.
 
 Generated code is cached *above the node*: :data:`_CACHE` maps what the
 text depends on — start address, the instructions' ``text``, the cost
-constants, and the two emitted modes (event bus attached, ``until``
-probe present) — to the compiled function, so a 512-node machine
-running one program generates each block once.  A block is a plain
+constants, and the emitted mode (event bus attached or not) — to the
+compiled function, so a 512-node machine running one program generates
+each block once.  A block is a plain
 function, not a closure: it takes the processor's memory, meter,
 counters and watch table as one :func:`context` tuple built once per
 node, so binding a block to a node allocates nothing.
@@ -68,9 +71,12 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["bind_block", "block_text", "context", "BOUNDARY_OPS", "BRANCH_OPS",
            "MAX_BLOCK_INSTRS", "BLOCK_CACHE_MAX", "CODEGEN_METRICS", "STATS"]
 
+#: Ops that hand words to the network interface.
+_SEND_OPS = frozenset({"SEND", "SENDE", "SEND2", "SEND2E"})
+
 #: Ops after which a block must stop: they change queue or send-buffer
 #: state that the surrounding machine observes between processor steps.
-BOUNDARY_OPS = frozenset({"SEND", "SENDE", "SEND2", "SEND2E", "SUSPEND", "HALT"})
+BOUNDARY_OPS = _SEND_OPS | {"SUSPEND", "HALT"}
 
 #: Control transfers: each ends its basic block.
 BRANCH_OPS = frozenset({"BR", "JMP", "BT", "BF", "CALL"})
@@ -78,7 +84,7 @@ BRANCH_OPS = frozenset({"BR", "JMP", "BT", "BF", "CALL"})
 #: Ops that call out of the processor core (network, thread-completion
 #: observers, the fault policy): ``ip``, ``_current_instr_addr`` and the
 #: counters are made exact before the call.
-_CALLOUT_OPS = frozenset({"SEND", "SENDE", "SEND2", "SEND2E", "SUSPEND", "XLATE"})
+_CALLOUT_OPS = _SEND_OPS | {"SUSPEND", "XLATE"}
 
 #: Longest run compiled into one function.
 MAX_BLOCK_INSTRS = 64
@@ -116,7 +122,7 @@ _CONTEXT = ("proc", "mem_read", "mem_write", "meter", "counters", "watch",
             "wake", "amt", "ident")
 
 _HEAD = """\
-def block(regset, vnow, end, probe, ctx):
+def block(regset, vnow, end, send_before, ctx):
 {unpack}    regs = regset.regs
     n = cc = 0
     pc = {start}
@@ -129,7 +135,7 @@ def block(regset, vnow, end, probe, ctx):
 _TAIL = f"""\
     except BaseException as exc:
         {_FLUSH}
-        return proc._block_fault(exc, regset, pc, vnow, probe)
+        return proc._block_fault(exc, regset, pc, vnow)
     {_FLUSH}
     regset.ip = ip
     return vnow, stop
@@ -216,13 +222,11 @@ def _declined(instr: Instr) -> bool:
 class _Generator:
     """Builds the source text of one block, instruction by instruction."""
 
-    def __init__(self, start: int, base: int, costs, events: bool,
-                 probe: bool) -> None:
+    def __init__(self, start: int, base: int, costs, events: bool) -> None:
         self.start = start
         self.base = base  # reg_op plus the external-fetch surcharge
         self.costs = costs
         self.events = events
-        self.probe = probe
         self.lines: List[str] = []
         self.consts: Dict[str, Word] = {}
         self.tail = ""
@@ -291,7 +295,7 @@ class _Generator:
             self.emit(f"w = {expr}")
         address = self.resolve(operand, i, 0)
         self.emit(f"mem_write({address}, w)")
-        self.emit(f"if watch and {address} in watch: wake({address})")
+        self.emit(f"if watch and {address} in watch: wake({address}, vnow)")
 
     # -- accounting and exits ----------------------------------------------
 
@@ -329,6 +333,9 @@ class _Generator:
         self.emit(f"# @{addr} {instr.text}")
         self.tail = f"  # @{addr} {instr.text}"
         self.emit(f"if vnow >= end: ip = {addr}; break")
+        if op in _SEND_OPS:
+            self.emit(f"if vnow >= send_before: ip = {addr}; stop = True; "
+                      "break")
         self.emit(f"pc = {addr}")
         if self.events:
             self.emit("proc._event_time = vnow")
@@ -337,10 +344,6 @@ class _Generator:
         dest = _destination(instr)
         mem_dest = dest is not None and not isinstance(dest, Reg)
         metered = bool(instr.memory_operands()) or op in _CALLOUT_OPS
-        writes = mem_dest or op in BOUNDARY_OPS or op in ("ENTER", "XLATE")
-        probed = self.probe and writes
-        if probed:
-            self.emit("t0 = vnow")
         if op in _CALLOUT_OPS:
             self.emit(f"regset.ip = {nxt}; proc._current_instr_addr = {addr}")
             self.emit(_FLUSH)
@@ -438,13 +441,7 @@ class _Generator:
             raise AssertionError(f"no block template for {op}")
         self.charge(category, extra, metered)
 
-        boundary = op in BOUNDARY_OPS
-        if probed:
-            # The predicate may read counters: make them exact first.
-            self.emit(_FLUSH)
-            self.emit("probe(t0)" if boundary else
-                      f"if probe(t0): ip = {nxt}; stop = True; break")
-        if boundary:
+        if op in BOUNDARY_OPS:
             self.leave(nxt, True)
         elif op == "XLATE":  # a fault policy may wake or retire threads
             self.emit("if proc._woke or "
@@ -484,10 +481,10 @@ class _Generator:
 
 
 def _generate(start: int, run: List[Instr], base: int, costs,
-              events: bool, probe: bool) -> Optional[Callable]:
+              events: bool) -> Optional[Callable]:
     """Generate and compile the block for ``run``; None when the
     generator declines its first instruction."""
-    gen = _Generator(start, base, costs, events, probe)
+    gen = _Generator(start, base, costs, events)
     addr = start
     for instr in run:
         if _declined(instr):
@@ -503,7 +500,7 @@ def _generate(start: int, run: List[Instr], base: int, costs,
     # The synthetic filename sits *under* this module's path so that
     # profilers folding by source path attribute generated code to it.
     filename = (f"{__file__}/<block {STATS['blocks_generated']} @{start}"
-                f"{' events' * events}{' probe' * probe}>")
+                f"{' events' * events}>")
     body = "".join(gen.lines) + _TAIL
     unpack = "".join(f"    {name} = ctx[{i}]\n"
                      for i, name in enumerate(_CONTEXT)
@@ -516,11 +513,10 @@ def _generate(start: int, run: List[Instr], base: int, costs,
     return namespace["block"]
 
 
-def bind_block(proc: "Mdp", start: int, events: bool,
-               probe: bool) -> Optional[Callable]:
+def bind_block(proc: "Mdp", start: int, events: bool) -> Optional[Callable]:
     """The shared block for the code ``proc`` holds at ``start``.
 
-    Returns ``block(regset, vnow, end, probe, ctx) -> (vnow, stop)``, or
+    Returns ``block(regset, vnow, end, send_before, ctx) -> (vnow, stop)``, or
     None when the generator declines the instruction at ``start`` (the
     caller steps it through the reference interpreter).
     """
@@ -546,11 +542,10 @@ def bind_block(proc: "Mdp", start: int, events: bool,
     if not internal:
         base += costs.emem_fetch_per_word // 2
     key = (start, tuple([instr.text for instr in run]), base, costs.reg_op,
-           costs.branch_taken_extra, costs.enter, costs.xlate_hit,
-           events, probe)
+           costs.branch_taken_extra, costs.enter, costs.xlate_hit, events)
     block = _CACHE.get(key, _MISSING)
     if block is _MISSING:
-        block = _CACHE[key] = _generate(start, run, base, costs, events, probe)
+        block = _CACHE[key] = _generate(start, run, base, costs, events)
         if len(_CACHE) > BLOCK_CACHE_MAX:
             _, evicted = _CACHE.popitem(last=False)
             if evicted is not None:

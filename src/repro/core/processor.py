@@ -249,10 +249,11 @@ class Mdp:
     #: Attributes owned by the machine wiring or rebuilt on demand, never
     #: part of the processor's captured state: the network binding, the
     #: telemetry bus, the compiled blocks with the context they run
-    #: against, and the host completion callbacks.  Snapshot capture and
-    #: the parallel workers build their skip lists on this tuple.
+    #: against, the host completion callbacks, and the stop condition a
+    #: run armed.  Snapshot capture and the parallel workers build their
+    #: skip lists on this tuple.
     UNCAPTURED_ATTRS = ("network", "_events", "_blocks", "_context",
-                        "on_thread_complete")
+                        "on_thread_complete", "_stop")
 
     def __init__(
         self,
@@ -305,10 +306,16 @@ class Mdp:
         #: tick contract; the machine turns it on via MachineConfig.
         self.fast_path = fast_path
         #: Compiled blocks for this processor's code, keyed by start
-        #: address: one table per emitted mode (events attached + 2 *
-        #: probe present); and what they run against (fastpath.context).
-        self._blocks: Tuple[Dict[int, Callable], ...] = ({}, {}, {}, {})
+        #: address: one table per emitted mode (bare, events attached);
+        #: and what they run against (fastpath.context).
+        self._blocks: Tuple[Dict[int, Callable], ...] = ({}, {})
         self._context: Optional[tuple] = None
+        #: The stop condition the current ``JMachine.run`` armed
+        #: (:class:`~repro.machine.stop.StopFlags`), or None.  While set,
+        #: its flag words on this node sit in :attr:`_watch` (an empty
+        #: list when no thread waits on one) so every store to them
+        #: reaches :meth:`_wake_watchers`.
+        self._stop = None
         #: Set by :meth:`_wake_watchers`; tells a running block that the
         #: scheduler's view changed and the block must end.
         self._woke = False
@@ -317,9 +324,11 @@ class Mdp:
         #: Telemetry event bus, installed by repro.telemetry.wiring; None
         #: keeps every emission site on its cheap ``is None`` branch.
         self._events = None
-        #: Virtual time the current instruction started at — maintained
-        #: only while events are enabled, so suspension/thread-end events
-        #: carry timestamps identical between fast and reference paths.
+        #: Virtual time the current instruction started at: what
+        #: suspension/thread-end events and watched stores are stamped
+        #: with, identically on the fast and reference paths.  The
+        #: interpreter always maintains it; compiled blocks only while
+        #: events are enabled (they pass ``vnow`` to the store hook).
         self._event_time = 0
 
     # ------------------------------------------------------------------ setup
@@ -361,7 +370,7 @@ class Mdp:
             text = block_text(block)
             if f"# @{addr} " in text:
                 return text
-        block = bind_block(self, addr, False, False)
+        block = bind_block(self, addr, False)
         return block_text(block) if block is not None else ""
 
     def set_background(self, ip: Optional[int]) -> None:
@@ -505,7 +514,7 @@ class Mdp:
         self,
         now: int,
         deadline: Optional[int] = None,
-        probe: Optional[Callable[[int], bool]] = None,
+        send_before: int = sys.maxsize,
     ) -> Optional[int]:
         """Execute one scheduling step; return the next ready time.
 
@@ -515,21 +524,18 @@ class Mdp:
         With :attr:`fast_path` enabled, one call executes an entire
         straight-line *block* of instructions instead of a single step:
         execution continues, accumulating cycle charges in virtual time,
-        until the thread suspends, sends, faults, wakes a watcher, or the
-        virtual clock reaches ``deadline`` (exclusive: every instruction
-        *starting* before the deadline runs to completion, exactly as the
-        per-step reference would execute it).  ``probe(start_time)`` is
-        the machine's ``until``-predicate hook: it is evaluated after any
-        instruction that may change predicate-visible state, and a truthy
-        return ends the block.  The returned next-ready time is identical
-        to what the per-step reference path would eventually produce.
+        until the thread suspends, sends, faults, stores to a watched
+        address, or the virtual clock reaches ``deadline`` (exclusive:
+        every instruction *starting* before the deadline runs to
+        completion, exactly as the per-step reference would execute it).
+        A SEND-family instruction additionally starts only before
+        ``send_before``: the order of ``fabric.send`` calls is
+        arbitration order, so under a stop condition the machine lets a
+        processor send only while no peer could send earlier.  The
+        returned next-ready time is identical to what the per-step
+        reference path would eventually produce.
         """
         if not self.fast_path:
-            return self._tick_reference(now)
-        if probe is not None and probe(now):
-            # The predicate already holds at this pass: perform exactly
-            # one reference step so machine state at the until-stop matches
-            # the per-step schedule bit for bit.
             return self._tick_reference(now)
         if self.halted:
             return None
@@ -547,18 +553,13 @@ class Mdp:
             vnow += self._do_dispatch(priority, now)
         elif action == "restart":
             vnow += self._do_restart(priority, now)
-        if action != "run":
-            # The window pokes may have flipped the predicate or the
-            # deadline may already be due; in either case stop here.
-            if probe is not None and probe(now):
-                return vnow
-            if deadline is not None and vnow >= deadline:
-                return vnow
+        if action != "run" and deadline is not None and vnow >= deadline:
+            return vnow
 
         if priority is Priority.BACKGROUND and self._current[priority] is None:
             self._current[priority] = _Thread(Priority.BACKGROUND)
         assert self._current[priority] is not None
-        return self._run_blocks(priority, vnow, deadline, probe)
+        return self._run_blocks(priority, vnow, deadline, send_before)
 
     def _tick_reference(self, now: int) -> Optional[int]:
         """The per-step scheduler: one dispatch/restart/instruction."""
@@ -591,19 +592,20 @@ class Mdp:
         priority: Priority,
         vnow: int,
         deadline: Optional[int],
-        probe: Optional[Callable[[int], bool]],
+        send_before: int,
     ) -> int:
         """Run compiled blocks, chained, until one must stop.
 
         A block replicates :meth:`_execute_one` per instruction — same
         charge order, same fault handling, same counter updates — and
         returns ``(vnow, stop)``: ``stop`` after a boundary op, a fault,
-        a woken watcher or a truthy probe; otherwise the block at the
-        new ``ip`` runs next, without re-entering the scheduler.
+        a watched store or a send held back by ``send_before``;
+        otherwise the block at the new ``ip`` runs next, without
+        re-entering the scheduler.
         """
         regset = self.registers[priority]
         events = self._events is not None
-        blocks = self._blocks[events + 2 * (probe is not None)]
+        blocks = self._blocks[events]
         ctx = self._context
         if ctx is None:
             ctx = self._context = context(self)
@@ -616,26 +618,21 @@ class Mdp:
             block = blocks.get(regset.ip)
             if block is None:
                 block = blocks[regset.ip] = (
-                    bind_block(self, regset.ip, events, probe is not None)
-                    or self._step_block)
-            vnow, stop = block(regset, vnow, end, probe, ctx)
+                    bind_block(self, regset.ip, events) or self._step_block)
+            vnow, stop = block(regset, vnow, end, send_before, ctx)
         return vnow
 
     def _step_block(self, regset: RegisterSet, vnow: int, end: int,
-                    probe: Optional[Callable[[int], bool]],
-                    ctx: tuple) -> Tuple[int, bool]:
+                    send_before: int, ctx: tuple) -> Tuple[int, bool]:
         """Stand-in block for an instruction the generator declines: one
         reference step, then stop (conservative, and vanishingly rare)."""
         STATS["fallback_instructions"] += 1
         priority = self._active_priority
         cost = self._execute_one(priority, self._current[priority], vnow)
-        if probe is not None:
-            probe(vnow)
         return vnow + cost, True
 
     def _block_fault(self, exc: BaseException, regset: RegisterSet, addr: int,
-                     vnow: int, probe: Optional[Callable[[int], bool]],
-                     ) -> Tuple[int, bool]:
+                     vnow: int) -> Tuple[int, bool]:
         """A compiled block's ``except``: the instruction at ``addr``,
         started at ``vnow``, raised ``exc``.  Leaves what the
         per-instruction loop leaves, then resolves or re-raises."""
@@ -643,10 +640,7 @@ class Mdp:
         self._current_instr_addr = addr
         if not isinstance(exc, (SendFault, CfutFault, FutUseFault)):
             raise exc
-        cost = self._resolve_fault(exc, regset, addr)
-        if probe is not None:
-            probe(vnow)
-        return vnow + cost, True
+        return vnow + self._resolve_fault(exc, regset, addr), True
 
     def _resolve_fault(self, fault: Exception, regset: RegisterSet,
                        addr: int) -> int:
@@ -729,8 +723,7 @@ class Mdp:
         self._current_instr_addr = addr
         self._active_priority = priority
         self._suspended_by_fault = False
-        if self._events is not None:
-            self._event_time = now
+        self._event_time = now
         regset.ip = addr + 1
         self.memory.meter.take_cycles()  # discard any stale charge
 
@@ -818,7 +811,7 @@ class Mdp:
         address = self._operand_address(operand, regset)
         self.memory.write(address, word)
         if self._watch and address in self._watch:
-            self._wake_watchers(address)
+            self._wake_watchers(address, self._event_time)
 
     # -- suspension ------------------------------------------------------------
 
@@ -862,12 +855,18 @@ class Mdp:
                               int(priority), addr=address,
                               trace=thread.trace)
 
-    def _wake_watchers(self, address: int) -> None:
-        woke = False
-        for suspended in self._watch.pop(address, []):
+    def _wake_watchers(self, address: int, when: int) -> None:
+        """The instruction that started at ``when`` stored to the watched
+        ``address``: make the threads suspended on it runnable and tell
+        the armed stop condition, which keeps its flag words watched.
+        Either ends the running block (:attr:`_woke`)."""
+        waiting = self._watch.pop(address)
+        stop = self._stop
+        if stop is not None and stop.stored(self, address, when):
+            self._watch[address] = []
+            self._woke = True
+        for suspended in waiting:
             self._runnable[suspended.priority].append(suspended)
-            woke = True
-        if woke:
             self._woke = True
 
     # -- instruction semantics ---------------------------------------------------

@@ -78,7 +78,7 @@ class Tracer:
         self._saved_fast_path = proc.fast_path
         proc.fast_path = False
 
-        def traced_tick(now: int, deadline=None, probe=None):
+        def traced_tick(now: int, *_run_ahead):
             before = _snapshot(proc)
             result = original(now)
             self._record(now, before, _snapshot(proc))

@@ -3,5 +3,7 @@
 from .config import MachineConfig
 from .jmachine import JMachine
 from .node import Node, NodeNetworkInterface
+from .stop import StopFlags
 
-__all__ = ["MachineConfig", "JMachine", "Node", "NodeNetworkInterface"]
+__all__ = ["MachineConfig", "JMachine", "Node", "NodeNetworkInterface",
+           "StopFlags"]

@@ -17,7 +17,7 @@ nodes costs barely more to simulate than a 2-node machine.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..asm.assembler import Program
 from ..core.errors import DeadlockError
@@ -29,6 +29,7 @@ from ..network.fabric import Fabric
 from ..network.topology import Mesh3D
 from .config import MachineConfig
 from .node import Node
+from .stop import NEVER, StopFlags
 
 __all__ = ["JMachine"]
 
@@ -212,18 +213,13 @@ class JMachine:
             self.nodes[node_id].proc.deliver(message, self.now)
             self._schedule_proc(node_id, self.now)
 
-    def _tick_procs(
-        self,
-        limit: Optional[int] = None,
-        probe: Optional[Callable[[int], bool]] = None,
-        inj_bound: Optional[int] = None,
-    ) -> None:
+    def _tick_procs(self, limit: int, inj_bound: Optional[int] = None,
+                    stop: Optional[StopFlags] = None) -> None:
         now = self.now
         heap = self._proc_heap
         fabric = self.fabric
         chaos = self.chaos
-        have_deadlines = False
-        deadline_idle = deadline_busy = None
+        deadlines = None
         while heap and heap[0][0] <= now:
             when, node_id = heapq.heappop(heap)
             node = self.nodes[node_id]
@@ -238,37 +234,40 @@ class JMachine:
                     self._schedule_proc(node_id, stall_end)
                     continue
             proc = node.proc
-            if proc.fast_path:
+            if not proc.fast_path:
+                nxt = proc.tick(now)
+            else:
                 # fabric.active re-read per pop: an earlier block in this
                 # same pass may have launched a worm.  The two possible
-                # deadlines are pass-constant when no probe is active
-                # (deliveries only commit between passes), so compute
-                # them once and pick per pop.
-                if probe is None:
-                    if not have_deadlines:
-                        have_deadlines = True
-                        deadline_idle = self._block_deadline(
-                            limit, None, False, inj_bound)
-                        deadline_busy = self._block_deadline(
-                            limit, None, True, inj_bound)
-                    deadline = (deadline_busy if fabric.active
-                                else deadline_idle)
+                # deadlines are pass-constant (deliveries only commit
+                # between passes), so compute them once and pick per pop.
+                if deadlines is None:
+                    deadlines = (self._block_deadline(limit, False, inj_bound),
+                                 self._block_deadline(limit, True, inj_bound))
+                deadline = deadlines[fabric.active]
+                if stop is None:
+                    nxt = proc.tick(now, deadline)
                 else:
-                    deadline = self._block_deadline(
-                        limit, probe, fabric.active, inj_bound)
-                nxt = proc.tick(now, deadline, probe)
-            else:
-                nxt = proc.tick(now)
+                    # Three bounds replace virtual-time lockstep
+                    # (docs/PERFORMANCE.md "Stop conditions").  No
+                    # delivery commits before the earliest pending peer
+                    # (stale heap entries only make it earlier) plus
+                    # the window; a SEND-family op starts only before
+                    # that peer, or at ``now`` ahead of the
+                    # higher-numbered peers due this pass, so sends
+                    # reach the fabric in reference order; stop.cap
+                    # keeps instruction starts at or before the stop.
+                    peer = heap[0][0] if heap else NEVER
+                    send_before = peer if peer > now else now + 1
+                    if peer + stop.window < deadline:
+                        deadline = max(peer + stop.window, now + 1)
+                    nxt = proc.tick(now, stop.cap(node_id, deadline),
+                                    send_before)
             if nxt is not None:
                 self._schedule_proc(node_id, max(nxt, now + 1))
 
-    def _block_deadline(
-        self,
-        limit: Optional[int],
-        probe: Optional[Callable[[int], bool]],
-        fabric_busy: bool,
-        inj_bound: Optional[int] = None,
-    ) -> Optional[int]:
+    def _block_deadline(self, limit: int, fabric_busy: bool,
+                        inj_bound: Optional[int] = None) -> int:
         """How far a fast-path block may run ahead of the global clock.
 
         The bound keeps run-ahead invisible: a block may only batch
@@ -290,34 +289,22 @@ class JMachine:
 
         When fault injection is armed, chaos hooks may perturb any
         cycle, so blocks collapse to the reference's one-step-per-pass.
-        When an ``until`` predicate is active (``probe`` set), blocks are
-        additionally capped at the next pending processor's tick time,
-        which keeps *all* execution ordered by virtual time so the
-        predicate observes exact state.
+        A run under a stop condition lowers this further, per processor
+        (:meth:`_tick_procs`, docs/PERFORMANCE.md "Stop conditions").
         """
         now = self.now
         chaos = self.chaos
         if fabric_busy and chaos is not None and not chaos.inert:
             return now + 1
         deadline = limit
-        if self._delivery_heap:
-            commit = self._delivery_heap[0][0]
-            if deadline is None or commit < deadline:
-                deadline = commit
+        if self._delivery_heap and self._delivery_heap[0][0] < deadline:
+            deadline = self._delivery_heap[0][0]
         if fabric_busy:
             horizon = now + 1 + self.fabric.eject_latency
             if inj_bound is not None and now + inj_bound < horizon:
-                horizon = now + inj_bound
-            if horizon < now + 1:
-                horizon = now + 1
-            if deadline is None or horizon < deadline:
+                horizon = max(now + inj_bound, now + 1)
+            if horizon < deadline:
                 deadline = horizon
-        if probe is not None and self._proc_heap:
-            peer = self._proc_heap[0][0]
-            if peer <= now:
-                peer = now + 1
-            if deadline is None or peer < deadline:
-                deadline = peer
         return deadline
 
     # ------------------------------------------------------------------- run
@@ -328,78 +315,80 @@ class JMachine:
 
         ``None`` after a run the parallel backend completed (or when it
         was never requested); otherwise a short sentence such as
-        ``"run(until=...) observes global state every cycle"``.
+        ``"a run(until=...) stop condition is watched by the serial loop"``.
         """
         return self._parallel_skip_reason
 
     def run(
         self,
         max_cycles: int = 1_000_000,
-        until: Optional[Callable[["JMachine"], bool]] = None,
+        until: Optional[StopFlags] = None,
     ) -> int:
         """Advance the machine until quiescence, ``until``, or the limit.
 
         Returns the cycle counter at stop.  "Quiescent" means no worms in
         flight, no staged deliveries, and every processor parked — the
         machine would never do anything again without external input.
+        ``until`` is a :class:`~repro.machine.stop.StopFlags` condition:
+        the run returns the first cycle at the end of which every listed
+        word of node memory holds its value.
 
         The body runs under try/finally: even when a handler raises out
         of the run (an illegal instruction, a queue overflow surfaced to
         the host), end-of-run bookkeeping — the telemetry ``run-end``
         event — still happens, so a partial trace is still loadable.
 
-        When :attr:`parallel_shards` requests it (and no ``until``
-        predicate demands per-cycle observation), the run is first
-        attempted on the sharded parallel backend; any run the epoch
-        protocol cannot reproduce bit-exactly falls back to the serial
-        loop on the untouched machine (see :mod:`repro.parallel`).
+        When :attr:`parallel_shards` requests it (and no stop condition
+        keeps the run on the serial loop, the only one that watches
+        one), the run is first attempted on the sharded parallel
+        backend; any run the epoch protocol cannot reproduce bit-exactly
+        falls back to the serial loop on the untouched machine (see
+        :mod:`repro.parallel`).
         """
+        if until is not None and not isinstance(until, StopFlags):
+            raise TypeError(
+                "run(until=...) takes a StopFlags([(node, address, value), "
+                f"...]) condition or None, not {type(until).__name__}")
         limit = self.now + max_cycles
         self._parallel_skip_reason = None
         try:
-            if self.parallel_shards and self.parallel_shards > 1:
-                if until is not None:
+            if until is not None:
+                if self.parallel_shards and self.parallel_shards > 1:
                     self._note_parallel_skip(
-                        "run(until=...) predicates observe global state "
-                        "every cycle")
-                else:
-                    from ..parallel.machine import run_parallel
+                        "a run(until=...) stop condition is watched by "
+                        "the serial loop")
+                until.arm(self)
+                try:
+                    return self._run_serial(limit, until)
+                finally:
+                    until.disarm()
+            if self.parallel_shards and self.parallel_shards > 1:
+                from ..parallel.machine import run_parallel
 
-                    result = run_parallel(self, limit)
-                    if result is not None:
-                        return result
-            return self._run_serial(limit, until)
+                result = run_parallel(self, limit)
+                if result is not None:
+                    return result
+            return self._run_serial(limit)
         finally:
             self._run_ended()
 
-    def _run_serial(
-        self,
-        limit: int,
-        until: Optional[Callable[["JMachine"], bool]] = None,
-    ) -> int:
+    def _run_serial(self, limit: int,
+                    stop: Optional[StopFlags] = None) -> int:
         """The reference single-process run loop (see :meth:`run`).
 
         Two hook sites, because the observers read two different states:
         checkpoints and live frames are taken *between* passes (loop
         top, where a restored machine would resume), the deadlock
         watchdog looks *after* the pass at ``now`` has ticked.
+
+        An armed ``stop`` condition is told of every store to its flag
+        words and keeps ``stop_at``: the cycle the run ends at once all
+        flags are met (a later store may un-meet one and clear it).  The
+        loop runs every pass up to and including that cycle — what the
+        per-step reference has executed when it stops there.
         """
         hooks = RunHooks(self, self.now, limit, self.checkpoint, self.sampler)
         pass_hooks = RunHooks(self, self.now, limit, self.watchdog)
-        probe: Optional[Callable[[int], bool]] = None
-        fired: List[Optional[int]] = [None]
-        if until is not None:
-
-            def probe(vtime: int) -> bool:
-                # Fast-path blocks call this after state-changing work;
-                # vtime is the virtual cycle the change happened at, which
-                # may be ahead of self.now inside a batched block.
-                if until(self):
-                    if fired[0] is None or vtime < fired[0]:
-                        fired[0] = vtime
-                    return True
-                return False
-
         chaos = self.chaos
         if chaos is not None and chaos.inert:
             # An attached-but-empty plan must not perturb the event
@@ -412,7 +401,7 @@ class JMachine:
         # (see Fabric.advance).  Gated off whenever any per-pass
         # observer is installed, which keeps those paths on the
         # exact reference interleaving.
-        batchable = until is None and not pass_hooks.observers
+        batchable = not pass_hooks.observers
         while self.now < limit:
             if self.now >= hooks.next_due:
                 # Saving and sampling are read-only, so an observed run
@@ -423,10 +412,16 @@ class JMachine:
             if chaos is not None:
                 chaos.machine_tick(self, self.now)
             self._commit_deliveries()
+            stop_at = NEVER if stop is None else stop.stop_at
             inj_bound = None
             if fabric.active:
                 if batchable and chaos is None and fabric.can_batch():
-                    horizon = limit
+                    # The passes that decide where the run ends — at
+                    # stop_at, and the last one before the limit, whose
+                    # quiet jump may overshoot it — are ordinary ones.
+                    horizon = limit - 1
+                    if stop_at < horizon:
+                        horizon = stop_at
                     heap = self._delivery_heap
                     if heap and heap[0][0] < horizon:
                         horizon = heap[0][0]
@@ -438,22 +433,13 @@ class JMachine:
                         continue
                 fabric.step(self.now)
                 inj_bound = fabric.injection_quiet_cycles()
-            self._tick_procs(limit, probe, inj_bound)
+            self._tick_procs(limit, inj_bound, stop)
             if self.now >= pass_hooks.next_due:
                 pass_hooks.fire(self.now)
-            if until is not None:
-                fired_at = fired[0]
-                if fired_at is not None and fired_at > self.now:
-                    # The predicate flipped inside a batched block, at
-                    # a virtual time this pass had not reached yet.
-                    # All other work is scheduled strictly later (the
-                    # block deadline guarantees it), so the machine
-                    # state *is* the reference state at that cycle.
-                    self.now = fired_at
+            if stop is not None:
+                stop_at = stop.stop_at  # a store in this pass may move it
+                if self.now >= stop_at:
                     return self.now
-                if until(self):
-                    return self.now
-                fired[0] = None
             if self.fabric.active:
                 self.now += 1
                 continue
@@ -464,7 +450,10 @@ class JMachine:
                 next_times.append(self._delivery_heap[0][0])
             if not next_times:
                 return self.now  # quiescent
-            self.now = max(self.now + 1, min(next_times))
+            upcoming = min(next_times)
+            if stop_at < upcoming:
+                upcoming = stop_at
+            self.now = max(self.now + 1, upcoming)
         return self.now
 
     def progress_signature(self) -> Tuple[int, int, int, int]:

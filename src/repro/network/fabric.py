@@ -295,6 +295,23 @@ class Fabric:
     def worms_in_flight(self) -> int:
         return len(self._active)
 
+    def delivery_window(self) -> int:
+        """Fewest cycles from a ``send`` to its delivery commit.
+
+        A message submitted at cycle ``s`` spends ``inject_latency``
+        cycles in the interface pipeline, then streams its whole worm —
+        at least one word plus framing, a phit per cycle — before the
+        tail arrives, and commits ``eject_latency`` later (11 cycles at
+        the calibrated defaults).  So a processor that next executes at
+        cycle ``p`` cannot make anything visible to another node before
+        ``p + delivery_window()``: the lookahead of the parallel
+        backend's idle epochs and of block run-ahead under a stop
+        condition.
+        """
+        min_worm_phits = self.costs.phits_per_word + FRAMING_PHITS
+        return max(1, self.inject_latency + min_worm_phits
+                   + self.eject_latency)
+
     def injection_quiet_cycles(self) -> Optional[int]:
         """A lower bound on cycles until any ``on_injected`` callback.
 

@@ -10,13 +10,13 @@ serial* — any run the protocol cannot reproduce exactly falls back to
 the ordinary serial run loop on the untouched machine.
 """
 
-from .epoch import (EpochPlan, EpochReport, busy_window, idle_window,
-                    shard_ranges, unsupported_reason)
+from .epoch import (EpochPlan, EpochReport, busy_window, shard_ranges,
+                    unsupported_reason)
 from .machine import ParallelFallback, run_parallel
 from .worker import EpochAbort, ShardWorker
 
 __all__ = [
     "EpochPlan", "EpochReport", "EpochAbort", "ParallelFallback",
-    "ShardWorker", "busy_window", "idle_window", "run_parallel",
-    "shard_ranges", "unsupported_reason",
+    "ShardWorker", "busy_window", "run_parallel", "shard_ranges",
+    "unsupported_reason",
 ]

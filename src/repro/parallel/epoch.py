@@ -17,16 +17,10 @@ every commit decided in epoch *e* lands in epoch *e+1* or later, where
 it can still be put into a worker's plan.  So ``W_busy = eject_latency``.
 
 **Idle window** — fabric empty at ``T``.  The only deliveries that can
-appear are caused by sends issued *inside* the epoch.  A send submitted
-at ``s >= T`` spends ``inject_latency`` cycles in the interface
-pipeline, then must stream its whole worm — at least
-``phits_per_word * 1 + FRAMING_PHITS`` phits at one phit/cycle — before
-the tail arrives, and the commit follows ``eject_latency`` later:
-
-    commit >= T + inject_latency + (phits_per_word + 2) + eject_latency
-
-so the idle window can be that whole sum (11 cycles at the calibrated
-defaults, vs. 5 busy).
+appear are caused by sends issued *inside* the epoch, and none of those
+commits before ``T + Fabric.delivery_window()`` (interface pipeline +
+shortest worm + ejection pipeline: 11 cycles at the calibrated
+defaults, vs. 5 busy; the derivation lives with the fabric).
 
 Everything else that crosses the epoch barrier — sends (with their
 cycle-exact submit times), delivery schedules, send-buffer release
@@ -39,24 +33,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..network.fabric import FRAMING_PHITS
-
 __all__ = [
-    "EpochPlan", "EpochReport", "FinalState", "busy_window", "idle_window",
-    "shard_ranges", "unsupported_reason",
+    "EpochPlan", "EpochReport", "FinalState", "busy_window", "shard_ranges",
+    "unsupported_reason",
 ]
 
 
 def busy_window(eject_latency: int) -> int:
     """Lookahead while worms are in flight: one ejection pipeline."""
     return max(1, eject_latency)
-
-
-def idle_window(inject_latency: int, eject_latency: int,
-                phits_per_word: int) -> int:
-    """Lookahead from an empty fabric: inject + min worm + eject."""
-    min_worm_phits = phits_per_word + FRAMING_PHITS
-    return max(1, inject_latency + min_worm_phits + eject_latency)
 
 
 def shard_ranges(n_nodes: int, shards: int) -> List[range]:

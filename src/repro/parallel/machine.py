@@ -33,7 +33,7 @@ from ..core.message import Message
 from ..core.queues import MessageQueue
 from ..core.registers import Priority
 from ..network.fabric import Fabric
-from .epoch import (EpochPlan, busy_window, idle_window, shard_ranges,
+from .epoch import (EpochPlan, busy_window, shard_ranges,
                     unsupported_reason)
 from .worker import PROC_SKIP_ATTRS, worker_main
 
@@ -291,9 +291,7 @@ class _Coordinator:
         self._fork()
 
         w_busy = busy_window(self.replay.eject_latency)
-        w_idle = idle_window(self.replay.inject_latency,
-                             self.replay.eject_latency,
-                             self.replay.costs.phits_per_word)
+        w_idle = self.replay.delivery_window()
         idle_hooks = self.idle_hooks
         epoch_hooks = self.epoch_hooks
         now = machine.now

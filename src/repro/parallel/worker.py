@@ -142,7 +142,7 @@ class ShardWorker:
                     t = plan.start
                 m.now = t
                 m._commit_deliveries()
-                m._tick_procs(cap, None, None)
+                m._tick_procs(cap)
                 self.last_activity = t
         except EpochAbort as exc:
             self.dirty = str(exc)

@@ -35,6 +35,7 @@ from ..core.errors import ConfigurationError
 from ..core.registers import Priority
 from ..core.word import Word
 from ..machine.jmachine import JMachine
+from ..machine.stop import StopFlags
 
 __all__ = ["BarrierResult", "run_barrier_experiment", "BARRIER_SOURCE"]
 
@@ -109,7 +110,6 @@ def run_barrier_experiment(
     machine.load(program)
     globals_base = program.end + 4
     slots_base = globals_base + 8
-    done_addrs = []
     for node_id in range(n):
         proc = machine.node(node_id).proc
         memory = proc.memory
@@ -123,18 +123,13 @@ def run_barrier_experiment(
         regs = proc.registers[Priority.P0]
         regs.write("A0", Word.segment(globals_base, 8))
         regs.write("A2", Word.segment(slots_base, 2 * waves))
-        done_addrs.append((proc, globals_base + 3))
 
     start = machine.now
     for node_id in range(n):
         machine.inject(node_id, program.entry("barrier_run"))
-    machine.run(
-        max_cycles=max_cycles,
-        until=lambda m: all(
-            proc.memory.peek(addr).value == 1 for proc, addr in done_addrs
-        ),
-    )
-    if not all(proc.memory.peek(addr).value == 1 for proc, addr in done_addrs):
+    done = StopFlags([(node_id, globals_base + 3, 1) for node_id in range(n)])
+    machine.run(max_cycles=max_cycles, until=done)
+    if not done.holds(machine):
         raise ConfigurationError("barrier experiment did not complete")
     return BarrierResult(
         n_nodes=n,

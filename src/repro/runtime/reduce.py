@@ -24,6 +24,7 @@ from ..core.errors import ConfigurationError
 from ..core.registers import Priority
 from ..core.word import Word
 from ..machine.jmachine import JMachine
+from ..machine.stop import StopFlags
 
 __all__ = ["ReduceResult", "run_reduction", "REDUCE_SOURCE"]
 
@@ -150,19 +151,10 @@ def run_reduction(machine: JMachine, values: List[int],
     start = machine.now
     for node_id in range(n):
         machine.inject(node_id, program.entry("kick"))
-    done_addr = base + 4
-    if stop == "quiescent":
-        machine.run(max_cycles=max_cycles)
-    else:
-        machine.run(
-            max_cycles=max_cycles,
-            until=lambda m: all(
-                m.node(i).proc.memory.peek(done_addr).value == 1
-                for i in range(n)
-            ),
-        )
-    complete = all(machine.node(i).proc.memory.peek(done_addr).value == 1
-                   for i in range(n))
+    done = StopFlags([(node_id, base + 4, 1) for node_id in range(n)])
+    machine.run(max_cycles=max_cycles,
+                until=None if stop == "quiescent" else done)
+    complete = done.holds(machine)
     total = machine.node(0).proc.memory.peek(base + 3).value
     if total != sum(values):
         raise ConfigurationError(

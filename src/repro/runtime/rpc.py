@@ -29,6 +29,7 @@ from ..core.errors import ConfigurationError, DeliveryError, SimulationError
 from ..core.registers import Priority
 from ..core.word import Word
 from ..machine.jmachine import JMachine
+from ..machine.stop import StopFlags
 
 __all__ = ["PingResult", "run_ping", "run_remote_read", "RPC_SOURCE",
            "ReliableLayer", "backoff_delay"]
@@ -511,24 +512,20 @@ def _run(
     max_cycles: int,
     stop: str = "predicate",
 ) -> PingResult:
-    req = machine.node(requester).proc
     globals_base = program.end + 4
-    done_addr = globals_base + _G_DONE
+    done = StopFlags([(requester, globals_base + _G_DONE, 1)])
     start = machine.now
     machine.inject(requester, program.entry(go_label))
     if stop == "quiescent":
         # Run to machine quiescence instead of watching the done flag.
         # The experiment naturally quiesces once the flag is set (all
         # threads end), so this measures the same work plus the final
-        # drain — and, with no per-cycle predicate, it is eligible for
-        # the sharded parallel backend (see repro.parallel).
+        # drain — and, with no stop condition, it is eligible for the
+        # sharded parallel backend (see repro.parallel).
         machine.run(max_cycles=max_cycles)
     else:
-        machine.run(
-            max_cycles=max_cycles,
-            until=lambda m: req.memory.peek(done_addr).value == 1,
-        )
-    if req.memory.peek(done_addr).value != 1:
+        machine.run(max_cycles=max_cycles, until=done)
+    if not done.holds(machine):
         raise ConfigurationError("RPC experiment did not complete")
     return PingResult(
         requester=requester,

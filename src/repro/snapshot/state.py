@@ -47,9 +47,9 @@ __all__ = [
 #: Processor attributes owned by the machine wiring, not by the
 #: processor's architectural state (``Mdp.UNCAPTURED_ATTRS``: the
 #: network interface binding, the telemetry bus, the bound compiled
-#: blocks, host completion callbacks).  Everything else in
-#: ``Mdp.__dict__`` — registers, memory, queues, AMT, code, suspended
-#: threads, counters — is captured wholesale.
+#: blocks, host completion callbacks, the stop condition a run armed).
+#: Everything else in ``Mdp.__dict__`` — registers, memory, queues, AMT,
+#: code, suspended threads, counters — is captured wholesale.
 PROC_EXTERNAL_ATTRS = frozenset(Mdp.UNCAPTURED_ATTRS)
 
 #: ``JMachine.__dict__`` partition, asserted complete by
@@ -148,9 +148,15 @@ def capture_machine(machine) -> dict:
     for node in machine.nodes:
         proc = node.proc
         iface = node.interface
+        state = {name: value for name, value in proc.__dict__.items()
+                 if name not in PROC_EXTERNAL_ATTRS}
+        if proc._stop is not None:
+            # An armed stop condition is run-scoped: leave out the
+            # watch-table entries that only mark its flag words.
+            state["_watch"] = {address: waiting for address, waiting
+                               in proc._watch.items() if waiting}
         nodes.append({
-            "proc": {name: value for name, value in proc.__dict__.items()
-                     if name not in PROC_EXTERNAL_ATTRS},
+            "proc": state,
             "building": {priority: list(words)
                          for priority, words in iface._building.items()},
             "outstanding_words": iface._outstanding_words,

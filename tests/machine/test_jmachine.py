@@ -8,6 +8,7 @@ from repro.core.registers import Priority
 from repro.core.word import Word
 from repro.machine.config import MachineConfig
 from repro.machine.jmachine import JMachine
+from repro.machine.stop import StopFlags
 
 
 class TestConstruction:
@@ -79,10 +80,8 @@ class TestEcho:
         machine, program, base = self._machine()
         machine.inject(7, program.entry("echo"),
                        [Word.from_int(0), Word.from_int(9)], source=0)
-        end = machine.run(
-            max_cycles=10_000,
-            until=lambda m: m.node(0).proc.memory.peek(base).value == 9,
-        )
+        end = machine.run(max_cycles=10_000,
+                          until=StopFlags([(0, base, 9)]))
         assert machine.node(0).proc.memory.peek(base).value == 9
         assert end < 10_000
 

@@ -145,9 +145,9 @@ def test_whole_window_equals_stepping():
 
 
 def test_skipped_cycles_are_not_network_time():
-    """An owner that jumps its clock while worms sleep (the machine's
-    ``until`` predicate can) must not have the jump counted as blocked
-    or streamed cycles."""
+    """An owner that jumps its clock while worms sleep (a bare-fabric
+    driver may) must not have the jump counted as blocked or streamed
+    cycles."""
     oracle = _Harness(ReferenceFabric, _hotspot_sends, False)
     kernel = _Harness(Fabric, _hotspot_sends, False)
     for now in list(range(30)) + list(range(50, 90)) + [200, 201, 202]:

@@ -21,6 +21,7 @@ from repro.core.registers import Priority
 from repro.core.word import Word
 from repro.machine.config import MachineConfig
 from repro.machine.jmachine import JMachine
+from repro.machine.stop import StopFlags
 from repro.parallel.machine import _event_sort_key
 from repro.telemetry import Telemetry
 
@@ -451,9 +452,9 @@ class TestFallback:
         machine, program, base = self._echo_machine()
         machine.inject(7, program.entry("echo"),
                        [Word.from_int(0), Word.from_int(9)], source=0)
-        machine.run(max_cycles=20_000,
-                    until=lambda m: m.node(0).proc.memory.peek(base).value == 9)
+        machine.run(max_cycles=20_000, until=StopFlags([(0, base, 9)]))
         assert machine.node(0).proc.memory.peek(base).value == 9
+        assert "stop condition" in machine.parallel_skip_reason
 
     def test_machine_reusable_after_parallel_run(self):
         """Back-to-back runs on one machine: the folded-back state must

@@ -141,3 +141,58 @@ class TestCheckpointPolicy:
     def test_interval_must_be_positive(self):
         with pytest.raises(ValueError):
             CheckpointPolicy("x.ckpt", every=0)
+
+
+class TestArmedStopCondition:
+    """A stop condition is run-scoped, like the ``until`` argument it
+    is: a checkpoint taken while one is armed holds neither the
+    condition (``Mdp._stop`` is an uncaptured attribute) nor the empty
+    watch-table entries that mark its flag words, so it pickles, and the
+    restored machine is an ordinary one."""
+
+    BARRIERS = 3
+
+    def _barrier(self, checkpoint=None):
+        from repro.machine.config import MachineConfig
+        from repro.runtime.barrier import run_barrier_experiment
+
+        machine = JMachine(MachineConfig(dims=(2, 2, 2)))
+        machine.checkpoint = checkpoint
+        run_barrier_experiment(machine, barriers=self.BARRIERS)
+        return machine
+
+    def _done(self):
+        from repro.asm.assembler import assemble
+        from repro.machine.stop import StopFlags
+        from repro.runtime.barrier import BARRIER_SOURCE
+
+        done_addr = assemble(BARRIER_SOURCE).end + 4 + 3
+        return StopFlags([(node, done_addr, 1) for node in range(8)])
+
+    def test_mid_run_save_restores_and_finishes_equal(self, tmp_path):
+        from repro.snapshot import load_machine
+        from tests.util import assert_same_state, machine_state
+
+        path = str(tmp_path / "armed_{cycle}.ckpt")
+        policy = CheckpointPolicy(path, every=150)
+        finished = self._barrier(policy)
+        assert policy.saves >= 2, "no checkpoint inside the armed run"
+        # Checkpointing is free, armed or not.
+        assert_same_state(machine_state(finished),
+                          machine_state(self._barrier()))
+        first = sorted(tmp_path.iterdir())[0]
+
+        resumed = load_machine(str(first))
+        assert 0 < resumed.now < finished.now
+        assert all(node.proc._stop is None
+                   and [] not in node.proc._watch.values()
+                   for node in resumed.nodes)
+        assert any(node.proc._watch.values() for node in resumed.nodes), \
+            "nobody suspended on a butterfly slot: not a mid-run capture"
+        assert resumed.run(until=self._done()) == finished.now
+        assert_same_state(machine_state(resumed), machine_state(finished))
+
+        # Separately, with no condition: run on to quiescence.
+        drained = load_machine(str(first))
+        assert drained.run() == finished.run()
+        assert_same_state(machine_state(drained), machine_state(finished))

@@ -145,3 +145,16 @@ def test_fabric_has_one_way_to_move_a_worm():
     gone = re.compile(r"\b(PyLanes|vectorize|_finish_solo|_step_worm)\b")
     for path in (ROOT / "src").rglob("*.py"):
         assert not gone.search(path.read_text()), path
+
+
+def test_until_probe_stays_deleted():
+    """A stop condition is watched through the store hook: no compiled
+    block or driver takes a per-instruction predicate ``probe`` again.
+    (``amt.probe`` and the fabric observatory's probe are other things:
+    match the parameter and the generated call, not the word.)"""
+    gone = re.compile(r"probe\(t0\)|(?<!-)\bprobed\b|[(,]\s*probe\s*[,:)=]")
+    for package in ("core", "machine"):
+        for path in (ROOT / "src" / "repro" / package).rglob("*.py"):
+            assert not gone.search(path.read_text()), path
+    for path in (ROOT / "src").rglob("*.py"):
+        assert "until=lambda" not in path.read_text(), path
