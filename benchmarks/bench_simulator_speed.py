@@ -274,38 +274,3 @@ def test_macro_radix_throughput(benchmark):
 def test_whole_machine_throughput(benchmark):
     iterations = benchmark.pedantic(run_machine_ping, rounds=3, iterations=1)
     assert iterations == 25
-
-
-# A 64-node compute grid run serially and under the sharded parallel
-# backend (repro.parallel).  The pair makes the backend's cost visible
-# in the perf trajectory: speedup = grid_serial / grid_4shards.  On a
-# single-core host the parallel entry *should* read slower — see
-# docs/PERFORMANCE.md, "Parallel backend" — so the trajectory records
-# coordination overhead there and real speedup on multi-core hosts.
-GRID_NODES = 64
-GRID_ITERS = 200
-
-
-def run_parallel_grid(shards=0):
-    import bench_parallel_speedup as bps
-
-    machine, program, base = bps.build_machine(GRID_NODES, GRID_ITERS,
-                                               shards)
-    for i in range(GRID_NODES):
-        machine.inject(i, program.entry("work"), source=i)
-    machine.run(max_cycles=10_000_000)
-    assert machine._parallel_skip_reason is None
-    done = sum(machine.node(i).proc.memory.peek(base + 2).value
-               for i in range(GRID_NODES))
-    return done
-
-
-def test_parallel_grid_serial(benchmark):
-    done = benchmark.pedantic(run_parallel_grid, rounds=3, iterations=1)
-    assert done == GRID_NODES
-
-
-def test_parallel_grid_4shards(benchmark):
-    done = benchmark.pedantic(run_parallel_grid, rounds=3, iterations=1,
-                              kwargs={"shards": 4})
-    assert done == GRID_NODES

@@ -132,24 +132,15 @@ def run_cycle_lcs(
     n_nodes: int,
     params: LcsParams = LcsParams(a_len=32, b_len=64),
     max_cycles: int = 20_000_000,
-    stop: str = "predicate",
-    parallel_shards: int = 0,
 ) -> CycleLcsResult:
-    """Run assembly LCS on a cycle-accurate machine and verify it.
-
-    ``stop="quiescent"`` runs to machine quiescence instead of stopping
-    when the done flag is observed (the cycle count then includes the
-    final drain); with no per-cycle predicate the run is eligible for
-    the sharded parallel backend, opted into via ``parallel_shards``.
-    """
+    """Run assembly LCS on a cycle-accurate machine and verify it."""
     if params.a_len % n_nodes:
         raise ConfigurationError("a_len must divide evenly across nodes")
     chunk = params.a_len // n_nodes
     a, b = generate_strings(params)
 
     machine = JMachine(MachineConfig(dims=Mesh3D.for_nodes(n_nodes).dims,
-                                     queue_words=4096,
-                                     parallel_shards=parallel_shards))
+                                     queue_words=4096))
     program = assemble(LCS_ASM_SOURCE)
     machine.load(program)
 
@@ -182,8 +173,7 @@ def run_cycle_lcs(
     last = machine.node(n_nodes - 1).proc
     done = StopFlags([(n_nodes - 1, globals_base + 4, 1)])
     machine.inject(0, program.entry("startup"), [Word.from_int(0)])
-    machine.run(max_cycles=max_cycles,
-                until=None if stop == "quiescent" else done)
+    machine.run(max_cycles=max_cycles, until=done)
     if not done.holds(machine):
         raise ConfigurationError("cycle-level LCS did not complete")
 

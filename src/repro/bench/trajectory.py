@@ -20,6 +20,9 @@ single benchmarks between adjacent runs on the shared host):
   not condemn every later run;
 * a series is only gated once it has at least :data:`MIN_PRIOR_POINTS`
   prior entries — below that the median is itself noise;
+* a series the newest run no longer reports (its benchmark was
+  deleted) has *ended*: its history is rendered, its last point judged
+  nothing;
 * benchmark *time* minima and snapshot payload *bytes* are gated;
   snapshot save/restore *latencies* are rendered but informational
   (they measure the smoke harness's subprocess environment as much as
@@ -84,9 +87,10 @@ def load_series(path: str) -> Tuple[Series, Series]:
     """Read one trajectory artifact into ``(gated, informational)``.
 
     Both maps are ``{series-name: [(datetime, value, dirty), ...]}``,
-    oldest first.  Gated series are benchmark ``min`` seconds and
-    snapshot payload bytes; informational ones are snapshot
-    save/restore latencies.
+    oldest first, one point per run from the series' first appearance
+    on: a run that no longer reports it contributes a ``None`` value.
+    Gated series are benchmark ``min`` seconds and snapshot payload
+    bytes; informational ones are snapshot save/restore latencies.
     """
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
@@ -98,15 +102,17 @@ def load_series(path: str) -> Tuple[Series, Series]:
     for entry in trajectory:
         stamp = (entry.get("datetime") or "?")[:19]
         dirty = bool(entry.get("dirty"))
-        for name, stats in (entry.get("benchmarks") or {}).items():
-            gated.setdefault(name, []).append(
-                (stamp, stats.get("min"), dirty))
+        gated_now = {name: stats.get("min") for name, stats
+                     in (entry.get("benchmarks") or {}).items()}
+        info_now = {}
         for level, snap in (entry.get("snapshot") or {}).items():
-            gated.setdefault(f"snapshot.{level}.bytes", []).append(
-                (stamp, snap.get("bytes"), dirty))
+            gated_now[f"snapshot.{level}.bytes"] = snap.get("bytes")
             for field in ("save_s", "restore_s"):
-                info.setdefault(f"snapshot.{level}.{field}", []).append(
-                    (stamp, snap.get(field), dirty))
+                info_now[f"snapshot.{level}.{field}"] = snap.get(field)
+        for series, now in ((gated, gated_now), (info, info_now)):
+            for name in series.keys() | now.keys():
+                series.setdefault(name, []).append(
+                    (stamp, now.get(name), dirty))
     return gated, info
 
 
@@ -114,9 +120,12 @@ def check_series(points: List[Tuple[str, Optional[float], bool]]
                  ) -> Tuple[str, Optional[float]]:
     """Judge one gated series; returns ``(verdict, overhead-or-None)``.
 
-    Verdicts: ``"ok"``, ``"REGRESSION"``, or ``"ungated"`` (not enough
-    priors).  The overhead is newest/median(priors) - 1 when computable.
+    Verdicts: ``"ok"``, ``"REGRESSION"``, ``"ungated"`` (not enough
+    priors) or ``"ended"`` (the newest run did not report it).  The
+    overhead is newest/median(priors) - 1 when computable.
     """
+    if points and points[-1][1] is None:
+        return "ended", None
     values = [value for _stamp, value, _dirty in points
               if value is not None]
     if len(values) < 2:
@@ -155,7 +164,7 @@ def render(path: str, gate: bool = True) -> Tuple[str, int]:
         values = [v for _s, v, _d in points if v is not None]
         spark = sparkline(values)
         delta = f"{overhead:+.1%}" if overhead is not None else "    -"
-        dirty = "*" if points[-1][2] else " "
+        dirty = "*" if points[-1][2] and verdict != "ended" else " "
         lines.append(
             f"{name:<{width}}  {spark:<12} "
             f"{_fmt_value(name, values[-1] if values else None):>10}{dirty} "

@@ -11,12 +11,10 @@ raises :class:`~repro.core.errors.DeadlockError` carrying a
 threads, spill occupancy — so a hung run fails with a diagnosis instead
 of timing out with a generic error.
 
-The watchdog is pull-based and cheap: the run loops poll it through
+The watchdog is pull-based and cheap: the run loop polls it through
 :class:`~repro.core.hooks.RunHooks` (one integer comparison per pass);
 the (O(nodes)) progress signature is only computed every ``interval``
-cycles.  What counts as progress is the *target's* business — a machine
-reports it from its nodes, a parallel coordinator from its shard
-reports — so one detector serves both.
+cycles.
 """
 
 from __future__ import annotations
@@ -173,10 +171,8 @@ class DeadlockWatchdog:
     delivery stalls are *not* progress — they are precisely the activity
     a deadlocked machine keeps burning.
 
-    The polled target supplies ``progress_signature()`` (those four
-    counters) and ``wedged_machine(now)`` (the machine to diagnose once
-    the window has passed; a parallel coordinator folds its shards into
-    the parent first).
+    The polled machine supplies ``progress_signature()`` (those four
+    counters) and is the machine diagnosed once the window has passed.
 
     Args:
         window: cycles without progress before the watchdog trips.
@@ -210,7 +206,7 @@ class DeadlockWatchdog:
         self.next_due = now + self.interval
         stalled = self._gauge.observe(target.progress_signature(), now)
         if stalled >= self.window:
-            self._trip(target.wedged_machine(now), now)
+            self._trip(target, now)
 
     # -- the trip ------------------------------------------------------------
 

@@ -250,8 +250,7 @@ class Mdp:
     #: part of the processor's captured state: the network binding, the
     #: telemetry bus, the compiled blocks with the context they run
     #: against, the host completion callbacks, and the stop condition a
-    #: run armed.  Snapshot capture and the parallel workers build their
-    #: skip lists on this tuple.
+    #: run armed.  Snapshot capture builds its skip list on this tuple.
     UNCAPTURED_ATTRS = ("network", "_events", "_blocks", "_context",
                         "on_thread_complete", "_stop")
 
@@ -350,7 +349,7 @@ class Mdp:
         The tables map this processor's code to shared blocks and the
         context holds its memory, counters and watch table by identity,
         so anything that replaces either — a code load, a snapshot
-        restore, a shard fold-back — must call this.
+        restore — must call this.
         """
         for table in self._blocks:
             table.clear()

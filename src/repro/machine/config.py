@@ -50,11 +50,6 @@ class MachineConfig:
     #: faster).  Disable to run the per-instruction reference
     #: interpreter instead; results are identical either way.
     fast_path: bool = True
-    #: Shard the node grid across this many worker processes advancing
-    #: in conservative lockstep epochs (see :mod:`repro.parallel`).
-    #: 0/1 = serial.  Runs the protocol cannot reproduce bit-exactly
-    #: fall back to the serial loop automatically.
-    parallel_shards: int = 0
     #: Attach a fabric observatory probe at construction (per-link
     #: phit/utilization counters, stall-cause split, queue-occupancy
     #: histograms — see :mod:`repro.network.observatory`).  Off by

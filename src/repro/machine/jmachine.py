@@ -85,25 +85,12 @@ class JMachine:
         #: installed by the wiring when ``Telemetry(trace=True)``; host
         #: injections then root a fresh trace.
         self._trace_state = None
-        #: Worker-process count for the sharded parallel backend
-        #: (:mod:`repro.parallel`); 0/1 keeps every run on the serial
-        #: loop.  Mutable per-machine so one instance can be compared
-        #: against itself.
-        self.parallel_shards = self.config.parallel_shards
-        #: Why the last run stayed serial despite ``parallel_shards``
-        #: (set by :func:`repro.parallel.machine.run_parallel`).
-        self._parallel_skip_reason: Optional[str] = None
-        #: Lifetime count of parallel-attempt fallbacks (exported as the
-        #: ``machine.parallel.skips`` metric; each one also emits a
-        #: ``parallel-skip`` telemetry event).
-        self._parallel_skips = 0
         #: Optional :class:`~repro.snapshot.CheckpointPolicy`; when set,
-        #: the run loops save periodic checkpoints (serial: at the top of
-        #: the loop; parallel: at epoch-barrier idle points).
+        #: the run loop saves periodic checkpoints at its top.
         self.checkpoint = None
         #: Optional :class:`~repro.telemetry.live.LiveSampler`; when
-        #: set, the run loops take periodic read-only metric snapshots
-        #: (serial: loop top; parallel: epoch barriers).
+        #: set, the run loop takes periodic read-only metric snapshots
+        #: at its top.
         self.sampler = None
         #: Attached telemetry rig (see :mod:`repro.telemetry`), or None.
         self.telemetry = telemetry
@@ -309,16 +296,6 @@ class JMachine:
 
     # ------------------------------------------------------------------- run
 
-    @property
-    def parallel_skip_reason(self) -> Optional[str]:
-        """Why the last ``run`` stayed serial despite ``parallel_shards``.
-
-        ``None`` after a run the parallel backend completed (or when it
-        was never requested); otherwise a short sentence such as
-        ``"a run(until=...) stop condition is watched by the serial loop"``.
-        """
-        return self._parallel_skip_reason
-
     def run(
         self,
         max_cycles: int = 1_000_000,
@@ -337,44 +314,25 @@ class JMachine:
         of the run (an illegal instruction, a queue overflow surfaced to
         the host), end-of-run bookkeeping — the telemetry ``run-end``
         event — still happens, so a partial trace is still loadable.
-
-        When :attr:`parallel_shards` requests it (and no stop condition
-        keeps the run on the serial loop, the only one that watches
-        one), the run is first attempted on the sharded parallel
-        backend; any run the epoch protocol cannot reproduce bit-exactly
-        falls back to the serial loop on the untouched machine (see
-        :mod:`repro.parallel`).
         """
         if until is not None and not isinstance(until, StopFlags):
             raise TypeError(
                 "run(until=...) takes a StopFlags([(node, address, value), "
                 f"...]) condition or None, not {type(until).__name__}")
         limit = self.now + max_cycles
-        self._parallel_skip_reason = None
         try:
-            if until is not None:
-                if self.parallel_shards and self.parallel_shards > 1:
-                    self._note_parallel_skip(
-                        "a run(until=...) stop condition is watched by "
-                        "the serial loop")
-                until.arm(self)
-                try:
-                    return self._run_serial(limit, until)
-                finally:
-                    until.disarm()
-            if self.parallel_shards and self.parallel_shards > 1:
-                from ..parallel.machine import run_parallel
-
-                result = run_parallel(self, limit)
-                if result is not None:
-                    return result
-            return self._run_serial(limit)
+            if until is None:
+                return self._run_loop(limit)
+            until.arm(self)
+            try:
+                return self._run_loop(limit, until)
+            finally:
+                until.disarm()
         finally:
             self._run_ended()
 
-    def _run_serial(self, limit: int,
-                    stop: Optional[StopFlags] = None) -> int:
-        """The reference single-process run loop (see :meth:`run`).
+    def _run_loop(self, limit: int, stop: Optional[StopFlags] = None) -> int:
+        """The run loop (see :meth:`run`).
 
         Two hook sites, because the observers read two different states:
         checkpoints and live frames are taken *between* passes (loop
@@ -467,23 +425,11 @@ class JMachine:
         return (instructions, stats.completed, stats.submitted,
                 self.deliveries_committed)
 
-    def wedged_machine(self, now: int) -> "JMachine":
-        """The machine a tripped watchdog diagnoses: this one, as is."""
-        return self
-
     def _run_ended(self) -> None:
         """End-of-run hook (normal return or raise): telemetry run-end."""
         telemetry = self.telemetry
         if telemetry is not None and telemetry.events is not None:
             telemetry.events.emit("run-end", self.now, -1)
-
-    def _note_parallel_skip(self, reason: str) -> None:
-        """Record one parallel→serial fallback: attribute, counter, event."""
-        self._parallel_skip_reason = reason
-        self._parallel_skips += 1
-        telemetry = self.telemetry
-        if telemetry is not None and telemetry.events is not None:
-            telemetry.events.emit("parallel-skip", self.now, -1, name=reason)
 
     # -------------------------------------------------------------- snapshots
 

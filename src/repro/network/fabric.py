@@ -304,9 +304,8 @@ class Fabric:
         tail arrives, and commits ``eject_latency`` later (11 cycles at
         the calibrated defaults).  So a processor that next executes at
         cycle ``p`` cannot make anything visible to another node before
-        ``p + delivery_window()``: the lookahead of the parallel
-        backend's idle epochs and of block run-ahead under a stop
-        condition.
+        ``p + delivery_window()``: the lookahead of block run-ahead
+        under a stop condition.
         """
         min_worm_phits = self.costs.phits_per_word + FRAMING_PHITS
         return max(1, self.inject_latency + min_worm_phits

@@ -19,10 +19,6 @@ went.  This module adds the missing layer:
     :class:`~repro.network.stats.LatencySummary`'s mergeable fixed
     buckets.
 
-  Probes merge exactly (:meth:`FabricProbe.merge`), which is what lets
-  the sharded parallel backend fold shard-local counters back without
-  drift — serial and ``parallel_shards=N`` runs produce equal reports.
-
 * :class:`FabricReport` — the analyzer over a probe: top-k saturated
   links, midplane vs. off-midplane split (same X-midplane convention as
   :meth:`~repro.network.topology.Mesh3D.bisection_channels`), stall
@@ -53,7 +49,7 @@ __all__ = [
 
 #: Injection-queue depths span one message to a few hundred under the
 #: radix-sort starvation pattern; powers of two to 1024 keep the
-#: histogram small and exactly mergeable across shards.
+#: histogram small and exactly mergeable across routers.
 QUEUE_OCCUPANCY_BOUNDS = tuple(1 << k for k in range(11))
 
 #: Canonical fabric-metric schema: (name, type, unit, advance site).
@@ -111,8 +107,7 @@ class FabricProbe:
     """Raw per-link/per-router counters for one fabric.
 
     The probe holds no mesh reference and only dicts of ints plus
-    histograms, so it deep-copies and pickles cheaply — the parallel
-    backend clones it with the fabric and the snapshot layer captures it
+    histograms, so it pickles cheaply — the snapshot layer captures it
     with :meth:`Fabric.state_dict`.
 
     Accumulation sites (all in ``fabric.py``, all behind ``probe is
@@ -209,31 +204,6 @@ class FabricProbe:
             merged.merge(summary)
         return merged
 
-    # -- merge (the parallel fold-back / multi-run currency) ----------------
-
-    def merge(self, other: "FabricProbe") -> None:
-        """Fold another probe's counters into this one, exactly."""
-        self.messages += other.messages
-        for field in ("link_phits", "link_messages", "link_blocked"):
-            mine = getattr(self, field)
-            for link, n in getattr(other, field).items():
-                mine[link] = mine.get(link, 0) + n
-        for dim in range(3):
-            self.dim_hops[dim] += other.dim_hops[dim]
-            self.dim_phits[dim] += other.dim_phits[dim]
-        self.stall_channel_busy += other.stall_channel_busy
-        self.stall_link_outage += other.stall_link_outage
-        self.stall_backpressure += other.stall_backpressure
-        for node, n in other.node_backpressure.items():
-            self.node_backpressure[node] = (
-                self.node_backpressure.get(node, 0) + n)
-        for node, summary in other.queue_occupancy.items():
-            mine = self.queue_occupancy.get(node)
-            if mine is None:
-                mine = self.queue_occupancy[node] = LatencySummary(
-                    QUEUE_OCCUPANCY_BOUNDS)
-            mine.merge(summary)
-
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -264,7 +234,7 @@ class FabricReport:
 
     Built with :meth:`from_fabric` at the end of (or during) a run; the
     report is plain data — JSON round-trippable, diffable, and equal
-    (``==``) across serial and parallel executions of the same run.
+    (``==``) across repeated executions of the same run.
     """
 
     def __init__(self, dims: Tuple[int, int, int], elapsed: int,
@@ -289,11 +259,6 @@ class FabricReport:
         if probe is None:
             raise ValueError("fabric has no probe attached "
                              "(call fabric.attach_probe() before the run)")
-        return cls.from_probe(probe, fabric.mesh.dims, now)
-
-    @classmethod
-    def from_probe(cls, probe: FabricProbe, dims: Tuple[int, int, int],
-                   now: int) -> "FabricReport":
         elapsed = probe.elapsed(now)
         links: Dict[ChannelKey, Dict[str, float]] = {}
         for link in set(probe.link_phits) | set(probe.link_blocked):
@@ -305,7 +270,7 @@ class FabricReport:
                 "utilization": phits / elapsed,
             }
         return cls(
-            dims=dims,
+            dims=fabric.mesh.dims,
             elapsed=elapsed,
             messages=probe.messages,
             links=links,

@@ -119,14 +119,8 @@ class ReduceResult:
 
 
 def run_reduction(machine: JMachine, values: List[int],
-                  max_cycles: int = 2_000_000,
-                  stop: str = "predicate") -> ReduceResult:
-    """Sum one integer per node through the combining tree; verify.
-
-    ``stop="quiescent"`` runs to machine quiescence instead of stopping
-    when every done flag is observed set; the cycle count then includes
-    the final drain, and the run may use the parallel backend.
-    """
+                  max_cycles: int = 2_000_000) -> ReduceResult:
+    """Sum one integer per node through the combining tree; verify."""
     n = machine.mesh.n_nodes
     if len(values) != n:
         raise ConfigurationError("need exactly one value per node")
@@ -152,8 +146,7 @@ def run_reduction(machine: JMachine, values: List[int],
     for node_id in range(n):
         machine.inject(node_id, program.entry("kick"))
     done = StopFlags([(node_id, base + 4, 1) for node_id in range(n)])
-    machine.run(max_cycles=max_cycles,
-                until=None if stop == "quiescent" else done)
+    machine.run(max_cycles=max_cycles, until=done)
     complete = done.holds(machine)
     total = machine.node(0).proc.memory.peek(base + 3).value
     if total != sum(values):

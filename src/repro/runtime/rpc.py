@@ -520,8 +520,7 @@ def _run(
         # Run to machine quiescence instead of watching the done flag.
         # The experiment naturally quiesces once the flag is set (all
         # threads end), so this measures the same work plus the final
-        # drain — and, with no stop condition, it is eligible for the
-        # sharded parallel backend (see repro.parallel).
+        # drain.
         machine.run(max_cycles=max_cycles)
     else:
         machine.run(max_cycles=max_cycles, until=done)
@@ -548,7 +547,8 @@ def run_ping(
 
     ``stop="quiescent"`` runs to machine quiescence instead of stopping
     the moment the done flag is observed; cycle counts then include the
-    final drain, and the run may use the parallel backend.
+    final drain.  Such a *free* run is not cycle-exact between the fast
+    path and ``fast_path=False`` (tests/test_free_run_deviation.py).
     """
     responder = requester if responder is None else responder
     program = _setup(machine, requester, responder, iterations, 0, True)

@@ -93,18 +93,13 @@ class BisectResult:
 
 
 def _load(path: str):
-    """A fresh, serial, observer-free machine from the checkpoint.
+    """A fresh, observer-free machine from the checkpoint.
 
-    Every probe replays from disk so no state leaks between replays;
-    the parallel backend is disabled because probes run tiny bounded
-    windows where fork overhead would dominate (the serial and parallel
-    backends are bit-identical, so this is a speed choice, not a
-    correctness one).
+    Every probe replays from disk so no state leaks between replays.
     """
     from . import load_machine
 
     machine = load_machine(path)
-    machine.parallel_shards = 0
     machine.checkpoint = None
     machine.watchdog = None
     return machine

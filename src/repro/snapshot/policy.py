@@ -3,10 +3,9 @@
 A :class:`CheckpointPolicy` is handed to a simulator via its
 ``checkpoint`` attribute; the run loops poll it through
 :class:`~repro.core.hooks.RunHooks` at their resumable points (the
-serial cycle loop's top, the macro event loop's top, the parallel
-coordinator's epoch-barrier idle jumps).  The policy deliberately knows
-nothing about the target beyond its ``save(path, run_limit=...)``
-method, so one class serves both levels and the parallel backend.
+cycle loop's top, the macro event loop's top).  The policy deliberately
+knows nothing about the target beyond its ``save(path, run_limit=...)``
+method, so one class serves both levels.
 """
 
 from __future__ import annotations

@@ -56,8 +56,7 @@ PROC_EXTERNAL_ATTRS = frozenset(Mdp.UNCAPTURED_ATTRS)
 #: tests/snapshot/test_contract.py so new machine attributes must be
 #: classified before they can ship.
 MACHINE_CAPTURED_ATTRS = frozenset({
-    "config", "now", "_seq", "deliveries_committed", "parallel_shards",
-    "_parallel_skip_reason", "_parallel_skips", "nodes", "_proc_heap",
+    "config", "now", "_seq", "deliveries_committed", "nodes", "_proc_heap",
     "_delivery_heap", "_staged_messages", "_staged_words_per_node",
     "fabric", "chaos", "watchdog", "telemetry",
 })
@@ -177,9 +176,6 @@ def capture_machine(machine) -> dict:
         "now": machine.now,
         "seq": machine._seq,
         "deliveries_committed": machine.deliveries_committed,
-        "parallel_shards": machine.parallel_shards,
-        "parallel_skip_reason": machine._parallel_skip_reason,
-        "parallel_skips": machine._parallel_skips,
         "nodes": nodes,
         "proc_heap": list(machine._proc_heap),
         "deliveries": deliveries,
@@ -208,9 +204,6 @@ def restore_machine(payload: dict):
     machine.now = payload["now"]
     machine._seq = payload["seq"]
     machine.deliveries_committed = payload["deliveries_committed"]
-    machine.parallel_shards = payload["parallel_shards"]
-    machine._parallel_skip_reason = payload["parallel_skip_reason"]
-    machine._parallel_skips = payload["parallel_skips"]
     for node, state in zip(machine.nodes, payload["nodes"]):
         # Install into the *existing* processor object so the wiring
         # established at construction (interface trace hooks, the

@@ -47,7 +47,6 @@ EVENT_KINDS = frozenset({
     "chaos",           # a fault was injected (name = fault subtype)
     "retry",           # the reliable transport retransmitted a message
     "watchdog",        # a deadlock/stagnation watchdog tripped
-    "parallel-skip",   # a requested parallel run fell back to serial
 })
 
 #: Chrome trace phase per kind; anything unlisted is an instant marker.

@@ -5,9 +5,8 @@ Everything else in :mod:`repro.telemetry` is after-the-fact — a
 returns, so a Figure-5-scale run is minutes of opaque wall clock.  This
 module closes that gap: a :class:`LiveSampler` attached to a simulator
 takes periodic snapshots *during* the run, polled through the run
-loops' :class:`~repro.core.hooks.RunHooks` (the serial cycle loop's top,
-the macro event loop's top, and the parallel coordinator's epoch
-barriers), and keeps them in a bounded ring of
+loops' :class:`~repro.core.hooks.RunHooks` (the cycle loop's top and
+the macro event loop's top), and keeps them in a bounded ring of
 :class:`SamplePoint` time-series frames.  Consumers — the ``/metrics``
 and ``/stream`` HTTP endpoints (:mod:`repro.telemetry.serve`) and the
 ``watch`` terminal dashboard (:mod:`repro.telemetry.watch`) — only ever
@@ -22,8 +21,7 @@ House rules, inherited from the rest of the telemetry layer:
   :meth:`~repro.telemetry.metrics.MetricsRegistry.snapshot` — pull
   sources over counters the subsystems maintain anyway — so a sampled
   run is bit-identical to an unsampled one (the equivalence suite
-  enforces digest equality, serial and parallel, with and without
-  chaos).
+  enforces digest equality, with and without chaos).
 * **Per-poll, never per-instruction.**  :meth:`SamplePolicy.due` is an
   integer comparison; the wall clock is consulted at most once per
   ``wall_stride`` polls.
@@ -124,10 +122,10 @@ class SamplePolicy:
 class SamplePoint:
     """One frame of the live time series.
 
-    ``metrics`` is a flat ``{dotted-name: number}`` dict — a full
-    registry snapshot for serial/macro samples, a reduced coordinator
-    fold for parallel ones (``source == "parallel"``).  ``derived``
-    holds the rates computed against the previous retained frame:
+    ``metrics`` is a flat ``{dotted-name: number}`` dict, a full
+    registry snapshot; ``source`` says which loop took it (``"serial"``
+    for the cycle level, ``"macro"``).  ``derived`` holds the rates
+    computed against the previous retained frame:
     ``cycles_per_sec`` (simulated cycles per wall second),
     ``msgs_per_sec``, ``progress`` (0..1 against ``run_limit``, when
     known), ``eta_s``, and ``stalled`` (0/1).  ``stall`` is only
@@ -200,13 +198,12 @@ def _progress_signature(metrics: Dict[str, Number]
             instructions += value
     completed = metrics.get("net.completed",
                             metrics.get("macro.messages_sent", 0.0))
-    submitted = metrics.get("net.submitted",
-                            metrics.get("parallel.instructions", 0.0))
+    submitted = metrics.get("net.submitted", 0.0)
     return (instructions, completed, submitted)
 
 
 #: Metric names whose per-frame delta feeds ``msgs_per_sec``, in
-#: preference order (cycle level, parallel fold, macro level).
+#: preference order (cycle level, macro level).
 _MSG_COUNTERS = ("net.completed", "macro.messages_sent")
 
 
@@ -323,17 +320,9 @@ class LiveSampler:
         return self.policy.next_due
 
     def poll(self, target, now: int, run_limit: Optional[int] = None) -> None:
-        """The run-loop hook: take a frame of ``target`` if one is due.
-
-        A parallel coordinator (it owns a ``replay`` fabric) is folded
-        by :meth:`sample_parallel`; machines and macro simulators by
-        :meth:`sample`.
-        """
+        """The run-loop hook: take a frame of ``target`` if one is due."""
         if self.policy.due(now):
-            if hasattr(target, "replay"):
-                self.sample_parallel(target, now)
-            else:
-                self.sample(target, now, run_limit=run_limit)
+            self.sample(target, now, run_limit=run_limit)
 
     def sample(self, target, now: int,
                run_limit: Optional[int] = None) -> SamplePoint:
@@ -361,57 +350,6 @@ class LiveSampler:
 
             fabric = FabricReport.from_fabric(fab, now).to_dict()
         point = self._build_point(now, metrics, source, target, fabric)
-        self.sample_cost_s += time.perf_counter() - t0
-        self.policy.mark(now)
-        return point
-
-    def sample_parallel(self, coordinator, now: int) -> SamplePoint:
-        """A coordinator-side frame: shard deltas folded at a barrier.
-
-        During a parallel attempt the parent machine's node state is
-        stale (the forked workers own it), so a full registry snapshot
-        would lie.  The coordinator instead folds what it does know
-        exactly — per-shard instruction/delivery absolutes reported at
-        the previous barrier, the replay fabric's statistics, and the
-        staged event-bus health — into a reduced frame marked
-        ``source="parallel"``.
-        """
-        t0 = time.perf_counter()
-        if not self._limit_pinned:
-            self.run_limit = coordinator.limit
-        self.samples += 1
-        machine = coordinator.machine
-        replay = coordinator.replay
-        stats = replay.stats
-        metrics: Dict[str, Number] = {
-            "machine.cycles": now,
-            "machine.nodes": machine.mesh.n_nodes,
-            "parallel.shards": coordinator.n_shards,
-            "parallel.instructions": float(sum(coordinator.instr_abs)),
-            "parallel.deliveries": float(coordinator.deliveries_committed),
-            "net.submitted": stats.submitted,
-            "net.completed": stats.completed,
-            "net.in_flight": replay.worms_in_flight,
-        }
-        bus = coordinator._real_bus
-        if bus is not None:
-            staged = coordinator.staging_bus
-            metrics["events.collected"] = len(bus) + (
-                len(staged) if staged is not None else 0)
-            metrics["events.dropped"] = bus.dropped + (
-                staged.dropped if staged is not None else 0)
-        metrics.update(
-            {f"live.{key}": value
-             for key, value in self._health().items()})
-        fabric = None
-        if replay.probe is not None:
-            from ..network.observatory import FabricReport
-
-            # The whole fabric runs on the coordinator's replay clone,
-            # so its probe is exact even mid-epoch.
-            fabric = FabricReport.from_probe(
-                replay.probe, machine.mesh.dims, now).to_dict()
-        point = self._build_point(now, metrics, "parallel", None, fabric)
         self.sample_cost_s += time.perf_counter() - t0
         self.policy.mark(now)
         return point
@@ -448,7 +386,7 @@ class LiveSampler:
         derived["stalled"] = 1 if frozen_s else 0
         if frozen_s:
             derived["stalled_wall_s"] = round(frozen_s, 3)
-            if target is not None and hasattr(target, "fabric"):
+            if hasattr(target, "fabric"):
                 # Reuse the deadlock watchdog's diagnostic machinery:
                 # the implicated-node snapshots are read-only and only
                 # taken on already-stalled frames.

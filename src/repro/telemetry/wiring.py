@@ -225,8 +225,6 @@ def register_machine_metrics(machine, registry: MetricsRegistry) -> None:
     """Register the standard cycle-level sources for ``machine``."""
     registry.register_source("machine.cycles", lambda: machine.now)
     registry.register_source("machine.nodes", lambda: machine.mesh.n_nodes)
-    registry.register_source(
-        "machine.parallel", lambda: {"skips": machine._parallel_skips})
     for node in machine.nodes:
         proc = node.proc
         prefix = f"node.{node.node_id}"

@@ -84,6 +84,12 @@ class TestCheckSeries:
         assert verdict == "ok"
 
 
+    def test_series_the_newest_run_lacks_has_ended(self):
+        # A deleted benchmark's last point is stale, not a regression.
+        points = self._points([1.0] * MIN_PRIOR_POINTS + [2.0, None])
+        assert check_series(points) == ("ended", None)
+
+
 class TestLoadSeries:
     def test_benchmarks_and_snapshot_partition(self, tmp_path):
         snapshot = {"macro": {"bytes": 1000, "save_s": 0.01,
@@ -95,6 +101,25 @@ class TestLoadSeries:
         assert set(info) == {"snapshot.macro.save_s",
                              "snapshot.macro.restore_s"}
         assert [v for _s, v, _d in gated["test_bench"]] == [1.0, 2.0]
+
+    def test_retired_benchmark_is_padded_not_dropped(self, tmp_path):
+        """One point per run from a series' first appearance on, so a
+        benchmark that stops reporting ends with ``None`` instead of
+        passing off its last measurement as the newest."""
+        entries = [{"datetime": f"2026-08-0{i + 1}T00:00:00",
+                    "benchmarks": {name: {"min": 1.0} for name in names}}
+                   for i, names in enumerate(
+                       [["kept"], ["kept", "retired"], ["kept", "retired"],
+                        ["kept"]])]
+        path = tmp_path / "retired.json"
+        path.write_text(json.dumps({"trajectory": entries}))
+        gated, _ = load_series(str(path))
+        assert [v for _s, v, _d in gated["kept"]] == [1.0] * 4
+        assert [v for _s, v, _d in gated["retired"]] == [1.0, 1.0, None]
+        text, status = render(str(path))
+        assert status == 0
+        assert [line.split()[-1] for line in text.splitlines()
+                if line.startswith("retired")] == ["ended"]
 
     def test_empty_trajectory_rejected(self, tmp_path):
         path = tmp_path / "empty.json"
@@ -123,6 +148,17 @@ class TestMain:
                          [1.0] * MIN_PRIOR_POINTS + [2.0])
         assert main(["--no-gate", path]) == 0
         assert "REGRESSION" in capsys.readouterr().out
+
+    def test_stale_regression_of_an_ended_series_does_not_gate(
+            self, tmp_path, capsys):
+        path = _artifact(tmp_path, "ended.json",
+                         [1.0] * MIN_PRIOR_POINTS + [2.0])
+        data = json.loads(open(path).read())
+        data["trajectory"].append({"datetime": "2026-08-09T00:00:00",
+                                   "benchmarks": {"other": {"min": 1.0}}})
+        open(path, "w").write(json.dumps(data))
+        assert main([path]) == 0
+        assert "REGRESSION" not in capsys.readouterr().out
 
     def test_unreadable_artifact_exits_two(self, tmp_path):
         assert main([str(tmp_path / "missing.json")]) == 2

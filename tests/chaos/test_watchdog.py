@@ -8,6 +8,7 @@ from repro.chaos import (ChaosEngine, DeadlockWatchdog, FaultPlan, FaultSpec,
 from repro.core.errors import DeadlockError, SimulationError
 from repro.core.registers import Priority
 from repro.core.word import Word
+from repro.machine.config import MachineConfig
 from repro.machine.jmachine import JMachine
 from repro.telemetry import Telemetry
 
@@ -30,7 +31,10 @@ loop:
 
 
 def _echo_machine(n=8, telemetry=None):
-    machine = JMachine.build(n, telemetry=telemetry)
+    return _with_echo(JMachine.build(n, telemetry=telemetry))
+
+
+def _with_echo(machine):
     program = assemble(ECHO)
     machine.load(program)
     base = program.end + 4
@@ -87,6 +91,28 @@ class TestTrip:
         with pytest.raises(DeadlockError) as info:
             machine.run(max_cycles=1_000_000)
         assert info.value.now < 10_000
+
+    def test_trip_cycle_is_the_window_past_the_last_progress(self):
+        """A link dies at cycle 10 under all-to-all echo traffic; the
+        gauge last sees the machine's signature change at its cycle-51
+        poll, and the watchdog trips at the first poll a full window
+        later — once, with one event at that cycle."""
+        machine, program = _with_echo(JMachine(
+            MachineConfig(dims=(4, 2, 1)), telemetry=Telemetry()))
+        ChaosEngine(FaultPlan(seed=1, specs=(
+            FaultSpec(kind="link", node=0, start=10),
+        ))).attach_machine(machine)
+        for i in range(8):
+            machine.inject(i, program.entry("echo"),
+                           [Word.from_int((i + 3) % 8), Word.from_int(100 + i)],
+                           source=(i + 1) % 8)
+        machine.watchdog = DeadlockWatchdog(window=200, interval=5)
+        with pytest.raises(DeadlockError) as info:
+            machine.run(max_cycles=50_000)
+        assert machine.watchdog.trips == 1
+        assert info.value.now == 251
+        assert [event[0] for event in machine.telemetry.events.events
+                if event[1] == "watchdog"] == [251]
 
 
 class TestNoFalsePositive:

@@ -106,8 +106,10 @@ def test_checkpoint_and_sampler_arm_once_watchdog_every_run():
         == (130, 100, 60)
 
 
-def _armed_by_a_run(shards, tmp_path):
-    machine = JMachine(MachineConfig(dims=(4, 2, 1), parallel_shards=shards))
+def test_observers_arm_at_the_run_start_cycle(tmp_path):
+    """A run starts its observers' clocks at its first cycle — not at
+    cycle 0, and not at the first poll."""
+    machine = JMachine(MachineConfig(dims=(4, 2, 1)))
     program = assemble(ECHO)
     machine.load(program)
     base = program.end + 4
@@ -117,17 +119,10 @@ def _armed_by_a_run(shards, tmp_path):
                    [Word.from_int(0), Word.from_int(42)], source=0)
     machine.now = 17                     # a run that does not start at 0
     machine.checkpoint = CheckpointPolicy(
-        str(tmp_path / f"s{shards}-{{cycle}}.ckpt"), every=10_000)
+        str(tmp_path / "{cycle}.ckpt"), every=10_000)
     LiveSampler(SamplePolicy(every_cycles=20_000)).attach(machine)
     machine.watchdog = DeadlockWatchdog(window=30_000)
     machine.run(max_cycles=5_000)
-    assert machine.parallel_skip_reason is None
     assert machine.checkpoint.saves == 0 and not machine.sampler.points
-    return machine.checkpoint.next_due, machine.sampler.next_due
-
-
-def test_arming_at_run_start_is_backend_independent(tmp_path):
-    """Serial and 2-shard runs start their observers' clocks at the
-    run's first cycle — not at the first idle jump or epoch barrier."""
-    assert _armed_by_a_run(0, tmp_path) == _armed_by_a_run(2, tmp_path) \
+    assert (machine.checkpoint.next_due, machine.sampler.next_due) \
         == (10_017, 20_017)

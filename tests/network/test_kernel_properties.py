@@ -24,6 +24,11 @@ every comparison.
 
 The tier-1 budget is small; ``pytest -m slow`` runs the same property
 over many more, longer schedules.
+
+A second property pins ``Fabric.delivery_window()``, the lookahead that
+block run-ahead under a stop condition is built on: no message commits
+sooner than the window after its ``send``, and the shortest message to
+a neighbour takes exactly the window.
 """
 
 import pytest
@@ -225,3 +230,62 @@ def test_kernel_equals_reference(plan):
 @given(plans)
 def test_kernel_equals_reference_long(plan):
     _kernel_equals_reference(plan, cycles=600)
+
+
+# ------------------------------------------------- the delivery window
+
+
+def _commit_cycle(fabric, source, dest, length, priority, submit, batched):
+    """Send one message into an empty ``fabric``; the cycle it commits."""
+    commits = []
+    fabric.deliver_fn = lambda node, message, at: commits.append(at)
+    words = [Word.ip(1)] + [Word.from_int(0)] * (length - 1)
+    fabric.send(Message(words, source=source, dest=dest, priority=priority),
+                submit)
+    now = submit
+    while fabric.active:
+        assert now < submit + 1_000, "the lone worm never arrived"
+        if batched:
+            now = fabric.advance(now, now + 50)
+        else:
+            fabric.step(now)
+            now += 1
+    assert len(commits) == 1
+    return commits[0]
+
+
+@st.composite
+def lone_sends(draw):
+    dims = draw(st.tuples(st.integers(2, 4), st.integers(1, 4),
+                          st.integers(1, 3)))
+    node = st.integers(0, dims[0] * dims[1] * dims[2] - 1)
+    return {"dims": dims, "source": draw(node), "dest": draw(node),
+            "length": draw(st.integers(1, 16)),
+            "priority": draw(st.sampled_from([Priority.P0, Priority.P1])),
+            "submit": draw(st.integers(0, 60)),
+            "inject_latency": draw(st.integers(0, 8)),
+            "eject_latency": draw(st.integers(0, 6)),
+            "batched": draw(st.booleans())}
+
+
+@settings(deadline=None, max_examples=150)
+@given(lone_sends())
+def test_delivery_window_is_sound_and_tight(case):
+    def fabric():
+        return Fabric(Mesh3D(*case["dims"]), lambda node, message: True,
+                      None, inject_latency=case["inject_latency"],
+                      eject_latency=case["eject_latency"])
+
+    submit, priority = case["submit"], case["priority"]
+    batched = case["batched"]
+    window = fabric().delivery_window()
+    # Sound: nothing commits before the window has passed ...
+    assert _commit_cycle(fabric(), case["source"], case["dest"],
+                         case["length"], priority, submit,
+                         batched) >= submit + window
+    # ... and tight: one word to the next node takes exactly that long.
+    mesh = Mesh3D(*case["dims"])
+    neighbour = next(node for node in range(mesh.n_nodes)
+                     if mesh.hops(case["source"], node) == 1)
+    assert _commit_cycle(fabric(), case["source"], neighbour, 1, priority,
+                         submit, batched) == submit + window

@@ -1,12 +1,12 @@
-"""The fabric observatory: probe accounting, merging, and reports.
+"""The fabric observatory: probe accounting and reports.
 
 docs/OBSERVABILITY.md §8: a :class:`FabricProbe` attached to a fabric
 accumulates per-link phits, blocked-at-head cycles split by cause, and
 per-dimension hop attribution, all at message-rate sites behind
 ``is None`` guards; a :class:`FabricReport` analyzes the counters.
-The load-bearing promises pinned here: probes merge *exactly*, the
-batched ``advance`` path produces the same counters as per-cycle
-``step``, and reports round-trip through JSON unchanged.
+The load-bearing promises pinned here: the batched ``advance`` path
+produces the same counters as per-cycle ``step``, and reports
+round-trip through JSON unchanged.
 """
 
 import pytest
@@ -132,65 +132,6 @@ class TestProbeAccounting:
         probe = FabricProbe(opened_at=100)
         assert probe.elapsed(100) == 1
         assert probe.elapsed(350) == 250
-
-
-class TestProbeMerge:
-    def _loaded_probe(self, seed):
-        probe = FabricProbe()
-        for i in range(seed, seed + 4):
-            probe.link_phits[(i, 0, 1)] = 10 * i
-            probe.link_messages[(i, 0, 1)] = i
-            probe.link_blocked[(i % 2, 1, -1)] = (
-                probe.link_blocked.get((i % 2, 1, -1), 0) + i)
-            probe.dim_hops[i % 3] += 1
-            probe.dim_phits[i % 3] += 10 * i
-            probe.messages += 1
-            probe.stall_channel_busy += i
-            probe.record_backpressure(i % 3, i)
-            probe.record_queue_depth(i % 2, i)
-        return probe
-
-    def test_merge_equals_combined_recording(self):
-        merged = self._loaded_probe(1)
-        merged.merge(self._loaded_probe(3))
-        combined = FabricProbe()
-        combined.merge(self._loaded_probe(1))
-        combined.merge(self._loaded_probe(3))
-        assert merged.to_dict() == combined.to_dict()
-
-    def test_merge_of_empty_is_identity(self):
-        probe = self._loaded_probe(2)
-        before = probe.to_dict()
-        probe.merge(FabricProbe())
-        assert probe.to_dict() == before
-        empty = FabricProbe()
-        empty.merge(FabricProbe())
-        assert empty.messages == 0 and not empty.link_phits
-
-    def test_split_run_merges_to_whole_run(self):
-        """Counters from two fabrics carrying half the traffic each fold
-        into exactly the counters of one fabric carrying all of it."""
-        pairs = [(0, 3), (4, 7), (12, 15), (0, 15), (5, 10)]
-        whole, _ = _probed_fabric()
-        for src, dst in pairs:
-            whole.send(_message(src, dst), 0)
-        _drain(whole)
-        half_a, _ = _probed_fabric()
-        half_b, _ = _probed_fabric()
-        for index, (src, dst) in enumerate(pairs):
-            half = half_a if index % 2 == 0 else half_b
-            half.send(_message(src, dst), 0)
-        _drain(half_a)
-        _drain(half_b)
-        half_a.probe.merge(half_b.probe)
-        # Independent halves see no cross-half contention, so only the
-        # contention-free counters are comparable — and those must be
-        # *exactly* equal, not approximately.
-        assert half_a.probe.link_phits == whole.probe.link_phits
-        assert half_a.probe.link_messages == whole.probe.link_messages
-        assert half_a.probe.dim_hops == whole.probe.dim_hops
-        assert half_a.probe.dim_phits == whole.probe.dim_phits
-        assert half_a.probe.messages == whole.probe.messages
 
 
 class TestStepAdvanceEquality:

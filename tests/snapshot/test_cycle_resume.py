@@ -1,10 +1,10 @@
-"""Cycle-level checkpoint/resume: bit-identical on both backends.
+"""Cycle-level checkpoint/resume: bit-identical.
 
 The determinism contract (docs/SNAPSHOT.md): checkpoint at any safe
 point, restore in a fresh machine, run to the end — final architectural
 state AND the sha256 telemetry event-stream digest match the
-uninterrupted run exactly.  Enforced serially, under an active chaos
-plan, and across the parallel backend's epoch-barrier pause points.
+uninterrupted run exactly.  Enforced plain and under an active chaos
+plan.
 """
 
 import pytest
@@ -33,10 +33,8 @@ landing:
 STALL_SPECS = (FaultSpec(kind="stall", node=2, start=30, duration=40),)
 
 
-def _build(shards=0, specs=()):
-    machine = JMachine(
-        MachineConfig(dims=(4, 2, 1), parallel_shards=shards),
-        telemetry=Telemetry())
+def _build(specs=()):
+    machine = JMachine(MachineConfig(dims=(4, 2, 1)), telemetry=Telemetry())
     program = assemble(ECHO)
     machine.load(program)
     base = program.end + 4
@@ -69,10 +67,10 @@ def _digest(machine):
     }
 
 
-def _interrupted(tmp_path, specs=(), shards=0, every=40):
+def _interrupted(tmp_path, specs=(), every=40):
     """Run with checkpointing, 'crash', restore, finish; both digests."""
     path = str(tmp_path / "cycle.ckpt")
-    first = _build(shards=shards, specs=specs)
+    first = _build(specs=specs)
     first.checkpoint = CheckpointPolicy(path, every=every)
     first.run(max_cycles=20_000)
     assert first.checkpoint.saves >= 1, "checkpoint policy never fired"
@@ -167,25 +165,3 @@ class TestRetiredFabricFields:
         resumed.run(max_cycles=20_000)
         assert _digest(resumed) == _digest(reference)
 
-
-class TestParallelResume:
-    def test_pause_and_resume_bit_identical(self, tmp_path):
-        """The coordinator pauses at an epoch-barrier idle point, the
-        segments partition the event stream, and a fresh process resumes
-        to the exact digest of an unpaused parallel run."""
-        reference = _build(shards=2, specs=STALL_SPECS)
-        reference.run(max_cycles=20_000)
-        assert reference._parallel_skip_reason is None
-        finished, resumed = _interrupted(
-            tmp_path, specs=STALL_SPECS, shards=2, every=15)
-        assert finished == _digest(reference)
-        assert resumed == _digest(reference)
-
-    def test_resumed_machine_keeps_parallel_backend(self, tmp_path):
-        path = str(tmp_path / "par.ckpt")
-        machine = _build(shards=2, specs=STALL_SPECS)
-        machine.checkpoint = CheckpointPolicy(path, every=15)
-        machine.run(max_cycles=20_000)
-        assert machine.checkpoint.saves >= 1
-        resumed = load_machine(path)
-        assert resumed.parallel_shards == 2

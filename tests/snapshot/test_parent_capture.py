@@ -1,4 +1,4 @@
-"""Captures written before the worm kernel still restore.
+"""Captures written by earlier builds still restore.
 
 The kernel added three derived sleep slots to ``Worm`` (``wake`` /
 ``seen`` / ``parked``) and captures nothing new in the fabric's
@@ -11,6 +11,13 @@ by deleting the slots from every captured worm, which is exactly the
 object a parent-written pickle unpickles to; the resumed run must finish
 digest-equal.  (Real parent-written files were also restored by hand:
 docs/SNAPSHOT.md §1.)
+
+A file written before the sharded backend was deleted carries three
+machine keys nothing reads any more and a pickled ``MachineConfig``
+whose ``__dict__`` still holds a ``parallel_shards`` entry; the second
+test reproduces that payload the same way.  The backend's contract was
+"bit-identical or serial", so such a run resumes exactly on the one
+loop whatever shard count it recorded.
 """
 
 import pytest
@@ -39,10 +46,8 @@ def _finish(machine):
     return _digest(machine), probe.to_dict() if probe is not None else None
 
 
-@pytest.mark.parametrize("specs, probe", [
-    ((), False), ((), True), (CHAOS_SPECS, False),
-], ids=["plain", "probed", "chaos"])
-def test_capture_without_sleep_slots_restores(tmp_path, specs, probe):
+def _midflight(tmp_path, specs, probe):
+    """(digest of the uninterrupted run, a mid-flight capture of it)."""
     reference = _finish(_machine(specs, probe))
     machine = _machine(specs, probe)
     # The loop top first meets worms in the mesh at cycle 27 (earlier
@@ -53,14 +58,44 @@ def test_capture_without_sleep_slots_restores(tmp_path, specs, probe):
     first = min(tmp_path.iterdir(),
                 key=lambda p: int(p.stem.split("-")[1]))
     _header, payload = read_snapshot(str(first))
+    assert payload["fabric"]["active"], "capture is not mid-flight"
+    return reference, payload
+
+
+def _resumes_equal(payload, reference):
+    resumed = restore_machine(payload)
+    assert resumed.fabric.worms_in_flight > 0
+    assert _finish(resumed) == reference
+    return resumed
+
+
+@pytest.mark.parametrize("specs, probe", [
+    ((), False), ((), True), (CHAOS_SPECS, False),
+], ids=["plain", "probed", "chaos"])
+def test_capture_without_sleep_slots_restores(tmp_path, specs, probe):
+    reference, payload = _midflight(tmp_path, specs, probe)
     fabric = payload["fabric"]
-    assert fabric["active"], "capture is not mid-flight"
     worms = (fabric["active"]
              + [w for queue in fabric["pending"].values() for w in queue]
              + [entry[2] for entry in fabric["staged"]])
     for worm in worms:
         for slot in SLEEP_SLOTS:
             delattr(worm, slot)
-    resumed = restore_machine(payload)
-    assert resumed.fabric.worms_in_flight > 0
-    assert _finish(resumed) == reference
+    _resumes_equal(payload, reference)
+
+
+#: What ``capture_machine`` wrote for the deleted sharded backend.
+RETIRED_MACHINE_KEYS = {"parallel_shards": 2, "parallel_skip_reason": None,
+                        "parallel_skips": 0}
+
+
+@pytest.mark.parametrize("specs", [(), CHAOS_SPECS], ids=["plain", "chaos"])
+def test_capture_with_retired_backend_keys_restores(tmp_path, specs):
+    reference, payload = _midflight(tmp_path, specs, probe=False)
+    assert not RETIRED_MACHINE_KEYS.keys() & payload.keys()
+    payload.update(RETIRED_MACHINE_KEYS)
+    # A dataclass unpickles by ``__dict__.update``: the dropped field
+    # comes back as a stray instance attribute.
+    payload["config"].__dict__["parallel_shards"] = 2
+    resumed = _resumes_equal(payload, reference)
+    assert not hasattr(resumed, "parallel_shards")

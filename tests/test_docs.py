@@ -158,3 +158,30 @@ def test_until_probe_stays_deleted():
             assert not gone.search(path.read_text()), path
     for path in (ROOT / "src").rglob("*.py"):
         assert "until=lambda" not in path.read_text(), path
+
+
+def test_sharded_backend_stays_deleted():
+    """The multi-process backend is gone (docs/PERFORMANCE.md §3 keeps
+    the negative result): no source, tool or user-facing doc offers it
+    again.  Its names may appear in that section, in docs/SNAPSHOT.md §1
+    (the payload keys old files still carry), and in the project
+    history (CHANGES.md, ROADMAP.md); ``benchmarks/e2e`` is the frozen
+    yardstick and reports the units as missing."""
+    gone = re.compile(r"parallel_shards|repro\.parallel|parallel-smoke")
+    sections = {DOCS / "PERFORMANCE.md": ("## 3.", "## 4."),
+                DOCS / "SNAPSHOT.md": ("## 1.", "## 2.")}
+    paths = [ROOT / name for name in ("README.md", "DESIGN.md",
+                                      "EXPERIMENTS.md", "Makefile")]
+    paths.append(ROOT / ".claude" / "skills" / "verify" / "SKILL.md")
+    paths += DOCS.glob("*.md")
+    for tree in ("src", "examples"):
+        paths += (ROOT / tree).rglob("*.py")
+    paths += (ROOT / "benchmarks").glob("*.py")
+    assert not (ROOT / "src" / "repro" / "parallel").exists()
+    for path in paths:
+        text = path.read_text()
+        if path in sections:
+            start, end = (text.index(f"\n{mark}") for mark in sections[path])
+            assert gone.search(text[start:end]), path
+            text = text[:start] + text[end:]
+        assert not gone.search(text), path

@@ -6,10 +6,12 @@ path interprets one instruction per ``tick``.  The contract is *cycle
 exactness*: finish times, instruction counts, every counter, registers,
 and memory must be bit-identical between the two.  These tests enforce
 that contract on the full runtime suite (RPC ping, combining-tree
-reduction, butterfly barrier), a cycle-level application, and — via
+reduction, butterfly barrier), a cycle-level application, hand-written
+handlers under active fault injection and queue pressure, and — via
 Hypothesis — on randomly generated straight-line programs.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.asm.assembler import assemble
@@ -18,9 +20,12 @@ from repro.core.registers import Priority, DATA_REG_NAMES, ADDR_REG_NAMES
 from repro.core.word import Word
 from repro.machine.config import MachineConfig
 from repro.machine.jmachine import JMachine
+from repro.machine.stop import StopFlags
 from repro.runtime.barrier import run_barrier_experiment
 from repro.runtime.reduce import run_reduction
 from repro.runtime.rpc import run_ping
+
+from tests.util import assert_same_state, machine_state
 
 
 def _machine_counters(machine):
@@ -224,6 +229,154 @@ def test_empty_fault_plan_is_bit_identical_slow():
 def test_empty_fault_plan_fast_slow_identical():
     """Both dimensions at once: chaos attached, fast vs reference path."""
     assert _chaos_run(True, True) == _chaos_run(False, True)
+
+
+# ------------------------------------- active chaos and queue pressure
+#
+# Hand-written handlers run to quiescence (or the limit) under a stop
+# condition that is never met: a free run is not cycle-exact
+# (tests/test_free_run_deviation.py).
+
+ECHO = """
+; request: [IP:echo, replyto, value]
+echo:
+    SEND  [A3+1]
+    SEND  #IP:landing
+    SENDE [A3+2]
+    SUSPEND
+landing:
+    MOVE  [A3+1], [A0+0]
+    SUSPEND
+"""
+
+# Fan-out storm: each handler re-sends to two peers while ttl > 0, so
+# traffic grows geometrically and the queues see real pressure; every
+# handler ends by counting itself in [A0+0].
+STORM = """
+; request: [IP:storm, ttl, peer_a, peer_b]
+storm:
+    MOVE  [A3+1], R0
+    EQ    R0, #0, R1
+    BT    R1, fin
+    ADD   R0, #-1, R0
+    SEND  [A3+2]
+    SEND  #IP:storm
+    SEND  R0
+    SEND  [A3+3]
+    SENDE [A3+2]
+    SEND  [A3+3]
+    SEND  #IP:storm
+    SEND  R0
+    SEND  [A3+2]
+    SENDE [A3+3]
+fin:
+    MOVE  [A0+0], R2
+    ADD   R2, #1, R2
+    MOVE  R2, [A0+0]
+    SUSPEND
+"""
+
+
+def _loaded(source, telemetry=None, **config):
+    """(machine, program, globals base, a stop condition never met)."""
+    machine = JMachine(MachineConfig(**config), telemetry=telemetry)
+    program = assemble(source)
+    machine.load(program)
+    base = program.end + 4
+    for node in machine.nodes:
+        node.proc.registers[Priority.P0].write("A0", Word.segment(base, 4))
+    return machine, program, base, StopFlags([(0, base + 3, 9)])
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "kill", "node": 3, "start": 30},   # blackholes a reply
+    {"kind": "stall", "node": 2, "start": 30, "duration": 40},
+    {"kind": "drop", "rate": 0.3},
+    {"kind": "corrupt", "rate": 0.5},
+], ids=lambda spec: spec["kind"])
+def test_echo_under_chaos_identical(spec):
+    """All-to-all echoes with a fault plan that fires: the captured
+    tree holds the chaos counters, log and RNG positions and the event
+    stream, so equal states mean the same faults hit the same messages."""
+    from repro.chaos import ChaosEngine, FaultPlan, FaultSpec
+    from repro.telemetry import Telemetry
+
+    def run(fast):
+        telemetry = Telemetry()
+        machine, program, _, never = _loaded(
+            ECHO, telemetry, dims=(4, 2, 1), fast_path=fast)
+        engine = ChaosEngine(FaultPlan(
+            seed=3, specs=(FaultSpec(**spec),))).attach_machine(machine)
+        for i in range(8):
+            machine.inject(
+                i, program.entry("echo"),
+                [Word.from_int((i + 3) % 8), Word.from_int(100 + i)],
+                source=(i + 1) % 8)
+        end = machine.run(max_cycles=20_000, until=never)
+        assert engine.faults_injected > 0
+        return machine_state(machine, end), telemetry.registry.snapshot()
+
+    fast, slow = _both(run)
+    assert_same_state(fast[0], slow[0])
+    assert fast[1] == slow[1]
+
+
+def _storm(fast, ttl, max_cycles=500_000, **config):
+    """(full state, what the storm got done) on a 2x2x2 machine."""
+    machine, program, base, never = _loaded(
+        STORM, dims=(2, 2, 2), fast_path=fast, **config)
+    for i in range(8):
+        machine.inject(i, program.entry("storm"),
+                       [Word.from_int(ttl), Word.from_int((i * 7 + 1) % 8),
+                        Word.from_int((i * 3 + 5) % 8)], source=i)
+    end = machine.run(max_cycles=max_cycles, until=never)
+    stats = machine.fabric.stats
+    work = {"handlers": sum(node.proc.memory.peek(base).value
+                            for node in machine.nodes),
+            "instructions": machine.total_instructions(),
+            "submitted": stats.submitted, "completed": stats.completed,
+            "in_flight": machine.fabric.worms_in_flight}
+    return machine_state(machine, end), work
+
+
+@pytest.mark.parametrize("ttl, config", [
+    (4, {}), (5, {"queue_overflow_spills": True}),
+], ids=["backpressure-free", "spill"])
+def test_storm_identical(ttl, config):
+    (fast, fast_work), (slow, slow_work) = _both(
+        lambda f: _storm(f, ttl, **config))
+    assert_same_state(fast, slow)
+    # Every message of the tree ran its handler to the end.
+    assert fast_work["handlers"] == 8 * (2 ** (ttl + 1) - 1)
+    assert fast_work["in_flight"] == 0
+
+
+@pytest.fixture(scope="module")
+def tight_storm():
+    """24-word queues: destinations refuse worms from cycle ~220 on and
+    the machine wedges by cycle ~400, every node retrying a SEND into a
+    full buffer behind 8 worms that can never drain."""
+    return _both(lambda f: _storm(f, 5, max_cycles=2_000, queue_words=24))
+
+
+@pytest.mark.xfail(strict=True,
+                   reason="queue space a block frees while running ahead "
+                          "of the clock reaches the fabric's accept check "
+                          "early (ROADMAP item 3)")
+def test_storm_under_destination_backpressure_identical(tight_storm):
+    (fast, _), (slow, _) = tight_storm
+    assert_same_state(fast, slow)
+
+
+def test_storm_under_destination_backpressure_does_the_same_work(tight_storm):
+    """Known deviation, pinned: with destination queues refusing worms
+    the fast path accepts some a few cycles before the reference does
+    (first seen at cycle 228 here), so stall counters and send-fault
+    retries differ; what ran, what was sent and where it wedged do not."""
+    (_, fast_work), (_, slow_work) = tight_storm
+    assert fast_work == slow_work
+    assert fast_work["in_flight"] == 8
+    assert fast_work["handlers"] < 8 * (2 ** 6 - 1)
 
 
 # ------------------------------------------------------------ checkpointing
