@@ -9,14 +9,19 @@ HTTP API, nothing in-process:
 2. **sweep**: submit a small LCS grid (3 scales) plus one ping job;
    while the biggest job is leased, ``kill -9`` its worker and assert
    the job still completes — recovered on a retry that *resumed* from
-   the dead worker's checkpoint (``resumed_from > 0``);
+   the dead worker's checkpoint (``resumed_from > 0``) — and that
+   the scheduler got there by messages and deadlines, not by looking
+   (``/status["scheduler"]``, by count: every first attempt leased by
+   the transition that made it possible, the retry by its backoff
+   deadline, and a watchdog that woke a bounded number of times);
 3. **drain** the service and assert every worker process is gone and
    no ``*.tmp.<pid>`` litter survives anywhere in the workdir;
 4. **re-boot** a fresh service on the same workdir and resubmit the
    identical grid: every job must come back instantly from the
    content-addressed cache (100% hits, zero executions), with
    fingerprints equal to the first pass — the determinism contract
-   doing real work.
+   doing real work.  This one is taken down by ``POST /drain``: the
+   client gets its report *and* the process follows the drain down.
 
 Usage::
 
@@ -53,10 +58,11 @@ GRID = [
     {"app": "ping", "n_nodes": 4, "params": {"iterations": 10}},
 ]
 VICTIM = 2  # index of the job whose worker gets killed
+LEASE_TIMEOUT_S = 1.5
 
 
-def _get(url: str, path: str):
-    with urllib.request.urlopen(url + path, timeout=15) as response:
+def _get(url: str, path: str, timeout: float = 15):
+    with urllib.request.urlopen(url + path, timeout=timeout) as response:
         return json.loads(response.read())
 
 
@@ -79,7 +85,8 @@ def _boot(workdir: str, workers: int = 2) -> tuple:
     proc = subprocess.Popen(
         [sys.executable, "-u", "-m", "repro.service", "serve",
          "--workdir", workdir, "--workers", str(workers), "--port", "0",
-         "--heartbeat-s", "0.05", "--lease-timeout-s", "1.5"],
+         "--heartbeat-s", "0.05",
+         "--lease-timeout-s", str(LEASE_TIMEOUT_S)],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
         env=env)
     deadline = time.monotonic() + 30
@@ -92,12 +99,12 @@ def _boot(workdir: str, workers: int = 2) -> tuple:
 
 
 def _wait_job(url: str, digest: str, timeout: float = 120.0) -> dict:
+    # The server does the waiting (and holds one request 30 s at most).
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        record = _get(url, f"/jobs/{digest}")
+        record = _get(url, f"/jobs/{digest}?wait=30", timeout=45)
         if record["state"] in ("done", "failed"):
             return record
-        time.sleep(0.05)
     raise AssertionError(f"job {digest[:8]} never settled")
 
 
@@ -109,9 +116,39 @@ def _assert_no_tmp_litter(workdir: str) -> None:
     assert not litter, f"orphaned tmp files after drain: {litter}"
 
 
-def _shutdown(proc: subprocess.Popen, worker_pids) -> None:
-    """SIGTERM the service; assert it drains and leaves no orphans."""
-    proc.send_signal(signal.SIGTERM)
+def _assert_message_driven(status: dict, requeues: int) -> None:
+    """The scheduler's own counts: who granted each lease, and how often
+    the watchdog looked.  Counts, not times, so a slow box changes
+    nothing here."""
+    scheduler = status["scheduler"]
+    granted = status["leases"]["granted"]
+    assert granted == len(GRID) + requeues, status["leases"]
+    # First attempts are leased by submit / ready / result, in passing;
+    # only a retry waits for the clock, and only the watchdog serves it.
+    assert scheduler["event_dispatches"] == len(GRID), scheduler
+    assert scheduler["deadline_dispatches"] == requeues, scheduler
+    # The watchdog is woken by a lease granted or a job requeued (its
+    # deadlines moved), looks once per lease_timeout_s or so while a
+    # lease is held, and the constant covers the few settles that left
+    # a worker idle, which wake it for nothing.  A loop ticking at
+    # 20 Hz is past this bound in half a second.
+    bound = (granted + requeues
+             + status["uptime_s"] / LEASE_TIMEOUT_S + 4)
+    assert scheduler["watchdog_wakeups"] <= bound, (scheduler, bound)
+    print(f"service-smoke: {scheduler['event_dispatches']} event + "
+          f"{scheduler['deadline_dispatches']} deadline dispatches, "
+          f"watchdog woke {scheduler['watchdog_wakeups']}x in "
+          f"{status['uptime_s']:.1f} s (bound {bound:.0f})")
+
+
+def _shutdown(proc: subprocess.Popen, worker_pids, drain_url=None) -> None:
+    """SIGTERM the service — or, given its URL, ``POST /drain`` and take
+    the report; assert it drains, exits, and leaves no orphans."""
+    if drain_url is None:
+        proc.send_signal(signal.SIGTERM)
+    else:
+        code, report = _post(drain_url, "/drain", {"timeout_s": 60})
+        assert (code, report["drained"]) == (200, True), report
     out, _ = proc.communicate(timeout=120)
     assert proc.returncode == 0, out
     assert "shut down cleanly" in out, out
@@ -177,6 +214,7 @@ def run_smoke(workdir: str) -> None:
         assert status["leases"]["revoked"] >= 0  # EOF path, not watchdog
         assert status["respawns"] >= 1
         worker_pids = [w["pid"] for w in status["workers"]]
+        _assert_message_driven(status, requeues=victim["requeues"])
     except BaseException:
         proc.kill()
         proc.communicate()
@@ -207,7 +245,7 @@ def run_smoke(workdir: str) -> None:
         proc.kill()
         proc.communicate()
         raise
-    _shutdown(proc, worker_pids)
+    _shutdown(proc, worker_pids, drain_url=url)
     _assert_no_tmp_litter(workdir)
     print(f"service-smoke: pass 2 done — {len(GRID)}/{len(GRID)} cache "
           f"hits in {elapsed * 1000:.0f} ms, fingerprints equal")

@@ -47,6 +47,32 @@ def _get(url: str, path: str, timeout: float = 10.0) -> Dict[str, Any]:
         return json.loads(response.read().decode("utf-8"))
 
 
+def _wait_for_job(url: str, digest: str, wait_s: float
+                  ) -> Optional[Dict[str, Any]]:
+    """The job's record once it settles or the service gives it up
+    (``GET /jobs/<digest>?wait=``: the *server* does the waiting, one
+    request per ``MAX_WAIT_S``); None when ``wait_s`` runs out first."""
+    import time
+
+    from .http import MAX_WAIT_S
+
+    deadline = time.monotonic() + wait_s
+    while True:
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            return None
+        hold = min(remaining, MAX_WAIT_S)
+        try:
+            record = _get(url, f"/jobs/{digest}?wait={hold:.3f}",
+                          timeout=hold + 30.0)
+        except urllib.error.HTTPError as exc:
+            if exc.code != 503:
+                raise
+            return json.loads(exc.read().decode("utf-8"))
+        if record["state"] in ("done", "failed"):
+            return record
+
+
 def _parse_params(pairs: List[str]) -> Dict[str, Any]:
     params: Dict[str, Any] = {}
     for pair in pairs:
@@ -61,43 +87,46 @@ def _parse_params(pairs: List[str]) -> Dict[str, Any]:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    import logging
     import signal
-    import threading
 
     from ..telemetry.live import LiveSampler
     from .http import ServiceServer
     from .supervisor import ServiceConfig, Supervisor
 
+    logging.basicConfig(
+        stream=sys.stderr, format="%(asctime)s %(name)s: %(message)s",
+        level=logging.INFO if args.verbose else logging.WARNING)
     config = ServiceConfig(
         workdir=args.workdir, workers=args.workers,
         queue_limit=args.queue_limit, max_retries=args.max_retries,
         heartbeat_s=args.heartbeat_s, lease_timeout_s=args.lease_timeout_s,
         progress_window_s=args.progress_window_s, seed=args.seed)
-    supervisor = Supervisor(config, sampler=LiveSampler(),
-                            verbose=args.verbose).start()
+    supervisor = Supervisor(config, sampler=LiveSampler()).start()
     server = ServiceServer(supervisor, host=args.host, port=args.port,
                            verbose=args.verbose)
     # Same single-exit-path discipline as ``repro.telemetry serve``:
     # both signals set one event; the drain below finishes leased jobs
     # (checkpoints mean an interrupted retry resumes, not restarts),
     # stops the workers, closes SSE streams, and releases the port.
+    # A POST /drain stops the supervisor from a handler thread and the
+    # process must follow it down exactly as if it had been signalled
+    # (docs/SERVICE.md §6), so the event is the server's: it sets it
+    # when that request has been answered.
     # Handlers go in before the URL is announced: a client that signals
     # the moment it sees the URL must never hit the default handlers.
-    stop = threading.Event()
+    stop = server.stop_requested
     previous = {}
     for signum in (signal.SIGTERM, signal.SIGINT):
         previous[signum] = signal.signal(
             signum, lambda _signum, _frame: stop.set())
     url = server.start_background()
     print(f"service: {args.workers} workers on {url} "
-          f"(/submit /status /jobs /drain + /metrics /snapshot.json "
-          f"/stream); Ctrl-C or SIGTERM to drain and stop", flush=True)
+          f"(/submit /status /healthz /jobs /drain + /metrics "
+          f"/snapshot.json /stream); Ctrl-C or SIGTERM to drain and stop",
+          flush=True)
     try:
-        # A POST /drain stops the supervisor from a handler thread; the
-        # process must follow it down and release the port, exactly as
-        # if it had been signalled (docs/SERVICE.md §6).
-        while not stop.is_set() and not supervisor.stopped.is_set():
-            stop.wait(0.2)
+        stop.wait()
     except KeyboardInterrupt:
         pass
     finally:
@@ -130,18 +159,17 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         return 1
     if not args.wait:
         return 0
-    import time
-
     digest = record["digest"]
-    deadline = time.monotonic() + args.wait
-    while time.monotonic() < deadline:
-        record = _get(args.url, f"/jobs/{digest}")
-        if record["state"] in ("done", "failed"):
-            print(json.dumps(record, indent=1, sort_keys=True))
-            return 0 if record["state"] == "done" else 1
-        time.sleep(0.2)
-    print(f"timed out waiting for {digest}", file=sys.stderr)
-    return 1
+    if record["state"] not in ("done", "failed"):
+        record = _wait_for_job(args.url, digest, args.wait)
+        if record is None:
+            print(f"timed out waiting for {digest}", file=sys.stderr)
+            return 1
+    print(json.dumps(record, indent=1, sort_keys=True))
+    if record["state"] not in ("done", "failed"):
+        print(f"the service will not run {digest} (stopped or draining)",
+              file=sys.stderr)
+    return 0 if record["state"] == "done" else 1
 
 
 def _cmd_status(args: argparse.Namespace) -> int:
@@ -195,7 +223,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     serve.add_argument("--port", type=int, default=8124,
                        help="port (default: 8124; 0 = ephemeral)")
     serve.add_argument("--verbose", action="store_true",
-                       help="log scheduling decisions and HTTP requests")
+                       help="log scheduling decisions (the repro.service "
+                            "logger at INFO) and HTTP requests")
     serve.set_defaults(fn=_cmd_serve)
 
     worker = sub.add_parser("worker")  # hidden: the spawn target
@@ -222,7 +251,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     submit.add_argument("--reliable", action="store_true",
                         help="run with the reliable transport")
     submit.add_argument("--wait", type=float, default=0.0, metavar="S",
-                        help="poll until done/failed, up to S seconds")
+                        help="wait until done/failed, up to S seconds")
     submit.set_defaults(fn=_cmd_submit)
 
     status = sub.add_parser("status", help="print service status JSON")

@@ -16,8 +16,11 @@ while the worker proves liveness two ways:
   lease even though heartbeats keep arriving.
 
 Expiry is detection only: the supervisor revokes (kills the worker,
-requeues the job under the queue's retry budget).  Like the queue,
-the table is externally synchronized by the supervisor's lock.
+requeues the job under the queue's retry budget).  Nothing polls the
+table: :meth:`LeaseTable.next_expiry` is the host time the earliest
+live lease would expire at, and the supervisor's watchdog sleeps until
+then.  Like the queue, the table is externally synchronized by the
+supervisor's lock.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ class Lease:
     """One worker's claim on one job."""
 
     __slots__ = ("digest", "worker", "granted_at", "last_heartbeat",
-                 "sim_now", "stalled_s", "heartbeats", "_gauge")
+                 "sim_now", "stalled_s", "heartbeats", "revoked", "_gauge")
 
     def __init__(self, digest: str, worker: int, now: float) -> None:
         self.digest = digest
@@ -46,6 +49,10 @@ class Lease:
         #: latest heartbeat (0.0 while progressing).
         self.stalled_s = 0.0
         self.heartbeats = 0
+        #: Why the watchdog revoked this lease ("" while it is live).  A
+        #: revoked lease stays in the table until its worker's pipe
+        #: reaches EOF, and must not expire a second time meanwhile.
+        self.revoked = ""
         self._gauge = ProgressGauge(now)
 
     def beat(self, sim_now: int, now: float) -> None:
@@ -107,12 +114,38 @@ class LeaseTable:
         now = self.clock() if now is None else now
         out: List[Tuple[Lease, str]] = []
         for lease in self.leases.values():
+            if lease.revoked:
+                continue
             silent = now - lease.last_heartbeat
             if silent >= self.timeout_s:
                 out.append((lease, "lost"))
-            elif lease.stalled_s >= self.progress_window_s:
+            elif self.stalled(lease):
                 out.append((lease, "stalled"))
         return out
+
+    def stalled(self, lease: Lease) -> bool:
+        """Heartbeating, but its simulated clock has been frozen for the
+        whole progress window (as of its latest heartbeat)."""
+        return lease.stalled_s >= self.progress_window_s
+
+    def next_expiry(self) -> Optional[float]:
+        """When the earliest live lease expires, on this table's clock.
+
+        ``last_heartbeat + timeout_s`` for a lease in good standing; a
+        stalled one is due at once (its stall was seen at its last
+        heartbeat).  None when no live lease is held.  Heartbeats only
+        move the answer later, so a sleeper that wakes at a stale
+        answer finds nothing expired and asks again.
+        """
+        due = [lease.last_heartbeat
+               + (0.0 if self.stalled(lease) else self.timeout_s)
+               for lease in self.leases.values() if not lease.revoked]
+        return min(due, default=None)
+
+    def revoke(self, lease: Lease, reason: str) -> None:
+        """Account one expiry and take the lease out of the watch."""
+        lease.revoked = reason
+        self.note_expiry(reason)
 
     def note_expiry(self, reason: str) -> None:
         self.expiries[reason] = self.expiries.get(reason, 0) + 1

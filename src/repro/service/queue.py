@@ -42,12 +42,18 @@ __all__ = ["Job", "JobQueue", "STATES"]
 STATES = ("queued", "leased", "done", "failed", "shed")
 
 
+def _ms(start: Optional[float], end: Optional[float]) -> Optional[float]:
+    if start is None or end is None:
+        return None
+    return round((end - start) * 1e3, 3)
+
+
 class Job:
     """One submitted spec's lifecycle record."""
 
     __slots__ = ("spec", "state", "attempts", "not_before", "result",
-                 "error", "cached", "worker", "submitted_at",
-                 "finished_at", "requeues")
+                 "error", "cached", "worker", "submitted_at", "leased_at",
+                 "finished_at", "exec_s", "requeues")
 
     def __init__(self, spec: JobSpec, now: float) -> None:
         self.spec = spec
@@ -62,8 +68,14 @@ class Job:
         self.error = ""
         self.cached = False
         self.worker: Optional[int] = None
+        #: Host-time stamps (the queue's clock) of the lifecycle edges;
+        #: ``leased_at`` is the latest lease when there were several.
         self.submitted_at = now
+        self.leased_at: Optional[float] = None
         self.finished_at: Optional[float] = None
+        #: Wall seconds the worker spent in ``execute_job``, as the
+        #: worker reported them beside its result.
+        self.exec_s: Optional[float] = None
 
     @property
     def digest(self) -> str:
@@ -82,6 +94,22 @@ class Job:
             "worker": self.worker,
             "error": self.error,
             "result": self.result,
+            "timing": self.timing(),
+        }
+
+    def timing(self) -> Dict[str, Optional[float]]:
+        """Where the host time went, in ms; None for a stage not reached.
+
+        ``queued_ms`` runs from submission to the latest lease,
+        ``run_ms`` from that lease to the result, and ``exec_ms`` is the
+        part of ``run_ms`` the worker spent executing — the rest is
+        pipe, JSON and scheduling.  Host time, so never part of
+        ``result``, which is the deterministic cached artifact.
+        """
+        return {
+            "queued_ms": _ms(self.submitted_at, self.leased_at),
+            "run_ms": _ms(self.leased_at, self.finished_at),
+            "exec_ms": _ms(0.0, self.exec_s),
         }
 
 
@@ -169,11 +197,28 @@ class JobQueue:
                 return job
         return None
 
+    def next_not_before(self, retries_only: bool = False
+                        ) -> Optional[float]:
+        """The earliest backoff deadline still ahead, or None.
+
+        A queued job whose deadline has passed is waiting for a worker,
+        not for the clock, so it sets no deadline: whatever frees a
+        worker dispatches it.  ``retries_only`` as in :meth:`next_ready`.
+        """
+        now = self.clock()
+        ahead = [job.not_before
+                 for job in map(self.jobs.get, self._order)
+                 if job is not None and job.state == "queued"
+                 and job.not_before > now
+                 and not (retries_only and job.attempts == 0)]
+        return min(ahead, default=None)
+
     def lease(self, job: Job, worker: int) -> None:
         assert job.state == "queued", job.state
         job.state = "leased"
         job.attempts += 1
         job.worker = worker
+        job.leased_at = self.clock()
         self._order.remove(job.digest)
 
     # -- outcomes ------------------------------------------------------------

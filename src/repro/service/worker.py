@@ -14,9 +14,14 @@ worker → supervisor::
     {"type": "ready", "pid": 1234}
     {"type": "heartbeat", "job": "<digest>", "sim_now": 48200,
      "frame": {...} | null}            # every heartbeat_s while running
-    {"type": "result", "job": "<digest>", "result": {...}}
+    {"type": "result", "job": "<digest>", "result": {...},
+     "exec_s": 0.0093}
     {"type": "error", "job": "<digest>", "error": "...",
-     "retryable": false}
+     "retryable": false, "exec_s": 0.0021}
+
+``exec_s`` is the wall time of ``execute_job`` in this process: host
+time, so it travels *beside* ``result`` — the deterministic artifact
+the cache stores — never inside it.
 
 Protocol hygiene: the worker *dups* the real stdout for the protocol
 and points ``sys.stdout`` at stderr before importing any simulation
@@ -40,6 +45,7 @@ import json
 import os
 import sys
 import threading
+import time
 import traceback
 from typing import Any, Dict, Optional, TextIO
 
@@ -147,24 +153,21 @@ def worker_main(workdir: str, heartbeat_s: float = 0.25,
         if ckpt is None:
             ckpt = checkpoint_path(workdir, spec.digest)
         beat.begin_job(spec.digest)
+        started = time.perf_counter()
         try:
             result = execute_job(spec, ckpt_path=ckpt, sampler=sampler)
-        except SimulationError as exc:
-            beat.end_job()
-            proto.send({"type": "error", "job": spec.digest,
-                        "error": f"{type(exc).__name__}: {exc}",
-                        "retryable": False})
-            continue
-        except Exception as exc:  # unexpected — report, stay alive
-            beat.end_job()
-            traceback.print_exc()
-            proto.send({"type": "error", "job": spec.digest,
-                        "error": f"{type(exc).__name__}: {exc}",
-                        "retryable": False})
-            continue
+        except Exception as exc:  # report it and stay alive
+            if not isinstance(exc, SimulationError):
+                traceback.print_exc()  # not a verdict on the spec: a bug
+            outcome = {"type": "error", "job": spec.digest,
+                       "error": f"{type(exc).__name__}: {exc}",
+                       "retryable": False}
+        else:
+            outcome = {"type": "result", "job": spec.digest,
+                       "result": result}
+        outcome["exec_s"] = round(time.perf_counter() - started, 6)
         beat.end_job()
-        proto.send({"type": "result", "job": spec.digest,
-                    "result": result})
+        proto.send(outcome)
     if beat is not None:
         beat.stop()
     return 0

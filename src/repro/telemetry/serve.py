@@ -41,6 +41,8 @@ from __future__ import annotations
 
 import json
 import re
+import selectors
+import socket
 import threading
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -185,6 +187,10 @@ class LiveServer(ThreadingHTTPServer):
     """
 
     daemon_threads = True
+    #: The serving loop's ``select()`` timeout.  :meth:`stop` does not
+    #: wait this out — it wakes the loop itself — so this only bounds a
+    #: stop whose wake-up could not connect.
+    wake_fallback_s = 0.5
 
     def __init__(self, sampler: LiveSampler, host: str = "127.0.0.1",
                  port: int = 0, verbose: bool = False,
@@ -202,14 +208,30 @@ class LiveServer(ThreadingHTTPServer):
 
     def start_background(self) -> str:
         """Serve from a daemon thread; returns the base URL."""
-        self._thread = threading.Thread(target=self.serve_forever,
+        self._thread = threading.Thread(target=self._serve,
                                         name="live-server", daemon=True)
         self._thread.start()
         return self.url
 
+    def _serve(self) -> None:
+        # ``serve_forever`` minus its shutdown handshake, which can only
+        # be requested and waited for in one call: no room to wake the
+        # loop *after* the request, so a stop costs up to a poll period.
+        with selectors.DefaultSelector() as selector:
+            selector.register(self, selectors.EVENT_READ)
+            while not self.stopping:
+                if selector.select(self.wake_fallback_s):
+                    self._handle_request_noblock()
+
     def stop(self) -> None:
         self.stopping = True
-        self.shutdown()
+        # The serving thread is asleep in select(): a throw-away
+        # connection wakes it now, and it sees ``stopping`` (set first).
+        host, port = self.server_address[:2]
+        try:
+            socket.create_connection((host, port), timeout=1.0).close()
+        except OSError:
+            pass  # it wakes at its own timeout instead
         if self._thread is not None:
             self._thread.join(timeout=5)
         self.server_close()

@@ -106,6 +106,59 @@ class TestDispatch:
         assert queue.next_ready(retries_only=True) is retried
         assert queue.next_ready() is fresh
 
+    def test_next_not_before_is_the_earliest_deadline_still_ahead(self):
+        clock = FakeClock()
+        queue = JobQueue(backoff_s=1.0, backoff_factor=3.0, jitter=0.0,
+                         clock=clock)
+        assert queue.next_not_before() is None
+        waiting = queue.submit(_spec(0.01))  # ready now: no deadline
+        assert queue.next_not_before() is None
+        once, twice = queue.submit(_spec(0.02)), queue.submit(_spec(0.03))
+        for job, deaths in ((twice, 2), (once, 1)):
+            for _ in range(deaths):
+                queue.lease(job, worker=0)
+                queue.requeue(job, "worker died")
+        assert (once.not_before, twice.not_before) == (101.0, 103.0)
+        assert queue.next_not_before() == 101.0
+        clock.advance(1.0)  # `once` is due: it waits for a worker now
+        assert queue.next_ready() is waiting
+        assert queue.next_not_before() == 103.0
+        queue.lease(twice, worker=0)  # leased jobs set no deadline
+        assert queue.next_not_before() is None
+
+    def test_next_not_before_retries_only(self):
+        clock = FakeClock()
+        queue = JobQueue(backoff_s=1.0, jitter=0.0, clock=clock)
+        fresh = queue.submit(_spec(0.01))
+        fresh.not_before = 105.0  # however a first attempt got one
+        retried = queue.submit(_spec(0.02))
+        queue.lease(retried, worker=0)
+        queue.requeue(retried, "worker died")
+        retried.not_before = 110.0
+        assert queue.next_not_before() == 105.0
+        assert queue.next_not_before(retries_only=True) == 110.0
+
+    def test_timing_follows_the_lifecycle(self):
+        clock = FakeClock()
+        queue = JobQueue(backoff_s=0.5, jitter=0.0, clock=clock)
+        job = queue.submit(_spec())
+        blank = {"queued_ms": None, "run_ms": None, "exec_ms": None}
+        assert job.to_dict()["timing"] == blank
+        clock.advance(0.25)
+        queue.lease(job, worker=0)
+        assert job.timing() == dict(blank, queued_ms=250.0)
+        queue.requeue(job, "worker died")
+        clock.advance(0.75)
+        queue.lease(job, worker=1)  # measured to the *latest* lease
+        clock.advance(0.125)
+        job.exec_s = 0.1
+        queue.complete(job, {"cycles": 1})
+        assert job.timing() == {"queued_ms": 1000.0, "run_ms": 125.0,
+                                "exec_ms": 100.0}
+        assert "timing" not in job.result
+        cached = queue.adopt(_spec(0.07), {"cycles": 1})
+        assert cached.timing() == blank  # a cache hit ran nowhere
+
 
 class TestRetryBudget:
     def test_budget_exhaustion_fails_the_job(self):
@@ -208,6 +261,44 @@ class TestLeases:
         table.grant("a" * 64, worker=0)
         with pytest.raises(AssertionError):
             table.grant("b" * 64, worker=0)
+
+    def test_next_expiry_is_the_earliest_live_deadline(self):
+        clock = FakeClock()
+        table = LeaseTable(timeout_s=2.0, progress_window_s=5.0,
+                           clock=clock)
+        assert table.next_expiry() is None
+        table.grant("a" * 64, worker=0)
+        clock.advance(1.0)
+        silent = table.grant("b" * 64, worker=1)
+        assert table.next_expiry() == 102.0
+        clock.advance(0.5)
+        table.heartbeat(0, sim_now=10)  # only ever moves it later
+        assert table.next_expiry() == 103.0
+        clock.advance(1.5)
+        assert table.expired() == [(silent, "lost")]
+        assert table.next_expiry() <= clock.now
+
+    def test_revoked_lease_expires_once(self):
+        clock = FakeClock()
+        table = LeaseTable(timeout_s=2.0, clock=clock)
+        lease = table.grant("d" * 64, worker=0)
+        clock.advance(2.0)
+        table.revoke(lease, "lost")
+        # Still held until its worker's EOF, but no longer watched.
+        assert table.leases == {0: lease}
+        assert table.expired() == []
+        assert table.next_expiry() is None
+        assert (table.revoked, table.expiries["lost"]) == (1, 1)
+
+    def test_stalled_lease_is_due_at_once(self):
+        clock = FakeClock()
+        table = LeaseTable(timeout_s=30.0, progress_window_s=2.0,
+                           clock=clock)
+        table.grant("d" * 64, worker=0)
+        for _ in range(3):
+            clock.advance(1.0)
+            table.heartbeat(0, sim_now=7)
+        assert table.next_expiry() == clock.now
 
     def test_expiry_accounting(self):
         table = LeaseTable(clock=FakeClock())

@@ -9,6 +9,7 @@ checkpoint rather than replaying the whole run.
 import os
 import signal
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -41,8 +42,7 @@ def test_sigkill_mid_job_recovers_with_equal_digest(tmp_path):
 
     workdir = str(tmp_path / "work")
     config = ServiceConfig(workdir=workdir, workers=1, heartbeat_s=0.05,
-                           lease_timeout_s=1.5, tick_s=0.02,
-                           backoff_s=0.05)
+                           lease_timeout_s=1.5, backoff_s=0.05)
     supervisor = Supervisor(config, sampler=LiveSampler()).start()
     try:
         spec = JobSpec(**SPEC_KW)
@@ -108,11 +108,13 @@ def test_hung_worker_is_detected_and_revoked(tmp_path):
     Simulated by a worker whose job loops forever at the simulated
     level: a chaos-free lcs run with an artificially pinned clock is
     hard to fake from outside, so this exercises the LeaseTable path
-    through the supervisor tick with a synthetic lease instead.
+    through the supervisor's watchdog with a synthetic lease instead:
+    the heartbeat messages arrive as a worker's would, and the one that
+    carries the stall past the window is what wakes the watchdog —
+    nothing looks at the lease in between.
     """
     config = ServiceConfig(workdir=str(tmp_path / "work"), workers=0,
-                           progress_window_s=0.2, lease_timeout_s=30.0,
-                           tick_s=0.02)
+                           progress_window_s=0.2, lease_timeout_s=30.0)
     supervisor = Supervisor(config).start()
     try:
         spec = JobSpec(**SPEC_KW)
@@ -121,9 +123,10 @@ def test_hung_worker_is_detected_and_revoked(tmp_path):
             supervisor.queue.lease(job, worker=99)
             supervisor.leases.grant(spec.digest, worker=99)
         # Heartbeats flow, sim_now never moves.
+        ghost = SimpleNamespace(wid=99, last_frame=None)
         for _ in range(8):
-            with supervisor.lock:
-                supervisor.leases.heartbeat(99, sim_now=12345)
+            supervisor._dispatch(ghost, {"type": "heartbeat",
+                                         "sim_now": 12345})
             time.sleep(0.05)
 
         def revoked():

@@ -1,7 +1,7 @@
 """Supervisor + HTTP API integration: the happy paths, in-process.
 
 Timing note: these tests run real worker subprocesses with tight
-heartbeat/tick intervals; assertions poll with generous deadlines so a
+heartbeat intervals; assertions poll with generous deadlines so a
 loaded CI box cannot flake them.
 """
 
@@ -19,8 +19,7 @@ from repro.telemetry.live import LiveSampler
 
 def _config(tmp_path, **overrides):
     kwargs = dict(workdir=str(tmp_path / "work"), workers=1,
-                  heartbeat_s=0.05, lease_timeout_s=1.5, tick_s=0.02,
-                  backoff_s=0.05)
+                  heartbeat_s=0.05, lease_timeout_s=1.5, backoff_s=0.05)
     kwargs.update(overrides)
     return ServiceConfig(**kwargs)
 
@@ -52,9 +51,13 @@ class TestSupervisor:
     def test_submit_executes_and_caches(self, tmp_path):
         supervisor = Supervisor(_config(tmp_path)).start()
         try:
+            # Once the worker has reported ready it is idle, so the
+            # submission itself leases the job: no scheduler pass between.
+            _wait_for(lambda: supervisor.health()[0])
             spec = JobSpec(**PING)
             record = supervisor.submit(spec)
-            assert record["state"] == "queued"
+            assert record["state"] == "leased"
+            assert record["worker"] is not None
             job = _await_job(supervisor, spec.digest)
             assert job.state == "done"
             assert job.result["cycles"] > 0

@@ -5,6 +5,9 @@ closing SSE streams or releasing the port; only Ctrl-C (SIGINT →
 KeyboardInterrupt) took the clean path.  Both signals now funnel into
 one exit path: stop the HTTP server (which ends every ``/stream``
 loop), release the socket, and exit 0.
+
+``LiveServer.stop()`` itself must not wait for the serving thread's
+next look at its ``stopping`` flag: it wakes the thread.
 """
 
 import os
@@ -78,3 +81,25 @@ def test_port_released_after_sigterm():
         if proc.poll() is None:
             proc.kill()
             proc.communicate()
+
+
+def test_stop_wakes_the_serving_thread(monkeypatch):
+    """With the serving thread's own timeout out of the picture, only
+    stop()'s wake-up connection can end the loop this fast."""
+    from repro.telemetry.live import LiveSampler
+    from repro.telemetry.serve import LiveServer
+
+    monkeypatch.setattr(LiveServer, "wake_fallback_s", 60.0)
+    for _ in range(3):
+        server = LiveServer(LiveSampler())
+        url = server.start_background()
+        with urllib.request.urlopen(url + "/snapshot.json",
+                                    timeout=10) as response:
+            assert response.status == 200
+        thread = server._thread
+        started = time.monotonic()
+        server.stop()
+        # Generous: the wake-up takes about a millisecond; without it
+        # stop() gives up on the join after 5 s with the thread alive.
+        assert time.monotonic() - started < 2.0
+        assert not thread.is_alive()
