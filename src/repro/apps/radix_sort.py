@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from ..core.errors import ConfigurationError
+from ..jsim.collectives import binomial_children, binomial_parent
 from ..jsim.sim import Context, MacroConfig, MacroSimulator
 from .base import AppResult, SequentialResult
 
@@ -99,13 +100,6 @@ def run_sequential(params: RadixParams) -> SequentialResult:
     return SequentialResult(cycles=int(instructions * 2.0), output=out)
 
 
-def _partner_levels(node: int, n_nodes: int) -> int:
-    """Binomial-tree levels below ``node`` (children it must hear from)."""
-    from ..jsim.collectives import binomial_children
-
-    return len(binomial_children(node, n_nodes))
-
-
 def run_parallel(n_nodes: int, params: RadixParams = RadixParams(),
                  config: Optional[MacroConfig] = None,
                  style: str = "fine") -> AppResult:
@@ -139,6 +133,9 @@ def run_parallel(n_nodes: int, params: RadixParams = RadixParams(),
     digit_bits = params.digit_bits
     n_digits = params.n_digits
     sim = MacroSimulator(n_nodes, config=config)
+    #: Binomial-tree children each node must hear from, per phase.
+    n_children = [len(binomial_children(node, n_nodes))
+                  for node in range(n_nodes)]
 
     for node in range(n_nodes):
         state = sim.nodes[node].state
@@ -168,7 +165,7 @@ def run_parallel(n_nodes: int, params: RadixParams = RadixParams(),
         state["subtotal"] = list(counts)
         state["left_totals"] = {}
         ctx.charge(instructions=COUNT_INSTR_PER_KEY * kpn)
-        state["pending_children"] = _partner_levels(ctx.node_id, n_nodes)
+        state["pending_children"] = n_children[ctx.node_id]
         _maybe_send_up(ctx)
 
     def _maybe_send_up(ctx: Context) -> None:
@@ -180,13 +177,9 @@ def run_parallel(n_nodes: int, params: RadixParams = RadixParams(),
             _root_down(ctx)
             return
         # Send the subtree total to the binomial parent.
-        k = 1
-        while node % (k * 2) == 0:
-            k *= 2
-        parent = node - k
         ctx.charge(instructions=TREE_FIXED_INSTR)
-        ctx.send(parent, "CombineUp", node, tuple(state["subtotal"]),
-                 length=1 + 1 + radix)
+        ctx.send(binomial_parent(node), "CombineUp", node,
+                 tuple(state["subtotal"]), length=1 + 1 + radix)
 
     def combine_up(ctx: Context, child: int, totals: tuple) -> None:
         state = ctx.state
@@ -333,17 +326,14 @@ def run_parallel(n_nodes: int, params: RadixParams = RadixParams(),
         node = ctx.node_id
         if state.get("done_sent") or not state.get("iter_complete"):
             return
-        if state["done_children"] < _partner_levels(node, n_nodes):
+        if state["done_children"] < n_children[node]:
             return
         state["done_sent"] = True
         if node == 0:
             ctx.call_local("NextIter", n_nodes, length=2)
             return
-        k = 1
-        while node % (k * 2) == 0:
-            k *= 2
         ctx.charge(instructions=6)
-        ctx.send(node - k, "DoneUp")
+        ctx.send(binomial_parent(node), "DoneUp")
 
     def done_up_handler(ctx: Context) -> None:
         ctx.state["done_children"] += 1

@@ -83,10 +83,11 @@ class LatencyModel:
         self.messages = 0
         self.crossing_messages = 0
         self._phits_per_word = costs.phits_per_word
-        #: (src, dst) -> (distance_cycles, crosses_midplane): hops and the
-        #: midplane test are pure functions of the pair, so the per-message
-        #: cost reduces to one dict probe plus the contention arithmetic.
-        self._pair_cache: dict = {}
+        #: src -> row, ``row[dst] = distance_cycles << 1 | crosses_midplane``
+        #: (both pure functions of the pair), built when ``src`` first
+        #: sends: the per-message cost is two probes plus the contention
+        #: arithmetic.
+        self._rows: dict = {}
 
     # -- utilization metering ------------------------------------------------
 
@@ -109,48 +110,66 @@ class LatencyModel:
 
     # -- the model ------------------------------------------------------------
 
+    def _build_row(self, src: int) -> list:
+        """The distance row of ``src``.  Hops are separable and ids are
+        x-major, so the row is the outer sum of a YZ part and an X part
+        (which alone decides the midplane bit)."""
+        mesh = self.mesh
+        sx, sy, sz = mesh.coord(src)  # raises outside the mesh
+        x_dim, y_dim, z_dim = mesh.dims
+        hop = self.costs.hop
+        half = x_dim // 2
+        x_part = [(hop * abs(sx - x)) << 1 | ((sx < half) != (x < half))
+                  for x in range(x_dim)]
+        yz_part = [(self.interface_cycles
+                    + hop * (abs(sy - y) + abs(sz - z))) << 1
+                   for z in range(z_dim) for y in range(y_dim)]
+        row = self._rows[src] = [yz_cost + x_cost for yz_cost in yz_part
+                                 for x_cost in x_part]
+        return row
+
     def latency(self, src: int, dst: int, length_words: int, now: int) -> int:
         """Cycles from launch at ``src`` to queued at ``dst``."""
         self.messages += 1
-        pair = (src, dst)
-        cached = self._pair_cache.get(pair)
-        if cached is None:
-            distance = self.interface_cycles + self.costs.hop * self.mesh.hops(
-                src, dst
-            )
-            if len(self._pair_cache) >= (1 << 20):
-                self._pair_cache.clear()  # bounded even on huge meshes
-            cached = (distance, self.mesh.crosses_x_midplane(src, dst))
-            self._pair_cache[pair] = cached
-        distance, crossing = cached
-        base = distance + self._phits_per_word * length_words
-        if not crossing:
+        try:
+            if dst < 0:
+                raise IndexError  # a negative index would wrap
+            packed = self._rows[src][dst]
+        except LookupError:
+            # The first message from ``src``, or a node outside the mesh
+            # (``coord`` raises ConfigurationError for either end).
+            self.mesh.coord(dst)
+            packed = self._build_row(src)[dst]
+        base = (packed >> 1) + self._phits_per_word * length_words
+        u = self._utilization(now)
+        cap = self.contention_cap
+        if not packed & 1:
             # Local traffic sees only mild contention.
-            u = self._utilization(now)
-            return base + int(min(self.contention_cap,
-                                  self.contention_scale * u * u))
+            contention = self.contention_scale * u * u
+            return base + int(contention if contention < cap else cap)
 
         self.crossing_messages += 1
-        u = self._utilization(now)
         self._bucket_words += length_words
-        contention = min(self.contention_cap,
-                         self.contention_scale * u / (1.0 - u))
+        contention = self.contention_scale * u / (1.0 - u)
+        if contention > cap:
+            contention = cap
 
         # Saturation throttling: words beyond capacity queue up.
-        service = length_words / self.capacity_words_per_cycle
-        start = max(float(now), self._backlog_clear_time)
-        self._backlog_clear_time = start + service
-        queueing = start - now
-        return base + int(contention + queueing)
+        start = self._backlog_clear_time
+        if start < now:
+            start = float(now)
+        self._backlog_clear_time = \
+            start + length_words / self.capacity_words_per_cycle
+        return base + int(contention + (start - now))
 
     # ------------------------------------------------------ snapshot contract
 
     #: Attributes a restored simulator rebuilds from its own config
     #: rather than loads: the mesh/cost structure, the sizing constants
-    #: derived from them, and the pure ``(src, dst)`` distance cache.
+    #: derived from them, and the pure per-source distance rows.
     EXTERNAL_ATTRS = frozenset({
         "mesh", "costs", "interface_cycles", "window",
-        "capacity_words_per_cycle", "_phits_per_word", "_pair_cache",
+        "capacity_words_per_cycle", "_phits_per_word", "_rows",
         "contention_scale", "contention_cap", "saturation_fraction",
     })
 

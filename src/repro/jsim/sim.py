@@ -18,11 +18,18 @@ keys, chess boards, tours), application results are verifiable, and
 effects like load imbalance, systolic skew, pruning-order luck, and
 bisection saturation emerge from the simulation rather than being
 scripted.
+
+The engine (:meth:`MacroSimulator.run`) is message-driven like the MDP
+it models: a node is visited only by an event that can change it
+(docs/PERFORMANCE.md §2, "The macro engine").  The loop it replaced, one
+COMPLETE event per task, is the test oracle
+``tests/jsim/reference_engine.py``.
 """
 
 from __future__ import annotations
 
 import heapq
+import sys
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
@@ -82,13 +89,19 @@ class HandlerStats:
 class SimNode:
     """One node of the macro-simulated machine."""
 
-    __slots__ = ("node_id", "busy_until", "running", "queues", "profile",
-                 "state", "queue_high_water", "messages_received")
+    __slots__ = ("node_id", "busy_until", "running", "reserved", "queues",
+                 "profile", "state", "queue_high_water", "messages_received")
 
     def __init__(self, node_id: int) -> None:
         self.node_id = node_id
         self.busy_until = 0
+        #: A task has started whose completion the loop has not yet
+        #: accounted for (it may already lie in the past, see below).
         self.running = False
+        #: Sequence number reserved for the running task's COMPLETE
+        #: event while that event is *not* in the heap; -1 once it has
+        #: been pushed, or when nothing is running.
+        self.reserved = -1
         # index 0: priority 0 FIFO; index 1: priority 1 FIFO.
         self.queues: Tuple[Deque, Deque] = (deque(), deque())
         self.profile = Profile()
@@ -108,18 +121,18 @@ class Context:
     cycles leaves 1000 cycles into the task.
     """
 
-    __slots__ = ("sim", "node", "node_id", "start_time", "charged",
-                 "_handler_name", "_config", "_profile", "_stats",
-                 "trace", "_cats")
+    __slots__ = ("sim", "node", "node_id", "state", "start_time", "charged",
+                 "_config", "_profile", "_stats", "trace", "_cats")
 
     def __init__(self, sim: "MacroSimulator", node: SimNode, start_time: int,
-                 handler_name: str, trace: Optional[tuple] = None) -> None:
+                 stats: HandlerStats, trace: Optional[tuple] = None) -> None:
         self.sim = sim
         self.node = node
         self.node_id = node.node_id
+        #: The node's application-owned storage (``SimNode.state``).
+        self.state = node.state
         self.start_time = start_time
         self.charged = 0
-        self._handler_name = handler_name
         # Hoisted once per task: charge()/send() run millions of times
         # per application, and these three indirections dominated them.
         # _profile is the Profile's attribute dict so category charges
@@ -127,7 +140,7 @@ class Context:
         # category set, exactly as Profile.charge does).
         self._config = sim.config
         self._profile = node.profile.__dict__
-        self._stats = sim.handler_stats[handler_name]
+        self._stats = stats
         #: Trace context of the message that created this task; sends
         #: become child spans of it (:mod:`repro.telemetry.trace`).
         self.trace = trace
@@ -148,10 +161,6 @@ class Context:
     def now(self) -> int:
         """Task-local current time (start + cycles charged so far)."""
         return self.start_time + self.charged
-
-    @property
-    def state(self) -> Dict[str, Any]:
-        return self.node.state
 
     # -- cost accounting ------------------------------------------------------
 
@@ -224,10 +233,13 @@ class Context:
         """Send a message; the sender pays injection overhead now."""
         if length is None:
             length = 1 + len(args)
-        config = self._config
-        overhead = config.send_overhead_cycles + int(
-            round(config.send_per_word_cycles * length)
-        )
+        sim = self.sim
+        try:
+            overhead = sim._send_cost[length]
+        except KeyError:
+            config = self._config
+            overhead = sim._send_cost[length] = config.send_overhead_cycles \
+                + int(round(config.send_per_word_cycles * length))
         self._profile["comm"] += overhead
         self.charged += overhead
         self._stats.cycles += overhead
@@ -235,11 +247,12 @@ class Context:
         if cats is not None:
             cats["comm"] = cats.get("comm", 0) + overhead
         trace = None
-        trace_state = self.sim._trace
+        trace_state = sim._trace
         if trace_state is not None:
             trace = trace_state.derive(self.trace)
-        self.sim.post(self.node_id, dest, handler, args, length, priority,
-                      self.start_time + self.charged, trace)
+        # Through the instance: a ReliableLayer shadows ``post``.
+        sim.post(self.node_id, dest, handler, args, length, priority,
+                 self.start_time + self.charged, trace)
 
     def call_local(self, handler: str, *args: Any, length: Optional[int] = None,
                    priority: int = 0) -> None:
@@ -268,6 +281,12 @@ class MacroSimulator:
         self.nodes = [SimNode(i) for i in range(n_nodes)]
         self.handlers: Dict[str, Handler] = {}
         self.handler_stats: Dict[str, HandlerStats] = {}
+        #: name -> (handler, its stats record), bound once by
+        #: :meth:`register` so the loop makes one probe per task.
+        self._bound: Dict[str, Tuple[Handler, HandlerStats]] = {}
+        #: message length -> sender-side cycles, filled on first use
+        #: (``config`` is read when a length is first sent).
+        self._send_cost: Dict[int, int] = {}
         self.now = 0
         self.end_time = 0
         self.messages_sent = 0
@@ -312,7 +331,8 @@ class MacroSimulator:
         if name in self.handlers:
             raise ConfigurationError(f"handler {name!r} already registered")
         self.handlers[name] = handler
-        self.handler_stats[name] = HandlerStats()
+        stats = self.handler_stats[name] = HandlerStats()
+        self._bound[name] = (handler, stats)
 
     def handler(self, name: str) -> Callable[[Handler], Handler]:
         """Decorator form of :meth:`register`."""
@@ -346,16 +366,18 @@ class MacroSimulator:
             self._ebus.emit("send", send_time, source, 1 if priority else 0,
                             name=handler, dest=dest, words=length,
                             trace=trace)
-        latency = self.network.latency(source, dest, length, send_time)
+        arrival = send_time + self.network.latency(source, dest, length,
+                                                   send_time)
         if self._chaos is not None:
             dropped, extra = self._chaos.macro_verdict(
                 source, dest, handler, length, send_time)
             if dropped:
                 return  # the network ate it; no arrival is scheduled
-            latency += extra
+            arrival += extra
         # Never schedule into the past (a host inject with a stale `at`
         # must not make simulated time run backwards).
-        arrival = max(send_time + latency, self.now)
+        if arrival < self.now:
+            arrival = self.now
         # Events are flat tuples (no nested payload): the run loop unpacks
         # one per message, so avoiding the inner allocation is measurable.
         heapq.heappush(
@@ -398,64 +420,41 @@ class MacroSimulator:
         )
         self._seq += 1
 
-    def _start_task(self, node: SimNode, start: int) -> None:
-        """Dispatch and run the highest-priority queued task on ``node``.
-
-        The handler executes immediately (it is a Python function) but
-        its *simulated* extent is [start, start + dispatch + charges];
-        the node is busy until then and a completion event continues the
-        queue.  Priority-1 tasks are taken first; a running task is not
-        preempted (priority-1 work waits for the task boundary, which is
-        exactly how the paper's TSP yields to bound updates).
-        """
-        queues = node.queues
-        priority = 1 if queues[1] else 0
-        queue = queues[priority]
-        handler_name, args, trace = queue.popleft()
-        self.handler_stats[handler_name].invocations += 1
-        dispatch = self.config.dispatch_cycles
-        node.profile.__dict__["comm"] += dispatch
-        ctx = Context(self, node, start + dispatch, handler_name, trace)
-        self.handlers[handler_name](ctx, *args)
-        end = ctx.start_time + ctx.charged
-        if self._ebus is not None:
-            if trace is None:
-                self._ebus.emit("task", start, node.node_id, priority,
-                                name=handler_name, dur=end - start)
-            else:
-                # The recorded breakdown covers the task exactly: the
-                # hardware dispatch plus every cycle the context charged.
-                cats = ctx._cats
-                cats["dispatch"] = dispatch
-                self._ebus.emit("task", start, node.node_id, priority,
-                                name=handler_name, dur=end - start,
-                                trace=trace, cats=cats)
-        node.busy_until = end
-        node.running = True
-        if end > self.end_time:
-            self.end_time = end
-        heapq.heappush(
-            self._events,
-            (end, self._seq, self._COMPLETE, node.node_id, None, (), 0, 0,
-             None),
-        )
-        self._seq += 1
-
     def run(self, max_events: int = 200_000_000,
             max_time: Optional[int] = None) -> int:
         """Process events until quiescent; returns the finish time.
 
         The finish time is when the last task completed, which is the
         application's run time if the host injected the kickoff at 0.
+
+        A handler executes immediately (it is a Python function) but its
+        *simulated* extent is [start, start + dispatch + charges]; the
+        node is busy until then.  Priority-1 tasks are taken first; a
+        running task is not preempted (priority-1 work waits for the
+        task boundary, which is exactly how the paper's TSP yields to
+        bound updates).
+
+        The end of a task changes nothing unless a message is waiting,
+        so a starting task only *reserves* its COMPLETE event's sequence
+        number (``SimNode.reserved``); the first arrival that finds the
+        node still busy — before ``busy_until``, or at it with a lower
+        sequence number than the reserved one — pushes the event under
+        that number.  Every event processed is thus processed in the
+        order, and with the numbers, of one COMPLETE event per task.
         """
         events = self._events
         nodes = self.nodes
-        handler_stats = self.handler_stats
+        bound = self._bound
         heappop = heapq.heappop
+        heappush = heapq.heappush
+        arrival = self._ARRIVAL
         complete = self._COMPLETE
-        timer = self._TIMER
-        start_task = self._start_task
         ebus = self._ebus
+        dispatch = self.config.dispatch_cycles
+        # This run processes what is ordered before ``run_end``:
+        # everything up to and including ``max_time``.
+        limit = sys.maxsize if max_time is None else max_time
+        run_end = (limit, sys.maxsize)
         # Simulated time only advances when the next event is processed,
         # so observers are armed and polled at that event's time (saves
         # are recorded there, or back-to-back saves would loop on one
@@ -468,50 +467,115 @@ class MacroSimulator:
         while events:
             horizon = events[0][0]
             if horizon >= hooks.next_due:
+                # Observers see the state every completion ordered
+                # before the next event (and inside this run) has left.
+                processed += self._retire(min(events[0][:2], run_end))
                 hooks.fire(horizon)
+            if horizon > limit:
+                break  # a later run (or a checkpoint taken now) sees it
             (time, seq, kind, dest, handler_name, args, length, priority,
              trace) = heappop(events)
-            if max_time is not None and time > max_time:
-                # Not ours to process: put the event back so a later
-                # run (or a checkpoint taken now) still sees it.
-                heapq.heappush(events, (time, seq, kind, dest, handler_name,
-                                        args, length, priority, trace))
-                break
             self.now = time
-            if kind == timer:
-                args[0](time)
-                processed += 1
-                if processed >= max_events:
-                    raise SimulationError(
-                        "macro simulation exceeded max_events")
-                continue
-            node = nodes[dest]
-            queues = node.queues
-            if kind == complete:
+            fn = None
+            if kind == arrival:
+                node = nodes[dest]
+                queues = node.queues
+                handler, stats = bound[handler_name]
+                node.messages_received += 1
+                stats.message_words += length
+                priority = 1 if priority else 0
+                if ebus is not None:
+                    ebus.emit("deliver", time, dest, priority,
+                              name=handler_name, trace=trace)
+                reserved = node.reserved
+                if node.running and (
+                        reserved < 0 or time < node.busy_until
+                        or (time == node.busy_until and seq < reserved)):
+                    if reserved >= 0:
+                        # The first message to wait for this task: now
+                        # its end can change something.
+                        heappush(events, (node.busy_until, reserved, complete,
+                                          dest, None, (), 0, 0, None))
+                        node.reserved = -1
+                    queues[priority].append((handler_name, args, trace))
+                    depth = len(queues[0]) + len(queues[1])
+                    if depth > node.queue_high_water:
+                        node.queue_high_water = depth
+                else:
+                    # A free node (its queues are empty) takes the
+                    # message straight from the network.
+                    if node.running:
+                        processed += 1  # the completion nobody waited for
+                    if not node.queue_high_water:
+                        node.queue_high_water = 1
+                    fn = handler
+            elif kind == complete:
+                node = nodes[dest]
+                queues = node.queues
                 node.running = False
                 if queues[0] or queues[1]:
-                    start_task(node, time)
+                    priority = 1 if queues[1] else 0
+                    handler_name, args, trace = queues[priority].popleft()
+                    fn, stats = bound[handler_name]
             else:
-                node.messages_received += 1
-                handler_stats[handler_name].message_words += length
+                args[0](time)  # a schedule_call timer
+            if fn is not None:
+                # The one place a task starts: 4-cycle hardware dispatch,
+                # then the handler.
+                stats.invocations += 1
+                node.profile.__dict__["comm"] += dispatch
+                ctx = Context(self, node, time + dispatch, stats, trace)
+                fn(ctx, *args)
+                end = ctx.start_time + ctx.charged
                 if ebus is not None:
-                    ebus.emit("deliver", time, dest, 1 if priority else 0,
-                              name=handler_name, trace=trace)
-                queues[1 if priority else 0].append(
-                    (handler_name, args, trace))
-                depth = len(queues[0]) + len(queues[1])
-                if depth > node.queue_high_water:
-                    node.queue_high_water = depth
-                if not node.running and node.busy_until <= time:
-                    start_task(node, time)
+                    if trace is None:
+                        ebus.emit("task", time, dest, priority,
+                                  name=handler_name, dur=end - time)
+                    else:
+                        # The recorded breakdown covers the task exactly:
+                        # the hardware dispatch plus every cycle the
+                        # context charged.
+                        cats = ctx._cats
+                        cats["dispatch"] = dispatch
+                        ebus.emit("task", time, dest, priority,
+                                  name=handler_name, dur=end - time,
+                                  trace=trace, cats=cats)
+                node.busy_until = end
+                node.running = True
+                if end > self.end_time:
+                    self.end_time = end
+                if queues[0] or queues[1]:
+                    heappush(events, (end, self._seq, complete, dest, None,
+                                      (), 0, 0, None))
+                else:
+                    node.reserved = self._seq
+                self._seq += 1
             processed += 1
             if processed >= max_events:
                 raise SimulationError("macro simulation exceeded max_events")
+        if processed + self._retire(run_end) >= max_events:
+            raise SimulationError("macro simulation exceeded max_events")
         if ebus is not None:
             # Mirror the cycle level's end-of-run marker so the offline
             # critical-path analyzer sees the run extent at both levels.
             ebus.emit("run-end", self.end_time, -1)
         return self.end_time
+
+    def _retire(self, before: Tuple[int, int]) -> int:
+        """Account for the unpushed completions ordered before the
+        ``(time, seq)`` key ``before``: their nodes go idle and ``now``
+        reaches the latest of them, as if each had been popped.
+        Returns how many."""
+        retired = 0
+        for node in self.nodes:
+            reserved = node.reserved
+            if reserved >= 0 and (node.busy_until, reserved) < before:
+                node.running = False
+                node.reserved = -1
+                if node.busy_until > self.now:
+                    self.now = node.busy_until
+                retired += 1
+        return retired
 
     # -- snapshots ---------------------------------------------------------------
 

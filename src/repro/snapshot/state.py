@@ -33,6 +33,7 @@ instruments (pull sources re-derive from restored counters), and
 
 from __future__ import annotations
 
+import heapq
 from typing import Any, Dict, List, Optional
 
 from ..core.errors import SnapshotError
@@ -76,6 +77,8 @@ MACRO_CAPTURED_ATTRS = frozenset({
 })
 MACRO_EXTERNAL_ATTRS = frozenset({
     "mesh",                   # derived from n_nodes/costs
+    "_bound",                 # handlers + handler_stats, paired by register()
+    "_send_cost",             # derived from config, filled on use
     "_ebus", "_trace", "_inject_trace",  # telemetry wiring
     "post",                   # ReliableLayer's shadow, handled explicitly
     "checkpoint",             # host-side policy
@@ -287,6 +290,13 @@ def capture_macro(sim) -> dict:
     layer = _reliable_layer(sim)
     nodes = []
     for node in sim.nodes:
+        if node.reserved >= 0:
+            # The engine reserved this task's COMPLETE event without
+            # pushing it (no message waits for it yet); the captured
+            # heap holds it, so the format is the one-event-per-task one.
+            heapq.heappush(events, (node.busy_until, node.reserved,
+                                    sim._COMPLETE, node.node_id, None, (),
+                                    0, 0, None))
         nodes.append({
             "busy_until": node.busy_until,
             "running": node.running,
@@ -357,6 +367,7 @@ def restore_macro(sim, payload: dict) -> None:
     for node, state in zip(sim.nodes, payload["nodes"]):
         node.busy_until = state["busy_until"]
         node.running = state["running"]
+        node.reserved = -1  # a captured heap holds every COMPLETE
         node.queues[0].clear()
         node.queues[0].extend(state["q0"])
         node.queues[1].clear()

@@ -246,3 +246,110 @@ def test_relay_conserves_messages(hops, n_nodes):
     sim.run()
     assert sim.handler_stats["relay"].invocations == hops + 1
     assert sim.messages_sent == hops + 1
+
+
+class TestClockAtExit:
+    """The engine pushes a task's COMPLETE event only when a message
+    waits for it, so the last *processed* event is no longer the last
+    completion; ``now`` and the nodes must still leave ``run`` as if
+    every completion had been an event (``inject``'s default ``at`` and
+    the snapshot read them).  Each scenario is also run on the
+    every-completion reference."""
+
+    @staticmethod
+    def _pair(n_nodes=2):
+        from .reference_engine import ReferenceSimulator
+
+        sims = (MacroSimulator(n_nodes), ReferenceSimulator(n_nodes))
+        for sim in sims:
+            sim.register("work", lambda ctx, cycles: ctx.charge(cycles=cycles))
+        return sims
+
+    def test_quiescent_now_is_the_last_completion(self):
+        for sim in self._pair():
+            sim.inject(0, "work", 100, at=0)
+            end = sim.run()
+            # Nothing waited for the task, so no event marked its end.
+            assert sim.now == end == sim.nodes[0].busy_until > 100
+            assert not sim.nodes[0].running
+
+    def test_run_inject_run(self):
+        ends = []
+        for sim in self._pair():
+            sim.inject(0, "work", 100, at=0)
+            first = sim.run()
+            sim.inject(0, "work", 10)       # default at: sim.now
+            ends.append((first, sim.run(), sim.now, sim._seq,
+                         sim.nodes[0].profile.comm))
+            # The second task starts after the first one's end, not at
+            # the first message's arrival.
+            assert ends[-1][1] > first + 10
+        assert ends[0] == ends[1]
+
+    def test_bounded_run_stops_inside_a_task(self):
+        states = []
+        for sim in self._pair():
+            sim.inject(0, "work", 100, at=0)
+            sim.inject(1, "work", 5, at=0)
+            arrival = sim._events[0][0]
+            end_time = sim.run(max_time=arrival + 50)
+            node = sim.nodes[0]
+            # Node 0's task has started and is not over; node 1's ended
+            # inside the bound, and that end is where the clock stands.
+            assert node.running and node.busy_until == end_time
+            assert end_time > arrival + 50
+            assert not sim.nodes[1].running
+            assert sim.now == sim.nodes[1].busy_until < arrival + 50
+            # A message injected now queues behind the running task.
+            sim.inject(0, "work", 1)
+            sim.run()
+            assert sim.now == sim.end_time == node.busy_until
+            states.append((end_time, sim.now, sim._seq,
+                           node.queue_high_water))
+        assert states[0] == states[1]
+
+    def test_bound_between_an_end_and_the_next_arrival(self):
+        """A completion after ``max_time`` is not processed by that run
+        even when the next heap event is later still — nor by an
+        observer polled at that event."""
+        class EveryEvent:
+            next_due = 0
+
+            def arm(self, now):
+                pass
+
+            def poll(self, target, now, run_limit):
+                pass
+
+        for sim in self._pair():
+            sim.checkpoint = EveryEvent()
+            sim.inject(0, "work", 100, at=0)
+            sim.inject(0, "work", 1, at=500)
+            arrival = sim._events[0][0]
+            sim.run(max_time=arrival + 50)
+            assert sim.now == arrival and sim.nodes[0].running
+            sim.run(max_time=arrival + 200)     # past the end, no event
+            assert sim.now == sim.nodes[0].busy_until
+            assert not sim.nodes[0].running
+
+    def test_max_events_counts_unwaited_completions(self):
+        """One event per message and one per task end, whether or not
+        the end was ever pushed: the guard trips at the same count."""
+        def relay(n_events):
+            raised = []
+            for sim in self._pair(4):
+                def hop(ctx, left, sim=sim):
+                    if left:
+                        ctx.send((ctx.node_id + 1) % 4, "hop", left - 1)
+                sim.register("hop", hop)
+                sim.inject(0, "hop", 9)
+                try:
+                    sim.run(max_events=n_events)
+                    raised.append(False)
+                except SimulationError:
+                    raised.append(True)
+            assert raised[0] == raised[1]
+            return raised[0]
+
+        # 10 messages, 10 completions.
+        assert relay(20) and not relay(21)

@@ -18,6 +18,13 @@ whose ``__dict__`` still holds a ``parallel_shards`` entry; the second
 test reproduces that payload the same way.  The backend's contract was
 "bit-identical or serial", so such a run resumes exactly on the one
 loop whatever shard count it recorded.
+
+The macro engine stopped pushing a task's COMPLETE event unless a
+message waits for it; the format did not change, so a parent-written
+macro file holds a COMPLETE for *every* running node and marks none as
+"reserved, not pushed".  The last test writes such files with the
+every-completion loop the parent ran (``tests/jsim/reference_engine``)
+and resumes them on the engine.
 """
 
 import pytest
@@ -99,3 +106,46 @@ def test_capture_with_retired_backend_keys_restores(tmp_path, specs):
     payload["config"].__dict__["parallel_shards"] = 2
     resumed = _resumes_equal(payload, reference)
     assert not hasattr(resumed, "parallel_shards")
+
+
+# ------------------------------------------------------------- macro level
+
+
+@pytest.mark.parametrize("faulty", [False, True], ids=["plain", "chaos"])
+def test_macro_capture_with_every_completion_restores(tmp_path, monkeypatch,
+                                                      faulty):
+    from repro.apps import lcs
+    from repro.jsim.sim import MacroSimulator
+    from repro.telemetry import Telemetry
+    from tests.jsim.reference_engine import ReferenceSimulator
+
+    from .test_macro_resume import N_NODES, PARAMS, _chaos, _digest
+
+    def run(**kwargs):
+        telemetry = Telemetry()
+        if faulty:
+            kwargs.update(chaos=_chaos(), reliable=True)
+        result = lcs.run_parallel(N_NODES, PARAMS, telemetry=telemetry,
+                                  **kwargs)
+        return _digest(result, telemetry)
+
+    want = run()
+    monkeypatch.setattr(lcs, "MacroSimulator", ReferenceSimulator)
+    policy = CheckpointPolicy(str(tmp_path / "old-{cycle}.ckpt"),
+                              every=want["cycles"] // 3)
+    assert run(checkpoint=policy) == want     # the oracle is the parent
+    monkeypatch.setattr(lcs, "MacroSimulator", MacroSimulator)
+
+    files = sorted(tmp_path.iterdir(),
+                   key=lambda p: int(p.stem.split("-")[1]))
+    assert len(files) >= 2
+    mid_task = 0
+    for path in files:
+        _header, payload = read_snapshot(str(path))
+        running = [i for i, node in enumerate(payload["nodes"])
+                   if node["running"]]
+        mid_task += len(running)
+        assert sorted(event[3] for event in payload["events"]
+                      if event[2] == MacroSimulator._COMPLETE) == running
+        assert run(restore_from=str(path)) == want
+    assert mid_task, "no capture caught a task running"
