@@ -10,7 +10,7 @@ Three end-to-end properties of the fabric observatory:
   off-midplane.
 * **Zero-cost-off / bit-identical-on** — the same seeded workload run
   with and without a probe attached produces byte-identical event
-  streams (``event_fingerprint``): observation never perturbs the run.
+  streams (``EventBus.fingerprint``): observation never perturbs the run.
 * **Calibration** — the flit-measured load sweep fits the macro
   model's contention scale and the fitted residuals do not regress.
 
@@ -28,7 +28,6 @@ import sys
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 sys.path.insert(0, SRC)
 
-from repro.chaos.harness import event_fingerprint  # noqa: E402
 from repro.core.message import Message  # noqa: E402
 from repro.core.registers import Priority  # noqa: E402
 from repro.core.word import Word  # noqa: E402
@@ -102,7 +101,7 @@ def _ping_fingerprint(probe: bool) -> str:
     machine = JMachine(config, telemetry=telemetry)
     run_ping(machine, 0, machine.mesh.n_nodes - 1, iterations=10,
              stop="quiescent")
-    return event_fingerprint(telemetry.events)
+    return telemetry.events.fingerprint()
 
 
 def check_digest_identical() -> None:

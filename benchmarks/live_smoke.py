@@ -69,7 +69,7 @@ def _check_monotone(frames) -> None:
 
 def _check_final_frame(run) -> None:
     final = run.sampler.latest()
-    report = run.result.sim.report()
+    report = run.result.report()
     want = dict(report.metrics)
     got = dict(final.metrics)
     # The mean sample cost is updated after each frame's snapshot (the

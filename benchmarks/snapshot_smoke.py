@@ -35,7 +35,6 @@ import time
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 sys.path.insert(0, SRC)
 
-from repro.chaos.harness import event_fingerprint  # noqa: E402
 from repro.snapshot import CheckpointPolicy  # noqa: E402
 from repro.telemetry import Telemetry  # noqa: E402
 
@@ -94,7 +93,7 @@ def _run_macro(checkpoint=None, restore_from=None):
     finally:
         if restore_from is not None:
             MacroSimulator.restore_state = original
-    return (result.cycles, event_fingerprint(telemetry.events),
+    return (result.cycles, telemetry.events.fingerprint(),
             timing.get("restore_s"))
 
 
@@ -114,7 +113,7 @@ def _run_cycle(checkpoint=None, restore_from=None):
         machine.checkpoint = checkpoint
         run_ping(machine, 0, PING_NODES - 1, iterations=PING_ITERATIONS,
                  stop="quiescent")
-    return (machine.now, event_fingerprint(machine.telemetry.events),
+    return (machine.now, machine.telemetry.events.fingerprint(),
             restore_s)
 
 

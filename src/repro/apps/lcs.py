@@ -30,7 +30,7 @@ from typing import List, Optional, Tuple
 
 from ..core.errors import ConfigurationError
 from ..jsim.sim import Context, MacroConfig, MacroSimulator
-from .base import AppResult, SequentialResult
+from .base import AppResult, SequentialResult, launch
 
 __all__ = ["LcsParams", "generate_strings", "lcs_reference",
            "run_sequential", "run_parallel", "estimate_cycles"]
@@ -183,30 +183,15 @@ def run_parallel(n_nodes: int, params: LcsParams = LcsParams(),
                  sampler=None) -> AppResult:
     """Run the systolic LCS on a macro-simulated machine and verify it.
 
-    ``chaos`` attaches a :class:`~repro.chaos.ChaosEngine` (fault
-    injection); ``reliable`` — True or a dict of
-    :class:`~repro.runtime.rpc.ReliableLayer` kwargs — adds the
-    retransmitting transport that lets the run survive message loss.
-
-    ``sampler`` attaches a :class:`~repro.telemetry.live.LiveSampler`
-    for in-run monitoring (read-only; see docs/OBSERVABILITY.md §7);
-    its progress/ETA denominator is seeded with
+    ``chaos`` / ``reliable`` / ``checkpoint`` / ``restore_from`` /
+    ``sampler`` are the rig :func:`~repro.apps.base.launch` attaches;
+    the sampler's progress/ETA denominator is seeded with
     :func:`estimate_cycles` unless the caller pinned one.
-
-    ``checkpoint`` installs a
-    :class:`~repro.snapshot.CheckpointPolicy` for periodic saves;
-    ``restore_from`` resumes from such a checkpoint instead of
-    injecting the start message — the same app setup (params, chaos
-    plan, reliable kwargs) must be passed, since macro restore loads
-    state *into* a prepared simulator (handlers are closures over the
-    app's data and cannot live in a snapshot; see docs/SNAPSHOT.md).
     """
     if n_nodes < 1:
         raise ConfigurationError("need at least one node")
     a, b = generate_strings(params)
     sim = MacroSimulator(n_nodes, config=config, telemetry=telemetry)
-    if chaos is not None:
-        chaos.attach_macro(sim)
     chunks = _chunks(a, n_nodes)
     holders = [node for node in range(n_nodes) if chunks[node]]
     last_holder = holders[-1]
@@ -257,24 +242,10 @@ def run_parallel(n_nodes: int, params: LcsParams = LcsParams(),
 
     sim.register("NxtChar", nxt_char)
     sim.register("StartUp", start_up)
-    layer = None
-    if reliable:
-        from ..runtime.rpc import ReliableLayer
-
-        kwargs = reliable if isinstance(reliable, dict) else {}
-        layer = ReliableLayer(sim, **kwargs)
-    sim.checkpoint = checkpoint
-    if sampler is not None:
-        sampler.attach(sim)
-        if sampler.run_limit is None:
-            # Quiescence-driven run: seed the progress/ETA denominator
-            # with the analytic estimate (display-only, never gates).
-            sampler.run_limit = estimate_cycles(n_nodes, params, config)
-    if restore_from is not None:
-        sim.restore_state(restore_from)
-    else:
-        sim.inject(0, "StartUp", 0)
-    cycles = sim.run()
+    run = launch("lcs", sim, lambda: sim.inject(0, "StartUp", 0),
+                 chaos=chaos, reliable=reliable, checkpoint=checkpoint,
+                 restore_from=restore_from, sampler=sampler,
+                 run_limit=estimate_cycles(n_nodes, params, config))
 
     result = sim.nodes[last_holder].state["result"]
     expected = lcs_reference(a, b)
@@ -282,16 +253,6 @@ def run_parallel(n_nodes: int, params: LcsParams = LcsParams(),
         raise ConfigurationError(
             f"LCS mismatch: systolic={result}, reference={expected}"
         )
-    extra = {"a_len": params.a_len, "b_len": params.b_len}
-    if layer is not None:
-        extra["reliable"] = layer.stats()
-    return AppResult(
-        name="lcs",
-        n_nodes=n_nodes,
-        cycles=cycles,
-        output=result,
-        handler_stats=dict(sim.handler_stats),
-        breakdown=sim.breakdown(),
-        sim=sim,
-        extra=extra,
-    )
+    run.output = result
+    run.extra.update(a_len=params.a_len, b_len=params.b_len)
+    return run

@@ -23,7 +23,7 @@ from typing import List, Optional, Tuple
 
 from ..core.errors import ConfigurationError
 from ..jsim.sim import Context, MacroConfig, MacroSimulator
-from .base import AppResult, SequentialResult
+from .base import AppResult, SequentialResult, launch
 
 __all__ = ["NQueensParams", "solve_count", "expand_boards",
            "run_sequential", "run_parallel"]
@@ -114,24 +114,17 @@ def run_parallel(
 ) -> AppResult:
     """Breadth-first expansion, static spread, depth-first tasks.
 
-    ``chaos`` attaches a :class:`~repro.chaos.ChaosEngine`;
-    ``reliable`` — True or a dict of
-    :class:`~repro.runtime.rpc.ReliableLayer` kwargs — adds the
-    retransmitting transport (the result collection's ``outstanding``
-    countdown needs its exactly-once dispatch to survive message loss).
-
-    ``checkpoint``/``restore_from``/``sampler`` work exactly as in
-    :func:`repro.apps.lcs.run_parallel`: periodic saves, resume from a
-    save (the same app setup must be passed — macro restore loads state
-    *into* a prepared simulator), and read-only in-run sampling.
+    ``chaos`` / ``reliable`` / ``checkpoint`` / ``restore_from`` /
+    ``sampler`` are the rig :func:`~repro.apps.base.launch` attaches
+    (the result collection's ``outstanding`` countdown needs the
+    reliable transport's exactly-once dispatch to survive message
+    loss).
     """
     if n_nodes < 1:
         raise ConfigurationError("need at least one node")
     n = params.n
     depth = choose_depth(n, n_nodes, params.tasks_per_node)
     sim = MacroSimulator(n_nodes, config=config, telemetry=telemetry)
-    if chaos is not None:
-        chaos.attach_macro(sim)
 
     master_state = sim.nodes[0].state
     master_state["solutions"] = 0
@@ -180,20 +173,9 @@ def run_parallel(
     sim.register("NQStart", start)
     sim.register("NQueens", nqueens)
     sim.register("NQDone", nq_done)
-    layer = None
-    if reliable:
-        from ..runtime.rpc import ReliableLayer
-
-        kwargs = reliable if isinstance(reliable, dict) else {}
-        layer = ReliableLayer(sim, **kwargs)
-    sim.checkpoint = checkpoint
-    if sampler is not None:
-        sampler.attach(sim)
-    if restore_from is not None:
-        sim.restore_state(restore_from)
-    else:
-        sim.inject(0, "NQStart")
-    cycles = sim.run()
+    run = launch("nqueens", sim, lambda: sim.inject(0, "NQStart"),
+                 chaos=chaos, reliable=reliable, checkpoint=checkpoint,
+                 restore_from=restore_from, sampler=sampler)
 
     solutions = master_state["solutions"]
     expected = KNOWN_COUNTS.get(n)
@@ -203,16 +185,6 @@ def run_parallel(
         )
     if not master_state["done"]:
         raise ConfigurationError("N-Queens did not collect all results")
-    extra = {"n": n, "bf_depth": depth}
-    if layer is not None:
-        extra["reliable"] = layer.stats()
-    return AppResult(
-        name="nqueens",
-        n_nodes=n_nodes,
-        cycles=cycles,
-        output=solutions,
-        handler_stats=dict(sim.handler_stats),
-        breakdown=sim.breakdown(),
-        sim=sim,
-        extra=extra,
-    )
+    run.output = solutions
+    run.extra.update(n=n, bf_depth=depth)
+    return run

@@ -32,7 +32,7 @@ from typing import List, Optional
 from ..core.errors import ConfigurationError
 from ..jsim.collectives import binomial_children, binomial_parent
 from ..jsim.sim import Context, MacroConfig, MacroSimulator
-from .base import AppResult, SequentialResult
+from .base import AppResult, SequentialResult, launch
 
 __all__ = ["RadixParams", "generate_keys", "run_sequential", "run_parallel"]
 
@@ -384,9 +384,11 @@ def run_parallel(n_nodes: int, params: RadixParams = RadixParams(),
         state["iter_complete"] = False
         state["done_sent"] = False
 
-    for node in range(n_nodes):
-        sim.inject(node, "Sort", length=8)
-    cycles = sim.run()
+    def start() -> None:
+        for node in range(n_nodes):
+            sim.inject(node, "Sort", length=8)
+
+    run = launch("radix_sort", sim, start)
 
     gathered: List[int] = []
     for node in range(n_nodes):
@@ -397,13 +399,6 @@ def run_parallel(n_nodes: int, params: RadixParams = RadixParams(),
     if gathered != sorted(keys):
         raise ConfigurationError("radix sort produced a wrong ordering")
 
-    return AppResult(
-        name="radix_sort",
-        n_nodes=n_nodes,
-        cycles=cycles,
-        output=gathered,
-        handler_stats=dict(sim.handler_stats),
-        breakdown=sim.breakdown(),
-        sim=sim,
-        extra={"n_keys": params.n_keys, "digits": n_digits},
-    )
+    run.output = gathered
+    run.extra.update(n_keys=params.n_keys, digits=n_digits)
+    return run

@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.errors import ConfigurationError
 from ..jsim.sim import Context, MacroConfig, MacroSimulator
-from .base import AppResult, SequentialResult
+from .base import AppResult, SequentialResult, launch
 
 __all__ = ["TspParams", "build_distances", "held_karp", "run_sequential",
            "run_parallel"]
@@ -389,9 +389,11 @@ def run_parallel(n_nodes: int, params: TspParams = TspParams(),
     sim.register("TSPTaskDone", task_done)
     sim.register("TSPStop", stop)
 
-    for node in range(n_nodes):
-        sim.inject(node, "TSPKick")
-    cycles = sim.run()
+    def start() -> None:
+        for node in range(n_nodes):
+            sim.inject(node, "TSPKick")
+
+    run = launch("tsp", sim, start)
 
     best = min(sim.nodes[node].state["best"] for node in range(n_nodes))
     expected = held_karp(dist)
@@ -403,22 +405,15 @@ def run_parallel(n_nodes: int, params: TspParams = TspParams(),
     user_stats = {k: v for k, v in sim.handler_stats.items() if k in user_handlers}
     os_stats = {k: v for k, v in sim.handler_stats.items() if k not in user_handlers}
     profile = sim.aggregate_profile()
-    return AppResult(
-        name="tsp",
-        n_nodes=n_nodes,
-        cycles=cycles,
-        output=best,
-        handler_stats=dict(sim.handler_stats),
-        breakdown=sim.breakdown(),
-        sim=sim,
-        extra={
-            "n_cities": n,
-            "tasks": len(tasks),
-            "user_threads": sum(s.invocations for s in user_stats.values()),
-            "os_threads": sum(s.invocations for s in os_stats.values()),
-            "user_instructions": sum(s.instructions for s in user_stats.values()),
-            "os_instructions": sum(s.instructions for s in os_stats.values()),
-            "xlates": profile.xlate_count,
-            "xlate_faults": profile.xlate_faults,
-        },
+    run.output = best
+    run.extra.update(
+        n_cities=n,
+        tasks=len(tasks),
+        user_threads=sum(s.invocations for s in user_stats.values()),
+        os_threads=sum(s.invocations for s in os_stats.values()),
+        user_instructions=sum(s.instructions for s in user_stats.values()),
+        os_instructions=sum(s.instructions for s in os_stats.values()),
+        xlates=profile.xlate_count,
+        xlate_faults=profile.xlate_faults,
     )
+    return run

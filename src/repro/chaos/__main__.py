@@ -98,8 +98,9 @@ def main(argv=None) -> int:
     replay.add_argument("plan", help="path to a FaultPlan JSON file")
     replay.add_argument("--app", choices=APPS, default="lcs")
     replay.add_argument("--nodes", type=int, default=8)
-    replay.add_argument("--scale", type=float, default=0.02,
-                        help="LCS problem scale (fraction of the paper's)")
+    replay.add_argument("--scale", type=float, default=None,
+                        help="LCS problem scale (fraction of the paper's; "
+                             "default: the catalogue's)")
     replay.add_argument("--twice", action="store_true",
                         help="replay twice and verify identical event "
                              "streams")

@@ -27,6 +27,8 @@ import urllib.error
 import urllib.request
 from typing import Any, Dict, List, Optional
 
+from .spec import APPS
+
 
 def _post(url: str, path: str, body: Dict[str, Any],
           timeout: float = 120.0) -> Dict[str, Any]:
@@ -239,8 +241,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     submit = sub.add_parser("submit", help="submit one job")
     _client_args(submit)
-    submit.add_argument("--app", required=True,
-                        choices=("lcs", "nqueens", "ping"))
+    submit.add_argument("--app", required=True, choices=APPS)
     submit.add_argument("--nodes", type=int, default=8,
                         help="machine size (default: 8)")
     submit.add_argument("--param", action="append", default=[],

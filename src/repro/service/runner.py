@@ -23,7 +23,8 @@ from __future__ import annotations
 import os
 from typing import Any, Dict, Optional
 
-from ..chaos.harness import event_fingerprint
+from ..apps.scenario import run_scenario
+from ..chaos import ChaosEngine, FaultPlan
 from ..snapshot import CheckpointPolicy, read_header
 from ..telemetry import Telemetry
 from .spec import JobSpec
@@ -34,15 +35,6 @@ __all__ = ["execute_job", "checkpoint_path"]
 def checkpoint_path(workdir: str, digest: str) -> str:
     """Where a job's (single, overwrite-in-place) checkpoint lives."""
     return os.path.join(workdir, "ckpt", f"{digest}.ckpt")
-
-
-def _chaos_engine(spec: JobSpec):
-    if spec.plan is None:
-        return None
-    from ..chaos.engine import ChaosEngine
-    from ..chaos.plan import FaultPlan
-
-    return ChaosEngine(FaultPlan.from_dict(spec.plan))
 
 
 def _resume_point(ckpt: Optional[str]) -> Optional[int]:
@@ -67,88 +59,31 @@ def execute_job(spec: JobSpec, ckpt_path: Optional[str] = None,
         os.makedirs(os.path.dirname(ckpt_path), exist_ok=True)
         policy = CheckpointPolicy(ckpt_path, every=spec.checkpoint_every,
                                   meta={"job": spec.digest})
-    telemetry = Telemetry()
-    if spec.app in ("lcs", "nqueens"):
-        result = _run_macro(spec, telemetry, policy,
-                            resumed_from, ckpt_path, sampler)
-    else:
-        result = _run_ping(spec, telemetry, policy,
-                           resumed_from, ckpt_path, sampler)
-    result.update({
+    chaos = None
+    if spec.plan is not None:
+        chaos = ChaosEngine(FaultPlan.from_dict(spec.plan))
+    run = run_scenario(
+        spec.app, spec.n_nodes, spec.params, telemetry=Telemetry(),
+        chaos=chaos, reliable=spec.reliable, checkpoint=policy,
+        restore_from=ckpt_path if resumed_from is not None else None,
+        sampler=sampler)
+    events = run.target.telemetry.events
+    result: Dict[str, Any] = {
+        "cycles": run.cycles,
+        "output": run.output,
+        "fingerprint": events.fingerprint(),
+        "n_events": len(events),
         "digest": spec.digest,
         "app": spec.app,
         "n_nodes": spec.n_nodes,
         "resumed_from": resumed_from or 0,
         "checkpoint_saves": policy.saves if policy is not None else 0,
-    })
+    }
+    if "reliable" in run.extra:
+        result["reliable"] = run.extra["reliable"]
+    if chaos is not None:
+        result["chaos"] = chaos.summary()
     if ckpt_path is not None and os.path.exists(ckpt_path):
         # The job is done; its recovery point is garbage now.
         os.unlink(ckpt_path)
     return result
-
-
-def _run_macro(spec: JobSpec, telemetry, policy, resumed_from,
-               ckpt_path, sampler) -> Dict[str, Any]:
-    chaos = _chaos_engine(spec)
-    restore = ckpt_path if resumed_from is not None else None
-    # spec.reliable normalizes "default transport" to {} — run_parallel
-    # spells that True, and no-transport None.
-    reliable = (spec.reliable or True) if spec.reliable is not False else None
-    if spec.app == "lcs":
-        from ..apps.lcs import LcsParams, run_parallel
-
-        params = LcsParams(seed=spec.params["seed"]).scaled(
-            spec.params["scale"])
-        app_result = run_parallel(spec.n_nodes, params,
-                                  telemetry=telemetry, chaos=chaos,
-                                  reliable=reliable,
-                                  checkpoint=policy,
-                                  restore_from=restore, sampler=sampler)
-    else:
-        from ..apps.nqueens import NQueensParams, run_parallel
-
-        params = NQueensParams(n=spec.params["n"],
-                               tasks_per_node=spec.params["tasks_per_node"])
-        app_result = run_parallel(spec.n_nodes, params,
-                                  telemetry=telemetry, chaos=chaos,
-                                  reliable=reliable,
-                                  checkpoint=policy,
-                                  restore_from=restore, sampler=sampler)
-    out: Dict[str, Any] = {
-        "cycles": app_result.cycles,
-        "output": app_result.output,
-        "fingerprint": event_fingerprint(telemetry.events),
-        "n_events": len(telemetry.events),
-    }
-    if "reliable" in app_result.extra:
-        out["reliable"] = app_result.extra["reliable"]
-    if chaos is not None:
-        out["chaos"] = chaos.summary()
-    return out
-
-
-def _run_ping(spec: JobSpec, telemetry, policy, resumed_from,
-              ckpt_path, sampler) -> Dict[str, Any]:
-    from ..machine.jmachine import JMachine
-
-    if resumed_from is not None:
-        machine = JMachine.restore(ckpt_path)
-        machine.checkpoint = policy  # keep saving on the resumed leg
-        if sampler is not None:
-            sampler.attach(machine)
-        machine.run_until_quiescent()
-    else:
-        machine = JMachine.build(spec.n_nodes, telemetry=telemetry)
-        machine.checkpoint = policy
-        if sampler is not None:
-            sampler.attach(machine)
-        from ..runtime.rpc import run_ping
-
-        run_ping(machine, 0, spec.n_nodes - 1,
-                 iterations=spec.params["iterations"], stop="quiescent")
-    return {
-        "cycles": machine.now,
-        "output": {"final_cycle": machine.now},
-        "fingerprint": event_fingerprint(machine.telemetry.events),
-        "n_events": len(machine.telemetry.events),
-    }

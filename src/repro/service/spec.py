@@ -14,8 +14,9 @@ Canonicalization rules (pinned by tests/service/test_spec.py):
   in, so ``{"app": "lcs"}`` and ``{"app": "lcs", "plan": null}`` hash
   identically;
 * keys are sorted, separators are minimal, NaN/Inf are rejected;
-* numeric fields are coerced through a per-field schema (``1`` and
-  ``1.0`` for a float field serialize identically);
+* numeric fields are coerced through the catalogue's per-app schema
+  (:mod:`repro.apps.scenario`; ``1`` and ``1.0`` for a float field
+  serialize identically);
 * fault plans are normalized through
   :meth:`~repro.chaos.plan.FaultPlan.to_dict`, which drops
   defaulted-out fields, so equivalent plans hash equal;
@@ -36,23 +37,17 @@ import hashlib
 import json
 from typing import Any, Dict, Optional
 
+from ..apps.scenario import CATALOGUE, validate
 from ..core.errors import ConfigurationError
 
 __all__ = ["APPS", "SPEC_VERSION", "JobSpec"]
 
-#: Applications the service knows how to execute (see runner.py).
-APPS = ("lcs", "nqueens", "ping")
+#: Applications the service knows how to execute: the catalogue's.
+APPS = tuple(CATALOGUE)
 
 #: Bumped when the meaning of a spec field changes; part of the digest,
 #: so results cached under an older semantics can never be served.
 SPEC_VERSION = 1
-
-#: Per-app parameter schema: name -> (coercion type, default).
-_PARAM_SCHEMA: Dict[str, Dict[str, tuple]] = {
-    "lcs": {"scale": (float, 0.02), "seed": (int, 20130501)},
-    "nqueens": {"n": (int, 8), "tasks_per_node": (int, 4)},
-    "ping": {"iterations": (int, 50)},
-}
 
 #: Execution hints: carried, defaulted, never hashed.
 _HINT_SCHEMA: Dict[str, tuple] = {
@@ -78,23 +73,12 @@ class JobSpec:
                  reliable: Any = None,
                  checkpoint_every: Optional[int] = None,
                  sample_every: Optional[int] = None) -> None:
-        if app not in APPS:
-            raise ConfigurationError(
-                f"unknown service app {app!r}; expected one of {APPS}")
+        self.params = validate(app, params, chaos=plan, reliable=reliable)
         if not isinstance(n_nodes, int) or n_nodes < 1:
             raise ConfigurationError(
                 f"n_nodes must be a positive int, got {n_nodes!r}")
         self.app = app
         self.n_nodes = n_nodes
-        schema = _PARAM_SCHEMA[app]
-        params = dict(params or {})
-        unknown = set(params) - set(schema)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown {app} params {sorted(unknown)}; "
-                f"expected a subset of {sorted(schema)}")
-        self.params = {name: kind(params.get(name, default))
-                       for name, (kind, default) in schema.items()}
         if plan is not None:
             from ..chaos.plan import FaultPlan
 
@@ -113,11 +97,6 @@ class JobSpec:
             raise ConfigurationError(
                 f"reliable must be a bool or a kwargs dict, "
                 f"got {reliable!r}")
-        if self.plan is not None and self.app == "ping":
-            raise ConfigurationError(
-                "ping is a cycle-level job; macro fault plans do not "
-                "apply (chaos at cycle level needs scheduled specs the "
-                "service does not forward yet)")
         hints = {"checkpoint_every": checkpoint_every,
                  "sample_every": sample_every}
         for name, (kind, default) in _HINT_SCHEMA.items():

@@ -266,7 +266,15 @@ class Supervisor:
             if message["type"] == "result":
                 result = message["result"]
                 self.queue.complete(job, result)
-                self.cache.put(digest, result, spec=job.spec.to_dict())
+                try:
+                    self.cache.put(digest, result, spec=job.spec.to_dict())
+                except OSError as exc:
+                    # Served from the job record all the same; only a
+                    # resubmission after restart recomputes it.  Must
+                    # not reach _read_loop, which reads OSError as a
+                    # dead pipe and would abandon this live worker.
+                    logger.warning("job %s: result not cached (%s)",
+                                   digest[:8], exc)
                 logger.info("job %s done on worker %d (%s cycles)",
                             digest[:8], handle.wid, result.get("cycles"))
             else:

@@ -3,8 +3,9 @@
 Commands:
 
 * ``info <path>`` — print a snapshot's header without unpickling it;
-* ``save`` — run a built-in scenario with periodic checkpointing
-  (``--scenario ping`` is cycle-level, ``--scenario lcs`` macro-level);
+* ``save`` — run a catalogue entry (:mod:`repro.apps.scenario`) with
+  periodic checkpointing; the header records ``scenario``, ``n_nodes``
+  and ``params`` so ``resume`` can rebuild a macro-level run;
 * ``resume <path>`` — restore and run to completion, printing the final
   cycle and the sha256 telemetry event-stream digest (compare it with
   an uninterrupted run's to verify bit-identity);
@@ -19,19 +20,22 @@ import argparse
 import json
 import sys
 
+from ..apps.scenario import CATALOGUE, run_scenario, validate
 from ..core.errors import SimulationError
+from ..telemetry import Telemetry
 from . import (CheckpointPolicy, bisect_deadlock, load_machine, read_header)
 
-_PING_ITERATIONS = 50
-_LCS_NODES = 16
+#: The instances ``save`` runs where the catalogue default is not the
+#: one wanted: LCS at the paper's 1024 x 4096.  Also what ``resume``
+#: assumes for a header without ``params`` (files written before the
+#: header carried them).
+_CLI_PARAMS = {"lcs": {"scale": 1.0}}
 
 
 def _digest(telemetry) -> str:
-    from ..chaos.harness import event_fingerprint
-
     if telemetry is None or telemetry.events is None:
         return "(no telemetry)"
-    return event_fingerprint(telemetry.events)
+    return telemetry.events.fingerprint()
 
 
 def _cmd_info(args) -> int:
@@ -40,41 +44,17 @@ def _cmd_info(args) -> int:
     return 0
 
 
-def _save_ping(args) -> int:
-    from ..machine.jmachine import JMachine
-    from ..runtime.rpc import run_ping
-    from ..telemetry import Telemetry
-
-    machine = JMachine.build(args.nodes, telemetry=Telemetry())
-    machine.checkpoint = CheckpointPolicy(args.out, every=args.every)
-    result = run_ping(machine, 0, args.nodes - 1,
-                      iterations=_PING_ITERATIONS, stop="quiescent")
-    print(f"ping ran to t={machine.now} "
-          f"(avg round-trip {result.round_trip_cycles:.0f} cycles); "
-          f"{machine.checkpoint.saves} checkpoint(s), "
-          f"last: {machine.checkpoint.last_path}")
-    print(f"final digest: {_digest(machine.telemetry)}")
-    return 0
-
-
-def _save_lcs(args) -> int:
-    from ..apps.lcs import run_parallel
-    from ..telemetry import Telemetry
-
-    policy = CheckpointPolicy(args.out, every=args.every,
-                              meta={"scenario": "lcs"})
-    telemetry = Telemetry()
-    result = run_parallel(args.nodes, telemetry=telemetry, checkpoint=policy)
-    print(f"lcs ran to t={result.cycles} (answer {result.output}); "
-          f"{policy.saves} checkpoint(s), last: {policy.last_path}")
-    print(f"final digest: {_digest(telemetry)}")
-    return 0
-
-
 def _cmd_save(args) -> int:
-    if args.scenario == "ping":
-        return _save_ping(args)
-    return _save_lcs(args)
+    params = validate(args.scenario, _CLI_PARAMS.get(args.scenario))
+    policy = CheckpointPolicy(
+        args.out, every=args.every,
+        meta={"scenario": args.scenario, "params": params})
+    run = run_scenario(args.scenario, args.nodes, params,
+                       telemetry=Telemetry(), checkpoint=policy)
+    print(f"{args.scenario} ran to t={run.cycles} (output {run.output}); "
+          f"{policy.saves} checkpoint(s), last: {policy.last_path}")
+    print(f"final digest: {_digest(run.target.telemetry)}")
+    return 0
 
 
 def _cmd_resume(args) -> int:
@@ -92,23 +72,21 @@ def _cmd_resume(args) -> int:
         print(f"final digest: {_digest(machine.telemetry)}")
         return 0
     # Macro snapshots restore *into* a prepared app (handlers are
-    # closures; see docs/SNAPSHOT.md), so resume only works for
-    # scenarios this CLI can rebuild — currently the LCS app.
+    # closures; see docs/SNAPSHOT.md), so resume rebuilds the run the
+    # header names.
     scenario = meta.get("scenario")
-    if scenario != "lcs":
+    if scenario not in CATALOGUE:
         raise SimulationError(
             f"cannot resume a macro snapshot for scenario {scenario!r}; "
             "re-run your application with restore_from=, or use "
-            "`save --scenario lcs` checkpoints")
-    from ..apps.lcs import run_parallel
-    from ..telemetry import Telemetry
-
-    telemetry = Telemetry()
-    result = run_parallel(meta["n_nodes"], telemetry=telemetry,
-                          restore_from=args.path)
-    print(f"resumed t={meta.get('now')} -> t={result.cycles} "
-          f"(answer {result.output})")
-    print(f"final digest: {_digest(telemetry)}")
+            f"`save --scenario` checkpoints ({', '.join(CATALOGUE)})")
+    run = run_scenario(
+        scenario, meta["n_nodes"],
+        meta.get("params", _CLI_PARAMS.get(scenario, {})),
+        telemetry=Telemetry(), restore_from=args.path)
+    print(f"resumed t={meta.get('now')} -> t={run.cycles} "
+          f"(output {run.output})")
+    print(f"final digest: {_digest(run.target.telemetry)}")
     return 0
 
 
@@ -162,12 +140,12 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("save",
                        help="run a built-in scenario with checkpointing")
-    p.add_argument("--scenario", choices=("ping", "lcs"), default="ping")
+    p.add_argument("--scenario", choices=tuple(CATALOGUE), default="ping")
     p.add_argument("--out", default="snapshot_{cycle}.ckpt",
                    help="checkpoint path; {cycle} expands per save")
     p.add_argument("--every", type=int, default=10_000,
                    help="checkpoint interval in simulated cycles")
-    p.add_argument("--nodes", type=int, default=None)
+    p.add_argument("--nodes", type=int, default=16)
     p.set_defaults(fn=_cmd_save)
 
     p = sub.add_parser("resume", help="restore and run to completion")
@@ -189,8 +167,6 @@ def main(argv=None) -> int:
     p.set_defaults(fn=_cmd_bisect)
 
     args = parser.parse_args(argv)
-    if args.command == "save" and args.nodes is None:
-        args.nodes = _LCS_NODES
     try:
         return args.fn(args)
     except (SimulationError, OSError) as exc:

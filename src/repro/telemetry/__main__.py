@@ -287,8 +287,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="dump the FabricReport as JSON")
     fabric.set_defaults(fn=_cmd_fabric)
 
+    from .demo import WORKLOADS
+
     def _live_args(sub_parser):
-        sub_parser.add_argument("--workload", choices=("lcs", "ping"),
+        sub_parser.add_argument("--workload", choices=WORKLOADS,
                                 default="lcs",
                                 help="demo workload to run (default: lcs)")
         sub_parser.add_argument("--nodes", type=int, default=64,

@@ -1,14 +1,14 @@
 """Sampled demo workloads behind ``repro.telemetry serve`` / ``watch``.
 
 Both CLI surfaces need a running simulation to observe; this module
-provides two — the systolic LCS app on the macro level (the paper's
-Figure-5 workload; scalable to its real size with ``--scale 1``) and
-the cycle-level RPC ring ping — each started on a background thread
-with a :class:`~repro.telemetry.live.LiveSampler` attached, so the
-serving/rendering thread has a live frame ring to read while the
-simulation makes progress.  A final forced sample on completion makes
-the last frame equal the finished run's ``report()`` (the live-smoke
-gate asserts exactly this).
+runs any entry of the catalogue (:mod:`repro.apps.scenario`) — the
+systolic LCS app on the macro level is the default (the paper's
+Figure-5 workload; scalable to its real size with ``--scale 1``) — on
+a background thread with a :class:`~repro.telemetry.live.LiveSampler`
+attached, so the serving/rendering thread has a live frame ring to
+read while the simulation makes progress.  A final forced sample on
+completion makes the last frame equal the finished run's ``report()``
+(the live-smoke gate asserts exactly this).
 """
 
 from __future__ import annotations
@@ -16,12 +16,20 @@ from __future__ import annotations
 import threading
 from typing import Optional
 
+from ..apps.scenario import CATALOGUE, run_scenario
 from . import Telemetry
 from .live import LiveSampler, SamplePolicy
 
 __all__ = ["DemoRun", "start_demo", "WORKLOADS"]
 
-WORKLOADS = ("lcs", "ping")
+WORKLOADS = tuple(CATALOGUE)
+
+#: How the demo's one ``--scale`` knob maps onto an entry's params;
+#: an entry not listed runs at the catalogue's defaults.
+_SCALED = {
+    "lcs": lambda scale: {"scale": scale},
+    "ping": lambda scale: {"iterations": max(1, int(200 * scale))},
+}
 
 
 class DemoRun:
@@ -29,6 +37,7 @@ class DemoRun:
 
     def __init__(self, sampler: LiveSampler) -> None:
         self.sampler = sampler
+        #: The finished ``MacroSimulator`` / ``JMachine``.
         self.result = None
         self.error: Optional[BaseException] = None
         self._thread: Optional[threading.Thread] = None
@@ -43,33 +52,6 @@ class DemoRun:
             raise self.error
 
 
-def _lcs_job(run: DemoRun, n_nodes: int, scale: float) -> None:
-    from ..apps.lcs import LcsParams, run_parallel
-
-    params = LcsParams().scaled(scale) if scale != 1.0 else LcsParams()
-    run.result = run_parallel(n_nodes, params, telemetry=Telemetry(),
-                              sampler=run.sampler)
-    # Final frame at the end state: equals a subsequent report().
-    sim = run.result.sim
-    run.sampler.sample(sim, sim.end_time)
-
-
-def _ping_job(run: DemoRun, n_nodes: int, scale: float) -> None:
-    from ..machine.jmachine import JMachine
-    from ..runtime.rpc import run_ping
-
-    machine = JMachine.build(n_nodes, telemetry=Telemetry())
-    run.sampler.attach(machine)
-    iterations = max(1, int(200 * scale))
-    run_ping(machine, 0, n_nodes - 1, iterations=iterations,
-             stop="quiescent")
-    run.result = machine
-    run.sampler.sample(machine, machine.now)
-
-
-_JOBS = {"lcs": _lcs_job, "ping": _ping_job}
-
-
 def start_demo(workload: str = "lcs", n_nodes: int = 64,
                scale: float = 0.25,
                every_cycles: Optional[int] = None,
@@ -81,7 +63,7 @@ def start_demo(workload: str = "lcs", n_nodes: int = 64,
     dashboard refreshes steadily regardless of simulation speed; pass
     ``every_cycles`` for deterministic frame times instead.
     """
-    if workload not in _JOBS:
+    if workload not in WORKLOADS:
         raise ValueError(f"unknown demo workload {workload!r}; "
                          f"choose from {WORKLOADS}")
     policy = SamplePolicy(every_cycles=every_cycles,
@@ -90,7 +72,13 @@ def start_demo(workload: str = "lcs", n_nodes: int = 64,
 
     def guarded():
         try:
-            _JOBS[workload](run, n_nodes, scale)
+            params = _SCALED.get(workload, lambda scale: {})(scale)
+            finished = run_scenario(workload, n_nodes, params,
+                                    telemetry=Telemetry(),
+                                    sampler=run.sampler)
+            # Final frame at the end state: equals a subsequent report().
+            run.sampler.sample(finished.target, finished.cycles)
+            run.result = finished.target
         except BaseException as exc:  # surfaced by join()
             run.error = exc
 

@@ -25,6 +25,7 @@ instruction.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import warnings
 from typing import Any, Dict, Iterator, List, Optional, Tuple
@@ -132,6 +133,17 @@ class EventBus:
     def clear(self) -> None:
         self.events.clear()
         self.dropped = 0
+
+    def fingerprint(self) -> str:
+        """A stable sha256 of the full stream, in emission order: the
+        determinism contract (same seed, plan and workload, same
+        events) reduced to a string comparison."""
+        digest = hashlib.sha256()
+        for ts, kind, node, priority, name, dur, args in self.events:
+            payload = (ts, kind, node, priority, name, dur,
+                       tuple(sorted(args.items())) if args else None)
+            digest.update(repr(payload).encode())
+        return digest.hexdigest()
 
     # -- JSONL ---------------------------------------------------------------
 

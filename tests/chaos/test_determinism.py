@@ -4,7 +4,7 @@ import pytest
 
 from repro.asm.assembler import assemble
 from repro.chaos import ChaosEngine, FaultPlan, FaultSpec
-from repro.chaos.harness import APPS, event_fingerprint, run_app_under_plan
+from repro.chaos.harness import APPS, run_app_under_plan
 from repro.core.registers import Priority
 from repro.core.word import Word
 from repro.machine.jmachine import JMachine
@@ -38,7 +38,7 @@ def _cycle_run(plan, n=8, echoes=6):
         machine.inject(i, program.entry("echo"),
                        [Word.from_int(0), Word.from_int(100 + i)], source=0)
     machine.run(max_cycles=200_000)
-    return event_fingerprint(telemetry.events), engine
+    return telemetry.events.fingerprint(), engine
 
 
 LOSSY = FaultPlan(seed=77, specs=(

@@ -18,7 +18,6 @@ not optimise them.
 import heapq
 from typing import Optional
 
-from repro.chaos.harness import event_fingerprint
 from repro.core.errors import SimulationError
 from repro.core.hooks import RunHooks
 from repro.jsim.sim import Context, MacroSimulator, SimNode
@@ -35,7 +34,7 @@ def observable_state(sim: MacroSimulator) -> dict:
     tree = capture_macro(sim)
     tree["events"] = sorted(tree["events"], key=lambda event: event[:2])
     if tree.pop("telemetry") is not None:
-        tree["event_stream_sha256"] = event_fingerprint(sim.telemetry.events)
+        tree["event_stream_sha256"] = sim.telemetry.events.fingerprint()
     return tree
 
 

@@ -12,7 +12,6 @@ to a string comparison, exactly like the chaos determinism suite.
 import pytest
 
 from repro.chaos import ChaosEngine, FaultPlan, FaultSpec
-from repro.chaos.harness import event_fingerprint
 from repro.core.errors import ConfigurationError
 from repro.jsim.sim import MacroSimulator
 from repro.runtime.futures import FuturePool
@@ -71,7 +70,7 @@ def _lossy_run(jitter, seed=5):
     sim.run()
     got = sorted(v for node in sim.nodes for v in node.state.get("got", []))
     assert got == list(range(16))  # exactly-once survived the jitter
-    return event_fingerprint(telemetry.events), layer.retries
+    return telemetry.events.fingerprint(), layer.retries
 
 
 class TestReliableJitterDeterminism:

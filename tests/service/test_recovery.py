@@ -41,7 +41,10 @@ def test_sigkill_mid_job_recovers_with_equal_digest(tmp_path):
     assert reference["resumed_from"] == 0
 
     workdir = str(tmp_path / "work")
-    config = ServiceConfig(workdir=workdir, workers=1, heartbeat_s=0.05,
+    # The resumed leg is ~40 ms of simulation (plus, on a cold worker,
+    # however long importing the app takes): the heartbeat period must
+    # be well under that for a sample frame to be relayed at all.
+    config = ServiceConfig(workdir=workdir, workers=1, heartbeat_s=0.01,
                            lease_timeout_s=1.5, backoff_s=0.05)
     supervisor = Supervisor(config, sampler=LiveSampler()).start()
     try:

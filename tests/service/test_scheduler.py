@@ -16,7 +16,9 @@ wait.
 """
 
 import ast
+import errno
 import json
+import os
 import pathlib
 import queue as stdlib_queue
 import sys
@@ -250,6 +252,44 @@ class TestEventDispatch:
         job = supervisor.queue.jobs[_spec().digest]
         assert (job.state, job.requeues) == ("queued", 1)
         assert supervisor.respawns == 1
+
+    def test_a_full_disk_at_cache_put_does_not_orphan_the_worker(
+            self, tmp_path, monkeypatch, caplog):
+        """ROADMAP 6c: an ``OSError`` from the cache write used to end
+        ``_read_loop`` as if the pipe had died — the live worker was
+        never read again and the job it finished dispatched nothing."""
+        supervisor = _fleet(tmp_path, workers=1, clock=FakeClock())
+        handle = supervisor.workers[0]
+        read_fd, write_fd = os.pipe()
+        handle.proc.stdout = os.fdopen(read_fd, encoding="utf-8")
+        handle.reader = threading.Thread(target=supervisor._read_loop,
+                                         args=(handle,), daemon=True)
+        handle.reader.start()
+
+        def full_disk(*args, **kwargs):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(supervisor.cache, "put", full_disk)
+        first, second = _spec(0), _spec(1)
+        with os.fdopen(write_fd, "w", encoding="utf-8") as pipe:
+            _ready(supervisor)
+            supervisor.submit(first)
+            supervisor.submit(second)
+            with caplog.at_level("WARNING", logger="repro.service"):
+                pipe.write(json.dumps({
+                    "type": "result", "job": first.digest, "exec_s": 0.004,
+                    "result": {"cycles": 7, "fingerprint": "f" * 64}}) + "\n")
+                pipe.flush()
+                record, _pending = supervisor.wait_job(first.digest, 5.0)
+                assert record["state"] == "done"
+            assert "not cached" in caplog.text
+            assert handle.jobs_sent() == [first.to_dict(), second.to_dict()]
+            assert supervisor.queue.jobs[second.digest].worker == handle.wid
+            assert handle.reader.is_alive()
+            assert supervisor.workers == {handle.wid: handle}
+            assert supervisor.respawns == 0
+        handle.reader.join(5.0)  # EOF: the pipe's own exit path still works
+        assert not handle.reader.is_alive()
 
 
 # ------------------------------------------- the two deadlines, and no others

@@ -8,7 +8,9 @@ must never collide on defaults (else the cache serves wrong results).
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.apps.scenario import CATALOGUE
 from repro.core.errors import ConfigurationError
 from repro.service import APPS, SPEC_VERSION, JobSpec
 
@@ -65,6 +67,102 @@ class TestCanonicalization:
             JobSpec("ping").digest,
         }
         assert len(digests) == 7
+
+
+class TestCacheKeysDoNotMove:
+    """Digests computed at the commit before the catalogue existed: a
+    result cached by that build is a hit for this one."""
+
+    PLAN = {"seed": 3, "name": "x",
+            "specs": [{"kind": "drop", "rate": 0.01}]}
+
+    @pytest.mark.parametrize("spec, digest", [
+        (JobSpec("lcs"),
+         "4530eabf5aaaca8039b1952a4d31fd9eaa9398f51d099910f4e2a2d09615efbf"),
+        (JobSpec("nqueens", n_nodes=4),
+         "d65c4ef953382e3e746fdf58c2ef374e7fa3af7b46b0c38be3a1cb2db8ea3ea4"),
+        (JobSpec("ping", n_nodes=16, params={"iterations": 3}),
+         "fcfd9edf699f8edbad9a10ca64ee464dcc596d68e374b4056670342f2f4b0cf3"),
+        (JobSpec("lcs", n_nodes=8, params={"scale": 0.05, "seed": 7},
+                 plan=PLAN, reliable=True),
+         "3f09716ddff593c80842d0bf27d63699d6c82fd5d95db82d18cf1a9119c3745f"),
+    ], ids=["lcs", "nqueens", "ping", "lcs-drop-reliable"])
+    def test_parent_digests(self, spec, digest):
+        assert SPEC_VERSION == 1
+        assert spec.digest == digest
+
+
+_VALUES = {
+    float: st.floats(min_value=1e-3, max_value=4.0, allow_nan=False),
+    int: st.integers(min_value=1, max_value=10**9),
+}
+
+
+@st.composite
+def _catalogue_specs(draw):
+    """(app, params with a random subset of the schema left out)."""
+    app = draw(st.sampled_from(sorted(CATALOGUE)))
+    schema = CATALOGUE[app].schema
+    params = {name: draw(_VALUES[kind])
+              for name, (kind, _default) in schema.items()
+              if draw(st.booleans())}
+    return app, params
+
+
+class TestCatalogueProperty:
+    """One digest per meaning, for every catalogue entry (ROADMAP 5)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_catalogue_specs(), st.integers(1, 64), st.randoms())
+    def test_spellings_of_one_run_share_a_digest(self, drawn, n_nodes, rng):
+        app, params = drawn
+        schema = CATALOGUE[app].schema
+        spec = JobSpec(app, n_nodes=n_nodes, params=params)
+        # Omitted fields spelled out, in another key order, whole
+        # floats as ints and ints as whole floats.
+        full = {name: params.get(name, default)
+                for name, (_kind, default) in schema.items()}
+        respelled = {}
+        for name in rng.sample(sorted(full), len(full)):
+            value = full[name]
+            if isinstance(value, float) and value.is_integer():
+                value = int(value)
+            elif isinstance(value, int) and value < 2**53:
+                value = float(value)
+            respelled[name] = value
+        assert JobSpec(app, n_nodes=n_nodes, params=respelled).digest \
+            == spec.digest
+        clone = JobSpec.from_dict(spec.to_dict())
+        assert clone.to_dict() == spec.to_dict()
+        assert clone.digest == spec.digest
+        assert JobSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) \
+            == spec
+
+    @pytest.mark.parametrize("app", sorted(CATALOGUE))
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf"), "many", None])
+    def test_unusable_values_rejected(self, app, bad):
+        for name in CATALOGUE[app].schema:
+            with pytest.raises(ConfigurationError):
+                JobSpec(app, params={name: bad})
+
+    @pytest.mark.parametrize("app", sorted(CATALOGUE))
+    def test_unknown_params_and_fields_rejected(self, app):
+        with pytest.raises(ConfigurationError):
+            JobSpec(app, params={"warp": 9})
+        with pytest.raises(ConfigurationError):
+            JobSpec.from_dict({"app": app, "priority": 7})
+
+    @pytest.mark.parametrize(
+        "app", [name for name, entry in CATALOGUE.items()
+                if entry.level == "cycle"])
+    def test_macro_rig_on_a_cycle_entry_rejected(self, app):
+        plan = {"seed": 1, "specs": [{"kind": "drop", "rate": 0.1}]}
+        with pytest.raises(ConfigurationError):
+            JobSpec(app, plan=plan)
+        with pytest.raises(ConfigurationError):
+            JobSpec(app, reliable=True)
+        assert JobSpec(app, reliable=False).digest == JobSpec(app).digest
 
 
 class TestHintsExcluded:

@@ -11,7 +11,6 @@ import pytest
 
 from repro.asm.assembler import assemble
 from repro.chaos import ChaosEngine, FaultPlan, FaultSpec
-from repro.chaos.harness import event_fingerprint
 from repro.core.registers import Priority
 from repro.core.word import Word
 from repro.machine.config import MachineConfig
@@ -61,7 +60,7 @@ def _digest(machine):
         "counters": [dict(node.proc.counters.__dict__)
                      for node in machine.nodes],
         "deliveries": machine.deliveries_committed,
-        "fingerprint": event_fingerprint(machine.telemetry.events),
+        "fingerprint": machine.telemetry.events.fingerprint(),
         "chaos": ((dict(machine.chaos.counters), list(machine.chaos.log))
                   if machine.chaos is not None else None),
     }

@@ -10,7 +10,6 @@ import pytest
 
 from repro.apps.lcs import LcsParams, run_parallel
 from repro.chaos import ChaosEngine, FaultPlan, FaultSpec
-from repro.chaos.harness import event_fingerprint
 from repro.core.errors import SnapshotError
 from repro.jsim.sim import MacroSimulator
 from repro.snapshot import (CheckpointPolicy, read_header, restore_macro_into,
@@ -35,7 +34,7 @@ def _digest(result, telemetry):
         "messages": result.sim.messages_sent,
         "profiles": [dict(node.profile.__dict__)
                      for node in result.sim.nodes],
-        "fingerprint": event_fingerprint(telemetry.events),
+        "fingerprint": telemetry.events.fingerprint(),
     }
 
 

@@ -34,6 +34,46 @@ class TestEmit:
         assert len(bus) == len(EVENT_KINDS)
 
 
+class TestFingerprint:
+    """``EventBus.fingerprint`` took over from
+    ``repro.chaos.harness.event_fingerprint``; the digests below were
+    computed by that function, so every recorded stream hashes as it
+    always did."""
+
+    def test_empty_stream(self):
+        assert EventBus().fingerprint() == (
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")
+
+    def test_names_durations_traces_and_nested_args(self):
+        bus = EventBus()
+        bus.emit("send", 10, 0, 1, name="NxtChar", dest=3, length=3)
+        bus.emit("deliver", 17, 3, name="NxtChar", source=0)
+        bus.emit("task", 21, 3, 0, name="NxtChar", dur=232,
+                 trace=(7, 9, 8), cats={"dispatch": 4, "compute": 228})
+        bus.emit("run-end", 253, -1)
+        assert bus.fingerprint() == (
+            "f3c59eb47d191be500fe4170c99b16003f573dc1b3165a860ba3b8cda672af37")
+
+    def test_arg_order_is_canonical_and_emission_order_is_not(self):
+        def stream(first_args, swap=False):
+            bus = EventBus()
+            events = [
+                lambda: bus.emit("chaos", 5, 2, name="drop", **first_args),
+                lambda: bus.emit("retry", 10_005, 2, name="NxtChar",
+                                 seq=0, attempt=1),
+            ]
+            for emit in reversed(events) if swap else events:
+                emit()
+            bus.emit("watchdog", 2**40, 0, 2, dur=0)
+            return bus.fingerprint()
+
+        want = "9358e713873c1e8229dfdbb3e1616eda29c036b56e888fa3691b1f514cf088da"
+        assert stream({"zeta": 1, "alpha": "a", "mid": None}) == want
+        assert stream({"mid": None, "zeta": 1, "alpha": "a"}) == want
+        assert stream({"zeta": 1, "alpha": "a", "mid": None},
+                      swap=True) != want
+
+
 class TestJsonl:
     def test_roundtrip(self, tmp_path):
         bus = EventBus()

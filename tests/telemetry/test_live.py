@@ -12,7 +12,6 @@ import pytest
 
 from repro.apps.lcs import LcsParams, estimate_cycles, run_parallel
 from repro.chaos import ChaosEngine, FaultPlan
-from repro.chaos.harness import event_fingerprint
 from repro.machine.config import MachineConfig
 from repro.machine.jmachine import JMachine
 from repro.runtime.rpc import run_ping
@@ -169,7 +168,7 @@ class TestSerialEquivalence:
         if sampler is not None:
             sampler.attach(machine)
         run_ping(machine, 0, 3, iterations=4)
-        return machine, event_fingerprint(telemetry.events)
+        return machine, telemetry.events.fingerprint()
 
     def test_sampled_run_bit_identical(self):
         plain, plain_digest = self._run(None)
@@ -204,7 +203,7 @@ class TestMacroEquivalence:
         result = run_parallel(4, self.PARAMS, telemetry=telemetry,
                               chaos=chaos, reliable=reliable,
                               sampler=sampler)
-        return result, event_fingerprint(telemetry.events)
+        return result, telemetry.events.fingerprint()
 
     def test_sampled_macro_bit_identical(self):
         _plain, plain_digest = self._run(None)

@@ -185,3 +185,62 @@ def test_sharded_backend_stays_deleted():
             assert gone.search(text[start:end]), path
             text = text[:start] + text[end:]
         assert not gone.search(text), path
+
+
+def _choices(main, argv, flag, capsys):
+    """The ``{a,b,c}`` list argparse prints for ``flag`` in ``--help``."""
+    import pytest
+
+    with pytest.raises(SystemExit):
+        main(argv + ["--help"])
+    listed = re.search(rf"{flag} \{{([^}}]+)\}}", capsys.readouterr().out)
+    return tuple(listed.group(1).split(","))
+
+
+def test_every_cli_offers_exactly_the_catalogue(capsys):
+    """`--app` / `--scenario` / `--workload` are computed from
+    ``repro.apps.scenario.CATALOGUE``; a run added there appears in
+    every CLI, and nowhere else first."""
+    from repro.apps.scenario import CATALOGUE
+    from repro.chaos.__main__ import main as chaos
+    from repro.service.__main__ import main as service
+    from repro.snapshot.__main__ import main as snapshot
+    from repro.telemetry.__main__ import main as telemetry
+
+    everything = tuple(CATALOGUE)
+    assert _choices(service, ["submit"], "--app", capsys) == everything
+    assert _choices(snapshot, ["save"], "--scenario", capsys) == everything
+    for command in ("serve", "watch"):
+        assert _choices(telemetry, [command], "--workload", capsys) \
+            == everything
+    assert _choices(chaos, ["replay"], "--app", capsys) == tuple(
+        name for name in CATALOGUE if CATALOGUE[name].level == "macro")
+
+
+def test_one_place_knows_the_named_runs():
+    """The four hand-written runners and their app tuples stay deleted,
+    the subsystems restate no catalogue default, and the macro apps
+    share one attach-run sequence (``repro.apps.base.launch``)."""
+    src = ROOT / "src" / "repro"
+    gone = re.compile(
+        r"\b(_run_macro|_run_ping|_chaos_engine|_lcs_job|_ping_job|_JOBS"
+        r"|_save_ping|_save_lcs|_PING_ITERATIONS|_PARAM_SCHEMA"
+        r"|event_fingerprint)\b")
+    for path in src.rglob("*.py"):
+        assert not gone.search(path.read_text()), path
+    restated = re.compile(
+        r"""["'](lcs|nqueens|ping)["']\s*,\s*["'](lcs|nqueens|ping)["']"""
+        r"|0\.02\b|20130501|\bn=8\b|tasks_per_node=4|iterations=50")
+    for package in ("service", "chaos", "telemetry", "snapshot"):
+        for path in (src / package).rglob("*.py"):
+            assert not restated.search(path.read_text()), path
+    apps = "".join(path.read_text() for path in (src / "apps").glob("*.py"))
+    assert apps.count("ReliableLayer(") == 1
+    assert apps.count("AppResult(") == 1
+    attach = re.compile(r"\.attach_macro\(|sampler\.attach\(")
+    allowed = {src / "apps" / "base.py", src / "apps" / "scenario.py",
+               src / "snapshot" / "state.py",     # restore re-attaches
+               src / "chaos" / "engine.py"}       # the method's own doc
+    for path in src.rglob("*.py"):
+        if path not in allowed:
+            assert not attach.search(path.read_text()), path
