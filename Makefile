@@ -2,7 +2,8 @@
 
 .PHONY: install test bench perfsmoke telemetry-gate chaos-smoke \
 	trace-smoke snapshot-smoke live-smoke service-smoke \
-	fabric-smoke bench-e2e trajectory check paper report examples clean
+	fabric-smoke bench-e2e census trajectory check paper report examples \
+	clean
 
 install:
 	pip install -e .
@@ -80,6 +81,12 @@ fabric-smoke:
 # until the next benchmark refresh.)
 bench-e2e:
 	python3 benchmarks/e2e_gate.py
+
+# What bounds compiled-block run-ahead: Mdp.tick calls, run-loop passes,
+# block binds and how ticks ended, per cycle_apps / cycle_compute
+# machine at the benchmark's default seed (docs/PERFORMANCE.md §1).
+census:
+	PYTHONPATH=src python benchmarks/run_ahead_census.py
 
 # Render the committed perf-trajectory artifacts and gate the newest
 # point against the median of its priors (docs/PERFORMANCE.md).

@@ -91,8 +91,12 @@ class Program:
             raise AssemblyError(f"no such label {label!r}") from None
 
     def load(self, proc: Mdp) -> None:
-        """Install this program's code and data into a processor."""
-        proc.install_code(self.instrs)
+        """Install this program's code and data into a processor.
+
+        Processors loaded with nothing but this program share their
+        compiled-block tables (``Mdp.install_code``'s ``image``).
+        """
+        proc.install_code(self.instrs, image=self)
         for addr, word in self.data:
             proc.memory.poke(addr, word)
 

@@ -87,6 +87,9 @@ class ChaosEngine:
         self._schedule_pos = 0
         self._stall_recorded: set = set()
         self._kill_recorded: set = set()
+        #: The attached machine's worms-per-destination counts
+        #: (``JMachine._inbound``): a dropped worm leaves them.
+        self._inbound: Optional[List[int]] = None
 
     # ------------------------------------------------------------ observation
 
@@ -134,6 +137,7 @@ class ChaosEngine:
         """Arm the cycle level: fabric, scheduler, queues, and AMTs."""
         machine.chaos = self
         machine.fabric.chaos = self
+        self._inbound = machine._inbound
         self._build_machine_schedule(machine)
         self.bind_telemetry(machine.telemetry)
         return self
@@ -240,6 +244,8 @@ class ChaosEngine:
                 if spec.kind == "drop":
                     self.record("drop", now, message.dest, "drops",
                                 src=message.source)
+                    if self._inbound is not None:
+                        self._inbound[message.dest] -= 1
                     return DROP
                 self.record("corrupt", now, message.dest, "corruptions",
                             src=message.source)
@@ -277,6 +283,7 @@ class ChaosEngine:
     DERIVED_ATTRS = frozenset({
         "plan", "_events", "_fabric_rate_specs", "_macro_rate_specs",
         "_link_windows", "_stall_windows", "_kill_at", "_machine_schedule",
+        "_inbound",
     })
 
     def state_dict(self) -> dict:

@@ -42,13 +42,18 @@ compiled function, so a 512-node machine running one program generates
 each block once.  A block is a plain
 function, not a closure: it takes the processor's memory, meter,
 counters and watch table as one :func:`context` tuple built once per
-node, so binding a block to a node allocates nothing.
+node, so binding a block to a node allocates nothing.  The ``ip ->
+block`` tables are shared too, one pair per program image
+(:func:`tables_for`): nodes loaded from one program bind each block
+once between them, and the tables go when the last of those processors
+does.
 """
 
 from __future__ import annotations
 
 import linecache
 import re
+import weakref
 from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
@@ -68,8 +73,9 @@ from .word import FALSE, TRUE, Word, _SMALL_INTS
 if TYPE_CHECKING:  # pragma: no cover
     from .processor import Mdp
 
-__all__ = ["bind_block", "block_text", "context", "BOUNDARY_OPS", "BRANCH_OPS",
-           "MAX_BLOCK_INSTRS", "BLOCK_CACHE_MAX", "CODEGEN_METRICS", "STATS"]
+__all__ = ["bind_block", "block_text", "context", "tables_for", "BlockTables",
+           "BOUNDARY_OPS", "BRANCH_OPS", "MAX_BLOCK_INSTRS", "BLOCK_CACHE_MAX",
+           "CODEGEN_METRICS", "STATS"]
 
 #: Ops that hand words to the network interface.
 _SEND_OPS = frozenset({"SEND", "SENDE", "SEND2", "SEND2E"})
@@ -102,6 +108,39 @@ STATS: Dict[str, int] = dict.fromkeys(CODEGEN_METRICS, 0)
 #: first instruction of the run.
 _CACHE: "OrderedDict[tuple, Optional[Callable]]" = OrderedDict()
 _MISSING = object()
+
+
+class BlockTables(list):
+    """``[bare, events]``: the ``ip -> block`` tables of one code image,
+    one per emitted mode.  A list subclass only so that :data:`_IMAGES`
+    can refer to it weakly."""
+
+    __slots__ = ("__weakref__",)
+
+
+#: image -> {layout: weak reference to its BlockTables}.  Processors hold
+#: the tables; this only finds them, so they die with the last processor
+#: and the entry with the image.
+_IMAGES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def tables_for(image: object, proc: "Mdp") -> BlockTables:
+    """The block tables ``proc`` binds into when its whole code is
+    ``image`` (``Program.load`` passes the program): shared with every
+    processor of the same memory layout and cost constants holding that
+    image.  ``image=None`` gives tables of its own."""
+    if image is None:
+        return BlockTables(({}, {}))
+    costs = proc.costs
+    layout = (proc.memory.imem_words, costs.reg_op, costs.emem_fetch_per_word,
+              costs.branch_taken_extra, costs.enter, costs.xlate_hit)
+    by_layout = _IMAGES.setdefault(image, {})
+    ref = by_layout.get(layout)
+    tables = ref() if ref is not None else None
+    if tables is None:
+        tables = BlockTables(({}, {}))
+        by_layout[layout] = weakref.ref(tables)
+    return tables
 
 _NUMERIC = (Tag.INT, Tag.BOOL, Tag.SYM, Tag.FLOAT)
 
@@ -391,7 +430,7 @@ class _Generator:
             self.write(ops[1],
                        f"from_int({'-' if op == 'NEG' else '~'}{value})", 2)
         elif op == "SUSPEND":
-            self.emit("proc._finish_thread(proc._active_priority)")
+            self.emit("proc._finish_thread(proc._active_priority, vnow)")
         elif op == "HALT":
             self.emit("proc.halted = True")
         elif op in ("SEND", "SENDE"):
@@ -514,7 +553,9 @@ def _generate(start: int, run: List[Instr], base: int, costs,
 
 
 def bind_block(proc: "Mdp", start: int, events: bool) -> Optional[Callable]:
-    """The shared block for the code ``proc`` holds at ``start``.
+    """The shared block for the code ``proc`` holds at ``start`` (the
+    caller installs it in ``proc``'s table, which :func:`tables_for` may
+    share with other processors).
 
     Returns ``block(regset, vnow, end, send_before, ctx) -> (vnow, stop)``, or
     None when the generator declines the instruction at ``start`` (the

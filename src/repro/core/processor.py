@@ -46,7 +46,8 @@ from .errors import (
     XlateMissFault,
 )
 from .faults import FaultPolicy, RuntimeFaultPolicy
-from .fastpath import STATS, bind_block, block_text, context
+from .fastpath import (STATS, BlockTables, bind_block, block_text, context,
+                       tables_for)
 from .isa import Imm, Instr, MemIdx, MemOff, Operand, Reg
 from .memory import NodeMemory
 from .message import Message
@@ -249,10 +250,11 @@ class Mdp:
     #: Attributes owned by the machine wiring or rebuilt on demand, never
     #: part of the processor's captured state: the network binding, the
     #: telemetry bus, the compiled blocks with the context they run
-    #: against, the host completion callbacks, and the stop condition a
-    #: run armed.  Snapshot capture builds its skip list on this tuple.
+    #: against, the host completion callbacks, the stop condition a run
+    #: armed, and the cycle of the tick in progress.  Snapshot capture
+    #: builds its skip list on this tuple.
     UNCAPTURED_ATTRS = ("network", "_events", "_blocks", "_context",
-                        "on_thread_complete", "_stop")
+                        "on_thread_complete", "_stop", "_clock")
 
     def __init__(
         self,
@@ -305,10 +307,16 @@ class Mdp:
         #: tick contract; the machine turns it on via MachineConfig.
         self.fast_path = fast_path
         #: Compiled blocks for this processor's code, keyed by start
-        #: address: one table per emitted mode (bare, events attached);
-        #: and what they run against (fastpath.context).
-        self._blocks: Tuple[Dict[int, Callable], ...] = ({}, {})
+        #: address: one table per emitted mode (bare, events attached),
+        #: shared with every processor holding the same program image
+        #: (:func:`~repro.core.fastpath.tables_for`); and what they run
+        #: against (fastpath.context), which is this processor's own.
+        self._blocks: BlockTables = tables_for(None, self)
         self._context: Optional[tuple] = None
+        #: The cycle the tick in progress was called at: a queue row
+        #: freed by an instruction starting later is freed ahead of the
+        #: network (:meth:`MessageQueue.dequeue`).
+        self._clock = 0
         #: The stop condition the current ``JMachine.run`` armed
         #: (:class:`~repro.machine.stop.StopFlags`), or None.  While set,
         #: its flag words on this node sit in :attr:`_watch` (an empty
@@ -332,27 +340,33 @@ class Mdp:
 
     # ------------------------------------------------------------------ setup
 
-    def install_code(self, placed: Iterable[Tuple[int, Instr]]) -> None:
+    def install_code(self, placed: Iterable[Tuple[int, Instr]],
+                     image: object = None) -> None:
         """Place decoded instructions at their ``(address, instr)`` slots.
 
         The one way code gets into a processor.  Instruction *objects*
         live in a side table; their addresses still classify as
         internal/external memory for fetch-cost purposes.  A load
-        invalidates every block compiled from the old code.
+        invalidates every block compiled from the old code.  ``image``
+        names where ``placed`` came from (``Program.load`` passes the
+        program): a processor whose whole code is that one image binds
+        blocks into the image's shared tables, any other into its own.
         """
+        fresh = not self.code
         self.code.update(placed)
-        self.drop_compiled()
+        self.drop_compiled(image if fresh else None)
 
-    def drop_compiled(self) -> None:
+    def drop_compiled(self, image: object = None) -> None:
         """Forget every compiled block (rebuilt on next execution).
 
         The tables map this processor's code to shared blocks and the
         context holds its memory, counters and watch table by identity,
         so anything that replaces either — a code load, a snapshot
-        restore — must call this.
+        restore — must call this.  The processor gets tables of its own,
+        or ``image``'s shared ones; tables it shared before stay with
+        the processors still holding that image.
         """
-        for table in self._blocks:
-            table.clear()
+        self._blocks = tables_for(image, self)
         self._context = None
 
     def block_source(self, addr: int) -> str:
@@ -534,6 +548,7 @@ class Mdp:
         returned next-ready time is identical to what the per-step
         reference path would eventually produce.
         """
+        self._clock = now
         if not self.fast_path:
             return self._tick_reference(now)
         if self.halted:
@@ -617,18 +632,9 @@ class Mdp:
             block = blocks.get(regset.ip)
             if block is None:
                 block = blocks[regset.ip] = (
-                    bind_block(self, regset.ip, events) or self._step_block)
+                    bind_block(self, regset.ip, events) or _step_block)
             vnow, stop = block(regset, vnow, end, send_before, ctx)
         return vnow
-
-    def _step_block(self, regset: RegisterSet, vnow: int, end: int,
-                    send_before: int, ctx: tuple) -> Tuple[int, bool]:
-        """Stand-in block for an instruction the generator declines: one
-        reference step, then stop (conservative, and vanishingly rare)."""
-        STATS["fallback_instructions"] += 1
-        priority = self._active_priority
-        cost = self._execute_one(priority, self._current[priority], vnow)
-        return vnow + cost, True
 
     def _block_fault(self, exc: BaseException, regset: RegisterSet, addr: int,
                      vnow: int) -> Tuple[int, bool]:
@@ -637,6 +643,7 @@ class Mdp:
         per-instruction loop leaves, then resolves or re-raises."""
         regset.ip = addr + 1
         self._current_instr_addr = addr
+        self._event_time = vnow  # a fault-suspend frees its row then
         if not isinstance(exc, (SendFault, CfutFault, FutUseFault)):
             raise exc
         return vnow + self._resolve_fault(exc, regset, addr), True
@@ -833,7 +840,7 @@ class Mdp:
             length = min(thread.message.length, MSG_WINDOW_WORDS)
             window = self.memory.dump_block(window_base, length)
             # The thread owns its message now; release the queue slot.
-            self.queues[priority].dequeue()
+            self.queues[priority].dequeue(self._event_time, self._clock)
         suspended = _SuspendedThread(
             priority=priority,
             ip=self._current_instr_addr,
@@ -939,7 +946,7 @@ class Mdp:
             return self.costs.branch_taken_extra
 
         if op == "SUSPEND":
-            self._finish_thread(priority)
+            self._finish_thread(priority, now)
             return 0
         if op == "HALT":
             self.halted = True
@@ -1006,8 +1013,9 @@ class Mdp:
 
         raise IllegalInstructionFault(f"unimplemented opcode {op}")
 
-    def _finish_thread(self, priority: Priority) -> None:
-        """SUSPEND semantics: retire the thread, free its message."""
+    def _finish_thread(self, priority: Priority, when: int) -> None:
+        """SUSPEND semantics, by the instruction that started at
+        ``when``: retire the thread, free its message."""
         thread = self._current[priority]
         message = thread.message if thread else None
         if priority is Priority.BACKGROUND:
@@ -1015,15 +1023,28 @@ class Mdp:
             self._current[Priority.BACKGROUND] = None
         else:
             if message is not None:
-                self.queues[priority].dequeue()
+                self.queues[priority].dequeue(when, self._clock)
             self._current[priority] = None
             self.counters.threads_completed += 1
         if self._events is not None:
             self._events.emit(
-                "thread-end", self._event_time, self.node_id, int(priority),
+                "thread-end", when, self.node_id, int(priority),
                 trace=thread.trace if thread is not None else None)
         for observer in self.on_thread_complete:
             observer(self, message)
+
+
+def _step_block(regset: RegisterSet, vnow: int, end: int, send_before: int,
+                ctx: tuple) -> Tuple[int, bool]:
+    """Stand-in block for an instruction the generator declines: one
+    reference step on the context's processor, then stop (conservative,
+    and vanishingly rare).  A plain function, like the blocks it stands
+    in for, so image-shared tables can hold it."""
+    STATS["fallback_instructions"] += 1
+    proc = ctx[0]
+    priority = proc._active_priority
+    cost = proc._execute_one(priority, proc._current[priority], vnow)
+    return vnow + cost, True
 
 
 def _with_address(fault, address):

@@ -15,12 +15,17 @@ spills the message to a memory-backed overflow list (Section 4.3.3 calls
 this "relatively expensive ... intended to be used for transient traffic
 overruns").  While a queue is refusing words the router backs up, which is
 how backpressure propagates (and how send faults arise at remote nodes).
+
+The network asks about free space at a cycle of its own
+(:meth:`MessageQueue.free_words_at`): a compiled block may have run its
+processor ahead of that cycle and freed rows at a virtual cycle the
+network has not reached, and those rows stay taken until it does.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional
+from typing import Deque, Optional, Sequence, Tuple
 
 from .errors import ConfigurationError, QueueOverflowFault, QueueUnderflowError
 from .message import Message
@@ -36,6 +41,13 @@ DEFAULT_QUEUE_WORDS = 128 * MIN_MESSAGE_WORDS
 
 class MessageQueue:
     """A word-capacity-bounded FIFO of messages for one priority level."""
+
+    #: ``(cycle, words)`` of each free made ahead of the cycle its
+    #: processor was ticked at, possibly not yet visible to the network
+    #: (see :meth:`dequeue`): restored state, a list from the first such
+    #: free on.  Until then, and in captures written before it existed,
+    #: this empty default.
+    pending_frees: Sequence[Tuple[int, int]] = ()
 
     def __init__(self, capacity_words: int = DEFAULT_QUEUE_WORDS) -> None:
         if capacity_words < MIN_MESSAGE_WORDS:
@@ -55,6 +67,15 @@ class MessageQueue:
         self.overflows = 0
         self.high_water = 0
 
+    def __getstate__(self) -> dict:
+        # With nothing pending a capture is what it was before pending
+        # frees were recorded, byte for byte.
+        state = self.__dict__
+        if state.get("pending_frees", True):
+            return state
+        return {name: value for name, value in state.items()
+                if name != "pending_frees"}
+
     # -- space accounting ---------------------------------------------------
 
     @staticmethod
@@ -72,6 +93,20 @@ class MessageQueue:
     def free_words(self) -> int:
         """Words of queue space currently available."""
         return self.capacity_words - self._used_words - self.pressure_words
+
+    def free_words_at(self, cycle: int) -> int:
+        """Free words as the network sees them at ``cycle``.
+
+        The processor frees rows during its tick, after the network has
+        stepped that cycle, so a free by an instruction that started at
+        ``cycle`` or later is not visible yet.
+        """
+        free = self.capacity_words - self._used_words - self.pressure_words
+        if self.pending_frees:
+            for stamp, words in self.pending_frees:
+                if stamp >= cycle:
+                    free -= words
+        return free
 
     def would_fit(self, message: Message) -> bool:
         """True if ``message`` can be enqueued without overflow."""
@@ -98,8 +133,17 @@ class MessageQueue:
         """The message at the head, or None if empty (no dequeue)."""
         return self._messages[0] if self._messages else None
 
-    def dequeue(self) -> Message:
+    def dequeue(self, at: Optional[int] = None, clock: int = 0) -> Message:
         """Remove and return the head message.
+
+        ``at`` is the start cycle of the instruction that frees it and
+        ``clock`` the cycle its processor was ticked at.  A free ahead of
+        the clock — a compiled block running ahead — is recorded in
+        :attr:`pending_frees` for :meth:`free_words_at`; frees at or
+        before the clock are visible to the network's next look, so
+        they are not recorded, and older records are dropped from the
+        front (a stamp only goes back after a commit pulled a free
+        run's tick back, so one left behind a live one is dropped later).
 
         Raises :class:`QueueUnderflowError` on an empty queue: that is a
         simulation-host bug (dispatch only fires when a message is at
@@ -108,7 +152,16 @@ class MessageQueue:
         if not self._messages:
             raise QueueUnderflowError("dequeue from empty queue")
         message = self._messages.popleft()
-        self._used_words -= self.footprint(message)
+        need = self.footprint(message)
+        self._used_words -= need
+        if at is not None and at > clock:
+            pending = self.pending_frees
+            if pending:
+                while pending and pending[0][0] <= clock:
+                    del pending[0]
+                pending.append((at, need))
+            else:
+                self.pending_frees = [(at, need)]
         return message
 
     def __len__(self) -> int:
@@ -122,3 +175,4 @@ class MessageQueue:
         self._messages.clear()
         self._used_words = 0
         self.pressure_words = 0
+        self.pending_frees = ()

@@ -41,6 +41,7 @@ class JMachine:
                  telemetry=None) -> None:
         self.config = config if config is not None else MachineConfig()
         self.mesh: Mesh3D = self.config.mesh()
+        n_nodes = self.mesh.n_nodes
         self.fabric = Fabric(
             self.mesh,
             accept_fn=self._accept,
@@ -54,21 +55,33 @@ class JMachine:
         self.fabric.on_injected = self._injection_finished
         if self.config.fabric_probe:
             self.fabric.attach_probe()
+        #: Traffic each node can feel, derived (:meth:`_recount_traffic`):
+        #: messages in the fabric bound for it — a message refused under
+        #: return-to-sender stays bound for it through its bounce and
+        #: retry — and messages it sent whose tail has not left its
+        #: interface.  Kept by the frames every message passes through
+        #: (launch, :meth:`inject`, :meth:`_deliver`,
+        #: :meth:`_injection_finished`, a chaos drop).
+        self._inbound: List[int] = [0] * n_nodes
+        self._injecting: List[int] = [0] * n_nodes
         self.nodes: List[Node] = [
-            Node(i, self.config, submit=self.fabric.send)
-            for i in range(self.mesh.n_nodes)
+            Node(i, self.config, self.fabric.send, self._inbound,
+                 self._injecting)
+            for i in range(n_nodes)
         ]
         self.now = 0
         self._proc_heap: List[Tuple[int, int]] = []  # (time, node_id)
-        #: (time, node_id, idx): the node tie-break keeps same-cycle
-        #: commit order across nodes independent of fabric-internal
-        #: completion processing order (the batched fabric advance may
-        #: discover same-cycle completions in a different sequence than
-        #: per-cycle stepping); per-node order stays delivery order
-        #: via idx.
-        self._delivery_heap: List[Tuple[int, int, int]] = []
-        self._staged_messages: List[Optional[Message]] = []
-        self._staged_words_per_node: List[int] = [0] * self.mesh.n_nodes
+        #: (time, node_id): the node tie-break keeps same-cycle commit
+        #: order across nodes independent of fabric-internal completion
+        #: processing order (the batched fabric advance may discover
+        #: same-cycle completions in a different sequence than per-cycle
+        #: stepping); per-node order is :attr:`_staged` order.
+        self._delivery_heap: List[Tuple[int, int]] = []
+        #: Per node, its staged deliveries as (arrival, message) in
+        #: arrival order, which is delivery order (a completion at cycle
+        #: c arrives at c + eject_latency).
+        self._staged: List[List[Tuple[int, Message]]] = [
+            [] for _ in range(n_nodes)]
         self._seq = 0
         #: Committed-delivery counter: one increment per message handed
         #: to a processor.  Part of the deadlock watchdog's progress
@@ -141,26 +154,61 @@ class JMachine:
         if self._trace_state is not None:
             message.trace = self._trace_state.root()
         self.fabric.send(message, self.now)
+        self._inbound[dest] += 1
+        self._injecting[src] += 1
 
     # ------------------------------------------------------------- callbacks
 
     def _accept(self, node_id: int, message: Message) -> bool:
+        """May ``node_id`` take ``message`` at the fabric's current cycle?
+
+        Messages staged for the node hold their queue rows, per
+        priority, until they commit; rows a block freed ahead of the
+        fabric are not free yet (:meth:`MessageQueue.free_words_at`).
+        """
         proc = self.nodes[node_id].proc
         if proc.spill_enabled:
             return True  # the software overflow handler absorbs extras
-        queue = proc.queues[message.priority]
-        staged = self._staged_words_per_node[node_id]
-        return queue.footprint(message) + staged <= queue.free_words
+        priority = message.priority
+        queue = proc.queues[priority]
+        need = queue.footprint(message)
+        staged = self._staged[node_id]
+        if staged:
+            for _, other in staged:
+                if other.priority is priority:
+                    need += queue.footprint(other)
+        return need <= queue.free_words_at(self.fabric._cycle)
 
     def _deliver(self, node_id: int, message: Message, arrival: int) -> None:
         """Stage a delivered message until its arrival cycle is reached."""
-        index = len(self._staged_messages)
-        self._staged_messages.append(message)
-        self._staged_words_per_node[node_id] += len(message.words)
-        heapq.heappush(self._delivery_heap, (arrival, node_id, index))
+        self._staged[node_id].append((arrival, message))
+        self._inbound[node_id] -= 1
+        heapq.heappush(self._delivery_heap, (arrival, node_id))
 
     def _injection_finished(self, message: Message) -> None:
+        self._injecting[message.source] -= 1
         self.nodes[message.source].interface.injection_finished(message)
+
+    def _recount_traffic(self) -> None:
+        """Derive :attr:`_inbound` and :attr:`_injecting` from the worms
+        in the fabric (a restore).  A bounce carries its refused message
+        back to that message's source, which is still bound for its
+        destination."""
+        inbound = [0] * len(self.nodes)
+        injecting = [0] * len(self.nodes)
+        state = self.fabric.state_dict()
+        worms = [entry[2] for entry in state["staged"]] + state["active"]
+        for queue in state["pending"].values():
+            worms += queue
+        for worm in worms:
+            message = worm.message
+            if message.bounce_of is not None:
+                message = message.bounce_of
+            inbound[message.dest] += 1
+            if not message.injection_reported:
+                injecting[message.source] += 1
+        self._inbound[:] = inbound
+        self._injecting[:] = injecting
 
     # -------------------------------------------------------------- schedule
 
@@ -172,33 +220,33 @@ class JMachine:
         heapq.heappush(self._proc_heap, (when, node_id))
 
     def _commit_deliveries(self) -> None:
+        heap = self._delivery_heap
+        now = self.now
         chaos = self.chaos
-        while self._delivery_heap and self._delivery_heap[0][0] <= self.now:
-            _, node_id, index = heapq.heappop(self._delivery_heap)
-            message = self._staged_messages[index]
-            self._staged_messages[index] = None
-            self._staged_words_per_node[node_id] -= len(message.words)
+        while heap and heap[0][0] <= now:
+            _, node_id = heapq.heappop(heap)
+            message = self._staged[node_id].pop(0)[1]
             self.deliveries_committed += 1
             if chaos is not None:
-                if chaos.node_killed(node_id, self.now):
+                if chaos.node_killed(node_id, now):
                     # Fail-stopped node: the message is destroyed on
                     # arrival (the sender sees silence, not an error).
-                    chaos.blackhole(message, self.now)
+                    chaos.blackhole(message, now)
                     continue
                 if message.corrupted:
                     # The receiver's fault policy: checksum fails, the
                     # message body is discarded, the fault handler's
                     # cycles are charged, and the payload never runs.
                     proc = self.nodes[node_id].proc
-                    proc.checksum_reject(message, self.now)
+                    proc.checksum_reject(message, now)
                     chaos.counters["checksum_rejects"] += 1
-                    self._schedule_proc(node_id, self.now)
+                    self._schedule_proc(node_id, now)
                     continue
             # The accept check reserved space, so a QueueOverflowFault
             # here means a host-side inject overwhelmed the queue; it
             # surfaces to the caller.
-            self.nodes[node_id].proc.deliver(message, self.now)
-            self._schedule_proc(node_id, self.now)
+            self.nodes[node_id].proc.deliver(message, now)
+            self._schedule_proc(node_id, now)
 
     def _tick_procs(self, limit: int, inj_bound: Optional[int] = None,
                     stop: Optional[StopFlags] = None) -> None:
@@ -206,7 +254,7 @@ class JMachine:
         heap = self._proc_heap
         fabric = self.fabric
         chaos = self.chaos
-        deadlines = None
+        deadlines = horizon = None
         while heap and heap[0][0] <= now:
             when, node_id = heapq.heappop(heap)
             node = self.nodes[node_id]
@@ -223,7 +271,7 @@ class JMachine:
             proc = node.proc
             if not proc.fast_path:
                 nxt = proc.tick(now)
-            else:
+            elif stop is None:
                 # fabric.active re-read per pop: an earlier block in this
                 # same pass may have launched a worm.  The two possible
                 # deadlines are pass-constant (deliveries only commit
@@ -231,31 +279,55 @@ class JMachine:
                 if deadlines is None:
                     deadlines = (self._block_deadline(limit, False, inj_bound),
                                  self._block_deadline(limit, True, inj_bound))
-                deadline = deadlines[fabric.active]
-                if stop is None:
-                    nxt = proc.tick(now, deadline)
+                nxt = proc.tick(now, deadlines[fabric.active])
+            else:
+                # A per-node deadline replaces virtual-time lockstep
+                # (docs/PERFORMANCE.md "Stop conditions"): the block
+                # stops before anything can reach this node, before any
+                # other node could send (``first``: the earliest pending
+                # peer — stale heap entries only make it earlier — or
+                # delivery commit, which may wake a parked one) and
+                # before the stop.  A SEND starts only before ``first``,
+                # or at ``now`` ahead of higher-numbered peers due this
+                # pass, so sends reach the fabric in reference order.
+                # Pass-constant terms are computed once; fabric.active
+                # and the counts are read per pop, since an earlier
+                # block in this pass may have sent.
+                if horizon is None:
+                    horizon = now + 1 + fabric.eject_latency
+                    head = (self._delivery_heap[0][0] if self._delivery_heap
+                            else NEVER)
+                    injected = (NEVER if inj_bound is None
+                                else max(now + inj_bound, now + 1))
+                    volatile = chaos is not None and not chaos.inert
+                    staged_at, inbound = self._staged, self._inbound
+                    injecting, window = self._injecting, stop.window
+                busy = fabric.active
+                commit = horizon if busy and horizon < head else head
+                peer = heap[0][0] if heap else NEVER
+                first = peer if peer < commit else commit
+                if busy and volatile:
+                    deadline = now + 1  # chaos hooks may act any cycle
                 else:
-                    # Three bounds replace virtual-time lockstep
-                    # (docs/PERFORMANCE.md "Stop conditions").  No
-                    # delivery commits before the earliest pending peer
-                    # (stale heap entries only make it earlier) plus
-                    # the window; a SEND-family op starts only before
-                    # that peer, or at ``now`` ahead of the
-                    # higher-numbered peers due this pass, so sends
-                    # reach the fabric in reference order; stop.cap
-                    # keeps instruction starts at or before the stop.
-                    peer = heap[0][0] if heap else NEVER
-                    send_before = peer if peer > now else now + 1
-                    if peer + stop.window < deadline:
-                        deadline = max(peer + stop.window, now + 1)
-                    nxt = proc.tick(now, stop.cap(node_id, deadline),
-                                    send_before)
+                    deadline = limit
+                    staged = staged_at[node_id]
+                    if staged and staged[0][0] < deadline:
+                        deadline = staged[0][0]
+                    if inbound[node_id] and horizon < deadline:
+                        deadline = horizon
+                    if injecting[node_id] and injected < deadline:
+                        deadline = injected
+                    if first + window < deadline:
+                        deadline = max(first + window, now + 1)
+                nxt = proc.tick(now, stop.cap(node_id, deadline, horizon),
+                                first if first > now else now + 1)
             if nxt is not None:
                 self._schedule_proc(node_id, max(nxt, now + 1))
 
     def _block_deadline(self, limit: int, fabric_busy: bool,
                         inj_bound: Optional[int] = None) -> int:
-        """How far a fast-path block may run ahead of the global clock.
+        """How far a fast-path block may run ahead of the global clock in
+        a free run (no stop condition).
 
         The bound keeps run-ahead invisible: a block may only batch
         through virtual time the rest of the machine is guaranteed not to
@@ -276,8 +348,9 @@ class JMachine:
 
         When fault injection is armed, chaos hooks may perturb any
         cycle, so blocks collapse to the reference's one-step-per-pass.
-        A run under a stop condition lowers this further, per processor
-        (:meth:`_tick_procs`, docs/PERFORMANCE.md "Stop conditions").
+        A run under a stop condition bounds each processor by the
+        traffic that can reach *it* instead (:meth:`_tick_procs`,
+        docs/PERFORMANCE.md "Stop conditions").
         """
         now = self.now
         chaos = self.chaos

@@ -35,11 +35,18 @@ class NodeNetworkInterface(NetworkInterface):
         node_id: int,
         capacity_words: int,
         submit: Callable[[Message, int], None],
+        inbound: List[int],
+        injecting: List[int],
         node_tlb: Optional["NodeTlb"] = None,
     ) -> None:
         self.node_id = node_id
         self.capacity_words = capacity_words
         self._submit = submit
+        #: The machine's per-node traffic counts (``JMachine._inbound``
+        #: by destination, ``_injecting`` by source): a launch adds one
+        #: to each.
+        self._inbound = inbound
+        self._injecting = injecting
         self._building: dict = {Priority.P0: [], Priority.P1: []}
         self._outstanding_words = 0
         #: Optional automatic virtual-node-id translation (the paper's
@@ -95,6 +102,8 @@ class NodeNetworkInterface(NetworkInterface):
             message.trace = self.trace_state.derive(parent)
         self._outstanding_words += len(words)
         self._submit(message, now)
+        self._inbound[dest] += 1
+        self._injecting[self.node_id] += 1
 
     def _decode_dest(self, word: Word) -> int:
         if word.tag is Tag.VNODE:
@@ -116,6 +125,8 @@ class Node:
         node_id: int,
         config: MachineConfig,
         submit: Callable[[Message, int], None],
+        inbound: List[int],
+        injecting: List[int],
     ) -> None:
         self.node_id = node_id
         self.config = config
@@ -123,7 +134,8 @@ class Node:
             NodeTlb(config.n_nodes) if config.auto_node_translation else None
         )
         self.interface = NodeNetworkInterface(
-            node_id, config.send_buffer_words, submit, node_tlb=node_tlb
+            node_id, config.send_buffer_words, submit, inbound, injecting,
+            node_tlb=node_tlb
         )
         self.proc = Mdp(
             node_id=node_id,

@@ -14,7 +14,8 @@ flag word; nothing is evaluated per instruction or per pass.
 from __future__ import annotations
 
 import sys
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.errors import ConfigurationError
 from ..core.processor import USER_BASE
@@ -48,14 +49,21 @@ class StopFlags:
         #: blocks stop at the next peer and events are emitted in
         #: virtual-time order.
         self.window = 0
+        #: While armed: the machine's nodes, its staged deliveries and
+        #: messages in flight per node, and the cycles from a delivery
+        #: commit to a parked processor's first instruction.
         self._nodes: Sequence = ()
+        self._staged: Sequence = ()
+        self._inbound: Sequence[int] = ()
+        self._dispatch = 0
         #: (node, address) -> wanted value / cycle met since (None: unmet).
         self._want: Dict[Tuple[int, int], int] = {}
         self._since: Dict[Tuple[int, int], Optional[int]] = {}
         self._unmet = 0
-        #: An unmet flag that last showed the stop to be far enough away
-        #: (see :meth:`cap`).
-        self._witness: Tuple[int, int] = (0, 0)
+        #: The flags in arming order, and the index of one that last
+        #: showed the stop to be far enough away (see :meth:`cap`).
+        self._keys: List[Tuple[int, int]] = []
+        self._witness = 0
 
     def holds(self, machine) -> bool:
         """Whether every flag is met in ``machine``'s memory right now."""
@@ -89,6 +97,8 @@ class StopFlags:
         fabric = machine.fabric
         self.window = (0 if fabric._events is not None
                        else fabric.delivery_window())
+        self._dispatch = machine.config.costs.dispatch
+        self._staged, self._inbound = machine._staged, machine._inbound
         now = machine.now
         for (node_id, address), value in want.items():
             proc = nodes[node_id].proc
@@ -97,7 +107,7 @@ class StopFlags:
             proc._watch.setdefault(address, [])
             proc._stop = self
         self._unmet = sum(since is None for since in self._since.values())
-        self._witness = next(iter(want))
+        self._keys, self._witness = list(want), 0
         self.stop_at = NEVER if self._unmet else now
 
     def disarm(self) -> None:
@@ -108,6 +118,7 @@ class StopFlags:
             if not proc._watch.get(address, True):
                 del proc._watch[address]
         self._nodes, self._want, self._since = (), {}, {}
+        self._staged = self._inbound = ()
 
     def stored(self, proc, address: int, when: int) -> bool:
         """The store hook: ``proc`` wrote the watched ``address`` in the
@@ -125,38 +136,62 @@ class StopFlags:
                             else max(self._since.values()))
         return True
 
-    def cap(self, node_id: int, deadline: int) -> int:
+    def cap(self, node_id: int, deadline: int, horizon: int) -> int:
         """``deadline`` of a block on ``node_id``, lowered so that no
-        instruction starts after the run's stop cycle.
+        instruction starts after the run's stop cycle; ``horizon`` is
+        the earliest cycle a worm still in the fabric can commit.
 
         The condition cannot hold before every unmet flag's owner
         executes again nor before the cycle a met flag was last set, so
         instructions may start up to the latest of those cycles
-        inclusive.  An unmet flag bounds nothing when this node owns it
-        (its own watched store ends the block), when its owner is parked
-        (it cannot run before a delivery, which ``deadline`` already
-        precedes) or pending at or beyond the deadline: one such
-        *witness* is remembered, and the flags are rescanned only when
-        it stops sufficing.
+        inclusive.  An owner executes again at its ``next_tick`` — or
+        earlier, when a delivery to it commits first and pulls that back
+        — and a parked one not before such a commit plus the dispatch it
+        starts.  (A message not yet sent commits after ``deadline``.)
+        An unmet flag bounds nothing when this node owns it (its own
+        watched store ends the block) or its owner cannot execute before
+        the deadline: one such *witness* is remembered, and when it stops
+        sufficing the flags are rescanned from the one after it, so a
+        scan does not keep passing the same busy owners first.
         """
         if not self._unmet:
             return min(deadline, self.stop_at + 1)
-        since = self._since
-        nodes = self._nodes
-        witness = self._witness
-        if since[witness] is None:
-            owner = witness[0]
-            tick = None if owner == node_id else nodes[owner].next_tick
-            if tick is None or tick + 1 >= deadline:
+        since, keys = self._since, self._keys
+        start = self._witness
+        key = keys[start]
+        bound = since[key]
+        if bound is None:
+            if key[0] == node_id:
                 return deadline
-        bound = -1
-        for key, cycle in since.items():
+            bound = self._resumes(key[0], horizon)
+            if bound + 1 >= deadline:
+                return deadline
+        others = (chain(range(start + 1, len(keys)), range(start))
+                  if len(keys) > 1 else ())
+        for i in others:
+            key = keys[i]
+            cycle = since[key]
             if cycle is None:
                 owner = key[0]
-                cycle = None if owner == node_id else nodes[owner].next_tick
-                if cycle is None or cycle + 1 >= deadline:
-                    self._witness = key
+                if owner == node_id:
+                    self._witness = i
+                    return deadline
+                cycle = self._resumes(owner, horizon)
+                if cycle + 1 >= deadline:
+                    self._witness = i
                     return deadline
             if cycle > bound:
                 bound = cycle
         return min(deadline, bound + 1)
+
+    def _resumes(self, owner: int, horizon: int) -> int:
+        """The earliest cycle ``owner`` can start an instruction (see
+        :meth:`cap`)."""
+        queue = self._staged[owner]
+        commit = queue[0][0] if queue else NEVER
+        if self._inbound[owner] and horizon < commit:
+            commit = horizon
+        tick = self._nodes[owner].next_tick
+        if tick is None:
+            return commit + self._dispatch
+        return commit if commit < tick else tick

@@ -58,7 +58,7 @@ PROC_EXTERNAL_ATTRS = frozenset(Mdp.UNCAPTURED_ATTRS)
 #: classified before they can ship.
 MACHINE_CAPTURED_ATTRS = frozenset({
     "config", "now", "_seq", "deliveries_committed", "nodes", "_proc_heap",
-    "_delivery_heap", "_staged_messages", "_staged_words_per_node",
+    "_delivery_heap", "_staged",  # both as the "deliveries" list
     "fabric", "chaos", "watchdog", "telemetry",
 })
 MACHINE_EXTERNAL_ATTRS = frozenset({
@@ -66,6 +66,9 @@ MACHINE_EXTERNAL_ATTRS = frozenset({
     "_trace_state",  # telemetry wiring, re-installed on restore
     "checkpoint",    # the policy driving saves is host-side, not state
     "sampler",       # live-monitoring rig, host-side (docs/OBSERVABILITY.md)
+    # Per-node traffic counts, derived from the fabric's worms on
+    # restore (JMachine._recount_traffic).
+    "_inbound", "_injecting",
 })
 
 #: Same partition for ``MacroSimulator.__dict__``.
@@ -165,13 +168,15 @@ def capture_machine(machine) -> dict:
             "node_tlb": iface.node_tlb,
             "next_tick": node.next_tick,
         })
-    # Staged deliveries in exact commit order: sorting the heap yields
-    # the pop order of its (arrival, node, index) entries, and restoring
-    # through machine._deliver in that order reassigns fresh indices
-    # that preserve every tie-break.
+    # Staged deliveries in exact commit order — by (arrival, node), each
+    # node's in staging order — which restoring through machine._deliver
+    # in that order reproduces.
     deliveries = [
-        (arrival, node_id, machine._staged_messages[index])
-        for arrival, node_id, index in sorted(machine._delivery_heap)
+        (arrival, node_id, message)
+        for arrival, node_id, _, message in sorted(
+            (arrival, node_id, k, message)
+            for node_id, staged in enumerate(machine._staged)
+            for k, (arrival, message) in enumerate(staged))
     ]
     watchdog = machine.watchdog
     return {
@@ -226,6 +231,7 @@ def restore_machine(payload: dict):
     for arrival, node_id, message in payload["deliveries"]:
         machine._deliver(node_id, message, arrival)
     machine.fabric.load_state(payload["fabric"])
+    machine._recount_traffic()
     chaos = payload["chaos"]
     if chaos is not None:
         from ..chaos.engine import ChaosEngine

@@ -261,7 +261,7 @@ loop:
 """
 
 
-def test_each_distinct_block_is_generated_once_per_process():
+def test_each_distinct_block_is_bound_once_per_image():
     source = LOOP.format(n=17)        # a literal no other test compiles
     program = assemble(source)
     before = dict(fastpath.STATS)
@@ -276,17 +276,81 @@ def test_each_distinct_block_is_generated_once_per_process():
         procs.append(proc)
     generated = fastpath.STATS["blocks_generated"] - before["blocks_generated"]
     bound = fastpath.STATS["blocks_bound"] - before["blocks_bound"]
-    # start..MOVE, the loop, the tail: three blocks, six nodes.
+    # start..MOVE, the loop, the tail: three blocks, one image, six nodes.
     assert generated == 3
-    assert bound == 3 * 6
+    assert bound == 3
+    assert all(proc._blocks is procs[0]._blocks for proc in procs)
     assert fastpath.STATS["fallback_instructions"] == (
         before["fallback_instructions"])
-    # Re-assembling the same text shares the code too.
+    # Re-assembling the same text shares the code too, but it is another
+    # image: its first block is bound again.
     again = Mdp(node_id=9, fast_path=True)
     assemble(source).load(again)
     again.set_background(program.entry("start"))
     again.tick(0, deadline=1)
     assert fastpath.STATS["blocks_generated"] - before["blocks_generated"] == 3
+    assert fastpath.STATS["blocks_bound"] - before["blocks_bound"] == 4
+    assert again._blocks is not procs[0]._blocks
+
+
+def test_a_node_that_installs_other_code_gets_its_own_tables():
+    """Three nodes load one program, then node 1 loads a second one over
+    it (same addresses, another loop count).  Node 0 runs first and
+    fills the shared tables; node 1 must not run its blocks."""
+    first, second = assemble(LOOP.format(n=5)), assemble(LOOP.format(n=9))
+
+    def run(fast):
+        procs = [Mdp(node_id=node_id, fast_path=fast) for node_id in range(3)]
+        for proc in procs:
+            first.load(proc)
+        second.load(procs[1])
+        out = []
+        for proc in procs:
+            regs = proc.registers[Priority.BACKGROUND]
+            regs.write("A0", Word.segment(first.end + 4, 8))
+            proc.set_background(first.entry("start"))
+            out.append((_drive(proc), regs.read("R0").value,
+                        dict(proc.counters.__dict__)))
+        return procs, out
+
+    procs, fast = run(True)
+    assert fast == run(False)[1]
+    assert [r0 for _, r0, _ in fast] == [15, 45, 15]
+    assert procs[0]._blocks is procs[2]._blocks
+    assert procs[1]._blocks is not procs[0]._blocks
+
+
+@pytest.mark.parametrize("save_at", [40, 400])
+def test_a_restored_machine_still_equals_the_reference(save_at):
+    """Two programs on one machine; a capture restored mid-run gives
+    every node tables of its own, and the run finishes in the reference
+    interpreter's state."""
+    from repro.snapshot.state import capture_machine, restore_machine
+    from tests.util import assert_same_state, machine_state
+
+    programs = [assemble(LOOP.format(n=60)), assemble(LOOP.format(n=80))]
+
+    def build(fast):
+        machine = JMachine(MachineConfig(dims=(2, 2, 1), fast_path=fast))
+        machine.load(programs[0], nodes=[0, 1])
+        machine.load(programs[1], nodes=[2, 3])
+        for node in machine.nodes:
+            node.proc.registers[Priority.BACKGROUND].write(
+                "A0", Word.segment(programs[0].end + 4, 8))
+            machine.start_background(node.node_id, programs[0].entry("start"))
+        return machine
+
+    built = build(True)
+    assert built.nodes[0].proc._blocks is built.nodes[1].proc._blocks
+    assert built.nodes[1].proc._blocks is not built.nodes[2].proc._blocks
+    built.run(max_cycles=save_at)
+    restored = restore_machine(capture_machine(built))
+    tables = [node.proc._blocks for node in restored.nodes]
+    assert len({id(table) for table in tables}) == len(tables)
+    restored.run()
+    reference = build(False)
+    reference.run()
+    assert_same_state(machine_state(restored), machine_state(reference))
 
 
 def test_block_source_shows_each_instruction():

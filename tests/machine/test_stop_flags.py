@@ -1,18 +1,23 @@
 """``run(until=StopFlags(...))``: fast path == reference interpreter.
 
-A stop condition lets compiled blocks run ahead of the global clock (to
-the earliest cycle a delivery, an earlier send or the stop itself could
-happen — docs/PERFORMANCE.md "Stop conditions"), so the contract is that
-the run still stops at the reference's cycle in the reference's state.
-Hypothesis drives small meshes running generated handlers — token rings
-with per-node compute gaps, fan-in to one collector, both SEND widths —
-under 1-8 flags of every kind (met at the start, set / cleared / set
-again, never met) and compares the fast path with ``fast_path=False`` on
-the return value, the whole ``capture_machine`` tree, ``fabric.stats``
-and every ``next_tick``; bare and with an event bus (the captured
-stream equal); and again after a second run to quiescence.  Fixed cases
-do the same for the five real callers.  ``pytest -m slow`` runs the property
-over many more examples.
+A stop condition lets each compiled block run ahead of the global clock
+to the earliest cycle anything could reach its node — a delivery to it,
+a worm bound for it, the release of its own send buffer, a send by any
+other node — or the stop itself could happen (docs/PERFORMANCE.md "Stop
+conditions"), so the contract is that the run still stops at the
+reference's cycle in the reference's state.  Hypothesis drives small
+meshes running generated handlers — token rings with per-node compute
+gaps, fan-in to one collector, bursts that fill a send buffer and the
+collector's queue, both SEND widths, both priorities — on default or
+24-word queues, under blocking or return-to-sender flow control, with or
+without an attached fault plan that injects nothing, under 1-8 flags of
+every kind (met at the start, set / cleared / set again, never met; on a
+parked collector while its peers compute) and compares the fast path
+with ``fast_path=False`` on the return value, the whole
+``capture_machine`` tree, ``fabric.stats`` and every ``next_tick``; bare
+and with an event bus (the captured stream equal); and again after a
+second run to quiescence.  Fixed cases do the same for the five real
+callers.  ``pytest -m slow`` runs the property over many more examples.
 """
 
 import pytest
@@ -22,6 +27,7 @@ from repro.apps.lcs import LcsParams
 from repro.apps.lcs_cycle import run_cycle_lcs
 from repro.apps.radix_cycle import run_cycle_radix
 from repro.asm.assembler import assemble
+from repro.chaos import ChaosEngine, FaultPlan
 from repro.core.errors import ConfigurationError
 from repro.core.processor import USER_BASE
 from repro.core.registers import Priority
@@ -78,6 +84,22 @@ home:                           ; a spent token reports to the collector
 collect:
     ADD   [A0+6], [A3+1], [A0+6]
     SUSPEND
+burst:                          ; [IP:burst, n]: 2n 6-word reports, back
+    MOVE  [A3+1], R1            ; to back, faster than the interface
+more:                           ; drains: the send buffer fills
+    BF    R1, spent
+    SUB   R1, #1, R1
+    SEND  [A0+2]
+    SEND2 #IP:collect, #1
+    SEND2 R1, R1
+    SEND2E R1, R1
+    SEND  [A0+2]
+    SEND2 #IP:collect, #1
+    SEND2 R1, R1
+    SEND2E R1, R1
+    BR    more
+spent:
+    SUSPEND
 """
 PROGRAM = assemble(SOURCE)
 BASE = PROGRAM.end + 4
@@ -93,30 +115,55 @@ def cases(draw):
     dims = draw(st.sampled_from([(2, 1, 1), (2, 2, 1), (3, 2, 1), (2, 2, 2)]))
     n = dims[0] * dims[1] * dims[2]
     node = st.integers(0, n - 1)
+    collector = draw(node)
     tokens = draw(st.lists(
-        st.tuples(node, st.sampled_from(["relay1", "relay2"]),
-                  st.integers(0, 12)), min_size=1, max_size=4))
+        st.tuples(node, st.sampled_from(["relay1", "relay2", "burst",
+                                         "home", "collect"]),
+                  st.integers(0, 12), st.sampled_from([0, 1])),
+        min_size=1, max_size=4))
+    # A burst on the collector itself would wedge it on tight queues:
+    # its own reports queue behind it at its priority.
+    tokens = [((where + 1) % n if handler == "burst" and where == collector
+               else where, handler, hops, priority)
+              for where, handler, hops, priority in tokens]
     flag = st.one_of(
         st.tuples(node, st.just(PARITY), st.integers(0, 1)),
         st.tuples(node, st.just(ARRIVALS), st.integers(0, 5)),
-        st.tuples(node, st.just(COLLECTED), st.integers(0, len(tokens))),
+        st.tuples(node, st.just(COLLECTED), st.integers(0, 12)),
         # 0 is there from the start; 9 never is.
         st.tuples(node, st.just(UNTOUCHED), st.sampled_from([0, 9])))
     return {
         "dims": dims,
-        "gaps": draw(st.lists(st.integers(0, 10), min_size=n, max_size=n)),
-        "collector": draw(node),
+        "gaps": draw(st.lists(st.sampled_from([0, 1, 2, 4, 7, 10, 40]),
+                              min_size=n, max_size=n)),
+        "collector": collector,
         "tokens": tokens,
         "flags": [(where, BASE + slot, value) for where, slot, value in
                   draw(st.lists(flag, min_size=1, max_size=8,
                                 unique_by=lambda f: f[:2]))],
         "max_cycles": draw(st.sampled_from([40, 150, 600, 20_000])),
+        "queue_words": draw(st.sampled_from([None, 24])),
+        "flow_control": draw(st.sampled_from(["block", "return_to_sender"])),
+        "inert_chaos": draw(st.booleans()),
+        # 3 words hold one 2-word message, so a send waits for the
+        # previous one's tail to leave the interface (and a burst's
+        # longer reports could never be built).
+        "send_buffer_words": (32 if any(token[1] == "burst"
+                                        for token in tokens)
+                              else draw(st.sampled_from([32, 3]))),
+        "from_collector": draw(st.booleans()),
     }
 
 
 def build(case, fast, telemetry=None):
-    machine = JMachine(MachineConfig(dims=case["dims"], fast_path=fast),
-                       telemetry=telemetry)
+    machine = JMachine(MachineConfig(
+        dims=case["dims"], fast_path=fast,
+        queue_words=case.get("queue_words"),
+        flow_control=case.get("flow_control", "block"),
+        send_buffer_words=case.get("send_buffer_words", 32)),
+        telemetry=telemetry)
+    if case.get("inert_chaos"):
+        ChaosEngine(FaultPlan(seed=7)).attach_machine(machine)
     machine.load(PROGRAM)
     n = machine.mesh.n_nodes
     for i, node in enumerate(machine.nodes):
@@ -126,9 +173,16 @@ def build(case, fast, telemetry=None):
         memory.poke(BASE + 2, Word.from_int(case["collector"]))
         for slot in (PARITY, ARRIVALS, COLLECTED, UNTOUCHED):
             memory.poke(BASE + slot, Word.from_int(0))
-        node.proc.registers[Priority.P0].write("A0", Word.segment(BASE, 8))
-    for where, handler, hops in case["tokens"]:
-        machine.inject(where, PROGRAM.entry(handler), [Word.from_int(hops)])
+        for priority in (Priority.P0, Priority.P1):
+            node.proc.registers[priority].write("A0", Word.segment(BASE, 8))
+    for where, handler, hops, *priority in case["tokens"]:
+        # A host injection's tail leaving frees send-buffer words at its
+        # source interface, which never held them: injected from the
+        # collector, the nodes that send keep their buffers exact.
+        machine.inject(where, PROGRAM.entry(handler), [Word.from_int(hops)],
+                       priority=Priority(priority[0] if priority else 0),
+                       source=(case["collector"] if case.get("from_collector")
+                               else where))
     return machine
 
 
@@ -154,6 +208,7 @@ def check(case):
 
 #: Without the earliest-stop bound node 0, ticked first in the pass at
 #: which node 1 stores the flag (cycle 22), has already run on to 30.
+#: Also fails with the per-node inbound term dropped.
 PAST_THE_STOP = {
     "dims": (2, 2, 2), "gaps": [0] * 8, "collector": 0,
     "tokens": [(0, "relay1", 0), (0, "relay1", 0), (1, "relay1", 0)],
@@ -165,12 +220,65 @@ DRAINS_AT_THE_LIMIT = {
     "tokens": [(1, "relay1", 2), (1, "relay1", 0)],
     "flags": [(0, BASE + PARITY, 1)], "max_cycles": 150}
 
+# Each case below fails when one term of the per-node deadline
+# (``JMachine._tick_procs``, ``StopFlags.cap``) is left out.
+
+#: The flag's owner (the collector) is parked while node 0 computes 40
+#: iterations; without "a parked owner waits for the earliest commit to
+#: it plus a dispatch" node 0 runs on past the collector's store.
+PARKED_OWNER = {
+    "dims": (2, 1, 1), "gaps": [40, 0], "collector": 1,
+    "tokens": [(0, "relay1", 0), (1, "relay1", 0)],
+    "flags": [(1, BASE + COLLECTED, 1)], "max_cycles": 20_000}
+#: The collector is pending at the end of its relay's block when a P1
+#: report commits, pulls its tick back and preempts: without "a pending
+#: owner executes no later than its own earliest commit" node 2 runs
+#: past the collector's store.
+PULLED_BACK = {
+    "dims": (2, 2, 1), "gaps": [0, 10, 0, 0], "collector": 1,
+    "tokens": [(0, "burst", 12, 1), (2, "burst", 12, 0), (1, "relay1", 0, 0)],
+    "flags": [(1, BASE + COLLECTED, 24)], "max_cycles": 20_000}
+#: ``first`` without "or the earliest delivery commit anywhere": a node
+#: woken by a commit sends into a peer's run-ahead.
+WOKEN_SENDER = {
+    "dims": (2, 1, 1), "gaps": [40, 7], "collector": 1,
+    "tokens": [(0, "collect", 7, 1), (0, "relay1", 6, 1), (0, "burst", 8, 1)],
+    "flags": [(1, BASE + ARRIVALS, 5)], "max_cycles": 150,
+    "flow_control": "return_to_sender", "inert_chaos": True,
+    "from_collector": True}
+#: A report handler's first SEND, four cycles after its dispatch, needs
+#: the sender's previous tail to have left a 3-word send buffer: without
+#: "now + r while the node's own worm has r phits to inject" it sees the
+#: buffer full one cycle too long.
+OWN_RELEASE = {
+    "dims": (2, 2, 1), "gaps": [0] * 4, "collector": 2,
+    "tokens": [(2, "collect", 0, 0), (1, "relay2", 0, 0), (0, "home", 0, 1),
+               (0, "home", 0, 0)],
+    "flags": [(2, BASE + COLLECTED, 99)], "max_cycles": 20_000,
+    "send_buffer_words": 3, "from_collector": True}
+#: Return-to-sender on 24-word queues: a relay refused by the collector
+#: bounces and retries while the collector runs a 40-iteration relay;
+#: with the refused message counted as gone until its retry arrives, the
+#: collector runs past the retry's commit.
+BOUNCED = {
+    "dims": (2, 2, 1), "gaps": [40, 0, 0, 0], "collector": 0,
+    "tokens": [(0, "relay1", 1, 0), (0, "relay1", 0, 0), (1, "burst", 1, 0),
+               (1, "relay1", 1, 0)],
+    "flags": [(0, BASE + COLLECTED, 99)], "max_cycles": 20_000,
+    "queue_words": 24, "flow_control": "return_to_sender",
+    "from_collector": True}
+
 
 @settings(deadline=None, max_examples=20,
           suppress_health_check=[HealthCheck.too_slow])
 @given(cases())
 @example(PAST_THE_STOP)
 @example(DRAINS_AT_THE_LIMIT)
+@example(PARKED_OWNER)
+@example(PULLED_BACK)
+@example(WOKEN_SENDER)
+@example(OWN_RELEASE)
+@example(BOUNCED)
 def test_fast_path_stops_where_the_reference_does(case):
     check(case)
 

@@ -12,6 +12,11 @@ object a parent-written pickle unpickles to; the resumed run must finish
 digest-equal.  (Real parent-written files were also restored by hand:
 docs/SNAPSHOT.md §1.)
 
+Per-node run-ahead added one queue attribute, ``pending_frees`` (rows a
+block freed ahead of the fabric), and machine bookkeeping that is
+recounted on restore rather than captured; a parent-written file's
+queues unpickle without the attribute, reproduced the same way.
+
 A file written before the sharded backend was deleted carries three
 machine keys nothing reads any more and a pickled ``MachineConfig``
 whose ``__dict__`` still holds a ``parallel_shards`` entry; the second
@@ -26,6 +31,8 @@ macro file holds a COMPLETE for *every* running node and marks none as
 every-completion loop the parent ran (``tests/jsim/reference_engine``)
 and resumes them on the engine.
 """
+
+import pickle
 
 import pytest
 
@@ -89,6 +96,38 @@ def test_capture_without_sleep_slots_restores(tmp_path, specs, probe):
         for slot in SLEEP_SLOTS:
             delattr(worm, slot)
     _resumes_equal(payload, reference)
+
+
+@pytest.mark.parametrize("specs", [(), CHAOS_SPECS], ids=["plain", "chaos"])
+def test_capture_without_pending_frees_restores(tmp_path, specs):
+    """Queues written before ``MessageQueue.pending_frees`` existed
+    unpickle with none (as does every queue captured with none, whose
+    state leaves it out: the class default); the per-node traffic counts were
+    never in a capture and are recounted from the worms.  Every capture
+    of the echo run that holds a free made ahead of the fabric still
+    finishes digest-equal with it dropped (default queues never refuse a
+    worm)."""
+    reference = _finish(_machine(specs, probe=False))
+    machine = _machine(specs, probe=False)
+    machine.checkpoint = CheckpointPolicy(
+        str(tmp_path / "old-{cycle}.ckpt"), every=5)
+    machine.run(max_cycles=20_000)
+    resumed = 0
+    for path in tmp_path.iterdir():
+        _header, payload = read_snapshot(str(path))
+        queues = [queue for node in payload["nodes"]
+                  for queue in node["proc"]["queues"].values()]
+        if not any(queue.pending_frees for queue in queues):
+            continue
+        for queue in queues:
+            queue.__dict__.pop("pending_frees", None)
+        payload = pickle.loads(pickle.dumps(payload))  # what reading unpickles
+        assert not any(queue.pending_frees
+                       for node in payload["nodes"]
+                       for queue in node["proc"]["queues"].values())
+        assert _finish(restore_machine(payload)) == reference
+        resumed += 1
+    assert resumed, "no capture holds a free made ahead of the fabric"
 
 
 #: What ``capture_machine`` wrote for the deleted sharded backend.

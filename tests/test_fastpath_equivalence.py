@@ -359,20 +359,17 @@ def tight_storm():
     return _both(lambda f: _storm(f, 5, max_cycles=2_000, queue_words=24))
 
 
-@pytest.mark.xfail(strict=True,
-                   reason="queue space a block frees while running ahead "
-                          "of the clock reaches the fabric's accept check "
-                          "early (ROADMAP item 3)")
 def test_storm_under_destination_backpressure_identical(tight_storm):
+    """A block running ahead of the clock frees queue rows at virtual
+    cycles the fabric has not reached; the accept check sees them only
+    from the cycle after the freeing instruction started, as it does on
+    the reference (``MessageQueue.free_words_at``)."""
     (fast, _), (slow, _) = tight_storm
     assert_same_state(fast, slow)
 
 
 def test_storm_under_destination_backpressure_does_the_same_work(tight_storm):
-    """Known deviation, pinned: with destination queues refusing worms
-    the fast path accepts some a few cycles before the reference does
-    (first seen at cycle 228 here), so stall counters and send-fault
-    retries differ; what ran, what was sent and where it wedged do not."""
+    """What ran, what was sent and where it wedged, on both paths."""
     (_, fast_work), (_, slow_work) = tight_storm
     assert fast_work == slow_work
     assert fast_work["in_flight"] == 8

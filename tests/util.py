@@ -60,10 +60,13 @@ def globals_segment(proc: Mdp, program: Program, words: int = 16,
 
 #: Scratch the two execution paths leave differently and neither reads
 #: before writing it (per-instruction vs per-block bookkeeping, the
-#: cached ``Instr.text``), plus the switch itself.
+#: cached ``Instr.text``), plus the switch itself; and the queue frees a
+#: block made ahead of the clock (``MessageQueue.pending_frees``), which
+#: the interpreter never makes and which change nothing once the network
+#: reaches their cycle.
 VOLATILE = frozenset({"_woke", "_event_time", "_current_instr_addr",
                       "_active_priority", "_suspended_by_fault",
-                      "fast_path", "_text"})
+                      "fast_path", "_text", "pending_frees"})
 
 
 def _canon(obj):
