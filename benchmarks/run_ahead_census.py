@@ -13,17 +13,38 @@ per instance:
 * ``binds`` — blocks bound to a node (``machine.codegen.blocks_bound``);
 * ``at_deadline`` / ``at_op`` — ticks whose returned next-ready cycle
   reached the deadline they were given, versus ticks that ended on an
-  op of their own (a send, suspend, fault, watched store or park).
+  op of their own (a send, suspend, fault, watched store or park);
+* ``instrs`` — simulated instructions retired;
+* ``static%`` — the share of them retired in the steady-state body of
+  a loop block whose costs are all static (``repro.core.codegen``: one
+  deadline test per iteration, registers held raw across iterations);
+* ``metered%`` — the share retired in a loop block with a memory
+  operand or call-out, which has no steady-state body: every iteration
+  stores its registers and reruns the one per-instruction body.
 
-Nothing in the hot loop is instrumented: ``Mdp.tick`` and
+Then the same instruction shares per benchmark workload.
+
+The source is not instrumented: ``Mdp.tick`` and
 ``_commit_deliveries`` are wrapped for the duration of the census and
-restored afterwards.  Simulated results are unaffected.
+restored afterwards, and the blocks are generated afresh with one
+counting statement per instruction in each steady-state body and each
+metered loop, then dropped.  Simulated results are unaffected.
+
+The last table gives the MDP layer's own rate: simulated instructions
+per host second for the benchmark's LOOP program (one processor,
+28 000 iterations of ``ADD``/``SUB``/``BT``) and its WORK grid (64
+nodes, 1 400 iterations each), compiled and with ``fast_path=False``.
+Only the run is timed, not assembling or building the machine (as the
+repo benchmark times ``mdp_loop`` for ``core.instr_per_host_s``); each
+cell is the best of :data:`REPEAT` runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import random
+import time
+from contextlib import contextmanager
 from typing import Callable, Dict, List, Tuple
 
 from repro.apps.lcs import LcsParams
@@ -31,7 +52,7 @@ from repro.apps.lcs_cycle import run_cycle_lcs
 from repro.apps.radix_cycle import run_cycle_radix
 from repro.apps.radix_sort import RadixParams, generate_keys
 from repro.asm.assembler import assemble
-from repro.core import fastpath
+from repro.core import codegen, fastpath
 from repro.core.processor import Mdp
 from repro.core.registers import Priority
 from repro.core.word import Word
@@ -58,6 +79,17 @@ fin:
     SUSPEND
 """
 
+#: One processor counting down (``cycle_compute``'s ``mdp_loop``).
+LOOP = """
+start:
+    MOVE #{iters}, R1
+loop:
+    ADD R0, R1, R0
+    SUB R1, #1, R1
+    BT R1, loop
+    HALT
+"""
+
 #: Token ring (``cycle_apps``): decrement the hop count, forward to +1.
 RING = """
 relay:
@@ -74,8 +106,15 @@ done:
 """
 
 
-def _grid(n_nodes: int, iters: int) -> None:
-    machine = JMachine(MachineConfig.for_nodes(n_nodes))
+#: Runs per instruction-rate cell; the fastest counts.
+REPEAT = 3
+
+
+def _grid(n_nodes: int, iters: int, fast_path: bool = True
+          ) -> Callable[[], int]:
+    """Build the WORK grid; return the call that runs it and returns the
+    instructions it executed."""
+    machine = JMachine(MachineConfig.for_nodes(n_nodes, fast_path=fast_path))
     program = assemble(WORK)
     machine.load(program)
     base = program.end + 4
@@ -85,9 +124,44 @@ def _grid(n_nodes: int, iters: int) -> None:
         node.proc.registers[Priority.P0].write("A0", Word.segment(base, 4))
     for i in range(n_nodes):
         machine.inject(i, program.entry("work"), source=i)
-    machine.run_until_quiescent(max_cycles=100_000_000)
-    done = sum(node.proc.memory.peek(base + 2).value for node in machine.nodes)
-    assert done == n_nodes, f"grid: {done}/{n_nodes} nodes done"
+
+    def run() -> int:
+        machine.run_until_quiescent(max_cycles=100_000_000)
+        done = sum(node.proc.memory.peek(base + 2).value
+                   for node in machine.nodes)
+        assert done == n_nodes, f"grid: {done}/{n_nodes} nodes done"
+        return machine.total_instructions()
+
+    return run
+
+
+def _loop(iters: int, fast_path: bool = True) -> Callable[[], int]:
+    """Load LOOP on one processor; return the call that runs it and
+    returns the instructions it executed."""
+    proc = Mdp(node_id=0, fast_path=fast_path)
+    program = assemble(LOOP.format(iters=iters))
+    program.load(proc)
+    proc.set_background(program.entry("start"))
+
+    def run() -> int:
+        now = 0
+        while not proc.halted:
+            now = proc.tick(now)
+        return proc.counters.instructions
+
+    return run
+
+
+def rate(build: Callable[[bool], Callable[[], int]], fast_path: bool) -> float:
+    """Simulated instructions per host second of ``build(fast_path)()``,
+    timing the run alone; best of :data:`REPEAT`."""
+    best = float("inf")
+    for _ in range(REPEAT):
+        run = build(fast_path)
+        start = time.perf_counter()
+        instructions = run()
+        best = min(best, time.perf_counter() - start)
+    return instructions / best
 
 
 def _ring(dims: Tuple[int, int, int], tokens: int, hops: int) -> None:
@@ -100,6 +174,12 @@ def _ring(dims: Tuple[int, int, int], tokens: int, hops: int) -> None:
                        [Word.from_int(hops)])
     machine.run_until_quiescent(max_cycles=100_000_000)
     assert machine.total_instructions() == tokens * (hops * 9 + 3)
+
+
+#: The benchmark workload each census instance belongs to.
+WORKLOADS = {"cycle_apps": ("ping64", "barrier64", "ring16", "lcs8_cycle",
+                            "radix64_cycle"),
+             "cycle_compute": ("mdp_loop", "grid64", "grid512")}
 
 
 def instances(seed: int) -> List[Tuple[str, Callable[[], object]]]:
@@ -121,21 +201,55 @@ def instances(seed: int) -> List[Tuple[str, Callable[[], object]]]:
         ("ring16", lambda: _ring((4, 4, 1), 8, 250)),
         ("lcs8_cycle", lambda: run_cycle_lcs(8, lcs)),
         ("radix64_cycle", lambda: run_cycle_radix(64, radix_keys, n_digits=2)),
-        ("grid64", lambda: _grid(64, 1_400)),
-        ("grid512", lambda: _grid(512, 150)),
+        ("mdp_loop", lambda: _loop(28_000)()),
+        ("grid64", lambda: _grid(64, 1_400)()),
+        ("grid512", lambda: _grid(512, 150)()),
     ]
 
 
+@contextmanager
+def _loops_counted(counts: Dict[str, int]):
+    """Blocks generated inside count each instruction retired in a static
+    loop's steady-state body into ``counts["static"]`` and each retired
+    in a metered loop into ``counts["metered"]``; the code cache is
+    emptied on entry and exit, so no block generated without the count
+    runs inside and none generated with it runs after."""
+    generator = codegen._Generator
+    charge = generator.charge
+
+    def counted_charge(gen, category, extra, metered):
+        last = gen.run[-1]
+        if gen.fold:  # only a steady-state body is folded
+            gen.emit('LOOPS["static"] += 1')
+        elif (not gen.static and last.op in fastpath.BRANCH_OPS
+              and codegen._static_target(last) == gen.start):
+            gen.emit('LOOPS["metered"] += 1')
+        charge(gen, category, extra, metered)
+
+    namespace = codegen._namespace()
+    namespace["LOOPS"] = counts
+    fastpath._CACHE.clear()
+    generator.charge = counted_charge
+    try:
+        yield
+    finally:
+        generator.charge = charge
+        del namespace["LOOPS"]
+        fastpath._CACHE.clear()
+
+
 def census(run: Callable[[], object]) -> Dict[str, int]:
-    """Run ``run()`` once with ``Mdp.tick`` and the run-loop pass
-    counted; return the counts."""
+    """Run ``run()`` once with ``Mdp.tick``, the run-loop pass and the
+    loop blocks counted; return the counts."""
     counts = dict.fromkeys(("ticks", "passes", "binds", "at_deadline",
-                            "at_op"), 0)
+                            "at_op", "instrs", "static", "metered"), 0)
     tick = Mdp.tick
     commit = JMachine._commit_deliveries
 
     def counted_tick(proc, now, deadline=None, *rest):
+        before = proc.counters.instructions
         nxt = tick(proc, now, deadline, *rest)
+        counts["instrs"] += proc.counters.instructions - before
         counts["ticks"] += 1
         if deadline is not None and nxt is not None and nxt >= deadline:
             counts["at_deadline"] += 1
@@ -150,11 +264,16 @@ def census(run: Callable[[], object]) -> Dict[str, int]:
     bound = fastpath.STATS["blocks_bound"]
     Mdp.tick, JMachine._commit_deliveries = counted_tick, counted_commit
     try:
-        run()
+        with _loops_counted(counts):
+            run()
     finally:
         Mdp.tick, JMachine._commit_deliveries = tick, commit
     counts["binds"] = fastpath.STATS["blocks_bound"] - bound
     return counts
+
+
+def _share(part: int, whole: int) -> str:
+    return f"{100 * part / whole:.1f}" if whole else "-"
 
 
 def main(argv=None) -> int:
@@ -163,11 +282,28 @@ def main(argv=None) -> int:
                         help="benchmark seed the instances derive from "
                              "(default: the benchmark's default, 1993)")
     args = parser.parse_args(argv)
-    columns = ("ticks", "passes", "binds", "at_deadline", "at_op")
-    print(f"{'unit':<14}" + "".join(f"{name:>12}" for name in columns))
+    columns = ("ticks", "passes", "binds", "at_deadline", "at_op", "instrs")
+    print(f"{'unit':<14}" + "".join(f"{name:>12}" for name in columns)
+          + f"{'static%':>9}{'metered%':>9}")
+    by_unit = {}
     for name, run in instances(args.seed):
-        counts = census(run)
-        print(f"{name:<14}" + "".join(f"{counts[c]:>12}" for c in columns))
+        counts = by_unit[name] = census(run)
+        print(f"{name:<14}" + "".join(f"{counts[c]:>12}" for c in columns)
+              + f"{_share(counts['static'], counts['instrs']):>9}"
+              f"{_share(counts['metered'], counts['instrs']):>9}")
+    print(f"\n{'workload':<14}{'instrs':>12}{'static%':>9}{'metered%':>9}")
+    for workload, names in WORKLOADS.items():
+        total = {key: sum(by_unit[name][key] for name in names)
+                 for key in ("instrs", "static", "metered")}
+        print(f"{workload:<14}{total['instrs']:>12}"
+              f"{_share(total['static'], total['instrs']):>9}"
+              f"{_share(total['metered'], total['instrs']):>9}")
+    print(f"\n{'program':<14}{'compiled/s':>14}{'reference/s':>14}"
+          f"{'speedup':>10}")
+    for name, build in (("LOOP", lambda fast: _loop(28_000, fast)),
+                        ("WORK x64", lambda fast: _grid(64, 1_400, fast))):
+        fast, ref = rate(build, True), rate(build, False)
+        print(f"{name:<14}{fast:>14,.0f}{ref:>14,.0f}{fast / ref:>10.1f}")
     return 0
 
 

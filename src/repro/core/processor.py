@@ -637,10 +637,16 @@ class Mdp:
         return vnow
 
     def _block_fault(self, exc: BaseException, regset: RegisterSet, addr: int,
-                     vnow: int) -> Tuple[int, bool]:
+                     vnow: int, instructions: int,
+                     compute: int) -> Tuple[int, bool]:
         """A compiled block's ``except``: the instruction at ``addr``,
-        started at ``vnow``, raised ``exc``.  Leaves what the
-        per-instruction loop leaves, then resolves or re-raises."""
+        started at ``vnow``, raised ``exc``; the block had not yet
+        counted ``instructions`` retired and ``compute`` compute cycles.
+        Leaves what the per-instruction loop leaves, then resolves or
+        re-raises."""
+        counters = self.counters
+        counters.instructions += instructions
+        counters.compute_cycles += compute
         regset.ip = addr + 1
         self._current_instr_addr = addr
         self._event_time = vnow  # a fault-suspend frees its row then

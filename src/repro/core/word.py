@@ -63,8 +63,8 @@ class Word:
         value = int(value) & _MASK32
         if value > _INT_MAX:
             value -= 1 << 32
-        object.__setattr__(self, "tag", tag)
-        object.__setattr__(self, "value", value)
+        _set_tag(self, tag)
+        _set_value(self, value)
 
     # -- immutability -----------------------------------------------------
 
@@ -200,6 +200,13 @@ class Word:
             node, hint = self.as_msg()
             return f"Word.msg({node}, {hint})"
         return f"Word({self.tag.name}, {self.value})"
+
+
+#: The slot descriptors' own setters: they bypass ``Word.__setattr__``
+#: (which refuses every assignment) at a fraction of the cost of
+#: ``object.__setattr__``.  Only the constructor uses them.
+_set_tag = Word.tag.__set__
+_set_value = Word.value.__set__
 
 
 #: Interned INT words for the small values the hot paths churn through.

@@ -10,7 +10,9 @@ event bus, and everything observable must match.
 """
 
 import random
+import re
 import traceback
+from collections import OrderedDict
 
 import pytest
 
@@ -19,21 +21,22 @@ from repro.core import fastpath
 from repro.core.errors import SegmentationFault, TypeFault
 from repro.core.faults import RuntimeFaultPolicy
 from repro.core.message import Message
-from repro.core.processor import Mdp
+from repro.core.processor import Mdp, NetworkInterface
 from repro.core.registers import Priority
-from repro.core.word import Word
+from repro.core.word import TRUE, Word
 from repro.machine.config import MachineConfig
 from repro.machine.jmachine import JMachine
+from repro.machine.stop import StopFlags
 from repro.telemetry.events import EventBus
 
 PATHS = pytest.mark.parametrize("events", [False, True],
                                 ids=["bare", "events"])
 
 
-def _proc(source, fast, events):
-    proc = Mdp(node_id=0, fast_path=fast,
-               fault_policy=RuntimeFaultPolicy(save_cycles=10,
-                                               restart_cycles=10))
+def _proc(source, fast, events, policy=None, network=None):
+    proc = Mdp(node_id=0, fast_path=fast, network=network,
+               fault_policy=policy or RuntimeFaultPolicy(save_cycles=10,
+                                                         restart_cycles=10))
     if events:
         proc._events = EventBus()
     program = assemble(source)
@@ -65,7 +68,8 @@ def _observe(proc, now, base):
         "meter": (meter.imem_reads, meter.imem_writes,
                   meter.emem_reads, meter.emem_writes),
         "memory": [repr(proc.memory.peek(base + i)) for i in range(8)],
-        "waiting": {address: [(s.priority, s.ip) for s in waiters]
+        "waiting": {address: [(s.priority, s.ip, [repr(w) for w in s.registers])
+                              for s in waiters]
                     for address, waiters in proc._watch.items()},
         "events": None if proc._events is None else list(proc._events.events),
     }
@@ -124,7 +128,7 @@ def test_suspend_mid_block_then_wake_mid_block(read, slot, events):
     assert parked["counters"]["instructions"] == 2
     assert parked["fault_addr"] == fault_ip
     assert [ip for waiters in parked["waiting"].values()
-            for _, ip in waiters] == [fault_ip]
+            for _, ip, _ in waiters] == [fault_ip]
     assert done["counters"]["restarts"] == 1
     assert done["memory"][1] == repr(Word.from_int(43))   # 3 + 40
     assert done["memory"][2] == repr(Word.from_int(6))
@@ -372,6 +376,24 @@ def test_block_source_shows_each_instruction():
     compile(text, "<block>", "exec")        # it is the real source
 
 
+def test_block_source_names_each_instruction_in_both_loop_copies():
+    """A loop block is its first iteration, then the steady-state body:
+    each instruction is named once in each."""
+    program = assemble(LOOP.format(n=3))
+    proc = Mdp(node_id=0, fast_path=True)
+    program.load(proc)
+    loop = program.entry("loop")
+    text = proc.block_source(loop)
+    for addr, instr in ((loop, "ADD R0, R1, R0"), (loop + 1, "SUB R1, #1, R1"),
+                        (loop + 2, f"BT R1, #{loop}")):
+        heads = re.findall(rf"^ *# @{addr} {re.escape(instr)}$", text, re.M)
+        assert len(heads) == 2, instr
+    # The steady copy keeps R0 and R1 raw: no dict, no tag test.
+    steady = text[text.index("while vnow"):]
+    assert "regs[" not in steady.split("if not vR1")[0]
+    assert ".tag" not in steady
+
+
 def test_declined_instruction_steps_through_the_reference():
     # An immediate destination: the reference raises, so must the fast path,
     # after the instructions before it have been charged.
@@ -405,3 +427,260 @@ def test_codegen_metrics_are_opt_in():
     snapshot = telemetry.registry.snapshot()
     for name in fastpath.CODEGEN_METRICS:
         assert snapshot[f"machine.codegen.{name}"] == fastpath.STATS[name]
+
+
+# ------------------------------------------------------ registers in locals
+#
+# A block keeps the registers it touches in locals and stores the dirty
+# ones back at every exit and before every call-out; a loop block runs
+# a steady-state body on raw values.  Whatever looks at the registers —
+# a fault handler saving a thread, the network, a completion observer,
+# a fault policy, a snapshot — must find what the interpreter leaves.
+
+LOOPED = """
+consumer:
+    MOVE  #12, R2
+    MOVE  #0, R0
+    BR    loop
+loop:
+    AND   R2, #7, R3
+    ADD   R0, R2, R0
+    {body}
+    SUB   R2, #1, R2
+    BT    R2, loop
+    MOVE  R0, [A0+0]
+    SUSPEND
+producer:
+    MOVE  #12, R2
+    BR    ploop
+ploop:
+    AND   R2, #7, R3        ; slot 1 is written in the fourth iteration
+    ADD   R2, #100, R1
+    MOVE  R1, [A0+R3]
+    SUB   R2, #1, R2
+    BT    R2, ploop
+    SUSPEND
+"""
+
+
+def _trail(proc, base, now=0):
+    """The observed state after every tick until the processor parks."""
+    trail = []
+    while not proc.halted:
+        nxt = proc.tick(now)
+        if nxt is None:
+            break
+        now = nxt
+        trail.append(_observe(proc, now, base))
+    return trail, now
+
+
+@PATHS
+@pytest.mark.parametrize("body, slot, error", [
+    # R3 = R2 & 7 is 1 in the fourth iteration: the future there suspends
+    # the thread, whose saved registers must be the loop's.
+    ("ADD [A0+R3], R0, R1", Word.fut(), None),
+    ("ADD [A0+R3], R0, R1", Word.segment(9, 2),
+     "ADD on non-numeric tags ADDR,INT"),
+    # A static body (one deadline test per iteration): R3 reaches zero
+    # in the fifth iteration.
+    ("DIV R0, R3, R1", Word.from_int(1), "division by zero"),
+], ids=["fut-suspends", "type", "div0"])
+def test_fault_from_iteration_k_of_a_loop_leaves_reference_state(
+        body, slot, error, events):
+    source = LOOPED.format(body=body)
+
+    def scenario(fast, events):
+        proc, program, base = _proc(source, fast, events)
+        proc.memory.poke(base + 1, slot)
+        proc.deliver(Message.build(program.entry("consumer"), [], 0, 0), 0)
+        try:
+            now = _drive(proc)
+        except TypeFault as fault:
+            return (str(fault), proc._current_instr_addr), _observe(
+                proc, None, base), None
+        parked = _observe(proc, now, base)
+        # The producer's loop stores into the watched slot mid-loop: the
+        # block ends there, every register stored, and the consumer
+        # restarts from the registers the fault saved.
+        proc.deliver(Message.build(program.entry("producer"), [], 0, 0), now)
+        trail, now = _trail(proc, base, now)
+        return None, parked, (trail, _observe(proc, now, base))
+
+    fast, slow = scenario(True, events), scenario(False, events)
+    raised, parked, rest = fast
+    assert (raised, parked) == slow[:2]
+    loop = assemble(source).entry("loop")
+    if error is not None:
+        assert error in raised[0] and raised[1] == loop + 2
+        iteration = 4 if body.startswith("ADD") else 5
+        # Three to enter, five per iteration, two before the fault.
+        assert parked["counters"]["instructions"] == 3 + 5 * (iteration - 1) + 2
+        return
+    # R0..R3 as the fourth iteration left them: R1 is the third's sum.
+    (waiting,) = parked["waiting"].values()
+    assert [(ip, regs[:4]) for _, ip, regs in waiting] == [(loop + 2, [
+        repr(Word.from_int(12 + 11 + 10 + 9)), repr(Word.from_int(33)),
+        repr(Word.from_int(9)), repr(Word.from_int(1))])]
+    (fast_trail, fast_done), (slow_trail, slow_done) = rest, slow[2]
+    assert fast_done == slow_done
+    assert fast_done["memory"][0] == repr(Word.from_int(78))   # 12 + ... + 1
+    # Every tick of the fast path ends in a state the interpreter passes
+    # through, and one ends right after the watched store.
+    assert all(state in slow_trail for state in fast_trail)
+    stored = next(state["now"] for state in slow_trail
+                  if state["memory"][1] == repr(Word.from_int(109)))
+    assert stored in [state["now"] for state in fast_trail]
+
+
+class _Recorder(NetworkInterface):
+    """Records each word sent with the sender's registers at the call."""
+
+    def __init__(self, seen):
+        self.seen, self.proc = seen, None
+
+    def send_word(self, priority, word, end, now):
+        self.seen.append(("send", repr(word), _registers(self.proc)))
+
+    def can_accept(self, priority, nwords):
+        return True
+
+
+class _PeekingPolicy(RuntimeFaultPolicy):
+    """Records the registers at an XLATE miss, then writes R0 (a policy
+    may: the block must read it again)."""
+
+    def __init__(self, seen):
+        super().__init__()
+        self.seen = seen
+
+    def on_xlate_miss(self, proc, key, fault):
+        self.seen.append(("xlate", repr(key), _registers(proc)))
+        proc.registers[Priority.P0].write("R0", Word.from_int(99))
+        return super().on_xlate_miss(proc, key, fault)
+
+
+def _registers(proc):
+    regs = proc.registers[Priority.P0].regs
+    return [repr(regs[name]) for name in ("R0", "R1", "R2", "R3")]
+
+
+CALLOUTS = """
+start:
+    MOVE  #7, R0
+    ADD   R0, R0, R1        ; R1 = 14, held raw
+    LT    R1, #20, R2       ; R2 = TRUE, held raw
+    XLATE R1, R3            ; a miss: the policy sees R0-R2, writes R0
+    ADD   R0, R3, R0        ; 99 + 40
+    SEND  R0
+    SENDE R2
+    SUB   R1, #4, R1
+    SUSPEND                 ; the completion observer sees R1 = 10
+"""
+
+
+@PATHS
+def test_callouts_see_registers_written_earlier_in_the_block(events):
+    def scenario(fast, events):
+        seen = []
+        network = _Recorder(seen)
+        proc, program, base = _proc(CALLOUTS, fast, events,
+                                    policy=_PeekingPolicy(seen),
+                                    network=network)
+        network.proc = proc
+        proc.on_thread_complete.append(
+            lambda proc, message: seen.append(("done", _registers(proc))))
+        proc.amt.enter(Word.from_int(14), Word.from_int(40))
+        proc.amt.poison(random.Random(0))     # evicted, still bound
+        proc.deliver(Message.build(program.entry("start"), [], 0, 0), 0)
+        return seen, _observe(proc, _drive(proc), base)
+
+    seen, _ = _both(scenario, events)
+    seven, fourteen, true = (repr(Word.from_int(7)), repr(Word.from_int(14)),
+                             repr(TRUE))
+    assert seen == [
+        ("xlate", fourteen, [seven, fourteen, true, "Word(INT, 0)"]),
+        ("send", repr(Word.from_int(139)),
+         [repr(Word.from_int(139)), fourteen, true, repr(Word.from_int(40))]),
+        ("send", true,
+         [repr(Word.from_int(139)), fourteen, true, repr(Word.from_int(40))]),
+        ("done", [repr(Word.from_int(139)), repr(Word.from_int(10)), true,
+                  repr(Word.from_int(40))]),
+    ]
+
+
+#: The compute grid: each node counts its own number of iterations down,
+#: then sends one message to the next node.  A0+0 = iterations, A0+1 =
+#: peer, A0+2 = done flag.
+GRID = """
+work:
+    MOVE  [A0+0], R0
+loop:
+    ADD   R0, #-1, R0
+    GT    R0, #0, R1
+    BT    R1, loop
+    SEND  [A0+1]
+    SEND  #IP:fin
+    SENDE [A0+1]
+    SUSPEND
+fin:
+    MOVE  #1, [A0+2]
+    SUSPEND
+"""
+
+
+def _grid(fast, iters, dims):
+    """A loaded grid and a stop condition it never meets (a free run is
+    not cycle-exact: tests/test_free_run_deviation.py)."""
+    machine = JMachine(MachineConfig(dims=dims, fast_path=fast))
+    program = assemble(GRID)
+    machine.load(program)
+    base = program.end + 4
+    n = len(machine.nodes)
+    for i, node in enumerate(machine.nodes):
+        node.proc.memory.poke(base, Word.from_int(iters[i % len(iters)]))
+        node.proc.memory.poke(base + 1, Word.from_int((i + 1) % n))
+        node.proc.registers[Priority.P0].write("A0", Word.segment(base, 4))
+    for i in range(n):
+        machine.inject(i, program.entry("work"), source=i)
+    return machine, program, StopFlags([(0, base + 3, 1)])
+
+
+def test_a_grid_cut_mid_loop_restores_from_its_checkpoint(tmp_path):
+    """Nodes finish their loops apart, so messages in flight cut the
+    others' loops at per-node deadlines; every checkpoint taken there
+    restores and finishes in the reference interpreter's state."""
+    from repro.snapshot import CheckpointPolicy
+    from tests.util import assert_same_state, machine_state
+
+    iters = [30 + 13 * i for i in range(8)]
+    machine, program, never = _grid(True, iters, (2, 2, 2))
+    machine.checkpoint = CheckpointPolicy(str(tmp_path / "grid_{cycle}.ckpt"),
+                                          every=45)
+    machine.run(until=never)
+    reference, _, never = _grid(False, iters, (2, 2, 2))
+    reference.run(until=never)
+    expected = machine_state(reference)
+    assert_same_state(machine_state(machine), expected)
+
+    loop = program.entry("loop")
+    cut = 0
+    for path in sorted(tmp_path.glob("grid_*.ckpt")):
+        restored = JMachine.restore(str(path))
+        cut += sum(loop < node.proc.registers[Priority.P0].ip <= loop + 2
+                   for node in restored.nodes)
+        _, _, never = _grid(True, iters, (2, 2, 2))
+        restored.run(until=never)
+        assert_same_state(machine_state(restored), expected)
+    assert cut, "no checkpoint caught a loop mid-iteration"
+
+
+def test_a_512_node_grid_binds_each_block_once(monkeypatch):
+    """One program image on 8x8x8 nodes: every block is generated and
+    bound once, the loop's cut-point blocks included."""
+    monkeypatch.setattr(fastpath, "_CACHE", OrderedDict())
+    before = dict(fastpath.STATS)
+    machine, _, _ = _grid(True, [150], (8, 8, 8))
+    machine.run_until_quiescent()
+    assert fastpath.STATS["blocks_generated"] - before["blocks_generated"] == 8
+    assert fastpath.STATS["blocks_bound"] - before["blocks_bound"] == 8

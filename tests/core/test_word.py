@@ -1,5 +1,7 @@
 """Tests for the 36-bit tagged word."""
 
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -74,6 +76,19 @@ class TestImmutability:
         word = Word.from_int(1)
         with pytest.raises(AttributeError):
             del word.value
+
+    def test_constructor_still_normalises(self):
+        word = Word(int(Tag.SYM), 2**32 + 5)
+        assert word.tag is Tag.SYM and word.value == 5
+
+    @pytest.mark.parametrize("word", [Word.from_int(-7), Word.segment(9, 3),
+                                      Word.cfut(2), Word(Tag.INT, 2**31)])
+    def test_pickles_through_the_constructor(self, word):
+        assert word.__reduce__() == (Word, (word.tag, word.value))
+        again = pickle.loads(pickle.dumps(word))
+        assert again == word and again.tag is word.tag
+        with pytest.raises(AttributeError):
+            again.value = 0
 
 
 class TestSegments:
