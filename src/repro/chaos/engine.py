@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..network.routing import decode_key
 from .plan import FaultPlan, FaultSpec
 
 __all__ = ["ChaosEngine"]
@@ -192,9 +193,10 @@ class ChaosEngine:
             pos += 1
         self._schedule_pos = pos
 
-    def link_blocked(self, key, now: int) -> bool:
-        """True if the channel's owning router is down this cycle."""
-        windows = self._link_windows.get(key[0])
+    def link_blocked(self, key: int, now: int) -> bool:
+        """True if the owning router of channel ``key`` (a fabric key,
+        :func:`~repro.network.routing.decode_key`) is down this cycle."""
+        windows = self._link_windows.get(decode_key(key)[0])
         if windows is None:
             return False
         for start, stop in windows:

@@ -46,7 +46,7 @@ from ..core.errors import ConfigurationError, DeadlockError
 from ..core.message import Message
 from ..core.registers import Priority
 from .observatory import FabricProbe
-from .routing import ChannelKey, route
+from .routing import route_keys
 from .stats import NetworkStats
 from .topology import Mesh3D
 
@@ -82,7 +82,7 @@ class Worm:
     """One message in flight: a worm of phits snaking through the mesh."""
 
     __slots__ = (
-        "message", "path", "keys", "hops", "total_phits", "head", "released",
+        "message", "keys", "hops", "total_phits", "head", "released",
         "injected", "delivered", "reserved", "submit_time", "launch_time",
         "seq", "block_cycles", "crosses_bisection", "done", "pri", "akey",
         "wake", "seen", "parked",
@@ -91,17 +91,16 @@ class Worm:
     def __init__(
         self,
         message: Message,
-        path: Tuple[ChannelKey, ...],
-        keys: Tuple[Tuple[int, int, int, int], ...],
+        keys: Tuple[int, ...],
         hops: int,
         total_phits: int,
         crosses_bisection: bool,
         seq: int,
     ) -> None:
         self.message = message
-        #: Shared route tuples from the fabric's per-pair cache; worms
-        #: must never mutate them.
-        self.path = path
+        #: The route's channel keys (:func:`~repro.network.routing.
+        #: route_keys`), shared through the route cache; worms must
+        #: never mutate them.
         self.keys = keys
         self.hops = hops
         self.total_phits = total_phits
@@ -130,7 +129,15 @@ class Worm:
         #: :meth:`Fabric.sync`.
         self.wake = AWAKE
         self.seen = 0
-        self.parked: Optional[Tuple[int, int, int, int]] = None
+        self.parked: Optional[int] = None
+
+    def __setstate__(self, state) -> None:
+        # A capture written before channel keys became ints also holds
+        # the retired ``path`` slot; Fabric.load_state re-derives keys.
+        _, slots = state
+        slots.pop("path", None)
+        for name, value in slots.items():
+            setattr(self, name, value)
 
 
 class Fabric:
@@ -170,21 +177,19 @@ class Fabric:
         self.eject_latency = eject_latency
         self.arbitration = arbitration
         self.flow_control = flow_control
-        self._owner: Dict[Tuple[int, int, int, int], Worm] = {}
+        self._owner: Dict[int, Worm] = {}
         self._active: List[Worm] = []
         self._pending: Dict[Tuple[int, int], Deque[Worm]] = {}
         self._pending_count = 0
         #: Heap of (release_time, seq, worm); seq keeps same-cycle
         #: releases in submission order, matching the old list scan.
         self._staged: List[Tuple[int, int, Worm]] = []
-        #: (source, dest, pclass) -> (path, keys, hops, crosses): the
-        #: route is a pure function of the pair, so recomputing it per
-        #: message is wasted work on all-to-all traffic.
-        self._route_cache: Dict[
-            Tuple[int, int, int],
-            Tuple[Tuple[ChannelKey, ...], Tuple[Tuple[int, int, int, int], ...],
-                  int, bool],
-        ] = {}
+        #: (source, dest, pclass) -> (channel keys, crosses midplane),
+        #: the shared :func:`~repro.network.routing.route_keys` entry;
+        #: this fabric's own memo so that the hit/miss counters below
+        #: describe this fabric's traffic alone.
+        self._route_cache: Dict[Tuple[int, int, int],
+                                Tuple[Tuple[int, ...], bool]] = {}
         #: Bound + traffic counters for the per-pair route cache
         #: (exported as ``net.route_cache.*`` by the telemetry wiring).
         self.route_cache_max = 1 << 17
@@ -203,7 +208,7 @@ class Fabric:
         #: Frozen worms by the owned channel key that blocks them, their
         #: number, and the last simulated cycle (what a sleeper's stale
         #: fields are measured against).  All derived: see :meth:`sync`.
-        self._waiters: Dict[Tuple[int, int, int, int], List[Worm]] = {}
+        self._waiters: Dict[int, List[Worm]] = {}
         self._n_frozen = 0
         self._cycle = -1
         #: Telemetry event bus (installed by repro.telemetry.wiring).
@@ -258,28 +263,23 @@ class Fabric:
                               words=message.length, trace=message.trace)
 
     def _make_worm(self, message: Message, now: int) -> Worm:
-        if not 0 <= message.dest < self.mesh.n_nodes:
-            raise ConfigurationError(f"destination {message.dest} outside mesh")
         pclass = int(message.priority)
         cache_key = (message.source, message.dest, pclass)
         entry = self._route_cache.get(cache_key)
         if entry is None:
+            # Raises ConfigurationError for an endpoint outside the mesh.
+            entry = route_keys(self.mesh.dims, message.source, message.dest,
+                               pclass)
             self.route_cache_misses += 1
-            path = route(self.mesh, message.source, message.dest)
-            keys = tuple(
-                (node, dim, direction, pclass)
-                for (node, dim, direction) in path
-            )
-            crosses = self.mesh.crosses_x_midplane(message.source, message.dest)
             if len(self._route_cache) >= self.route_cache_max:
                 self._route_cache.clear()  # bounded even on huge meshes
-            entry = (path, keys, len(path) - 2, crosses)
             self._route_cache[cache_key] = entry
         else:
             self.route_cache_hits += 1
-        path, keys, hops, crosses = entry
+        keys, crosses = entry
         total_phits = self.costs.phits_per_word * message.length + FRAMING_PHITS
-        worm = Worm(message, path, keys, hops, total_phits, crosses, self._seq)
+        worm = Worm(message, keys, len(keys) - 2, total_phits, crosses,
+                    self._seq)
         self._seq += 1
         worm.submit_time = now
         if message.inject_time is None:
@@ -753,7 +753,7 @@ class Fabric:
                 owner = self._owner.get(worm.keys[worm.head + 1])
                 blocker = owner.message if owner else None
             details.append(
-                f"{worm.message!r} head={worm.head}/{len(worm.path) - 1} "
+                f"{worm.message!r} head={worm.head}/{len(worm.keys) - 1} "
                 f"blocked_by={blocker!r}"
             )
         if self._events is not None:
@@ -826,13 +826,11 @@ class Fabric:
         ignored (the ``version <= FORMAT_VERSION`` rule; docs/SNAPSHOT.md
         §1 lists them).
         """
-        self._owner = dict(state["owner"])
         self._active = list(state["active"])
         self._pending = {key: deque(queue)
                          for key, queue in state["pending"].items()}
         self._pending_count = state["pending_count"]
         self._staged = list(state["staged"])
-        self._route_cache = dict(state["route_cache"])
         self.route_cache_max = state["route_cache_max"]
         self.route_cache_hits = state["route_cache_hits"]
         self.route_cache_misses = state["route_cache_misses"]
@@ -843,17 +841,31 @@ class Fabric:
         self._stagnant_cycles = state["stagnant_cycles"]
         # Absent in pre-observatory captures: restore to un-probed.
         self._probe = state.get("probe")
-        # Every captured worm is awake; a capture written before the
-        # worm kernel lacks the sleep slots altogether.
-        self._waiters = {}
-        self._n_frozen = 0
-        self._cycle = -1
+        # Channel keys are a pure function of (source, dest, pclass), so
+        # memo entries and worm routes are re-derived; that also converts
+        # a capture written when keys were (node, dim, dir, pclass)
+        # tuples, memo entries included, so later hit/miss counts match
+        # an uninterrupted run.  Every captured worm is awake; a capture
+        # written before the worm kernel lacks the sleep slots altogether.
+        dims = self.mesh.dims
+        self._route_cache = {pair: route_keys(dims, *pair)
+                             for pair in state["route_cache"]}
+        renamed = {}
         for worms in (self._active, *self._pending.values(),
                       (entry[2] for entry in self._staged)):
             for worm in worms:
+                keys, _ = route_keys(dims, worm.message.source,
+                                     worm.message.dest, worm.pri)
+                renamed.update(zip(worm.keys, keys))
+                worm.keys = keys
                 worm.wake = AWAKE
                 worm.seen = 0
                 worm.parked = None
+        self._owner = {renamed[key]: worm
+                       for key, worm in state["owner"].items()}
+        self._waiters = {}
+        self._n_frozen = 0
+        self._cycle = -1
 
     # ---------------------------------------------------------------- helpers
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 import json
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .routing import ChannelKey, EJECT, INJECT
+from .routing import ChannelKey, EJECT, INJECT, decode_key
 from .stats import LatencySummary
 
 __all__ = [
@@ -156,21 +156,22 @@ class FabricProbe:
         link_messages = self.link_messages
         dim_hops = self.dim_hops
         dim_phits = self.dim_phits
-        for channel in worm.path:
-            dim = channel[1]
-            if dim < INJECT:  # mesh channels only
-                link_phits[channel] = link_phits.get(channel, 0) + phits
-                link_messages[channel] = link_messages.get(channel, 0) + 1
-                dim_hops[dim] += 1
-                dim_phits[dim] += phits
+        for key in worm.keys[1:-1]:  # mesh channels only
+            link = decode_key(key)
+            dim = link[1]
+            link_phits[link] = link_phits.get(link, 0) + phits
+            link_messages[link] = link_messages.get(link, 0) + 1
+            dim_hops[dim] += 1
+            dim_phits[dim] += phits
 
     def record_block(self, key, outage: bool, cycles: int = 1) -> None:
         """``cycles`` blocked-at-head cycles on the channel behind ``key``.
 
-        ``key`` is the virtual-channel tuple ``(node, dim, dir, pclass)``;
-        blocked cycles aggregate on the physical link.
+        ``key`` is the fabric's int virtual-channel key; blocked cycles
+        aggregate on the physical link it decodes to
+        (:func:`~repro.network.routing.decode_key`).
         """
-        link = key[:3]
+        link = decode_key(key)
         self.link_blocked[link] = self.link_blocked.get(link, 0) + cycles
         if outage:
             self.stall_link_outage += cycles

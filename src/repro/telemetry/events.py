@@ -223,7 +223,7 @@ class EventBus:
         if counters and mesh is not None:
             from ..core.costs import PHITS_PER_WORD
             from ..network.fabric import FRAMING_PHITS
-            from ..network.routing import INJECT, route
+            from ..network.routing import route
 
             phits_per_word = PHITS_PER_WORD
             totals: Dict[tuple, int] = {}
@@ -233,8 +233,8 @@ class EventBus:
                     continue
                 phits = (phits_per_word * args.get("words", 1)
                          + FRAMING_PHITS)
-                path = tuple(ch for ch in route(mesh, node, args["dest"])
-                             if ch[1] < INJECT)
+                # The mesh channels: the route less its two ports.
+                path = route(mesh, node, args["dest"])[1:-1]
                 send_phits[index] = (path, phits)
                 for channel in path:
                     totals[channel] = totals.get(channel, 0) + phits

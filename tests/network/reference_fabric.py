@@ -68,7 +68,7 @@ class ReferenceFabric(Fabric):
 
     def _step_worm(self, worm: Worm, now: int) -> bool:
         """Advance one worm one cycle; True if it completed delivery."""
-        last = len(worm.path) - 1
+        last = len(worm.keys) - 1
         moved = False
 
         # 1. Head acquisition: one hop per cycle when the next VC is free

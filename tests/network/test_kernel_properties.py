@@ -39,6 +39,7 @@ from repro.core.message import Message
 from repro.core.registers import Priority
 from repro.core.word import Word
 from repro.network.fabric import NEVER, Fabric
+from repro.network.routing import decode_key
 from repro.network.topology import Mesh3D
 
 from .reference_fabric import ReferenceFabric, observable_state
@@ -57,7 +58,7 @@ class _Outages:
 
     def link_blocked(self, key, now):
         self.log.append(("link?", key, now))
-        window = self.windows.get(key[0])
+        window = self.windows.get(decode_key(key)[0])
         return window is not None and window[0] <= now < window[1]
 
     def fabric_verdict(self, message, now):

@@ -1,8 +1,14 @@
 """Tests for deterministic e-cube routing."""
 
+import pytest
 from hypothesis import given, strategies as st
 
-from repro.network.routing import EJECT, INJECT, ecube_route, route_hops
+from repro.core.errors import ConfigurationError
+from repro.core.message import Message
+from repro.core.word import Word
+from repro.network.fabric import Fabric
+from repro.network.routing import (EJECT, INJECT, decode_key, ecube_route,
+                                   route_hops, route_keys)
 from repro.network.topology import Mesh3D
 
 
@@ -84,3 +90,60 @@ def test_channel_sequence_acyclic_order(src, dst):
     mesh_channels = [c for c in path if c[1] < 3]
     ranks = [rank(c) for c in mesh_channels]
     assert ranks == sorted(ranks)
+
+
+# ------------------------------------------------ integer channel keys
+
+
+def _walk(mesh, src, dst, pclass):
+    """The e-cube route by coordinate walk, as ``(node, dim, dir,
+    pclass)``: an oracle independent of the arithmetic in route_keys."""
+    here, target = list(mesh.coord(src)), mesh.coord(dst)
+    path = [(src, INJECT, 0, pclass)]
+    for dim in range(3):
+        step = 1 if target[dim] > here[dim] else -1
+        while here[dim] != target[dim]:
+            path.append((mesh.node_id(tuple(here)), dim, step, pclass))
+            here[dim] += step
+    return path + [(dst, EJECT, 0, pclass)]
+
+
+@st.composite
+def meshes_and_pairs(draw):
+    dims = draw(st.tuples(st.integers(1, 8), st.integers(1, 8),
+                          st.integers(1, 8)))
+    node = st.integers(0, dims[0] * dims[1] * dims[2] - 1)
+    pairs = draw(st.lists(st.tuples(node, node, st.sampled_from([0, 1])),
+                          min_size=1, max_size=12))
+    return Mesh3D(*dims), pairs
+
+
+@given(meshes_and_pairs())
+def test_int_keys_decode_to_the_ecube_route(case):
+    mesh, pairs = case
+    named = {}
+    for src, dst, pclass in pairs:
+        keys, crosses = route_keys(mesh.dims, src, dst, pclass)
+        decoded = [decode_key(key) + (pclass,) for key in keys]
+        assert decoded == _walk(mesh, src, dst, pclass)
+        assert [d[:3] for d in decoded] == ecube_route(mesh, src, dst)
+        assert len(keys) - 2 == mesh.hops(src, dst)
+        assert crosses == mesh.crosses_x_midplane(src, dst)
+        # Injective: one key per (node, dim, dir, pclass), and back.
+        for key, channel in zip(keys, decoded):
+            assert named.setdefault(channel, key) == key
+    assert len(set(named.values())) == len(named)
+
+
+@pytest.mark.parametrize("source, dest", [
+    (-1, 3), (3, -1), (64, 3), (3, 64), (-64, 0), (0, 10**6)])
+def test_send_outside_the_mesh_raises_and_stages_nothing(source, dest):
+    fabric = Fabric(Mesh3D.cube(4), lambda node, message: True,
+                    lambda node, message, at: None)
+    message = Message([Word.ip(1), Word.from_int(0)], source=source,
+                      dest=dest)
+    with pytest.raises(ConfigurationError):
+        fabric.send(message, 5)
+    assert not fabric.active and fabric.stats.submitted == 0
+    assert fabric._seq == 0 and not fabric._route_cache
+    assert fabric.route_cache_misses == 0 and message.inject_time is None

@@ -82,3 +82,40 @@ class TestRandomTraffic:
         b = self._run(idle=50)
         assert a.one_way_latency_cycles == b.one_way_latency_cycles
         assert a.iterations == b.iterations
+
+
+class TestPinnedNumbers:
+    """Figure 3 / Figure 4 fabric statistics, pinned as literals.
+
+    The kernel-versus-reference property cannot see a channel-naming
+    bug (both sides share ``repro.network.routing``), so these numbers
+    were recorded before channel keys became ints: a collision between
+    two channels' keys, or a route that takes a wrong turn, moves them.
+    A 4x3x3 mesh has a different stride in every dimension.
+    """
+
+    #: load point -> (completed, block_cycles, latency total, window
+    #: bisection words, mean round trip) at seed 27, 300 + 900 cycles.
+    FIGURE3 = {
+        (8, 0): (683, 3345, 23818, 2264, 79.90114068441065),
+        (2, 0): (996, 436, 15649, 788, 41.623684210526314),
+        (16, 0): (446, 5800, 29970, 2592, 146.53216374269005),
+        (4, 200): (288, 136, 5671, 400, 49.601851851851855),
+        (8, 1600): (51, 13, 1388, 152, 64.6842105263158),
+    }
+
+    @pytest.mark.parametrize("words, idle", sorted(FIGURE3))
+    def test_figure3_load_points(self, words, idle):
+        experiment = RandomTrafficExperiment(Mesh3D(4, 3, 3), words, idle,
+                                             seed=27)
+        result = experiment.run(300, 900)
+        stats = experiment.fabric.stats
+        assert (stats.completed, stats.block_cycles, stats.latency.total,
+                stats.window_bisection_words,
+                result.mean_round_trip_cycles) == self.FIGURE3[words, idle]
+
+    @pytest.mark.parametrize("mode, words", [
+        ("discard", 352), ("imem", 232), ("emem", 120)])
+    def test_figure4_delivered_words(self, mode, words):
+        result = TerminalBandwidthExperiment(8, mode).run(100, 800)
+        assert result.delivered_words == words

@@ -30,16 +30,30 @@ macro file holds a COMPLETE for *every* running node and marks none as
 "reserved, not pushed".  The last test writes such files with the
 every-completion loop the parent ran (``tests/jsim/reference_engine``)
 and resumes them on the engine.
+
+Channel keys became ints (``repro.network.routing``).  A file written
+before that holds ``(node, dim, dir, pclass)`` tuples as owner keys, in
+each worm's ``keys`` and in the route memo (whose entries also held the
+decoded path and the hop count), and its worms carry a ``path`` slot the
+class no longer defines.  The int-key test pickles a capture in exactly
+that form; ``Worm.__setstate__`` drops the slot and ``Fabric.load_state``
+re-derives every key.
 """
 
+import copyreg
+import io
 import pickle
 
 import pytest
 
+from repro.asm.assembler import assemble
 from repro.chaos import FaultSpec
+from repro.core.word import Word
+from repro.network.fabric import Worm
+from repro.network.routing import decode_key
 from repro.snapshot import CheckpointPolicy, read_snapshot, restore_machine
 
-from .test_cycle_resume import _build, _digest
+from .test_cycle_resume import ECHO, _build, _digest
 
 SLEEP_SLOTS = ("wake", "seen", "parked")
 
@@ -47,23 +61,35 @@ CHAOS_SPECS = (FaultSpec(kind="drop", rate=0.3),
                FaultSpec(kind="corrupt", rate=0.2))
 
 
-def _machine(specs, probe):
+def _machine(specs, probe, rounds=1):
+    """The echo machine; each extra round injects the echoes again, so
+    worms contend and node pairs recur after a mid-flight capture."""
     machine = _build(specs=specs)
+    echo = assemble(ECHO).entry("echo")
+    for _ in range(rounds - 1):
+        for i in range(8):
+            machine.inject(i, echo, [Word.from_int((i + 3) % 8),
+                                     Word.from_int(100 + i)],
+                           source=(i + 1) % 8)
     if probe:
         machine.fabric.attach_probe()
     return machine
 
 
 def _finish(machine):
+    """Run to the end: the digest, the probe, and the route memo's hit
+    and miss counts (equal only if a restore kept the memo's entries)."""
     machine.run(max_cycles=20_000)
-    probe = machine.fabric.probe
-    return _digest(machine), probe.to_dict() if probe is not None else None
+    fabric = machine.fabric
+    probe = fabric.probe
+    return (_digest(machine), probe.to_dict() if probe is not None else None,
+            fabric.route_cache_hits, fabric.route_cache_misses)
 
 
-def _midflight(tmp_path, specs, probe):
+def _midflight(tmp_path, specs, probe, rounds=1):
     """(digest of the uninterrupted run, a mid-flight capture of it)."""
-    reference = _finish(_machine(specs, probe))
-    machine = _machine(specs, probe)
+    reference = _finish(_machine(specs, probe, rounds))
+    machine = _machine(specs, probe, rounds)
     # The loop top first meets worms in the mesh at cycle 27 (earlier
     # windows go through one Fabric.advance call).
     machine.checkpoint = CheckpointPolicy(
@@ -83,19 +109,65 @@ def _resumes_equal(payload, reference):
     return resumed
 
 
+def _worms(fabric_state):
+    return (fabric_state["active"]
+            + [w for queue in fabric_state["pending"].values() for w in queue]
+            + [entry[2] for entry in fabric_state["staged"]])
+
+
 @pytest.mark.parametrize("specs, probe", [
     ((), False), ((), True), (CHAOS_SPECS, False),
 ], ids=["plain", "probed", "chaos"])
 def test_capture_without_sleep_slots_restores(tmp_path, specs, probe):
     reference, payload = _midflight(tmp_path, specs, probe)
-    fabric = payload["fabric"]
-    worms = (fabric["active"]
-             + [w for queue in fabric["pending"].values() for w in queue]
-             + [entry[2] for entry in fabric["staged"]])
-    for worm in worms:
+    for worm in _worms(payload["fabric"]):
         for slot in SLEEP_SLOTS:
             delattr(worm, slot)
     _resumes_equal(payload, reference)
+
+
+def _tuple_keys(keys, pclass):
+    """Channel keys as the parent wrote them: ``(node, dim, dir, pclass)``."""
+    return tuple(decode_key(key) + (pclass,) for key in keys)
+
+
+def _parent_pickle(payload):
+    """``payload`` pickled the way the parent wrote it: tuple keys
+    everywhere, route memo entries ``(path, keys, hops, crosses)`` and a
+    ``path`` slot in every worm's pickled state."""
+    fabric = payload["fabric"]
+    fabric["owner"] = {decode_key(key) + (worm.pri,): worm
+                       for key, worm in fabric["owner"].items()}
+    memo = {}
+    for pair, (keys, crosses) in fabric["route_cache"].items():
+        old = _tuple_keys(keys, pair[2])
+        memo[pair] = (tuple(k[:3] for k in old), old, len(old) - 2, crosses)
+    fabric["route_cache"] = memo
+
+    class ParentPickler(pickle.Pickler):
+        def reducer_override(self, obj):
+            if type(obj) is not Worm:
+                return NotImplemented
+            slots = {name: getattr(obj, name) for name in Worm.__slots__}
+            slots["keys"] = _tuple_keys(obj.keys, obj.pri)
+            slots["path"] = tuple(k[:3] for k in slots["keys"])
+            return copyreg.__newobj__, (Worm,), (None, slots)
+
+    buffer = io.BytesIO()
+    ParentPickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(payload)
+    return buffer.getvalue()
+
+
+@pytest.mark.parametrize("specs, probe", [
+    ((), False), ((), True), (CHAOS_SPECS, False),
+], ids=["plain", "probed", "chaos"])
+def test_capture_with_tuple_channel_keys_restores(tmp_path, specs, probe):
+    reference, payload = _midflight(tmp_path, specs, probe, rounds=4)
+    old = pickle.loads(_parent_pickle(payload))
+    assert any(isinstance(key, tuple) for key in old["fabric"]["owner"])
+    assert all(isinstance(worm.keys[0], tuple)
+               for worm in _worms(old["fabric"]))
+    _resumes_equal(old, reference)
 
 
 @pytest.mark.parametrize("specs", [(), CHAOS_SPECS], ids=["plain", "chaos"])

@@ -147,6 +147,27 @@ def test_fabric_has_one_way_to_move_a_worm():
         assert not gone.search(path.read_text()), path
 
 
+def test_channel_layout_lives_in_routing():
+    """A fabric channel key is ``(node * PORTS + port) * CLASSES +
+    pclass``, decided in ``repro.network.routing`` alone: every other
+    module and test builds keys with ``route_keys`` and reads them with
+    ``decode_key``, so neither the layout's names nor arithmetic on a
+    key may appear outside it."""
+    layout = re.compile(
+        r"\b(PORTS|INJECT_PORT|EJECT_PORT|CLASSES)\b|\*\s*(8|16)\s*\+"
+        r"|\b(key|port|channel|link)\w*(\[[^]]*\])?\s*(>>|<<|//|%|&|\|)"
+        r"|divmod\(\s*(key|port|channel)")
+    routing = ROOT / "src" / "repro" / "network" / "routing.py"
+    trees = [ROOT / "src" / "repro" / package for package in
+             ("network", "chaos", "telemetry", "snapshot", "machine")]
+    trees += [ROOT / "tests" / package for package in
+              ("network", "chaos", "telemetry", "snapshot")]
+    for tree in trees:
+        for path in tree.rglob("*.py"):
+            if path != routing:
+                assert not layout.search(path.read_text()), path
+
+
 def test_until_probe_stays_deleted():
     """A stop condition is watched through the store hook: no compiled
     block or driver takes a per-instruction predicate ``probe`` again.
