@@ -29,8 +29,9 @@ Usage::
 run that *asserts* the tracing contract — the reconstructed path is
 connected from an injection root to run end, the causal graph is
 acyclic, and the per-category attribution sums to the path length and
-never exceeds the run's cycle count.  Exit status is non-zero on any
-violation.
+never exceeds the run's cycle count — then asserts the knee itself:
+both apps' efficiency decays over 4, 8 and 16 nodes.  Exit status is
+non-zero on any violation.
 """
 
 from __future__ import annotations
@@ -120,7 +121,8 @@ def format_rows(rows) -> str:
 
 
 def smoke() -> int:
-    """Tiny traced LCS run asserting the tracing contract (CI gate)."""
+    """The CI gate: the tracing contract on a tiny LCS run, then each
+    app's efficiency decaying over ``NODE_COUNTS`` (the speedup knee)."""
     result, graph, path = trace_app("lcs", APPS[0][1], 4, scale=0.05)
     check_contract(result, graph, path)
     cats = path.categories()
@@ -128,19 +130,6 @@ def smoke() -> int:
     print(f"trace-smoke OK: {graph.n_spans} spans, critical path "
           f"{round(path.length)} of {result.cycles} cycles, "
           f"available parallelism {path.available_parallelism:.2f}x")
-    return 0
-
-
-# ------------------------------------------------------------- pytest hooks
-
-
-def test_trace_smoke_contract():
-    """The smoke gate's assertions, runnable under plain pytest."""
-    assert smoke() == 0
-
-
-def test_parallelism_explains_speedup_knee():
-    """Both apps hit a real ceiling: efficiency decays with node count."""
     for name, runner in APPS:
         efficiency = []
         for n_nodes in NODE_COUNTS:
@@ -149,6 +138,8 @@ def test_parallelism_explains_speedup_knee():
             efficiency.append(path.available_parallelism / n_nodes)
         assert efficiency == sorted(efficiency, reverse=True), \
             f"{name}: efficiency should decay toward the knee: {efficiency}"
+    print(f"trace-smoke OK: efficiency decays over {NODE_COUNTS} nodes")
+    return 0
 
 
 def main(argv=None) -> int:

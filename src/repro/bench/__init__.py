@@ -13,18 +13,18 @@ One module per artifact::
     table4  application statistics (64 nodes)
     table5  TSP cost components
 
-Each module exposes ``run()`` returning a structured result and
-``format_result()`` (or ``format_*``) rendering the paper-style table.
-``python -m repro.bench`` runs them all.  Scale is controlled by the
-``JM_SCALE`` environment variable (``small`` default, ``paper`` full).
+plus ``crossover``, ``ablations`` and ``xlevel``.  Each exposes ``run()``
+and a formatter; :mod:`repro.bench.fidelity` scores the paper's claims
+against the results.  ``python -m repro.bench`` runs them all.  Scale is
+``JM_SCALE`` (``small`` default, ``paper`` full).
 """
 
-from . import (ablations, appscale, crossover, fig2, fig3, fig4, fig5, fig6,
-               harness, plots, reference, summary, table1, table2, table3,
+from . import (ablations, appscale, crossover, fidelity, fig2, fig3, fig4,
+               fig5, fig6, harness, plots, reference, table1, table2, table3,
                table4, table5)
 
 __all__ = [
-    "ablations", "appscale", "crossover", "fig2", "fig3", "fig4", "fig5",
-    "fig6", "harness", "plots", "reference", "summary", "table1", "table2",
+    "ablations", "appscale", "crossover", "fidelity", "fig2", "fig3", "fig4",
+    "fig5", "fig6", "harness", "plots", "reference", "table1", "table2",
     "table3", "table4", "table5",
 ]

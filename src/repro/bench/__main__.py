@@ -1,19 +1,18 @@
-"""Run every experiment and print every table/figure: the full evaluation.
+"""Run every experiment, print every table/figure, and score the paper.
 
 Usage::
 
-    python -m repro.bench            # small scale (seconds per artifact)
-    JM_SCALE=paper python -m repro.bench   # the paper's sizes
+    python -m repro.bench                     # small scale, ~1 minute
+    JM_SCALE=paper python -m repro.bench      # the paper's sizes
+    python -m repro.bench fig2 table2 --out results.md   # a subset, saved
 
-Pass artifact names to run a subset, and/or ``--out FILE`` to also write
-the report to a file::
-
-    python -m repro.bench fig2 table2 --out results.md
-
-``python -m repro.bench trajectory [artifacts...] [--no-gate]`` instead
-renders the committed perf-trajectory histories (BENCH_simspeed.json /
-BENCH_snapshot.json) and exits non-zero on regressions beyond the
-documented noise allowance (see :mod:`repro.bench.trajectory`).
+Each selected artifact runs once; the report ends with the
+:mod:`repro.bench.fidelity` scorecard of the artifacts that ran, and the
+exit status is 1 when a row is out of band.  Timings go to stderr, so
+the report is byte-identical between commits that simulate the same
+numbers.  ``python -m repro.bench trajectory [artifacts...]
+[--no-gate]`` instead renders and gates the committed perf-trajectory
+histories (:mod:`repro.bench.trajectory`).
 """
 
 from __future__ import annotations
@@ -21,85 +20,72 @@ from __future__ import annotations
 import sys
 import time
 
-from . import (ablations, crossover, fig2, fig3, fig4, fig5, fig6, harness,
-               summary, table1, table2, table3, table4, table5)
+from . import (ablations, crossover, fidelity, fig2, fig3, fig4, fig5, fig6,
+               harness, table1, table2, table3, table4, table5, xlevel)
 
 
-def _run_all(selected, out_path=None) -> None:
-    artifacts = [
-        ("fig2", lambda: _with_chart(fig2)),
-        ("table1", lambda: table1.format_result(table1.run())),
-        ("fig3", lambda: _fig3()),
-        ("fig4", lambda: _with_chart(fig4)),
-        ("table2", lambda: table2.format_result(table2.run())),
-        ("table3", lambda: table3.format_result(table3.run())),
-        ("fig5", lambda: _with_chart(fig5)),
-        ("fig6", lambda: fig6.format_result(fig6.run())),
-        ("table4", lambda: table4.format_result(table4.run())),
-        ("table5", lambda: table5.format_result(table5.run())),
-        ("crossover", lambda: crossover.format_result(crossover.run())),
-        ("summary", lambda: summary.format_result(summary.run())),
-        ("ablations", _ablations),
-    ]
-    sink = open(out_path, "w") if out_path else None
+def _joined(*formats):
+    return lambda result: "\n\n".join(format(result) for format in formats)
+
+
+#: Report order: name -> (run, render).
+ARTIFACTS = {
+    "fig2": (fig2.run, _joined(fig2.format_result, fig2.format_chart)),
+    "table1": (table1.run, table1.format_result),
+    "fig3": (fig3.run, _joined(
+        fig3.format_latency_table, fig3.format_chart,
+        fig3.format_efficiency_table, fig3.format_efficiency_chart)),
+    "fig4": (fig4.run, _joined(fig4.format_result, fig4.format_chart)),
+    "table2": (table2.run, table2.format_result),
+    "table3": (table3.run, table3.format_result),
+    "fig5": (fig5.run, _joined(fig5.format_result, fig5.format_chart)),
+    "fig6": (fig6.run, fig6.format_result),
+    "table4": (table4.run, table4.format_result),
+    "table5": (table5.run, table5.format_result),
+    "crossover": (crossover.run, crossover.format_result),
+    "ablations": (ablations.run, ablations.format_result),
+    "xlevel": (xlevel.run, xlevel.format_result),
+}
+
+
+def main(argv) -> int:
+    if argv and argv[0] == "trajectory":
+        from .trajectory import main as trajectory_main
+
+        return trajectory_main(argv[1:])
+    args = list(argv)
+    out_path = None
+    if "--out" in args:
+        index = args.index("--out")
+        out_path = args[index + 1]
+        del args[index:index + 2]
+    unknown = sorted(set(args) - set(ARTIFACTS))
+    if unknown:
+        print(f"unknown artifact(s) {', '.join(unknown)}; choose from "
+              f"{', '.join(ARTIFACTS)}", file=sys.stderr)
+        return 2
+    lines = []
 
     def emit(text: str) -> None:
         print(text)
-        if sink:
-            sink.write(text + "\n")
+        lines.append(text + "\n")
 
     emit(f"J-Machine reproduction — scale: {harness.scale()}\n")
-    for name, runner in artifacts:
-        if selected and name not in selected:
+    scores = []
+    for name, (run, render) in ARTIFACTS.items():
+        if args and name not in args:
             continue
         start = time.time()
-        output = runner()
-        elapsed = time.time() - start
-        emit(output)
-        emit(f"[{name}: {elapsed:.1f}s]\n")
-    if sink:
-        sink.close()
-
-
-def _fig3() -> str:
-    result = fig3.run()
-    return "\n\n".join([
-        fig3.format_latency_table(result),
-        fig3.format_chart(result),
-        fig3.format_efficiency_table(result),
-        fig3.format_efficiency_chart(result),
-    ])
-
-
-def _with_chart(module) -> str:
-    result = module.run()
-    return (module.format_result(result) + "\n\n"
-            + module.format_chart(result))
-
-
-def _ablations() -> str:
-    parts = [
-        ablations.format_dispatch(ablations.dispatch_cost_ablation()),
-        ablations.format_suspend(ablations.suspend_policy_ablation()),
-        ablations.format_emem(ablations.emem_bandwidth_ablation()),
-        ablations.format_flow_control(ablations.flow_control_ablation()),
-        ablations.format_node_tlb(ablations.node_tlb_ablation()),
-        ablations.format_queue_pressure(ablations.queue_pressure_ablation()),
-        ablations.format_arbitration(ablations.arbitration_fairness_ablation()),
-        ablations.format_tsp_priority(ablations.tsp_priority_ablation()),
-    ]
-    return "\n\n".join(parts)
+        result = run()
+        emit(render(result) + "\n")
+        print(f"[{name}: {time.time() - start:.1f}s]", file=sys.stderr)
+        scores += fidelity.score(name, result)
+    emit(fidelity.format_scorecard(scores))
+    if out_path:
+        with open(out_path, "w") as sink:
+            sink.writelines(lines)
+    return 0 if all(row.accepts(value) for row, value in scores) else 1
 
 
 if __name__ == "__main__":
-    _args = sys.argv[1:]
-    if _args and _args[0] == "trajectory":
-        from .trajectory import main as _trajectory_main
-
-        sys.exit(_trajectory_main(_args[1:]))
-    _out = None
-    if "--out" in _args:
-        index = _args.index("--out")
-        _out = _args[index + 1]
-        del _args[index:index + 2]
-    _run_all(set(_args), out_path=_out)
+    sys.exit(main(sys.argv[1:]))

@@ -21,7 +21,7 @@ it, quantifying what the mechanism buys.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import Dict, List
 
 from ..core.costs import CostModel
 from ..machine.config import MachineConfig
@@ -32,40 +32,39 @@ from ..runtime.barrier import run_barrier_experiment
 from ..runtime.rpc import run_ping
 from .harness import format_table
 
-__all__ = [
-    "dispatch_cost_ablation",
-    "suspend_policy_ablation",
-    "emem_bandwidth_ablation",
-    "flow_control_ablation",
-    "node_tlb_ablation",
-    "format_dispatch",
-    "format_suspend",
-    "format_emem",
-    "format_flow_control",
-    "format_node_tlb",
-]
+__all__ = ["AblationSeries", "run", "format_result"]
 
 
 @dataclass
 class AblationSeries:
+    """A swept parameter and the metric it moves, titled ``Ablation: ...``."""
+
+    title: str
     parameter: str
+    metric_name: str
     values: List[object] = field(default_factory=list)
     metrics: List[float] = field(default_factory=list)
-    metric_name: str = ""
+
+    def at(self, value: object) -> float:
+        return self.metrics[self.values.index(value)]
+
+    def add(self, value: object, metric: float) -> None:
+        self.values.append(value)
+        self.metrics.append(metric)
 
 
 def dispatch_cost_ablation(
     dispatch_cycles: tuple = (4, 20, 50, 100, 200),
 ) -> AblationSeries:
     """Null-RPC round trip vs dispatch cost (hardware -> software)."""
-    series = AblationSeries(parameter="dispatch cycles",
-                            metric_name="ping RTT (cycles)")
+    series = AblationSeries("message dispatch cost (4 = MDP hardware; "
+                            "larger = software dispatch)",
+                            "dispatch cycles", "ping RTT (cycles)")
     for dispatch in dispatch_cycles:
         costs = CostModel().with_overrides(dispatch=dispatch)
         machine = JMachine(MachineConfig(dims=(4, 4, 4), costs=costs))
         result = run_ping(machine, 0, 21, iterations=20)
-        series.values.append(dispatch)
-        series.metrics.append(result.round_trip_cycles)
+        series.add(dispatch, result.round_trip_cycles)
     return series
 
 
@@ -74,8 +73,9 @@ def suspend_policy_ablation(
     n_nodes: int = 32,
 ) -> AblationSeries:
     """Barrier time vs the suspend/restart policy cost (Table 2 range)."""
-    series = AblationSeries(parameter="(save, restart) cycles",
-                            metric_name="us/barrier")
+    series = AblationSeries("thread save/restart policy cost (Table 2's "
+                            "Save/Restore column)",
+                            "(save, restart) cycles", "us/barrier")
     for save, restart in policies:
         machine = JMachine(MachineConfig(
             dims=Mesh3D.for_nodes(n_nodes).dims,
@@ -83,8 +83,7 @@ def suspend_policy_ablation(
             restart_cycles=restart,
         ))
         result = run_barrier_experiment(machine, barriers=6)
-        series.values.append(f"({save}, {restart})")
-        series.metrics.append(result.microseconds_per_barrier())
+        series.add(f"({save}, {restart})", result.microseconds_per_barrier())
     return series
 
 
@@ -93,17 +92,15 @@ def emem_bandwidth_ablation(
     message_words: int = 8,
 ) -> AblationSeries:
     """Copy-to-Emem terminal bandwidth vs external memory latency."""
-    series = AblationSeries(parameter="EMEM cycles/word",
-                            metric_name="Mb/s")
+    series = AblationSeries("external-memory latency vs terminal bandwidth "
+                            "(the paper's EMEM critique)",
+                            "EMEM cycles/word", "Mb/s")
     for latency in emem_latencies:
         experiment = TerminalBandwidthExperiment(message_words, "emem")
-        experiment.SINK_CYCLES_PER_WORD = dict(
-            TerminalBandwidthExperiment.SINK_CYCLES_PER_WORD
-        )
-        experiment.SINK_CYCLES_PER_WORD["emem"] = latency
+        experiment.SINK_CYCLES_PER_WORD = {
+            **experiment.SINK_CYCLES_PER_WORD, "emem": latency}
         result = experiment.run()
-        series.values.append(latency)
-        series.metrics.append(result.bits_per_s / 1e6)
+        series.add(latency, result.bits_per_s / 1e6)
     return series
 
 
@@ -121,31 +118,26 @@ def flow_control_ablation(refusal_cycles: int = 400) -> AblationSeries:
     from repro.core.word import Word
     from repro.network.fabric import Fabric
 
-    series = AblationSeries(parameter="flow control",
-                            metric_name="bystander delivery time (cycles)")
+    series = AblationSeries("blocking vs return-to-sender flow control "
+                            "(collateral blocking of a bystander)",
+                            "flow control", "bystander delivery time (cycles)")
     for mode in ("block", "return_to_sender"):
-        arrivals = {}
-        refusing = {"on": True}
+        arrivals, now = {}, 0
 
-        def accept(node, message, _refusing=refusing):
-            return node != 7 or not _refusing["on"]
+        def accept(node, message):  # reads the clock of the loop below
+            return node != 7 or now >= refusal_cycles
 
         def deliver(node, message, now, _arrivals=arrivals):
             _arrivals[node] = now
 
         fabric = Fabric(Mesh3D(8, 1, 1), accept, deliver, flow_control=mode)
-        fabric.send(Message([Word.ip(1)] + [Word.from_int(0)] * 3,
-                            source=0, dest=7), 0)
-        fabric.send(Message([Word.ip(1)] + [Word.from_int(0)] * 3,
-                            source=0, dest=6), 0)
-        now = 0
+        for dest in (7, 6):
+            fabric.send(Message([Word.ip(1)] + [Word.from_int(0)] * 3,
+                                source=0, dest=dest), 0)
         while 6 not in arrivals and now < 20_000:
-            if now == refusal_cycles:
-                refusing["on"] = False
             fabric.step(now)
             now += 1
-        series.values.append(mode)
-        series.metrics.append(arrivals.get(6, float("inf")))
+        series.add(mode, arrivals.get(6, float("inf")))
     return series
 
 
@@ -160,14 +152,14 @@ def node_tlb_ablation(n_nodes: int = 16) -> AblationSeries:
     from ..apps.radix_sort import RadixParams, run_parallel
     from ..jsim.sim import MacroConfig
 
-    series = AblationSeries(parameter="NNR cycles",
-                            metric_name="radix sort run (k cycles)")
+    series = AblationSeries("software NNR calculation vs the proposed "
+                            "node TLB", "NNR cycles",
+                            "radix sort run (k cycles)")
     params = RadixParams(n_keys=8192)
     for nnr_cycles, label in ((6, "software (6)"), (0, "node TLB (0)")):
         config = MacroConfig(nnr_cycles=nnr_cycles)
         result = run_parallel(n_nodes, params, config=config)
-        series.values.append(label)
-        series.metrics.append(result.cycles / 1000)
+        series.add(label, result.cycles / 1000)
     return series
 
 
@@ -184,8 +176,9 @@ def queue_pressure_ablation(n_values: tuple = (4, 16, 64)) -> AblationSeries:
     """
     from ..apps.nqueens import NQueensParams, run_parallel
 
-    series = AblationSeries(parameter="machine size",
-                            metric_name="deepest worker queue (messages)")
+    series = AblationSeries("N-Queens board-message queue depth (hardware "
+                            "budget: 128 minimum-length messages)",
+                            "machine size", "deepest worker queue (messages)")
     params = NQueensParams(n=11)
     for n_nodes in n_values:
         result = run_parallel(n_nodes, params)
@@ -193,8 +186,7 @@ def queue_pressure_ablation(n_values: tuple = (4, 16, 64)) -> AblationSeries:
         # paper's buffering concern is the board messages at workers.
         workers = result.sim.nodes[1:] or result.sim.nodes
         deepest = max(node.queue_high_water for node in workers)
-        series.values.append(n_nodes)
-        series.metrics.append(deepest)
+        series.add(n_nodes, deepest)
     return series
 
 
@@ -217,8 +209,9 @@ def arbitration_fairness_ablation(
     from ..core.word import Word
     from ..network.fabric import Fabric
 
-    series = AblationSeries(parameter="arbitration",
-                            metric_name="per-source mean latency spread")
+    series = AblationSeries("router arbitration fairness under a hotspot "
+                            "(the radix-sort starvation critique)",
+                            "arbitration", "per-source mean latency spread")
     for mode in ("fixed", "round_robin"):
         sums = {s: 0 for s in range(1, sources + 1)}
         counts = {s: 0 for s in range(1, sources + 1)}
@@ -231,18 +224,14 @@ def arbitration_fairness_ablation(
                         arbitration=mode)
         for round_no in range(per_source):
             for source in range(1, sources + 1):
-                fabric.send(
-                    Message([Word.ip(1)] + [Word.from_int(0)] * 3,
-                            source=source, dest=0),
-                    round_no,
-                )
+                fabric.send(Message([Word.ip(1)] + [Word.from_int(0)] * 3,
+                                    source=source, dest=0), round_no)
         now = 0
         while fabric.active and now < 200_000:
             fabric.step(now)
             now += 1
         means = [sums[s] / counts[s] for s in sums if counts[s]]
-        series.values.append(mode)
-        series.metrics.append(max(means) / min(means))
+        series.add(mode, max(means) / min(means))
     return series
 
 
@@ -258,59 +247,35 @@ def tsp_priority_ablation(n_nodes: int = 16) -> AblationSeries:
     """
     from ..apps.tsp import TspParams, run_parallel
 
-    series = AblationSeries(parameter="bound delivery",
-                            metric_name="TSP run (k cycles)")
+    series = AblationSeries("TSP bound updates via null-call yields vs "
+                            "priority-1 messages",
+                            "bound delivery", "TSP run (k cycles)")
     for use_p1, label in ((False, "null-call yields (CST)"),
                           (True, "priority-1 messages (MDP)")):
         params = TspParams(n_cities=10, task_depth=2,
                            use_priority_one=use_p1)
         result = run_parallel(n_nodes, params)
-        series.values.append(label)
-        series.metrics.append(result.cycles / 1000)
+        series.add(label, result.cycles / 1000)
     return series
 
 
-def format_tsp_priority(series: AblationSeries) -> str:
-    return _format(series, "Ablation: TSP bound updates via null-call "
-                           "yields vs priority-1 messages")
+def run() -> Dict[str, AblationSeries]:
+    """Every ablation at its default size, in report order."""
+    return {
+        "dispatch": dispatch_cost_ablation(),
+        "suspend": suspend_policy_ablation(),
+        "emem": emem_bandwidth_ablation(),
+        "flow_control": flow_control_ablation(),
+        "node_tlb": node_tlb_ablation(),
+        "queue_pressure": queue_pressure_ablation(),
+        "arbitration": arbitration_fairness_ablation(),
+        "tsp_priority": tsp_priority_ablation(),
+    }
 
 
-def format_arbitration(series: AblationSeries) -> str:
-    return _format(series, "Ablation: router arbitration fairness under a "
-                           "hotspot (the radix-sort starvation critique)")
-
-
-def format_queue_pressure(series: AblationSeries) -> str:
-    return _format(series, "Ablation: N-Queens board-message queue depth "
-                           "(hardware budget: 128 minimum-length messages)")
-
-
-def _format(series: AblationSeries, title: str) -> str:
-    rows = list(zip(series.values, series.metrics))
-    return format_table([series.parameter, series.metric_name], rows,
-                        title=title)
-
-
-def format_dispatch(series: AblationSeries) -> str:
-    return _format(series, "Ablation: message dispatch cost "
-                           "(4 = MDP hardware; larger = software dispatch)")
-
-
-def format_suspend(series: AblationSeries) -> str:
-    return _format(series, "Ablation: thread save/restart policy cost "
-                           "(Table 2's Save/Restore column)")
-
-
-def format_emem(series: AblationSeries) -> str:
-    return _format(series, "Ablation: external-memory latency vs terminal "
-                           "bandwidth (the paper's EMEM critique)")
-
-
-def format_flow_control(series: AblationSeries) -> str:
-    return _format(series, "Ablation: blocking vs return-to-sender flow "
-                           "control (collateral blocking of a bystander)")
-
-
-def format_node_tlb(series: AblationSeries) -> str:
-    return _format(series, "Ablation: software NNR calculation vs the "
-                           "proposed node TLB")
+def format_result(result: Dict[str, AblationSeries]) -> str:
+    return "\n\n".join(
+        format_table([series.parameter, series.metric_name],
+                     list(zip(series.values, series.metrics)),
+                     title=f"Ablation: {series.title}")
+        for series in result.values())

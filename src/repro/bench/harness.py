@@ -5,8 +5,8 @@ Every benchmark supports two scales:
 * ``paper`` — the problem sizes and machine sizes the paper used.  Some
   sweeps take minutes of wall-clock time in CPython.
 * ``small`` — proportionally reduced sizes that preserve every trend and
-  run in seconds.  This is the default for ``pytest benchmarks/`` so the
-  suite stays iterable; set ``JM_SCALE=paper`` to run full size.
+  run in seconds.  This is the default for ``python -m repro.bench`` so
+  the report stays iterable; set ``JM_SCALE=paper`` to run full size.
 
 EXPERIMENTS.md records which scale produced each reported number.
 """

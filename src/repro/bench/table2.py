@@ -5,8 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..runtime.sync import SyncCosts, measure_sync_costs
+from . import fidelity
 from .harness import format_table
-from .reference import PAPER_TABLE2
 
 __all__ = ["Table2Result", "run", "format_result"]
 
@@ -14,17 +14,6 @@ __all__ = ["Table2Result", "run", "format_result"]
 @dataclass
 class Table2Result:
     measured: SyncCosts
-
-    def matches_paper(self) -> bool:
-        m = self.measured
-        return (
-            m.tags_success == PAPER_TABLE2["Success"]["tags"]
-            and m.flag_success == PAPER_TABLE2["Success"]["no_tags"]
-            and m.tags_failure == PAPER_TABLE2["Failure"]["tags"]
-            and m.flag_failure == PAPER_TABLE2["Failure"]["no_tags"]
-            and m.tags_write == PAPER_TABLE2["Write"]["tags"]
-            and m.flag_write == PAPER_TABLE2["Write"]["no_tags"]
-        )
 
 
 def run() -> Table2Result:
@@ -41,7 +30,9 @@ def format_result(result: Table2Result) -> str:
         ["Write", m.tags_write, m.flag_write, ""],
         ["Restart", 0, 0, f"{m.restart_min} - {m.restart_max}"],
     ]
-    status = "exact match" if result.matches_paper() else "MISMATCH"
+    exact = all(row.accepts(value)
+                for row, value in fidelity.score("table2", result))
+    status = "exact match" if exact else "MISMATCH"
     return format_table(
         headers, rows,
         title=f"Table 2: synchronization cycles ({status} vs paper)",

@@ -44,11 +44,24 @@ def test_design_indexes_every_artifact():
 
 
 def test_experiments_covers_every_artifact():
+    """``repro.bench.fidelity`` checks every artifact, and EXPERIMENTS.md
+    quotes each paper value a row checks in the section the row names."""
+    from repro.bench.fidelity import ROWS
+
     experiments = (ROOT / "EXPERIMENTS.md").read_text()
-    for heading in ("Figure 2", "Table 1", "Figure 3", "Figure 4",
-                    "Table 2", "Table 3", "Figure 5", "Figure 6",
-                    "Table 4", "Table 5"):
-        assert heading in experiments, heading
+    sections = re.findall(r"^## ([^\n]+)\n(.*?)(?=^## |\Z)", experiments,
+                          flags=re.M | re.S)
+    assert {row.section for row in ROWS} >= {
+        "Figure 2", "Table 1", "Figure 3", "Figure 4", "Table 2", "Table 3",
+        "Figure 5", "Figure 6", "Table 4", "Table 5"}
+    for row in ROWS:
+        [body] = [body for heading, body in sections
+                  if heading.startswith(row.section)]
+        if row.paper is not None:
+            quoted = "|".join(re.escape(f"{row.paper:{spec}}")
+                              for spec in ("g", ","))
+            assert re.search(rf"(?<![\d.,])({quoted})(?![\d]|[.,]\d)", body), \
+                (row.section, row.claim, row.paper)
 
 
 def test_readme_examples_exist():
