@@ -2,8 +2,8 @@
 
 .PHONY: install test bench perfsmoke telemetry-gate chaos-smoke \
 	trace-smoke snapshot-smoke live-smoke service-smoke \
-	fabric-smoke bench-e2e census trajectory check paper report examples \
-	clean
+	fabric-smoke bench-e2e census kernel-deep trajectory check paper report \
+	examples clean
 
 install:
 	pip install -e .
@@ -88,20 +88,28 @@ bench-e2e:
 
 # What bounds compiled-block run-ahead: Mdp.tick calls, run-loop passes,
 # block binds and how ticks ended, per cycle_apps / cycle_compute
-# machine at the benchmark's default seed (docs/PERFORMANCE.md §1).
+# machine at the benchmark's default seed (docs/PERFORMANCE.md §1); then
+# the worm kernel's visits per fabric_traffic load point, by what each
+# visit was for (docs/PERFORMANCE.md §2, "One worm kernel").
 census:
 	PYTHONPATH=src python benchmarks/run_ahead_census.py
+	PYTHONPATH=src python benchmarks/fabric_census.py
+
+# The worm kernel against the per-cycle reference over many long drawn
+# schedules (~1.5 min; the default test run deselects -m slow).
+kernel-deep:
+	PYTHONPATH=src python -m pytest -m slow tests/network/test_kernel_properties.py
 
 # Render the committed perf-trajectory artifacts and gate the newest
 # point against the median of its priors (docs/PERFORMANCE.md).
 trajectory:
 	PYTHONPATH=src python -m repro.bench trajectory
 
-# The full gate: correctness, the paper scorecard, throughput, telemetry
-# overhead, chaos, causal tracing, checkpoint/restore, live
-# monitoring, fault-tolerant service, fabric observatory, the repo
-# benchmark's selfcheck.
-check: test bench telemetry-gate chaos-smoke trace-smoke \
+# The full gate: correctness, the worm kernel's long property run, the
+# paper scorecard, throughput, telemetry overhead, chaos, causal
+# tracing, checkpoint/restore, live monitoring, fault-tolerant service,
+# fabric observatory, the repo benchmark's selfcheck.
+check: test kernel-deep bench telemetry-gate chaos-smoke trace-smoke \
 	snapshot-smoke live-smoke service-smoke fabric-smoke bench-e2e
 
 # Regenerate every table and figure at the paper's sizes (slow).

@@ -56,7 +56,9 @@ class Message:
         self.words: Tuple[Word, ...] = words
         self.source = source
         self.dest = dest
-        self.priority = Priority(priority)
+        # Priority(member) is member: skip the enum lookup when given one.
+        self.priority = (priority if priority.__class__ is Priority
+                         else Priority(priority))
         self.inject_time: Optional[int] = None
         self.arrive_time: Optional[int] = None
         self.dispatch_time: Optional[int] = None

@@ -70,12 +70,23 @@ DEFAULT_EJECT_LATENCY = 5
 #: ``Worm.wake`` of a worm that is visited every cycle.
 AWAKE = -1
 
-#: ``Worm.wake`` of a frozen worm: only a release of its parked key
-#: wakes it.
+#: ``Worm.wake`` of a blocked worm with nothing left to inject before
+#: its slack runs out: only a release of its parked key wakes it.
 NEVER = sys.maxsize
+
+#: ``Worm.akey``'s bit for "the head is still at the injection port";
+#: the bits below it hold ``seq`` (taken to stay under 2**48).
+AT_PORT = 1 << 48
+
+_AKEY = attrgetter("akey")
 
 AcceptFn = Callable[[int, Message], bool]
 DeliverFn = Callable[[int, Message, int], None]
+
+
+def arbitration_key(pri: int, at_port: bool, seq: int) -> int:
+    """``Worm.akey`` of worm number ``seq`` at priority ``pri``."""
+    return ((1 - pri) * 2 + at_port) * AT_PORT + seq
 
 
 class Worm:
@@ -117,19 +128,28 @@ class Worm:
         self.done = False
         #: Cached ``int(message.priority)`` (hot in arbitration).
         self.pri = int(message.priority)
-        #: Cached fixed-arbitration sort key ``(-pri, through, seq)``;
-        #: the through flag flips to 0 when the head leaves the
-        #: injection port (see :meth:`Fabric.advance`).
-        self.akey = (-self.pri, 1, seq)
+        #: Fixed arbitration's sort key, an int ordered as
+        #: ``(-pri, at_port, seq)``: priority 1 first, then through
+        #: traffic ahead of worms still at their injection port
+        #: (:data:`AT_PORT`, cleared when the head leaves it), then
+        #: submission order.
+        self.akey = arbitration_key(self.pri, True, seq)
         #: Sleep state, derived (see :meth:`Fabric.advance`): the next
         #: cycle the kernel visits this worm (:data:`AWAKE`: every
-        #: cycle), the cycle it last did, and — while frozen — the
-        #: owned channel key the worm is parked under.  ``injected``,
-        #: ``delivered`` and ``block_cycles`` are as of ``seen`` until
-        #: :meth:`Fabric.sync`.
+        #: cycle), the cycle of its last full visit, and — while
+        #: blocked — the owned channel key the worm is parked under.
+        #: ``injected``, ``delivered`` and ``block_cycles`` are as of
+        #: ``seen`` until :meth:`Fabric.sync`.
         self.wake = AWAKE
         self.seen = 0
         self.parked: Optional[int] = None
+
+    def fill_limit(self) -> int:
+        """Phits injected when a head blocked short of the ejection port
+        can take no more: nothing is delivered yet, so the held span's
+        buffers hold the rest (or the message ends first)."""
+        return min(self.total_phits,
+                   BUFFER_PHITS * (self.head - self.released + 1))
 
     def __setstate__(self, state) -> None:
         # A capture written before channel keys became ints also holds
@@ -181,6 +201,16 @@ class Fabric:
         self._active: List[Worm] = []
         self._pending: Dict[Tuple[int, int], Deque[Worm]] = {}
         self._pending_count = 0
+        #: Derived from ``_pending`` and the owner map: the pending
+        #: queues whose front may launch at the next cycle's top, and
+        #: the others by the injection port key they wait on (held by
+        #: their own previous worm).  :meth:`_release` moves a queue
+        #: from the second to the first.
+        self._ready: List[Tuple[int, int]] = []
+        self._port_waiters: Dict[int, Tuple[int, int]] = {}
+        #: Derived: ``_active`` may be out of arbitration order (a worm
+        #: launched or left its injection port since the last sort).
+        self._unsorted = False
         #: Heap of (release_time, seq, worm); seq keeps same-cycle
         #: releases in submission order, matching the old list scan.
         self._staged: List[Tuple[int, int, Worm]] = []
@@ -205,11 +235,12 @@ class Fabric:
         #: raises with a diagnostic.  0 disables.
         self.watchdog_cycles = 0
         self._stagnant_cycles = 0
-        #: Frozen worms by the owned channel key that blocks them, their
-        #: number, and the last simulated cycle (what a sleeper's stale
-        #: fields are measured against).  All derived: see :meth:`sync`.
+        #: Parked worms (blocked by an owner, filling or frozen) by the
+        #: owned channel key that blocks them, their number, and the
+        #: last simulated cycle (what a sleeper's stale fields are
+        #: measured against).  All derived: see :meth:`sync`.
         self._waiters: Dict[int, List[Worm]] = {}
-        self._n_frozen = 0
+        self._n_parked = 0
         self._cycle = -1
         #: Telemetry event bus (installed by repro.telemetry.wiring).
         self._events = None
@@ -277,7 +308,8 @@ class Fabric:
         else:
             self.route_cache_hits += 1
         keys, crosses = entry
-        total_phits = self.costs.phits_per_word * message.length + FRAMING_PHITS
+        total_phits = (self.costs.phits_per_word * len(message.words)
+                       + FRAMING_PHITS)
         worm = Worm(message, keys, len(keys) - 2, total_phits, crosses,
                     self._seq)
         self._seq += 1
@@ -327,9 +359,14 @@ class Fabric:
         for worm in self._active:
             remaining = worm.total_phits - worm.injected
             if remaining > 0:
-                if worm.wake >= 0 and worm.parked is None:
-                    # Streaming sleeper: one phit per cycle since.
-                    remaining -= cycle - worm.seen
+                if worm.wake >= 0:
+                    # A sleeper injected one phit per cycle since its
+                    # visit: streaming, or blocked up to its slack.
+                    elapsed = cycle - worm.seen
+                    if worm.head < len(worm.keys) - 1:
+                        elapsed = min(elapsed,
+                                      worm.fill_limit() - worm.injected)
+                    remaining -= elapsed
                 if best is None or remaining < best:
                     best = remaining
         for queue in self._pending.values():
@@ -353,34 +390,42 @@ class Fabric:
             queue_key = (worm.message.source, worm.pri)
             queue = self._pending.get(queue_key)
             if queue is None:
+                # A new front: it may launch this very cycle.
                 queue = self._pending[queue_key] = deque()
+                self._ready.append(queue_key)
             queue.append(worm)
             self._pending_count += 1
             if probe is not None:
                 probe.record_queue_depth(queue_key[0], len(queue))
 
     def _activate_pending(self, now: int) -> None:
-        """Activate queue fronts whose injection port is free.
+        """Launch the fronts of the ready queues whose port is free.
 
         Each (source, priority) queue contends only for its own
-        injection port, so scan order across queues is immaterial;
-        empty queues are pruned so the scan stays proportional to the
-        number of *waiting* worms, not of sources ever seen.
+        injection port, and that port is only ever held by the queue's
+        own previous worm, so the order across queues is immaterial.  A
+        queue whose port is held waits under the port key until
+        :meth:`_release` frees it; empty queues are dropped.
         """
         owner = self._owner
-        for queue_key in [k for k, q in self._pending.items() if q]:
-            queue = self._pending[queue_key]
+        pending = self._pending
+        for queue_key in self._ready:
+            queue = pending[queue_key]
             worm = queue[0]
             port = worm.keys[0]
-            if owner.get(port) is None:
+            if port not in owner:
                 owner[port] = worm
                 worm.head = 0
                 worm.launch_time = now
                 queue.popleft()
                 self._pending_count -= 1
                 self._active.append(worm)
-            if not queue:
-                del self._pending[queue_key]
+                self._unsorted = True
+                if not queue:
+                    del pending[queue_key]
+                    continue
+            self._port_waiters[port] = queue_key
+        self._ready.clear()
 
     def _arbitrate(self, worms: List[Worm], now: int) -> None:
         """Sort ``worms`` into this cycle's stepping order, in place."""
@@ -393,7 +438,7 @@ class Fabric:
         # rotates precedence across source nodes each cycle — the fair
         # alternative.
         if self.arbitration == "fixed":
-            worms.sort(key=attrgetter("akey"))
+            worms.sort(key=_AKEY)
         else:
             n = self.mesh.n_nodes
             worms.sort(
@@ -433,34 +478,41 @@ class Fabric:
 
         Each cycle walks ``_active`` in arbitration order, but *visits*
         a worm only when the visit can change something another worm,
-        the owner or a callback can see (``worm.wake <= cycle``).  Two
+        the owner or a callback can see (``worm.wake <= cycle``).  Three
         kinds of worm sleep:
 
-        * **Frozen** — the head is blocked by a channel *owner* (not a
-          link outage) and no phit moved.  Its state is a fixed point
-          until that key leaves the owner map, so it parks under the
-          key and :meth:`_release` wakes it.  A worm woken by a release
-          is visited this cycle if it sorts after the releaser and next
-          cycle if before — what visiting every worm would do; a loser
-          of the re-arbitration freezes again.  Each frozen cycle is a
-          block cycle: ``stats.block_cycles`` is credited at the top of
-          every cycle (owners read ``stats`` between cycles), the
-          worm's own count and the probe when it wakes
-          (:meth:`_catch_up`).
+        * **Blocked** — the head is blocked by a channel *owner* (not a
+          link outage).  Until that key leaves the owner map the worm
+          can only inject, one phit per cycle while its buffers have
+          slack, so it parks under the key and :meth:`_release` wakes
+          it.  If the slack holds the rest of the message it also gets
+          a timed wake at the cycle its injection completes
+          (``on_injected`` and the tail release fire in their own cycle
+          and place); *frozen* is the case with no slack left.  A worm
+          woken by a release is visited this cycle if it sorts after
+          the releaser and next cycle if before — what visiting every
+          worm would do; a loser of the re-arbitration parks again.
+          Each parked cycle is a block cycle: ``stats.block_cycles`` is
+          credited at the top of every cycle (owners read ``stats``
+          between cycles), the worm's own count, its injection and the
+          probe when it wakes (:meth:`_catch_up`).
         * **Streaming** — the head holds the ejection port with the
           reservation granted, so the worm never reads the owner map
           again: it moves one phit in and one out per cycle, and
-          nothing visible happens until injection completes, then at
-          each tail release and at completion.  It sleeps to the next
-          of those cycles and the skipped phits are applied in closed
+          nothing visible happens until injection completes.  It sleeps
+          to that cycle and the skipped phits are applied in closed
           form.
+        * **Draining** — injection complete, ejection reserved: what is
+          left to see is a tail release every ``BUFFER_PHITS`` cycles,
+          then completion.  A release is a cheap step at the worm's
+          place in the walk, with no full visit; completion is one.
 
-        Everything else — routing heads, blocked worms whose buffers
-        are still filling, refused worms polling ``accept_fn`` — is
-        visited every cycle.  After a cycle that visited nobody the
-        window jumps to the earliest wake or staged release.  Sleep is
-        derived state: visiting a sleeper early is exact, so
-        :meth:`sync` may wake everyone at any cycle boundary.
+        Everything else — routing heads, worms held by a link outage,
+        refused worms polling ``accept_fn`` — is visited every cycle.
+        After a cycle that visited nobody the window jumps to the
+        earliest wake or staged release.  Sleep is derived state:
+        visiting a sleeper early is exact, so :meth:`sync` may wake
+        everyone at any cycle boundary.
         """
         if now != self._cycle + 1:
             # The owner skipped cycles: they are not network time, so
@@ -472,13 +524,14 @@ class Fabric:
         stats = self.stats
         probe = self._probe
         chaos = self.chaos
+        fixed = self.arbitration == "fixed"
         end = horizon
         c = now
         while c < end:
             self._cycle = c
             if staged and staged[0][0] <= c:
                 self._release_staged(c)
-            if self._pending_count:
+            if self._ready:
                 self._activate_pending(c)
             active = self._active
             if not active:
@@ -487,25 +540,47 @@ class Fabric:
                     return c + 1
                 c = min(staged[0][0], end)
                 continue
-            if self._n_frozen:
-                stats.block_cycles += self._n_frozen
-            if len(active) > 1:
-                self._arbitrate(active, c)
-            visited = finished = moved_any = False
+            if self._n_parked:
+                stats.block_cycles += self._n_parked
+            if self._unsorted or not fixed:
+                # A fixed order changes only when a worm launches or
+                # leaves its injection port.
+                self._unsorted = False
+                if len(active) > 1:
+                    self._arbitrate(active, c)
+            visited = moved_any = False
+            finished = []
             for worm in active:
-                if worm.wake > c:
+                wake = worm.wake
+                if wake > c:
                     continue
                 visited = True
-                if worm.wake >= 0:
-                    self._catch_up(worm, c)
-                keys = worm.keys
-                last = len(keys) - 1
                 head = worm.head
+                last = worm.hops + 1  # the ejection port's index
+                if wake >= 0:
+                    if head < last:
+                        # A blocked sleeper: at its timed wake (still
+                        # parked) or woken by a release.  If it was
+                        # parked at this cycle's top (wake == c), the
+                        # top-of-cycle credit counted it; the visit
+                        # counts for itself.
+                        if worm.parked is not None:
+                            self._unpark(worm)
+                        if wake == c:
+                            stats.block_cycles -= 1
+                    elif (worm.released < head
+                          and worm.injected == worm.total_phits):
+                        # Draining: free the next tail channel; the
+                        # one after goes BUFFER_PHITS cycles later (once
+                        # none is left, that look is completion).
+                        self._release(worm, worm.released + 1)
+                        worm.wake = c + BUFFER_PHITS
+                        moved_any = True
+                        continue
+                    self._catch_up(worm, c)
                 total = worm.total_phits
                 injected = worm.injected
-                delivered = worm.delivered
-                moved = False
-                busy_key = None
+                moved = owned = False
 
                 # 1. Head acquisition: one hop per cycle when the next
                 #    VC is free *and* the link is up (chaos link outages
@@ -513,12 +588,10 @@ class Fabric:
                 #    backpressure — and, if the outage persists,
                 #    deadlock — propagates realistically).
                 if head < last:
-                    key = keys[head + 1]
+                    key = worm.keys[head + 1]
                     owned = key in owner
                     if owned or (chaos is not None
                                  and chaos.link_blocked(key, c)):
-                        if owned:
-                            busy_key = key
                         worm.block_cycles += 1
                         stats.block_cycles += 1
                         if probe is not None:
@@ -529,12 +602,15 @@ class Fabric:
                         if head == 1:
                             # Left the injection port: now "through
                             # traffic", which fixed arbitration favours.
-                            worm.akey = (-worm.pri, 0, worm.seq)
+                            worm.akey -= AT_PORT
+                            self._unsorted = True
                         moved = True
+                    delivered = 0  # nothing arrives before the head
 
                 # 2. Delivery: once the ejection port is held, stream
                 #    phits out.
                 if head == last:
+                    delivered = worm.delivered
                     if not worm.reserved:
                         message = worm.message
                         if (message.bounce_of is not None
@@ -545,7 +621,8 @@ class Fabric:
                             # blocking the network (the critique's
                             # proposed protocol).
                             self._bounce(worm, c)
-                            finished = moved_any = True
+                            finished.append(worm)
+                            moved_any = True
                             continue
                         else:
                             stats.delivery_stall_cycles += 1
@@ -556,13 +633,14 @@ class Fabric:
                         moved = True
                         if delivered == total:
                             self._complete(worm, c)
-                            finished = moved_any = True
+                            finished.append(worm)
+                            moved_any = True
                             continue
 
                 # 3. Injection: the source streams one phit per cycle
                 #    while the held span has buffer slack.
-                if (injected < total and injected - delivered
-                        < BUFFER_PHITS * (head - worm.released + 1)):
+                slack = BUFFER_PHITS * (head - worm.released + 1)
+                if injected < total and injected - delivered < slack:
                     worm.injected = injected = injected + 1
                     moved = True
                     if injected == total:
@@ -572,46 +650,52 @@ class Fabric:
                     moved_any = True
                     # 4. Tail release: after full injection the tail
                     #    advances with the pipe, freeing channels behind
-                    #    the in-flight span.
+                    #    the span the in-flight phits need.
                     if injected == total:
-                        span_needed = max(
-                            1, -(-(total - delivered) // BUFFER_PHITS))
-                        target = head - span_needed + 1
-                        while worm.released < target:
-                            self._release(worm, worm.released)
-                            worm.released += 1
+                        target = head + 1 - -(-(total - delivered)
+                                              // BUFFER_PHITS)
+                        if worm.released < target:
+                            self._release(worm, target)
                     if head == last and worm.reserved:
-                        # Streaming: the next visible cycle is the end
-                        # of injection, else the next tail release (one
-                        # per BUFFER_PHITS delivered), else completion.
                         if injected < total:
+                            # Streaming: nothing to see until the end
+                            # of injection.
                             quiet = total - injected
+                            if quiet > 1:
+                                worm.wake = c + quiet
+                                worm.seen = c
                         else:
-                            quiet = (total - delivered - BUFFER_PHITS
-                                     * (head - worm.released))
-                        if quiet > 1:
-                            worm.wake = c + quiet
+                            # Draining: the next tail release (one per
+                            # BUFFER_PHITS delivered), else completion;
+                            # at least a cycle away.
+                            worm.wake = c + (total - delivered - BUFFER_PHITS
+                                             * (head - worm.released))
                             worm.seen = c
-                elif busy_key is not None:
-                    worm.parked = busy_key
-                    worm.wake = NEVER
+                if owned:
+                    # Blocked by an owner: park under its key.  If the
+                    # slack holds the rest of the message, the end of
+                    # injection is a timed wake.
+                    if injected < total <= slack:
+                        worm.wake = c + total - injected
+                    else:
+                        worm.wake = NEVER
                     worm.seen = c
-                    parked = waiters.get(busy_key)
+                    worm.parked = key
+                    parked = waiters.get(key)
                     if parked is None:
-                        waiters[busy_key] = [worm]
+                        waiters[key] = [worm]
                     else:
                         parked.append(worm)
-                    self._n_frozen += 1
+                    self._n_parked += 1
 
             if finished:
-                self._active = active = [w for w in active if not w.done]
+                for worm in finished:
+                    active.remove(worm)
                 arrival = c + self.eject_latency
                 if arrival < end:
                     end = arrival
             if self.watchdog_cycles:
-                # A streaming sleeper moves a phit every cycle.
-                if moved_any or any(w.wake > c and w.parked is None
-                                    for w in active):
+                if moved_any or self._sleepers_moved(c):
                     self._stagnant_cycles = 0
                 else:
                     self._stagnant_cycles += 1
@@ -629,32 +713,56 @@ class Fabric:
                 if target > end:
                     target = end
                 if target > c:
-                    stats.block_cycles += self._n_frozen * (target - c)
+                    stats.block_cycles += self._n_parked * (target - c)
                     c = target
                     self._cycle = c - 1
         return c
 
+    def _unpark(self, worm: Worm) -> None:
+        """Take a worm out of ``_waiters`` at its timed wake."""
+        key = worm.parked
+        parked = self._waiters[key]
+        if len(parked) > 1:
+            parked.remove(worm)
+        else:
+            del self._waiters[key]
+        worm.parked = None
+        self._n_parked -= 1
+
     def _catch_up(self, worm: Worm, now: int) -> None:
         """Apply the cycles ``worm`` slept through, as of the start of
-        cycle ``now``, and mark it awake."""
+        cycle ``now``, and mark it awake (parked worms must already be
+        out of ``_waiters``)."""
         skipped = now - worm.seen - 1
-        key = worm.parked
-        if key is not None:
-            worm.parked = None
-            if worm.wake == now:
-                # Woken by a release earlier in this very cycle, whose
-                # top-of-cycle credit still counted the worm as frozen;
-                # the visit that follows does its own counting.
-                self.stats.block_cycles -= 1
-            if skipped:
+        if skipped > 0:
+            head = worm.head
+            if head < len(worm.keys) - 1:
+                # Blocked every cycle, injecting while the slack lasted
+                # (nothing is delivered before the head arrives).
                 worm.block_cycles += skipped
                 if self._probe is not None:
-                    self._probe.record_block(key, False, skipped)
-        elif skipped:
-            if worm.injected < worm.total_phits:
-                worm.injected += skipped
-            worm.delivered += skipped
+                    self._probe.record_block(worm.keys[head + 1], False,
+                                             skipped)
+                worm.injected = min(worm.injected + skipped,
+                                    worm.fill_limit())
+            else:
+                if worm.injected < worm.total_phits:
+                    worm.injected += skipped
+                worm.delivered += skipped
         worm.wake = AWAKE
+
+    def _sleepers_moved(self, cycle: int) -> bool:
+        """Did a worm the walk did not fully visit in ``cycle`` move a
+        phit in it?  Streaming and draining sleepers always do; a
+        parked one did while its buffers were still filling."""
+        for worm in self._active:
+            if worm.wake < 0 or worm.seen == cycle:
+                continue  # visited: the walk saw whether it moved
+            if (worm.head == len(worm.keys) - 1
+                    or worm.injected + cycle - worm.seen
+                    <= worm.fill_limit()):
+                return True
+        return False
 
     def sync(self) -> None:
         """Bring every worm's fields up to the last simulated cycle.
@@ -669,9 +777,10 @@ class Fabric:
         boundary = self._cycle + 1
         for worm in self._active:
             if worm.wake >= 0:
+                worm.parked = None
                 self._catch_up(worm, boundary)
         self._waiters.clear()
-        self._n_frozen = 0
+        self._n_parked = 0
 
     def _report_injected(self, message: Message) -> None:
         """The tail left the sending interface: tell the owner, once per
@@ -681,23 +790,40 @@ class Fabric:
             message.injection_reported = True
             self.on_injected(message)
 
-    def _release(self, worm: Worm, index: int) -> None:
-        key = worm.keys[index]
-        if self._owner.get(key) is worm:
-            del self._owner[key]
-            parked = self._waiters.pop(key, None)
-            if parked is not None:
+    def _release(self, worm: Worm, stop: int) -> None:
+        """Free ``worm``'s channels ``[released, stop)``, all its own:
+        the one place a key leaves the owner map, so the one place
+        anything waiting on one wakes."""
+        owner = self._owner
+        waiters = self._waiters
+        keys = worm.keys
+        index = worm.released
+        worm.released = stop
+        if index == 0:
+            # The injection port: the source's next worm launches at
+            # the next cycle's top.
+            key = keys[0]
+            del owner[key]
+            if key in self._port_waiters:
+                self._ready.append(self._port_waiters.pop(key))
+            index = 1
+        while index < stop:
+            key = keys[index]
+            del owner[key]
+            if key in waiters:
                 # Visited from this cycle on: later in this walk if they
                 # sort after the releaser, else next cycle.
+                parked = waiters.pop(key)
                 for sleeper in parked:
                     sleeper.wake = self._cycle
-                self._n_frozen -= len(parked)
+                    sleeper.parked = None
+                self._n_parked -= len(parked)
+            index += 1
 
     def _retire(self, worm: Worm) -> None:
-        """Free every channel ``worm`` still holds and mark it done."""
-        for index in range(worm.released, len(worm.keys)):
-            self._release(worm, index)
-        worm.released = len(worm.keys)
+        """Free every channel ``worm`` still holds (its head is at the
+        ejection port) and mark it done."""
+        self._release(worm, len(worm.keys))
         worm.done = True
 
     def _complete(self, worm: Worm, now: int) -> None:
@@ -781,10 +907,14 @@ class Fabric:
         "_events", "chaos",
     })
 
-    #: Sleep bookkeeping that :meth:`state_dict` does not capture
-    #: either, because :meth:`sync` (which it calls first) leaves it at
-    #: rest: nobody parked, nobody frozen, every ``Worm.wake`` AWAKE.
-    DERIVED_ATTRS = frozenset({"_waiters", "_n_frozen", "_cycle"})
+    #: Bookkeeping that :meth:`state_dict` does not capture either.
+    #: Sleep state, because :meth:`sync` (which it calls first) leaves
+    #: it at rest: nobody parked, every ``Worm.wake`` AWAKE.  The
+    #: launch queues and the sort flag, because :meth:`load_state`
+    #: re-derives them from the pending queues and marks the order
+    #: stale.
+    DERIVED_ATTRS = frozenset({"_waiters", "_n_parked", "_cycle", "_ready",
+                               "_port_waiters", "_unsorted"})
 
     def state_dict(self) -> dict:
         """Every run-mutable piece of fabric state, picklable.
@@ -828,7 +958,7 @@ class Fabric:
         """
         self._active = list(state["active"])
         self._pending = {key: deque(queue)
-                         for key, queue in state["pending"].items()}
+                         for key, queue in state["pending"].items() if queue}
         self._pending_count = state["pending_count"]
         self._staged = list(state["staged"])
         self.route_cache_max = state["route_cache_max"]
@@ -858,14 +988,23 @@ class Fabric:
                                      worm.message.dest, worm.pri)
                 renamed.update(zip(worm.keys, keys))
                 worm.keys = keys
+                # Earlier builds kept the key as a (-pri, at_port, seq)
+                # tuple; the order is the same.
+                worm.akey = arbitration_key(worm.pri, worm.head < 1,
+                                            worm.seq)
                 worm.wake = AWAKE
                 worm.seen = 0
                 worm.parked = None
         self._owner = {renamed[key]: worm
                        for key, worm in state["owner"].items()}
         self._waiters = {}
-        self._n_frozen = 0
+        self._n_parked = 0
         self._cycle = -1
+        # Every queue tries its port at the next cycle's top; captured
+        # order is only sorted as of that capture's last cycle top.
+        self._ready = list(self._pending)
+        self._port_waiters = {}
+        self._unsorted = True
 
     # ---------------------------------------------------------------- helpers
 

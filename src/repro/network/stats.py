@@ -149,9 +149,10 @@ class NetworkStats:
             self.latency.record(latency)
             self.window_latency.record(latency)
         self.window_completed += 1
-        self.window_message_words += message.length
+        length = len(message.words)
+        self.window_message_words += length
         if worm.crosses_bisection:
-            self.window_bisection_words += message.length
+            self.window_bisection_words += length
 
     # -- measurement windows --------------------------------------------------
 

@@ -3,15 +3,17 @@
 :class:`ReferenceFabric` is the fabric as it stepped before the worm
 kernel: :meth:`step` visits every in-flight worm every cycle through
 :meth:`_step_worm`, with no sleeping, no closed-form catch-up and no
-window jumps.  It overrides ``step`` only — staging, activation,
-arbitration order, release, completion, bounce and the watchdog report
-are the shared :class:`~repro.network.fabric.Fabric` code — so a
-difference between the two is a difference in *when worms are visited*,
-which is exactly what the kernel changes.  The body below is the former
-``Fabric.step`` / ``Fabric._step_worm`` verbatim; do not optimise it.
+window jumps, and :meth:`_activate_pending` scans every pending queue
+every cycle.  Staging, arbitration order, release, completion, bounce
+and the watchdog report are the shared
+:class:`~repro.network.fabric.Fabric` code, so a difference between the
+two is a difference in *when worms are visited* or *when a queue is
+looked at*, which is exactly what the kernel changes.  The bodies below
+are the former ``Fabric.step`` / ``Fabric._step_worm`` /
+``Fabric._activate_pending`` verbatim; do not optimise them.
 """
 
-from repro.network.fabric import BUFFER_PHITS, Fabric, Worm
+from repro.network.fabric import AT_PORT, BUFFER_PHITS, Fabric, Worm
 
 
 def observable_state(fabric: Fabric, log=()) -> dict:
@@ -40,6 +42,24 @@ def observable_state(fabric: Fabric, log=()) -> dict:
 
 class ReferenceFabric(Fabric):
     """Every worm, every cycle."""
+
+    def _activate_pending(self, now: int) -> None:
+        """Activate queue fronts whose injection port is free."""
+        self._ready.clear()  # the kernel's launch list: not used here
+        owner = self._owner
+        for queue_key in [k for k, q in self._pending.items() if q]:
+            queue = self._pending[queue_key]
+            worm = queue[0]
+            port = worm.keys[0]
+            if owner.get(port) is None:
+                owner[port] = worm
+                worm.head = 0
+                worm.launch_time = now
+                queue.popleft()
+                self._pending_count -= 1
+                self._active.append(worm)
+            if not queue:
+                del self._pending[queue_key]
 
     def step(self, now: int) -> None:
         """Advance every worm by one cycle of network time."""
@@ -93,7 +113,7 @@ class ReferenceFabric(Fabric):
                 if worm.head == 1:
                     # Left the injection port: now "through traffic",
                     # which fixed arbitration favours.
-                    worm.akey = (-worm.pri, 0, worm.seq)
+                    worm.akey -= AT_PORT
                 moved = True
 
         # 2. Delivery: once the ejection port is held, stream phits out.
@@ -136,6 +156,5 @@ class ReferenceFabric(Fabric):
             span_needed = max(1, -(-in_flight // BUFFER_PHITS))
             target = worm.head - span_needed + 1
             while worm.released < target:
-                self._release(worm, worm.released)
-                worm.released += 1
+                self._release(worm, worm.released + 1)
         return False

@@ -9,7 +9,10 @@ state, owner map, statistics, probe counters and callback order.
 Checked here on an 8x8x1 mesh carrying 32 mutually disjoint worms with
 one refusing destination (streaming sleepers, a refused worm polling
 ``accept_fn``), and on an all-to-one hotspot with mixed lengths (frozen
-sleepers, release wake-ups, re-freezing losers).
+sleepers, release wake-ups, re-freezing losers).  The last case pins
+the wake rule at a drainer's cheap tail release: a worm parked on the
+channel takes it that cycle if it sorts after the drainer, the next if
+before.
 """
 
 import pytest
@@ -122,7 +125,7 @@ def test_hotspot_matches_the_reference(drive, probe):
     for until in CHECKPOINTS + tuple(range(100, 1500, 97)):
         o_now = _step_to(oracle, o_now, until)
         k_now = drive(kernel, k_now, until)
-        frozen = max(frozen, kernel.fabric._n_frozen)
+        frozen = max(frozen, kernel.fabric._n_parked)
         assert kernel.state() == oracle.state(), f"diverged by t={until}"
     assert frozen >= 8, "the hotspot never froze a crowd"
     assert oracle.fabric.stats.completed == 63
@@ -154,3 +157,56 @@ def test_skipped_cycles_are_not_network_time():
         oracle.fabric.step(now)
         kernel.fabric.step(now)
     assert kernel.state() == oracle.state()
+
+
+# A drainer and a worm parked on its tail: on an 8x7 mesh the drainer
+# runs up column 7 from (7, 0) to (7, 5); the waiter comes along row 3
+# from (0, 3) to (7, 6) and turns into the column behind the drainer's
+# head, so it parks on the drainer's channel out of (7, 3) until the
+# drain frees it.
+COLUMN_MESH = Mesh3D(8, 7, 1)
+DRAINER = (COLUMN_MESH.node_id((7, 0, 0)), COLUMN_MESH.node_id((7, 5, 0)))
+WAITER = (COLUMN_MESH.node_id((0, 3, 0)), COLUMN_MESH.node_id((7, 6, 0)))
+
+
+@pytest.mark.parametrize("waiter_first", [True, False],
+                         ids=["waiter-sorts-before", "waiter-sorts-after"])
+def test_drain_release_wakes_by_arbitration_side(waiter_first):
+    """The drainer frees the channel in a cheap release step at its own
+    place in the cycle's walk: the waiter takes it in that cycle if it
+    sorts after the drainer (sent later: larger ``seq``), and in the
+    next cycle if it sorts before (sent first), as the reference does.
+    Owner maps are compared every cycle without ``sync()`` (which would
+    wake the drainer), everything else at the end."""
+    sends = [WAITER, DRAINER] if waiter_first else [DRAINER, WAITER]
+    sides = []
+    for cls in (Fabric, ReferenceFabric):
+        fabric = cls(COLUMN_MESH, lambda node, message: True,
+                     lambda node, message, at: None)
+        for source, dest in sends:
+            fabric.send(_message(source, dest,
+                                 16 if (source, dest) == DRAINER else 4), 0)
+        sides.append(fabric)
+    kernel, oracle = sides
+    by_source = {worm.message.source: worm for _, _, worm in kernel._staged}
+    drainer, waiter = by_source[DRAINER[0]], by_source[WAITER[0]]
+    channel = waiter.keys[8]  # its first hop up column 7
+    assert drainer.keys.index(channel) == len(drainer.keys) - 3
+    held = False
+    released = None
+    for now in range(60):
+        asleep = drainer.seen < drainer.wake == now
+        for fabric in sides:
+            fabric.step(now)
+        assert (sorted((k, w.seq) for k, w in kernel._owner.items())
+                == sorted((k, w.seq) for k, w in oracle._owner.items()))
+        holder = kernel._owner.get(channel)
+        held = held or holder is drainer
+        if held and released is None and holder is not drainer:
+            released = now
+            assert asleep and drainer.injected == drainer.total_phits, \
+                "not freed by a sleeping drainer's release step"
+        if holder is waiter:
+            break
+    assert now == released + (1 if waiter_first else 0)
+    assert observable_state(kernel) == observable_state(oracle)

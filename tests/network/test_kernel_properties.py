@@ -1,10 +1,15 @@
 """Property test: the worm kernel equals the per-cycle reference.
 
 Hypothesis draws whole schedules for a 3x3x2 mesh — sends of 2-16 words
-at both priorities (half of them converging on one node), fixed or
-round-robin arbitration, destinations that refuse for an interval,
-blocking or return-to-sender flow control, link outages through a stub
-chaos object, the stagnation watchdog armed — and drives the kernel
+at both priorities (half of them converging on one node), a burst of
+long messages converging on a node that refuses for a while (parked
+worms whose buffers still fill, drainers, and worms parked on a
+drainer's channels on both sides of it in arbitration order:
+``test_schedules_hold_the_new_sleepers`` checks most schedules hold
+all of these), fixed or round-robin arbitration, destinations that
+refuse for an interval, blocking or return-to-sender flow control,
+link outages through a stub chaos object, the stagnation watchdog
+armed — and drives the kernel
 beside :class:`ReferenceFabric`: by ``step``, compared after every
 cycle, or by ``advance`` over whole windows up to the next send,
 compared wherever the window ends.
@@ -20,7 +25,10 @@ Syncing at every comparison would wake every sleeper every cycle and
 test no closed form, so the stale fields (``injected`` / ``delivered`` /
 ``block_cycles`` and the probe) are compared only at a few drawn
 checkpoints and at the end.  The kernel's own invariants are checked at
-every comparison.
+every comparison: spans against the owner map, the parked count, each
+parked worm's key and timed wake, each drainer's next release, the
+order of a list the walk did not re-sort, and where each pending queue
+waits.
 
 The tier-1 budget is small; ``pytest -m slow`` runs the same property
 over many more, longer schedules.
@@ -38,7 +46,7 @@ from repro.core.errors import DeadlockError
 from repro.core.message import Message
 from repro.core.registers import Priority
 from repro.core.word import Word
-from repro.network.fabric import NEVER, Fabric
+from repro.network.fabric import BUFFER_PHITS, NEVER, Fabric
 from repro.network.routing import decode_key
 from repro.network.topology import Mesh3D
 
@@ -139,22 +147,91 @@ class _Side:
         }
 
 
+def _order(fabric, worm):
+    """``worm``'s place in the arbitration order of the cycle running."""
+    if fabric.arbitration == "fixed":
+        return worm.akey
+    return (-worm.pri, (worm.message.source - fabric._cycle)
+            % fabric.mesh.n_nodes, worm.seq)
+
+
+def _watch_drain_releases(fabric, seen):
+    """Wrap ``fabric._release`` (behaviour unchanged) to note, whenever
+    a draining worm frees a channel others are parked on, whether each
+    of them sorts before or after it."""
+    release = fabric._release
+
+    def watched(worm, stop):
+        if worm.injected == worm.total_phits and worm.reserved:
+            for key in worm.keys[worm.released:stop]:
+                for waiter in fabric._waiters.get(key, ()):
+                    seen.add("waiter before drainer"
+                             if _order(fabric, waiter) < _order(fabric, worm)
+                             else "waiter after drainer")
+        release(worm, stop)
+
+    fabric._release = watched
+
+
 def _check_invariants(fabric):
+    """The kernel's derived state is consistent; returns which sleepers
+    (parked and filling, draining) are present."""
     holders = {}
     parked = 0
+    seen = set()
     for worm in fabric._active:
         assert 0 <= worm.delivered <= worm.injected <= worm.total_phits
         for key in worm.keys[worm.released:worm.head + 1]:
             holders[key] = worm
-        if worm.wake == NEVER:
+        last = len(worm.keys) - 1
+        if worm.parked is not None:
             parked += 1
+            assert worm.head < last and worm.delivered == 0
+            assert worm.parked == worm.keys[worm.head + 1]
             assert worm.parked in fabric._owner, \
-                "frozen behind a key nobody owns: it can never wake"
+                "parked behind a key nobody owns: it may never wake"
             assert worm in fabric._waiters[worm.parked]
+            slack = BUFFER_PHITS * (worm.head - worm.released + 1)
+            if worm.injected < min(slack, worm.total_phits):
+                seen.add("filling")
+            if worm.wake == NEVER:
+                assert slack < worm.total_phits \
+                    or worm.injected == worm.total_phits
+            else:
+                # A timed wake is the cycle injection completes.
+                assert worm.wake == (worm.seen + worm.total_phits
+                                     - worm.injected) > fabric._cycle
+        elif worm.head < last:
+            # Awake, or woken by a release in the last cycle.
+            assert worm.wake <= fabric._cycle
+        elif worm.wake >= 0:
+            assert worm.reserved
+            if worm.injected == worm.total_phits:
+                seen.add("draining")
+                # At its next look (a tail release, else completion)
+                # the phits left in flight exactly fill the channels it
+                # still holds behind the ejection port.
+                in_flight = (worm.total_phits - worm.delivered
+                             - (worm.wake - worm.seen))
+                assert in_flight == BUFFER_PHITS * (last - worm.released)
     # Each owned key belongs to a worm holding it inside its span.
     assert fabric._owner == holders
-    assert fabric._n_frozen == parked \
+    assert fabric._n_parked == parked \
         == sum(len(worms) for worms in fabric._waiters.values())
+    if fabric.arbitration == "fixed" and not fabric._unsorted:
+        # The walk skips the sort: the list must already be in order.
+        assert [w.akey for w in fabric._active] \
+            == sorted(w.akey for w in fabric._active)
+    # A pending queue tries its port at the next cycle's top, or waits
+    # under the port its previous worm holds.
+    for queue_key, queue in fabric._pending.items():
+        assert queue
+        port = queue[0].keys[0]
+        if queue_key not in fabric._ready:
+            assert fabric._port_waiters.get(port) == queue_key
+            assert port in fabric._owner, "waiting on a free port"
+    assert set(fabric._port_waiters.values()) <= set(fabric._pending)
+    return seen
 
 
 windows = st.tuples(st.integers(0, 60), st.integers(1, 80)).map(
@@ -170,8 +247,21 @@ plans = st.fixed_dictionaries({
                   st.integers(2, 16),                      # words
                   st.sampled_from([Priority.P0, Priority.P1])),
         min_size=1, max_size=40),
+    # A convoy: a burst of long messages from distinct sources,
+    # alternately at each priority, converging on a node that refuses
+    # for a while, so worms park behind each other while their buffers
+    # fill, then drain past waiters.  Sent in one cycle, the nearest
+    # arrives first whatever its ``seq``, so waiters sort on both sides.
+    "convoy_at": st.integers(0, 30),
+    "convoy": st.lists(
+        st.tuples(st.integers(0, N_NODES - 1),             # source
+                  st.integers(9, 16)),                     # words
+        min_size=8, max_size=14, unique_by=lambda send: send[0]),
+    "convoy_refusal": st.integers(20, 60),                 # cycles
     "arbitration": st.sampled_from(["fixed", "round_robin"]),
-    "flow_control": st.sampled_from(["block", "return_to_sender"]),
+    # Blocking twice as often: the convoy only piles up when refused
+    # worms block.
+    "flow_control": st.sampled_from(["block", "block", "return_to_sender"]),
     "refusals": st.dictionaries(st.integers(0, N_NODES - 1), windows,
                                 max_size=3),
     "outages": st.dictionaries(st.integers(0, N_NODES - 1), windows,
@@ -183,11 +273,26 @@ plans = st.fixed_dictionaries({
 })
 
 
+#: Where the convoy goes.
+CONVOY = 13
+
+
 def _kernel_equals_reference(plan, cycles):
+    """Drive ``plan`` through kernel and oracle, comparing as it goes;
+    returns the sleep situations seen: sleepers at the comparisons, and
+    drain releases with a waiter on either side of the drainer."""
+    refusal = (plan["convoy_at"], plan["convoy_at"] + plan["convoy_refusal"])
+    plan = dict(plan, refusals={**plan["refusals"], CONVOY: refusal})
     kernel, oracle = _Side(Fabric, plan), _Side(ReferenceFabric, plan)
+    seen = set()
+    _watch_drain_releases(kernel.fabric, seen)
     by_cycle = {}
     for at, *send in plan["sends"]:
         by_cycle.setdefault(at, []).append(send)
+    convoy = [(source, CONVOY if source != CONVOY else 0, words,
+               (Priority.P0, Priority.P1)[i % 2])
+              for i, (source, words) in enumerate(plan["convoy"])]
+    by_cycle.setdefault(plan["convoy_at"], []).extend(convoy)
     batched = plan["drive"] == "advance"
     # A window may not hold a send (the quiet-window contract) and ends
     # at a checkpoint.  It does hold refusal edges: a refused worm polls
@@ -206,7 +311,7 @@ def _kernel_equals_reference(plan, cycles):
         if tripped is not None:
             break  # the watchdog fired: same cycle, same report
         now = kernel.now
-        _check_invariants(kernel.fabric)
+        seen |= _check_invariants(kernel.fabric)
         assert kernel.exact_now() == oracle.exact_now(), f"t={now}"
         if now - 1 in plan["checkpoints"]:
             synced = observable_state(kernel.fabric)
@@ -216,13 +321,38 @@ def _kernel_equals_reference(plan, cycles):
             _check_invariants(kernel.fabric)
     assert observable_state(kernel.fabric, kernel.log) \
         == observable_state(oracle.fabric, oracle.log)
+    return seen
 
 
-@settings(deadline=None, max_examples=100,
+@settings(deadline=None, max_examples=150,
           suppress_health_check=[HealthCheck.too_slow])
 @given(plans)
 def test_kernel_equals_reference(plan):
     _kernel_equals_reference(plan, cycles=160)
+
+
+#: What most drawn schedules must contain, so the property above keeps
+#: exercising every kind of sleeper.
+SITUATIONS = ("filling", "draining", "waiter before drainer",
+              "waiter after drainer")
+
+
+def test_schedules_hold_the_new_sleepers():
+    """Most drawn schedules hold parked worms whose buffers still fill,
+    drainers, and worms parked on a drainer's channels that sort before
+    it and after it (a fixed sample of the same strategy)."""
+    runs = []
+
+    @settings(deadline=None, max_examples=40, derandomize=True,
+              database=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(plans)
+    def sample(plan):
+        runs.append(_kernel_equals_reference(plan, cycles=160))
+
+    sample()
+    for situation in SITUATIONS:
+        share = sum(situation in seen for seen in runs) / len(runs)
+        assert share > 0.5, f"{situation!r} in {share:.0%} of runs"
 
 
 @pytest.mark.slow

@@ -77,13 +77,65 @@ class TestPartitions:
                                 source=source, dest=0), 0)
         for now in range(40):
             fabric.step(now)
-        assert fabric._n_frozen and fabric._waiters
+        assert fabric._n_parked and fabric._waiters
         assert any(0 <= w.wake and w.parked is None
                    for w in fabric._active), "nobody is streaming"
         state = fabric.state_dict()
-        assert fabric._n_frozen == 0 and not fabric._waiters
+        assert fabric._n_parked == 0 and not fabric._waiters
         assert all(w.wake == AWAKE and w.parked is None
                    for w in state["active"])
+
+    def test_fabric_capture_mid_drain_resumes_equal(self):
+        """A capture taken while a worm drains (freeing its tail by
+        cheap steps) and another is parked with its buffers filling
+        restores into a fresh fabric that finishes exactly like the
+        uninterrupted one."""
+        import pickle
+
+        from repro.core.message import Message
+        from repro.core.word import Word
+        from repro.network.fabric import BUFFER_PHITS
+        from repro.network.topology import Mesh3D
+
+        def hotspot():
+            log = []
+            fabric = Fabric(Mesh3D(4, 4, 1), lambda node, message: True,
+                            lambda node, message, at: log.append(
+                                (message.source, at)))
+            fabric.on_injected = lambda message: log.append(
+                ("injected", message.source, fabric._cycle))
+            fabric.attach_probe()
+            for source in range(1, 16):
+                fabric.send(Message([Word.ip(1)] + [Word.from_int(0)] * 7,
+                                    source=source, dest=0), 0)
+            return fabric, log
+
+        def finish(fabric, now):
+            while fabric.active:
+                fabric.step(now)
+                now += 1
+            return now, fabric.stats.block_cycles, fabric.probe.to_dict()
+
+        fabric, log = hotspot()
+        for now in range(400):
+            fabric.step(now)
+            last = [len(w.keys) - 1 for w in fabric._active]
+            draining = any(w.seen < now and w.wake > now and w.head == n
+                           and w.injected == w.total_phits
+                           for w, n in zip(fabric._active, last))
+            filling = any(w.parked is not None and w.injected < min(
+                w.total_phits, BUFFER_PHITS * (w.head - w.released + 1))
+                for w in fabric._active)
+            if draining and filling:
+                break
+        else:
+            pytest.fail("never a drainer and a filling worm at once")
+        capture = pickle.dumps(fabric.state_dict())
+        restored, restored_log = hotspot()
+        restored.load_state(pickle.loads(capture))
+        restored_log[:] = log
+        assert finish(restored, now + 1) == finish(fabric, now + 1)
+        assert restored_log == log
 
     def test_latency_model(self):
         model = MacroSimulator(4).network

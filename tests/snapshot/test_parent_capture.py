@@ -37,7 +37,9 @@ each worm's ``keys`` and in the route memo (whose entries also held the
 decoded path and the hop count), and its worms carry a ``path`` slot the
 class no longer defines.  The int-key test pickles a capture in exactly
 that form; ``Worm.__setstate__`` drops the slot and ``Fabric.load_state``
-re-derives every key.
+re-derives every key.  Those files, and the sleep-slot ones, also hold
+each worm's arbitration key as a ``(-pri, at_port, seq)`` tuple, which
+``load_state`` turns into the int of the same order.
 """
 
 import copyreg
@@ -123,7 +125,13 @@ def test_capture_without_sleep_slots_restores(tmp_path, specs, probe):
     for worm in _worms(payload["fabric"]):
         for slot in SLEEP_SLOTS:
             delattr(worm, slot)
+        worm.akey = _tuple_akey(worm)
     _resumes_equal(payload, reference)
+
+
+def _tuple_akey(worm):
+    """The arbitration key as earlier builds kept it: a tuple."""
+    return (-worm.pri, int(worm.head < 1), worm.seq)
 
 
 def _tuple_keys(keys, pclass):
@@ -150,6 +158,7 @@ def _parent_pickle(payload):
                 return NotImplemented
             slots = {name: getattr(obj, name) for name in Worm.__slots__}
             slots["keys"] = _tuple_keys(obj.keys, obj.pri)
+            slots["akey"] = _tuple_akey(obj)
             slots["path"] = tuple(k[:3] for k in slots["keys"])
             return copyreg.__newobj__, (Worm,), (None, slots)
 
@@ -166,6 +175,7 @@ def test_capture_with_tuple_channel_keys_restores(tmp_path, specs, probe):
     old = pickle.loads(_parent_pickle(payload))
     assert any(isinstance(key, tuple) for key in old["fabric"]["owner"])
     assert all(isinstance(worm.keys[0], tuple)
+               and isinstance(worm.akey, tuple)
                for worm in _worms(old["fabric"]))
     _resumes_equal(old, reference)
 
