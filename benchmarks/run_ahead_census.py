@@ -257,9 +257,9 @@ def census(run: Callable[[], object]) -> Dict[str, int]:
             counts["at_op"] += 1
         return nxt
 
-    def counted_commit(machine):
+    def counted_commit(machine, *args):
         counts["passes"] += 1
-        commit(machine)
+        commit(machine, *args)
 
     bound = fastpath.STATS["blocks_bound"]
     Mdp.tick, JMachine._commit_deliveries = counted_tick, counted_commit

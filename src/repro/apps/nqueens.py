@@ -70,10 +70,13 @@ def solve_count(n: int, cols: int, ld: int, rd: int, row: int) -> Tuple[int, int
     return solutions, nodes
 
 
-def expand_boards(n: int, depth: int) -> List[Tuple[int, int, int]]:
-    """All legal partial boards of ``depth`` rows, as (cols, ld, rd)."""
+def expand_boards(n: int, depth: int
+                  ) -> Tuple[List[Tuple[int, int, int]], int]:
+    """All legal partial boards of ``depth`` rows, as (cols, ld, rd),
+    and how many boards the breadth-first walk expanded to get them."""
     mask = (1 << n) - 1
     boards = [(0, 0, 0)]
+    expansions = 0
     for _ in range(depth):
         nxt = []
         for cols, ld, rd in boards:
@@ -82,8 +85,9 @@ def expand_boards(n: int, depth: int) -> List[Tuple[int, int, int]]:
                 bit = free & -free
                 free -= bit
                 nxt.append((cols | bit, ((ld | bit) << 1) & mask, (rd | bit) >> 1))
+        expansions += len(boards)
         boards = nxt
-    return boards
+    return boards, expansions
 
 
 def choose_depth(n: int, n_nodes: int, tasks_per_node: int) -> int:
@@ -93,7 +97,7 @@ def choose_depth(n: int, n_nodes: int, tasks_per_node: int) -> int:
     count = 1
     while count < target and depth < n - 1:
         depth += 1
-        count = len(expand_boards(n, depth))
+        count = len(expand_boards(n, depth)[0])
     return depth
 
 
@@ -133,21 +137,7 @@ def run_parallel(
 
     def start(ctx: Context) -> None:
         """Node 0: breadth-first expansion and round-robin distribution."""
-        boards = [(0, 0, 0)]
-        expansions = 0
-        for _ in range(depth):
-            nxt = []
-            mask = (1 << n) - 1
-            for cols, ld, rd in boards:
-                free = ~(cols | ld | rd) & mask
-                while free:
-                    bit = free & -free
-                    free -= bit
-                    nxt.append(
-                        (cols | bit, ((ld | bit) << 1) & mask, (rd | bit) >> 1)
-                    )
-                expansions += 1
-            boards = nxt
+        boards, expansions = expand_boards(n, depth)
         ctx.charge(instructions=EXPAND_INSTR * max(1, expansions))
         ctx.state["outstanding"] = len(boards)
         for i, board in enumerate(boards):

@@ -1,15 +1,18 @@
 """Machine-level deadlock detection with per-node diagnostics.
 
-The fabric's own stagnation watchdog (``Fabric.watchdog_cycles``) only
-sees the network; a machine can also wedge with an *empty* network — every
-node spinning on send faults against a full buffer, or parked waiting for
-a message that was dropped.  :class:`DeadlockWatchdog` watches the whole
-machine: if no instruction retires, no message completes, and no delivery
-commits for a full window of cycles while work is still outstanding, it
-raises :class:`~repro.core.errors.DeadlockError` carrying a
+:class:`DeadlockWatchdog` is the simulator's one stall detector.  It
+watches the whole machine, so it also sees a machine that wedges with an
+*empty* network — every node spinning on send faults against a full
+buffer, or parked waiting for a message that was dropped.  If no
+instruction retires, no message completes, and no delivery commits for a
+full window of cycles while work is still outstanding, it raises
+:class:`~repro.core.errors.DeadlockError` carrying a
 :class:`NodeSnapshot` per implicated node — PC, queue depths, suspended
-threads, spill occupancy — so a hung run fails with a diagnosis instead
-of timing out with a generic error.
+threads, spill occupancy — and a line per stuck worm naming the worm
+that owns the channel it waits for, so a hung run fails with a diagnosis
+instead of timing out with a generic error.  On the paper's mesh that
+covers every network stall: e-cube routing is deadlock-free, so a chain
+of blocked worms always ends at a refusing endpoint or a dead router.
 
 The watchdog is pull-based and cheap: the run loop polls it through
 :class:`~repro.core.hooks.RunHooks` (one integer comparison per pass);
@@ -213,16 +216,19 @@ class DeadlockWatchdog:
     def _trip(self, machine, now: int) -> None:
         self.trips += 1
         snapshots = machine_snapshots(machine)
-        worms = machine.fabric.worms_in_flight
+        fabric = machine.fabric
+        worms = fabric.worms_in_flight
         telemetry = machine.telemetry
         if telemetry is not None and telemetry.events is not None:
             telemetry.events.emit("watchdog", now, -1, name="deadlock",
                                   worms=worms, nodes=len(snapshots))
         raise DeadlockError(
-            f"no progress for {self.window} cycles at t={now}: "
-            f"no instruction retired, no message completed, no delivery "
-            f"committed; {worms} worms in flight, "
-            f"{len(snapshots)} nodes implicated:",
+            "\n  ".join([
+                f"no progress for {self.window} cycles at t={now}: "
+                f"no instruction retired, no message completed, no "
+                f"delivery committed; {worms} worms in flight, "
+                f"{len(snapshots)} nodes implicated:",
+                *fabric.stuck_worms()]),
             now=now,
             snapshots=snapshots,
             worms_in_flight=worms,

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .faults import AbortFaultPolicy, FaultPolicy, RuntimeFaultPolicy
 from .isa import Imm, Instr, MemIdx, MemOff, OPCODES, Reg
-from .memory import EMEM_WORDS, IMEM_WORDS, NodeMemory, SegmentAllocator
+from .memory import EMEM_WORDS, IMEM_WORDS, NodeMemory
 from .message import Message
 from .processor import Mdp, MdpCounters, NetworkInterface, USER_BASE
 from .queues import DEFAULT_QUEUE_WORDS, MIN_MESSAGE_WORDS, MessageQueue
@@ -63,7 +63,6 @@ __all__ = [
     "EMEM_WORDS",
     "IMEM_WORDS",
     "NodeMemory",
-    "SegmentAllocator",
     "Message",
     "Mdp",
     "MdpCounters",

@@ -73,8 +73,8 @@ class QueueUnderflowError(SimulationError):
 class DeadlockError(SimulationError):
     """The machine (or the network) stopped making progress.
 
-    Raised by the fabric's stagnation watchdog, by
-    :class:`~repro.chaos.watchdog.DeadlockWatchdog`, and by
+    Raised by :class:`~repro.chaos.watchdog.DeadlockWatchdog` (whose
+    message also lists each stuck worm and the worm blocking it) and by
     ``JMachine.run_until_quiescent`` when a run wedges.  Carries a
     diagnostic payload so a hung run fails with *evidence* instead of a
     generic error:

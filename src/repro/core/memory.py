@@ -9,11 +9,10 @@ words.  The two memories form a single flat word-address space:
 
 A fixed region at the bottom of the SRAM holds the hardware structures:
 fault vectors, the two message queues, and the send buffer.  The rest is
-available to code and data; the :class:`SegmentAllocator` hands out
-segment descriptors (``ADDR`` words) the way the MDP's memory-management
-unit expects objects to be referenced — every indexed access is bounds
-checked against its descriptor, which is what lets objects be relocated
-for heap compaction.
+available to code and data, referenced through segment descriptors
+(``ADDR`` words): the processor bounds-checks every indexed access
+against its descriptor, which is what lets objects be relocated for heap
+compaction.
 
 Access-cost accounting is *pull* style: reads and writes return/record the
 cycle cost via the optional ``meter``; the processor adds those cycles to
@@ -22,14 +21,14 @@ its clock.  This keeps the memory model usable standalone in tests.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List
 
 from .costs import CostModel, DEFAULT_COSTS
 from .errors import MemoryError_, SegmentationFault
 from .word import NIL, Word
 
-__all__ = ["AccessMeter", "NodeMemory", "SegmentAllocator",
-           "IMEM_WORDS", "EMEM_WORDS", "TOTAL_WORDS"]
+__all__ = ["AccessMeter", "NodeMemory", "IMEM_WORDS", "EMEM_WORDS",
+           "TOTAL_WORDS"]
 
 #: 4K words of on-chip SRAM (Section 1).
 IMEM_WORDS = 4096
@@ -149,117 +148,8 @@ class NodeMemory:
         else:
             self._emem_cells[address] = word
 
-    # -- block helpers ------------------------------------------------------
-
-    def load_block(self, base: int, words: List[Word]) -> None:
-        """Loader helper: poke a contiguous block (no cycle charges)."""
-        if base < 0 or base + len(words) > self.total_words:
-            raise MemoryError_(
-                f"block [{base}, {base + len(words)}) outside node memory"
-            )
-        for offset, word in enumerate(words):
-            self.poke(base + offset, word)
-
     def dump_block(self, base: int, count: int) -> List[Word]:
         """Debugger helper: peek a contiguous block (no cycle charges)."""
         if base < 0 or base + count > self.total_words:
             raise MemoryError_(f"block [{base}, {base + count}) outside node memory")
         return [self.peek(base + offset) for offset in range(count)]
-
-    # -- segment (descriptor-checked) access ---------------------------------
-
-    def read_indexed(self, descriptor: Word, index: int) -> Word:
-        """Read ``descriptor[index]`` with bounds checking.
-
-        This is the MDP's indexed addressing mode: every object access goes
-        through a segment descriptor so that the length check is free in
-        hardware (and so objects can be relocated).
-        """
-        base, length = descriptor.as_segment()
-        if not 0 <= index < length:
-            raise SegmentationFault(
-                f"index {index} outside segment base={base} length={length}"
-            )
-        return self.read(base + index)
-
-    def write_indexed(self, descriptor: Word, index: int, word: Word) -> None:
-        """Write ``descriptor[index]`` with bounds checking."""
-        base, length = descriptor.as_segment()
-        if not 0 <= index < length:
-            raise SegmentationFault(
-                f"index {index} outside segment base={base} length={length}"
-            )
-        self.write(base + index, word)
-
-
-class SegmentAllocator:
-    """Bump allocator handing out segment descriptors.
-
-    Two independent bump pointers cover the internal and external regions;
-    ``alloc`` takes ``internal=True`` to request on-chip space.  The real
-    machine's runtime performs heap compaction (the paper notes objects
-    "may be relocated at will"); this allocator supports ``reset`` and
-    ``mark``/``release`` for arena-style reuse, which is all the
-    benchmarks need.
-    """
-
-    def __init__(self, memory: NodeMemory, imem_start: int, emem_start: Optional[int] = None) -> None:
-        if emem_start is None:
-            emem_start = memory.imem_words
-        if not 0 <= imem_start <= memory.imem_words:
-            raise MemoryError_(f"imem_start {imem_start} outside SRAM")
-        if not memory.imem_words <= emem_start <= memory.total_words:
-            raise MemoryError_(f"emem_start {emem_start} outside DRAM")
-        self.memory = memory
-        self._imem_next = imem_start
-        self._emem_next = emem_start
-        self._imem_start = imem_start
-        self._emem_start = emem_start
-
-    def alloc(self, length: int, internal: bool = False) -> Word:
-        """Allocate ``length`` words and return the segment descriptor."""
-        if length <= 0:
-            raise MemoryError_("segment length must be positive")
-        if internal:
-            base = self._imem_next
-            if base + length > self.memory.imem_words:
-                raise MemoryError_(
-                    f"internal memory exhausted ({length} words requested)"
-                )
-            self._imem_next = base + length
-        else:
-            base = self._emem_next
-            if base + length > self.memory.total_words:
-                raise MemoryError_(
-                    f"external memory exhausted ({length} words requested)"
-                )
-            self._emem_next = base + length
-        return Word.segment(base, length)
-
-    def mark(self) -> Tuple[int, int]:
-        """Snapshot the allocation frontier (for arena release)."""
-        return (self._imem_next, self._emem_next)
-
-    def release(self, mark: Tuple[int, int]) -> None:
-        """Roll the frontier back to a previous :meth:`mark`."""
-        imem, emem = mark
-        if not self._imem_start <= imem <= self._imem_next:
-            raise MemoryError_("bad imem release mark")
-        if not self._emem_start <= emem <= self._emem_next:
-            raise MemoryError_("bad emem release mark")
-        self._imem_next, self._emem_next = imem, emem
-
-    def reset(self) -> None:
-        """Release everything allocated since construction."""
-        self._imem_next = self._imem_start
-        self._emem_next = self._emem_start
-
-    @property
-    def imem_free(self) -> int:
-        """Words of on-chip memory still available."""
-        return self.memory.imem_words - self._imem_next
-
-    @property
-    def emem_free(self) -> int:
-        """Words of external memory still available."""
-        return self.memory.total_words - self._emem_next

@@ -1,7 +1,7 @@
 """Event-driven macro simulator: handler-level execution with cycle costs."""
 
 from .calibrate import CalibrationResult, calibrate
-from .collectives import BroadcastTree, Reduction, binomial_children, binomial_parent
+from .collectives import binomial_children, binomial_parent
 from .netmodel import LatencyModel
 from .profile import CATEGORIES, Profile
 from .sim import Context, HandlerStats, MacroConfig, MacroSimulator, SimNode
@@ -9,8 +9,6 @@ from .sim import Context, HandlerStats, MacroConfig, MacroSimulator, SimNode
 __all__ = [
     "CalibrationResult",
     "calibrate",
-    "BroadcastTree",
-    "Reduction",
     "binomial_children",
     "binomial_parent",
     "LatencyModel",

@@ -34,7 +34,7 @@ from ..core.costs import DEFAULT_COSTS, CostModel
 from ..network.observatory import FabricReport
 from ..network.topology import Mesh3D
 from ..network.traffic import RandomTrafficExperiment
-from .netmodel import LatencyModel
+from .netmodel import CONTENTION_CAP, CONTENTION_SCALE, LatencyModel
 
 __all__ = ["CalibrationPoint", "CalibrationResult", "calibrate"]
 
@@ -73,7 +73,7 @@ class CalibrationResult:
     points: List[CalibrationPoint]
     scale: float                # fitted contention_scale
     default_scale: float        # what the model shipped with
-    cap: float                  # contention_cap used for predictions
+    cap: float                  # CONTENTION_CAP, used for predictions
 
     def predict(self, point: CalibrationPoint,
                 scale: Optional[float] = None) -> float:
@@ -156,8 +156,6 @@ def calibrate(mesh: Optional[Mesh3D] = None, message_words: int = 8,
     scale (closed-form least squares through the origin, clamped >= 0).
     """
     mesh = mesh if mesh is not None else Mesh3D(4, 4, 2)
-    reference = LatencyModel(mesh, costs=costs,
-                             interface_cycles=interface_cycles)
     points = [
         _measure_point(mesh, message_words, idle, costs, interface_cycles,
                        seed, warmup_cycles, measure_cycles)
@@ -166,10 +164,10 @@ def calibrate(mesh: Optional[Mesh3D] = None, message_words: int = 8,
     numerator = sum(p.residual * p.x for p in points)
     denominator = sum(p.x * p.x for p in points)
     scale = max(0.0, numerator / denominator) if denominator > 0 else \
-        reference.contention_scale
+        CONTENTION_SCALE
     return CalibrationResult(
         points=points,
         scale=scale,
-        default_scale=reference.contention_scale,
-        cap=reference.contention_cap,
+        default_scale=CONTENTION_SCALE,
+        cap=CONTENTION_CAP,
     )

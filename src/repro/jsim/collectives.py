@@ -1,33 +1,16 @@
-"""Reusable collective operations for macro-simulated applications.
+"""The binomial tree behind radix sort's combining/distributing tree.
 
-Radix sort's combining/distributing tree and completion barrier are
-patterns every fine-grained program needs, so this module packages them
-as a library over :class:`~repro.jsim.sim.MacroSimulator`:
-
-* :class:`Reduction` — binomial-tree combine toward node 0 with an
-  arbitrary associative combiner, then an optional broadcast of the
-  result back down (the paper's "binary combining/distributing tree").
-* :class:`BroadcastTree` — log-depth interval broadcast.
-* :func:`binomial_parent` / :func:`binomial_children` — the tree shape
-  itself, usable directly.
-
-A collective instance registers its handlers once per simulator and can
-run many rounds; each round's result is delivered by calling a
-user-chosen completion handler on each participating node.
+:func:`binomial_parent` / :func:`binomial_children` give the tree shape
+the paper's "binary combining/distributing tree" uses over node ids:
+node ``n``'s parent clears its lowest set bit, so every node reaches
+node 0 in at most ``log2(N)`` hops.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional
+from typing import List, Optional
 
-from ..core.errors import ConfigurationError
-from .sim import Context, MacroSimulator
-
-__all__ = ["binomial_parent", "binomial_children", "Reduction",
-           "BroadcastTree"]
-
-#: Instructions charged per tree hop (bookkeeping + forwarding).
-TREE_HOP_INSTR = 12
+__all__ = ["binomial_parent", "binomial_children"]
 
 
 def binomial_parent(node: int) -> Optional[int]:
@@ -48,118 +31,3 @@ def binomial_children(node: int, n_nodes: int) -> List[int]:
         children.append(node + k)
         k *= 2
     return children
-
-
-class Reduction:
-    """Combine per-node values at node 0, optionally broadcasting back.
-
-    Args:
-        sim: the simulator to attach to.
-        name: unique handler-name prefix.
-        combine: associative combiner ``f(a, b) -> c``.
-        on_result: handler name invoked with the final value — on node 0
-            only, or on every node when ``broadcast`` is True.
-        broadcast: redistribute the combined value down the tree.
-        length: message length in words for the tree messages.
-    """
-
-    def __init__(
-        self,
-        sim: MacroSimulator,
-        name: str,
-        combine: Callable[[Any, Any], Any],
-        on_result: str,
-        broadcast: bool = False,
-        length: int = 3,
-    ) -> None:
-        self.sim = sim
-        self.name = name
-        self.combine = combine
-        self.on_result = on_result
-        self.broadcast = broadcast
-        self.length = length
-        sim.register(f"{name}.up", self._up)
-        if broadcast:
-            sim.register(f"{name}.down", self._down)
-
-    # -- state helpers --------------------------------------------------------
-
-    def _slot(self, ctx: Context) -> dict:
-        return ctx.state.setdefault(f"_coll_{self.name}", {
-            "value": None, "have_own": False, "pending": None,
-        })
-
-    def contribute(self, ctx: Context, value: Any) -> None:
-        """Offer this node's value for the current round."""
-        slot = self._slot(ctx)
-        if slot["have_own"]:
-            raise ConfigurationError(
-                f"node {ctx.node_id} contributed twice to {self.name}"
-            )
-        if slot["pending"] is None:
-            slot["pending"] = len(binomial_children(ctx.node_id,
-                                                    self.sim.n_nodes))
-        slot["have_own"] = True
-        slot["value"] = (value if slot["value"] is None
-                         else self.combine(slot["value"], value))
-        self._maybe_send_up(ctx, slot)
-
-    def _up(self, ctx: Context, value: Any) -> None:
-        slot = self._slot(ctx)
-        if slot["pending"] is None:
-            slot["pending"] = len(binomial_children(ctx.node_id,
-                                                    self.sim.n_nodes))
-        ctx.charge(instructions=TREE_HOP_INSTR)
-        slot["value"] = (value if slot["value"] is None
-                         else self.combine(slot["value"], value))
-        slot["pending"] -= 1
-        self._maybe_send_up(ctx, slot)
-
-    def _maybe_send_up(self, ctx: Context, slot: dict) -> None:
-        if not slot["have_own"] or slot["pending"]:
-            return
-        node = ctx.node_id
-        value = slot["value"]
-        # Reset for the next round before handing the value off.
-        ctx.state[f"_coll_{self.name}"] = {
-            "value": None, "have_own": False, "pending": None,
-        }
-        parent = binomial_parent(node)
-        ctx.charge(instructions=TREE_HOP_INSTR)
-        if parent is not None:
-            ctx.send(parent, f"{self.name}.up", value, length=self.length)
-            return
-        if self.broadcast:
-            self._down(ctx, value)
-        else:
-            ctx.call_local(self.on_result, value, length=self.length)
-
-    def _down(self, ctx: Context, value: Any) -> None:
-        ctx.charge(instructions=TREE_HOP_INSTR)
-        for child in binomial_children(ctx.node_id, self.sim.n_nodes):
-            ctx.send(child, f"{self.name}.down", value, length=self.length)
-        ctx.call_local(self.on_result, value, length=self.length)
-
-
-class BroadcastTree:
-    """Log-depth one-to-all delivery of a value from node 0."""
-
-    def __init__(self, sim: MacroSimulator, name: str, on_deliver: str,
-                 length: int = 3) -> None:
-        self.sim = sim
-        self.name = name
-        self.on_deliver = on_deliver
-        self.length = length
-        sim.register(f"{name}.bcast", self._relay)
-
-    def start(self, ctx: Context, value: Any) -> None:
-        """Begin the broadcast (callable from any node-0 handler)."""
-        if ctx.node_id != 0:
-            raise ConfigurationError("broadcast must start at node 0")
-        self._relay(ctx, value)
-
-    def _relay(self, ctx: Context, value: Any) -> None:
-        ctx.charge(instructions=TREE_HOP_INSTR)
-        for child in binomial_children(ctx.node_id, self.sim.n_nodes):
-            ctx.send(child, f"{self.name}.bcast", value, length=self.length)
-        ctx.call_local(self.on_deliver, value, length=self.length)

@@ -26,7 +26,7 @@ from __future__ import annotations
 from ..core.costs import CostModel, DEFAULT_COSTS
 from ..network.topology import Mesh3D
 
-__all__ = ["LatencyModel"]
+__all__ = ["LatencyModel", "CONTENTION_SCALE", "CONTENTION_CAP"]
 
 #: Sliding-window length for utilization metering, in cycles.
 _WINDOW_CYCLES = 1024
@@ -37,20 +37,20 @@ _WINDOW_CYCLES = 1024
 _SATURATION_FRACTION = 0.55
 
 #: Contention delay multiplier (cycles of queueing per unit of u/(1-u)).
-_CONTENTION_SCALE = 8.0
+CONTENTION_SCALE = 8.0
 
 #: Upper bound on the contention term, to keep pathological bursts finite.
-_CONTENTION_CAP = 2000.0
+CONTENTION_CAP = 2000.0
 
 
 class LatencyModel:
     """Distance + length + contention latency with saturation throttling.
 
-    The contention shape is parameterized (``contention_scale``,
-    ``contention_cap``, ``saturation_fraction``) so the calibrator
-    (:mod:`repro.jsim.calibrate`) can fit the model against per-link
-    utilization measured by the flit simulator's fabric observatory;
-    the module-level defaults are the hand-tuned values.
+    ``contention_scale`` starts at the hand-tuned module value; the
+    calibrator (:mod:`repro.jsim.calibrate`) fits it against per-link
+    utilization measured by the flit simulator's fabric observatory and
+    installs the fit on a live model.  The metering window, the cap and
+    the usable fraction of the bisection are module constants.
     """
 
     def __init__(
@@ -58,22 +58,15 @@ class LatencyModel:
         mesh: Mesh3D,
         costs: CostModel = DEFAULT_COSTS,
         interface_cycles: int = 9,
-        window_cycles: int = _WINDOW_CYCLES,
-        contention_scale: float = _CONTENTION_SCALE,
-        contention_cap: float = _CONTENTION_CAP,
-        saturation_fraction: float = _SATURATION_FRACTION,
     ) -> None:
         self.mesh = mesh
         self.costs = costs
         self.interface_cycles = interface_cycles
-        self.window = window_cycles
-        self.contention_scale = float(contention_scale)
-        self.contention_cap = float(contention_cap)
-        self.saturation_fraction = float(saturation_fraction)
+        self.contention_scale = CONTENTION_SCALE
         # Usable crossing capacity, in words per cycle (both directions:
         # Y*Z channels each way at 0.5 words/cycle).
         raw = mesh.bisection_channels() * 2 * 0.5
-        self.capacity_words_per_cycle = max(raw * self.saturation_fraction,
+        self.capacity_words_per_cycle = max(raw * _SATURATION_FRACTION,
                                             0.25)
         self._bucket_start = 0
         self._bucket_words = 0.0
@@ -94,7 +87,7 @@ class LatencyModel:
     def _utilization(self, now: int) -> float:
         start = self._bucket_start
         words = self._bucket_words
-        window = self.window
+        window = _WINDOW_CYCLES
         elapsed = now - start
         if elapsed >= window:
             self._prev_rate = words / (elapsed if elapsed > 1 else 1)
@@ -142,7 +135,7 @@ class LatencyModel:
             packed = self._build_row(src)[dst]
         base = (packed >> 1) + self._phits_per_word * length_words
         u = self._utilization(now)
-        cap = self.contention_cap
+        cap = CONTENTION_CAP
         if not packed & 1:
             # Local traffic sees only mild contention.
             contention = self.contention_scale * u * u
@@ -168,9 +161,8 @@ class LatencyModel:
     #: rather than loads: the mesh/cost structure, the sizing constants
     #: derived from them, and the pure per-source distance rows.
     EXTERNAL_ATTRS = frozenset({
-        "mesh", "costs", "interface_cycles", "window",
-        "capacity_words_per_cycle", "_phits_per_word", "_rows",
-        "contention_scale", "contention_cap", "saturation_fraction",
+        "mesh", "costs", "interface_cycles", "capacity_words_per_cycle",
+        "_phits_per_word", "_rows", "contention_scale",
     })
 
     def state_dict(self) -> dict:

@@ -307,11 +307,6 @@ class MacroSimulator:
         #: Causal-tracing allocator (:mod:`repro.telemetry.trace`),
         #: installed by the wiring when ``Telemetry(trace=True)``.
         self._trace = None
-        #: When set (by :class:`~repro.runtime.futures.FuturePool`
-        #: around a kickoff), :meth:`inject` joins this trace context
-        #: instead of rooting a new one, so request reissues stay in the
-        #: original request's trace.
-        self._inject_trace = None
         #: Optional :class:`~repro.snapshot.CheckpointPolicy`; when set,
         #: :meth:`run` saves periodic checkpoints between events.
         self.checkpoint = None
@@ -393,9 +388,7 @@ class MacroSimulator:
         """Host-side kickoff message (no sender-side charges)."""
         if length is None:
             length = 1 + len(args)
-        trace = self._inject_trace
-        if trace is None and self._trace is not None:
-            trace = self._trace.root()
+        trace = None if self._trace is None else self._trace.root()
         self.post(dest, dest, handler, args, length, priority,
                   self.now if at is None else at, trace)
 

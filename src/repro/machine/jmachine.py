@@ -219,10 +219,9 @@ class JMachine:
         node.next_tick = when
         heapq.heappush(self._proc_heap, (when, node_id))
 
-    def _commit_deliveries(self) -> None:
+    def _commit_deliveries(self, chaos) -> None:
         heap = self._delivery_heap
         now = self.now
-        chaos = self.chaos
         while heap and heap[0][0] <= now:
             _, node_id = heapq.heappop(heap)
             message = self._staged[node_id].pop(0)[1]
@@ -249,11 +248,10 @@ class JMachine:
             self._schedule_proc(node_id, now)
 
     def _tick_procs(self, limit: int, inj_bound: Optional[int] = None,
-                    stop: Optional[StopFlags] = None) -> None:
+                    stop: Optional[StopFlags] = None, chaos=None) -> None:
         now = self.now
         heap = self._proc_heap
         fabric = self.fabric
-        chaos = self.chaos
         deadlines = horizon = None
         while heap and heap[0][0] <= now:
             when, node_id = heapq.heappop(heap)
@@ -277,8 +275,9 @@ class JMachine:
                 # deadlines are pass-constant (deliveries only commit
                 # between passes), so compute them once and pick per pop.
                 if deadlines is None:
-                    deadlines = (self._block_deadline(limit, False, inj_bound),
-                                 self._block_deadline(limit, True, inj_bound))
+                    deadlines = (
+                        self._block_deadline(limit, False, inj_bound),
+                        self._block_deadline(limit, True, inj_bound, chaos))
                 nxt = proc.tick(now, deadlines[fabric.active])
             else:
                 # A per-node deadline replaces virtual-time lockstep
@@ -299,14 +298,13 @@ class JMachine:
                             else NEVER)
                     injected = (NEVER if inj_bound is None
                                 else max(now + inj_bound, now + 1))
-                    volatile = chaos is not None and not chaos.inert
                     staged_at, inbound = self._staged, self._inbound
                     injecting, window = self._injecting, stop.window
                 busy = fabric.active
                 commit = horizon if busy and horizon < head else head
                 peer = heap[0][0] if heap else NEVER
                 first = peer if peer < commit else commit
-                if busy and volatile:
+                if busy and chaos is not None:
                     deadline = now + 1  # chaos hooks may act any cycle
                 else:
                     deadline = limit
@@ -325,7 +323,7 @@ class JMachine:
                 self._schedule_proc(node_id, max(nxt, now + 1))
 
     def _block_deadline(self, limit: int, fabric_busy: bool,
-                        inj_bound: Optional[int] = None) -> int:
+                        inj_bound: Optional[int] = None, chaos=None) -> int:
         """How far a fast-path block may run ahead of the global clock in
         a free run (no stop condition).
 
@@ -346,15 +344,15 @@ class JMachine:
           (sends are block boundaries), so the bound computed at
           iteration start stays valid for every pop of the pass.
 
-        When fault injection is armed, chaos hooks may perturb any
-        cycle, so blocks collapse to the reference's one-step-per-pass.
-        A run under a stop condition bounds each processor by the
-        traffic that can reach *it* instead (:meth:`_tick_procs`,
-        docs/PERFORMANCE.md "Stop conditions").
+        When fault injection is live (``chaos``: None for no engine or
+        an inert one), chaos hooks may perturb any cycle, so blocks
+        collapse to the reference's one-step-per-pass.  A run under a
+        stop condition bounds each processor by the traffic that can
+        reach *it* instead (:meth:`_tick_procs`, docs/PERFORMANCE.md
+        "Stop conditions").
         """
         now = self.now
-        chaos = self.chaos
-        if fabric_busy and chaos is not None and not chaos.inert:
+        if fabric_busy and chaos is not None:
             return now + 1
         deadline = limit
         if self._delivery_heap and self._delivery_heap[0][0] < deadline:
@@ -425,6 +423,7 @@ class JMachine:
             # An attached-but-empty plan must not perturb the event
             # stream: its hooks are all no-ops, so let the loop batch
             # and run ahead exactly as if no engine were attached.
+            # Decided once here and passed down to every chaos site.
             chaos = None
         fabric = self.fabric
         # Quiet-window batching: while nothing but the fabric has
@@ -442,11 +441,15 @@ class JMachine:
                 hooks.fire(self.now)
             if chaos is not None:
                 chaos.machine_tick(self, self.now)
-            self._commit_deliveries()
+            self._commit_deliveries(chaos)
             stop_at = NEVER if stop is None else stop.stop_at
             inj_bound = None
             if fabric.active:
-                if batchable and chaos is None and fabric.can_batch():
+                # Chaos ticks and return-to-sender bounces have
+                # per-cycle effects outside the fabric, so those runs
+                # take one step per pass.
+                if (batchable and chaos is None
+                        and fabric.flow_control == "block"):
                     # The passes that decide where the run ends — at
                     # stop_at, and the last one before the limit, whose
                     # quiet jump may overshoot it — are ordinary ones.
@@ -464,7 +467,7 @@ class JMachine:
                         continue
                 fabric.step(self.now)
                 inj_bound = fabric.injection_quiet_cycles()
-            self._tick_procs(limit, inj_bound, stop)
+            self._tick_procs(limit, inj_bound, stop, chaos)
             if self.now >= pass_hooks.next_due:
                 pass_hooks.fire(self.now)
             if stop is not None:
@@ -560,16 +563,6 @@ class JMachine:
         from ..telemetry.report import SimReport
 
         return SimReport.from_machine(self, meta)
-
-    def fabric_report(self):
-        """Analyze the observatory probe as of the current cycle.
-
-        Requires ``MachineConfig(fabric_probe=True)`` (or a manual
-        ``machine.fabric.attach_probe()`` before the run).
-        """
-        from ..network.observatory import FabricReport
-
-        return FabricReport.from_fabric(self.fabric, self.now)
 
     def total_busy_cycles(self) -> int:
         return sum(node.proc.counters.busy_cycles for node in self.nodes)

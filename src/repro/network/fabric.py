@@ -42,7 +42,7 @@ from operator import attrgetter
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from ..core.costs import CostModel, DEFAULT_COSTS
-from ..core.errors import ConfigurationError, DeadlockError
+from ..core.errors import ConfigurationError
 from ..core.message import Message
 from ..core.registers import Priority
 from .observatory import FabricProbe
@@ -230,11 +230,6 @@ class Fabric:
         #: Optional callback fired once per worm when its tail has fully
         #: left the sending interface (frees the node's send buffer).
         self.on_injected: Optional[Callable[[Message], None]] = None
-        #: Deadlock watchdog: if no worm moves a phit for this many
-        #: consecutive cycles while worms are active, :meth:`step`
-        #: raises with a diagnostic.  0 disables.
-        self.watchdog_cycles = 0
-        self._stagnant_cycles = 0
         #: Parked worms (blocked by an owner, filling or frozen) by the
         #: owned channel key that blocks them, their number, and the
         #: last simulated cycle (what a sleeper's stale fields are
@@ -326,6 +321,22 @@ class Fabric:
     @property
     def worms_in_flight(self) -> int:
         return len(self._active)
+
+    def stuck_worms(self) -> List[str]:
+        """One line per in-flight worm (the first eight): its message,
+        how far its head got, and the message of the worm that owns the
+        channel it needs next — the deadlock watchdog's diagnosis of a
+        wedged mesh.  Heads and the owner map are exact between cycles,
+        so this needs no :meth:`sync`."""
+        lines = []
+        for worm in self._active[:8]:
+            blocker = None
+            if worm.head <= worm.hops:
+                owner = self._owner.get(worm.keys[worm.head + 1])
+                blocker = owner.message if owner else None
+            lines.append(f"{worm.message!r} head={worm.head}/"
+                         f"{worm.hops + 1} blocked_by={blocker!r}")
+        return lines
 
     def delivery_window(self) -> int:
         """Fewest cycles from a ``send`` to its delivery commit.
@@ -449,21 +460,6 @@ class Fabric:
         """Advance the network by the one cycle ``now``."""
         self.advance(now, now + 1)
 
-    def can_batch(self) -> bool:
-        """May the owner hand :meth:`advance` a multi-cycle window?
-
-        The kernel itself is exact under every feature; the gate is the
-        *owner's* side of the quiet-window contract.  Fault injection,
-        the stagnation watchdog and return-to-sender bounces all have
-        per-cycle effects outside the fabric (chaos ticks, the trip
-        cycle, re-staged worms) that a machine skipping its own loop
-        iterations would not interleave with, so it keeps those runs on
-        one :meth:`step` per loop pass.
-        """
-        return ((self.chaos is None or self.chaos.inert)
-                and self.watchdog_cycles == 0
-                and self.flow_control == "block")
-
     def advance(self, now: int, horizon: int) -> int:
         """Simulate cycles ``[now, end)``; returns ``end <= horizon``.
 
@@ -548,7 +544,7 @@ class Fabric:
                 self._unsorted = False
                 if len(active) > 1:
                     self._arbitrate(active, c)
-            visited = moved_any = False
+            visited = False
             finished = []
             for worm in active:
                 wake = worm.wake
@@ -575,7 +571,6 @@ class Fabric:
                         # none is left, that look is completion).
                         self._release(worm, worm.released + 1)
                         worm.wake = c + BUFFER_PHITS
-                        moved_any = True
                         continue
                     self._catch_up(worm, c)
                 total = worm.total_phits
@@ -622,7 +617,6 @@ class Fabric:
                             # proposed protocol).
                             self._bounce(worm, c)
                             finished.append(worm)
-                            moved_any = True
                             continue
                         else:
                             stats.delivery_stall_cycles += 1
@@ -634,7 +628,6 @@ class Fabric:
                         if delivered == total:
                             self._complete(worm, c)
                             finished.append(worm)
-                            moved_any = True
                             continue
 
                 # 3. Injection: the source streams one phit per cycle
@@ -647,7 +640,6 @@ class Fabric:
                         self._report_injected(worm.message)
 
                 if moved:
-                    moved_any = True
                     # 4. Tail release: after full injection the tail
                     #    advances with the pipe, freeing channels behind
                     #    the span the in-flight phits need.
@@ -694,17 +686,10 @@ class Fabric:
                 arrival = c + self.eject_latency
                 if arrival < end:
                     end = arrival
-            if self.watchdog_cycles:
-                if moved_any or self._sleepers_moved(c):
-                    self._stagnant_cycles = 0
-                else:
-                    self._stagnant_cycles += 1
-                    if self._stagnant_cycles >= self.watchdog_cycles:
-                        self._raise_stagnation(c)
             c += 1
             if not active and not staged and not self._pending_count:
                 break  # the fabric drained inside the window
-            if not visited and c < end and not self.watchdog_cycles:
+            if not visited and c < end:
                 # Everyone in the mesh sleeps: nothing can change before
                 # the earliest wake or staged release.
                 target = min(w.wake for w in active)
@@ -751,19 +736,6 @@ class Fabric:
                 worm.delivered += skipped
         worm.wake = AWAKE
 
-    def _sleepers_moved(self, cycle: int) -> bool:
-        """Did a worm the walk did not fully visit in ``cycle`` move a
-        phit in it?  Streaming and draining sleepers always do; a
-        parked one did while its buffers were still filling."""
-        for worm in self._active:
-            if worm.wake < 0 or worm.seen == cycle:
-                continue  # visited: the walk saw whether it moved
-            if (worm.head == len(worm.keys) - 1
-                    or worm.injected + cycle - worm.seen
-                    <= worm.fill_limit()):
-                return True
-        return False
-
     def sync(self) -> None:
         """Bring every worm's fields up to the last simulated cycle.
 
@@ -771,8 +743,8 @@ class Fabric:
         its share of the probe are stale between visits.  This wakes
         every sleeper (exact: an early visit just re-decides), so
         afterwards no derived sleep state is left.  Call it between
-        cycles before reading worm fields; :meth:`state_dict`, the
-        :attr:`probe` getter and the stagnation report do.
+        cycles before reading worm fields; :meth:`state_dict` and the
+        :attr:`probe` getter do.
         """
         boundary = self._cycle + 1
         for worm in self._active:
@@ -869,30 +841,6 @@ class Fabric:
         bounce_worm = self._make_worm(returned, now)
         heapq.heappush(self._staged, (now + 1, bounce_worm.seq, bounce_worm))
 
-    def _raise_stagnation(self, now: int) -> None:
-        """Watchdog trip: describe every stuck worm and fail loudly."""
-        self.sync()
-        details = []
-        for worm in self._active[:8]:
-            blocker = None
-            if worm.head + 1 < len(worm.keys):
-                owner = self._owner.get(worm.keys[worm.head + 1])
-                blocker = owner.message if owner else None
-            details.append(
-                f"{worm.message!r} head={worm.head}/{len(worm.keys) - 1} "
-                f"blocked_by={blocker!r}"
-            )
-        if self._events is not None:
-            self._events.emit("watchdog", now, -1, name="net-stagnation",
-                              worms=len(self._active))
-        raise DeadlockError(
-            f"network made no progress for {self.watchdog_cycles} cycles "
-            f"at t={now}; {len(self._active)} worms stuck:\n  "
-            + "\n  ".join(details),
-            now=now,
-            worms_in_flight=len(self._active),
-        )
-
     # ------------------------------------------------------- snapshot contract
 
     #: Constructor-wired attributes :meth:`state_dict` deliberately does
@@ -940,8 +888,6 @@ class Fabric:
             "route_cache_misses": self.route_cache_misses,
             "seq": self._seq,
             "stats": self.stats,
-            "watchdog_cycles": self.watchdog_cycles,
-            "stagnant_cycles": self._stagnant_cycles,
             "probe": self._probe,
         }
 
@@ -967,8 +913,6 @@ class Fabric:
         self._seq = state["seq"]
         self.stats = state["stats"]
         self.stats.mesh = self.mesh
-        self.watchdog_cycles = state["watchdog_cycles"]
-        self._stagnant_cycles = state["stagnant_cycles"]
         # Absent in pre-observatory captures: restore to un-probed.
         self._probe = state.get("probe")
         # Channel keys are a pure function of (source, dest, pclass), so

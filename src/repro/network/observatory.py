@@ -33,7 +33,7 @@ sync with it by a test.
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .routing import ChannelKey, EJECT, INJECT, decode_key
 from .stats import LatencySummary
@@ -332,14 +332,6 @@ class FabricReport:
                 "peak_utilization": max(utils) if utils else 0.0,
             }
         return out
-
-    def saturated_links(self, threshold: float = 0.5
-                        ) -> List[Tuple[ChannelKey, Dict[str, float]]]:
-        """Links at or above ``threshold`` utilization (busiest first)."""
-        hot = [(link, info) for link, info in self.links.items()
-               if info["utilization"] >= threshold]
-        hot.sort(key=lambda item: (-item[1]["phits"], item[0]))
-        return hot
 
     def heatmap(self, dim: int = 0, z: int = 0, direction: int = 1) -> str:
         """One Z-plane's link loads as an ASCII grid (0-9, '.' unused).

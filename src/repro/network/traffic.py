@@ -46,6 +46,12 @@ DEFAULT_LOOP_OVERHEAD = 45
 #: Cycles the responding node spends dispatching and building the ack.
 DEFAULT_REPLY_DELAY = 10
 
+#: Words the Figure 4 receiver's queue holds before it refuses a worm.
+SINK_QUEUE_WORDS = 64
+
+#: Messages the Figure 4 source keeps in flight (its injection pipeline).
+PIPELINE_DEPTH = 4
+
 _REQUEST_IP = 1
 _ACK_IP = 2
 
@@ -73,8 +79,6 @@ class RandomTrafficExperiment:
         mesh: Mesh3D,
         message_words: int,
         idle_cycles: int,
-        loop_overhead: int = DEFAULT_LOOP_OVERHEAD,
-        reply_delay: int = DEFAULT_REPLY_DELAY,
         costs: CostModel = DEFAULT_COSTS,
         seed: int = 12345,
     ) -> None:
@@ -83,8 +87,6 @@ class RandomTrafficExperiment:
         self.mesh = mesh
         self.message_words = message_words
         self.idle_cycles = idle_cycles
-        self.loop_overhead = loop_overhead
-        self.reply_delay = reply_delay
         self.costs = costs
         self.rng = random.Random(seed)
         self.fabric = Fabric(mesh, self._accept, self._deliver, costs=costs)
@@ -110,14 +112,13 @@ class RandomTrafficExperiment:
     def _deliver(self, node: int, message: Message, now: int) -> None:
         if message.handler_ip == _REQUEST_IP:
             self._requester_of.setdefault(node, []).append(message.source)
-            self._push(now + self.reply_delay, self._REPLY, node)
+            self._push(now + DEFAULT_REPLY_DELAY, self._REPLY, node)
         else:  # ack: the round trip is complete
             start = self._iter_start.pop(node, None)
             if start is not None and self._measuring:
                 self._round_trips.append(now - start)
-            self._push(
-                now + self.loop_overhead + self.idle_cycles, self._ITERATE, node
-            )
+            self._push(now + DEFAULT_LOOP_OVERHEAD + self.idle_cycles,
+                       self._ITERATE, node)
 
     def _push(self, time: int, kind: int, node: int) -> None:
         heapq.heappush(self._events, (time, self._event_seq, kind, node))
@@ -150,7 +151,7 @@ class RandomTrafficExperiment:
         # Stagger starts across one full loop period: on hardware the
         # nodes decorrelate naturally, but with long idle times a
         # synchronized start would otherwise persist as periodic bursts.
-        period = self.loop_overhead + self.idle_cycles + 1
+        period = DEFAULT_LOOP_OVERHEAD + self.idle_cycles + 1
         for node in range(self.mesh.n_nodes):
             self._push(self.rng.randrange(period), self._ITERATE, node)
 
@@ -185,7 +186,7 @@ class RandomTrafficExperiment:
         one_way = mean_rt / 2 if iterations else float("nan")
         traffic = self.fabric.stats.bisection_traffic_bits_per_s(now)
         capacity = self.mesh.bisection_capacity_bits_per_s()
-        grain = self.idle_cycles + self.loop_overhead
+        grain = self.idle_cycles + DEFAULT_LOOP_OVERHEAD
         total_per_iter = mean_rt + grain if iterations else float("inf")
         return RandomTrafficResult(
             message_words=self.message_words,
@@ -231,8 +232,6 @@ class TerminalBandwidthExperiment:
         message_words: int,
         sink_mode: str = "discard",
         costs: CostModel = DEFAULT_COSTS,
-        queue_capacity_words: int = 64,
-        pipeline_depth: int = 4,
     ) -> None:
         if sink_mode not in self.SINK_CYCLES_PER_WORD:
             raise ConfigurationError(f"unknown sink mode {sink_mode!r}")
@@ -241,8 +240,6 @@ class TerminalBandwidthExperiment:
         self.message_words = message_words
         self.sink_mode = sink_mode
         self.costs = costs
-        self.queue_capacity_words = queue_capacity_words
-        self.pipeline_depth = pipeline_depth
         self.mesh = Mesh3D(2, 1, 1)
         self.fabric = Fabric(self.mesh, self._accept, self._deliver, costs=costs)
         self._queued_words = 0
@@ -256,7 +253,7 @@ class TerminalBandwidthExperiment:
             Word.from_int(i) for i in range(message_words - 1))
 
     def _accept(self, node: int, message: Message) -> bool:
-        return self._queued_words + message.length <= self.queue_capacity_words
+        return self._queued_words + message.length <= SINK_QUEUE_WORDS
 
     def _deliver(self, node: int, message: Message, now: int) -> None:
         self._in_flight -= 1
@@ -294,7 +291,7 @@ class TerminalBandwidthExperiment:
                 self._measuring = True
                 self._delivered_words = 0
             # Keep the source's injection pipeline full.
-            while self._in_flight < self.pipeline_depth:
+            while self._in_flight < PIPELINE_DEPTH:
                 self.fabric.send(
                     Message(self._words, source=0, dest=1,
                             priority=Priority.P0), now

@@ -27,16 +27,14 @@ handler that writes the value into every registered copy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional
 
 from ..asm.assembler import assemble
-from ..core.errors import ConfigurationError, DeliveryError
 from ..core.registers import Priority
 from ..core.word import Word
 from ..machine.jmachine import JMachine
 
 __all__ = ["FutureExperimentResult", "run_future_experiment",
-           "FUTURES_SOURCE", "MacroFuture", "FuturePool"]
+           "FUTURES_SOURCE"]
 
 FUTURES_SOURCE = """
 ; the mover: copy [A1+0] (which may hold a future) into the array [A2+k]
@@ -66,132 +64,6 @@ producer:
     MOVE  R1, [A2+R0]         ; resolve the registered copy (wakes user)
     SUSPEND
 """
-
-
-class MacroFuture:
-    """A macro-level completion future: resolved by a handler, awaited
-    by the host (or by a :class:`FuturePool` deadline)."""
-
-    __slots__ = ("fid", "value", "resolved_at", "attempts", "trace")
-
-    def __init__(self, fid: Any) -> None:
-        self.fid = fid
-        self.value: Any = None
-        self.resolved_at: Optional[int] = None
-        self.attempts = 0
-        #: Trace context rooted for this request; kickoff injects (and
-        #: every deadline reissue) run under it, so the whole request —
-        #: retries included — is one trace.
-        self.trace: Optional[tuple] = None
-
-    @property
-    def done(self) -> bool:
-        return self.resolved_at is not None
-
-    def resolve(self, value: Any, now: int) -> None:
-        if self.resolved_at is None:
-            self.value = value
-            self.resolved_at = now
-
-
-class FuturePool:
-    """Request-level timeout/retry on a macro simulator.
-
-    :class:`~repro.runtime.rpc.ReliableLayer` recovers individual lost
-    *messages*; the pool recovers whole lost *requests* — the end-to-end
-    safety net for work dispatched fire-and-forget into a faulty machine.
-    ``spawn(fid, kickoff)`` issues ``kickoff(attempt)`` and arms a
-    deadline timer; if the matching future is still unresolved at the
-    deadline, the kickoff is reissued (exponential backoff), up to
-    ``max_retries`` times, after which :class:`DeliveryError` is raised.
-    Kickoffs must therefore be idempotent — with the reliable layer's
-    exactly-once dispatch underneath, re-running the request handler is
-    the only duplication a retried kickoff can cause, and a resolved
-    future makes later reissues no-ops.
-    """
-
-    def __init__(self, sim, timeout: int = 200_000, max_retries: int = 3,
-                 backoff: float = 2.0, jitter: float = 0.0,
-                 jitter_seed: int = 0) -> None:
-        if timeout <= 0:
-            raise ConfigurationError("future-pool timeout must be > 0")
-        if jitter < 0.0:
-            raise ConfigurationError("future-pool jitter must be >= 0")
-        self.sim = sim
-        self.timeout = timeout
-        self.max_retries = max_retries
-        self.backoff = backoff
-        #: Seeded deadline jitter (see :func:`~repro.runtime.rpc
-        #: .backoff_delay`): requests that time out together re-arm on
-        #: spread deadlines instead of reissuing in lockstep, and the
-        #: spread replays bit-identically for a given ``jitter_seed``.
-        self.jitter = jitter
-        self.jitter_seed = jitter_seed
-        self.futures: Dict[Any, MacroFuture] = {}
-        self.reissues = 0
-
-    def create(self, fid: Any) -> MacroFuture:
-        future = self.futures.get(fid)
-        if future is None:
-            future = self.futures[fid] = MacroFuture(fid)
-        return future
-
-    def resolve(self, fid: Any, value: Any, now: int) -> None:
-        """Called from the completion handler (idempotent)."""
-        self.create(fid).resolve(value, now)
-
-    def spawn(self, fid: Any, kickoff: Callable[[int], None]) -> MacroFuture:
-        """Issue ``kickoff(0)`` now and guard it with a deadline."""
-        future = self.create(fid)
-        trace_state = getattr(self.sim, "_trace", None)
-        if trace_state is not None and future.trace is None:
-            future.trace = trace_state.root()
-        self._kickoff(future, kickoff, 0)
-        self._arm(future, kickoff, self.sim.now, 0)
-        return future
-
-    def _kickoff(self, future: MacroFuture, kickoff, attempt: int) -> None:
-        """Run a kickoff with injects joined to the request's trace."""
-        if future.trace is None:
-            kickoff(attempt)
-            return
-        sim = self.sim
-        sim._inject_trace = future.trace
-        try:
-            kickoff(attempt)
-        finally:
-            sim._inject_trace = None
-
-    def _arm(self, future: MacroFuture, kickoff, issued_at: int,
-             attempt: int) -> None:
-        from .rpc import backoff_delay
-
-        deadline = issued_at + backoff_delay(
-            self.timeout, self.backoff, attempt,
-            jitter=self.jitter, seed=self.jitter_seed, key=future.fid)
-        self.sim.schedule_call(
-            deadline,
-            lambda now: self._on_deadline(future, kickoff, now, attempt))
-
-    def _on_deadline(self, future: MacroFuture, kickoff, now: int,
-                     attempt: int) -> None:
-        if future.done:
-            return  # stale timer: the request completed
-        attempt += 1
-        if attempt > self.max_retries:
-            raise DeliveryError(
-                f"request {future.fid!r} unresolved after "
-                f"{attempt - 1} reissues",
-                seq=-1, attempts=attempt,
-            )
-        self.reissues += 1
-        future.attempts = attempt
-        self._kickoff(future, kickoff, attempt)
-        self._arm(future, kickoff, now, attempt)
-
-    @property
-    def unresolved(self) -> int:
-        return sum(1 for f in self.futures.values() if not f.done)
 
 
 @dataclass

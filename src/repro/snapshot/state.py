@@ -82,7 +82,7 @@ MACRO_EXTERNAL_ATTRS = frozenset({
     "mesh",                   # derived from n_nodes/costs
     "_bound",                 # handlers + handler_stats, paired by register()
     "_send_cost",             # derived from config, filled on use
-    "_ebus", "_trace", "_inject_trace",  # telemetry wiring
+    "_ebus", "_trace",        # telemetry wiring
     "post",                   # ReliableLayer's shadow, handled explicitly
     "checkpoint",             # host-side policy
     "sampler",                # host-side live-monitoring rig

@@ -47,7 +47,7 @@ EVENT_KINDS = frozenset({
     "run-end",         # a run() call returned (or raised)
     "chaos",           # a fault was injected (name = fault subtype)
     "retry",           # the reliable transport retransmitted a message
-    "watchdog",        # a deadlock/stagnation watchdog tripped
+    "watchdog",        # the deadlock watchdog tripped
 })
 
 #: Chrome trace phase per kind; anything unlisted is an instant marker.

@@ -22,18 +22,21 @@ class TestSolver:
         assert nodes > 6
 
     def test_expand_boards_first_level(self):
-        assert len(expand_boards(8, 1)) == 8
+        boards, expansions = expand_boards(8, 1)
+        assert len(boards) == 8
+        assert expansions == 1
 
     def test_expand_boards_prunes_conflicts(self):
         # Depth-2 boards exclude same-column and adjacent-diagonal pairs.
-        boards = len(expand_boards(8, 2))
-        assert boards == 8 * 7 - 2 * 7  # 42
+        boards, expansions = expand_boards(8, 2)
+        assert len(boards) == 8 * 7 - 2 * 7  # 42
+        assert expansions == 1 + 8  # the root, then each first-row board
 
     def test_expansion_covers_solution_space(self):
         """Solutions summed over depth-2 subtrees equal the total."""
         n = 7
         total = 0
-        for cols, ld, rd in expand_boards(n, 2):
+        for cols, ld, rd in expand_boards(n, 2)[0]:
             s, _ = solve_count(n, cols, ld, rd, 2)
             total += s
         assert total == KNOWN_COUNTS[n]
@@ -47,7 +50,7 @@ class TestDepthChoice:
 
     def test_enough_tasks(self):
         depth = choose_depth(12, 16, 16)
-        assert len(expand_boards(12, depth)) >= 16 * 16
+        assert len(expand_boards(12, depth)[0]) >= 16 * 16
 
 
 class TestParallel:

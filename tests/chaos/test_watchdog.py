@@ -115,6 +115,78 @@ class TestTrip:
                 if event[1] == "watchdog"] == [251]
 
 
+class TestStuckWorms:
+    """The trip names every stuck worm and the worm that owns the
+    channel it waits for.  On the e-cube mesh a chain of blocked worms
+    ends at a dead router or at an endpoint that refuses delivery; both
+    wedges are built here on a 4x1x1 line, where the worm from node 0
+    queues behind the worm from node 1 on the way to node 3."""
+
+    DEAD_ROUTER = FaultSpec(kind="link", node=2)
+    REFUSING_ENDPOINT = FaultSpec(kind="queue", node=3, words=10_000)
+
+    @staticmethod
+    def _trip(spec, telemetry=None):
+        machine, program = _with_echo(JMachine(
+            MachineConfig(dims=(4, 1, 1)), telemetry=telemetry))
+        ChaosEngine(FaultPlan(seed=1, specs=(spec,))).attach_machine(machine)
+        for source in (0, 1):
+            machine.inject(3, program.entry("echo"),
+                           [Word.from_int(source), Word.from_int(1)],
+                           source=source)
+        machine.watchdog = DeadlockWatchdog(window=2_000)
+        with pytest.raises(DeadlockError) as info:
+            machine.run(max_cycles=100_000)
+        return info.value
+
+    @staticmethod
+    def _worm_lines(err):
+        """{route: (head position, blocker)} from the error text."""
+        worms = {}
+        for line in str(err).splitlines():
+            if "blocked_by=" not in line:
+                continue
+            message, rest = line.strip().split(" head=")
+            head, blocker = rest.split(" blocked_by=")
+            worms[message.split(", ")[2]] = (head, blocker)
+        return worms
+
+    def test_names_the_stuck_messages(self):
+        worms = self._worm_lines(self._trip(self.DEAD_ROUTER))
+        assert set(worms) == {"0->3", "1->3"}
+
+    def test_names_the_blocking_worm(self):
+        worms = self._worm_lines(self._trip(self.DEAD_ROUTER))
+        # 1->3 holds 1->2 and waits for the dead router's channel; 0->3
+        # waits for 1->2.
+        assert worms["1->3"] == ("1/3", "None")
+        head, blocker = worms["0->3"]
+        assert head == "1/4"
+        assert blocker.startswith("Message(") and ", 1->3," in blocker
+
+    def test_names_the_worm_at_a_refusing_endpoint(self):
+        worms = self._worm_lines(self._trip(self.REFUSING_ENDPOINT))
+        # 1->3 holds the ejection port its destination will not open.
+        assert worms["1->3"] == ("3/3", "None")
+        assert ", 1->3," in worms["0->3"][1]
+
+    def test_error_is_typed_and_carries_diagnostics(self):
+        err = self._trip(self.DEAD_ROUTER)
+        assert isinstance(err, SimulationError)
+        assert err.worms_in_flight == 2
+        assert err.snapshots
+        assert err.now >= 2_000
+        # The first line is the summary a bisect report quotes.
+        assert str(err).splitlines()[0].endswith("nodes implicated:")
+
+    def test_emits_watchdog_event(self):
+        telemetry = Telemetry(events=True)
+        self._trip(self.DEAD_ROUTER, telemetry=telemetry)
+        tripped = [e for e in telemetry.events.events if e[1] == "watchdog"]
+        assert len(tripped) == 1
+        assert tripped[0][4] == "deadlock"
+
+
 class TestNoFalsePositive:
     def test_spinning_machine_is_progress(self):
         """An infinite loop retires instructions — not a deadlock."""

@@ -1,10 +1,9 @@
-"""Tests for the node memory system and segment allocator."""
+"""Tests for the node memory system."""
 
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.core.errors import MemoryError_, SegmentationFault
-from repro.core.memory import IMEM_WORDS, NodeMemory, SegmentAllocator
+from repro.core.memory import NodeMemory
 from repro.core.word import Word
 
 
@@ -93,92 +92,10 @@ class TestAccessCosts:
 class TestBlocks:
     def test_load_dump_roundtrip(self, memory):
         words = [Word.from_int(i) for i in range(8)]
-        memory.load_block(16, words)
+        for offset, word in enumerate(words):
+            memory.poke(16 + offset, word)
         assert memory.dump_block(16, 8) == words
-
-    def test_load_block_bounds(self, memory):
-        with pytest.raises(MemoryError_):
-            memory.load_block(memory.total_words - 2, [Word.from_int(0)] * 4)
 
     def test_dump_block_bounds(self, memory):
         with pytest.raises(MemoryError_):
             memory.dump_block(-1, 4)
-
-
-class TestIndexedAccess:
-    def test_read_indexed(self, memory):
-        memory.poke(100, Word.from_int(55))
-        descriptor = Word.segment(100, 4)
-        assert memory.read_indexed(descriptor, 0).value == 55
-
-    def test_write_indexed(self, memory):
-        descriptor = Word.segment(100, 4)
-        memory.write_indexed(descriptor, 3, Word.from_int(7))
-        assert memory.peek(103).value == 7
-
-    def test_index_bounds_checked(self, memory):
-        descriptor = Word.segment(100, 4)
-        with pytest.raises(SegmentationFault):
-            memory.read_indexed(descriptor, 4)
-
-    def test_negative_index_rejected(self, memory):
-        descriptor = Word.segment(100, 4)
-        with pytest.raises(SegmentationFault):
-            memory.read_indexed(descriptor, -1)
-
-    @given(st.integers(0, 15))
-    def test_all_indices_in_segment_accessible(self, index):
-        memory = NodeMemory(imem_words=256, emem_words=64)
-        descriptor = Word.segment(32, 16)
-        memory.write_indexed(descriptor, index, Word.from_int(index))
-        assert memory.read_indexed(descriptor, index).value == index
-
-
-class TestAllocator:
-    def test_alloc_internal(self, memory):
-        allocator = SegmentAllocator(memory, imem_start=64)
-        descriptor = allocator.alloc(16, internal=True)
-        base, length = descriptor.as_segment()
-        assert base == 64 and length == 16
-
-    def test_alloc_external(self, memory):
-        allocator = SegmentAllocator(memory, imem_start=64)
-        descriptor = allocator.alloc(16)
-        base, _ = descriptor.as_segment()
-        assert base >= memory.imem_words
-
-    def test_sequential_allocations_disjoint(self, memory):
-        allocator = SegmentAllocator(memory, imem_start=64)
-        a = allocator.alloc(8, internal=True).as_segment()
-        b = allocator.alloc(8, internal=True).as_segment()
-        assert a[0] + a[1] <= b[0]
-
-    def test_exhaustion(self, memory):
-        allocator = SegmentAllocator(memory, imem_start=64)
-        with pytest.raises(MemoryError_):
-            allocator.alloc(memory.imem_words, internal=True)
-
-    def test_zero_length_rejected(self, memory):
-        allocator = SegmentAllocator(memory, imem_start=64)
-        with pytest.raises(MemoryError_):
-            allocator.alloc(0)
-
-    def test_mark_release(self, memory):
-        allocator = SegmentAllocator(memory, imem_start=64)
-        mark = allocator.mark()
-        allocator.alloc(32, internal=True)
-        free_before = allocator.imem_free
-        allocator.release(mark)
-        assert allocator.imem_free == free_before + 32
-
-    def test_reset(self, memory):
-        allocator = SegmentAllocator(memory, imem_start=64)
-        initial = allocator.imem_free
-        allocator.alloc(32, internal=True)
-        allocator.reset()
-        assert allocator.imem_free == initial
-
-    def test_bad_release_mark(self, memory):
-        allocator = SegmentAllocator(memory, imem_start=64)
-        with pytest.raises(MemoryError_):
-            allocator.release((0, memory.imem_words))

@@ -11,7 +11,7 @@ import pytest
 
 from repro.jsim.calibrate import (CalibrationPoint, CalibrationResult,
                                   calibrate)
-from repro.jsim.netmodel import LatencyModel
+from repro.jsim.netmodel import CONTENTION_CAP, LatencyModel
 from repro.network.topology import Mesh3D
 
 
@@ -48,7 +48,7 @@ class TestFitAlgebra:
         model = LatencyModel(Mesh3D(4, 4, 1))
         result = CalibrationResult(points=[], scale=13.5,
                                    default_scale=model.contention_scale,
-                                   cap=model.contention_cap)
+                                   cap=CONTENTION_CAP)
         assert result.apply(model) is model
         assert model.contention_scale == 13.5
 

@@ -1,12 +1,8 @@
-"""Tests for the collective-operation library."""
+"""Tests for the binomial tree shape radix sort combines over."""
 
-import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
-from repro.core.errors import ConfigurationError
-from repro.jsim.collectives import (BroadcastTree, Reduction,
-                                    binomial_children, binomial_parent)
-from repro.jsim.sim import MacroSimulator
+from repro.jsim.collectives import binomial_children, binomial_parent
 
 
 class TestTreeShape:
@@ -41,129 +37,3 @@ class TestTreeShape:
                 reached.add(child)
                 frontier.append(child)
         assert reached == set(range(n_nodes))
-
-
-def _sum_reduction(n_nodes, values, broadcast=False):
-    sim = MacroSimulator(n_nodes)
-    results = {}
-
-    def got_result(ctx, value):
-        results[ctx.node_id] = value
-
-    sim.register("result", got_result)
-    reduction = Reduction(sim, "sum", lambda a, b: a + b, "result",
-                          broadcast=broadcast)
-
-    def start(ctx):
-        reduction.contribute(ctx, values[ctx.node_id])
-
-    sim.register("start", start)
-    for node in range(n_nodes):
-        sim.inject(node, "start")
-    sim.run()
-    return results, sim
-
-
-class TestReduction:
-    def test_sum_reaches_root(self):
-        results, _ = _sum_reduction(8, list(range(8)))
-        assert results == {0: sum(range(8))}
-
-    def test_broadcast_reaches_everyone(self):
-        results, _ = _sum_reduction(8, [2] * 8, broadcast=True)
-        assert results == {node: 16 for node in range(8)}
-
-    def test_single_node(self):
-        results, _ = _sum_reduction(1, [7])
-        assert results == {0: 7}
-
-    def test_non_power_of_two(self):
-        results, _ = _sum_reduction(6, [1, 2, 3, 4, 5, 6])
-        assert results == {0: 21}
-
-    def test_double_contribution_rejected(self):
-        sim = MacroSimulator(2)
-        sim.register("result", lambda ctx, v: None)
-        reduction = Reduction(sim, "r", lambda a, b: a + b, "result")
-
-        def start(ctx):
-            reduction.contribute(ctx, 1)
-            reduction.contribute(ctx, 1)
-
-        sim.register("start", start)
-        sim.inject(0, "start")
-        with pytest.raises(ConfigurationError):
-            sim.run()
-
-    def test_multiple_rounds(self):
-        sim = MacroSimulator(4)
-        results = []
-        sim.register("result", lambda ctx, v: results.append(v))
-        reduction = Reduction(sim, "sum", lambda a, b: a + b, "result")
-        round_no = {"n": 0}
-
-        def start(ctx, value):
-            reduction.contribute(ctx, value)
-
-        sim.register("start", start)
-        for value in (1, 10):
-            for node in range(4):
-                sim.inject(node, "start", value,
-                           at=value * 10_000)
-        sim.run()
-        assert results == [4, 40]
-
-    @settings(deadline=None, max_examples=15)
-    @given(st.lists(st.integers(-100, 100), min_size=1, max_size=24))
-    def test_sum_matches_python(self, values):
-        results, _ = _sum_reduction(len(values), values)
-        assert results[0] == sum(values)
-
-    def test_max_combiner(self):
-        sim = MacroSimulator(8)
-        results = {}
-        sim.register("result", lambda ctx, v: results.update({0: v}))
-        reduction = Reduction(sim, "max", max, "result")
-        sim.register("start",
-                     lambda ctx: reduction.contribute(ctx, ctx.node_id * 3))
-        for node in range(8):
-            sim.inject(node, "start")
-        sim.run()
-        assert results[0] == 21
-
-
-class TestBroadcast:
-    def test_value_reaches_all_nodes(self):
-        sim = MacroSimulator(11)
-        seen = {}
-        sim.register("deliver", lambda ctx, v: seen.update({ctx.node_id: v}))
-        tree = BroadcastTree(sim, "b", "deliver")
-
-        def kick(ctx):
-            tree.start(ctx, "hello")
-
-        sim.register("kick", kick)
-        sim.inject(0, "kick")
-        sim.run()
-        assert seen == {node: "hello" for node in range(11)}
-
-    def test_log_depth_latency(self):
-        """Broadcast completes in O(log N) message hops, not O(N)."""
-        times = {}
-        for n in (4, 64):
-            sim = MacroSimulator(n)
-            sim.register("deliver", lambda ctx, v: None)
-            tree = BroadcastTree(sim, "b", "deliver")
-            sim.register("kick", lambda ctx: tree.start(ctx, 1))
-            sim.inject(0, "kick")
-            times[n] = sim.run()
-        assert times[64] < times[4] * 4  # 3 levels vs 6 levels, plus hops
-
-    def test_must_start_at_root(self):
-        sim = MacroSimulator(4)
-        sim.register("deliver", lambda ctx, v: None)
-        tree = BroadcastTree(sim, "b", "deliver")
-        sim.register("kick", lambda ctx: tree.start(ctx, 1))
-        sim.inject(2, "kick")
-        with pytest.raises(ConfigurationError):
-            sim.run()

@@ -4,8 +4,8 @@
 kernel: :meth:`step` visits every in-flight worm every cycle through
 :meth:`_step_worm`, with no sleeping, no closed-form catch-up and no
 window jumps, and :meth:`_activate_pending` scans every pending queue
-every cycle.  Staging, arbitration order, release, completion, bounce
-and the watchdog report are the shared
+every cycle.  Staging, arbitration order, release, completion and
+bounce are the shared
 :class:`~repro.network.fabric.Fabric` code, so a difference between the
 two is a difference in *when worms are visited* or *when a queue is
 looked at*, which is exactly what the kernel changes.  The bodies below
@@ -71,20 +71,11 @@ class ReferenceFabric(Fabric):
             return
         self._arbitrate(self._active, now)
         finished = False
-        moved_any = False
         for worm in self._active:
-            before = worm.injected + worm.delivered + worm.head
             if self._step_worm(worm, now):
                 finished = True
-                moved_any = True
-            elif worm.injected + worm.delivered + worm.head != before:
-                moved_any = True
         if finished:
             self._active = [w for w in self._active if not w.done]
-        if self.watchdog_cycles:
-            self._stagnant_cycles = 0 if moved_any else self._stagnant_cycles + 1
-            if self._stagnant_cycles >= self.watchdog_cycles:
-                self._raise_stagnation(now)
 
     def _step_worm(self, worm: Worm, now: int) -> bool:
         """Advance one worm one cycle; True if it completed delivery."""

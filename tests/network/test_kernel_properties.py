@@ -8,8 +8,7 @@ drainer's channels on both sides of it in arbitration order:
 ``test_schedules_hold_the_new_sleepers`` checks most schedules hold
 all of these), fixed or round-robin arbitration, destinations that
 refuse for an interval, blocking or return-to-sender flow control,
-link outages through a stub chaos object, the stagnation watchdog
-armed — and drives the kernel
+link outages through a stub chaos object — and drives the kernel
 beside :class:`ReferenceFabric`: by ``step``, compared after every
 cycle, or by ``advance`` over whole windows up to the next send,
 compared wherever the window ends.
@@ -42,7 +41,6 @@ a neighbour takes exactly the window.
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.errors import DeadlockError
 from repro.core.message import Message
 from repro.core.registers import Priority
 from repro.core.word import Word
@@ -57,8 +55,6 @@ N_NODES = 18
 
 class _Outages:
     """Stub chaos engine: routers down for a window, nothing dropped."""
-
-    inert = False
 
     def __init__(self, windows, log):
         self.windows = windows
@@ -91,7 +87,6 @@ class _Side:
                           flow_control=plan["flow_control"])
         self.fabric.on_injected = lambda message: self.log.append(
             ("injected", message.source, message.dest, self.clock()))
-        self.fabric.watchdog_cycles = plan["watchdog"]
         if plan["outages"]:
             self.fabric.chaos = _Outages(plan["outages"], self.log)
         if plan["probe"]:
@@ -114,16 +109,12 @@ class _Side:
 
     def run(self, until, batched=False):
         """Simulate up to ``until`` (one ``advance``, or ``step`` by
-        ``step``); returns the watchdog's report if it tripped."""
-        try:
-            if batched:
-                self.now = self.fabric.advance(self.now, until)
-            while self.now < until:
-                self.fabric.step(self.now)
-                self.now += 1
-        except DeadlockError as error:
-            return (str(error), error.now, error.worms_in_flight)
-        return None
+        ``step``)."""
+        if batched:
+            self.now = self.fabric.advance(self.now, until)
+        while self.now < until:
+            self.fabric.step(self.now)
+            self.now += 1
 
     def exact_now(self):
         """What must match the oracle without a ``sync()``."""
@@ -141,7 +132,6 @@ class _Side:
             "staged": sorted((at, seq) for at, seq, _ in fabric._staged),
             "stats": {k: v for k, v in vars(fabric.stats).items()
                       if isinstance(v, int)},
-            "stagnant": fabric._stagnant_cycles,
             "quiet": fabric.injection_quiet_cycles(),
             "log": self.log,
         }
@@ -266,7 +256,6 @@ plans = st.fixed_dictionaries({
                                 max_size=3),
     "outages": st.dictionaries(st.integers(0, N_NODES - 1), windows,
                                max_size=2),
-    "watchdog": st.sampled_from([0, 0, 7, 25]),
     "probe": st.booleans(),
     "drive": st.sampled_from(["step", "advance"]),
     "checkpoints": st.sets(st.integers(1, 200), max_size=4),
@@ -305,11 +294,9 @@ def _kernel_equals_reference(plan, cycles):
             kernel.send(*send)
             oracle.send(*send)
         until = (min(c for c in stops if c > now) if batched else now + 1)
-        tripped = kernel.run(until, batched)
+        kernel.run(until, batched)
         # ``advance`` may stop early (completion, drained): follow it.
-        assert oracle.run(until if tripped else kernel.now) == tripped
-        if tripped is not None:
-            break  # the watchdog fired: same cycle, same report
+        oracle.run(kernel.now)
         now = kernel.now
         seen |= _check_invariants(kernel.fabric)
         assert kernel.exact_now() == oracle.exact_now(), f"t={now}"

@@ -145,7 +145,7 @@ class TestStepAdvanceEquality:
         batched, _ = _probed_fabric()
         for src, dst in pairs:
             batched.send(_message(src, dst, words=4), 0)
-        assert batched.can_batch()
+        assert batched.flow_control == "block"  # what lets a machine batch
         now = 0
         while (batched.stats.completed < batched.stats.submitted
                and now < 50_000):

@@ -14,7 +14,6 @@ import pytest
 from repro.chaos import ChaosEngine, FaultPlan, FaultSpec
 from repro.core.errors import ConfigurationError
 from repro.jsim.sim import MacroSimulator
-from repro.runtime.futures import FuturePool
 from repro.runtime.rpc import ReliableLayer, backoff_delay
 from repro.telemetry import Telemetry
 
@@ -119,39 +118,3 @@ class TestReliableJitterDeterminism:
         layer2.load_state(state)
         assert layer2.jitter == 0.0
         assert layer2.jitter_seed == 0
-
-
-class TestFuturePoolJitter:
-    @staticmethod
-    def _reissue_times(jitter, seed):
-        """Simulated times of every kickoff for a never-resolving
-        request (the pool reissues at each jittered deadline until the
-        retry budget ends the run)."""
-        sim = MacroSimulator(2)
-        pool = FuturePool(sim, timeout=500, max_retries=4,
-                          jitter=jitter, jitter_seed=seed)
-        times = []
-        pool.spawn("job", lambda attempt: times.append(sim.now))
-        from repro.core.errors import DeliveryError
-
-        with pytest.raises(DeliveryError):
-            sim.run()
-        return times
-
-    def test_jittered_reissues_are_deterministic(self):
-        first = self._reissue_times(jitter=0.5, seed=3)
-        again = self._reissue_times(jitter=0.5, seed=3)
-        assert first == again
-        assert len(first) == 5  # initial kickoff + 4 reissues
-
-    def test_jitter_moves_the_deadlines(self):
-        plain = self._reissue_times(jitter=0.0, seed=3)
-        jittered = self._reissue_times(jitter=0.5, seed=3)
-        assert plain != jittered
-        # jitter only ever lengthens a delay, never shortens it
-        assert all(a <= b for a, b in zip(plain, jittered))
-
-    def test_negative_jitter_rejected(self):
-        sim = MacroSimulator(2)
-        with pytest.raises(ConfigurationError):
-            FuturePool(sim, jitter=-0.5)

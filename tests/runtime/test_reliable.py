@@ -1,11 +1,10 @@
-"""End-to-end recovery: the reliable transport and the future pool."""
+"""End-to-end recovery: the reliable transport."""
 
 import pytest
 
 from repro.chaos import ChaosEngine, FaultPlan, FaultSpec
 from repro.core.errors import ConfigurationError, DeliveryError
 from repro.jsim.sim import MacroSimulator
-from repro.runtime.futures import FuturePool
 from repro.runtime.rpc import ReliableLayer
 from repro.telemetry import Telemetry
 
@@ -126,62 +125,3 @@ class TestObservability:
             ReliableLayer(sim, timeout=0)
         with pytest.raises(ConfigurationError):
             ReliableLayer(sim, backoff=0.5)
-
-
-class TestFuturePool:
-    def _request_sim(self, drop_first_n=0):
-        """A request/response pair; optionally eats the first N requests."""
-        sim = MacroSimulator(4)
-        eaten = {"n": 0}
-
-        def serve(ctx, fid, reply_to):
-            ctx.charge(5)
-            if eaten["n"] < drop_first_n:
-                eaten["n"] += 1
-                return  # simulated lost request (no response)
-            ctx.send(reply_to, "settle", fid)
-
-        sim.register("serve", serve)
-        return sim
-
-    def test_resolved_future_needs_no_reissue(self):
-        sim = self._request_sim()
-        pool = FuturePool(sim, timeout=50_000)
-        sim.register("settle",
-                     lambda ctx, fid: pool.resolve(fid, True, ctx.now))
-        future = pool.spawn("job", lambda attempt: sim.inject(
-            1, "serve", "job", 0))
-        sim.run()
-        assert future.done
-        assert pool.reissues == 0
-        assert pool.unresolved == 0
-
-    def test_lost_request_is_reissued(self):
-        sim = self._request_sim(drop_first_n=1)
-        pool = FuturePool(sim, timeout=1_000)
-        sim.register("settle",
-                     lambda ctx, fid: pool.resolve(fid, True, ctx.now))
-        future = pool.spawn("job", lambda attempt: sim.inject(
-            1, "serve", "job", 0))
-        sim.run()
-        assert future.done
-        assert future.attempts == 1
-        assert pool.reissues == 1
-
-    def test_exhausted_reissues_raise(self):
-        sim = self._request_sim(drop_first_n=99)
-        pool = FuturePool(sim, timeout=500, max_retries=2)
-        sim.register("settle",
-                     lambda ctx, fid: pool.resolve(fid, True, ctx.now))
-        pool.spawn("job", lambda attempt: sim.inject(1, "serve", "job", 0))
-        with pytest.raises(DeliveryError, match="after 2 reissues"):
-            sim.run()
-
-    def test_resolve_is_idempotent(self):
-        sim = MacroSimulator(2)
-        pool = FuturePool(sim)
-        future = pool.create("x")
-        pool.resolve("x", 1, now=10)
-        pool.resolve("x", 2, now=20)
-        assert future.value == 1
-        assert future.resolved_at == 10

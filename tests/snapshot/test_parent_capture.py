@@ -40,6 +40,11 @@ that form; ``Worm.__setstate__`` drops the slot and ``Fabric.load_state``
 re-derives every key.  Those files, and the sleep-slot ones, also hold
 each worm's arbitration key as a ``(-pri, at_port, seq)`` tuple, which
 ``load_state`` turns into the int of the same order.
+
+The fabric's stagnation watchdog folded into the machine's deadlock
+watchdog, so its two ``state_dict`` keys (``watchdog_cycles`` and
+``stagnant_cycles``) are retired; a file written before that carries
+both, and ``load_state`` no longer reads them.
 """
 
 import copyreg
@@ -227,6 +232,31 @@ def test_capture_with_retired_backend_keys_restores(tmp_path, specs):
     payload["config"].__dict__["parallel_shards"] = 2
     resumed = _resumes_equal(payload, reference)
     assert not hasattr(resumed, "parallel_shards")
+
+
+#: What ``Fabric.state_dict`` wrote for the retired stagnation watchdog
+#: (off, as every caller left it, with its clock mid-count).
+RETIRED_FABRIC_KEYS = {"watchdog_cycles": 0, "stagnant_cycles": 3}
+
+
+@pytest.mark.parametrize("specs", [(), CHAOS_SPECS], ids=["plain", "chaos"])
+def test_capture_with_retired_watchdog_keys_restores(tmp_path, specs):
+    reference, payload = _midflight(tmp_path, specs, probe=True)
+    assert not RETIRED_FABRIC_KEYS.keys() & payload["fabric"].keys()
+    payload["fabric"].update(RETIRED_FABRIC_KEYS)
+    old = pickle.loads(pickle.dumps(payload))  # what reading unpickles
+    # Equal digest, probe and route-memo counts, then equal statistics.
+    resumed = _resumes_equal(old, reference)
+    uninterrupted = _machine(specs, probe=True)
+    uninterrupted.run(max_cycles=20_000)
+    assert _stats(resumed.fabric) == _stats(uninterrupted.fabric)
+
+
+def _stats(fabric):
+    stats = fabric.stats
+    return ({k: v for k, v in vars(stats).items()
+             if isinstance(v, (int, float))},
+            stats.latency.snapshot(), stats.window_latency.snapshot())
 
 
 # ------------------------------------------------------------- macro level

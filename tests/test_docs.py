@@ -221,6 +221,25 @@ def test_sharded_backend_stays_deleted():
         assert not gone.search(text), path
 
 
+def test_every_export_resolves():
+    """Each name in a ``repro`` module's ``__all__`` is defined there, so
+    deleting a class cannot leave a stale re-export behind in a package
+    ``__init__`` (``__main__`` modules are CLIs: importing one runs it)."""
+    import importlib
+    import pkgutil
+
+    import repro
+
+    modules = [repro] + [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(repro.__path__, "repro.")
+        if not info.name.endswith(".__main__")]
+    assert len(modules) > 50
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
 def _choices(main, argv, flag, capsys):
     """The ``{a,b,c}`` list argparse prints for ``flag`` in ``--help``."""
     import pytest
