@@ -31,7 +31,6 @@ __all__ = [
     "XlateMissFault",
     "QueueOverflowFault",
     "SendFault",
-    "EarlySuspend",
     "IllegalInstructionFault",
     "SegmentationFault",
     "TypeFault",
@@ -172,12 +171,6 @@ class SendFault(MdpFault):
     """The network interface refused a word (injection backpressure)."""
 
     fault_name = "send"
-
-
-class EarlySuspend(MdpFault):
-    """Internal control-flow signal: the running thread suspended."""
-
-    fault_name = "suspend"
 
 
 class IllegalInstructionFault(MdpFault):

@@ -34,11 +34,6 @@ class Profile:
     xlate_count: int = 0
     xlate_faults: int = 0
 
-    def charge(self, category: str, cycles: int) -> None:
-        if category not in _CATEGORY_SET:
-            raise ValueError(f"unknown profile category {category!r}")
-        self.__dict__[category] += cycles
-
     @property
     def busy(self) -> int:
         return self.compute + self.xlate + self.sync + self.comm + self.nnr

@@ -114,18 +114,20 @@ class SimNode:
 class Context:
     """The handler's window onto its node and the machine.
 
-    A fresh context is passed to every handler invocation.  Cycle charges
-    accumulate on the context and are folded into the node's busy time
-    when the handler returns; sends are timestamped at the charge level
-    reached when they are issued, so a message sent after 1000 charged
-    cycles leaves 1000 cycles into the task.
+    A fresh context is passed to every handler invocation.  Charges go
+    to the task's one ledger — ``charged`` cycles, ``instructions`` and
+    ``cats`` (cycles per Figure 6 category, keys in first-charge order)
+    — which :meth:`fold` adds to the node's profile and the handler's
+    stats when the handler returns; sends are timestamped at the charge
+    level reached when they are issued, so a message sent after 1000
+    charged cycles leaves 1000 cycles into the task.
     """
 
     __slots__ = ("sim", "node", "node_id", "state", "start_time", "charged",
-                 "_config", "_profile", "_stats", "trace", "_cats")
+                 "instructions", "cats", "_config", "trace")
 
     def __init__(self, sim: "MacroSimulator", node: SimNode, start_time: int,
-                 stats: HandlerStats, trace: Optional[tuple] = None) -> None:
+                 trace: Optional[tuple] = None) -> None:
         self.sim = sim
         self.node = node
         self.node_id = node.node_id
@@ -133,23 +135,14 @@ class Context:
         self.state = node.state
         self.start_time = start_time
         self.charged = 0
+        self.instructions = 0
+        self.cats: Dict[str, int] = {}
         # Hoisted once per task: charge()/send() run millions of times
-        # per application, and these three indirections dominated them.
-        # _profile is the Profile's attribute dict so category charges
-        # are plain dict updates (the keys are validated against the
-        # category set, exactly as Profile.charge does).
+        # per application.
         self._config = sim.config
-        self._profile = node.profile.__dict__
-        self._stats = stats
         #: Trace context of the message that created this task; sends
         #: become child spans of it (:mod:`repro.telemetry.trace`).
         self.trace = trace
-        # Per-task category breakdown, recorded on the task event so the
-        # critical-path analyzer can attribute this task's cycles.  Only
-        # maintained for traced tasks — untraced runs keep every charge
-        # site on a single ``is None`` test.
-        self._cats: Optional[Dict[str, int]] = \
-            {} if trace is not None else None
 
     # -- identity ----------------------------------------------------------
 
@@ -175,50 +168,45 @@ class Context:
             cycles = int(round(instructions * self._config.cycles_per_instruction))
         if category not in _CATEGORY_SET:
             raise ValueError(f"unknown profile category {category!r}")
-        profile = self._profile
-        profile[category] += cycles
-        profile["instructions"] += instructions
+        cats = self.cats
+        cats[category] = cats.get(category, 0) + cycles
+        self.instructions += instructions
         self.charged += cycles
-        stats = self._stats
-        stats.instructions += instructions
-        stats.cycles += cycles
-        cats = self._cats
-        if cats is not None:
-            cats[category] = cats.get(category, 0) + cycles
 
     def xlate(self, count: int = 1, fault: bool = False) -> None:
         """Charge ``count`` name translations (Table 5's xlate columns)."""
         config = self._config
         cycles = count * (config.xlate_fault_cycles if fault else config.xlate_cycles)
-        profile = self._profile
-        profile["xlate"] += cycles
-        profile["xlate_count"] += count
+        profile = self.node.profile
+        profile.xlate_count += count
         if fault:
-            profile["xlate_faults"] += count
+            profile.xlate_faults += count
+        cats = self.cats
+        cats["xlate"] = cats.get("xlate", 0) + cycles
         self.charged += cycles
-        self._stats.cycles += cycles
-        cats = self._cats
-        if cats is not None:
-            cats["xlate"] = cats.get("xlate", 0) + cycles
 
     def nnr(self, count: int = 1) -> None:
         """Charge node-index-to-router-address conversions (Figure 6)."""
         cycles = count * self._config.nnr_cycles
-        self._profile["nnr"] += cycles
+        cats = self.cats
+        cats["nnr"] = cats.get("nnr", 0) + cycles
         self.charged += cycles
-        self._stats.cycles += cycles
-        cats = self._cats
-        if cats is not None:
-            cats["nnr"] = cats.get("nnr", 0) + cycles
 
     def sync(self, cycles: int) -> None:
         """Charge synchronization overhead (suspends, null yields)."""
-        self._profile["sync"] += cycles
+        cats = self.cats
+        cats["sync"] = cats.get("sync", 0) + cycles
         self.charged += cycles
-        self._stats.cycles += cycles
-        cats = self._cats
-        if cats is not None:
-            cats["sync"] = cats.get("sync", 0) + cycles
+
+    def fold(self, stats: HandlerStats) -> None:
+        """Book the finished task: add its ledger to the node's profile
+        and to its handler's ``stats``."""
+        profile = self.node.profile.__dict__
+        for category, cycles in self.cats.items():
+            profile[category] += cycles
+        profile["instructions"] += self.instructions
+        stats.instructions += self.instructions
+        stats.cycles += self.charged
 
     # -- communication ----------------------------------------------------------
 
@@ -240,12 +228,9 @@ class Context:
             config = self._config
             overhead = sim._send_cost[length] = config.send_overhead_cycles \
                 + int(round(config.send_per_word_cycles * length))
-        self._profile["comm"] += overhead
+        cats = self.cats
+        cats["comm"] = cats.get("comm", 0) + overhead
         self.charged += overhead
-        self._stats.cycles += overhead
-        cats = self._cats
-        if cats is not None:
-            cats["comm"] = cats.get("comm", 0) + overhead
         trace = None
         trace_state = sim._trace
         if trace_state is not None:
@@ -517,8 +502,9 @@ class MacroSimulator:
                 # then the handler.
                 stats.invocations += 1
                 node.profile.__dict__["comm"] += dispatch
-                ctx = Context(self, node, time + dispatch, stats, trace)
+                ctx = Context(self, node, time + dispatch, trace)
                 fn(ctx, *args)
+                ctx.fold(stats)
                 end = ctx.start_time + ctx.charged
                 if ebus is not None:
                     if trace is None:
@@ -528,7 +514,7 @@ class MacroSimulator:
                         # The recorded breakdown covers the task exactly:
                         # the hardware dispatch plus every cycle the
                         # context charged.
-                        cats = ctx._cats
+                        cats = ctx.cats
                         cats["dispatch"] = dispatch
                         ebus.emit("task", time, dest, priority,
                                   name=handler_name, dur=end - time,
@@ -618,10 +604,4 @@ class MacroSimulator:
     def breakdown(self) -> Dict[str, float]:
         """Machine-wide Figure 6 style breakdown over the whole run."""
         wall = self.end_time * self.n_nodes
-        if wall == 0:
-            return {}
-        total = self.aggregate_profile()
-        out = {name: getattr(total, name) / wall
-               for name in ("compute", "xlate", "sync", "comm", "nnr")}
-        out["idle"] = max(0.0, 1.0 - total.busy / wall)
-        return out
+        return self.aggregate_profile().breakdown(wall) if wall else {}

@@ -28,6 +28,7 @@ import sys
 from typing import List
 
 from ..asm.assembler import assemble
+from ..core.errors import ConfigurationError
 from ..core.trace import Tracer
 from ..core.word import Word
 from .config import MachineConfig
@@ -46,6 +47,13 @@ def _parse_inject(spec: str):
     return node, label, args
 
 
+def _parse_dump(spec: str):
+    base, sep, count = spec.partition(":")
+    if not sep:
+        raise argparse.ArgumentTypeError("--dump needs BASE:COUNT")
+    return int(base), int(count)
+
+
 def main(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.machine",
@@ -58,13 +66,25 @@ def main(argv: List[str]) -> int:
                         default=[], metavar="NODE:LABEL[:ARGS]")
     parser.add_argument("--max-cycles", type=int, default=1_000_000)
     parser.add_argument("--trace", type=int, default=None, metavar="NODE")
-    parser.add_argument("--dump", default=None, metavar="BASE:COUNT")
+    parser.add_argument("--dump", type=_parse_dump, default=None,
+                        metavar="BASE:COUNT")
     options = parser.parse_args(argv)
+    try:
+        config = MachineConfig.for_nodes(options.nodes)
+    except ConfigurationError as exc:
+        parser.error(str(exc))
+    nodes = [node for node, _label, _args in options.inject]
+    if options.trace is not None:
+        nodes.append(options.trace)
+    for node in nodes:
+        if not 0 <= node < config.n_nodes:
+            parser.error(f"node {node} is not on the {config.n_nodes}-node "
+                         f"machine")
 
     with open(options.program) as handle:
         program = assemble(handle.read())
 
-    machine = JMachine(MachineConfig.for_nodes(options.nodes))
+    machine = JMachine(config)
     machine.load(program)
 
     # Convenience runtime setup: every node gets a 32-word scratch
@@ -107,7 +127,7 @@ def main(argv: List[str]) -> int:
     if tracer is not None:
         print(tracer.format())
     if options.dump:
-        base, count = (int(v) for v in options.dump.split(":"))
+        base, count = options.dump
         memory = machine.node(0).proc.memory
         for offset in range(count):
             word = memory.peek(base + offset)

@@ -55,9 +55,10 @@ class NodeNetworkInterface(NetworkInterface):
         self.node_tlb = node_tlb
         #: Causal tracing (:mod:`repro.telemetry.trace`): the shared
         #: :class:`TraceState` allocator, installed by the telemetry
-        #: wiring, and a zero-arg callable returning the sending
-        #: thread's trace context (the processor's ``current_trace``).
-        #: Both None keeps launches on the cheap ``is None`` branch.
+        #: wiring (None keeps launches on the cheap ``is None`` branch),
+        #: and a zero-arg callable returning the sending thread's trace
+        #: context (the processor's ``current_trace``, bound by
+        #: :class:`Node`).
         self.trace_state = None
         self.trace_parent: Optional[Callable[[], Optional[tuple]]] = None
 
@@ -97,9 +98,7 @@ class NodeNetworkInterface(NetworkInterface):
         dest = self._decode_dest(dest_word)
         message = Message(body, source=self.node_id, dest=dest, priority=priority)
         if self.trace_state is not None:
-            parent = self.trace_parent() if self.trace_parent is not None \
-                else None
-            message.trace = self.trace_state.derive(parent)
+            message.trace = self.trace_state.derive(self.trace_parent())
         self._outstanding_words += len(words)
         self._submit(message, now)
         self._inbound[dest] += 1

@@ -25,9 +25,9 @@ went.  This module adds the missing layer:
   breakdown, per-Z-slice heat maps, JSON round-trip, and diffs between
   two runs.
 
-``FABRIC_METRICS`` is the canonical schema of everything the telemetry
-wiring exports for a probed fabric; docs/OBSERVABILITY.md §8 is kept in
-sync with it by a test.
+``FABRIC_METRICS`` names the metric families the telemetry wiring
+exports for a probed fabric (:data:`repro.telemetry.wiring.METRIC_FAMILIES`
+composes them into the one schema).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import json
 from typing import Dict, List, Tuple
 
 from .routing import ChannelKey, EJECT, INJECT, decode_key
-from .stats import LatencySummary
+from .stats import SUMMARY_FIELDS, LatencySummary
 
 __all__ = [
     "FabricProbe",
@@ -52,28 +52,21 @@ __all__ = [
 #: histogram small and exactly mergeable across routers.
 QUEUE_OCCUPANCY_BOUNDS = tuple(1 << k for k in range(11))
 
-#: Canonical fabric-metric schema: (name, type, unit, advance site).
-#: The telemetry wiring emits exactly these names (histograms expand to
-#: ``.count``/``.mean``/... like every other LatencySummary) and the
-#: docs/OBSERVABILITY.md §8 table mirrors this tuple row for row — a
-#: sync test keeps the two from drifting.
+#: The probed fabric's metric families, ``(prefix, leaves, kind, unit)``
+#: rows; each wiring source keys its dict by its prefix's leaves, in row
+#: order.  The histogram expands like every LatencySummary.
 FABRIC_METRICS = (
-    ("net.link.observed", "gauge", "links", "message completion"),
-    ("net.link.phits", "counter", "phits", "message completion"),
-    ("net.link.messages", "counter", "messages", "message completion"),
-    ("net.link.peak_phits", "gauge", "phits", "message completion"),
-    ("net.link.peak_utilization", "gauge", "fraction", "snapshot (derived)"),
-    ("net.link.blocked_cycles", "counter", "cycles", "head acquisition"),
-    ("net.stall.channel_busy", "counter", "cycles", "head acquisition"),
-    ("net.stall.link_outage", "counter", "cycles", "head acquisition"),
-    ("net.stall.backpressure", "counter", "cycles", "delivery reservation"),
-    ("net.dim.x.hops", "counter", "hops", "message completion"),
-    ("net.dim.y.hops", "counter", "hops", "message completion"),
-    ("net.dim.z.hops", "counter", "hops", "message completion"),
-    ("net.dim.x.phits", "counter", "phits", "message completion"),
-    ("net.dim.y.phits", "counter", "phits", "message completion"),
-    ("net.dim.z.phits", "counter", "phits", "message completion"),
-    ("net.router.inject_queue", "histogram", "messages", "injection staging"),
+    ("net.link", ("observed",), "gauge", "links"),
+    ("net.link", ("phits",), "counter", "phits"),
+    ("net.link", ("messages",), "counter", "messages"),
+    ("net.link", ("peak_phits",), "gauge", "phits"),
+    ("net.link", ("peak_utilization",), "gauge", "fraction"),
+    ("net.link", ("blocked_cycles",), "counter", "cycles"),
+    ("net.stall", ("channel_busy", "link_outage", "backpressure"),
+     "counter", "cycles"),
+    ("net.dim", ("x.hops", "y.hops", "z.hops"), "counter", "hops"),
+    ("net.dim", ("x.phits", "y.phits", "z.phits"), "counter", "phits"),
+    ("net.router.inject_queue", SUMMARY_FIELDS, "histogram", "messages"),
 )
 
 _DIM_LETTERS = "xyz"

@@ -20,7 +20,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .fabric import Worm
     from .topology import Mesh3D
 
-__all__ = ["NetworkStats", "LatencySummary"]
+__all__ = ["NetworkStats", "LatencySummary", "SUMMARY_FIELDS"]
+
+#: The keys of :meth:`LatencySummary.snapshot`: every histogram metric
+#: expands into these.
+SUMMARY_FIELDS = ("count", "total", "mean", "min", "max", "p50", "p99")
 
 #: Default histogram bucket upper bounds: powers of two up to ~1M cycles.
 #: Latencies in this simulator span a handful of cycles (one hop) to the
@@ -105,15 +109,11 @@ class LatencySummary:
 
     def snapshot(self) -> Dict[str, float]:
         """Flat scalar view (the telemetry registry's histogram format)."""
-        return {
-            "count": self.count,
-            "total": self.total,
-            "mean": self.mean,
-            "min": self.min if self.min is not None else 0,
-            "max": self.max if self.max is not None else 0,
-            "p50": self.p50,
-            "p99": self.p99,
-        }
+        return dict(zip(SUMMARY_FIELDS, (
+            self.count, self.total, self.mean,
+            self.min if self.min is not None else 0,
+            self.max if self.max is not None else 0,
+            self.p50, self.p99)))
 
 
 class NetworkStats:

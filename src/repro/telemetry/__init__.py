@@ -4,9 +4,9 @@ The paper's authors lament that the J-Machine "lacked hardware for
 collecting statistics"; the simulator compensates with one first-class
 observability layer instead of scattered counters.  Three pieces:
 
-* :class:`~repro.telemetry.metrics.MetricsRegistry` — hierarchical
-  counters/gauges/histograms plus zero-cost pull sources over the
-  counters every subsystem already keeps.
+* :class:`~repro.telemetry.metrics.MetricsRegistry` — zero-cost pull
+  sources over the counters every subsystem already keeps, under the
+  names :data:`repro.telemetry.wiring.METRIC_FAMILIES` declares.
 * :class:`~repro.telemetry.events.EventBus` — typed simulation events
   (dispatch, suspend, send, deliver, queue-overflow, xlate-fault, ...)
   exported as JSONL or as a Perfetto-loadable Chrome trace with one
@@ -36,16 +36,13 @@ from typing import Any, Dict, Optional
 
 from .events import EVENT_KINDS, EventBus
 from .live import LiveSampler, SamplePoint, SamplePolicy
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .metrics import MetricsRegistry
 from .report import SimReport
 from .trace import CausalGraph, TraceState
 
 __all__ = [
     "Telemetry",
     "MetricsRegistry",
-    "Counter",
-    "Gauge",
-    "Histogram",
     "EventBus",
     "EVENT_KINDS",
     "SimReport",
@@ -73,9 +70,8 @@ class Telemetry:
     """
 
     def __init__(self, events: bool = True, event_limit: int = 1_000_000,
-                 registry: Optional[MetricsRegistry] = None,
                  trace: bool = False) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
+        self.registry = MetricsRegistry()
         self.events: Optional[EventBus] = (
             EventBus(limit=event_limit) if events else None
         )
@@ -86,13 +82,12 @@ class Telemetry:
         #: Shared trace-context allocator, or None when tracing is off.
         self.trace: Optional[TraceState] = TraceState() if trace else None
         if self.events is not None:
-            # Surface the bus's own health in snapshots: a report whose
-            # events.dropped is nonzero came from a truncated stream.
-            bus = self.events
-            self.registry.register_source(
-                "events",
-                lambda: {"collected": len(bus), "dropped": bus.dropped},
-            )
+            # The wiring is imported when first needed, as the
+            # simulators do: a process that only builds rigs (a service
+            # worker between jobs) does not load the simulators for it.
+            from .wiring import register_event_health
+
+            register_event_health(self.registry, self.events)
 
     def report(self, meta: Optional[Dict[str, Any]] = None) -> SimReport:
         """Snapshot every registered metric into a :class:`SimReport`."""

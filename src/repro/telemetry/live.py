@@ -265,29 +265,24 @@ class LiveSampler:
         with the standard pull sources, exactly as
         :meth:`SimReport.from_machine` does.  Returns ``self``.
         """
+        from .wiring import (register_event_health, register_live_health,
+                             register_machine_metrics, register_macro_metrics)
+
         telemetry = getattr(target, "telemetry", None)
         if telemetry is not None:
             registry = telemetry.registry
         else:
             registry = MetricsRegistry()
             if hasattr(target, "fabric"):
-                from .wiring import register_machine_metrics
-
                 register_machine_metrics(target, registry)
                 bus = target.fabric._events
             else:
-                from .wiring import register_macro_metrics
-
                 register_macro_metrics(target, registry)
                 bus = getattr(target, "_ebus", None)
             if bus is not None:
                 # An event bus wired without a Telemetry rig (e.g. by a
-                # chaos harness) still surfaces its health on /metrics,
-                # same names as Telemetry.__init__ registers.
-                registry.register_source(
-                    "events",
-                    lambda: {"collected": len(bus), "dropped": bus.dropped},
-                )
+                # chaos harness) still surfaces its health on /metrics.
+                register_event_health(registry, bus)
         self._registry = registry
         self._target = target
         if run_limit is not None:
@@ -297,18 +292,9 @@ class LiveSampler:
             self.run_limit = run_limit
             self._limit_pinned = True
         if "live" not in registry.names():
-            registry.register_source("live", self._health)
+            register_live_health(registry, self)
         target.sampler = self
         return self
-
-    def _health(self) -> Dict[str, Number]:
-        mean_us = (self.sample_cost_s / self.samples * 1e6
-                   if self.samples else 0.0)
-        return {
-            "samples": self.samples,
-            "sample_cost_us": round(mean_us, 3),
-            "ring_dropped": self.ring_evicted,
-        }
 
     # -- the run-loop hooks --------------------------------------------------
 

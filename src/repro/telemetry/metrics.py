@@ -1,4 +1,4 @@
-"""The metrics registry: counters, gauges, and fixed-bucket histograms.
+"""The metrics registry: pull sources flattened into one snapshot.
 
 The paper's authors lament that the J-Machine "lacked hardware for
 collecting statistics"; this module is the statistics hardware the
@@ -8,138 +8,45 @@ hierarchical dotted names (``node.3.proc.comm_cycles``,
 the whole machine's state into one flat ``{name: number}`` dict — the raw
 material of :class:`~repro.telemetry.report.SimReport`.
 
-Two registration styles, by cost profile:
+A registration is a *pull source* (:meth:`MetricsRegistry.register_source`)
+over counters a subsystem already maintains (``MdpCounters``,
+``NetworkStats``, ``Profile``...).  It costs *nothing* during simulation
+— the callable only runs at snapshot time — which is why telemetry is
+zero-cost when disabled: with no telemetry attached no source is
+registered and no hot path changes.  The families a registry can hold
+are declared once, in :data:`repro.telemetry.wiring.METRIC_FAMILIES`.
 
-* **Pull sources** (:meth:`MetricsRegistry.register_source`) wrap
-  counters a subsystem already maintains (``MdpCounters``,
-  ``NetworkStats``, ``Profile``...).  They cost *nothing* during
-  simulation — the callable only runs at snapshot time.  This is how
-  all machine wiring works, and why telemetry is zero-cost when
-  disabled: with no telemetry attached no source is registered and no
-  hot path changes.
-* **Push instruments** (:class:`Counter`, :class:`Gauge`,
-  :class:`Histogram`) are for measurements nothing retains otherwise.
-  They are plain attribute updates, intended for per-message-rate call
-  sites, never per-instruction ones.
-
-Histograms reuse :class:`~repro.network.stats.LatencySummary` — one
-quantile implementation for the whole codebase, mergeable across nodes.
+A source returning a :class:`~repro.network.stats.LatencySummary` is a
+histogram: one quantile implementation for the whole codebase,
+mergeable across nodes.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Tuple, Union
 
 from ..network.stats import LatencySummary
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
+__all__ = ["MetricsRegistry"]
 
 Number = Union[int, float]
 SourceValue = Union[Number, Dict[str, Number], LatencySummary]
 Source = Callable[[], SourceValue]
 
 
-class Counter:
-    """A monotonically increasing count."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0
-
-    def inc(self, n: int = 1) -> None:
-        self.value += n
-
-    def snapshot(self) -> int:
-        return self.value
-
-
-class Gauge:
-    """A point-in-time value (queue depth, clock, buffer occupancy)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value: Number = 0
-
-    def set(self, value: Number) -> None:
-        self.value = value
-
-    def snapshot(self) -> Number:
-        return self.value
-
-
-class Histogram:
-    """A fixed-bucket distribution (latencies, block sizes, depths)."""
-
-    __slots__ = ("name", "summary")
-
-    def __init__(self, name: str, bounds: Optional[Sequence[int]] = None) -> None:
-        self.name = name
-        self.summary = LatencySummary(bounds)
-
-    def observe(self, value: int) -> None:
-        self.summary.record(value)
-
-    def merge(self, other: "Histogram") -> None:
-        self.summary.merge(other.summary)
-
-    def snapshot(self) -> Dict[str, float]:
-        return self.summary.snapshot()
-
-
-Instrument = Union[Counter, Gauge, Histogram]
-
-
 class MetricsRegistry:
-    """Hierarchical name -> instrument/source map with flat snapshots.
+    """Hierarchical name -> source map with flat snapshots.
 
     Names are dotted paths; the registry itself imposes no tree
     structure (a flat dict with dots is trivially groupable), but the
-    naming schema is documented in docs/OBSERVABILITY.md and tests pin
-    the prefixes the standard wiring uses.
+    naming schema is declared in :mod:`repro.telemetry.wiring` and
+    documented in docs/OBSERVABILITY.md, and a test keeps them equal.
     """
 
     def __init__(self) -> None:
-        self._instruments: Dict[str, Instrument] = {}
         self._sources: Dict[str, Source] = {}
 
     # -- registration -------------------------------------------------------
-
-    def _claim(self, name: str, kind: type) -> Optional[Instrument]:
-        if name in self._sources:
-            raise ValueError(f"metric name {name!r} already used by a source")
-        existing = self._instruments.get(name)
-        if existing is not None and not isinstance(existing, kind):
-            raise ValueError(
-                f"metric {name!r} already registered as "
-                f"{type(existing).__name__}"
-            )
-        return existing
-
-    def counter(self, name: str) -> Counter:
-        """Get or create the counter called ``name``."""
-        existing = self._claim(name, Counter)
-        if existing is None:
-            existing = self._instruments[name] = Counter(name)
-        return existing
-
-    def gauge(self, name: str) -> Gauge:
-        """Get or create the gauge called ``name``."""
-        existing = self._claim(name, Gauge)
-        if existing is None:
-            existing = self._instruments[name] = Gauge(name)
-        return existing
-
-    def histogram(self, name: str,
-                  bounds: Optional[Sequence[int]] = None) -> Histogram:
-        """Get or create the histogram called ``name``."""
-        existing = self._claim(name, Histogram)
-        if existing is None:
-            existing = self._instruments[name] = Histogram(name, bounds)
-        return existing
 
     def register_source(self, name: str, fn: Source) -> None:
         """Register a pull source sampled only at snapshot time.
@@ -148,31 +55,25 @@ class MetricsRegistry:
         appears as ``name.suffix``), or a :class:`LatencySummary` (which
         expands to its ``count``/``mean``/``p50``/... fields).
         """
-        if name in self._sources or name in self._instruments:
+        if name in self._sources:
             raise ValueError(f"metric name {name!r} already registered")
         self._sources[name] = fn
 
     # -- reading ------------------------------------------------------------
 
     def names(self) -> Tuple[str, ...]:
-        return tuple(sorted(self._instruments) + sorted(self._sources))
-
-    def _expand(self, name: str, value: SourceValue) -> Iterator[Tuple[str, Number]]:
-        if isinstance(value, LatencySummary):
-            value = value.snapshot()
-        if isinstance(value, dict):
-            for suffix, scalar in value.items():
-                yield f"{name}.{suffix}", scalar
-        else:
-            yield name, value
+        return tuple(sorted(self._sources))
 
     def snapshot(self) -> Dict[str, Number]:
         """One flat ``{dotted-name: number}`` view of everything."""
         flat: Dict[str, Number] = {}
-        for name, instrument in self._instruments.items():
-            for key, value in self._expand(name, instrument.snapshot()):
-                flat[key] = value
         for name, fn in self._sources.items():
-            for key, value in self._expand(name, fn()):
-                flat[key] = value
+            value = fn()
+            if isinstance(value, LatencySummary):
+                value = value.snapshot()
+            if isinstance(value, dict):
+                for suffix, scalar in value.items():
+                    flat[f"{name}.{suffix}"] = scalar
+            else:
+                flat[name] = value
         return dict(sorted(flat.items()))

@@ -28,14 +28,13 @@ from __future__ import annotations
 import sys
 from typing import Dict, List, Optional, Tuple
 
+from ..jsim.profile import CATEGORIES
 from .live import LiveSampler, SamplePoint
 
 __all__ = ["render_frame", "watch_sampler", "watch_sse"]
 
 #: Busy-fraction shades, empty→full.
 _SHADES = " ░▒▓█"
-#: Macro profile categories that are cycle charges (busy time).
-_MACRO_BUSY = ("compute", "xlate", "sync", "comm", "nnr")
 
 _CLEAR = "\x1b[H\x1b[2J"
 
@@ -51,7 +50,7 @@ def _node_busy(metrics: Dict[str, float], node: int) -> Optional[float]:
         return cycle
     total = 0.0
     seen = False
-    for cat in _MACRO_BUSY:
+    for cat in CATEGORIES:
         value = metrics.get(f"node.{node}.profile.{cat}")
         if value is not None:
             total += value

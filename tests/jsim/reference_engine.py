@@ -11,8 +11,8 @@ latency model, chaos and the snapshot code are the shared
 the two is a difference in *which events the loop schedules and when it
 visits a node*, which is exactly what the engine changes.  The bodies
 below are the former ``MacroSimulator._start_task`` / ``run`` verbatim
-(``Context`` now takes the handler's stats record, not its name); do
-not optimise them.
+(a task's charges now reach the profile and the handler's stats through
+the shared ``Context.fold``); do not optimise them.
 """
 
 import heapq
@@ -58,9 +58,9 @@ class ReferenceSimulator(MacroSimulator):
         self.handler_stats[handler_name].invocations += 1
         dispatch = self.config.dispatch_cycles
         node.profile.__dict__["comm"] += dispatch
-        ctx = Context(self, node, start + dispatch,
-                      self.handler_stats[handler_name], trace)
+        ctx = Context(self, node, start + dispatch, trace)
         self.handlers[handler_name](ctx, *args)
+        ctx.fold(self.handler_stats[handler_name])
         end = ctx.start_time + ctx.charged
         if self._ebus is not None:
             if trace is None:
@@ -69,7 +69,7 @@ class ReferenceSimulator(MacroSimulator):
             else:
                 # The recorded breakdown covers the task exactly: the
                 # hardware dispatch plus every cycle the context charged.
-                cats = ctx._cats
+                cats = ctx.cats
                 cats["dispatch"] = dispatch
                 self._ebus.emit("task", start, node.node_id, priority,
                                 name=handler_name, dur=end - start,

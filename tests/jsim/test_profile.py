@@ -3,31 +3,42 @@
 import pytest
 
 from repro.jsim.profile import CATEGORIES, Profile
+from repro.jsim.sim import MacroSimulator
+
+
+def _run_one_task(handler):
+    sim = MacroSimulator(2)
+    sim.register("h", handler)
+    sim.inject(1, "h")
+    sim.run()
+    return sim.nodes[1].profile
 
 
 def test_charge_accumulates():
-    profile = Profile()
-    profile.charge("compute", 10)
-    profile.charge("compute", 5)
-    assert profile.compute == 15
+    """A task's charges reach its node's profile when it ends."""
+    def handler(ctx):
+        ctx.charge(cycles=10)
+        ctx.charge(cycles=5)
+
+    assert _run_one_task(handler).compute == 15
 
 
 def test_unknown_category_rejected():
+    def handler(ctx):
+        ctx.charge(cycles=10, category="naps")
+
     with pytest.raises(ValueError):
-        Profile().charge("naps", 10)
+        _run_one_task(handler)
 
 
 def test_busy_sums_all_categories():
-    profile = Profile()
-    for i, category in enumerate(CATEGORIES, start=1):
-        profile.charge(category, i)
+    profile = Profile(**{category: i for i, category
+                         in enumerate(CATEGORIES, start=1)})
     assert profile.busy == sum(range(1, len(CATEGORIES) + 1))
 
 
 def test_breakdown_includes_idle():
-    profile = Profile()
-    profile.charge("compute", 30)
-    profile.charge("comm", 20)
+    profile = Profile(compute=30, comm=20)
     breakdown = profile.breakdown(wall_cycles=100)
     assert breakdown["compute"] == pytest.approx(0.3)
     assert breakdown["comm"] == pytest.approx(0.2)
@@ -40,8 +51,7 @@ def test_breakdown_zero_wall():
 
 
 def test_idle_never_negative():
-    profile = Profile()
-    profile.charge("compute", 200)
+    profile = Profile(compute=200)
     assert profile.breakdown(100)["idle"] == 0.0
 
 
@@ -57,31 +67,20 @@ def test_categories_match_fig6_plotting_order():
 def test_breakdown_covers_every_fig6_column():
     from repro.bench.fig6 import BREAKDOWN_COLUMNS
 
-    profile = Profile()
-    for category in CATEGORIES:
-        profile.charge(category, 10)
+    profile = Profile(**dict.fromkeys(CATEGORIES, 10))
     breakdown = profile.breakdown(wall_cycles=100)
     assert set(BREAKDOWN_COLUMNS) <= set(breakdown)
 
 
 def test_idle_is_wall_minus_busy():
-    profile = Profile()
-    profile.charge("compute", 40)
-    profile.charge("nnr", 25)
+    profile = Profile(compute=40, nnr=25)
     breakdown = profile.breakdown(wall_cycles=130)
     assert breakdown["idle"] == pytest.approx((130 - profile.busy) / 130)
 
 
 def test_merge_combines_everything():
-    a = Profile()
-    a.charge("compute", 10)
-    a.instructions = 5
-    a.xlate_count = 2
-    b = Profile()
-    b.charge("compute", 7)
-    b.charge("sync", 3)
-    b.instructions = 1
-    b.xlate_faults = 4
+    a = Profile(compute=10, instructions=5, xlate_count=2)
+    b = Profile(compute=7, sync=3, instructions=1, xlate_faults=4)
     a.merge(b)
     assert a.compute == 17
     assert a.sync == 3

@@ -75,3 +75,25 @@ table: .word 11, 22
     out = run_cli(program_file(source), "--nodes", "2",
                   "--dump", "200:2")
     assert "[200]" in out
+
+
+@pytest.mark.parametrize("args", [
+    ("--trace", "5"),          # past the last node
+    ("--trace", "-1"),         # would index the last node from the end
+    ("--inject", "9:main"),
+    ("--dump", "5"),           # no COUNT
+    ("--nodes", "0"),
+])
+def test_bad_arguments_are_usage_errors(program_file, args):
+    """Node ids are checked against the mesh and ``--dump`` against its
+    ``BASE:COUNT`` shape before anything runs: exit 2, a usage line,
+    no traceback."""
+    result = subprocess.run(
+        [sys.executable, "-m", "repro.machine",
+         program_file(FIB), "--nodes", "2", *args],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("usage:")
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""

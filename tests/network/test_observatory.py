@@ -60,11 +60,11 @@ class TestLinkNames:
         assert parse_link_name(name) == link
 
     def test_schema_is_well_formed(self):
-        # (name, type, unit, site) rows with the three metric types the
-        # docs table (and its sync test) rely on.
-        for row in FABRIC_METRICS:
-            assert len(row) == 4
-            assert row[1] in ("counter", "gauge", "histogram")
+        # (prefix, leaves, kind, unit) family rows under ``net.`` with
+        # the three metric kinds the wiring's schema table knows.
+        for prefix, leaves, kind, unit in FABRIC_METRICS:
+            assert prefix.startswith("net.") and leaves and unit
+            assert kind in ("counter", "gauge", "histogram")
 
 
 class TestProbeAccounting:

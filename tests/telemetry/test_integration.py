@@ -45,8 +45,9 @@ class TestMachineIntegration:
         of them."""
         from repro.network.observatory import FABRIC_METRICS
 
-        scalar = {name for name, kind, _unit, _site in FABRIC_METRICS
-                  if kind != "histogram"}
+        scalar = {f"{prefix}.{leaf}"
+                  for prefix, leaves, kind, _unit in FABRIC_METRICS
+                  if kind != "histogram" for leaf in leaves}
         telemetry = Telemetry()
         machine = JMachine(MachineConfig(dims=(2, 2, 1), fabric_probe=True),
                            telemetry=telemetry)

@@ -91,23 +91,21 @@ def test_observability_event_table_matches_event_kinds():
     assert len(rows) == len(documented), "duplicate event-table rows"
 
 
-def test_observability_fabric_table_matches_fabric_metrics():
-    """The docs' fabric-metric table mirrors FABRIC_METRICS row for row."""
-    from repro.network.observatory import FABRIC_METRICS
+def test_observability_metric_tables_match_metric_families():
+    """OBSERVABILITY.md §1 is ``METRIC_FAMILIES`` row for row: prefix,
+    leaves, kind and unit; §8 adds no table of its own."""
+    from repro.telemetry.wiring import METRIC_FAMILIES
 
     text = (DOCS / "OBSERVABILITY.md").read_text()
-    rows = re.findall(
-        r"^\| `(net\.[a-z_.]+)` \| (counter|gauge|histogram) \|", text,
-        flags=re.MULTILINE)
-    documented = {name for name, _ in rows}
-    expected = {name for name, *_ in FABRIC_METRICS}
-    assert documented == expected, (
-        f"undocumented metrics: {sorted(expected - documented)}; "
-        f"stale docs rows: {sorted(documented - expected)}")
-    assert len(rows) == len(documented), "duplicate fabric-table rows"
-    kinds = dict(rows)
-    expected_kinds = {name: kind for name, kind, *_ in FABRIC_METRICS}
-    assert kinds == expected_kinds
+    schema = text[text.index("## 1."):text.index("## 2.")]
+    rows = re.findall(r"^\| `([a-z_.<>]+)` \| ([^|]+) \| "
+                      r"(counter|gauge|histogram) \| ([a-z]+) \|",
+                      schema, flags=re.MULTILINE)
+    documented = [(prefix, tuple(re.findall(r"`([a-z_.0-9]+)`", leaves)),
+                   kind, unit) for prefix, leaves, kind, unit in rows]
+    assert documented == [tuple(family) for family in METRIC_FAMILIES]
+    fabric = text[text.index("## 8."):]
+    assert not re.search(r"^\| `net\.", fabric, flags=re.MULTILINE)
 
 
 def test_observability_documents_path_categories():
@@ -130,16 +128,6 @@ def test_src_is_pure_python_no_numpy():
     for path in (ROOT / "src").rglob("*.py"):
         assert not re.search(r"^\s*(import|from)\s+numpy\b",
                              path.read_text(), re.M), path
-
-
-def test_observability_documents_codegen_metrics():
-    """Every ``machine.codegen.*`` name has a docs row, and no other."""
-    from repro.core.fastpath import CODEGEN_METRICS
-
-    text = (DOCS / "OBSERVABILITY.md").read_text()
-    documented = re.findall(r"^\| `machine\.codegen\.([a-z_]+)` \|", text,
-                            flags=re.MULTILINE)
-    assert sorted(documented) == sorted(CODEGEN_METRICS)
 
 
 def test_per_instruction_closure_path_stays_deleted():
