@@ -114,14 +114,14 @@ check: test kernel-deep bench telemetry-gate chaos-smoke trace-smoke \
 
 # Regenerate every table and figure at the paper's sizes (slow).
 paper:
-	JM_SCALE=paper python -m repro.bench --out RESULTS_PAPER.md
+	JM_SCALE=paper PYTHONPATH=src python -m repro.bench --out RESULTS_PAPER.md
 
 # Quick full report at small scale.
 report:
-	python -m repro.bench --out RESULTS.md
+	PYTHONPATH=src python -m repro.bench --out RESULTS.md
 
 examples:
-	for f in examples/*.py; do echo "== $$f"; python $$f || exit 1; done
+	for f in examples/*.py; do echo "== $$f"; PYTHONPATH=src python $$f || exit 1; done
 
 clean:
 	rm -rf .pytest_cache .hypothesis RESULTS.md RESULTS_PAPER.md \

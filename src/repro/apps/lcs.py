@@ -98,7 +98,7 @@ def run_sequential(params: LcsParams) -> SequentialResult:
     a, b = generate_strings(params)
     length = lcs_reference(a, b)
     instructions = params.a_len * params.b_len * PER_CHAR_INSTR
-    cycles = int(instructions * 2.0)  # MacroConfig.cycles_per_instruction
+    cycles = int(instructions * MacroConfig().cycles_per_instruction)
     return SequentialResult(cycles=cycles, output=length)
 
 

@@ -106,7 +106,8 @@ def run_sequential(params: NQueensParams = NQueensParams()) -> SequentialResult:
     solutions, nodes = solve_count(params.n, 0, 0, 0, 0)
     if params.n in KNOWN_COUNTS and solutions != KNOWN_COUNTS[params.n]:
         raise ConfigurationError("sequential N-Queens count is wrong")
-    return SequentialResult(cycles=int(nodes * INSTR_PER_NODE * 2.0),
+    cpi = MacroConfig().cycles_per_instruction
+    return SequentialResult(cycles=int(nodes * INSTR_PER_NODE * cpi),
                             output=solutions)
 
 

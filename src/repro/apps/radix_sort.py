@@ -97,7 +97,8 @@ def run_sequential(params: RadixParams) -> SequentialResult:
     out = sorted(keys)  # the verified output
     per_pass = params.n_keys * (COUNT_INSTR_PER_KEY + REORDER_INSTR_PER_KEY)
     instructions = params.n_digits * per_pass
-    return SequentialResult(cycles=int(instructions * 2.0), output=out)
+    cycles = int(instructions * MacroConfig().cycles_per_instruction)
+    return SequentialResult(cycles=cycles, output=out)
 
 
 def run_parallel(n_nodes: int, params: RadixParams = RadixParams(),

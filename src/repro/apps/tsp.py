@@ -175,7 +175,9 @@ def run_sequential(params: TspParams = TspParams()) -> SequentialResult:
             f"sequential TSP found {best}, Held-Karp says {expected}"
         )
     instructions = expansions * INSTR_PER_EXPANSION
-    cycles = int(instructions * 2.0) + expansions * XLATES_PER_EXPANSION * 3
+    cfg = MacroConfig()
+    cycles = (int(instructions * cfg.cycles_per_instruction)
+              + expansions * XLATES_PER_EXPANSION * cfg.xlate_cycles)
     return SequentialResult(cycles=cycles, output=best)
 
 

@@ -2,7 +2,7 @@
 
 Usage::
 
-    python -m repro.bench                     # small scale, ~1 minute
+    python -m repro.bench                     # small scale, ~36 s
     JM_SCALE=paper python -m repro.bench      # the paper's sizes
     python -m repro.bench fig2 table2 --out results.md   # a subset, saved
 

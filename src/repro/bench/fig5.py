@@ -13,15 +13,12 @@ nodes; N-Queens tracking close to ideal until task-count imbalance bites.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List
+from typing import Dict, List
 
-from ..apps import lcs, nqueens, radix_sort, tsp
-from .appscale import lcs_params, nqueens_params, radix_params, tsp_params
+from .appscale import APPS, base_cycles, run_app
 from .harness import format_table, node_counts
 
-__all__ = ["Fig5Result", "run", "format_result", "APPS"]
-
-APPS = ("lcs", "radix_sort", "nqueens", "tsp")
+__all__ = ["Fig5Result", "run", "format_result"]
 
 
 @dataclass
@@ -34,47 +31,20 @@ class Fig5Result:
         return self.base_cycles[app] / self.run_cycles[app][n]
 
 
-def run(max_nodes: int = 0, apps: tuple = APPS) -> Fig5Result:
+def run(max_nodes: int = 0, apps: tuple = tuple(APPS)) -> Fig5Result:
     counts = node_counts(max_nodes or None)
     result = Fig5Result(node_counts=counts)
-
-    runners: Dict[str, Callable[[int], int]] = {}
-    params = {
-        "lcs": lcs_params(),
-        "radix_sort": radix_params(),
-        "nqueens": nqueens_params(),
-        "tsp": tsp_params(),
-    }
-    modules = {"lcs": lcs, "radix_sort": radix_sort,
-               "nqueens": nqueens, "tsp": tsp}
-
     for app in apps:
-        module = modules[app]
-        result.run_cycles[app] = {}
-        for n in counts:
-            if app == "radix_sort" and params[app].n_keys % n:
-                continue
-            result.run_cycles[app][n] = module.run_parallel(n, params[app]).cycles
-        if app == "tsp":
-            # The paper's TSP base case is the parallel code on one node.
-            result.base_cycles[app] = result.run_cycles[app].get(
-                1, module.run_parallel(1, params[app]).cycles
-            )
-        else:
-            result.base_cycles[app] = module.run_sequential(params[app]).cycles
+        result.run_cycles[app] = {n: run_app(app, n).cycles for n in counts}
+        result.base_cycles[app] = base_cycles(app)
     return result
 
 
 def format_result(result: Fig5Result) -> str:
     apps = sorted(result.run_cycles)
     headers = ["Nodes"] + [f"{a} speedup" for a in apps]
-    rows = []
-    for n in result.node_counts:
-        row: List[object] = [n]
-        for app in apps:
-            cycles = result.run_cycles[app].get(n)
-            row.append(result.base_cycles[app] / cycles if cycles else None)
-        rows.append(row)
+    rows = [[n] + [result.speedup(app, n) for app in apps]
+            for n in result.node_counts]
     return format_table(headers, rows,
                         title="Figure 5: speedup (problem size constant)")
 
@@ -85,10 +55,8 @@ def format_chart(result: Fig5Result) -> str:
 
     series = {"ideal": [(n, n) for n in result.node_counts]}
     for app in sorted(result.run_cycles):
-        series[app] = [
-            (n, result.speedup(app, n))
-            for n in result.node_counts if n in result.run_cycles[app]
-        ]
+        series[app] = [(n, result.speedup(app, n))
+                       for n in result.node_counts]
     return ascii_chart(
         series,
         title="Figure 5: speedup vs machine size",

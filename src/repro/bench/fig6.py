@@ -11,11 +11,10 @@ slice (CST's global object names).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
-from ..apps import lcs, nqueens, radix_sort, tsp
-from .appscale import lcs_params, nqueens_params, radix_params, tsp_params
+from .appscale import APPS, run_app
 from .harness import format_table
 
 __all__ = ["Fig6Result", "run", "format_result", "BREAKDOWN_COLUMNS"]
@@ -26,29 +25,18 @@ BREAKDOWN_COLUMNS = ("idle", "nnr", "comm", "sync", "xlate", "compute")
 @dataclass
 class Fig6Result:
     n_nodes: int
-    breakdowns: Dict[str, Dict[str, float]] = field(default_factory=dict)
+    breakdowns: Dict[str, Dict[str, float]]
 
 
 def run(n_nodes: int = 64) -> Fig6Result:
-    result = Fig6Result(n_nodes=n_nodes)
-    result.breakdowns["lcs"] = lcs.run_parallel(n_nodes, lcs_params()).breakdown
-    result.breakdowns["nqueens"] = nqueens.run_parallel(
-        n_nodes, nqueens_params()
-    ).breakdown
-    result.breakdowns["radix_sort"] = radix_sort.run_parallel(
-        n_nodes, radix_params()
-    ).breakdown
-    result.breakdowns["tsp"] = tsp.run_parallel(n_nodes, tsp_params()).breakdown
-    return result
+    return Fig6Result(n_nodes, {app: run_app(app, n_nodes).breakdown
+                                for app in APPS})
 
 
 def format_result(result: Fig6Result) -> str:
     headers = ["App"] + [f"{c} %" for c in BREAKDOWN_COLUMNS]
-    rows = []
-    for app in ("lcs", "nqueens", "radix_sort", "tsp"):
-        breakdown = result.breakdowns[app]
-        rows.append([app] + [100 * breakdown.get(c, 0.0)
-                             for c in BREAKDOWN_COLUMNS])
+    rows = [[app] + [100 * breakdown.get(c, 0.0) for c in BREAKDOWN_COLUMNS]
+            for app, breakdown in result.breakdowns.items()]
     return format_table(
         headers, rows,
         title=f"Figure 6: function breakdown on {result.n_nodes} nodes "

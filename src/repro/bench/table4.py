@@ -7,12 +7,11 @@ message length.  Paper values are tabulated alongside for comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from ..apps import lcs, nqueens, radix_sort
 from ..apps.base import AppResult
-from .appscale import lcs_params, nqueens_params, radix_params
+from .appscale import run_app
 from .harness import format_table
 from .reference import PAPER_TABLE4
 
@@ -28,17 +27,12 @@ THREAD_CLASSES = {
 
 @dataclass
 class Table4Result:
-    results: Dict[str, AppResult] = field(default_factory=dict)
+    results: Dict[str, AppResult]
 
 
 def run(n_nodes: int = 64) -> Table4Result:
-    result = Table4Result()
-    result.results["lcs"] = lcs.run_parallel(n_nodes, lcs_params())
-    result.results["nqueens"] = nqueens.run_parallel(n_nodes, nqueens_params())
-    result.results["radix_sort"] = radix_sort.run_parallel(
-        n_nodes, radix_params()
-    )
-    return result
+    return Table4Result({app: run_app(app, n_nodes)
+                         for app in THREAD_CLASSES})
 
 
 def format_result(result: Table4Result) -> str:

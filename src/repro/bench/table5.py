@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..apps import tsp
 from ..apps.base import AppResult
-from .appscale import tsp_params
+from .appscale import run_app
 from .harness import format_table
 from .reference import PAPER_TABLE5
 
@@ -25,7 +24,7 @@ class Table5Result:
 
 
 def run(n_nodes: int = 64) -> Table5Result:
-    return Table5Result(result=tsp.run_parallel(n_nodes, tsp_params()))
+    return Table5Result(result=run_app("tsp", n_nodes))
 
 
 def format_result(table: Table5Result) -> str:
