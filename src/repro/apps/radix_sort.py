@@ -30,8 +30,8 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from ..core.errors import ConfigurationError
-from ..jsim.collectives import binomial_children, binomial_parent
 from ..jsim.sim import Context, MacroConfig, MacroSimulator
+from ..network.topology import binomial_children, binomial_parent
 from .base import AppResult, SequentialResult, launch
 
 __all__ = ["RadixParams", "generate_keys", "run_sequential", "run_parallel"]

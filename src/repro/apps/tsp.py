@@ -114,20 +114,6 @@ def held_karp(dist: List[List[int]]) -> int:
                for last, cost in best[full - 1].items())
 
 
-def _greedy_bound(dist: List[List[int]]) -> int:
-    """Nearest-neighbour tour: the initial upper bound."""
-    n = len(dist)
-    unvisited = set(range(1, n))
-    city = 0
-    total = 0
-    while unvisited:
-        nxt = min(unvisited, key=lambda c: dist[city][c])
-        total += dist[city][nxt]
-        unvisited.remove(nxt)
-        city = nxt
-    return total + dist[city][0]
-
-
 def _search(
     dist: List[List[int]],
     path: Tuple[int, ...],
@@ -177,7 +163,7 @@ def run_sequential(params: TspParams = TspParams()) -> SequentialResult:
     instructions = expansions * INSTR_PER_EXPANSION
     cfg = MacroConfig()
     cycles = (int(instructions * cfg.cycles_per_instruction)
-              + expansions * XLATES_PER_EXPANSION * cfg.xlate_cycles)
+              + expansions * XLATES_PER_EXPANSION * cfg.costs.xlate_hit)
     return SequentialResult(cycles=cycles, output=best)
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from ..core.costs import CostModel
+from ..core.costs import DEFAULT_COSTS
 from ..machine.config import MachineConfig
 from ..machine.jmachine import JMachine
 from ..network.topology import Mesh3D
@@ -61,7 +61,7 @@ def dispatch_cost_ablation(
                             "larger = software dispatch)",
                             "dispatch cycles", "ping RTT (cycles)")
     for dispatch in dispatch_cycles:
-        costs = CostModel().with_overrides(dispatch=dispatch)
+        costs = DEFAULT_COSTS.with_overrides(dispatch=dispatch)
         machine = JMachine(MachineConfig(dims=(4, 4, 4), costs=costs))
         result = run_ping(machine, 0, 21, iterations=20)
         series.add(dispatch, result.round_trip_cycles)
@@ -77,11 +77,10 @@ def suspend_policy_ablation(
                             "Save/Restore column)",
                             "(save, restart) cycles", "us/barrier")
     for save, restart in policies:
+        costs = DEFAULT_COSTS.with_overrides(suspend_save=save,
+                                             restart=restart)
         machine = JMachine(MachineConfig(
-            dims=Mesh3D.for_nodes(n_nodes).dims,
-            suspend_save_cycles=save,
-            restart_cycles=restart,
-        ))
+            dims=Mesh3D.for_nodes(n_nodes).dims, costs=costs))
         result = run_barrier_experiment(machine, barriers=6)
         series.add(f"({save}, {restart})", result.microseconds_per_barrier())
     return series
@@ -96,10 +95,9 @@ def emem_bandwidth_ablation(
                             "(the paper's EMEM critique)",
                             "EMEM cycles/word", "Mb/s")
     for latency in emem_latencies:
-        experiment = TerminalBandwidthExperiment(message_words, "emem")
-        experiment.SINK_CYCLES_PER_WORD = {
-            **experiment.SINK_CYCLES_PER_WORD, "emem": latency}
-        result = experiment.run()
+        costs = DEFAULT_COSTS.with_overrides(queue_copy_emem_per_word=latency)
+        result = TerminalBandwidthExperiment(message_words, "emem",
+                                             costs=costs).run()
         series.add(latency, result.bits_per_s / 1e6)
     return series
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
 from ..apps.radix_sort import RadixParams, run_parallel
+from ..core.costs import DEFAULT_COSTS
 from ..jsim.sim import MacroConfig
 from .harness import format_table, is_paper_scale
 
@@ -59,8 +60,9 @@ def run(n_nodes: int = 16, n_keys: int = 0) -> CrossoverResult:
     params = RadixParams(n_keys=n_keys)
     result = CrossoverResult(n_nodes=n_nodes, n_keys=n_keys)
     for label, send_overhead, dispatch in OVERHEAD_SWEEP:
-        config = MacroConfig(send_overhead_cycles=send_overhead,
-                             dispatch_cycles=dispatch)
+        config = MacroConfig(
+            send_overhead_cycles=send_overhead,
+            costs=DEFAULT_COSTS.with_overrides(dispatch=dispatch))
         point = {}
         for style in ("fine", "coarse"):
             point[style] = run_parallel(

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
+from ..core.costs import DEFAULT_COSTS
 from ..machine.config import MachineConfig
 from ..machine.jmachine import JMachine
 from ..network.topology import Mesh3D
@@ -25,9 +26,8 @@ from .reference import TABLE3_BARRIER_US
 __all__ = ["Table3Result", "run", "format_result"]
 
 #: The paper's hand-tuned assembly barrier suspends with minimal state;
-#: these policy costs model that fast path (vs the general 30/20).
-TUNED_SAVE_CYCLES = 8
-TUNED_RESTART_CYCLES = 8
+#: these save/restart costs model that fast path (vs the general 30/20).
+TUNED_COSTS = DEFAULT_COSTS.with_overrides(suspend_save=8, restart=8)
 
 
 @dataclass
@@ -41,11 +41,8 @@ def run(barriers: int = 8, max_nodes: int = 0) -> Table3Result:
     sizes = [n for n in (2, 4, 8, 16, 32, 64, 128, 256, 512) if n <= max_nodes]
     result = Table3Result()
     for n in sizes:
-        machine = JMachine(MachineConfig(
-            dims=Mesh3D.for_nodes(n).dims,
-            suspend_save_cycles=TUNED_SAVE_CYCLES,
-            restart_cycles=TUNED_RESTART_CYCLES,
-        ))
+        machine = JMachine(MachineConfig(dims=Mesh3D.for_nodes(n).dims,
+                                         costs=TUNED_COSTS))
         measurement = run_barrier_experiment(machine, barriers=barriers)
         result.measured_us[n] = measurement.microseconds_per_barrier()
     return result

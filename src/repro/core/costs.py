@@ -1,9 +1,9 @@
 """The MDP cycle-cost model.
 
-Every timing constant the paper publishes is collected here, in one place,
-so that the cycle simulator (``repro.core.processor``), the event-driven
-macro simulator (``repro.jsim``), and the benchmark harness all draw on the
-same numbers.  Citations point at the paper section that states each value.
+Every cost a simulator charges is stated here, once, so that the cycle
+simulator (``repro.core.processor``), the event-driven macro simulator
+(``repro.jsim``), and the benchmark harness all draw on the same numbers.
+Citations point at the paper section that states each value.
 
 Key constants (Section 2.1 unless noted):
 
@@ -16,16 +16,13 @@ Key constants (Section 2.1 unless noted):
 * Network channels carry 0.5 words/cycle; head latency is 1 cycle/hop.
 * Message dispatch takes 4 processor cycles.
 * A successful ``xlate`` takes 3 cycles.
-* The remote-read micro-benchmark adds 2 cycles/word for internal memory
-  and 8 cycles/word for external memory (Section 3.1).
-* The null-RPC base latency is 43 cycles: 24 cycles of network time plus
-  19 cycles of thread execution (Section 3.1).
+* A suspended thread costs 30-50 cycles to save and 20-50 to restart
+  (Table 2); the model charges the low ends.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict
+from dataclasses import dataclass, replace
 
 __all__ = ["CostModel", "DEFAULT_COSTS", "CLOCK_HZ", "CYCLE_NS", "WORD_BITS",
            "DATA_BITS", "PHITS_PER_WORD"]
@@ -49,20 +46,19 @@ PHITS_PER_WORD = 2
 
 @dataclass(frozen=True)
 class CostModel:
-    """Cycle costs of MDP operations.
+    """Cycle costs of MDP operations: every cost a simulator charges.
 
     The defaults encode the published machine; benchmarks construct
     variants via :meth:`with_overrides` for ablation studies (e.g. a
-    software-dispatch machine, or slower external memory).
+    software-dispatch machine, or slower external memory).  Each field
+    is read by the cycle level, the macro level, or both
+    (docs/COSTMODEL.md lists which); figures the simulation must
+    *reproduce* rather than charge live in :mod:`repro.bench.reference`.
     """
 
     # --- instruction execution -------------------------------------------
     #: Base cost of an instruction with register/immediate operands.
     reg_op: int = 1
-    #: Extra cycles when one operand lives in internal (on-chip) memory.
-    imem_operand_extra: int = 1
-    #: Extra cycles when an operand lives in external DRAM.
-    emem_operand_extra: int = 5          # 6-cycle access = 1 base + 5 extra
     #: Penalty for a taken branch (prefetch refill).
     branch_taken_extra: int = 2
     #: Cycles to fetch one instruction word (two instructions) from EMEM
@@ -85,23 +81,12 @@ class CostModel:
     inject_words_per_cycle: int = 2
     #: Cycles from message-at-queue-head to first handler instruction.
     dispatch: int = 4
-    #: Cycles of thread execution in the null-RPC round trip (two threads
-    #: totalling 19 cycles; the request thread runs 10, the reply 9).
-    null_rpc_thread_cycles: int = 19
-    #: Per-word cost of computing a remote-read reply from internal memory.
-    remote_read_imem_per_word: int = 2
-    #: Per-word cost of computing a remote-read reply from external memory.
-    remote_read_emem_per_word: int = 8
 
     # --- network ---------------------------------------------------------------
     #: Head-flit latency per hop, cycles.
     hop: int = 1
-    #: Cycles for one phit to cross a channel.
-    phit: int = 1
     #: Phits per 36-bit word.
     phits_per_word: int = PHITS_PER_WORD
-    #: Cycles consumed in the router at injection and at delivery (each).
-    interface: int = 1
 
     # --- naming -----------------------------------------------------------------
     #: Cycles for a successful xlate (hit in the associative match table).
@@ -111,25 +96,13 @@ class CostModel:
     #: Cycles for an enter instruction.
     enter: int = 4
 
-    # --- synchronization (Table 2) ------------------------------------------------
-    #: Read of a present, tagged slot (Success row, Tags column).
-    sync_tag_success: int = 2
-    #: Detecting a cfut fault (Failure row, Tags column).
-    sync_tag_failure: int = 6
-    #: Write data to a tagged slot (Write row, Tags column).
-    sync_tag_write: int = 4
-    #: Read guarded by a software flag (Success row, No-Tags column).
-    sync_flag_success: int = 5
-    #: Failed software-flag test (Failure row, No-Tags column).
-    sync_flag_failure: int = 7
-    #: Write data + set flag (Write row, No-Tags column).
-    sync_flag_write: int = 6
-    #: Thread save cost range on suspension (Save/Restore column).
-    suspend_save_min: int = 30
-    suspend_save_max: int = 50
-    #: Thread restart cost range.
-    restart_min: int = 20
-    restart_max: int = 50
+    # --- synchronization (Table 2's Save/Restore column) ----------------------
+    #: Thread save charged when a presence fault suspends a thread (the
+    #: low end of the paper's 30-50).
+    suspend_save: int = 30
+    #: Restart charged when a suspended thread becomes runnable (the low
+    #: end of the paper's 20-50).
+    restart: int = 20
 
     # --- faults -----------------------------------------------------------------------
     #: Cycles to vector to a fault handler (flush + vector fetch).
@@ -137,45 +110,13 @@ class CostModel:
     #: Software cost of the queue-overflow handler, per message spilled.
     queue_overflow_per_msg: int = 100
 
-    #: Free-form extras for ablation benches.
-    extras: Dict[str, int] = field(default_factory=dict)
-
     def with_overrides(self, **kwargs: int) -> "CostModel":
         """Return a copy with the given fields replaced.
 
-        Unknown keys land in :attr:`extras` so ablation benches can carry
-        custom knobs without widening this class.
+        An unknown name is a ``TypeError``: a misspelt cost must not
+        leave the machine silently on the published one.
         """
-        known = {k: v for k, v in kwargs.items() if k in self.__dataclass_fields__}
-        unknown = {k: v for k, v in kwargs.items() if k not in self.__dataclass_fields__}
-        model = replace(self, **known)
-        if unknown:
-            merged = dict(model.extras)
-            merged.update(unknown)
-            model = replace(model, extras=merged)
-        return model
-
-    # -- derived quantities -------------------------------------------------
-
-    def message_wire_cycles(self, length_words: int, hops: int) -> int:
-        """One-way network time for a worm of ``length_words`` over ``hops``.
-
-        The head takes 1 cycle/hop; the body streams behind it at 1 phit
-        per cycle, so the tail arrives ``phits_per_word * length`` cycles
-        after the head enters the network, plus interface cycles at each
-        end.
-        """
-        pipeline = self.hop * hops
-        streaming = self.phits_per_word * length_words
-        return pipeline + streaming + 2 * self.interface
-
-    def cycles_to_us(self, cycles: float) -> float:
-        """Convert cycles to microseconds at the prototype clock."""
-        return cycles * CYCLE_NS / 1e3
-
-    def us_to_cycles(self, us: float) -> float:
-        """Convert microseconds to cycles at the prototype clock."""
-        return us * 1e3 / CYCLE_NS
+        return replace(self, **kwargs)
 
 
 #: The published machine.

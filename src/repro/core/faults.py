@@ -62,30 +62,24 @@ class FaultPolicy:
 class RuntimeFaultPolicy(FaultPolicy):
     """The paper's runtime behaviour: suspend/restart on presence faults.
 
-    Args:
-        save_cycles: thread-save cost charged when a presence fault
-            suspends the running thread (paper range 30-50).
-        restart_cycles: cost charged when the thread is made runnable
-            again (paper range 20-50).
+    A suspension charges the processor's ``costs.suspend_save`` after the
+    fault vector; the restart charges ``costs.restart`` when the awaited
+    write arrives (Table 2's Save/Restore column).
     """
-
-    def __init__(self, save_cycles: int = 30, restart_cycles: int = 20) -> None:
-        self.save_cycles = save_cycles
-        self.restart_cycles = restart_cycles
 
     def on_cfut(self, proc: "Mdp", address: Optional[int], fault: CfutFault) -> int:
         if address is None:
             # A cfut in a register with no memory home cannot be watched;
             # that is a programming error under this runtime.
             raise fault
-        proc.suspend_on(address, restart_cycles=self.restart_cycles)
-        return proc.costs.fault_vector + self.save_cycles
+        proc.suspend_on(address)
+        return proc.costs.fault_vector + proc.costs.suspend_save
 
     def on_fut_use(self, proc: "Mdp", address: Optional[int], fault: FutUseFault) -> int:
         if address is None:
             raise fault
-        proc.suspend_on(address, restart_cycles=self.restart_cycles)
-        return proc.costs.fault_vector + self.save_cycles
+        proc.suspend_on(address)
+        return proc.costs.fault_vector + proc.costs.suspend_save
 
     def on_xlate_miss(self, proc: "Mdp", key: Word, fault: XlateMissFault) -> int:
         proc.amt.miss_fill(key)  # re-raises if genuinely unbound

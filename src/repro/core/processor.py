@@ -189,7 +189,6 @@ class _SuspendedThread:
     registers: List[Word] = field(default_factory=list)
     window: List[Word] = field(default_factory=list)
     window_base: int = 0
-    restart_cycles: int = 20
     trace: Optional[tuple] = None
 
 
@@ -715,12 +714,13 @@ class Mdp:
         self._current[priority] = _Thread(priority, message=None,
                                           trace=suspended.trace)
         self.counters.restarts += 1
-        self._charge("sync", suspended.restart_cycles)
+        restart = self.costs.restart
+        self._charge("sync", restart)
         if self._events is not None:
             self._events.emit("restart", now, self.node_id,
                               int(priority), name=f"restart@{suspended.ip}",
                               trace=suspended.trace)
-        return suspended.restart_cycles
+        return restart
 
     # -------------------------------------------------------------- execution
 
@@ -827,7 +827,7 @@ class Mdp:
 
     # -- suspension ------------------------------------------------------------
 
-    def suspend_on(self, address: int, restart_cycles: int = 20) -> None:
+    def suspend_on(self, address: int) -> None:
         """Suspend the current thread until ``address`` is written.
 
         Called by the fault policy from inside instruction execution.  The
@@ -853,7 +853,6 @@ class Mdp:
             registers=regset.snapshot(),
             window=window,
             window_base=window_base,
-            restart_cycles=restart_cycles,
             trace=thread.trace,
         )
         self._watch.setdefault(address, []).append(suspended)

@@ -44,14 +44,6 @@ _COORD_BITS = 6
 _COORD_MASK = (1 << _COORD_BITS) - 1
 
 
-def _to_signed32(value: int) -> int:
-    """Normalise an int into the signed 32-bit range (two's complement)."""
-    value &= _MASK32
-    if value > _INT_MAX:
-        value -= 1 << 32
-    return value
-
-
 class Word:
     """An immutable 36-bit MDP word: 4-bit :class:`Tag` + 32-bit value."""
 

@@ -1,7 +1,6 @@
 """Event-driven macro simulator: handler-level execution with cycle costs."""
 
 from .calibrate import CalibrationResult, calibrate
-from .collectives import binomial_children, binomial_parent
 from .netmodel import LatencyModel
 from .profile import CATEGORIES, Profile
 from .sim import Context, HandlerStats, MacroConfig, MacroSimulator, SimNode
@@ -9,8 +8,6 @@ from .sim import Context, HandlerStats, MacroConfig, MacroSimulator, SimNode
 __all__ = [
     "CalibrationResult",
     "calibrate",
-    "binomial_children",
-    "binomial_parent",
     "LatencyModel",
     "CATEGORIES",
     "Profile",

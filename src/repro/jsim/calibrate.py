@@ -34,7 +34,8 @@ from ..core.costs import DEFAULT_COSTS, CostModel
 from ..network.observatory import FabricReport
 from ..network.topology import Mesh3D
 from ..network.traffic import RandomTrafficExperiment
-from .netmodel import CONTENTION_CAP, CONTENTION_SCALE, LatencyModel
+from .netmodel import (CONTENTION_CAP, CONTENTION_SCALE, INTERFACE_CYCLES,
+                       LatencyModel)
 
 __all__ = ["CalibrationPoint", "CalibrationResult", "calibrate"]
 
@@ -120,7 +121,7 @@ class CalibrationResult:
 
 
 def _measure_point(mesh: Mesh3D, message_words: int, idle_cycles: int,
-                   costs: CostModel, interface_cycles: int, seed: int,
+                   costs: CostModel, seed: int,
                    warmup_cycles: int, measure_cycles: int
                    ) -> CalibrationPoint:
     experiment = RandomTrafficExperiment(
@@ -133,7 +134,7 @@ def _measure_point(mesh: Mesh3D, message_words: int, idle_cycles: int,
     report = FabricReport.from_fabric(experiment.fabric, now)
     total_hops = sum(report.dim_hops)
     mean_hops = total_hops / report.messages if report.messages else 0.0
-    base = (interface_cycles + costs.hop * mean_hops
+    base = (INTERFACE_CYCLES + costs.hop * mean_hops
             + costs.phits_per_word * message_words)
     utilization = report.midplane_split()["midplane"]["peak_utilization"]
     return CalibrationPoint(
@@ -149,7 +150,7 @@ def _measure_point(mesh: Mesh3D, message_words: int, idle_cycles: int,
 def calibrate(mesh: Optional[Mesh3D] = None, message_words: int = 8,
               idle_points: Tuple[int, ...] = DEFAULT_IDLE_POINTS,
               costs: CostModel = DEFAULT_COSTS,
-              interface_cycles: int = 9, seed: int = 12345,
+              seed: int = 12345,
               warmup_cycles: int = 2000, measure_cycles: int = 6000
               ) -> CalibrationResult:
     """Measure ``len(idle_points)`` load points and fit the contention
@@ -157,8 +158,8 @@ def calibrate(mesh: Optional[Mesh3D] = None, message_words: int = 8,
     """
     mesh = mesh if mesh is not None else Mesh3D(4, 4, 2)
     points = [
-        _measure_point(mesh, message_words, idle, costs, interface_cycles,
-                       seed, warmup_cycles, measure_cycles)
+        _measure_point(mesh, message_words, idle, costs, seed,
+                       warmup_cycles, measure_cycles)
         for idle in idle_points
     ]
     numerator = sum(p.residual * p.x for p in points)

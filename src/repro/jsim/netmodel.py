@@ -26,7 +26,12 @@ from __future__ import annotations
 from ..core.costs import CostModel, DEFAULT_COSTS
 from ..network.topology import Mesh3D
 
-__all__ = ["LatencyModel", "CONTENTION_SCALE", "CONTENTION_CAP"]
+__all__ = ["LatencyModel", "CONTENTION_SCALE", "CONTENTION_CAP",
+           "INTERFACE_CYCLES"]
+
+#: Fixed per-message cycles outside the hops and the body: the sending
+#: and receiving interface pipelines (the ``interface`` term above).
+INTERFACE_CYCLES = 9
 
 #: Sliding-window length for utilization metering, in cycles.
 _WINDOW_CYCLES = 1024
@@ -50,18 +55,17 @@ class LatencyModel:
     calibrator (:mod:`repro.jsim.calibrate`) fits it against per-link
     utilization measured by the flit simulator's fabric observatory and
     installs the fit on a live model.  The metering window, the cap and
-    the usable fraction of the bisection are module constants.
+    the usable fraction of the bisection and the interface cycles are
+    module constants.
     """
 
     def __init__(
         self,
         mesh: Mesh3D,
         costs: CostModel = DEFAULT_COSTS,
-        interface_cycles: int = 9,
     ) -> None:
         self.mesh = mesh
         self.costs = costs
-        self.interface_cycles = interface_cycles
         self.contention_scale = CONTENTION_SCALE
         # Usable crossing capacity, in words per cycle (both directions:
         # Y*Z channels each way at 0.5 words/cycle).
@@ -114,7 +118,7 @@ class LatencyModel:
         half = x_dim // 2
         x_part = [(hop * abs(sx - x)) << 1 | ((sx < half) != (x < half))
                   for x in range(x_dim)]
-        yz_part = [(self.interface_cycles
+        yz_part = [(INTERFACE_CYCLES
                     + hop * (abs(sy - y) + abs(sz - z))) << 1
                    for z in range(z_dim) for y in range(y_dim)]
         row = self._rows[src] = [yz_cost + x_cost for yz_cost in yz_part
@@ -161,7 +165,7 @@ class LatencyModel:
     #: rather than loads: the mesh/cost structure, the sizing constants
     #: derived from them, and the pure per-source distance rows.
     EXTERNAL_ATTRS = frozenset({
-        "mesh", "costs", "interface_cycles", "capacity_words_per_cycle",
+        "mesh", "costs", "capacity_words_per_cycle",
         "_phits_per_word", "_rows", "contention_scale",
     })
 

@@ -48,7 +48,13 @@ Handler = Callable[..., None]
 
 @dataclass
 class MacroConfig:
-    """Tunables of the macro simulation level."""
+    """Tunables of the macro simulation level.
+
+    The MDP costs it charges per task (dispatch, ``xlate`` hit and miss,
+    one cycle per ``inject_words_per_cycle`` words sent) are read from
+    ``costs``, the same :class:`CostModel` the cycle level runs on; the
+    fields here exist only at handler granularity.
+    """
 
     #: Default cycles charged per abstract instruction.  The paper quotes
     #: a typical rate of 5.5 MIPS at 12.5 MHz (~2.3 cycles/instruction)
@@ -56,16 +62,10 @@ class MacroConfig:
     cycles_per_instruction: float = 2.0
     #: Sender-side fixed overhead per message (format + inject), cycles.
     send_overhead_cycles: int = 4
-    #: Additional sender cycles per message word (SEND2 = 2 words/cycle).
-    send_per_word_cycles: float = 0.5
-    #: Hardware dispatch cost at the receiver, cycles.
-    dispatch_cycles: int = 4
-    #: Cycles for a successful xlate.
-    xlate_cycles: int = 3
-    #: Cycles for an xlate miss (fault + software reload).
-    xlate_fault_cycles: int = 40
     #: Cycles to convert a node index to a router address in software.
     nnr_cycles: int = 6
+    #: The MDP cost table, shared with the cycle level.
+    costs: CostModel = DEFAULT_COSTS
 
 
 @dataclass
@@ -175,8 +175,8 @@ class Context:
 
     def xlate(self, count: int = 1, fault: bool = False) -> None:
         """Charge ``count`` name translations (Table 5's xlate columns)."""
-        config = self._config
-        cycles = count * (config.xlate_fault_cycles if fault else config.xlate_cycles)
+        costs = self._config.costs
+        cycles = count * (costs.xlate_miss if fault else costs.xlate_hit)
         profile = self.node.profile
         profile.xlate_count += count
         if fault:
@@ -227,7 +227,7 @@ class Context:
         except KeyError:
             config = self._config
             overhead = sim._send_cost[length] = config.send_overhead_cycles \
-                + int(round(config.send_per_word_cycles * length))
+                + int(round(length / config.costs.inject_words_per_cycle))
         cats = self.cats
         cats["comm"] = cats.get("comm", 0) + overhead
         self.charged += overhead
@@ -252,17 +252,12 @@ class MacroSimulator:
         self,
         n_nodes: int,
         config: Optional[MacroConfig] = None,
-        costs: CostModel = DEFAULT_COSTS,
-        mesh: Optional[Mesh3D] = None,
         telemetry=None,
     ) -> None:
-        self.mesh = mesh if mesh is not None else Mesh3D.for_nodes(n_nodes)
-        if self.mesh.n_nodes != n_nodes:
-            raise ConfigurationError("mesh size does not match n_nodes")
+        self.mesh = Mesh3D.for_nodes(n_nodes)
         self.n_nodes = n_nodes
         self.config = config if config is not None else MacroConfig()
-        self.costs = costs
-        self.network = LatencyModel(self.mesh, costs)
+        self.network = LatencyModel(self.mesh, self.config.costs)
         self.nodes = [SimNode(i) for i in range(n_nodes)]
         self.handlers: Dict[str, Handler] = {}
         self.handler_stats: Dict[str, HandlerStats] = {}
@@ -428,7 +423,7 @@ class MacroSimulator:
         arrival = self._ARRIVAL
         complete = self._COMPLETE
         ebus = self._ebus
-        dispatch = self.config.dispatch_cycles
+        dispatch = self.config.costs.dispatch
         # This run processes what is ordered before ``run_end``:
         # everything up to and including ``max_time``.
         limit = sys.maxsize if max_time is None else max_time

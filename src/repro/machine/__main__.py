@@ -28,6 +28,7 @@ import sys
 from typing import List
 
 from ..asm.assembler import assemble
+from ..core.costs import CYCLE_NS
 from ..core.errors import ConfigurationError
 from ..core.trace import Tracer
 from ..core.word import Word
@@ -120,7 +121,7 @@ def main(argv: List[str]) -> int:
 
     end = machine.run(max_cycles=options.max_cycles)
     print(f"; finished at cycle {end} "
-          f"({end * 80 / 1000:.1f} us at 12.5 MHz)")
+          f"({end * CYCLE_NS / 1000:.1f} us at 12.5 MHz)")
     print(f"; instructions: {machine.total_instructions()}, "
           f"busy cycles: {machine.total_busy_cycles()}")
 

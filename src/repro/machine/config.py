@@ -31,9 +31,6 @@ class MachineConfig:
     #: Calibrated network interface pipeline latencies (cycles).
     inject_latency: int = DEFAULT_INJECT_LATENCY
     eject_latency: int = DEFAULT_EJECT_LATENCY
-    #: Thread save/restart policy costs (Table 2's Save/Restore column).
-    suspend_save_cycles: int = 30
-    restart_cycles: int = 20
     #: Enable the paper's proposed node TLB: VNODE-tagged destinations
     #: are translated automatically in the network interface.
     auto_node_translation: bool = False

@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 from ..core.errors import SendFault, TypeFault
-from ..core.faults import RuntimeFaultPolicy
 from ..core.memory import NodeMemory
 from ..core.message import Message
 from ..core.processor import Mdp, NetworkInterface
@@ -140,10 +139,6 @@ class Node:
             node_id=node_id,
             memory=NodeMemory(costs=config.costs),
             costs=config.costs,
-            fault_policy=RuntimeFaultPolicy(
-                save_cycles=config.suspend_save_cycles,
-                restart_cycles=config.restart_cycles,
-            ),
             queue_words=config.queue_words,
             network=self.interface,
             fast_path=config.fast_path,

@@ -16,12 +16,12 @@ Gbits/sec at 12.5 MHz.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from ..core.costs import CLOCK_HZ, WORD_BITS
 from ..core.errors import ConfigurationError
 
-__all__ = ["Mesh3D", "Coord"]
+__all__ = ["Mesh3D", "Coord", "binomial_parent", "binomial_children"]
 
 Coord = Tuple[int, int, int]
 
@@ -135,3 +135,27 @@ class Mesh3D:
     def __repr__(self) -> str:
         x, y, z = self.dims
         return f"Mesh3D({x}x{y}x{z}, {self.n_nodes} nodes)"
+
+
+# -- the binomial tree over node ids ---------------------------------------------
+#
+# The paper's "binary combining/distributing tree" (radix sort's scan,
+# the runtime's reduction): node ``n``'s parent clears its lowest set
+# bit, so every node reaches node 0 in at most ``log2(N)`` hops.
+
+
+def binomial_parent(node: int) -> Optional[int]:
+    """The binomial-tree parent of ``node`` (None for the root)."""
+    if node == 0:
+        return None
+    return node - (node & -node)
+
+
+def binomial_children(node: int, n_nodes: int) -> List[int]:
+    """The binomial-tree children of ``node`` in an ``n_nodes`` machine."""
+    children = []
+    k = 1
+    while node % (k * 2) == 0 and node + k < n_nodes:
+        children.append(node + k)
+        k *= 2
+    return children

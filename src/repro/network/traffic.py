@@ -220,12 +220,11 @@ class TerminalBandwidthExperiment:
     """The Figure 4 experiment: saturated neighbour-to-neighbour stream.
 
     ``sink_mode`` selects what the receiver does with each message:
-    ``"discard"`` (no per-word work), ``"imem"`` (3 cycles/word copy), or
-    ``"emem"`` (6 cycles/word copy) — the constants the paper gives for
-    relocating arriving words (Section 4.3.2).
+    ``"discard"`` (no per-word work), ``"imem"`` or ``"emem"`` (a copy at
+    ``costs.queue_copy_imem_per_word`` / ``queue_copy_emem_per_word``,
+    the 3 and 6 cycles/word the paper gives for relocating arriving
+    words, Section 4.3.2).
     """
-
-    SINK_CYCLES_PER_WORD = {"discard": 0, "imem": 3, "emem": 6}
 
     def __init__(
         self,
@@ -233,13 +232,17 @@ class TerminalBandwidthExperiment:
         sink_mode: str = "discard",
         costs: CostModel = DEFAULT_COSTS,
     ) -> None:
-        if sink_mode not in self.SINK_CYCLES_PER_WORD:
+        #: Sink cycles per delivered word, by mode (0: discard).
+        per_word = {"discard": 0, "imem": costs.queue_copy_imem_per_word,
+                    "emem": costs.queue_copy_emem_per_word}
+        if sink_mode not in per_word:
             raise ConfigurationError(f"unknown sink mode {sink_mode!r}")
         if message_words < 1:
             raise ConfigurationError("message must be at least 1 word")
         self.message_words = message_words
         self.sink_mode = sink_mode
         self.costs = costs
+        self._per_word = per_word[sink_mode]
         self.mesh = Mesh3D(2, 1, 1)
         self.fabric = Fabric(self.mesh, self._accept, self._deliver, costs=costs)
         self._queued_words = 0
@@ -257,8 +260,7 @@ class TerminalBandwidthExperiment:
 
     def _deliver(self, node: int, message: Message, now: int) -> None:
         self._in_flight -= 1
-        per_word = self.SINK_CYCLES_PER_WORD[self.sink_mode]
-        if per_word == 0:
+        if self._per_word == 0:
             if self._measuring:
                 self._delivered_words += message.length
             return
@@ -267,7 +269,7 @@ class TerminalBandwidthExperiment:
 
     def _service(self, now: int) -> None:
         """Sink consumer: drains the receive queue at its copy rate."""
-        per_word = self.SINK_CYCLES_PER_WORD[self.sink_mode]
+        per_word = self._per_word
         if per_word == 0 or now < self._service_busy_until:
             return
         if not self._pending_service:

@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..asm.assembler import assemble
+from ..core.costs import CYCLE_NS
 from ..core.errors import ConfigurationError
 from ..core.registers import Priority
 from ..core.word import Word
@@ -88,8 +89,8 @@ class BarrierResult:
     def cycles_per_barrier(self) -> float:
         return self.total_cycles / self.barriers
 
-    def microseconds_per_barrier(self, cycle_ns: float = 80.0) -> float:
-        return self.cycles_per_barrier * cycle_ns / 1e3
+    def microseconds_per_barrier(self) -> float:
+        return self.cycles_per_barrier * CYCLE_NS / 1e3
 
 
 def run_barrier_experiment(

@@ -25,6 +25,7 @@ from ..core.registers import Priority
 from ..core.word import Word
 from ..machine.jmachine import JMachine
 from ..machine.stop import StopFlags
+from ..network.topology import binomial_children
 
 __all__ = ["ReduceResult", "run_reduction", "REDUCE_SOURCE"]
 
@@ -101,15 +102,6 @@ k_done:
 """
 
 
-def _binomial_children(node: int, n_nodes: int) -> List[int]:
-    children = []
-    k = 1
-    while node % (k * 2) == 0 and node + k < n_nodes:
-        children.append(node + k)
-        k *= 2
-    return children
-
-
 @dataclass
 class ReduceResult:
     n_nodes: int
@@ -131,7 +123,7 @@ def run_reduction(machine: JMachine, values: List[int],
 
     for node_id in range(n):
         proc = machine.node(node_id).proc
-        children = _binomial_children(node_id, n)
+        children = binomial_children(node_id, n)
         proc.memory.poke(base + 0, Word.from_int(node_id))
         proc.memory.poke(base + 1, Word.from_int(values[node_id]))
         proc.memory.poke(base + 2, Word.from_int(len(children)))

@@ -89,7 +89,7 @@ _SEQUENCES = {
 
 @dataclass
 class SyncCosts:
-    """Measured cycles for Table 2's rows, plus the policy constants."""
+    """Measured cycles for Table 2's Tags and No Tags columns."""
 
     tags_success: int
     tags_failure: int
@@ -97,26 +97,14 @@ class SyncCosts:
     flag_success: int
     flag_failure: int
     flag_write: int
-    save_min: int
-    save_max: int
-    restart_min: int
-    restart_max: int
 
     def as_table(self) -> Dict[str, Dict[str, object]]:
         """Rows keyed like the paper's Table 2."""
         return {
             "Success": {"Tags": self.tags_success, "No Tags": self.flag_success},
-            "Failure": {
-                "Tags": self.tags_failure,
-                "No Tags": self.flag_failure,
-                "Save/Restore": f"{self.save_min} - {self.save_max}",
-            },
+            "Failure": {"Tags": self.tags_failure, "No Tags": self.flag_failure},
             "Write": {"Tags": self.tags_write, "No Tags": self.flag_write},
-            "Restart": {
-                "Tags": 0,
-                "No Tags": 0,
-                "Save/Restore": f"{self.restart_min} - {self.restart_max}",
-            },
+            "Restart": {"Tags": 0, "No Tags": 0},
         }
 
 
@@ -159,23 +147,7 @@ def _measure(name: str, source: str) -> int:
     return now - halt_cost
 
 
-def measure_sync_costs(
-    save_min: int = 30,
-    save_max: int = 50,
-    restart_min: int = 20,
-    restart_max: int = 50,
-) -> SyncCosts:
+def measure_sync_costs() -> SyncCosts:
     """Measure every Table 2 sequence on the cycle-accurate MDP."""
-    measured = {name: _measure(name, src) for name, src in _SEQUENCES.items()}
-    return SyncCosts(
-        tags_success=measured["tags_success"],
-        tags_failure=measured["tags_failure"],
-        tags_write=measured["tags_write"],
-        flag_success=measured["flag_success"],
-        flag_failure=measured["flag_failure"],
-        flag_write=measured["flag_write"],
-        save_min=save_min,
-        save_max=save_max,
-        restart_min=restart_min,
-        restart_max=restart_max,
-    )
+    return SyncCosts(**{name: _measure(name, src)
+                        for name, src in _SEQUENCES.items()})

@@ -34,8 +34,10 @@ instruments (pull sources re-derive from restored counters), and
 from __future__ import annotations
 
 import heapq
+from dataclasses import fields
 from typing import Any, Dict, List, Optional
 
+from ..core.costs import CostModel
 from ..core.errors import SnapshotError
 from ..core.processor import Mdp
 
@@ -73,13 +75,13 @@ MACHINE_EXTERNAL_ATTRS = frozenset({
 
 #: Same partition for ``MacroSimulator.__dict__``.
 MACRO_CAPTURED_ATTRS = frozenset({
-    "config", "costs", "n_nodes", "now", "end_time", "messages_sent",
+    "config", "n_nodes", "now", "end_time", "messages_sent",
     "_seq", "handlers", "handler_stats", "nodes", "_events", "_chaos",
     "network",                # stateful: utilization window + backlog
     "telemetry",
 })
 MACRO_EXTERNAL_ATTRS = frozenset({
-    "mesh",                   # derived from n_nodes/costs
+    "mesh",                   # derived from n_nodes
     "_bound",                 # handlers + handler_stats, paired by register()
     "_send_cost",             # derived from config, filled on use
     "_ebus", "_trace",        # telemetry wiring
@@ -87,6 +89,11 @@ MACRO_EXTERNAL_ATTRS = frozenset({
     "checkpoint",             # host-side policy
     "sampler",                # host-side live-monitoring rig
 })
+
+#: ``MachineConfig`` fields retired into ``CostModel`` (docs/SNAPSHOT.md
+#: §1), by the cost's name there.
+_RETIRED_CONFIG_COSTS = {"suspend_save_cycles": "suspend_save",
+                         "restart_cycles": "restart"}
 
 #: Placeholder for a reliable-transport retransmit timer in a captured
 #: macro event heap; re-bound to the restored layer by sequence number.
@@ -199,10 +206,29 @@ def capture_machine(machine) -> dict:
     }
 
 
+def _fold_retired_costs(payload: dict) -> None:
+    """Move a capture's retired ``MachineConfig`` costs into a current
+    ``CostModel`` shared, as when captured, by the config, every
+    processor and every memory; the old model's retired fields stay
+    behind."""
+    config = payload["config"].__dict__
+    moved = {new: config.pop(old)
+             for old, new in _RETIRED_CONFIG_COSTS.items() if old in config}
+    if not moved:
+        return
+    old = config["costs"]
+    costs = CostModel(**{field.name: getattr(old, field.name)
+                         for field in fields(CostModel)}).with_overrides(**moved)
+    config["costs"] = costs
+    for node in payload["nodes"]:
+        node["proc"]["costs"] = node["proc"]["memory"].costs = costs
+
+
 def restore_machine(payload: dict):
     """Rebuild a ``JMachine`` from a :func:`capture_machine` payload."""
     from ..machine.jmachine import JMachine
 
+    _fold_retired_costs(payload)
     machine = JMachine(payload["config"],
                        telemetry=_restore_telemetry(payload["telemetry"]))
     if len(payload["nodes"]) != machine.mesh.n_nodes:
@@ -315,7 +341,6 @@ def capture_macro(sim) -> dict:
         })
     return {
         "config": sim.config,
-        "costs": sim.costs,
         "n_nodes": sim.n_nodes,
         "now": sim.now,
         "end_time": sim.end_time,

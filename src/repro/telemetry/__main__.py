@@ -23,6 +23,7 @@ import json
 import sys
 from typing import List, Optional
 
+from ..core.costs import DEFAULT_COSTS
 from .report import SimReport
 from .trace import CausalGraph
 
@@ -347,9 +348,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                                          "Telemetry(trace=True) run")
     critical.add_argument("--steps", type=int, default=0,
                           help="also show the N longest path steps")
-    critical.add_argument("--dispatch-cycles", type=int, default=4,
+    critical.add_argument("--dispatch-cycles", type=int,
+                          default=DEFAULT_COSTS.dispatch,
                           help="hardware dispatch cost assumed for "
-                               "cycle-level spans (default: 4)")
+                               "cycle-level spans (default: %(default)s)")
     critical.set_defaults(fn=_cmd_critical_path)
 
     args = parser.parse_args(argv)

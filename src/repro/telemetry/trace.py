@@ -47,6 +47,8 @@ import bisect
 import json
 from typing import (Any, Dict, Iterable, List, Optional, Sequence, Tuple)
 
+from ..core.costs import DEFAULT_COSTS
+
 __all__ = [
     "TraceState",
     "Span",
@@ -457,7 +459,8 @@ class CausalGraph:
         segments["compute"] = window - dispatch - suspended
         return segments
 
-    def critical_path(self, dispatch_cycles: int = 4) -> CriticalPath:
+    def critical_path(self, dispatch_cycles: int = DEFAULT_COSTS.dispatch
+                      ) -> CriticalPath:
         """Walk back from the last completion to its causal root."""
         executed = [s for s in self.spans.values()
                     if s.start_ts is not None and s.end_ts is not None]

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.apps.radix_sort import RadixParams, generate_keys, run_parallel
+from repro.core.costs import DEFAULT_COSTS
 from repro.core.errors import ConfigurationError
 from repro.jsim.sim import MacroConfig
 
@@ -45,7 +46,8 @@ class TestGrainBehaviour:
         assert fine.cycles < coarse.cycles * 1.5
 
     def test_fine_loses_badly_at_vendor_overheads(self):
-        config = MacroConfig(send_overhead_cycles=2400, dispatch_cycles=500)
+        config = MacroConfig(send_overhead_cycles=2400,
+                             costs=DEFAULT_COSTS.with_overrides(dispatch=500))
         fine = run_parallel(8, SMALL, config=config, style="fine")
         coarse = run_parallel(8, SMALL, config=config, style="coarse")
         assert fine.cycles > coarse.cycles * 3

@@ -18,6 +18,7 @@ import pytest
 
 from repro.asm.assembler import assemble
 from repro.core import fastpath
+from repro.core.costs import DEFAULT_COSTS
 from repro.core.errors import SegmentationFault, TypeFault
 from repro.core.faults import RuntimeFaultPolicy
 from repro.core.message import Message
@@ -34,9 +35,8 @@ PATHS = pytest.mark.parametrize("events", [False, True],
 
 
 def _proc(source, fast, events, policy=None, network=None):
-    proc = Mdp(node_id=0, fast_path=fast, network=network,
-               fault_policy=policy or RuntimeFaultPolicy(save_cycles=10,
-                                                         restart_cycles=10))
+    proc = Mdp(node_id=0, fast_path=fast, network=network, fault_policy=policy,
+               costs=DEFAULT_COSTS.with_overrides(suspend_save=10, restart=10))
     if events:
         proc._events = EventBus()
     program = assemble(source)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.costs import DEFAULT_COSTS
 from repro.core.errors import CfutFault, FutUseFault, SendFault, XlateMissFault
 from repro.core.faults import AbortFaultPolicy, RuntimeFaultPolicy
 from repro.core.processor import Mdp
@@ -47,9 +48,12 @@ class TestRuntimePolicy:
             policy.on_fut_use(proc, None, FutUseFault("register fut"))
 
     def test_configurable_costs(self):
-        policy = RuntimeFaultPolicy(save_cycles=40, restart_cycles=35)
-        assert policy.save_cycles == 40
-        assert policy.restart_cycles == 35
+        """The save cost is the processor's, not the policy's."""
+        proc = Mdp(node_id=0, costs=DEFAULT_COSTS.with_overrides(
+            suspend_save=40, restart=35))
+        proc.suspend_on = lambda address: None  # no thread to park
+        cost = RuntimeFaultPolicy().on_cfut(proc, 100, CfutFault("x"))
+        assert cost == proc.costs.fault_vector + 40
 
 
 class TestAbortPolicy:

@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.core.costs import DEFAULT_COSTS
 from repro.core.errors import CfutFault
-from repro.core.faults import AbortFaultPolicy, RuntimeFaultPolicy
+from repro.core.faults import AbortFaultPolicy
 from repro.core.message import Message
 from repro.core.processor import MSG_WINDOW_P0, Mdp
 from repro.core.registers import Priority
@@ -157,7 +158,7 @@ class TestPresenceTags:
         producer:
             MOVE [A3+1], [A0+0]  ; write wakes the consumer
             SUSPEND
-        """, fault_policy=RuntimeFaultPolicy(save_cycles=10, restart_cycles=10))
+        """, costs=DEFAULT_COSTS.with_overrides(suspend_save=10, restart=10))
         base = program.end + 4
         proc.registers[Priority.P0].write("A0", Word.segment(base, 4))
         proc.memory.poke(base, Word.cfut())
@@ -209,7 +210,7 @@ class TestPresenceTags:
         producer:
             MOVE #9, [A0+0]
             SUSPEND
-        """, fault_policy=RuntimeFaultPolicy(save_cycles=5, restart_cycles=5))
+        """, costs=DEFAULT_COSTS.with_overrides(suspend_save=5, restart=5))
         base = program.end + 4
         proc.registers[Priority.P0].write("A0", Word.segment(base, 4))
         proc.memory.poke(base, Word.cfut())

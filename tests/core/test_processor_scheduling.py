@@ -1,6 +1,6 @@
 """Scheduler-order tests: restarts, queues, and priorities interleaved."""
 
-from repro.core.faults import RuntimeFaultPolicy
+from repro.core.costs import DEFAULT_COSTS
 from repro.core.message import Message
 from repro.core.registers import Priority
 from repro.core.word import Word
@@ -33,7 +33,7 @@ def test_restarted_thread_runs_before_new_messages():
         ADD  [A0+1], #1, R3
         MOVE R3, [A0+1]
         SUSPEND
-    """, fault_policy=RuntimeFaultPolicy(save_cycles=5, restart_cycles=5))
+    """, costs=DEFAULT_COSTS.with_overrides(suspend_save=5, restart=5))
     base = program.end + 4
     proc.registers[Priority.P0].write("A0", Word.segment(base, 4))
     proc.memory.poke(base, Word.cfut())
@@ -68,7 +68,7 @@ def test_priority_one_queue_beats_priority_zero_restart():
         MOVE [A0+2], R1
         MOVE R1, [A0+3]          ; snapshot: had the waiter finished?
         SUSPEND
-    """, fault_policy=RuntimeFaultPolicy(save_cycles=5, restart_cycles=5))
+    """, costs=DEFAULT_COSTS.with_overrides(suspend_save=5, restart=5))
     base = program.end + 4
     for priority in (Priority.P0, Priority.P1):
         proc.registers[priority].write("A0", Word.segment(base, 4))
@@ -100,7 +100,7 @@ def test_two_waiters_different_addresses():
     fill_second:
         MOVE #9, [A0+1]
         SUSPEND
-    """, fault_policy=RuntimeFaultPolicy(save_cycles=5, restart_cycles=5))
+    """, costs=DEFAULT_COSTS.with_overrides(suspend_save=5, restart=5))
     base = program.end + 4
     proc.registers[Priority.P0].write("A0", Word.segment(base, 4))
     proc.memory.poke(base, Word.cfut())

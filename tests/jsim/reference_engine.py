@@ -56,7 +56,7 @@ class ReferenceSimulator(MacroSimulator):
         queue = queues[priority]
         handler_name, args, trace = queue.popleft()
         self.handler_stats[handler_name].invocations += 1
-        dispatch = self.config.dispatch_cycles
+        dispatch = self.config.costs.dispatch
         node.profile.__dict__["comm"] += dispatch
         ctx = Context(self, node, start + dispatch, trace)
         self.handlers[handler_name](ctx, *args)

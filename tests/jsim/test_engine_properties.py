@@ -46,6 +46,7 @@ import pickle
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.core.costs import DEFAULT_COSTS
 from repro.jsim.sim import MacroConfig, MacroSimulator
 from repro.runtime.rpc import _RetryTimer
 from repro.snapshot.state import capture_macro, restore_macro
@@ -94,7 +95,8 @@ class _Side:
         n_nodes = plan["n_nodes"]
         self.sim = sim = cls(
             n_nodes,
-            config=MacroConfig(dispatch_cycles=plan["dispatch"]),
+            config=MacroConfig(costs=DEFAULT_COSTS.with_overrides(
+                dispatch=plan["dispatch"])),
             telemetry=Telemetry(events=True) if plan["telemetry"] else None)
         specs = plan["handlers"]
         names = [f"h{i}" for i in range(len(specs))]

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.core.errors import ConfigurationError
-from repro.jsim.netmodel import LatencyModel
+from repro.jsim.netmodel import INTERFACE_CYCLES, LatencyModel
 from repro.network.topology import Mesh3D
 
 
@@ -75,7 +75,7 @@ def _row_matches_mesh(m, src):
     row = m._build_row(src)
     assert len(row) == mesh.n_nodes
     for dst, packed in enumerate(row):
-        assert packed >> 1 == m.interface_cycles + hop * mesh.hops(src, dst)
+        assert packed >> 1 == INTERFACE_CYCLES + hop * mesh.hops(src, dst)
         assert bool(packed & 1) == mesh.crosses_x_midplane(src, dst)
 
 

@@ -69,7 +69,7 @@ class TestTiming:
         sim.inject(0, "h", at=0)
         sim.run()
         # arrival latency + 4-cycle dispatch before the handler starts
-        assert start_times[0] >= sim.config.dispatch_cycles
+        assert start_times[0] >= sim.config.costs.dispatch
 
     def test_node_serializes_tasks(self):
         sim = MacroSimulator(2)
@@ -168,7 +168,7 @@ class TestAccounting:
         sim.inject(0, "h")
         sim.run()
         profile = sim.nodes[0].profile
-        assert profile.xlate == sim.config.xlate_fault_cycles
+        assert profile.xlate == sim.config.costs.xlate_miss
         assert profile.xlate_faults == 1
 
     def test_handler_stats(self):
@@ -223,11 +223,6 @@ class TestConfig:
         sim.inject(0, "h")
         sim.run()
         assert sim.nodes[0].profile.compute == 30
-
-    def test_mesh_mismatch_rejected(self):
-        from repro.network.topology import Mesh3D
-        with pytest.raises(ConfigurationError):
-            MacroSimulator(8, mesh=Mesh3D(2, 1, 1))
 
 
 @settings(deadline=None, max_examples=25)

@@ -1,8 +1,12 @@
-"""Tests for the binomial tree shape radix sort combines over."""
+"""Tests for the binomial tree shape radix sort and the runtime's
+reduction combine over."""
+
+import subprocess
+import sys
 
 from hypothesis import given, strategies as st
 
-from repro.jsim.collectives import binomial_children, binomial_parent
+from repro.network.topology import binomial_children, binomial_parent
 
 
 class TestTreeShape:
@@ -37,3 +41,12 @@ class TestTreeShape:
                 reached.add(child)
                 frontier.append(child)
         assert reached == set(range(n_nodes))
+
+
+def test_cycle_level_reduction_loads_no_macro_module():
+    """The runtime's tree is the one in the topology, not a jsim copy."""
+    probe = ("import sys, repro.runtime.reduce; "
+             "print(sorted(m for m in sys.modules if m.startswith('repro.jsim')))")
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "[]"

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.costs import DEFAULT_COSTS
 from repro.core.errors import ConfigurationError
 from repro.machine.config import MachineConfig
 from repro.machine.jmachine import JMachine
@@ -57,10 +58,12 @@ class TestScaling:
 
     def test_suspend_policy_affects_barrier(self):
         slow = run_barrier_experiment(
-            machine(16, suspend_save_cycles=50, restart_cycles=50), barriers=5
+            machine(16, costs=DEFAULT_COSTS.with_overrides(
+                suspend_save=50, restart=50)), barriers=5
         )
         fast = run_barrier_experiment(
-            machine(16, suspend_save_cycles=8, restart_cycles=8), barriers=5
+            machine(16, costs=DEFAULT_COSTS.with_overrides(
+                suspend_save=8, restart=8)), barriers=5
         )
         assert fast.cycles_per_barrier < slow.cycles_per_barrier
 

@@ -45,6 +45,14 @@ The fabric's stagnation watchdog folded into the machine's deadlock
 watchdog, so its two ``state_dict`` keys (``watchdog_cycles`` and
 ``stagnant_cycles``) are retired; a file written before that carries
 both, and ``load_state`` no longer reads them.
+
+Thread save and restart costs moved from ``MachineConfig``
+(``suspend_save_cycles`` / ``restart_cycles``) into ``CostModel``, which
+lost fields nothing charged.  A file written before that holds the two
+config fields, a ``CostModel`` with the retired fields and without the
+two new ones, a fault policy carrying its own copies and suspended
+threads carrying their restart cost; ``restore_machine`` folds the
+config's values into a current ``CostModel``.
 """
 
 import copyreg
@@ -55,10 +63,15 @@ import pytest
 
 from repro.asm.assembler import assemble
 from repro.chaos import FaultSpec
+from repro.core.costs import DEFAULT_COSTS
+from repro.core.registers import Priority
 from repro.core.word import Word
 from repro.network.fabric import Worm
 from repro.network.routing import decode_key
+from repro.machine.config import MachineConfig
+from repro.machine.jmachine import JMachine
 from repro.snapshot import CheckpointPolicy, read_snapshot, restore_machine
+from repro.telemetry import Telemetry
 
 from .test_cycle_resume import ECHO, _build, _digest
 
@@ -250,6 +263,95 @@ def test_capture_with_retired_watchdog_keys_restores(tmp_path, specs):
     uninterrupted = _machine(specs, probe=True)
     uninterrupted.run(max_cycles=20_000)
     assert _stats(resumed.fabric) == _stats(uninterrupted.fabric)
+
+
+#: ``CostModel`` fields retired with the one cost table, as a parent
+#: build's pickle holds them.
+RETIRED_COST_FIELDS = {
+    "imem_operand_extra": 1, "emem_operand_extra": 5,
+    "null_rpc_thread_cycles": 19, "remote_read_imem_per_word": 2,
+    "remote_read_emem_per_word": 8, "phit": 1, "interface": 1,
+    "sync_tag_success": 2, "sync_tag_failure": 6, "sync_tag_write": 4,
+    "sync_flag_success": 5, "sync_flag_failure": 7, "sync_flag_write": 6,
+    "suspend_save_min": 30, "suspend_save_max": 50, "restart_min": 20,
+    "restart_max": 50, "extras": {},
+}
+
+#: Node 0's consumer suspends on a cfut slot; node 1 spins, then sends
+#: the producer that fills the slot and restarts it.
+SUSPENDER = """
+consumer:
+    MOVE  [A0+0], R2
+    MOVE  R2, [A0+1]
+    SUSPEND
+producer:
+    MOVE  [A3+1], [A0+0]
+    SUSPEND
+kick:
+    MOVE  [A3+1], R0
+spin:
+    SUB   R0, #1, R0
+    BT    R0, spin
+    MOVE  #0, R1
+    MOVE  #77, R2
+    SEND  R1
+    SEND2E #IP:producer, R2
+    SUSPEND
+"""
+
+
+def _suspender(costs):
+    machine = JMachine(MachineConfig(dims=(2, 1, 1), costs=costs),
+                       telemetry=Telemetry())
+    program = assemble(SUSPENDER)
+    machine.load(program)
+    base = program.end + 4
+    for node in machine.nodes:
+        node.proc.registers[Priority.P0].write("A0", Word.segment(base, 4))
+        node.proc.memory.poke(base, Word.cfut())
+    machine.inject(0, program.entry("consumer"))
+    machine.inject(1, program.entry("kick"), [Word.from_int(40)])
+    return machine
+
+
+def test_capture_with_retired_config_costs_restores(tmp_path):
+    """Tuned save/restart costs (Table 3's 8/8) survive a parent-form
+    capture taken while a thread waits: the restart after the resume is
+    charged 8, as in the uninterrupted run, not the default 20."""
+    tuned = DEFAULT_COSTS.with_overrides(suspend_save=8, restart=8)
+    whole = _suspender(tuned)
+    whole.run(max_cycles=20_000)
+    assert whole.nodes[0].proc.counters.restarts == 1
+    reference = _digest(whole)
+    machine = _suspender(tuned)
+    machine.checkpoint = CheckpointPolicy(
+        str(tmp_path / "old-{cycle}.ckpt"), every=10)
+    machine.run(max_cycles=20_000)
+    waiting = []
+    for path in tmp_path.iterdir():
+        _header, payload = read_snapshot(str(path))
+        if payload["nodes"][0]["proc"]["_watch"]:
+            waiting.append(payload)
+    assert waiting, "no capture holds the suspended consumer"
+    for payload in waiting:
+        config = payload["config"]
+        config.__dict__.update(suspend_save_cycles=8, restart_cycles=8)
+        costs = config.costs.__dict__     # unpickled: not ``tuned``
+        del costs["suspend_save"], costs["restart"]
+        costs.update(RETIRED_COST_FIELDS)
+        for node in payload["nodes"]:
+            proc = node["proc"]
+            proc["fault_policy"].__dict__.update(save_cycles=8,
+                                                 restart_cycles=8)
+            for threads in proc["_watch"].values():
+                for thread in threads:
+                    thread.__dict__["restart_cycles"] = 8
+        old = pickle.loads(pickle.dumps(payload))  # what reading unpickles
+        resumed = restore_machine(old)
+        assert resumed.config.costs == tuned
+        assert resumed.nodes[0].proc.costs is resumed.config.costs
+        resumed.run(max_cycles=20_000)
+        assert _digest(resumed) == reference
 
 
 def _stats(fabric):

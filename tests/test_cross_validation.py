@@ -11,13 +11,14 @@ import pytest
 
 from repro.asm import assemble
 from repro.core import Priority, Word
-from repro.jsim import MacroSimulator
+from repro.core.costs import DEFAULT_COSTS
+from repro.jsim import MacroConfig, MacroSimulator
 from repro.machine import JMachine, MachineConfig
 
 
-def cycle_level_relay(n_nodes: int, hops: int) -> int:
+def cycle_level_relay(n_nodes: int, hops: int, costs=DEFAULT_COSTS) -> int:
     """A token relayed ``hops`` times around a ring of MDPs (assembly)."""
-    machine = JMachine(MachineConfig(dims=(n_nodes, 1, 1)))
+    machine = JMachine(MachineConfig(dims=(n_nodes, 1, 1), costs=costs))
     program = assemble(f"""
     .equ LAST, {n_nodes - 1}
     relay:
@@ -50,9 +51,9 @@ def cycle_level_relay(n_nodes: int, hops: int) -> int:
     return machine.now
 
 
-def macro_level_relay(n_nodes: int, hops: int) -> int:
+def macro_level_relay(n_nodes: int, hops: int, costs=DEFAULT_COSTS) -> int:
     """The same relay expressed as jsim handlers with matching work."""
-    sim = MacroSimulator(n_nodes)
+    sim = MacroSimulator(n_nodes, config=MacroConfig(costs=costs))
 
     def relay(ctx, remaining):
         # The assembly handler executes ~8 instructions of control.
@@ -84,6 +85,19 @@ class TestRelayAgreement:
         long_m = macro_level_relay(8, 80)
         assert long_c / short_c == pytest.approx(4.0, rel=0.2)
         assert long_m / short_m == pytest.approx(4.0, rel=0.2)
+
+    @pytest.mark.parametrize("relay", [cycle_level_relay, macro_level_relay],
+                             ids=["cycle", "macro"])
+    def test_one_dispatch_override_retimes_each_level(self, relay):
+        """Both levels read ``dispatch`` from the one CostModel, so raising
+        it by delta raises the per-hop time by about delta (one dispatch a
+        hop; the cycle level measured 30.8 -> 47.0 for delta = 16)."""
+        hops, delta = 40, 16
+        slow = DEFAULT_COSTS.with_overrides(
+            dispatch=DEFAULT_COSTS.dispatch + delta)
+        base = relay(8, hops) / hops
+        assert relay(8, hops, slow) / hops - base == pytest.approx(
+            delta, rel=0.1)
 
 
 class TestNetworkModelAgreement:

@@ -25,6 +25,64 @@ def test_costmodel_doc_matches_published_constants():
     assert DEFAULT_COSTS.xlate_hit == 3
 
 
+def _cost_reads():
+    """``{field: levels}`` for every ``CostModel`` field read as
+    ``<...>costs.<field>`` under ``src/repro`` outside ``core/costs.py``;
+    a read in ``repro.jsim`` or ``repro.apps`` is the macro level's."""
+    import ast
+    from dataclasses import fields
+
+    from repro.core.costs import CostModel
+
+    names = {field.name for field in fields(CostModel)}
+    src = ROOT / "src" / "repro"
+    reads = {}
+    for path in src.rglob("*.py"):
+        package = path.relative_to(src).parts[0]
+        if path == src / "core" / "costs.py":
+            continue
+        level = "macro" if package in ("jsim", "apps") else "cycle"
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Attribute) and node.attr in names):
+                continue
+            owner = node.value
+            if getattr(owner, "attr", getattr(owner, "id", None)) == "costs":
+                reads.setdefault(node.attr, set()).add(level)
+    return reads
+
+
+def test_every_cost_is_charged():
+    """A ``CostModel`` field no simulator reads restates a number or
+    does nothing when set; it does not belong in the model."""
+    from dataclasses import fields
+
+    from repro.core.costs import CostModel
+
+    unread = {field.name for field in fields(CostModel)} - set(_cost_reads())
+    assert not unread, f"CostModel fields nothing reads: {sorted(unread)}"
+
+
+def test_costmodel_doc_lists_every_field_and_its_readers():
+    """COSTMODEL.md's field table is ``CostModel`` row for row: name,
+    default and the level(s) whose code reads it."""
+    from dataclasses import fields
+
+    from repro.core.costs import DEFAULT_COSTS, CostModel
+
+    text = (DOCS / "COSTMODEL.md").read_text()
+    table = text[text.index("## The `CostModel` fields"):
+                 text.index("## Published constants")]
+    rows = re.findall(r"^\| `([a-z_]+)` \| (\d+) \| (cycle|macro|both) \|",
+                      table, flags=re.MULTILINE)
+    levels = {"cycle": {"cycle"}, "macro": {"macro"},
+              "both": {"cycle", "macro"}}
+    reads = _cost_reads()
+    assert [(name, int(value), levels[level])
+            for name, value, level in rows] == [
+        (field.name, getattr(DEFAULT_COSTS, field.name),
+         reads.get(field.name)) for field in fields(CostModel)]
+
+
 def test_design_lists_every_package():
     import repro
 

@@ -7,6 +7,7 @@ import enum
 from typing import Optional, Tuple
 
 from repro.asm.assembler import Program, assemble
+from repro.core.costs import DEFAULT_COSTS, CostModel
 from repro.core.faults import FaultPolicy
 from repro.core.memory import NIL, NodeMemory
 from repro.core.processor import Mdp
@@ -21,10 +22,10 @@ __all__ = ["run_background", "load_processor", "machine_state",
 def load_processor(
     source: str,
     fault_policy: Optional[FaultPolicy] = None,
+    costs: CostModel = DEFAULT_COSTS,
 ) -> Tuple[Mdp, Program]:
     """Assemble ``source`` and load it into a fresh bare processor."""
-    kwargs = {} if fault_policy is None else {"fault_policy": fault_policy}
-    proc = Mdp(node_id=0, **kwargs)
+    proc = Mdp(node_id=0, costs=costs, fault_policy=fault_policy)
     program = assemble(source)
     program.load(proc)
     return proc, program
@@ -93,7 +94,12 @@ def _canon(obj):
         for name in getattr(klass, "__slots__", ()):
             if hasattr(obj, name):
                 fields[name] = getattr(obj, name)
-    return (type(obj).__name__, _canon(fields)) if fields else repr(obj)
+    if fields:
+        return (type(obj).__name__, _canon(fields))
+    # A stateless object (the runtime fault policy) is its type: the
+    # default repr would compare addresses.
+    return (type(obj).__name__ if type(obj).__repr__ is object.__repr__
+            else repr(obj))
 
 
 def machine_state(machine, returned=None):
