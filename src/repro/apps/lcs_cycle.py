@@ -128,10 +128,13 @@ class CycleLcsResult:
     threads: int
 
 
+#: Cycles a run may take before it counts as failed.
+MAX_CYCLES = 20_000_000
+
+
 def run_cycle_lcs(
     n_nodes: int,
     params: LcsParams = LcsParams(a_len=32, b_len=64),
-    max_cycles: int = 20_000_000,
 ) -> CycleLcsResult:
     """Run assembly LCS on a cycle-accurate machine and verify it."""
     if params.a_len % n_nodes:
@@ -173,7 +176,7 @@ def run_cycle_lcs(
     last = machine.node(n_nodes - 1).proc
     done = StopFlags([(n_nodes - 1, globals_base + 4, 1)])
     machine.inject(0, program.entry("startup"), [Word.from_int(0)])
-    machine.run(max_cycles=max_cycles, until=done)
+    machine.run(max_cycles=MAX_CYCLES, until=done)
     if not done.holds(machine):
         raise ConfigurationError("cycle-level LCS did not complete")
 

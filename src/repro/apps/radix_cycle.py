@@ -234,11 +234,14 @@ class CycleRadixResult:
     write_messages: int
 
 
+#: Cycles a sort may take before it counts as failed.
+MAX_CYCLES = 50_000_000
+
+
 def run_cycle_radix(
     n_nodes: int,
     keys: List[int],
     n_digits: int = 4,
-    max_cycles: int = 50_000_000,
     fast_path: bool = True,
     stop: str = "predicate",
 ) -> CycleRadixResult:
@@ -286,7 +289,7 @@ def run_cycle_radix(
                       for node_id in range(n_nodes)])
     for node_id in range(n_nodes):
         machine.inject(node_id, program.entry("sortkick"))
-    machine.run(max_cycles=max_cycles,
+    machine.run(max_cycles=MAX_CYCLES,
                 until=None if stop == "quiescent" else done)
     if not done.holds(machine):
         raise ConfigurationError("cycle-level radix sort did not finish")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
-from ..core.costs import CLOCK_HZ, DATA_BITS
+from ..core.costs import CLOCK_HZ, DATA_BITS, DEFAULT_COSTS
 from ..network.traffic import TerminalBandwidthExperiment, TerminalBandwidthResult
 from .harness import format_table
 
@@ -21,8 +21,9 @@ __all__ = ["Fig4Result", "run", "format_result", "MESSAGE_SIZES", "SINK_MODES"]
 MESSAGE_SIZES = (1, 2, 3, 4, 6, 8, 12, 16)
 SINK_MODES = ("discard", "imem", "emem")
 
-#: Channel-limited peak: 0.5 words/cycle of 32 data bits at 12.5 MHz.
-PEAK_BITS_PER_S = 0.5 * DATA_BITS * CLOCK_HZ
+#: Channel-limited peak: a word of 32 data bits per ``phits_per_word``
+#: cycles at 12.5 MHz.
+PEAK_BITS_PER_S = DATA_BITS * CLOCK_HZ / DEFAULT_COSTS.phits_per_word
 
 
 @dataclass

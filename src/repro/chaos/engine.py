@@ -47,16 +47,19 @@ COUNTER_NAMES = (
 )
 
 
+#: Entries the fault log keeps; later faults are still counted.
+LOG_LIMIT = 100_000
+
+
 class ChaosEngine:
     """Injects a :class:`FaultPlan` into a machine or macro simulator."""
 
-    def __init__(self, plan: FaultPlan, log_limit: int = 100_000) -> None:
+    def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
         self.counters: Dict[str, int] = {name: 0 for name in COUNTER_NAMES}
         #: Bounded structured log of every injected fault, for replay
         #: diffing: (cycle, kind, node, detail) tuples in injection order.
         self.log: List[Tuple[int, str, int, Any]] = []
-        self._log_limit = log_limit
         self._events = None  # telemetry EventBus, when bound
 
         # Rate-driven specs, split by level.
@@ -117,7 +120,7 @@ class ChaosEngine:
                amount: int = 1, **detail: Any) -> None:
         """Count one injected fault and log/emit it."""
         self.counters[counter] += amount
-        if len(self.log) < self._log_limit:
+        if len(self.log) < LOG_LIMIT:
             self.log.append((int(now), kind, node,
                              tuple(sorted(detail.items())) or None))
         if self._events is not None:
@@ -298,7 +301,6 @@ class ChaosEngine:
         """
         return {
             "plan": self.plan.to_dict(),
-            "log_limit": self._log_limit,
             "counters": dict(self.counters),
             "log": list(self.log),
             "fabric_rng": self._fabric_rng.getstate(),
@@ -323,7 +325,6 @@ class ChaosEngine:
 
             raise SnapshotError(
                 "chaos state was captured under a different fault plan")
-        self._log_limit = state["log_limit"]
         self.counters = dict(state["counters"])
         self.log = list(state["log"])
         self._fabric_rng.setstate(state["fabric_rng"])

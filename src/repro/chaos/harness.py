@@ -27,6 +27,9 @@ __all__ = ["ChaosRunResult", "run_app_under_plan", "APPS"]
 APPS = tuple(name for name, entry in CATALOGUE.items()
              if entry.level == "macro")
 
+#: Events a chaos run keeps before its bus counts drops.
+EVENT_LIMIT = 2_000_000
+
 
 @dataclass
 class ChaosRunResult:
@@ -64,12 +67,12 @@ class ChaosRunResult:
 
 def run_app_under_plan(
     plan: FaultPlan,
-    app: str = "lcs",
-    n_nodes: int = 8,
+    *,
+    app: str,
+    n_nodes: int,
     scale: Optional[float] = None,
     reliable: Any = True,
     events: bool = True,
-    event_limit: int = 2_000_000,
 ) -> ChaosRunResult:
     """Run one macro benchmark under ``plan`` and summarize the outcome.
 
@@ -86,7 +89,7 @@ def run_app_under_plan(
     params = {}
     if scale is not None and "scale" in CATALOGUE[app].schema:
         params["scale"] = scale
-    telemetry = Telemetry(events=events, event_limit=event_limit)
+    telemetry = Telemetry(events=events, event_limit=EVENT_LIMIT)
     engine = ChaosEngine(plan)
     result = ChaosRunResult(app=app, n_nodes=n_nodes, plan_name=plan.name,
                             seed=plan.seed, completed=False, correct=False)

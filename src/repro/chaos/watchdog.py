@@ -184,7 +184,7 @@ class DeadlockWatchdog:
             stays within ~12% of the window at ~zero polling cost.
     """
 
-    def __init__(self, window: int = 50_000,
+    def __init__(self, window: int,
                  interval: Optional[int] = None) -> None:
         if window <= 0:
             raise ValueError("watchdog window must be positive")

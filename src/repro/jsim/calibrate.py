@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from ..core.costs import DEFAULT_COSTS, CostModel
 from ..network.observatory import FabricReport
 from ..network.topology import Mesh3D
 from ..network.traffic import RandomTrafficExperiment
@@ -42,6 +41,8 @@ __all__ = ["CalibrationPoint", "CalibrationResult", "calibrate"]
 #: Offered-load sweep: near-saturation, moderate, and light traffic
 #: (larger ``idle_cycles`` = less load), mirroring Figure 3's spread.
 DEFAULT_IDLE_POINTS = (0, 200, 1000)
+#: Words per message at every load point.
+MESSAGE_WORDS = 8
 
 
 @dataclass
@@ -120,13 +121,11 @@ class CalibrationResult:
         return "\n".join(lines)
 
 
-def _measure_point(mesh: Mesh3D, message_words: int, idle_cycles: int,
-                   costs: CostModel, seed: int,
-                   warmup_cycles: int, measure_cycles: int
-                   ) -> CalibrationPoint:
+def _measure_point(mesh: Mesh3D, idle_cycles: int, warmup_cycles: int,
+                   measure_cycles: int) -> CalibrationPoint:
     experiment = RandomTrafficExperiment(
-        mesh, message_words=message_words, idle_cycles=idle_cycles,
-        costs=costs, seed=seed)
+        mesh, message_words=MESSAGE_WORDS, idle_cycles=idle_cycles)
+    costs = experiment.costs
     experiment.fabric.attach_probe()
     result = experiment.run(warmup_cycles=warmup_cycles,
                             measure_cycles=measure_cycles)
@@ -135,11 +134,11 @@ def _measure_point(mesh: Mesh3D, message_words: int, idle_cycles: int,
     total_hops = sum(report.dim_hops)
     mean_hops = total_hops / report.messages if report.messages else 0.0
     base = (INTERFACE_CYCLES + costs.hop * mean_hops
-            + costs.phits_per_word * message_words)
+            + costs.phits_per_word * MESSAGE_WORDS)
     utilization = report.midplane_split()["midplane"]["peak_utilization"]
     return CalibrationPoint(
         idle_cycles=idle_cycles,
-        message_words=message_words,
+        message_words=MESSAGE_WORDS,
         utilization=utilization,
         mean_hops=mean_hops,
         measured_latency=result.one_way_latency_cycles,
@@ -147,10 +146,8 @@ def _measure_point(mesh: Mesh3D, message_words: int, idle_cycles: int,
     )
 
 
-def calibrate(mesh: Optional[Mesh3D] = None, message_words: int = 8,
+def calibrate(mesh: Optional[Mesh3D] = None,
               idle_points: Tuple[int, ...] = DEFAULT_IDLE_POINTS,
-              costs: CostModel = DEFAULT_COSTS,
-              seed: int = 12345,
               warmup_cycles: int = 2000, measure_cycles: int = 6000
               ) -> CalibrationResult:
     """Measure ``len(idle_points)`` load points and fit the contention
@@ -158,8 +155,7 @@ def calibrate(mesh: Optional[Mesh3D] = None, message_words: int = 8,
     """
     mesh = mesh if mesh is not None else Mesh3D(4, 4, 2)
     points = [
-        _measure_point(mesh, message_words, idle, costs, seed,
-                       warmup_cycles, measure_cycles)
+        _measure_point(mesh, idle, warmup_cycles, measure_cycles)
         for idle in idle_points
     ]
     numerator = sum(p.residual * p.x for p in points)

@@ -68,8 +68,9 @@ class LatencyModel:
         self.costs = costs
         self.contention_scale = CONTENTION_SCALE
         # Usable crossing capacity, in words per cycle (both directions:
-        # Y*Z channels each way at 0.5 words/cycle).
-        raw = mesh.bisection_channels() * 2 * 0.5
+        # Y*Z channels each way, each carrying a word per
+        # ``phits_per_word`` cycles).
+        raw = mesh.bisection_channels() * 2 / costs.phits_per_word
         self.capacity_words_per_cycle = max(raw * _SATURATION_FRACTION,
                                             0.25)
         self._bucket_start = 0

@@ -7,7 +7,6 @@ from typing import Optional, Tuple
 
 from ..core.costs import CostModel, DEFAULT_COSTS
 from ..core.errors import ConfigurationError
-from ..network.fabric import DEFAULT_EJECT_LATENCY, DEFAULT_INJECT_LATENCY
 from ..network.topology import Mesh3D
 
 __all__ = ["MachineConfig"]
@@ -19,7 +18,9 @@ class MachineConfig:
 
     The defaults describe the 512-node prototype the paper evaluates:
     8x8x8 mesh, 12.5 MHz clock (in :class:`CostModel`), Tuned-J queue
-    configuration of 128 minimum-length messages per priority.
+    configuration of 128 minimum-length messages per priority.  The
+    network interface's pipeline latencies are the calibrated constants
+    of :mod:`repro.network.fabric`.
     """
 
     dims: Tuple[int, int, int] = (8, 8, 8)
@@ -28,9 +29,6 @@ class MachineConfig:
     queue_words: Optional[int] = None
     #: Words of send-buffer space in the network interface.
     send_buffer_words: int = 32
-    #: Calibrated network interface pipeline latencies (cycles).
-    inject_latency: int = DEFAULT_INJECT_LATENCY
-    eject_latency: int = DEFAULT_EJECT_LATENCY
     #: Enable the paper's proposed node TLB: VNODE-tagged destinations
     #: are translated automatically in the network interface.
     auto_node_translation: bool = False

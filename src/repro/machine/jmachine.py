@@ -47,8 +47,6 @@ class JMachine:
             accept_fn=self._accept,
             deliver_fn=self._deliver,
             costs=self.config.costs,
-            inject_latency=self.config.inject_latency,
-            eject_latency=self.config.eject_latency,
             arbitration=self.config.arbitration,
             flow_control=self.config.flow_control,
         )

@@ -167,7 +167,7 @@ class NetworkStats:
     def window_cycles(self, now: int) -> int:
         return max(1, now - self._window_start_cycle)
 
-    def bisection_traffic_bits_per_s(self, now: int, clock_hz: int = CLOCK_HZ) -> float:
+    def bisection_traffic_bits_per_s(self, now: int) -> float:
         """Measured bisection traffic, paper convention (one direction).
 
         Crossings are counted in both directions and halved, matching the
@@ -175,8 +175,4 @@ class NetworkStats:
         :meth:`~repro.network.topology.Mesh3D.bisection_capacity_bits_per_s`.
         """
         words_per_cycle = self.window_bisection_words / 2 / self.window_cycles(now)
-        return words_per_cycle * WORD_BITS * clock_hz
-
-    def message_rate_per_cycle(self, now: int) -> float:
-        """Completed messages per cycle in the current window."""
-        return self.window_completed / self.window_cycles(now)
+        return words_per_cycle * WORD_BITS * CLOCK_HZ

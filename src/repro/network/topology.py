@@ -16,9 +16,9 @@ Gbits/sec at 12.5 MHz.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from ..core.costs import CLOCK_HZ, WORD_BITS
+from ..core.costs import CLOCK_HZ, DEFAULT_COSTS, WORD_BITS
 from ..core.errors import ConfigurationError
 
 __all__ = ["Mesh3D", "Coord", "binomial_parent", "binomial_children"]
@@ -99,17 +99,6 @@ class Mesh3D:
         """Corner-to-corner distance (21 for the 8x8x8 machine)."""
         return sum(d - 1 for d in self.dims)
 
-    def neighbors(self, node: int) -> Iterator[int]:
-        """Node ids adjacent to ``node`` (2-6 of them in a mesh)."""
-        x, y, z = self.coord(node)
-        for dim, (c, limit) in enumerate(zip((x, y, z), self.dims)):
-            for delta in (-1, 1):
-                nc = c + delta
-                if 0 <= nc < limit:
-                    coord = [x, y, z]
-                    coord[dim] = nc
-                    yield self.node_id(tuple(coord))
-
     def nodes_at_distance(self, origin: int, hops: int) -> List[int]:
         """All nodes exactly ``hops`` away from ``origin``."""
         return [n for n in range(self.n_nodes) if self.hops(origin, n) == hops]
@@ -127,10 +116,11 @@ class Mesh3D:
         """Channels crossing the X midplane, counted one direction."""
         return self.dims[1] * self.dims[2]
 
-    def bisection_capacity_bits_per_s(self, clock_hz: int = CLOCK_HZ) -> float:
+    def bisection_capacity_bits_per_s(self) -> float:
         """Peak bisection rate, paper convention (14.4 Gb/s at 8x8x8)."""
-        words_per_cycle = 0.5 * self.bisection_channels()
-        return words_per_cycle * WORD_BITS * clock_hz
+        words_per_cycle = (self.bisection_channels()
+                           / DEFAULT_COSTS.phits_per_word)
+        return words_per_cycle * WORD_BITS * CLOCK_HZ
 
     def __repr__(self) -> str:
         x, y, z = self.dims

@@ -93,10 +93,13 @@ class BarrierResult:
         return self.cycles_per_barrier * CYCLE_NS / 1e3
 
 
+#: Cycles the experiment may run before it counts as failed.
+MAX_CYCLES = 10_000_000
+
+
 def run_barrier_experiment(
     machine: JMachine,
     barriers: int = 10,
-    max_cycles: int = 10_000_000,
 ) -> BarrierResult:
     """Run ``barriers`` consecutive full-machine barriers; time them.
 
@@ -129,7 +132,7 @@ def run_barrier_experiment(
     for node_id in range(n):
         machine.inject(node_id, program.entry("barrier_run"))
     done = StopFlags([(node_id, globals_base + 3, 1) for node_id in range(n)])
-    machine.run(max_cycles=max_cycles, until=done)
+    machine.run(max_cycles=MAX_CYCLES, until=done)
     if not done.holds(machine):
         raise ConfigurationError("barrier experiment did not complete")
     return BarrierResult(

@@ -110,8 +110,11 @@ class ReduceResult:
     broadcast_complete: bool
 
 
-def run_reduction(machine: JMachine, values: List[int],
-                  max_cycles: int = 2_000_000) -> ReduceResult:
+#: Cycles a reduction may run before it counts as failed.
+MAX_CYCLES = 2_000_000
+
+
+def run_reduction(machine: JMachine, values: List[int]) -> ReduceResult:
     """Sum one integer per node through the combining tree; verify."""
     n = machine.mesh.n_nodes
     if len(values) != n:
@@ -138,7 +141,7 @@ def run_reduction(machine: JMachine, values: List[int],
     for node_id in range(n):
         machine.inject(node_id, program.entry("kick"))
     done = StopFlags([(node_id, base + 4, 1) for node_id in range(n)])
-    machine.run(max_cycles=max_cycles, until=done)
+    machine.run(max_cycles=MAX_CYCLES, until=done)
     complete = done.holds(machine)
     total = machine.node(0).proc.memory.peek(base + 3).value
     if total != sum(values):

@@ -61,6 +61,8 @@ _G_DONE = 3       # completion flag
 _G_INDEX = 4      # index to read remotely
 _G_DATA = 5       # landing area for read replies (up to 6 words)
 GLOBALS_WORDS = 12
+#: Cycles an experiment may run before it counts as failed.
+MAX_CYCLES = 2_000_000
 
 RPC_SOURCE = """
 ; ---- requester side -------------------------------------------------
@@ -509,7 +511,6 @@ def _run(
     requester: int,
     responder: int,
     iterations: int,
-    max_cycles: int,
     stop: str = "predicate",
 ) -> PingResult:
     globals_base = program.end + 4
@@ -521,9 +522,9 @@ def _run(
         # The experiment naturally quiesces once the flag is set (all
         # threads end), so this measures the same work plus the final
         # drain.
-        machine.run(max_cycles=max_cycles)
+        machine.run(max_cycles=MAX_CYCLES)
     else:
-        machine.run(max_cycles=max_cycles, until=done)
+        machine.run(max_cycles=MAX_CYCLES, until=done)
     if not done.holds(machine):
         raise ConfigurationError("RPC experiment did not complete")
     return PingResult(
@@ -540,7 +541,6 @@ def run_ping(
     requester: int = 0,
     responder: Optional[int] = None,
     iterations: int = 20,
-    max_cycles: int = 2_000_000,
     stop: str = "predicate",
 ) -> PingResult:
     """Measure null-RPC round-trip latency (the Figure 2 "Ping" line).
@@ -553,7 +553,7 @@ def run_ping(
     responder = requester if responder is None else responder
     program = _setup(machine, requester, responder, iterations, 0, True)
     return _run(machine, program, "ping_go", requester, responder,
-                iterations, max_cycles, stop=stop)
+                iterations, stop=stop)
 
 
 def run_remote_read(
@@ -563,7 +563,6 @@ def run_remote_read(
     requester: int = 0,
     responder: Optional[int] = None,
     iterations: int = 20,
-    max_cycles: int = 2_000_000,
 ) -> PingResult:
     """Measure a remote read of 1 or 6 words from Imem or Emem."""
     if words not in (1, 6):
@@ -572,4 +571,4 @@ def run_remote_read(
     program = _setup(machine, requester, responder, iterations, 0, internal)
     label = "read1_go" if words == 1 else "read6_go"
     return _run(machine, program, label, requester, responder,
-                iterations, max_cycles)
+                iterations)

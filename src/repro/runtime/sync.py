@@ -28,7 +28,6 @@ figures:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 from ..asm.assembler import assemble
 from ..core.errors import CfutFault
@@ -97,15 +96,6 @@ class SyncCosts:
     flag_success: int
     flag_failure: int
     flag_write: int
-
-    def as_table(self) -> Dict[str, Dict[str, object]]:
-        """Rows keyed like the paper's Table 2."""
-        return {
-            "Success": {"Tags": self.tags_success, "No Tags": self.flag_success},
-            "Failure": {"Tags": self.tags_failure, "No Tags": self.flag_failure},
-            "Write": {"Tags": self.tags_write, "No Tags": self.flag_write},
-            "Restart": {"Tags": 0, "No Tags": 0},
-        }
 
 
 def _measure(name: str, source: str) -> int:

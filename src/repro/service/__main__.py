@@ -28,6 +28,11 @@ import urllib.request
 from typing import Any, Dict, List, Optional
 
 from .spec import APPS
+from .supervisor import DRAIN_TIMEOUT_S, ServiceConfig
+
+#: Where ``serve`` listens and the clients look for it.
+HOST = "127.0.0.1"
+PORT = 8124
 
 
 def _post(url: str, path: str, body: Dict[str, Any],
@@ -94,7 +99,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from ..telemetry.live import LiveSampler
     from .http import ServiceServer
-    from .supervisor import ServiceConfig, Supervisor
+    from .supervisor import Supervisor
 
     logging.basicConfig(
         stream=sys.stderr, format="%(asctime)s %(name)s: %(message)s",
@@ -148,8 +153,10 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
-    spec: Dict[str, Any] = {"app": args.app, "n_nodes": args.nodes,
+    spec: Dict[str, Any] = {"app": args.app,
                             "params": _parse_params(args.param)}
+    if args.nodes is not None:
+        spec["n_nodes"] = args.nodes
     if args.plan is not None:
         with open(args.plan, "r", encoding="utf-8") as fh:
             spec["plan"] = json.load(fh)
@@ -198,32 +205,40 @@ def main(argv: Optional[List[str]] = None) -> int:
     serve.add_argument("--workdir", default="service-work",
                        help="state directory: cache/, ckpt/, logs/ "
                             "(default: ./service-work)")
-    serve.add_argument("--workers", type=int, default=2,
-                       help="worker processes (default: 2)")
-    serve.add_argument("--queue-limit", type=int, default=32,
+    serve.add_argument("--workers", type=int,
+                       default=ServiceConfig.workers,
+                       help="worker processes (default: %(default)s)")
+    serve.add_argument("--queue-limit", type=int,
+                       default=ServiceConfig.queue_limit,
                        help="max queued+leased jobs before submissions "
-                            "are shed with 503 (default: 32)")
-    serve.add_argument("--max-retries", type=int, default=3,
+                            "are shed with 503 (default: %(default)s)")
+    serve.add_argument("--max-retries", type=int,
+                       default=ServiceConfig.max_retries,
                        help="requeues per job before it fails "
-                            "(default: 3)")
-    serve.add_argument("--heartbeat-s", type=float, default=0.25,
-                       help="worker heartbeat interval (default: 0.25)")
-    serve.add_argument("--lease-timeout-s", type=float, default=2.0,
+                            "(default: %(default)s)")
+    serve.add_argument("--heartbeat-s", type=float,
+                       default=ServiceConfig.heartbeat_s,
+                       help="worker heartbeat interval "
+                            "(default: %(default)s)")
+    serve.add_argument("--lease-timeout-s", type=float,
+                       default=ServiceConfig.lease_timeout_s,
                        help="heartbeat silence that expires a lease "
-                            "(default: 2.0)")
-    serve.add_argument("--progress-window-s", type=float, default=10.0,
+                            "(default: %(default)s)")
+    serve.add_argument("--progress-window-s", type=float,
+                       default=ServiceConfig.progress_window_s,
                        help="wall seconds without simulated progress "
                             "before a worker counts as hung "
-                            "(default: 10)")
-    serve.add_argument("--seed", type=int, default=0,
-                       help="backoff jitter seed (default: 0)")
-    serve.add_argument("--drain-timeout-s", type=float, default=60.0,
+                            "(default: %(default)s)")
+    serve.add_argument("--seed", type=int, default=ServiceConfig.seed,
+                       help="backoff jitter seed (default: %(default)s)")
+    serve.add_argument("--drain-timeout-s", type=float,
+                       default=DRAIN_TIMEOUT_S,
                        help="max wait for leased jobs on shutdown "
-                            "(default: 60)")
-    serve.add_argument("--host", default="127.0.0.1",
+                            "(default: %(default)s)")
+    serve.add_argument("--host", default=HOST,
                        help="bind address (default: loopback only)")
-    serve.add_argument("--port", type=int, default=8124,
-                       help="port (default: 8124; 0 = ephemeral)")
+    serve.add_argument("--port", type=int, default=PORT,
+                       help="port (default: %(default)s; 0 = ephemeral)")
     serve.add_argument("--verbose", action="store_true",
                        help="log scheduling decisions (the repro.service "
                             "logger at INFO) and HTTP requests")
@@ -231,19 +246,19 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     worker = sub.add_parser("worker")  # hidden: the spawn target
     worker.add_argument("--workdir", required=True)
-    worker.add_argument("--heartbeat-s", type=float, default=0.25)
+    worker.add_argument("--heartbeat-s", type=float, required=True)
     worker.set_defaults(fn=_cmd_worker)
 
     def _client_args(sub_parser):
-        sub_parser.add_argument("--url", default="http://127.0.0.1:8124",
+        sub_parser.add_argument("--url", default=f"http://{HOST}:{PORT}",
                                 help="service base URL "
-                                     "(default: http://127.0.0.1:8124)")
+                                     "(default: %(default)s)")
 
     submit = sub.add_parser("submit", help="submit one job")
     _client_args(submit)
     submit.add_argument("--app", required=True, choices=APPS)
-    submit.add_argument("--nodes", type=int, default=8,
-                        help="machine size (default: 8)")
+    submit.add_argument("--nodes", type=int, default=None,
+                        help="machine size (default: the spec's)")
     submit.add_argument("--param", action="append", default=[],
                         metavar="NAME=VALUE",
                         help="app parameter, repeatable (e.g. scale=0.05)")
@@ -262,8 +277,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     drain = sub.add_parser(
         "drain", help="finish in-flight jobs and stop the workers")
     _client_args(drain)
-    drain.add_argument("--timeout-s", type=float, default=60.0,
-                       help="max wait for in-flight jobs (default: 60)")
+    drain.add_argument("--timeout-s", type=float, default=DRAIN_TIMEOUT_S,
+                       help="max wait for in-flight jobs "
+                            "(default: %(default)s)")
     drain.set_defaults(fn=_cmd_drain)
 
     args = parser.parse_args(argv)

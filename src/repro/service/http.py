@@ -45,7 +45,7 @@ from urllib.parse import parse_qs, urlsplit
 from ..core.errors import SimulationError
 from ..telemetry.serve import LiveServer, _Handler
 from .spec import JobSpec
-from .supervisor import Supervisor
+from .supervisor import DRAIN_TIMEOUT_S, Supervisor
 
 __all__ = ["ServiceServer", "MAX_WAIT_S"]
 
@@ -135,7 +135,7 @@ class _ServiceHandler(_Handler):
             else:
                 self._send_json(200, record)
         elif path == "/drain":
-            timeout_s = float(body.get("timeout_s", 60.0))
+            timeout_s = float(body.get("timeout_s", DRAIN_TIMEOUT_S))
             report = supervisor.drain(timeout_s=timeout_s)
             self._send_json(200, report)
             # The handler keeps serving status/jobs after a drain; the

@@ -70,8 +70,7 @@ class Lease:
 class LeaseTable:
     """All live leases, keyed by worker id (one job per worker)."""
 
-    def __init__(self, timeout_s: float = 2.0,
-                 progress_window_s: float = 30.0,
+    def __init__(self, *, timeout_s: float, progress_window_s: float,
                  clock=time.monotonic) -> None:
         if timeout_s <= 0 or progress_window_s <= 0:
             raise ValueError("lease windows must be positive")

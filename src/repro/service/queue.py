@@ -116,9 +116,8 @@ class Job:
 class JobQueue:
     """Bounded FIFO of :class:`Job` records keyed by spec digest."""
 
-    def __init__(self, limit: int = 32, max_retries: int = 3,
-                 backoff_s: float = 0.25, backoff_factor: float = 2.0,
-                 jitter: float = 0.5, seed: int = 0,
+    def __init__(self, *, limit: int, max_retries: int, backoff_s: float,
+                 jitter: float, seed: int, backoff_factor: float = 2.0,
                  clock=time.monotonic) -> None:
         if limit < 1:
             raise ValueError("queue limit must be positive")

@@ -44,7 +44,7 @@ import subprocess
 import sys
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from .cache import ResultCache
@@ -53,21 +53,25 @@ from .queue import Job, JobQueue
 from .runner import checkpoint_path
 from .spec import JobSpec
 
-__all__ = ["ServiceConfig", "Supervisor"]
+__all__ = ["DRAIN_TIMEOUT_S", "ServiceConfig", "Supervisor"]
 
 logger = logging.getLogger("repro.service")
 
 
 @dataclass
 class ServiceConfig:
-    """Everything the supervisor needs to run a fleet."""
+    """Everything the supervisor needs to run a fleet.
+
+    Each default here is the service's one default for that setting:
+    the ``serve`` flags read theirs from this class, and the queue and
+    the lease table take the values they are given.
+    """
 
     workdir: str
     workers: int = 2
     queue_limit: int = 32
     max_retries: int = 3
     backoff_s: float = 0.25
-    backoff_factor: float = 2.0
     jitter: float = 0.5
     seed: int = 0
     heartbeat_s: float = 0.25
@@ -75,10 +79,13 @@ class ServiceConfig:
     #: Wall seconds a worker may heartbeat without advancing its
     #: simulated clock before it is declared hung and revoked.
     progress_window_s: float = 10.0
-    #: Defaults applied to specs submitted without explicit hints.
-    checkpoint_every: int = 500_000
-    sample_every: int = 25_000
-    extra_env: Dict[str, str] = field(default_factory=dict)
+
+
+#: Wall seconds a drain waits for leased jobs before stopping anyway.
+DRAIN_TIMEOUT_S = 60.0
+#: Wall seconds :meth:`Supervisor.stop` gives workers to exit on their
+#: own before killing them.
+_KILL_TIMEOUT_S = 5.0
 
 
 class WorkerHandle:
@@ -133,7 +140,6 @@ class Supervisor:
         self.queue = JobQueue(limit=config.queue_limit,
                               max_retries=config.max_retries,
                               backoff_s=config.backoff_s,
-                              backoff_factor=config.backoff_factor,
                               jitter=config.jitter, seed=config.seed,
                               clock=clock)
         self.leases = LeaseTable(timeout_s=config.lease_timeout_s,
@@ -184,7 +190,6 @@ class Supervisor:
         env = dict(os.environ)
         env["PYTHONPATH"] = src_root + (
             os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-        env.update(self.config.extra_env)
         log = open(log_path, "a", encoding="utf-8")
         try:
             proc = subprocess.Popen(
@@ -480,7 +485,7 @@ class Supervisor:
                 },
             }
 
-    def drain(self, timeout_s: float = 60.0) -> Dict[str, Any]:
+    def drain(self, timeout_s: float = DRAIN_TIMEOUT_S) -> Dict[str, Any]:
         """Finish leased (and crash-orphaned) jobs, then stop workers.
 
         New submissions are shed for the duration; queued-but-never-
@@ -504,7 +509,7 @@ class Supervisor:
         return {"drained": not leftover, "unfinished": leftover,
                 "counts": self.queue.counts()}
 
-    def stop(self, kill_timeout_s: float = 5.0) -> None:
+    def stop(self) -> None:
         """Stop the watchdog and terminate every worker."""
         self.stopped.set()
         with self.lock:
@@ -518,7 +523,7 @@ class Supervisor:
                 handle.send({"type": "exit"})
             except (OSError, ValueError):
                 pass
-        deadline = time.monotonic() + kill_timeout_s
+        deadline = time.monotonic() + _KILL_TIMEOUT_S
         for handle in handles:
             remaining = max(0.0, deadline - time.monotonic())
             try:

@@ -108,15 +108,13 @@ class _Heartbeat:
                 return  # supervisor gone; the process is about to die too
 
 
-def worker_main(workdir: str, heartbeat_s: float = 0.25,
-                stdin: Optional[TextIO] = None) -> int:
+def worker_main(workdir: str, heartbeat_s: float) -> int:
     """Run the worker loop until EOF or an ``exit`` message."""
     # Claim the protocol channel before any simulation code can print.
     proto_fd = os.dup(1)
     os.dup2(2, 1)
     proto = _ProtocolWriter(os.fdopen(proto_fd, "w", encoding="utf-8"))
     sys.stdout = sys.stderr
-    inbox = stdin if stdin is not None else sys.stdin
 
     from ..core.errors import SimulationError
     from ..telemetry.live import LiveSampler, SamplePolicy
@@ -127,7 +125,7 @@ def worker_main(workdir: str, heartbeat_s: float = 0.25,
     sampler: Optional[LiveSampler] = None
     beat: Optional[_Heartbeat] = None
 
-    for line in inbox:
+    for line in sys.stdin:
         line = line.strip()
         if not line:
             continue

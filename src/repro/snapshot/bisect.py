@@ -34,6 +34,9 @@ __all__ = ["BisectResult", "bisect_deadlock"]
 
 #: Telemetry events shown per implicated node around the stall cycle.
 _EVENT_TAIL = 5
+#: Cycles the detection run may take before the file counts as one
+#: that does not deadlock.
+MAX_CYCLES = 10_000_000
 
 
 @dataclass
@@ -105,13 +108,12 @@ def _load(path: str):
     return machine
 
 
-def bisect_deadlock(path: str, max_cycles: int = 10_000_000,
-                    window: int = 50_000) -> BisectResult:
+def bisect_deadlock(path: str, window: int) -> BisectResult:
     """Replay ``path`` to its deadlock, then bisect to the first stall.
 
-    Raises :class:`SnapshotError` if the replayed run completes (no
-    deadlock to find).  ``window`` configures the watchdog installed
-    for the initial detection run when the checkpoint carried none.
+    Raises :class:`SnapshotError` if the replayed run completes within
+    :data:`MAX_CYCLES` (no deadlock to find).  ``window`` configures the
+    watchdog installed for the initial detection run.
     """
     from ..chaos.watchdog import DeadlockWatchdog, machine_snapshots
 
@@ -119,7 +121,7 @@ def bisect_deadlock(path: str, max_cycles: int = 10_000_000,
     start = detector.now
     detector.watchdog = DeadlockWatchdog(window=window)
     try:
-        detector.run_until_quiescent(max_cycles=max_cycles)
+        detector.run_until_quiescent(max_cycles=MAX_CYCLES)
     except DeadlockError as exc:
         dead_at = exc.now
         dead_snapshots = list(exc.snapshots)

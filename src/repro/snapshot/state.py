@@ -132,12 +132,9 @@ def _restore_telemetry(state: Optional[dict]):
 
     events = state["events"]
     trace = state["trace"]
-    telemetry = Telemetry(
-        events=events is not None,
-        event_limit=events["limit"] if events is not None else 1_000_000,
-        trace=trace is not None,
-    )
+    telemetry = Telemetry(events=events is not None, trace=trace is not None)
     if events is not None:
+        telemetry.events.limit = events["limit"]
         telemetry.events.events.extend(events["events"])
         telemetry.events.dropped = events["dropped"]
     if trace is not None:
@@ -263,8 +260,7 @@ def restore_machine(payload: dict):
         from ..chaos.engine import ChaosEngine
         from ..chaos.plan import FaultPlan
 
-        engine = ChaosEngine(FaultPlan.from_dict(chaos["plan"]),
-                             log_limit=chaos["log_limit"])
+        engine = ChaosEngine(FaultPlan.from_dict(chaos["plan"]))
         # Attach first (rebuilds schedule closures over the restored
         # nodes, binds telemetry), then load (RNG positions, counters,
         # and the schedule cursor past already-applied actions).
@@ -430,8 +426,7 @@ def restore_macro(sim, payload: dict) -> None:
             from ..chaos.engine import ChaosEngine
             from ..chaos.plan import FaultPlan
 
-            engine = ChaosEngine(FaultPlan.from_dict(chaos["plan"]),
-                                 log_limit=chaos["log_limit"])
+            engine = ChaosEngine(FaultPlan.from_dict(chaos["plan"]))
             engine.attach_macro(sim)
         engine.load_state(chaos)
     telemetry = payload["telemetry"]

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from .events import EVENT_KINDS, EventBus
+from .events import EVENT_KINDS, EVENT_LIMIT, EventBus
 from .live import LiveSampler, SamplePoint, SamplePolicy
 from .metrics import MetricsRegistry
 from .report import SimReport
@@ -69,7 +69,7 @@ class Telemetry:
     critical-path events.jsonl``).  Tracing requires event collection.
     """
 
-    def __init__(self, events: bool = True, event_limit: int = 1_000_000,
+    def __init__(self, events: bool = True, event_limit: int = EVENT_LIMIT,
                  trace: bool = False) -> None:
         self.registry = MetricsRegistry()
         self.events: Optional[EventBus] = (

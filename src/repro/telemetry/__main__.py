@@ -293,15 +293,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     def _live_args(sub_parser):
         sub_parser.add_argument("--workload", choices=WORKLOADS,
                                 default="lcs",
-                                help="demo workload to run (default: lcs)")
+                                help="demo workload to run "
+                                     "(default: %(default)s)")
         sub_parser.add_argument("--nodes", type=int, default=64,
-                                help="machine size (default: 64)")
+                                help="machine size (default: %(default)s)")
         sub_parser.add_argument("--scale", type=float, default=0.25,
                                 help="problem-size factor; 1.0 = the "
-                                     "paper's size (default: 0.25)")
+                                     "paper's size (default: %(default)s)")
         sub_parser.add_argument("--interval", type=float, default=0.5,
                                 help="wall seconds between samples "
-                                     "(default: 0.5)")
+                                     "(default: %(default)s)")
         sub_parser.add_argument("--every-cycles", type=int, default=None,
                                 help="sample every N simulated cycles "
                                      "instead of by wall clock")
@@ -315,7 +316,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     serve.add_argument("--host", default="127.0.0.1",
                        help="bind address (default: loopback only)")
     serve.add_argument("--port", type=int, default=8123,
-                       help="port (default: 8123; 0 = ephemeral)")
+                       help="port (default: %(default)s; 0 = ephemeral)")
     serve.add_argument("--linger-s", type=float, default=None,
                        help="after the workload ends, keep serving this "
                             "long then exit (default: until Ctrl-C)")

@@ -52,23 +52,22 @@ class DemoRun:
             raise self.error
 
 
-def start_demo(workload: str = "lcs", n_nodes: int = 64,
-               scale: float = 0.25,
-               every_cycles: Optional[int] = None,
-               every_wall_s: Optional[float] = 0.5,
-               ring: int = 512) -> DemoRun:
+def start_demo(workload: str, n_nodes: int, scale: float,
+               every_cycles: Optional[int],
+               every_wall_s: Optional[float]) -> DemoRun:
     """Launch a sampled demo workload on a daemon thread.
 
-    The default policy is wall-clock driven (2 frames/sec) so the
-    dashboard refreshes steadily regardless of simulation speed; pass
-    ``every_cycles`` for deterministic frame times instead.
+    A wall-clock policy (``every_wall_s``) refreshes a dashboard
+    steadily regardless of simulation speed; ``every_cycles`` gives
+    deterministic frame times instead.  The CLI's flags hold the
+    defaults.
     """
     if workload not in WORKLOADS:
         raise ValueError(f"unknown demo workload {workload!r}; "
                          f"choose from {WORKLOADS}")
     policy = SamplePolicy(every_cycles=every_cycles,
                           every_wall_s=every_wall_s)
-    run = DemoRun(LiveSampler(policy, ring=ring))
+    run = DemoRun(LiveSampler(policy))
 
     def guarded():
         try:

@@ -89,12 +89,16 @@ Event = Tuple[int, str, int, int, Optional[str], Optional[int],
               Optional[Dict[str, Any]]]
 
 
+#: Events a bus keeps before it counts the rest as dropped.
+EVENT_LIMIT = 1_000_000
+
+
 class EventBus:
     """A bounded, append-only log of typed simulation events."""
 
     __slots__ = ("limit", "events", "dropped")
 
-    def __init__(self, limit: int = 1_000_000) -> None:
+    def __init__(self, limit: int = EVENT_LIMIT) -> None:
         self.limit = limit
         self.events: List[Event] = []
         self.dropped = 0

@@ -259,30 +259,14 @@ class LiveSampler:
     def attach(self, target, run_limit: Optional[int] = None) -> "LiveSampler":
         """Install this sampler on a machine or macro simulator.
 
-        Uses the target's attached telemetry registry when present
-        (frames then include every standard metric *plus* ``events.*``
-        and ``chaos.*`` health); otherwise wires a throwaway registry
-        with the standard pull sources, exactly as
-        :meth:`SimReport.from_machine` does.  Returns ``self``.
+        Frames read the registry :func:`~repro.telemetry.wiring.registry_for`
+        gives, as :class:`SimReport` does: with a telemetry rig attached
+        they include every standard metric *plus* ``events.*`` and
+        ``chaos.*`` health.  Returns ``self``.
         """
-        from .wiring import (register_event_health, register_live_health,
-                             register_machine_metrics, register_macro_metrics)
+        from .wiring import register_live_health, registry_for
 
-        telemetry = getattr(target, "telemetry", None)
-        if telemetry is not None:
-            registry = telemetry.registry
-        else:
-            registry = MetricsRegistry()
-            if hasattr(target, "fabric"):
-                register_machine_metrics(target, registry)
-                bus = target.fabric._events
-            else:
-                register_macro_metrics(target, registry)
-                bus = getattr(target, "_ebus", None)
-            if bus is not None:
-                # An event bus wired without a Telemetry rig (e.g. by a
-                # chaos harness) still surfaces its health on /metrics.
-                register_event_health(registry, bus)
+        registry = registry_for(target)
         self._registry = registry
         self._target = target
         if run_limit is not None:
@@ -424,11 +408,6 @@ class LiveSampler:
     def latest(self) -> Optional[SamplePoint]:
         with self._lock:
             return self.points[-1] if self.points else None
-
-    def frames_since(self, seq: int) -> List[SamplePoint]:
-        """Every retained frame with ``point.seq > seq``, oldest first."""
-        with self._lock:
-            return [point for point in self.points if point.seq > seq]
 
     def wait_for_frame(self, seq: int, timeout: float = 1.0
                        ) -> List[SamplePoint]:

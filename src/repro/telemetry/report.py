@@ -40,20 +40,10 @@ class SimReport:
     @classmethod
     def from_machine(cls, machine,
                      meta: Optional[Dict[str, Any]] = None) -> "SimReport":
-        """Snapshot a cycle-level :class:`~repro.machine.jmachine.JMachine`.
+        """Snapshot a cycle-level :class:`~repro.machine.jmachine.JMachine`
+        through :func:`~repro.telemetry.wiring.registry_for`."""
+        from .wiring import registry_for
 
-        Uses the machine's attached telemetry registry when present;
-        otherwise wires a throwaway registry (pull sources only, so this
-        is safe and cheap at any point of a run).
-        """
-        from .wiring import register_machine_metrics
-
-        telemetry = getattr(machine, "telemetry", None)
-        if telemetry is not None:
-            registry = telemetry.registry
-        else:
-            registry = MetricsRegistry()
-            register_machine_metrics(machine, registry)
         full_meta = {
             "kind": "machine",
             "nodes": machine.mesh.n_nodes,
@@ -66,27 +56,22 @@ class SimReport:
             full_meta["fabric"] = FabricReport.from_fabric(
                 machine.fabric, machine.now).to_dict()
         full_meta.update(meta or {})
-        return cls.from_registry(registry, full_meta)
+        return cls.from_registry(registry_for(machine), full_meta)
 
     @classmethod
     def from_macro(cls, sim,
                    meta: Optional[Dict[str, Any]] = None) -> "SimReport":
-        """Snapshot a :class:`~repro.jsim.sim.MacroSimulator`."""
-        from .wiring import register_macro_metrics
+        """Snapshot a :class:`~repro.jsim.sim.MacroSimulator` through
+        :func:`~repro.telemetry.wiring.registry_for`."""
+        from .wiring import registry_for
 
-        telemetry = getattr(sim, "telemetry", None)
-        if telemetry is not None:
-            registry = telemetry.registry
-        else:
-            registry = MetricsRegistry()
-            register_macro_metrics(sim, registry)
         full_meta = {
             "kind": "macro",
             "nodes": sim.n_nodes,
             "cycles": sim.end_time,
         }
         full_meta.update(meta or {})
-        return cls.from_registry(registry, full_meta)
+        return cls.from_registry(registry_for(sim), full_meta)
 
     # -- serialization -------------------------------------------------------
 

@@ -375,10 +375,6 @@ class CausalGraph:
         return len({s.trace for s in self.spans.values()
                     if s.trace is not None})
 
-    def roots(self) -> List[Span]:
-        """Spans with no parent (host injections)."""
-        return [s for s in self.spans.values() if s.parent is None]
-
     def children(self) -> Dict[Optional[int], List[int]]:
         """parent span id -> child span ids."""
         out: Dict[Optional[int], List[int]] = {}

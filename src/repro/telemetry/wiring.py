@@ -43,6 +43,7 @@ __all__ = [
     "instrument_machine",
     "register_macro_metrics",
     "instrument_macro",
+    "registry_for",
 ]
 
 
@@ -140,6 +141,21 @@ def register_live_health(registry: MetricsRegistry, sampler) -> None:
             sampler.samples, sampler.ring_evicted, round(mean_us, 3))))
 
     registry.register_source("live", sample)
+
+
+def registry_for(target) -> MetricsRegistry:
+    """The registry to read ``target`` (a machine or a macro simulator)
+    through: its telemetry rig's, else a fresh one wired with the
+    standard pull sources of its level (safe and cheap at any point of
+    a run)."""
+    if target.telemetry is not None:
+        return target.telemetry.registry
+    registry = MetricsRegistry()
+    if hasattr(target, "fabric"):
+        register_machine_metrics(target, registry)
+    else:
+        register_macro_metrics(target, registry)
+    return registry
 
 
 # --------------------------------------------------------------- cycle level

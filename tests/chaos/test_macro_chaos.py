@@ -105,7 +105,7 @@ class TestScheduleCall:
 class TestHarness:
     def test_unknown_app_rejected(self):
         with pytest.raises(ValueError, match="unknown chaos app"):
-            run_app_under_plan(FaultPlan(), app="doom")
+            run_app_under_plan(FaultPlan(), app="doom", n_nodes=8)
 
     @pytest.mark.parametrize("app", APPS)
     def test_apps_complete_under_loss(self, app):

@@ -161,9 +161,3 @@ class TestWindow:
         traffic = stats.bisection_traffic_bits_per_s(now=1)
         assert traffic == pytest.approx(
             mesh.bisection_capacity_bits_per_s())
-
-    def test_message_rate(self):
-        stats = NetworkStats(Mesh3D(2, 2, 2))
-        stats.open_window(0)
-        stats.window_completed = 50
-        assert stats.message_rate_per_cycle(now=100) == 0.5

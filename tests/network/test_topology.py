@@ -85,22 +85,8 @@ class TestDistance:
         mesh = Mesh3D.cube(4)
         assert mesh.nodes_at_distance(0, 0) == [0]
         neighbours = mesh.nodes_at_distance(0, 1)
-        assert sorted(neighbours) == sorted(mesh.neighbors(0))
-
-
-class TestNeighbors:
-    def test_corner_has_three(self):
-        assert len(list(Mesh3D.cube(4).neighbors(0))) == 3
-
-    def test_interior_has_six(self):
-        mesh = Mesh3D.cube(4)
-        interior = mesh.node_id((1, 1, 1))
-        assert len(list(mesh.neighbors(interior))) == 6
-
-    def test_neighbors_at_distance_one(self):
-        mesh = Mesh3D.cube(4)
-        for neighbor in mesh.neighbors(21):
-            assert mesh.hops(21, neighbor) == 1
+        assert sorted(neighbours) == sorted(
+            mesh.node_id(coord) for coord in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
 
 class TestBisection:

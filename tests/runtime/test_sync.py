@@ -22,12 +22,3 @@ def test_tags_beat_flags_on_every_event():
     assert costs.tags_success < costs.flag_success
     assert costs.tags_failure < costs.flag_failure
     assert costs.tags_write < costs.flag_write
-
-
-def test_as_table_shape():
-    table = measure_sync_costs().as_table()
-    assert set(table) == {"Success", "Failure", "Write", "Restart"}
-    assert table["Success"]["Tags"] == 2
-    assert table["Restart"]["Tags"] == 0
-    # The Save/Restore column is the paper's range, not a measurement.
-    assert all("Save/Restore" not in row for row in table.values())

@@ -2,8 +2,11 @@
 
 import pytest
 
-from repro.service import JobQueue, JobSpec, LeaseTable
+from repro.service import JobQueue, JobSpec, LeaseTable, ServiceConfig
 from repro.service.queue import STATES
+
+#: What ``serve`` with no flags hands the queue and the lease table.
+SERVICE = ServiceConfig(workdir="unused")
 
 
 class FakeClock:
@@ -17,20 +20,36 @@ class FakeClock:
         self.now += seconds
 
 
+def _queue(**overrides):
+    settings = dict(limit=SERVICE.queue_limit,
+                    max_retries=SERVICE.max_retries,
+                    backoff_s=SERVICE.backoff_s, jitter=SERVICE.jitter,
+                    seed=SERVICE.seed)
+    settings.update(overrides)
+    return JobQueue(**settings)
+
+
+def _leases(**overrides):
+    settings = dict(timeout_s=SERVICE.lease_timeout_s,
+                    progress_window_s=SERVICE.progress_window_s)
+    settings.update(overrides)
+    return LeaseTable(**settings)
+
+
 def _spec(scale=0.01, **kw):
     return JobSpec("lcs", n_nodes=4, params={"scale": scale}, **kw)
 
 
 class TestAdmission:
     def test_submit_and_dedup(self):
-        queue = JobQueue(clock=FakeClock())
+        queue = _queue(clock=FakeClock())
         first = queue.submit(_spec())
         second = queue.submit(_spec())
         assert first is second
         assert queue.pending() == 1
 
     def test_bounded_queue_sheds_explicitly(self):
-        queue = JobQueue(limit=2, clock=FakeClock())
+        queue = _queue(limit=2, clock=FakeClock())
         queue.submit(_spec(0.01))
         queue.submit(_spec(0.02))
         shed = queue.submit(_spec(0.03))
@@ -43,7 +62,7 @@ class TestAdmission:
 
     def test_shed_then_drain_then_readmit(self):
         clock = FakeClock()
-        queue = JobQueue(limit=1, clock=clock)
+        queue = _queue(limit=1, clock=clock)
         job = queue.submit(_spec(0.01))
         assert queue.submit(_spec(0.02)).state == "shed"
         queue.lease(job, worker=0)
@@ -52,7 +71,7 @@ class TestAdmission:
         assert admitted.state == "queued"
 
     def test_failed_job_can_be_resubmitted(self):
-        queue = JobQueue(clock=FakeClock())
+        queue = _queue(clock=FakeClock())
         job = queue.submit(_spec())
         queue.lease(job, worker=0)
         queue.fail(job, "boom")
@@ -61,7 +80,7 @@ class TestAdmission:
         assert fresh.state == "queued"
 
     def test_adopt_records_cache_hits(self):
-        queue = JobQueue(clock=FakeClock())
+        queue = _queue(clock=FakeClock())
         job = queue.adopt(_spec(), {"cycles": 42})
         assert job.state == "done"
         assert job.cached is True
@@ -70,13 +89,13 @@ class TestAdmission:
 
 class TestDispatch:
     def test_fifo_order(self):
-        queue = JobQueue(clock=FakeClock())
+        queue = _queue(clock=FakeClock())
         first = queue.submit(_spec(0.01))
         queue.submit(_spec(0.02))
         assert queue.next_ready() is first
 
     def test_lease_removes_from_order(self):
-        queue = JobQueue(clock=FakeClock())
+        queue = _queue(clock=FakeClock())
         first = queue.submit(_spec(0.01))
         second = queue.submit(_spec(0.02))
         queue.lease(first, worker=0)
@@ -86,7 +105,7 @@ class TestDispatch:
 
     def test_backoff_deadline_gates_redispatch(self):
         clock = FakeClock()
-        queue = JobQueue(backoff_s=1.0, jitter=0.0, clock=clock)
+        queue = _queue(backoff_s=1.0, jitter=0.0, clock=clock)
         job = queue.submit(_spec())
         queue.lease(job, worker=0)
         assert queue.requeue(job, "worker died") is True
@@ -97,7 +116,7 @@ class TestDispatch:
 
     def test_retries_only_filter_for_drain(self):
         clock = FakeClock()
-        queue = JobQueue(backoff_s=0.0, jitter=0.0, clock=clock)
+        queue = _queue(backoff_s=0.0, jitter=0.0, clock=clock)
         fresh = queue.submit(_spec(0.01))
         retried = queue.submit(_spec(0.02))
         queue.lease(retried, worker=0)
@@ -108,8 +127,8 @@ class TestDispatch:
 
     def test_next_not_before_is_the_earliest_deadline_still_ahead(self):
         clock = FakeClock()
-        queue = JobQueue(backoff_s=1.0, backoff_factor=3.0, jitter=0.0,
-                         clock=clock)
+        queue = _queue(backoff_s=1.0, backoff_factor=3.0, jitter=0.0,
+                       clock=clock)
         assert queue.next_not_before() is None
         waiting = queue.submit(_spec(0.01))  # ready now: no deadline
         assert queue.next_not_before() is None
@@ -128,7 +147,7 @@ class TestDispatch:
 
     def test_next_not_before_retries_only(self):
         clock = FakeClock()
-        queue = JobQueue(backoff_s=1.0, jitter=0.0, clock=clock)
+        queue = _queue(backoff_s=1.0, jitter=0.0, clock=clock)
         fresh = queue.submit(_spec(0.01))
         fresh.not_before = 105.0  # however a first attempt got one
         retried = queue.submit(_spec(0.02))
@@ -140,7 +159,7 @@ class TestDispatch:
 
     def test_timing_follows_the_lifecycle(self):
         clock = FakeClock()
-        queue = JobQueue(backoff_s=0.5, jitter=0.0, clock=clock)
+        queue = _queue(backoff_s=0.5, jitter=0.0, clock=clock)
         job = queue.submit(_spec())
         blank = {"queued_ms": None, "run_ms": None, "exec_ms": None}
         assert job.to_dict()["timing"] == blank
@@ -163,8 +182,8 @@ class TestDispatch:
 class TestRetryBudget:
     def test_budget_exhaustion_fails_the_job(self):
         clock = FakeClock()
-        queue = JobQueue(max_retries=2, backoff_s=0.0, jitter=0.0,
-                         clock=clock)
+        queue = _queue(max_retries=2, backoff_s=0.0, jitter=0.0,
+                       clock=clock)
         job = queue.submit(_spec())
         for attempt in range(2):
             queue.lease(job, worker=0)
@@ -176,8 +195,8 @@ class TestRetryBudget:
 
     def test_backoff_grows_exponentially(self):
         clock = FakeClock()
-        queue = JobQueue(max_retries=5, backoff_s=1.0, backoff_factor=2.0,
-                         jitter=0.0, clock=clock)
+        queue = _queue(max_retries=5, backoff_s=1.0, backoff_factor=2.0,
+                       jitter=0.0, clock=clock)
         job = queue.submit(_spec())
         delays = []
         for _ in range(3):
@@ -189,8 +208,8 @@ class TestRetryBudget:
     def test_jittered_backoff_is_seed_deterministic(self):
         def delays(seed):
             clock = FakeClock()
-            queue = JobQueue(max_retries=5, backoff_s=1.0, jitter=0.5,
-                             seed=seed, clock=clock)
+            queue = _queue(max_retries=5, backoff_s=1.0, jitter=0.5,
+                           seed=seed, clock=clock)
             job = queue.submit(_spec())
             out = []
             for _ in range(3):
@@ -203,7 +222,7 @@ class TestRetryBudget:
         assert delays(7) != delays(8)
 
     def test_counts_cover_the_state_vocabulary(self):
-        queue = JobQueue(clock=FakeClock())
+        queue = _queue(clock=FakeClock())
         assert set(queue.counts()) == set(STATES)
 
 
@@ -251,13 +270,13 @@ class TestLeases:
         assert table.expired() == []
 
     def test_stale_heartbeat_after_release_is_ignored(self):
-        table = LeaseTable(clock=FakeClock())
+        table = _leases(clock=FakeClock())
         table.grant("d" * 64, worker=0)
         table.release(0)
         assert table.heartbeat(0, sim_now=1) is None
 
     def test_one_lease_per_worker(self):
-        table = LeaseTable(clock=FakeClock())
+        table = _leases(clock=FakeClock())
         table.grant("a" * 64, worker=0)
         with pytest.raises(AssertionError):
             table.grant("b" * 64, worker=0)
@@ -280,7 +299,7 @@ class TestLeases:
 
     def test_revoked_lease_expires_once(self):
         clock = FakeClock()
-        table = LeaseTable(timeout_s=2.0, clock=clock)
+        table = _leases(timeout_s=2.0, clock=clock)
         lease = table.grant("d" * 64, worker=0)
         clock.advance(2.0)
         table.revoke(lease, "lost")
@@ -301,7 +320,7 @@ class TestLeases:
         assert table.next_expiry() == clock.now
 
     def test_expiry_accounting(self):
-        table = LeaseTable(clock=FakeClock())
+        table = _leases(clock=FakeClock())
         table.note_expiry("lost")
         table.note_expiry("stalled")
         table.note_expiry("stalled")

@@ -47,6 +47,29 @@ def _await_job(supervisor, digest, timeout=60.0):
 PING = dict(app="ping", n_nodes=4, params={"iterations": 10})
 
 
+def test_serve_without_flags_runs_the_config_defaults(monkeypatch):
+    """Every ``serve`` flag takes its default from ``ServiceConfig``:
+    no flags means ``ServiceConfig(workdir="service-work")``, whose
+    hung-worker window is 10 s."""
+    from repro.service import __main__ as cli
+    from repro.service import supervisor
+
+    built = []
+
+    class Built(Exception):
+        pass
+
+    def capture(config, sampler=None):
+        built.append(config)
+        raise Built
+
+    monkeypatch.setattr(supervisor, "Supervisor", capture)
+    with pytest.raises(Built):
+        cli.main(["serve"])
+    assert built == [ServiceConfig(workdir="service-work")]
+    assert built[0].progress_window_s == 10.0
+
+
 class TestSupervisor:
     def test_submit_executes_and_caches(self, tmp_path):
         supervisor = Supervisor(_config(tmp_path)).start()

@@ -53,6 +53,11 @@ config fields, a ``CostModel`` with the retired fields and without the
 two new ones, a fault policy carrying its own copies and suspended
 threads carrying their restart cost; ``restore_machine`` folds the
 config's values into a current ``CostModel``.
+
+``MachineConfig`` lost ``inject_latency`` and ``eject_latency`` (the
+machine always builds its fabric with the calibrated constants) and
+``ChaosEngine`` its ``log_limit``; a file written before that holds
+both config fields and a ``log_limit`` key in the chaos state.
 """
 
 import copyreg
@@ -245,6 +250,20 @@ def test_capture_with_retired_backend_keys_restores(tmp_path, specs):
     payload["config"].__dict__["parallel_shards"] = 2
     resumed = _resumes_equal(payload, reference)
     assert not hasattr(resumed, "parallel_shards")
+
+
+def test_capture_with_retired_settings_restores(tmp_path):
+    """A file written while ``MachineConfig`` still had the interface
+    latencies and ``ChaosEngine`` its log limit carries both: the config
+    as stray attributes (the calibrated values, as every caller left
+    them) and the chaos state as a key.  Nothing reads either now."""
+    reference, payload = _midflight(tmp_path, CHAOS_SPECS, probe=False)
+    assert "log_limit" not in payload["chaos"]
+    payload["config"].__dict__.update(inject_latency=2, eject_latency=5)
+    payload["chaos"]["log_limit"] = 100_000
+    old = pickle.loads(pickle.dumps(payload))  # what reading unpickles
+    resumed = _resumes_equal(old, reference)
+    assert not hasattr(resumed.chaos, "_log_limit")
 
 
 #: What ``Fabric.state_dict`` wrote for the retired stagnation watchdog

@@ -144,13 +144,12 @@ class TestSamplerMechanics:
         LiveSampler(SamplePolicy(every_cycles=1)).attach(machine)
         assert machine.telemetry.registry.names().count("live") == 1
 
-    def test_frames_since_and_wait(self):
+    def test_wait_for_frame(self):
         machine = self._machine()
         sampler = LiveSampler(SamplePolicy(every_cycles=1))
         sampler.attach(machine)
         for now in range(3):
             sampler.sample(machine, now)
-        assert [p.seq for p in sampler.frames_since(0)] == [1, 2]
         assert sampler.wait_for_frame(2, timeout=0.01) == []
         assert [p.seq for p in sampler.wait_for_frame(1, timeout=0.01)] \
             == [2]

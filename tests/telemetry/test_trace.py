@@ -90,8 +90,7 @@ class TestSyntheticGraph:
         assert graph.n_spans == 2
         assert graph.n_traces == 1
         assert graph.run_end_ts == 30
-        assert [s.span for s in graph.roots()] == [1]
-        assert graph.children()[1] == [2]
+        assert graph.children() == {None: [1], 1: [2]}
         assert graph.total_work() == 15 + 9
         assert not graph.validate()
 
@@ -177,7 +176,7 @@ class TestCyclePropagation:
         run_ping(machine, 0, 3, iterations=4)
         graph = CausalGraph.from_bus(telemetry.events)
         assert graph.n_traces == 1
-        assert len(graph.roots()) == 1
+        assert len(graph.children()[None]) == 1
         assert graph.n_spans == machine.fabric.stats.submitted
         path = graph.critical_path()
         assert path.connected and path.acyclic

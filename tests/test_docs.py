@@ -343,3 +343,153 @@ def test_one_place_knows_the_named_runs():
     for path in src.rglob("*.py"):
         if path not in allowed:
             assert not attach.search(path.read_text()), path
+
+
+def _config_reads(cls):
+    """Fields of the dataclass ``cls`` read under ``src/repro``: as
+    ``<...>config.<field>`` anywhere, or as ``self.<field>`` in the
+    class's own methods."""
+    import ast
+    from dataclasses import fields
+
+    names = {field.name for field in fields(cls)}
+    reads = set()
+    for path in (ROOT / "src" / "repro").rglob("*.py"):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in names:
+                owner = node.value
+                if getattr(owner, "attr", getattr(owner, "id", None)) \
+                        == "config":
+                    reads.add(node.attr)
+            elif isinstance(node, ast.ClassDef) and node.name == cls.__name__:
+                reads.update(
+                    inner.attr for inner in ast.walk(node)
+                    if isinstance(inner, ast.Attribute)
+                    and inner.attr in names
+                    and getattr(inner.value, "id", None) == "self")
+    return names, reads
+
+
+def test_every_config_field_is_read():
+    """A ``ServiceConfig`` or ``MachineConfig`` field nothing reads is a
+    setting that does nothing when set; it does not belong there."""
+    from repro.machine.config import MachineConfig
+    from repro.service.supervisor import ServiceConfig
+
+    for cls in (ServiceConfig, MachineConfig):
+        names, reads = _config_reads(cls)
+        assert names <= reads, \
+            f"{cls.__name__} fields nothing reads: {sorted(names - reads)}"
+
+
+def _literal_defaults(packages):
+    """``(key, value)`` for every default written as a literal in the
+    given packages of ``src/repro``: a parameter default (keyed
+    ``Class.param`` in a method, ``function.param`` otherwise), a
+    class-body or module-level constant (``Class.NAME`` / ``NAME``), an
+    ``add_argument`` flag's ``default=`` (``--flag``) and the fallback
+    of ``<dict>.get("key", <literal>)`` (``"key"``)."""
+    import ast
+
+    def literal(node):
+        if isinstance(node, ast.UnaryOp):
+            node = node.operand
+        return isinstance(node, ast.Constant) and node.value is not None \
+            and not isinstance(node.value, bool)
+
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner = scope or child.name
+                args = child.args
+                positional = args.posonlyargs + args.args
+                pairs = list(zip(positional[len(positional)
+                                            - len(args.defaults):],
+                                 args.defaults))
+                pairs += [(arg, default) for arg, default
+                          in zip(args.kwonlyargs, args.kw_defaults)
+                          if default is not None]
+                sites.extend((f"{owner}.{arg.arg}", default)
+                             for arg, default in pairs if literal(default))
+                visit(child, None)
+            elif isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+            else:
+                if isinstance(child, (ast.Assign, ast.AnnAssign)) \
+                        and literal(child.value) and not isinstance(
+                            node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    targets = getattr(child, "targets", None) or [
+                        child.target]
+                    sites.extend((f"{scope}.{target.id}" if scope
+                                  else target.id, child.value)
+                                 for target in targets
+                                 if isinstance(target, ast.Name))
+                if isinstance(child, ast.Call) and isinstance(
+                        child.func, ast.Attribute) and child.args \
+                        and isinstance(child.args[0], ast.Constant):
+                    if child.func.attr == "add_argument":
+                        sites.extend(
+                            (child.args[0].value, keyword.value)
+                            for keyword in child.keywords
+                            if keyword.arg == "default"
+                            and literal(keyword.value))
+                    elif child.func.attr == "get" and len(child.args) == 2 \
+                            and literal(child.args[1]):
+                        sites.append((f'"{child.args[0].value}"',
+                                      child.args[1]))
+                visit(child, scope)
+
+    for package in packages:
+        for path in (ROOT / "src" / "repro" / package).rglob("*.py"):
+            visit(ast.parse(path.read_text()), None)
+    return [(key, ast.literal_eval(value)) for key, value in sites]
+
+
+#: Each setting that once had more than one literal default, with the
+#: packages it is configured in and every key a default of it could be
+#: written under (a bare name matches a parameter of any function).
+ONE_HOME_SETTINGS = {
+    "queue limit": (("service",),
+                    ("queue_limit", "JobQueue.limit", "--queue-limit")),
+    "retry budget": (("service",), ("max_retries", "--max-retries")),
+    "lease timeout": (("service",), ("lease_timeout_s",
+                                     "LeaseTable.timeout_s",
+                                     "--lease-timeout-s")),
+    "hung-worker window": (("service",), ("progress_window_s",
+                                          "--progress-window-s")),
+    "backoff seed": (("service",), ("seed", "--seed")),
+    "heartbeat": (("service",), ("heartbeat_s", "--heartbeat-s")),
+    "drain timeout": (("service",), ("DRAIN_TIMEOUT_S",
+                                     "Supervisor.timeout_s", '"timeout_s"',
+                                     "--drain-timeout-s", "--timeout-s")),
+    "service port": (("service",), ("PORT", "--port", "--url")),
+    "job size": (("service",), ("n_nodes", "--nodes")),
+    "event-bus limit": (("telemetry", "snapshot"),
+                        ("EVENT_LIMIT", "event_limit", "EventBus.limit")),
+    "demo size": (("telemetry",), ("start_demo.n_nodes", "--nodes")),
+    "demo scale": (("telemetry",), ("start_demo.scale", "--scale")),
+    "demo interval": (("telemetry",), ("start_demo.every_wall_s",
+                                       "--interval")),
+    "watchdog window": (("chaos", "snapshot"), ("window", "--window")),
+    "chaos replay size": (("chaos",), ("run_app_under_plan.n_nodes",
+                                       "--nodes")),
+    "chaos replay app": (("chaos",), ("run_app_under_plan.app", "--app")),
+}
+
+
+def test_each_setting_has_one_literal_default():
+    """A default written in two places can silently disagree (the
+    hung-worker window once was 10 s in the service and 30 s in its
+    lease table); each setting's default is one literal, and every
+    other place takes it from there."""
+    wrong = {}
+    for setting, (packages, keys) in ONE_HOME_SETTINGS.items():
+        sites = [(key, value) for key, value in _literal_defaults(packages)
+                 if any(key == name or key.endswith("." + name)
+                        for name in keys)]
+        if len(sites) != 1:
+            wrong[setting] = sites
+    assert not wrong, f"settings without exactly one literal default: {wrong}"
