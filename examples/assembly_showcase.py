@@ -50,6 +50,7 @@ def main() -> None:
     tracer = Tracer.attach(demo.node(0).proc)
     demo.start_background(0, prog.entry("main"))
     demo.run(max_cycles=100)
+    tracer.detach()  # the processor gets its compiled fast path back
     print("\n".join("  " + line for line in tracer.format().splitlines()))
 
 

@@ -109,13 +109,6 @@ class ChaosEngine:
         """
         return not self.plan.specs
 
-    @property
-    def faults_injected(self) -> int:
-        """Total faults of all kinds injected so far."""
-        log_kinds = ("drops", "corruptions", "delays", "stalls", "kills",
-                     "queue_pressure", "poisoned_entries")
-        return sum(self.counters[name] for name in log_kinds)
-
     def record(self, kind: str, now: int, node: int, counter: str,
                amount: int = 1, **detail: Any) -> None:
         """Count one injected fault and log/emit it."""

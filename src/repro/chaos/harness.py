@@ -11,7 +11,7 @@ stream (the thing the determinism gate compares).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, Optional
 
 from ..apps.scenario import CATALOGUE, run_scenario
@@ -49,20 +49,8 @@ class ChaosRunResult:
     n_events: int = 0
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "app": self.app,
-            "n_nodes": self.n_nodes,
-            "plan": self.plan_name,
-            "seed": self.seed,
-            "completed": self.completed,
-            "correct": self.correct,
-            "cycles": self.cycles,
-            "error": self.error,
-            "chaos": dict(self.chaos),
-            "reliable": dict(self.reliable),
-            "fingerprint": self.fingerprint,
-            "n_events": self.n_events,
-        }
+        return {("plan" if name == "plan_name" else name): value
+                for name, value in asdict(self).items()}
 
 
 def run_app_under_plan(

@@ -137,12 +137,6 @@ class AssociativeMatchTable:
 
     # -- management ---------------------------------------------------------------
 
-    def purge(self, key: Word) -> None:
-        """Remove a binding everywhere (object deletion/migration)."""
-        self._backing.pop(key, None)
-        entry_set = self._set_for(key)
-        entry_set[:] = [(k, v) for (k, v) in entry_set if k != key]
-
     def probe(self, key: Word) -> Optional[Word]:
         """Non-faulting lookup (hardware ``probe``): value or None."""
         entry_set = self._set_for(key)
@@ -150,12 +144,6 @@ class AssociativeMatchTable:
             if existing == key:
                 return value
         return self._backing.get(key)
-
-    @property
-    def miss_ratio(self) -> float:
-        """Fraction of xlates that missed (0.0 when never used)."""
-        total = self.hits + self.misses
-        return self.misses / total if total else 0.0
 
     def clear(self) -> None:
         """Drop all bindings and statistics (machine reset)."""

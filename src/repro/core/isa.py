@@ -273,8 +273,3 @@ class Instr:
     def __repr__(self) -> str:
         # Not ``text``: a repr taken mid-assembly must not be cached.
         return f"{self.label}: {self._render()}" if self.label else self._render()
-
-
-def tag_imm(tag: Tag) -> Imm:
-    """Encode a tag name as an immediate operand (for WTAG/CHECK)."""
-    return Imm(Word(Tag.SYM, int(tag)))

@@ -74,7 +74,6 @@ class NodeMemory:
         if imem_words <= 0 or emem_words < 0:
             raise MemoryError_("memory sizes must be positive")
         self.imem_words = imem_words
-        self.emem_words = emem_words
         self.total_words = imem_words + emem_words
         self.costs = costs
         self.meter = AccessMeter()
@@ -94,12 +93,6 @@ class NodeMemory:
     def _check(self, address: int) -> None:
         if not 0 <= address < self.total_words:
             raise SegmentationFault(f"address {address} outside node memory")
-
-    def access_cycles(self, address: int) -> int:
-        """Cycle cost of touching ``address`` once."""
-        if self.is_internal(address):
-            return self.costs.imem_access
-        return self.costs.emem_access
 
     # -- raw access ---------------------------------------------------------
 

@@ -6,8 +6,8 @@ the length of the message."  We model a message as an immutable sequence
 of tagged words whose word 0 is ``IP``-tagged, plus routing metadata
 (source, destination, priority) that in hardware rides in the head flit.
 
-Timestamps are attached by the network/machine layers for latency
-accounting; they are not visible to programs.
+The network stamps the injection time for latency accounting; it is not
+visible to programs.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ class Message:
         "dest",
         "priority",
         "inject_time",
-        "arrive_time",
-        "dispatch_time",
         "bounce_of",
         "injection_reported",
         "corrupted",
@@ -60,8 +58,6 @@ class Message:
         self.priority = (priority if priority.__class__ is Priority
                          else Priority(priority))
         self.inject_time: Optional[int] = None
-        self.arrive_time: Optional[int] = None
-        self.dispatch_time: Optional[int] = None
         #: Under return-to-sender flow control: the refused message this
         #: one is carrying back to its sender (None for normal messages).
         self.bounce_of: Optional["Message"] = None
@@ -76,8 +72,8 @@ class Message:
         #: Causal-tracing context ``(trace_id, span_id, parent_span)``
         #: stamped by the sending interface when tracing is enabled (see
         #: :mod:`repro.telemetry.trace`); None otherwise.  Like the
-        #: timestamps above, it is carrier metadata — programs never see
-        #: it, and it occupies no message words.
+        #: injection time above, it is carrier metadata — programs never
+        #: see it, and it occupies no message words.
         self.trace = None
 
     @property
@@ -106,6 +102,15 @@ class Message:
         return Message(
             [Word.ip(handler_ip), *args], source=source, dest=dest, priority=priority
         )
+
+    def __setstate__(self, state) -> None:
+        # A capture written before the arrival and dispatch stamps were
+        # retired still holds them.
+        _, slots = state
+        slots.pop("arrive_time", None)
+        slots.pop("dispatch_time", None)
+        for name, value in slots.items():
+            setattr(self, name, value)
 
     def __len__(self) -> int:
         return len(self.words)

@@ -299,7 +299,6 @@ class Mdp:
         self._spill: List[Message] = []
         self._active_priority: Optional[Priority] = None
         self._current_instr_addr: int = 0
-        self._suspended_by_fault = False
         self.halted = False
         #: Compiled-block execution (see :mod:`repro.core.fastpath`).  Off
         #: by default so bare processors keep the documented one-step-per-
@@ -409,7 +408,6 @@ class Mdp:
 
     def deliver(self, message: Message, now: int) -> None:
         """Accept an arriving message into its priority queue."""
-        message.arrive_time = now
         queue = self.queues[message.priority]
         if self.spill_enabled and not queue.would_fit(message):
             self._spill.append(message)
@@ -624,7 +622,6 @@ class Mdp:
             ctx = self._context = context(self)
         end = deadline if deadline is not None else sys.maxsize
         self._active_priority = priority
-        self._suspended_by_fault = False
         self._woke = False
         stop = False
         while vnow < end and not stop:
@@ -676,7 +673,6 @@ class Mdp:
         queue = self.queues[priority]
         message = queue.head()
         assert message is not None
-        message.dispatch_time = now
         window = self._window_base(priority)
         for i, word in enumerate(message.words[:MSG_WINDOW_WORDS]):
             self.memory.poke(window + i, word)
@@ -734,7 +730,6 @@ class Mdp:
             )
         self._current_instr_addr = addr
         self._active_priority = priority
-        self._suspended_by_fault = False
         self._event_time = now
         regset.ip = addr + 1
         self.memory.meter.take_cycles()  # discard any stale charge
@@ -858,7 +853,6 @@ class Mdp:
         self._watch.setdefault(address, []).append(suspended)
         self._current[priority] = None
         self.counters.suspends += 1
-        self._suspended_by_fault = True
         if self._events is not None:
             # _event_time is the faulting instruction's start time, which
             # is identical on the fast and reference paths.

@@ -64,12 +64,6 @@ class TranslationBuffer:
         """Install a mapping in the backing table (page-table write)."""
         self._backing[virtual] = physical
 
-    def unmap(self, virtual: int) -> None:
-        """Remove a mapping everywhere (invalidation)."""
-        self._backing.pop(virtual, None)
-        entry_set = self._set_for(virtual)
-        entry_set[:] = [(k, v) for (k, v) in entry_set if k != virtual]
-
     def _set_for(self, virtual: int) -> List[Tuple[int, int]]:
         return self._table[virtual % self.sets]
 
@@ -103,11 +97,6 @@ class TranslationBuffer:
             self.evictions += 1
         entry_set.append((virtual, physical))
         return physical
-
-    @property
-    def hit_ratio(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
     def clear(self) -> None:
         self._table = [[] for _ in range(self.sets)]

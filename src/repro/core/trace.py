@@ -62,29 +62,19 @@ class Tracer:
                predicate: Optional[Callable[[Instr], bool]] = None) -> "Tracer":
         """Create a tracer and splice it into the processor."""
         tracer = cls(proc, limit=limit, predicate=predicate)
-        tracer._splice()
-        return tracer
-
-    def _splice(self) -> None:
-        if self._original_tick is not None:
-            return  # already attached; a re-entrant attach must not
-            # re-save fast_path (it is False while spliced) or wrap
-            # the already-wrapped tick.
-        proc = self.proc
-        original = proc.tick
-        self._original_tick = original
+        original = tracer._original_tick = proc.tick
         # Tracing wants one instruction per tick; force the per-step
         # reference path while attached (simulated timing is identical).
-        self._saved_fast_path = proc.fast_path
         proc.fast_path = False
 
         def traced_tick(now: int, *_run_ahead):
             before = _snapshot(proc)
             result = original(now)
-            self._record(now, before, _snapshot(proc))
+            tracer._record(now, before, _snapshot(proc))
             return result
 
         proc.tick = traced_tick  # type: ignore[method-assign]
+        return tracer
 
     def detach(self) -> None:
         """Restore the processor's untraced tick and fast-path setting.
@@ -100,13 +90,6 @@ class Tracer:
                 self._original_tick = None
         finally:
             self.proc.fast_path = self._saved_fast_path
-
-    def __enter__(self) -> "Tracer":
-        self._splice()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.detach()
 
     # ------------------------------------------------------------ recording
 
@@ -144,10 +127,6 @@ class Tracer:
             lines.append(f"... {self.dropped} events beyond the "
                          f"{self.limit}-event limit were dropped")
         return "\n".join(lines)
-
-    def instructions(self) -> List[TraceEvent]:
-        return [e for e in self.events if e.kind == "instr"]
-
 
 def _snapshot(proc: Mdp) -> dict:
     counters = proc.counters

@@ -40,9 +40,6 @@ _LEN_MASK = (1 << _LEN_BITS) - 1
 _NODE_BITS = 16
 _NODE_MASK = (1 << _NODE_BITS) - 1
 
-_COORD_BITS = 6
-_COORD_MASK = (1 << _COORD_BITS) - 1
-
 
 class Word:
     """An immutable 36-bit MDP word: 4-bit :class:`Tag` + 32-bit value."""
@@ -125,14 +122,6 @@ class Word:
         """A ``MSG`` descriptor addressed to ``node``."""
         return Word(Tag.MSG, ((node & _NODE_MASK) << _NODE_BITS) | (hint & _NODE_MASK))
 
-    @staticmethod
-    def phys(x: int, y: int, z: int) -> "Word":
-        """A ``PHYS`` router address packing three mesh coordinates."""
-        for coord in (x, y, z):
-            if not 0 <= coord <= _COORD_MASK:
-                raise TypeFault(f"router coordinate {coord} out of range")
-        return Word(Tag.PHYS, (x << (2 * _COORD_BITS)) | (y << _COORD_BITS) | z)
-
     # -- structured accessors ----------------------------------------------
 
     def as_segment(self) -> Tuple[int, int]:
@@ -148,17 +137,6 @@ class Word:
             raise TypeFault(f"expected MSG, found {self.tag.name}")
         raw = self.value & _MASK32
         return (raw >> _NODE_BITS) & _NODE_MASK, raw & _NODE_MASK
-
-    def as_phys(self) -> Tuple[int, int, int]:
-        """Unpack a ``PHYS`` word into (x, y, z)."""
-        if self.tag is not Tag.PHYS:
-            raise TypeFault(f"expected PHYS, found {self.tag.name}")
-        raw = self.value & _MASK32
-        return (
-            (raw >> (2 * _COORD_BITS)) & _COORD_MASK,
-            (raw >> _COORD_BITS) & _COORD_MASK,
-            raw & _COORD_MASK,
-        )
 
     # -- predicates ---------------------------------------------------------
 

@@ -79,15 +79,6 @@ class CstObject:
     def setup(self, ctx: Context, *args: Any) -> None:
         """Initialise instance state (runs on the home node)."""
 
-    @classmethod
-    def methods(cls) -> Dict[str, Callable]:
-        found = {}
-        for name in dir(cls):
-            member = getattr(cls, name)
-            if callable(member) and getattr(member, "_cst_method", False):
-                found[name] = member
-        return found
-
 
 class CstRuntime:
     """The COSMOS-like runtime: names, placement, and call delivery."""

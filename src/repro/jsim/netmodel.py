@@ -78,8 +78,6 @@ class LatencyModel:
         self._prev_rate = 0.0
         #: Backlog of crossing words beyond capacity (saturation queue).
         self._backlog_clear_time = 0.0
-        self.messages = 0
-        self.crossing_messages = 0
         self._phits_per_word = costs.phits_per_word
         #: src -> row, ``row[dst] = distance_cycles << 1 | crosses_midplane``
         #: (both pure functions of the pair), built when ``src`` first
@@ -128,7 +126,6 @@ class LatencyModel:
 
     def latency(self, src: int, dst: int, length_words: int, now: int) -> int:
         """Cycles from launch at ``src`` to queued at ``dst``."""
-        self.messages += 1
         try:
             if dst < 0:
                 raise IndexError  # a negative index would wrap
@@ -146,7 +143,6 @@ class LatencyModel:
             contention = self.contention_scale * u * u
             return base + int(contention if contention < cap else cap)
 
-        self.crossing_messages += 1
         self._bucket_words += length_words
         contention = self.contention_scale * u / (1.0 - u)
         if contention > cap:
@@ -183,8 +179,6 @@ class LatencyModel:
             "bucket_words": self._bucket_words,
             "prev_rate": self._prev_rate,
             "backlog_clear_time": self._backlog_clear_time,
-            "messages": self.messages,
-            "crossing_messages": self.crossing_messages,
         }
 
     def load_state(self, state: dict) -> None:
@@ -193,5 +187,3 @@ class LatencyModel:
         self._bucket_words = state["bucket_words"]
         self._prev_rate = state["prev_rate"]
         self._backlog_clear_time = state["backlog_clear_time"]
-        self.messages = state["messages"]
-        self.crossing_messages = state["crossing_messages"]

@@ -309,15 +309,6 @@ class MacroSimulator:
         stats = self.handler_stats[name] = HandlerStats()
         self._bound[name] = (handler, stats)
 
-    def handler(self, name: str) -> Callable[[Handler], Handler]:
-        """Decorator form of :meth:`register`."""
-
-        def wrap(fn: Handler) -> Handler:
-            self.register(name, fn)
-            return fn
-
-        return wrap
-
     # -- messaging ------------------------------------------------------------
 
     def post(

@@ -2,7 +2,7 @@
 
 from .fabric import BUFFER_PHITS, Fabric, Worm
 from .observatory import FABRIC_METRICS, FabricProbe, FabricReport
-from .routing import ChannelKey, EJECT, INJECT, ecube_route, route_hops
+from .routing import ChannelKey, EJECT, INJECT
 from .stats import LatencySummary, NetworkStats
 from .topology import Mesh3D
 from .traffic import (
@@ -23,8 +23,6 @@ __all__ = [
     "ChannelKey",
     "EJECT",
     "INJECT",
-    "ecube_route",
-    "route_hops",
     "LatencySummary",
     "NetworkStats",
     "Mesh3D",

@@ -80,6 +80,10 @@ AT_PORT = 1 << 48
 
 _AKEY = attrgetter("akey")
 
+#: Cycles :meth:`Fabric.drain` steps before it gives up on a network
+#: that will not empty.
+DRAIN_MAX_CYCLES = 1_000_000
+
 AcceptFn = Callable[[int, Message], bool]
 DeliverFn = Callable[[int, Message, int], None]
 
@@ -94,9 +98,9 @@ class Worm:
 
     __slots__ = (
         "message", "keys", "hops", "total_phits", "head", "released",
-        "injected", "delivered", "reserved", "submit_time", "launch_time",
-        "seq", "block_cycles", "crosses_bisection", "done", "pri", "akey",
-        "wake", "seen", "parked",
+        "injected", "delivered", "reserved", "launch_time", "seq",
+        "block_cycles", "crosses_bisection", "done", "pri", "akey", "wake",
+        "seen", "parked",
     )
 
     def __init__(
@@ -120,7 +124,6 @@ class Worm:
         self.injected = 0       # phits that have left the source interface
         self.delivered = 0      # phits absorbed at the destination
         self.reserved = False   # destination queue space reserved
-        self.submit_time = 0
         self.launch_time: Optional[int] = None
         self.seq = seq
         self.block_cycles = 0
@@ -153,9 +156,12 @@ class Worm:
 
     def __setstate__(self, state) -> None:
         # A capture written before channel keys became ints also holds
-        # the retired ``path`` slot; Fabric.load_state re-derives keys.
+        # the retired ``path`` slot (Fabric.load_state re-derives keys),
+        # and one written before submission stopped being stamped a
+        # ``submit_time``.
         _, slots = state
         slots.pop("path", None)
+        slots.pop("submit_time", None)
         for name, value in slots.items():
             setattr(self, name, value)
 
@@ -308,7 +314,6 @@ class Fabric:
         worm = Worm(message, keys, len(keys) - 2, total_phits, crosses,
                     self._seq)
         self._seq += 1
-        worm.submit_time = now
         if message.inject_time is None:
             message.inject_time = now
         return worm
@@ -818,7 +823,6 @@ class Fabric:
                 return
             if verdict == 2:  # corrupted: delivered, but checksum-dead
                 worm.message.corrupted = True
-        worm.message.arrive_time = arrival
         if self._probe is not None:
             self._probe.record_completion(worm)
         self.deliver_fn(worm.message.dest, worm.message, arrival)
@@ -952,17 +956,18 @@ class Fabric:
 
     # ---------------------------------------------------------------- helpers
 
-    def drain(self, now: int, max_cycles: int = 1_000_000) -> int:
+    def drain(self, now: int) -> int:
         """Step until the network is empty; returns the finishing cycle.
 
         Only valid when message delivery does not trigger new sends (the
         synthetic micro-benchmarks); machines drive :meth:`step` directly.
         """
         cycle = now
-        end = now + max_cycles
+        end = now + DRAIN_MAX_CYCLES
         while self.active and cycle < end:
             self.step(cycle)
             cycle += 1
         if self.active:
-            raise ConfigurationError(f"network failed to drain in {max_cycles} cycles")
+            raise ConfigurationError(
+                f"network failed to drain in {DRAIN_MAX_CYCLES} cycles")
         return cycle

@@ -28,13 +28,13 @@ only way back from a key.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import List, Tuple
+from typing import Tuple
 
 from ..core.errors import ConfigurationError
 from .topology import Mesh3D
 
-__all__ = ["ChannelKey", "INJECT", "EJECT", "decode_key", "ecube_route",
-           "route", "route_hops", "route_keys"]
+__all__ = ["ChannelKey", "INJECT", "EJECT", "decode_key", "route",
+           "route_keys"]
 
 #: Pseudo-dimension of the processor-to-router injection port.
 INJECT = 3
@@ -111,13 +111,3 @@ def route(mesh: Mesh3D, source: int, dest: int) -> Tuple[ChannelKey, ...]:
     :func:`route_keys` (for cold callers: replays, tests)."""
     keys, _ = route_keys(mesh.dims, source, dest, 0)
     return tuple(map(decode_key, keys))
-
-
-def ecube_route(mesh: Mesh3D, source: int, dest: int) -> List[ChannelKey]:
-    """The full channel path from ``source`` to ``dest``, as a list."""
-    return list(route(mesh, source, dest))
-
-
-def route_hops(path: List[ChannelKey]) -> int:
-    """Mesh hops in a route (excludes injection/ejection ports)."""
-    return sum(1 for (_, dim, _) in path if dim < INJECT)

@@ -119,9 +119,9 @@ class LatencySummary:
 class NetworkStats:
     """Counters the fabric maintains, with a resettable window.
 
-    ``window_*`` fields accumulate since the last :meth:`open_window`
-    call, so benchmarks can warm the network up and then measure a clean
-    steady-state interval.
+    ``window_bisection_words`` accumulates since the last
+    :meth:`open_window` call, so a load sweep can warm the network up and
+    then measure a clean steady-state interval (Figure 3).
     """
 
     def __init__(self, mesh: "Mesh3D") -> None:
@@ -136,33 +136,22 @@ class NetworkStats:
         self.latency = LatencySummary()
         # measurement window
         self._window_start_cycle = 0
-        self.window_completed = 0
         self.window_bisection_words = 0
-        self.window_message_words = 0
-        self.window_latency = LatencySummary()
 
     def record_completion(self, worm: "Worm", now: int) -> None:
         self.completed += 1
         message = worm.message
         if message.inject_time is not None:
-            latency = now - message.inject_time
-            self.latency.record(latency)
-            self.window_latency.record(latency)
-        self.window_completed += 1
-        length = len(message.words)
-        self.window_message_words += length
+            self.latency.record(now - message.inject_time)
         if worm.crosses_bisection:
-            self.window_bisection_words += length
+            self.window_bisection_words += len(message.words)
 
     # -- measurement windows --------------------------------------------------
 
     def open_window(self, now: int) -> None:
         """Start a fresh measurement interval at cycle ``now``."""
         self._window_start_cycle = now
-        self.window_completed = 0
         self.window_bisection_words = 0
-        self.window_message_words = 0
-        self.window_latency = LatencySummary()
 
     def window_cycles(self, now: int) -> int:
         return max(1, now - self._window_start_cycle)

@@ -27,11 +27,11 @@ import urllib.error
 import urllib.request
 from typing import Any, Dict, List, Optional
 
+from ..telemetry.live import HOST
 from .spec import APPS
 from .supervisor import DRAIN_TIMEOUT_S, ServiceConfig
 
-#: Where ``serve`` listens and the clients look for it.
-HOST = "127.0.0.1"
+#: The port ``serve`` listens on and the clients look for it at.
 PORT = 8124
 
 

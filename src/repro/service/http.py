@@ -43,6 +43,7 @@ from typing import Any, Dict, Optional
 from urllib.parse import parse_qs, urlsplit
 
 from ..core.errors import SimulationError
+from ..telemetry.live import HOST
 from ..telemetry.serve import LiveServer, _Handler
 from .spec import JobSpec
 from .supervisor import DRAIN_TIMEOUT_S, Supervisor
@@ -149,7 +150,7 @@ class _ServiceHandler(_Handler):
 class ServiceServer(LiveServer):
     """One port serving both the job API and fleet live telemetry."""
 
-    def __init__(self, supervisor: Supervisor, host: str = "127.0.0.1",
+    def __init__(self, supervisor: Supervisor, host: str = HOST,
                  port: int = 0, verbose: bool = False) -> None:
         self.supervisor = supervisor
         #: What the process owner waits on before taking the listener

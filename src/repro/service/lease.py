@@ -36,13 +36,12 @@ __all__ = ["Lease", "LeaseTable"]
 class Lease:
     """One worker's claim on one job."""
 
-    __slots__ = ("digest", "worker", "granted_at", "last_heartbeat",
-                 "sim_now", "stalled_s", "heartbeats", "revoked", "_gauge")
+    __slots__ = ("digest", "worker", "last_heartbeat", "sim_now",
+                 "stalled_s", "heartbeats", "revoked", "_gauge")
 
     def __init__(self, digest: str, worker: int, now: float) -> None:
         self.digest = digest
         self.worker = worker
-        self.granted_at = now
         self.last_heartbeat = now
         self.sim_now = 0
         #: Wall seconds the simulated clock has been frozen, as of the

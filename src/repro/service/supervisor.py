@@ -91,11 +91,9 @@ _KILL_TIMEOUT_S = 5.0
 class WorkerHandle:
     """One supervised worker process and its reader thread."""
 
-    def __init__(self, wid: int, proc: subprocess.Popen,
-                 log_path: str) -> None:
+    def __init__(self, wid: int, proc: subprocess.Popen) -> None:
         self.wid = wid
         self.proc = proc
-        self.log_path = log_path
         self.ready = False
         self.reader: Optional[threading.Thread] = None
         #: Last relayed frame identity (job digest, frame seq) — two
@@ -200,7 +198,7 @@ class Supervisor:
                 stderr=log, text=True, bufsize=1, env=env)
         finally:
             log.close()  # the child holds its own fd now
-        handle = WorkerHandle(wid, proc, log_path)
+        handle = WorkerHandle(wid, proc)
         self.workers[wid] = handle
         handle.reader = threading.Thread(target=self._read_loop,
                                          args=(handle,), daemon=True,

@@ -44,9 +44,6 @@ class CheckpointPolicy:
         #: what tests and the smoke harness assert on.
         self.saves = 0
         self.last_path: Optional[str] = None
-        self.last_header: Optional[dict] = None
-        #: Stale temp files removed when the policy armed.
-        self.swept: list = []
 
     def arm(self, now: int) -> None:
         """Start the clock at a run's first cycle (no-op once armed)."""
@@ -54,7 +51,7 @@ class CheckpointPolicy:
             self.next_due = now + self.every
             from .format import sweep_stale_tmp
 
-            self.swept = sweep_stale_tmp(self.path)
+            sweep_stale_tmp(self.path)
 
     def due(self, now: int) -> bool:
         """Is a checkpoint due at simulated time ``now``?  O(1)."""
@@ -78,8 +75,7 @@ class CheckpointPolicy:
         """
         reached = target.now if at is None else at
         path = self.path.format(cycle=reached)
-        self.last_header = target.save(path, run_limit=run_limit,
-                                       meta=self.meta)
+        target.save(path, run_limit=run_limit, meta=self.meta)
         self.next_due = reached + self.every
         self.saves += 1
         self.last_path = path

@@ -24,6 +24,7 @@ import sys
 from typing import List, Optional
 
 from ..core.costs import DEFAULT_COSTS
+from .live import HOST
 from .report import SimReport
 from .trace import CausalGraph
 
@@ -313,7 +314,7 @@ def main(argv: Optional[List[str]] = None) -> int:
              "/snapshot.json, and /stream over HTTP",
     )
     _live_args(serve)
-    serve.add_argument("--host", default="127.0.0.1",
+    serve.add_argument("--host", default=HOST,
                        help="bind address (default: loopback only)")
     serve.add_argument("--port", type=int, default=8123,
                        help="port (default: %(default)s; 0 = ephemeral)")

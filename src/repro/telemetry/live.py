@@ -43,7 +43,12 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 from ..chaos.watchdog import ProgressGauge, machine_snapshots
 from .metrics import MetricsRegistry
 
-__all__ = ["SamplePolicy", "SamplePoint", "LiveSampler"]
+__all__ = ["HOST", "SamplePolicy", "SamplePoint", "LiveSampler"]
+
+#: Where live frames are served by default (``LiveServer``, the
+#: service's HTTP API and both ``serve`` commands): loopback only, so a
+#: wider bind is the caller's explicit choice.
+HOST = "127.0.0.1"
 
 Number = float
 
@@ -248,7 +253,6 @@ class LiveSampler:
         self._new_frame = threading.Condition(self._lock)
         self._registry: Optional[MetricsRegistry] = None
         self._limit_pinned = False
-        self._target: Any = None
         self._wall0 = time.monotonic()
         #: Wall-clock stall detector over the frames' progress signature.
         self._progress = ProgressGauge()
@@ -268,7 +272,6 @@ class LiveSampler:
 
         registry = registry_for(target)
         self._registry = registry
-        self._target = target
         if run_limit is not None:
             # A host-supplied limit (often an analytic estimate for a
             # quiescence-driven run) wins over the loop-reported one,

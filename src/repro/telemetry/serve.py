@@ -48,7 +48,7 @@ import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Iterator, Optional, Tuple
 
-from .live import LiveSampler, SamplePoint
+from .live import HOST, LiveSampler, SamplePoint
 
 __all__ = ["LiveServer", "prometheus_name", "render_prometheus", "iter_sse"]
 
@@ -192,7 +192,7 @@ class LiveServer(ThreadingHTTPServer):
     #: stop whose wake-up could not connect.
     wake_fallback_s = 0.5
 
-    def __init__(self, sampler: LiveSampler, host: str = "127.0.0.1",
+    def __init__(self, sampler: LiveSampler, host: str = HOST,
                  port: int = 0, verbose: bool = False,
                  handler_cls: type = _Handler) -> None:
         self.sampler = sampler

@@ -176,10 +176,9 @@ class PathStep:
 class CriticalPath:
     """The longest dependency chain of a run, with cycle attribution."""
 
-    def __init__(self, steps: List[PathStep], run_end: Optional[int],
-                 total_work: int, n_nodes: int) -> None:
+    def __init__(self, steps: List[PathStep], total_work: int,
+                 n_nodes: int) -> None:
         self.steps = steps
-        self.run_end = run_end
         self.total_work = total_work
         self.n_nodes = n_nodes
 
@@ -461,7 +460,7 @@ class CausalGraph:
         executed = [s for s in self.spans.values()
                     if s.start_ts is not None and s.end_ts is not None]
         if not executed:
-            return CriticalPath([], self.run_end_ts, 0, 0)
+            return CriticalPath([], 0, 0)
 
         # Per-node completion index for resource (queue) edges.
         by_node: Dict[int, List[Tuple[int, int]]] = {}
@@ -548,8 +547,7 @@ class CausalGraph:
             break
 
         steps.reverse()
-        return CriticalPath(steps, self.run_end_ts, self.total_work(),
-                            self.n_nodes())
+        return CriticalPath(steps, self.total_work(), self.n_nodes())
 
     # -- rendering -----------------------------------------------------------
 

@@ -54,7 +54,7 @@ class TestCycleLevel:
         assert first == second
         assert engine1.summary() == engine2.summary()
         # The plan really did something (the test is not vacuous).
-        assert engine1.faults_injected > 0
+        assert engine1.log
 
     def test_different_seed_different_faults(self):
         other = FaultPlan(seed=78, specs=LOSSY.specs)
@@ -67,7 +67,7 @@ class TestCycleLevel:
         bare, _ = _cycle_run(None)
         empty, engine = _cycle_run(FaultPlan(seed=123))
         assert bare == empty
-        assert engine.faults_injected == 0
+        assert not engine.log
 
 
 class TestMacroLevel:

@@ -16,7 +16,6 @@ class TestGeometry:
     def test_default_sizes(self):
         memory = NodeMemory()
         assert memory.imem_words == 4096
-        assert memory.emem_words == 256 * 1024
         assert memory.total_words == 4096 + 256 * 1024
 
     def test_is_internal(self, memory):
@@ -83,10 +82,6 @@ class TestAccessCosts:
         assert memory.meter.imem_writes == 1
         assert memory.meter.emem_reads == 1
         assert memory.meter.emem_writes == 1
-
-    def test_access_cycles_helper(self, memory):
-        assert memory.access_cycles(0) == 1
-        assert memory.access_cycles(500) == 6
 
 
 class TestBlocks:

@@ -53,8 +53,6 @@ def test_priority_one():
 def test_timestamps_start_unset():
     message = Message.build(128, [], 0, 1)
     assert message.inject_time is None
-    assert message.arrive_time is None
-    assert message.dispatch_time is None
 
 
 def test_repr_mentions_endpoints():

@@ -127,14 +127,6 @@ class TestMsgAndPhys:
         with pytest.raises(TypeFault):
             Word.from_int(5).as_msg()
 
-    @given(st.integers(0, 63), st.integers(0, 63), st.integers(0, 63))
-    def test_phys_roundtrip(self, x, y, z):
-        assert Word.phys(x, y, z).as_phys() == (x, y, z)
-
-    def test_phys_range_check(self):
-        with pytest.raises(TypeFault):
-            Word.phys(64, 0, 0)
-
 
 class TestPredicates:
     def test_numeric_tags(self):

@@ -60,11 +60,12 @@ def test_saturation_queues_messages():
 
 
 def test_counts_crossing_messages():
+    """Only traffic across the X midplane fills the utilization bucket."""
     m = model()
     m.latency(0, 1, 4, now=0)   # same side
+    assert m._bucket_words == 0
     m.latency(0, 3, 4, now=0)   # crosses
-    assert m.messages == 2
-    assert m.crossing_messages == 1
+    assert m._bucket_words == 4
 
 
 # ------------------------------------------------------- the distance rows
@@ -129,4 +130,3 @@ def test_benchmark_latency_sum_unchanged():
         total += m.latency(rng.randrange(512), rng.randrange(512), 4, now)
         now += 3
     assert total == 1_242_837
-    assert (m.messages, m.crossing_messages) == (50_000, 25_109)

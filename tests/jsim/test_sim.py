@@ -36,17 +36,6 @@ def test_bad_destination_rejected():
         sim.inject(5, "h")
 
 
-def test_decorator_registration():
-    sim = MacroSimulator(2)
-
-    @sim.handler("h")
-    def h(ctx):
-        ctx.charge(instructions=1)
-
-    sim.inject(0, "h")
-    assert sim.run() > 0
-
-
 class TestTiming:
     def test_charge_advances_task_time(self):
         sim = MacroSimulator(2)

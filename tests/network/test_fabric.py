@@ -50,7 +50,6 @@ class TestDelivery:
         assert len(sink.delivered) == 1
         node, msg, at = sink.delivered[0]
         assert node == 63
-        assert msg.arrive_time == at
 
     def test_self_message_arrives(self):
         fabric, sink = make_fabric()
@@ -192,4 +191,3 @@ class TestWindowStats:
         fabric.send(local, 0)
         run(fabric)
         assert fabric.stats.window_bisection_words == 4
-        assert fabric.stats.window_message_words == 8

@@ -138,10 +138,8 @@ class TestMerge:
 class TestWindow:
     def test_window_reset(self):
         stats = NetworkStats(Mesh3D(4, 4, 4))
-        stats.window_completed = 9
         stats.window_bisection_words = 100
         stats.open_window(500)
-        assert stats.window_completed == 0
         assert stats.window_bisection_words == 0
         assert stats.window_cycles(600) == 100
 

@@ -67,7 +67,7 @@ class StubHandle(WorkerHandle):
     """A worker that is only its supervisor-side record."""
 
     def __init__(self, wid):
-        super().__init__(wid, FakeProc(pid=40_000 + wid), log_path="")
+        super().__init__(wid, FakeProc(pid=40_000 + wid))
         self.sent = []
         #: Called with each ``job`` message, for tests that play the worker.
         self.on_job = None

@@ -161,8 +161,7 @@ class TestTmpHygiene:
         orphan.write_bytes(b"left by a killed writer")
         policy = CheckpointPolicy(path, every=10)
         assert policy.due(0) is False  # first call arms...
-        assert policy.swept == [str(orphan)]  # ...and sweeps
-        assert not orphan.exists()
+        assert not orphan.exists()  # ...and sweeps
 
     def test_sweep_missing_directory_is_quiet(self, tmp_path):
         from repro.snapshot import sweep_stale_tmp

@@ -88,7 +88,6 @@ class TestLcsResume:
         for i in range(200):
             hot.post(i % N_NODES, (i * 7) % N_NODES, "h", (), 8, 0, i)
         model = hot.network
-        assert model.messages == 200
 
         cold = MacroSimulator(N_NODES).network
         assert cold.state_dict() != model.state_dict()

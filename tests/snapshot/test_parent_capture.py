@@ -58,6 +58,14 @@ config's values into a current ``CostModel``.
 machine always builds its fabric with the calibrated constants) and
 ``ChaosEngine`` its ``log_limit``; a file written before that holds
 both config fields and a ``log_limit`` key in the chaos state.
+
+State nothing read was deleted: the ``arrive_time`` / ``dispatch_time``
+slots of ``Message``, ``Worm.submit_time``, the processor's
+``_suspended_by_fault``, ``NodeMemory.emem_words``, three
+``NetworkStats`` window fields and the macro ``LatencyModel``'s two
+message counters.  A file written before that holds all of them;
+``Message.__setstate__`` and ``Worm.__setstate__`` drop the slots, the
+rest come back as attributes or keys nothing reads.
 """
 
 import copyreg
@@ -69,10 +77,13 @@ import pytest
 from repro.asm.assembler import assemble
 from repro.chaos import FaultSpec
 from repro.core.costs import DEFAULT_COSTS
+from repro.core.memory import EMEM_WORDS
+from repro.core.message import Message
 from repro.core.registers import Priority
 from repro.core.word import Word
 from repro.network.fabric import Worm
 from repro.network.routing import decode_key
+from repro.network.stats import LatencySummary
 from repro.machine.config import MachineConfig
 from repro.machine.jmachine import JMachine
 from repro.snapshot import CheckpointPolicy, read_snapshot, restore_machine
@@ -266,6 +277,43 @@ def test_capture_with_retired_settings_restores(tmp_path):
     assert not hasattr(resumed.chaos, "_log_limit")
 
 
+def _stamped_pickle(payload):
+    """``payload`` pickled the way a build that still stamped messages
+    and worms wrote it: every ``Message`` with ``arrive_time`` and
+    ``dispatch_time`` slots, every ``Worm`` with a ``submit_time``."""
+
+    class ParentPickler(pickle.Pickler):
+        def reducer_override(self, obj):
+            if type(obj) is Message:
+                slots = {name: getattr(obj, name)
+                         for name in Message.__slots__}
+                slots.update(arrive_time=obj.inject_time, dispatch_time=None)
+            elif type(obj) is Worm:
+                slots = {name: getattr(obj, name) for name in Worm.__slots__}
+                slots["submit_time"] = obj.launch_time or 0
+            else:
+                return NotImplemented
+            return copyreg.__newobj__, (type(obj),), (None, slots)
+
+    buffer = io.BytesIO()
+    ParentPickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(payload)
+    return buffer.getvalue()
+
+
+@pytest.mark.parametrize("specs", [(), CHAOS_SPECS], ids=["plain", "chaos"])
+def test_capture_with_unread_state_restores(tmp_path, specs):
+    reference, payload = _midflight(tmp_path, specs, probe=False)
+    payload["fabric"]["stats"].__dict__.update(
+        window_completed=3, window_message_words=9,
+        window_latency=LatencySummary())
+    for node in payload["nodes"]:
+        node["proc"]["_suspended_by_fault"] = False
+        node["proc"]["memory"].__dict__["emem_words"] = EMEM_WORDS
+    blob = _stamped_pickle(payload)
+    assert b"dispatch_time" in blob and b"submit_time" in blob
+    _resumes_equal(pickle.loads(blob), reference)
+
+
 #: What ``Fabric.state_dict`` wrote for the retired stagnation watchdog
 #: (off, as every caller left it, with its clock mid-count).
 RETIRED_FABRIC_KEYS = {"watchdog_cycles": 0, "stagnant_cycles": 3}
@@ -377,7 +425,7 @@ def _stats(fabric):
     stats = fabric.stats
     return ({k: v for k, v in vars(stats).items()
              if isinstance(v, (int, float))},
-            stats.latency.snapshot(), stats.window_latency.snapshot())
+            stats.latency.snapshot())
 
 
 # ------------------------------------------------------------- macro level
@@ -421,3 +469,28 @@ def test_macro_capture_with_every_completion_restores(tmp_path, monkeypatch,
                       if event[2] == MacroSimulator._COMPLETE) == running
         assert run(restore_from=str(path)) == want
     assert mid_task, "no capture caught a task running"
+
+
+def test_macro_capture_with_network_counters_restores(tmp_path):
+    """A macro file written while the latency model counted messages
+    holds two more keys in its network state; ``load_state`` reads
+    neither."""
+    from repro.apps import lcs
+    from repro.snapshot import write_snapshot
+
+    from .test_macro_resume import N_NODES, PARAMS, _digest
+
+    def run(**kwargs):
+        telemetry = Telemetry()
+        result = lcs.run_parallel(N_NODES, PARAMS, telemetry=telemetry,
+                                  **kwargs)
+        return _digest(result, telemetry)
+
+    want = run()
+    path = str(tmp_path / "old.ckpt")
+    run(checkpoint=CheckpointPolicy(path, every=want["cycles"] // 2))
+    header, payload = read_snapshot(path)
+    assert "messages" not in payload["network"]
+    payload["network"].update(messages=200, crossing_messages=96)
+    write_snapshot(path, "macro", payload, meta=header["meta"])
+    assert run(restore_from=path) == want

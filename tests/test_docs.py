@@ -1,5 +1,6 @@
 """Documentation consistency: the docs describe the code that exists."""
 
+import functools
 import pathlib
 import re
 
@@ -477,6 +478,7 @@ ONE_HOME_SETTINGS = {
     "chaos replay size": (("chaos",), ("run_app_under_plan.n_nodes",
                                        "--nodes")),
     "chaos replay app": (("chaos",), ("run_app_under_plan.app", "--app")),
+    "bind host": (("telemetry", "service"), ("HOST", "host", "--host")),
 }
 
 
@@ -493,3 +495,138 @@ def test_each_setting_has_one_literal_default():
         if len(sites) != 1:
             wrong[setting] = sites
     assert not wrong, f"settings without exactly one literal default: {wrong}"
+
+
+_IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
+
+
+@functools.lru_cache(maxsize=None)
+def _program_scan():
+    """One pass over the program: ``src/repro``, ``benchmarks/``,
+    ``examples/`` and the Makefile (tests are not part of it).
+
+    Returns ``(used, loaded, defined, stored, fields)``: ``used`` every
+    name loaded as a ``Name`` or an attribute or appearing as an
+    identifier in a string constant (generated block code and
+    ``getattr`` names included; docstrings, ``__all__`` and
+    ``__slots__`` are not uses); ``loaded`` the attributes loaded or
+    named in a string constant; and, under ``src/repro`` only,
+    ``{name: [file:line]}`` of every function, class and method
+    defined and of every attribute assigned, and the field names of
+    every ``@dataclass``.  Name-level: ``x.count`` anywhere reads every
+    attribute called ``count``."""
+    import ast
+
+    src = ROOT / "src" / "repro"
+    names, attributes = set(), set()
+    strings = set(_IDENTIFIER.findall((ROOT / "Makefile").read_text()))
+    defined, stored, fields = {}, {}, set()
+    for path in [*src.rglob("*.py"), *(ROOT / "benchmarks").rglob("*.py"),
+                 *(ROOT / "examples").rglob("*.py")]:
+        ours = src in path.parents
+        skip = set()
+        # ast.walk visits a node before its children, so a docstring or
+        # an ``__all__`` / ``__slots__`` list is marked before it is met.
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = f"{path.relative_to(ROOT)}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef)) and node.body \
+                    and isinstance(node.body[0], ast.Expr):
+                skip.add(node.body[0].value)
+            if isinstance(node, ast.Assign) and any(
+                    getattr(target, "id", None) in ("__all__", "__slots__")
+                    for target in node.targets):
+                skip.update(ast.walk(node.value))
+            elif isinstance(node, ast.Name) and isinstance(node.ctx,
+                                                           ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                if isinstance(node.ctx, ast.Load):
+                    attributes.add(node.attr)
+                elif ours:
+                    stored.setdefault(node.attr, []).append(where)
+            elif isinstance(node, ast.Constant) and isinstance(
+                    node.value, str) and node not in skip:
+                strings.update(_IDENTIFIER.findall(node.value))
+            if ours and isinstance(node, (ast.FunctionDef,
+                                          ast.AsyncFunctionDef,
+                                          ast.ClassDef)):
+                defined.setdefault(node.name, []).append(where)
+            if ours and isinstance(node, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(decorator)
+                    for decorator in node.decorator_list):
+                fields.update(item.target.id for item in node.body
+                              if isinstance(item, ast.AnnAssign)
+                              and isinstance(item.target, ast.Name))
+    return (names | attributes | strings, attributes | strings, defined,
+            stored, fields)
+
+
+def _kept(found, allowed):
+    """An assertion message for ``found`` (name -> sites) against the
+    ``allowed`` table, or None when they name the same things."""
+    new = {name: found[name] for name in found.keys() - allowed.keys()}
+    stale = sorted(allowed.keys() - found.keys())
+    if new or stale:
+        return f"not in the table: {new}; in the table but used now: {stale}"
+    return None
+
+
+#: Definitions nothing in the program names, each kept for a reason.
+ALLOWED_UNREACHED = {
+    "scaling_analysis": "checks the paper's §4.3.1 LCS decomposition, "
+                        "which the scorecard does not score yet",
+    "block_source": "prints a compiled block's generated text: ROADMAP "
+                    "item 8's route to retiring the Tracer",
+    "crosses_x_midplane": "the oracle test_routing.py and "
+                          "test_netmodel.py check packed midplane bits "
+                          "against",
+    "run_future_experiment": "shows the paper's future lifecycle on the "
+                             "cycle machine",
+    "run_reduction": "shows the paper's combining tree on the cycle "
+                     "machine; two tier-1 properties run it as a workload",
+    "register_codegen_metrics": "a documented opt-in (OBSERVABILITY.md §1)",
+}
+
+
+def test_every_definition_is_reached():
+    """A function, class or method the program never names is code only
+    its tests keep alive; delete it with them, or say in
+    ``ALLOWED_UNREACHED`` why it stays.  Dunders and the ``http.server``
+    hooks (``do_*``, ``log_message``) are called by name from outside."""
+    used, _, defined, _, _ = _program_scan()
+    unreached = {name: where for name, where in defined.items()
+                 if name not in used
+                 and not (name.startswith("__") and name.endswith("__"))
+                 and not name.startswith("do_") and name != "log_message"}
+    message = _kept(unreached, ALLOWED_UNREACHED)
+    assert message is None, message
+
+
+#: Attributes stored and never read by the program, each kept for a
+#: reason.
+ALLOWED_UNREAD = {
+    **dict.fromkeys(
+        ("imem_reads", "imem_writes", "emem_reads", "emem_writes"),
+        "AccessMeter's traffic counts: tests/core/test_blocks.py compares "
+        "a compiled block's memory traffic with the interpreter's"),
+    "launch_time": "Worm's, with block_cycles and done (which the "
+                   "name-level rule cannot see): "
+                   "tests/network/test_kernel_properties.py compares them "
+                   "with reference_fabric.py",
+    "walks": "TranslationBuffer's: the node TLB charges no cycles, so its "
+             "counters are test_tlb.py's only evidence that it caches",
+}
+
+
+def test_every_stored_attribute_is_read():
+    """An attribute the program stores and never reads is work (some
+    were written per message or per tick) and state a capture carries
+    for nothing; delete it, or say in ``ALLOWED_UNREAD`` why it stays.
+    A ``@dataclass`` field counts as read: the metric wiring exports
+    those through ``fields()``."""
+    _, loaded, _, stored, fields = _program_scan()
+    unread = {name: where for name, where in stored.items()
+              if name not in loaded and name not in fields}
+    message = _kept(unread, ALLOWED_UNREAD)
+    assert message is None, message

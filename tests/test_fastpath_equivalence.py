@@ -212,7 +212,7 @@ def _chaos_run(fast, attach_empty_plan):
         assert chaos_keys and all(sample[k] == 0 for k in chaos_keys)
         for key in chaos_keys:
             del sample[key]
-        assert engine.faults_injected == 0
+        assert not engine.log
     return (machine.now, _machine_counters(machine), sample,
             list(telemetry.events.iter_dicts()))
 
@@ -314,7 +314,7 @@ def test_echo_under_chaos_identical(spec):
                 [Word.from_int((i + 3) % 8), Word.from_int(100 + i)],
                 source=(i + 1) % 8)
         end = machine.run(max_cycles=20_000, until=never)
-        assert engine.faults_injected > 0
+        assert engine.log
         return machine_state(machine, end), telemetry.registry.snapshot()
 
     fast, slow = _both(run)

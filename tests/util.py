@@ -66,8 +66,8 @@ def globals_segment(proc: Mdp, program: Program, words: int = 16,
 #: the interpreter never makes and which change nothing once the network
 #: reaches their cycle.
 VOLATILE = frozenset({"_woke", "_event_time", "_current_instr_addr",
-                      "_active_priority", "_suspended_by_fault",
-                      "fast_path", "_text", "pending_frees"})
+                      "_active_priority", "fast_path", "_text",
+                      "pending_frees"})
 
 
 def _canon(obj):
