@@ -23,7 +23,7 @@ names (the MDP compares the full 36-bit key).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ConfigurationError, XlateMissFault
 from .word import Word
@@ -39,8 +39,10 @@ class AssociativeMatchTable:
             raise ConfigurationError("AMT geometry must be positive")
         self.sets = sets
         self.ways = ways
-        # Each set is an LRU-ordered list of (key, value); index 0 = LRU.
-        self._table: List[List[Tuple[Word, Word]]] = [[] for _ in range(sets)]
+        # Set index -> LRU-ordered list of (key, value), index 0 = LRU.
+        # A set exists only while it holds an entry: a node that never
+        # enters a name holds no sets.
+        self._table: Dict[int, List[Tuple[Word, Word]]] = {}
         self._backing: Dict[Word, Word] = {}
         # statistics
         self.hits = 0
@@ -48,8 +50,27 @@ class AssociativeMatchTable:
         self.enters = 0
         self.evictions = 0
 
+    def __setstate__(self, state: dict) -> None:
+        # A capture written while every set was built up front holds a
+        # list of them, most empty.
+        table = state["_table"]
+        if isinstance(table, list):
+            state["_table"] = {index: entry_set
+                               for index, entry_set in enumerate(table)
+                               if entry_set}
+        self.__dict__.update(state)
+
     def _set_for(self, key: Word) -> List[Tuple[Word, Word]]:
-        return self._table[hash(key) % self.sets]
+        """The key's set, built on first use (enter and miss fill)."""
+        index = hash(key) % self.sets
+        entry_set = self._table.get(index)
+        if entry_set is None:
+            entry_set = self._table[index] = []
+        return entry_set
+
+    def _lookup_set(self, key: Word) -> Sequence[Tuple[Word, Word]]:
+        """The key's set, or nothing if it was never built."""
+        return self._table.get(hash(key) % self.sets, ())
 
     # -- architecture-visible operations -------------------------------------
 
@@ -80,7 +101,7 @@ class AssociativeMatchTable:
         :class:`XlateMissFault`; the processor's fault path then calls
         :meth:`miss_fill`.
         """
-        entry_set = self._set_for(key)
+        entry_set = self._lookup_set(key)
         for i, (existing, value) in enumerate(entry_set):
             if existing == key:
                 self.hits += 1
@@ -122,16 +143,19 @@ class AssociativeMatchTable:
         number of entries evicted; counted in :attr:`evictions`.
         """
         victims = 0
-        for entry_set in self._table:
-            if not entry_set:
-                continue
+        # In set order, one draw per entry: the victims are a function
+        # of the rng stream and the table's contents alone.
+        for index in sorted(self._table):
             keep = []
-            for pair in entry_set:
+            for pair in self._table[index]:
                 if rng.random() < fraction:
                     victims += 1
                 else:
                     keep.append(pair)
-            entry_set[:] = keep
+            if keep:
+                self._table[index] = keep
+            else:
+                del self._table[index]
         self.evictions += victims
         return victims
 
@@ -139,14 +163,13 @@ class AssociativeMatchTable:
 
     def probe(self, key: Word) -> Optional[Word]:
         """Non-faulting lookup (hardware ``probe``): value or None."""
-        entry_set = self._set_for(key)
-        for existing, value in entry_set:
+        for existing, value in self._lookup_set(key):
             if existing == key:
                 return value
         return self._backing.get(key)
 
     def clear(self) -> None:
         """Drop all bindings and statistics (machine reset)."""
-        self._table = [[] for _ in range(self.sets)]
+        self._table = {}
         self._backing.clear()
         self.hits = self.misses = self.enters = self.evictions = 0

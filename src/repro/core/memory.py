@@ -21,7 +21,7 @@ its clock.  This keeps the memory model usable standalone in tests.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List
 
 from .costs import CostModel, DEFAULT_COSTS
 from .errors import MemoryError_, SegmentationFault
@@ -77,12 +77,23 @@ class NodeMemory:
         self.total_words = imem_words + emem_words
         self.costs = costs
         self.meter = AccessMeter()
-        # The SRAM is dense; the DRAM is allocated lazily (a 512-node
-        # machine would otherwise hold 512 x 256K word cells up front,
-        # and most nodes never touch most of their DRAM).  Word objects
-        # are immutable, so sharing NIL is safe.
-        self._imem_cells: List[Word] = [NIL] * imem_words
-        self._emem_cells: dict = {}
+        # One sparse map for the whole address space: a node holds the
+        # cells it has written, not its geometry (most programs touch a
+        # few dozen of the 4K SRAM words).  An absent cell reads NIL;
+        # the address alone picks the region's cost.
+        self._cells: Dict[int, Word] = {}
+
+    def __setstate__(self, state: dict) -> None:
+        # A capture written while the SRAM was a dense list holds it
+        # and the DRAM map separately, plus the retired ``emem_words``.
+        dense = state.pop("_imem_cells", None)
+        if dense is not None:
+            cells = {address: word for address, word in enumerate(dense)
+                     if word != NIL}
+            cells.update(state.pop("_emem_cells"))
+            state["_cells"] = cells
+        state.pop("emem_words", None)
+        self.__dict__.update(state)
 
     # -- classification ------------------------------------------------------
 
@@ -103,43 +114,41 @@ class NodeMemory:
         processor moves a ``cfut`` into a register, and the processor model
         owns that check.  Raw reads let the runtime inspect tags.
         """
-        self._check(address)
-        if address < self.imem_words:
-            self.meter.imem_reads += 1
-            self.meter.cycles += self.costs.imem_access
-            return self._imem_cells[address]
-        self.meter.emem_reads += 1
-        self.meter.cycles += self.costs.emem_access
-        return self._emem_cells.get(address, NIL)
+        meter = self.meter
+        if 0 <= address < self.imem_words:  # also the bounds check
+            meter.imem_reads += 1
+            meter.cycles += self.costs.imem_access
+        else:
+            self._check(address)
+            meter.emem_reads += 1
+            meter.cycles += self.costs.emem_access
+        return self._cells.get(address, NIL)
 
     def write(self, address: int, word: Word) -> None:
         """Write one word, charging the access cost to the meter."""
-        self._check(address)
+        internal = 0 <= address < self.imem_words
+        if not internal:
+            self._check(address)
         if not isinstance(word, Word):
             raise MemoryError_(f"can only store Word, got {type(word).__name__}")
-        if address < self.imem_words:
-            self.meter.imem_writes += 1
-            self.meter.cycles += self.costs.imem_access
-            self._imem_cells[address] = word
+        meter = self.meter
+        if internal:
+            meter.imem_writes += 1
+            meter.cycles += self.costs.imem_access
         else:
-            self.meter.emem_writes += 1
-            self.meter.cycles += self.costs.emem_access
-            self._emem_cells[address] = word
+            meter.emem_writes += 1
+            meter.cycles += self.costs.emem_access
+        self._cells[address] = word
 
     def peek(self, address: int) -> Word:
         """Read without metering (debugger/test access)."""
         self._check(address)
-        if address < self.imem_words:
-            return self._imem_cells[address]
-        return self._emem_cells.get(address, NIL)
+        return self._cells.get(address, NIL)
 
     def poke(self, address: int, word: Word) -> None:
         """Write without metering (loader/debugger access)."""
         self._check(address)
-        if address < self.imem_words:
-            self._imem_cells[address] = word
-        else:
-            self._emem_cells[address] = word
+        self._cells[address] = word
 
     def dump_block(self, base: int, count: int) -> List[Word]:
         """Debugger helper: peek a contiguous block (no cycle charges)."""

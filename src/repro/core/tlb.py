@@ -56,7 +56,10 @@ class TranslationBuffer:
         self.hits = 0
         self.misses = 0
         self.walks = 0
-        self.evictions = 0
+
+    def __setstate__(self, state: dict) -> None:
+        state.pop("evictions", None)  # retired: counted, never read
+        self.__dict__.update(state)
 
     # -- management ---------------------------------------------------------
 
@@ -87,37 +90,63 @@ class TranslationBuffer:
         if result is not None:
             return result
         self.walks += 1
-        try:
-            physical = self._backing[virtual]
-        except KeyError:
-            raise XlateMissFault(f"virtual id {virtual} is unmapped") from None
+        physical = self._walk(virtual)
         entry_set = self._set_for(virtual)
         if len(entry_set) >= self.ways:
             entry_set.pop(0)
-            self.evictions += 1
         entry_set.append((virtual, physical))
         return physical
+
+    def _walk(self, virtual: int) -> int:
+        """The software walk of the backing map."""
+        try:
+            return self._backing[virtual]
+        except KeyError:
+            raise XlateMissFault(f"virtual id {virtual} is unmapped") from None
 
     def clear(self) -> None:
         self._table = [[] for _ in range(self.sets)]
         self._backing.clear()
-        self.hits = self.misses = self.walks = self.evictions = 0
+        self.hits = self.misses = self.walks = 0
 
 
 class NodeTlb(TranslationBuffer):
-    """Virtual node id -> physical node id, with identity preloading.
+    """Virtual node id -> physical node id, one flat partition at first.
 
-    A fresh machine maps every node to itself (one flat partition).
-    Partitioning experiments remap subsets; ids outside the map fault,
-    which is the protection property the paper wants: a program cannot
-    name nodes outside its partition.
+    A fresh machine maps every node to itself (one flat partition); that
+    map is implicit, so the backing map holds only the ids remapped on
+    top of it.  Partitioning experiments remap subsets; ids outside the
+    map fault, which is the protection property the paper wants: a
+    program cannot name nodes outside its partition.
     """
 
     def __init__(self, n_nodes: int, sets: int = 16, ways: int = 2) -> None:
         super().__init__(sets=sets, ways=ways)
         self.n_nodes = n_nodes
-        for node in range(n_nodes):
-            self.map(node, node)
+        self._flat = True
+
+    def __setstate__(self, state: dict) -> None:
+        # A capture written while the flat partition was preloaded holds
+        # an identity entry for every node: keep only the remapped ones.
+        if "_flat" not in state:
+            backing = state["_backing"]
+            state["_flat"] = all(node in backing
+                                 for node in range(state["n_nodes"]))
+            if state["_flat"]:
+                state["_backing"] = {virtual: physical for virtual, physical
+                                     in backing.items() if virtual != physical
+                                     or not 0 <= virtual < state["n_nodes"]}
+        super().__setstate__(state)
+
+    def _walk(self, virtual: int) -> int:
+        if (self._flat and virtual not in self._backing
+                and 0 <= virtual < self.n_nodes):
+            return virtual
+        return super()._walk(virtual)
+
+    def clear(self) -> None:
+        super().clear()
+        self._flat = False
 
     def restrict_partition(self, members: List[int]) -> None:
         """Keep only ``members`` visible (virtual = rank in partition)."""

@@ -241,6 +241,8 @@ def restore_machine(payload: dict):
         # fabric's accept/deliver callbacks) keeps pointing at it.
         proc = node.proc
         proc.__dict__.update(state["proc"])
+        # Captured by earlier builds; nothing reads it.
+        proc.__dict__.pop("_suspended_by_fault", None)
         proc.drop_compiled()  # bound to the replaced state
         iface = node.interface
         iface._building = {priority: list(words)

@@ -121,3 +121,110 @@ def test_behaves_like_a_dict(pairs):
             assert amt.xlate(key) == expected
         except XlateMissFault:
             assert amt.miss_fill(key) == expected
+
+
+class EagerAmt:
+    """The table with all of its sets built up front — the model the
+    on-demand sets must be indistinguishable from."""
+
+    def __init__(self, sets, ways):
+        self.sets, self.ways = sets, ways
+        self.table = [[] for _ in range(sets)]
+        self.backing = {}
+        self.hits = self.misses = self.enters = self.evictions = 0
+
+    def _set(self, key):
+        return self.table[hash(key) % self.sets]
+
+    def _install(self, entry_set, key, value):
+        if len(entry_set) >= self.ways:
+            entry_set.pop(0)
+            self.evictions += 1
+        entry_set.append((key, value))
+
+    def enter(self, key, value):
+        self.enters += 1
+        self.backing[key] = value
+        entry_set = self._set(key)
+        for i, (existing, _) in enumerate(entry_set):
+            if existing == key:
+                del entry_set[i]
+                entry_set.append((key, value))
+                return
+        self._install(entry_set, key, value)
+
+    def xlate(self, key):
+        entry_set = self._set(key)
+        for i, (existing, value) in enumerate(entry_set):
+            if existing == key:
+                self.hits += 1
+                entry_set.append(entry_set.pop(i))
+                return value
+        self.misses += 1
+        raise XlateMissFault(key)
+
+    def miss_fill(self, key):
+        if key not in self.backing:
+            raise XlateMissFault(key)
+        self._install(self._set(key), key, self.backing[key])
+        return self.backing[key]
+
+    def probe(self, key):
+        for existing, value in self._set(key):
+            if existing == key:
+                return value
+        return self.backing.get(key)
+
+    def poison(self, rng, fraction):
+        victims = 0
+        for entry_set in self.table:
+            keep = [pair for pair in entry_set if rng.random() >= fraction]
+            victims += len(entry_set) - len(keep)
+            entry_set[:] = keep
+        self.evictions += victims
+        return victims
+
+
+_AMT_OPS = st.lists(st.one_of(
+    st.tuples(st.just("enter"), st.integers(0, 40), st.integers(0, 9)),
+    st.tuples(st.just("xlate"), st.integers(0, 40)),
+    st.tuples(st.just("probe"), st.integers(0, 40)),
+    st.tuples(st.just("poison"), st.sampled_from([0.0, 0.5, 1.0]))),
+    max_size=80)
+
+
+@given(st.sampled_from([64, 4]), _AMT_OPS, st.integers(0, 2**16))
+def test_on_demand_sets_match_eager_sets(sets, ops, seed):
+    """Results, counters, set contents and poison victims of the
+    on-demand table equal the eager model's, and the rng streams stay in
+    step (poison draws in set order); a set exists only while it holds
+    an entry."""
+    import random
+
+    amt, model = AssociativeMatchTable(sets=sets), EagerAmt(sets, 2)
+    rngs = random.Random(seed), random.Random(seed)
+
+    def outcome(table, op, rng):
+        name, arg = op[0], op[1]
+        try:
+            if name == "enter":
+                return table.enter(Word.from_int(arg), Word.from_int(op[2]))
+            if name == "poison":
+                return table.poison(rng, arg)
+            if name == "probe":
+                return table.probe(Word.from_int(arg))
+            try:
+                return table.xlate(Word.from_int(arg))
+            except XlateMissFault:  # the processor's fault path
+                return "filled", table.miss_fill(Word.from_int(arg))
+        except XlateMissFault:
+            return "unbound"
+
+    for op in ops:
+        assert outcome(amt, op, rngs[0]) == outcome(model, op, rngs[1])
+        assert ((amt.hits, amt.misses, amt.enters, amt.evictions)
+                == (model.hits, model.misses, model.enters, model.evictions))
+        assert [amt._table.get(index, []) for index in range(sets)] \
+            == model.table
+        assert all(amt._table.values())
+        assert rngs[0].getstate() == rngs[1].getstate()

@@ -64,8 +64,17 @@ slots of ``Message``, ``Worm.submit_time``, the processor's
 ``_suspended_by_fault``, ``NodeMemory.emem_words``, three
 ``NetworkStats`` window fields and the macro ``LatencyModel``'s two
 message counters.  A file written before that holds all of them;
-``Message.__setstate__`` and ``Worm.__setstate__`` drop the slots, the
-rest come back as attributes or keys nothing reads.
+``Message.__setstate__``, ``Worm.__setstate__``,
+``NodeMemory.__setstate__`` and ``NetworkStats.__setstate__`` drop
+them, as ``restore_machine`` drops the processor's, so the resumed
+run's whole state equals the uninterrupted one's; the macro counters
+come back as keys nothing reads.
+
+Node memory became one sparse map of the cells a node has written, and
+the AMT builds a set on its first entry.  A file written before that
+holds each node's SRAM as a dense list of 4K cells beside the DRAM map,
+and all 64 AMT sets as a list; ``NodeMemory.__setstate__`` and
+``AssociativeMatchTable.__setstate__`` fold both into the sparse form.
 """
 
 import copyreg
@@ -76,11 +85,12 @@ import pytest
 
 from repro.asm.assembler import assemble
 from repro.chaos import FaultSpec
+from repro.core.amt import AssociativeMatchTable
 from repro.core.costs import DEFAULT_COSTS
-from repro.core.memory import EMEM_WORDS
+from repro.core.memory import EMEM_WORDS, NodeMemory
 from repro.core.message import Message
 from repro.core.registers import Priority
-from repro.core.word import Word
+from repro.core.word import NIL, Word
 from repro.network.fabric import Worm
 from repro.network.routing import decode_key
 from repro.network.stats import LatencySummary
@@ -88,6 +98,7 @@ from repro.machine.config import MachineConfig
 from repro.machine.jmachine import JMachine
 from repro.snapshot import CheckpointPolicy, read_snapshot, restore_machine
 from repro.telemetry import Telemetry
+from tests.util import assert_same_state, machine_state
 
 from .test_cycle_resume import ECHO, _build, _digest
 
@@ -311,7 +322,81 @@ def test_capture_with_unread_state_restores(tmp_path, specs):
         node["proc"]["memory"].__dict__["emem_words"] = EMEM_WORDS
     blob = _stamped_pickle(payload)
     assert b"dispatch_time" in blob and b"submit_time" in blob
-    _resumes_equal(pickle.loads(blob), reference)
+    resumed = _resumes_equal(pickle.loads(blob), reference)
+    uninterrupted = _machine(specs, probe=False)
+    uninterrupted.run(max_cycles=20_000)
+    assert_same_state(machine_state(resumed), machine_state(uninterrupted))
+
+
+#: A chaos plan that also poisons node 2's AMT after the first capture,
+#: so the resumed run draws its victims from converted sets.
+POISON_SPECS = CHAOS_SPECS + (
+    FaultSpec(kind="poison", node=2, start=40, rate=0.5),)
+
+
+def _populated_machine(specs):
+    """The echo machine with 24 names entered in every node's AMT (more
+    than one set holds two of them) and a few DRAM words written."""
+    machine = _machine(specs, probe=False)
+    for node in machine.nodes:
+        memory = node.proc.memory
+        for k in range(24):
+            node.proc.amt.enter(Word.from_int(k * 5),
+                                Word.from_int(node.node_id * 100 + k))
+            memory.poke(memory.imem_words + 7 * k, Word.from_int(k))
+    return machine
+
+
+def _dense_pickle(payload):
+    """``payload`` pickled the way a build with a dense SRAM list and
+    every AMT set built up front wrote it."""
+
+    class DensePickler(pickle.Pickler):
+        def reducer_override(self, obj):
+            state = dict(vars(obj)) if type(obj) in (
+                NodeMemory, AssociativeMatchTable) else None
+            if type(obj) is NodeMemory:
+                cells = state.pop("_cells")
+                state["_imem_cells"] = [cells.get(address, NIL) for address
+                                        in range(obj.imem_words)]
+                state["_emem_cells"] = {address: word for address, word
+                                        in cells.items()
+                                        if address >= obj.imem_words}
+                state["emem_words"] = obj.total_words - obj.imem_words
+            elif type(obj) is AssociativeMatchTable:
+                state["_table"] = [list(obj._table.get(index, ()))
+                                   for index in range(obj.sets)]
+            else:
+                return NotImplemented
+            return copyreg.__newobj__, (type(obj),), state
+
+    buffer = io.BytesIO()
+    DensePickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(payload)
+    return buffer.getvalue()
+
+
+@pytest.mark.parametrize("specs", [(), POISON_SPECS], ids=["plain", "chaos"])
+def test_capture_with_dense_sram_restores(tmp_path, specs):
+    whole = _populated_machine(specs)
+    reference = _finish(whole)
+    machine = _populated_machine(specs)
+    machine.checkpoint = CheckpointPolicy(
+        str(tmp_path / "old-{cycle}.ckpt"), every=27)
+    machine.run(max_cycles=20_000)
+    first = min(tmp_path.iterdir(), key=lambda p: int(p.stem.split("-")[1]))
+    _header, payload = read_snapshot(str(first))
+    assert payload["fabric"]["active"], "capture is not mid-flight"
+    assert any(len(entry_set) == 2 for entry_set
+               in payload["nodes"][2]["proc"]["amt"]._table.values())
+    blob = _dense_pickle(payload)
+    old = pickle.loads(blob)
+    memory = old["nodes"][0]["proc"]["memory"]
+    assert b"_imem_cells" in blob and not hasattr(memory, "_imem_cells")
+    assert not hasattr(memory, "emem_words")
+    resumed = _resumes_equal(old, reference)
+    if specs:
+        assert resumed.chaos.counters["poisoned_entries"] > 0
+    assert_same_state(machine_state(resumed), machine_state(whole))
 
 
 #: What ``Fabric.state_dict`` wrote for the retired stagnation watchdog

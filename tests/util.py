@@ -79,9 +79,11 @@ def _canon(obj):
     if isinstance(obj, enum.Enum):
         return obj.name
     if isinstance(obj, NodeMemory):
-        return (_canon(obj.meter), sorted(obj._emem_cells.items(), key=repr),
-                [(i, _canon(w)) for i, w in enumerate(obj._imem_cells)
-                 if w is not NIL and w != NIL])
+        # Every held cell by address; a stored NIL reads as an absent one.
+        return (_canon(obj.meter), obj.imem_words, obj.total_words,
+                sorted((address, _canon(word))
+                       for address, word in obj._cells.items()
+                       if word != NIL))
     if isinstance(obj, dict):
         return sorted(((repr(_canon(k)), _canon(v)) for k, v in obj.items()
                        if k not in VOLATILE), key=lambda kv: kv[0])
