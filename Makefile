@@ -2,8 +2,8 @@
 
 .PHONY: install test bench perfsmoke telemetry-gate chaos-smoke \
 	trace-smoke snapshot-smoke live-smoke service-smoke \
-	fabric-smoke bench-e2e census kernel-deep trajectory check paper report \
-	examples clean
+	fabric-smoke bench-e2e census importcost kernel-deep trajectory check paper \
+	report examples clean
 
 install:
 	pip install -e .
@@ -94,6 +94,12 @@ bench-e2e:
 census:
 	PYTHONPATH=src python benchmarks/run_ahead_census.py
 	PYTHONPATH=src python benchmarks/fabric_census.py
+
+# What importing each entry point costs a fresh process: the repro
+# modules it loads, the source lines they compile and the median
+# cold-import seconds (docs/PERFORMANCE.md §8).  Gates nothing.
+importcost:
+	PYTHONPATH=src python benchmarks/import_census.py
 
 # The worm kernel against the per-cycle reference over many long drawn
 # schedules (~1.5 min; the default test run deselects -m slow).

@@ -1,6 +1,9 @@
 """The MDP assembler and disassembler."""
 
-from .assembler import Program, assemble
-from .disassembler import disassemble, isa_reference
+from .._lazy import lazy_exports
 
-__all__ = ["Program", "assemble", "disassemble", "isa_reference"]
+_EXPORTS = {
+    ".assembler": ("Program", "assemble"),
+    ".disassembler": ("disassemble", "isa_reference"),
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -19,12 +19,11 @@ against the results.  ``python -m repro.bench`` runs them all.  Scale is
 ``JM_SCALE`` (``small`` default, ``paper`` full).
 """
 
-from . import (ablations, appscale, crossover, fidelity, fig2, fig3, fig4,
-               fig5, fig6, harness, plots, reference, table1, table2, table3,
-               table4, table5)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ablations", "appscale", "crossover", "fidelity", "fig2", "fig3", "fig4",
-    "fig5", "fig6", "harness", "plots", "reference", "table1", "table2",
-    "table3", "table4", "table5",
-]
+_EXPORTS = {
+    ".": ("ablations", "appscale", "crossover", "fidelity", "fig2", "fig3",
+          "fig4", "fig5", "fig6", "harness", "plots", "reference", "table1",
+          "table2", "table3", "table4", "table5"),
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -15,18 +15,12 @@ a reference workload and prints (optionally diffs) the injected-fault
 log — the determinism contract in executable form.
 """
 
-from .engine import ChaosEngine
-from .plan import FAULT_KINDS, FaultPlan, FaultSpec
-from .watchdog import (DeadlockWatchdog, NodeSnapshot, machine_snapshots,
-                       snapshot_node)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "FAULT_KINDS",
-    "FaultPlan",
-    "FaultSpec",
-    "ChaosEngine",
-    "DeadlockWatchdog",
-    "NodeSnapshot",
-    "snapshot_node",
-    "machine_snapshots",
-]
+_EXPORTS = {
+    ".plan": ("FAULT_KINDS", "FaultPlan", "FaultSpec"),
+    ".engine": ("ChaosEngine",),
+    ".watchdog": ("DeadlockWatchdog", "NodeSnapshot", "snapshot_node",
+                  "machine_snapshots"),
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

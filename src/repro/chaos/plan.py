@@ -39,7 +39,7 @@ from typing import List, Optional, Sequence
 
 from ..core.errors import ConfigurationError
 
-__all__ = ["FAULT_KINDS", "FaultSpec", "FaultPlan"]
+__all__ = ["FAULT_KINDS", "FaultSpec", "FaultPlan", "backoff_delay"]
 
 #: The closed fault vocabulary; a typo'd kind fails at plan-build time.
 FAULT_KINDS = frozenset({
@@ -176,3 +176,22 @@ class FaultPlan:
         """The workhorse plan: uniform message-drop at ``rate``."""
         return FaultPlan(seed=seed, name=name,
                          specs=(FaultSpec(kind="drop", rate=rate),))
+
+
+def backoff_delay(base: float, backoff: float, attempt: int,
+                  jitter: float = 0.0, seed: int = 0, key=0) -> int:
+    """Exponential backoff with seeded, deterministic jitter.
+
+    Returns ``base * backoff**attempt`` scaled by a factor drawn
+    uniformly from ``[1, 1 + jitter)``.  The draw is a pure function of
+    ``(seed, key, attempt)`` — seeded through the string form, which
+    hashes stably across processes — so concurrent timeouts with
+    distinct keys de-synchronize while every replay of the same run
+    produces the same schedule.  ``jitter=0`` skips the RNG entirely
+    and reproduces the exact pre-jitter delays.
+    """
+    delay = base * (backoff ** attempt)
+    if jitter:
+        rng = random.Random(f"{seed}:{key!r}:{attempt}")
+        delay *= 1.0 + jitter * rng.random()
+    return int(delay)

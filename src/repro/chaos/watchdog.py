@@ -26,54 +26,11 @@ from dataclasses import asdict, dataclass, fields
 from typing import Dict, List, Optional, Tuple
 
 from ..core.errors import DeadlockError
+from ..core.hooks import ProgressGauge
 from ..core.registers import Priority
 
-__all__ = ["NodeSnapshot", "DeadlockWatchdog", "ProgressGauge",
-           "snapshot_node", "machine_snapshots"]
-
-
-class ProgressGauge:
-    """The no-progress window at the heart of every watchdog here.
-
-    Feed it a *progress signature* — any value that changes whenever
-    real work happens — together with a monotone clock reading, and it
-    answers how long the signature has been frozen.
-    :class:`DeadlockWatchdog` applies the idea to a machine's
-    instruction/delivery counters on the simulated clock; the live
-    sampler applies it to its frames' counters on the wall clock (the
-    ``stalled`` flag); the simulation service's supervisor applies it
-    to each worker's relayed ``sim_now`` on the wall clock to catch a
-    *hung* worker (heartbeats still arriving, simulation pinned) that
-    lease expiry alone would never see.
-
-    The clock is generic: pass cycles and get cycles back, pass wall
-    seconds and get seconds back.
-    """
-
-    __slots__ = ("_last_signature", "_progress_at")
-
-    def __init__(self, now=0) -> None:
-        self._last_signature = None
-        self._progress_at = now
-
-    def reset(self, now=0) -> None:
-        """Forget history (call between independent runs)."""
-        self._last_signature = None
-        self._progress_at = now
-
-    def observe(self, signature, now):
-        """Record one observation; returns time stalled at ``now``.
-
-        A changed signature counts as progress and returns 0; an
-        unchanged one returns ``now`` minus the last change's clock
-        reading.  The first observation always counts as progress.
-        """
-        if self._last_signature is None or \
-                signature != self._last_signature:
-            self._last_signature = signature
-            self._progress_at = now
-            return 0
-        return now - self._progress_at
+__all__ = ["NodeSnapshot", "DeadlockWatchdog", "snapshot_node",
+           "machine_snapshots"]
 
 
 @dataclass

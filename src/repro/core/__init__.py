@@ -7,76 +7,23 @@ instructions, hardware message queues, 4-cycle dispatch), synchronization
 ``enter``/``xlate`` associative match table).
 """
 
-from .amt import AssociativeMatchTable
-from .costs import CLOCK_HZ, CYCLE_NS, DEFAULT_COSTS, CostModel
-from .errors import (
-    AssemblyError,
-    CfutFault,
-    ConfigurationError,
-    FutUseFault,
-    IllegalInstructionFault,
-    MdpFault,
-    QueueOverflowFault,
-    SegmentationFault,
-    SendFault,
-    SimulationError,
-    TypeFault,
-    XlateMissFault,
-)
-from .faults import AbortFaultPolicy, FaultPolicy, RuntimeFaultPolicy
-from .isa import Imm, Instr, MemIdx, MemOff, OPCODES, Reg
-from .memory import EMEM_WORDS, IMEM_WORDS, NodeMemory
-from .message import Message
-from .processor import Mdp, MdpCounters, NetworkInterface, USER_BASE
-from .queues import DEFAULT_QUEUE_WORDS, MIN_MESSAGE_WORDS, MessageQueue
-from .registers import Priority, RegisterFile, RegisterSet
-from .tags import Tag
-from .word import FALSE, NIL, TRUE, Word
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AssociativeMatchTable",
-    "CLOCK_HZ",
-    "CYCLE_NS",
-    "DEFAULT_COSTS",
-    "CostModel",
-    "AssemblyError",
-    "CfutFault",
-    "ConfigurationError",
-    "FutUseFault",
-    "IllegalInstructionFault",
-    "MdpFault",
-    "QueueOverflowFault",
-    "SegmentationFault",
-    "SendFault",
-    "SimulationError",
-    "TypeFault",
-    "XlateMissFault",
-    "AbortFaultPolicy",
-    "FaultPolicy",
-    "RuntimeFaultPolicy",
-    "Imm",
-    "Instr",
-    "MemIdx",
-    "MemOff",
-    "OPCODES",
-    "Reg",
-    "EMEM_WORDS",
-    "IMEM_WORDS",
-    "NodeMemory",
-    "Message",
-    "Mdp",
-    "MdpCounters",
-    "NetworkInterface",
-    "USER_BASE",
-    "DEFAULT_QUEUE_WORDS",
-    "MIN_MESSAGE_WORDS",
-    "MessageQueue",
-    "Priority",
-    "RegisterFile",
-    "RegisterSet",
-    "Tag",
-    "FALSE",
-    "NIL",
-    "TRUE",
-    "Word",
-]
+_EXPORTS = {
+    ".amt": ("AssociativeMatchTable",),
+    ".costs": ("CLOCK_HZ", "CYCLE_NS", "DEFAULT_COSTS", "CostModel"),
+    ".errors": ("AssemblyError", "CfutFault", "ConfigurationError",
+                "FutUseFault", "IllegalInstructionFault", "MdpFault",
+                "QueueOverflowFault", "SegmentationFault", "SendFault",
+                "SimulationError", "TypeFault", "XlateMissFault"),
+    ".faults": ("AbortFaultPolicy", "FaultPolicy", "RuntimeFaultPolicy"),
+    ".isa": ("Imm", "Instr", "MemIdx", "MemOff", "OPCODES", "Reg"),
+    ".memory": ("EMEM_WORDS", "IMEM_WORDS", "NodeMemory"),
+    ".message": ("Message",),
+    ".processor": ("Mdp", "MdpCounters", "NetworkInterface", "USER_BASE"),
+    ".queues": ("DEFAULT_QUEUE_WORDS", "MIN_MESSAGE_WORDS", "MessageQueue"),
+    ".registers": ("Priority", "RegisterFile", "RegisterSet"),
+    ".tags": ("Tag",),
+    ".word": ("FALSE", "NIL", "TRUE", "Word"),
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -13,14 +13,15 @@ un-observed price of a site is one integer compare::
 
 A loop states once, above its body, which observers poll at which site;
 the body itself never names one (docs/ARCHITECTURE.md, "Run-loop
-observers").
+observers").  :class:`ProgressGauge` is the no-progress window those
+observers, and the service's leases, share.
 """
 
 from __future__ import annotations
 
 import sys
 
-__all__ = ["RunHooks"]
+__all__ = ["RunHooks", "ProgressGauge"]
 
 
 class RunHooks:
@@ -47,3 +48,47 @@ class RunHooks:
         #: nothing is attached, so the loop's compare never passes.
         self.next_due = min((o.next_due for o in self.observers),
                             default=sys.maxsize)
+
+
+class ProgressGauge:
+    """The no-progress window at the heart of every stall detector.
+
+    Feed it a *progress signature* — any value that changes whenever
+    real work happens — together with a monotone clock reading, and it
+    answers how long the signature has been frozen.  The deadlock
+    watchdog (:mod:`repro.chaos.watchdog`) applies the idea to a
+    machine's instruction/delivery counters on the simulated clock; the
+    live sampler applies it to its frames' counters on the wall clock
+    (the ``stalled`` flag); the simulation service's supervisor applies
+    it to each worker's relayed ``sim_now`` on the wall clock to catch a
+    *hung* worker (heartbeats still arriving, simulation pinned) that
+    lease expiry alone would never see.
+
+    The clock is generic: pass cycles and get cycles back, pass wall
+    seconds and get seconds back.
+    """
+
+    __slots__ = ("_last_signature", "_progress_at")
+
+    def __init__(self, now=0) -> None:
+        self._last_signature = None
+        self._progress_at = now
+
+    def reset(self, now=0) -> None:
+        """Forget history (call between independent runs)."""
+        self._last_signature = None
+        self._progress_at = now
+
+    def observe(self, signature, now):
+        """Record one observation; returns time stalled at ``now``.
+
+        A changed signature counts as progress and returns 0; an
+        unchanged one returns ``now`` minus the last change's clock
+        reading.  The first observation always counts as progress.
+        """
+        if self._last_signature is None or \
+                signature != self._last_signature:
+            self._last_signature = signature
+            self._progress_at = now
+            return 0
+        return now - self._progress_at

@@ -1,5 +1,8 @@
 """Concurrent-Smalltalk-style distributed objects over the macro simulator."""
 
-from .objects import CstObject, CstRuntime, Future, method
+from .._lazy import lazy_exports
 
-__all__ = ["CstObject", "CstRuntime", "Future", "method"]
+_EXPORTS = {
+    ".objects": ("CstObject", "CstRuntime", "Future", "method"),
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -1,19 +1,12 @@
 """Event-driven macro simulator: handler-level execution with cycle costs."""
 
-from .calibrate import CalibrationResult, calibrate
-from .netmodel import LatencyModel
-from .profile import CATEGORIES, Profile
-from .sim import Context, HandlerStats, MacroConfig, MacroSimulator, SimNode
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CalibrationResult",
-    "calibrate",
-    "LatencyModel",
-    "CATEGORIES",
-    "Profile",
-    "Context",
-    "HandlerStats",
-    "MacroConfig",
-    "MacroSimulator",
-    "SimNode",
-]
+_EXPORTS = {
+    ".calibrate": ("CalibrationResult",),
+    ".netmodel": ("LatencyModel",),
+    ".profile": ("CATEGORIES", "Profile"),
+    ".sim": ("Context", "HandlerStats", "MacroConfig", "MacroSimulator",
+             "SimNode"),
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

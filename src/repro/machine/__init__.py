@@ -1,9 +1,11 @@
 """Whole-machine simulation: nodes, configuration, and the global loop."""
 
-from .config import MachineConfig
-from .jmachine import JMachine
-from .node import Node, NodeNetworkInterface
-from .stop import StopFlags
+from .._lazy import lazy_exports
 
-__all__ = ["MachineConfig", "JMachine", "Node", "NodeNetworkInterface",
-           "StopFlags"]
+_EXPORTS = {
+    ".config": ("MachineConfig",),
+    ".jmachine": ("JMachine",),
+    ".node": ("Node", "NodeNetworkInterface"),
+    ".stop": ("StopFlags",),
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

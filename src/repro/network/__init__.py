@@ -1,34 +1,15 @@
 """The 3-D mesh wormhole network: topology, e-cube routing, flit fabric."""
 
-from .fabric import BUFFER_PHITS, Fabric, Worm
-from .observatory import FABRIC_METRICS, FabricProbe, FabricReport
-from .routing import ChannelKey, EJECT, INJECT
-from .stats import LatencySummary, NetworkStats
-from .topology import Mesh3D
-from .traffic import (
-    DEFAULT_LOOP_OVERHEAD,
-    RandomTrafficExperiment,
-    RandomTrafficResult,
-    TerminalBandwidthExperiment,
-    TerminalBandwidthResult,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BUFFER_PHITS",
-    "Fabric",
-    "Worm",
-    "FABRIC_METRICS",
-    "FabricProbe",
-    "FabricReport",
-    "ChannelKey",
-    "EJECT",
-    "INJECT",
-    "LatencySummary",
-    "NetworkStats",
-    "Mesh3D",
-    "DEFAULT_LOOP_OVERHEAD",
-    "RandomTrafficExperiment",
-    "RandomTrafficResult",
-    "TerminalBandwidthExperiment",
-    "TerminalBandwidthResult",
-]
+_EXPORTS = {
+    ".fabric": ("BUFFER_PHITS", "Fabric", "Worm"),
+    ".observatory": ("FABRIC_METRICS", "FabricProbe", "FabricReport"),
+    ".routing": ("ChannelKey", "EJECT", "INJECT"),
+    ".stats": ("LatencySummary", "NetworkStats"),
+    ".topology": ("Mesh3D",),
+    ".traffic": ("DEFAULT_LOOP_OVERHEAD", "RandomTrafficExperiment",
+                 "RandomTrafficResult", "TerminalBandwidthExperiment",
+                 "TerminalBandwidthResult"),
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

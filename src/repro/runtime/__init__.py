@@ -1,24 +1,12 @@
 """MDP-assembly library routines: RPC probes, barrier, sync sequences."""
 
-from .barrier import BARRIER_SOURCE, BarrierResult, run_barrier_experiment
-from .reduce import REDUCE_SOURCE, ReduceResult, run_reduction
-from .rpc import PingResult, RPC_SOURCE, run_ping, run_remote_read
-from .futures import FutureExperimentResult, run_future_experiment
-from .sync import SyncCosts, measure_sync_costs
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BARRIER_SOURCE",
-    "BarrierResult",
-    "run_barrier_experiment",
-    "REDUCE_SOURCE",
-    "ReduceResult",
-    "run_reduction",
-    "FutureExperimentResult",
-    "run_future_experiment",
-    "PingResult",
-    "RPC_SOURCE",
-    "run_ping",
-    "run_remote_read",
-    "SyncCosts",
-    "measure_sync_costs",
-]
+_EXPORTS = {
+    ".barrier": ("BARRIER_SOURCE", "BarrierResult", "run_barrier_experiment"),
+    ".reduce": ("REDUCE_SOURCE", "ReduceResult", "run_reduction"),
+    ".futures": ("FutureExperimentResult", "run_future_experiment"),
+    ".rpc": ("PingResult", "RPC_SOURCE", "run_ping", "run_remote_read"),
+    ".sync": ("SyncCosts", "measure_sync_costs"),
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

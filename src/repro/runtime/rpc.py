@@ -20,11 +20,11 @@ the Imem/Emem variants.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from ..asm.assembler import Program, assemble
+from ..chaos.plan import backoff_delay
 from ..core.errors import ConfigurationError, DeliveryError, SimulationError
 from ..core.registers import Priority
 from ..core.word import Word
@@ -32,26 +32,7 @@ from ..machine.jmachine import JMachine
 from ..machine.stop import StopFlags
 
 __all__ = ["PingResult", "run_ping", "run_remote_read", "RPC_SOURCE",
-           "ReliableLayer", "backoff_delay"]
-
-
-def backoff_delay(base: float, backoff: float, attempt: int,
-                  jitter: float = 0.0, seed: int = 0, key=0) -> int:
-    """Exponential backoff with seeded, deterministic jitter.
-
-    Returns ``base * backoff**attempt`` scaled by a factor drawn
-    uniformly from ``[1, 1 + jitter)``.  The draw is a pure function of
-    ``(seed, key, attempt)`` — seeded through the string form, which
-    hashes stably across processes — so concurrent timeouts with
-    distinct keys de-synchronize while every replay of the same run
-    produces the same schedule.  ``jitter=0`` skips the RNG entirely
-    and reproduces the exact pre-jitter delays.
-    """
-    delay = base * (backoff ** attempt)
-    if jitter:
-        rng = random.Random(f"{seed}:{key!r}:{attempt}")
-        delay *= 1.0 + jitter * rng.random()
-    return int(delay)
+           "ReliableLayer"]
 
 #: Globals segment layout (offsets into the A0 segment).
 _G_COUNT = 0      # iterations remaining

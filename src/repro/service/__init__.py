@@ -28,24 +28,14 @@ design: canonicalization rules, the lease state machine, retry
 budgets, cache soundness, and drain semantics.
 """
 
-from .cache import ResultCache
-from .lease import Lease, LeaseTable
-from .queue import Job, JobQueue
-from .runner import checkpoint_path, execute_job
-from .spec import APPS, SPEC_VERSION, JobSpec
-from .supervisor import ServiceConfig, Supervisor
+from .._lazy import lazy_exports
 
-__all__ = [
-    "APPS",
-    "SPEC_VERSION",
-    "JobSpec",
-    "ResultCache",
-    "Job",
-    "JobQueue",
-    "Lease",
-    "LeaseTable",
-    "ServiceConfig",
-    "Supervisor",
-    "checkpoint_path",
-    "execute_job",
-]
+_EXPORTS = {
+    ".spec": ("APPS", "SPEC_VERSION", "JobSpec"),
+    ".cache": ("ResultCache",),
+    ".queue": ("Job", "JobQueue"),
+    ".lease": ("Lease", "LeaseTable"),
+    ".supervisor": ("ServiceConfig", "Supervisor"),
+    ".runner": ("checkpoint_path", "execute_job"),
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -11,7 +11,7 @@ while the worker proves liveness two ways:
   happily while its simulation is pinned — the hung-loop failure mode
   :class:`~repro.chaos.watchdog.DeadlockWatchdog` exists for at the
   *simulated* level — is caught by the same no-progress-window logic
-  (:class:`~repro.chaos.watchdog.ProgressGauge`) applied on the wall
+  (:class:`~repro.core.hooks.ProgressGauge`) applied on the wall
   clock: no ``sim_now`` advance for ``progress_window_s`` expires the
   lease even though heartbeats keep arriving.
 
@@ -28,7 +28,7 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Tuple
 
-from ..chaos.watchdog import ProgressGauge
+from ..core.hooks import ProgressGauge
 
 __all__ = ["Lease", "LeaseTable"]
 

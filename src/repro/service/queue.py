@@ -19,7 +19,7 @@ storm of identical sweeps costs one execution.
 
 A requeue (worker crash, revoked lease) spends one unit of the job's
 retry budget and delays re-dispatch by seeded-jitter exponential
-backoff (:func:`~repro.runtime.rpc.backoff_delay` — the same helper
+backoff (:func:`~repro.chaos.plan.backoff_delay` — the same helper
 the reliable transport uses at simulation level), so a fleet-wide
 failure does not thunder straight back onto the replacement workers.
 
@@ -33,7 +33,7 @@ from __future__ import annotations
 import time
 from typing import Any, Dict, List, Optional
 
-from ..runtime.rpc import backoff_delay
+from ..chaos.plan import backoff_delay
 from .spec import JobSpec
 
 __all__ = ["Job", "JobQueue", "STATES"]

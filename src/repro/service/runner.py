@@ -23,10 +23,7 @@ from __future__ import annotations
 import os
 from typing import Any, Dict, Optional
 
-from ..apps.scenario import run_scenario
-from ..chaos import ChaosEngine, FaultPlan
-from ..snapshot import CheckpointPolicy, read_header
-from ..telemetry import Telemetry
+from ..snapshot.format import read_header
 from .spec import JobSpec
 
 __all__ = ["execute_job", "checkpoint_path"]
@@ -53,6 +50,13 @@ def execute_job(spec: JobSpec, ckpt_path: Optional[str] = None,
     :class:`~repro.telemetry.live.LiveSampler` for in-run heartbeat
     frames (read-only; never changes the result).
     """
+    # The simulators load here, not with the module: the supervisor
+    # imports this one for checkpoint_path alone.
+    from ..apps.scenario import run_scenario
+    from ..chaos import ChaosEngine, FaultPlan
+    from ..snapshot import CheckpointPolicy
+    from ..telemetry import Telemetry
+
     resumed_from = _resume_point(ckpt_path)
     policy = None
     if ckpt_path is not None:

@@ -6,7 +6,8 @@ The subsystem has four layers:
   format (magic line, JSON header, sha256-verified pickle payload);
 * :mod:`~repro.snapshot.state` — the capture/restore contracts for both
   simulation levels, composed from each subsystem's own
-  ``state_dict``/``load_state`` pair;
+  ``state_dict``/``load_state`` pair, and the save/load functions that
+  pair a capture with a file;
 * :mod:`~repro.snapshot.policy` — :class:`CheckpointPolicy`, the
   periodic auto-save driver the run loops consult;
 * :mod:`~repro.snapshot.bisect` — time-travel debugging: replay from a
@@ -30,65 +31,16 @@ uninterrupted run — the determinism contract of docs/SNAPSHOT.md,
 enforced by tests/snapshot/.
 """
 
-from __future__ import annotations
+from .._lazy import lazy_exports
 
-from typing import Optional
-
-from ..core.errors import SnapshotError
-from .bisect import BisectResult, bisect_deadlock
-from .format import (FORMAT_VERSION, MAGIC, read_header, read_snapshot,
-                     sweep_stale_tmp, write_snapshot)
-from .policy import CheckpointPolicy
-from .state import (capture_machine, capture_macro, restore_machine,
-                    restore_macro)
-
-__all__ = [
-    "SnapshotError", "FORMAT_VERSION", "MAGIC",
-    "read_header", "read_snapshot", "write_snapshot", "sweep_stale_tmp",
-    "capture_machine", "restore_machine", "capture_macro", "restore_macro",
-    "save_machine", "load_machine", "save_macro", "restore_macro_into",
-    "CheckpointPolicy", "BisectResult", "bisect_deadlock",
-]
-
-
-def _meta(target, run_limit: Optional[int], meta) -> dict:
-    out = {"now": target.now, "n_nodes": len(target.nodes),
-           "run_limit": run_limit}
-    if meta:
-        out.update(meta)
-    return out
-
-
-def save_machine(machine, path: str, run_limit: Optional[int] = None,
-                 meta=None) -> dict:
-    """Capture a ``JMachine`` to ``path``; returns the written header."""
-    return write_snapshot(path, "cycle", capture_machine(machine),
-                          meta=_meta(machine, run_limit, meta))
-
-
-def load_machine(path: str):
-    """Rebuild a ``JMachine`` from a cycle-level snapshot file."""
-    header, payload = read_snapshot(path)
-    if header["kind"] != "cycle":
-        raise SnapshotError(
-            f"{path} is a {header['kind']!r} snapshot; use restore_state "
-            f"on a macro simulator for it")
-    return restore_machine(payload)
-
-
-def save_macro(sim, path: str, run_limit: Optional[int] = None,
-               meta=None) -> dict:
-    """Capture a ``MacroSimulator`` to ``path``; returns the header."""
-    return write_snapshot(path, "macro", capture_macro(sim),
-                          meta=_meta(sim, run_limit, meta))
-
-
-def restore_macro_into(sim, path: str) -> dict:
-    """Restore a macro snapshot into a prepared ``sim``; returns header."""
-    header, payload = read_snapshot(path)
-    if header["kind"] != "macro":
-        raise SnapshotError(
-            f"{path} is a {header['kind']!r} snapshot; use "
-            f"JMachine.restore for it")
-    restore_macro(sim, payload)
-    return header
+_EXPORTS = {
+    "..core.errors": ("SnapshotError",),
+    ".format": ("FORMAT_VERSION", "MAGIC", "read_header", "read_snapshot",
+                "write_snapshot", "sweep_stale_tmp"),
+    ".state": ("capture_machine", "restore_machine", "capture_macro",
+               "restore_macro", "save_machine", "load_machine", "save_macro",
+               "restore_macro_into"),
+    ".policy": ("CheckpointPolicy",),
+    ".bisect": ("BisectResult", "bisect_deadlock"),
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -100,7 +100,7 @@ def _load(path: str):
 
     Every probe replays from disk so no state leaks between replays.
     """
-    from . import load_machine
+    from .state import load_machine
 
     machine = load_machine(path)
     machine.checkpoint = None

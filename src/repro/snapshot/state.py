@@ -6,7 +6,9 @@ own serialization contract (``Fabric.state_dict``,
 ``ChaosEngine.state_dict``, ``ReliableLayer.state_dict``); this module
 composes them with the pieces that live directly on the machine — node
 processors, heaps, staged deliveries, telemetry — into one payload for
-:mod:`repro.snapshot.format`.
+:mod:`repro.snapshot.format`.  The front doors at the end
+(:func:`save_machine`, :func:`load_machine`, :func:`save_macro`,
+:func:`restore_macro_into`) pair a capture with a file.
 
 **Cycle level** (:func:`capture_machine` / :func:`restore_machine`):
 snapshots are fully self-contained.  Processor state is the processor's
@@ -40,11 +42,13 @@ from typing import Any, Dict, List, Optional
 from ..core.costs import CostModel
 from ..core.errors import SnapshotError
 from ..core.processor import Mdp
+from .format import read_snapshot, write_snapshot
 
 __all__ = [
     "PROC_EXTERNAL_ATTRS", "MACHINE_CAPTURED_ATTRS", "MACHINE_EXTERNAL_ATTRS",
     "MACRO_CAPTURED_ATTRS", "MACRO_EXTERNAL_ATTRS",
     "capture_machine", "restore_machine", "capture_macro", "restore_macro",
+    "save_machine", "load_machine", "save_macro", "restore_macro_into",
 ]
 
 #: Processor attributes owned by the machine wiring, not by the
@@ -442,3 +446,48 @@ def restore_macro(sim, payload: dict) -> None:
         if telemetry["trace"] is not None and sim._trace is not None:
             sim._trace._next_trace = telemetry["trace"]["next_trace"]
             sim._trace._next_span = telemetry["trace"]["next_span"]
+
+
+# --------------------------------------------------------------- front doors
+
+def _meta(target, run_limit: Optional[int], meta) -> dict:
+    out = {"now": target.now, "n_nodes": len(target.nodes),
+           "run_limit": run_limit}
+    if meta:
+        out.update(meta)
+    return out
+
+
+def save_machine(machine, path: str, run_limit: Optional[int] = None,
+                 meta=None) -> dict:
+    """Capture a ``JMachine`` to ``path``; returns the written header."""
+    return write_snapshot(path, "cycle", capture_machine(machine),
+                          meta=_meta(machine, run_limit, meta))
+
+
+def load_machine(path: str):
+    """Rebuild a ``JMachine`` from a cycle-level snapshot file."""
+    header, payload = read_snapshot(path)
+    if header["kind"] != "cycle":
+        raise SnapshotError(
+            f"{path} is a {header['kind']!r} snapshot; use restore_state "
+            f"on a macro simulator for it")
+    return restore_machine(payload)
+
+
+def save_macro(sim, path: str, run_limit: Optional[int] = None,
+               meta=None) -> dict:
+    """Capture a ``MacroSimulator`` to ``path``; returns the header."""
+    return write_snapshot(path, "macro", capture_macro(sim),
+                          meta=_meta(sim, run_limit, meta))
+
+
+def restore_macro_into(sim, path: str) -> dict:
+    """Restore a macro snapshot into a prepared ``sim``; returns header."""
+    header, payload = read_snapshot(path)
+    if header["kind"] != "macro":
+        raise SnapshotError(
+            f"{path} is a {header['kind']!r} snapshot; use "
+            f"JMachine.restore for it")
+    restore_macro(sim, payload)
+    return header

@@ -38,10 +38,12 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Tuple
 
-from ..chaos.watchdog import ProgressGauge, machine_snapshots
-from .metrics import MetricsRegistry
+from ..core.hooks import ProgressGauge
+
+if TYPE_CHECKING:
+    from .metrics import MetricsRegistry
 
 __all__ = ["HOST", "SamplePolicy", "SamplePoint", "LiveSampler"]
 
@@ -363,6 +365,8 @@ class LiveSampler:
                 # Reuse the deadlock watchdog's diagnostic machinery:
                 # the implicated-node snapshots are read-only and only
                 # taken on already-stalled frames.
+                from ..chaos.watchdog import machine_snapshots
+
                 snaps = machine_snapshots(target)
                 stall = {
                     "nodes_implicated": len(snaps),

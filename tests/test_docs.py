@@ -498,6 +498,9 @@ def test_each_setting_has_one_literal_default():
 
 
 _IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
+#: Assignments whose strings name what they list, not a use of it: a
+#: package's lazy export table derives its ``__all__`` (src/repro/_lazy.py).
+_NOT_USES = ("__all__", "__slots__", "_EXPORTS")
 
 
 @functools.lru_cache(maxsize=None)
@@ -508,13 +511,13 @@ def _program_scan():
     Returns ``(used, loaded, defined, stored, fields)``: ``used`` every
     name loaded as a ``Name`` or an attribute or appearing as an
     identifier in a string constant (generated block code and
-    ``getattr`` names included; docstrings, ``__all__`` and
-    ``__slots__`` are not uses); ``loaded`` the attributes loaded or
-    named in a string constant; and, under ``src/repro`` only,
-    ``{name: [file:line]}`` of every function, class and method
-    defined and of every attribute assigned, and the field names of
-    every ``@dataclass``.  Name-level: ``x.count`` anywhere reads every
-    attribute called ``count``."""
+    ``getattr`` names included; docstrings, ``__all__``, ``__slots__``
+    and a package's ``_EXPORTS`` table are not uses); ``loaded`` the
+    attributes loaded or named in a string constant; and, under
+    ``src/repro`` only, ``{name: [file:line]}`` of every function,
+    class and method defined and of every attribute assigned, and the
+    field names of every ``@dataclass``.  Name-level: ``x.count``
+    anywhere reads every attribute called ``count``."""
     import ast
 
     src = ROOT / "src" / "repro"
@@ -526,7 +529,8 @@ def _program_scan():
         ours = src in path.parents
         skip = set()
         # ast.walk visits a node before its children, so a docstring or
-        # an ``__all__`` / ``__slots__`` list is marked before it is met.
+        # an ``__all__`` / ``__slots__`` list or ``_EXPORTS`` table is
+        # marked before it is met.
         for node in ast.walk(ast.parse(path.read_text())):
             where = f"{path.relative_to(ROOT)}:{getattr(node, 'lineno', 0)}"
             if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
@@ -534,7 +538,7 @@ def _program_scan():
                     and isinstance(node.body[0], ast.Expr):
                 skip.add(node.body[0].value)
             if isinstance(node, ast.Assign) and any(
-                    getattr(target, "id", None) in ("__all__", "__slots__")
+                    getattr(target, "id", None) in _NOT_USES
                     for target in node.targets):
                 skip.update(ast.walk(node.value))
             elif isinstance(node, ast.Name) and isinstance(node.ctx,

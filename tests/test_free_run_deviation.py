@@ -11,12 +11,25 @@ commit then pulls the processor's next tick back (``_commit_deliveries``
 The gap is small and the work done is identical; closing it costs the
 compute-bound workloads 2.5x (docs/PERFORMANCE.md "Stop conditions"),
 so it is pinned here rather than fixed (EXPERIMENTS.md, ROADMAP 4c).
+
+A second, larger one is a defect, pinned until it is fixed (ROADMAP
+item 1): in a free run the block deadline collapses under a chaos engine
+only while the fabric is busy (``JMachine._block_deadline``), so with an
+idle fabric a compiled block runs past a scheduled AMT ``poison`` and
+the eviction lands after the node already made the lookups it should
+have missed.
 """
+
+import random
 
 import pytest
 
 from repro.apps.radix_cycle import run_cycle_radix
 from repro.apps.radix_sort import RadixParams, generate_keys
+from repro.asm.assembler import assemble
+from repro.chaos import ChaosEngine, FaultPlan, FaultSpec
+from repro.machine.config import MachineConfig
+from repro.machine.jmachine import JMachine
 
 
 @pytest.fixture(scope="module")
@@ -41,3 +54,63 @@ def test_free_run_gap_is_small_and_the_work_identical(radix64):
     assert fast.sorted_keys == reference.sorted_keys
     assert fast.instructions == reference.instructions
     assert fast.write_messages == reference.write_messages
+
+
+#: Each node's background thread names 40 keys, then looks them up 900
+#: times; no message is ever sent, so the fabric stays idle.
+NAMES = """
+start:
+    MOVE  #40, R0
+    MOVE  #0, R1
+enter:
+    ENTER R1, R1
+    ADD   R1, #1, R1
+    SUB   R0, #1, R0
+    BT    R0, enter
+    MOVE  #900, R0
+    MOVE  #0, R1
+lookup:
+    XLATE R1, R2
+    ADD   R1, #1, R1
+    MOD   R1, #40, R1
+    SUB   R0, #1, R0
+    BT    R0, lookup
+    HALT
+"""
+
+
+def _poisoned_names(fast_path, seed=1):
+    """(cycles, xlate misses per node) of the free run under 1-4 whole-AMT
+    poisonings per node at cycles 260-3000."""
+    draw = random.Random(seed)
+    specs = tuple(FaultSpec(kind="poison", node=node,
+                            start=draw.randint(260, 3000))
+                  for node in range(8) for _ in range(draw.randint(1, 4)))
+    machine = JMachine(MachineConfig(dims=(2, 2, 2), fast_path=fast_path))
+    program = assemble(NAMES)
+    machine.load(program)
+    ChaosEngine(FaultPlan(seed=seed, specs=specs)).attach_machine(machine)
+    for node in range(8):
+        machine.start_background(node, program.entry("start"))
+    machine.run()
+    return machine.now, [node.proc.amt.misses for node in machine.nodes]
+
+
+@pytest.fixture(scope="module")
+def poisoned():
+    return [_poisoned_names(fast) for fast in (True, False)]
+
+
+def test_the_interpreter_misses_after_every_poisoning(poisoned):
+    _, reference = poisoned
+    cycles, misses = reference
+    assert cycles == 22_339
+    assert all(count > 0 for count in misses)
+
+
+@pytest.mark.xfail(strict=True,
+                   reason="an idle-fabric block runs past a scheduled chaos "
+                          "action (ROADMAP item 1)")
+def test_a_poisoning_lands_at_its_cycle_on_the_fast_path(poisoned):
+    fast, reference = poisoned
+    assert fast == reference
