@@ -39,13 +39,16 @@ processor.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Tuple, Union
 
 from ..core.errors import AssemblyError
 from ..core.isa import Imm, Instr, MemIdx, MemOff, OPCODES, Operand, Reg
-from ..core.processor import Mdp, USER_BASE
+from ..core.memory import USER_BASE
 from ..core.tags import Tag
 from ..core.word import Word
+
+if TYPE_CHECKING:
+    from ..core.processor import Mdp
 
 __all__ = ["Program", "assemble"]
 

@@ -18,9 +18,9 @@ _EXPORTS = {
                 "SimulationError", "TypeFault", "XlateMissFault"),
     ".faults": ("AbortFaultPolicy", "FaultPolicy", "RuntimeFaultPolicy"),
     ".isa": ("Imm", "Instr", "MemIdx", "MemOff", "OPCODES", "Reg"),
-    ".memory": ("EMEM_WORDS", "IMEM_WORDS", "NodeMemory"),
+    ".memory": ("EMEM_WORDS", "IMEM_WORDS", "NodeMemory", "USER_BASE"),
     ".message": ("Message",),
-    ".processor": ("Mdp", "MdpCounters", "NetworkInterface", "USER_BASE"),
+    ".processor": ("Mdp", "MdpCounters", "NetworkInterface"),
     ".queues": ("DEFAULT_QUEUE_WORDS", "MIN_MESSAGE_WORDS", "MessageQueue"),
     ".registers": ("Priority", "RegisterFile", "RegisterSet"),
     ".tags": ("Tag",),

@@ -50,16 +50,6 @@ class AssociativeMatchTable:
         self.enters = 0
         self.evictions = 0
 
-    def __setstate__(self, state: dict) -> None:
-        # A capture written while every set was built up front holds a
-        # list of them, most empty.
-        table = state["_table"]
-        if isinstance(table, list):
-            state["_table"] = {index: entry_set
-                               for index, entry_set in enumerate(table)
-                               if entry_set}
-        self.__dict__.update(state)
-
     def _set_for(self, key: Word) -> List[Tuple[Word, Word]]:
         """The key's set, built on first use (enter and miss fill)."""
         index = hash(key) % self.sets

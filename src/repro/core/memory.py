@@ -28,7 +28,8 @@ from .errors import MemoryError_, SegmentationFault
 from .word import NIL, Word
 
 __all__ = ["AccessMeter", "NodeMemory", "IMEM_WORDS", "EMEM_WORDS",
-           "TOTAL_WORDS"]
+           "TOTAL_WORDS", "MSG_WINDOW_WORDS", "MSG_WINDOW_P0", "MSG_WINDOW_P1",
+           "USER_BASE"]
 
 #: 4K words of on-chip SRAM (Section 1).
 IMEM_WORDS = 4096
@@ -38,6 +39,19 @@ EMEM_WORDS = 256 * 1024
 
 #: Total flat address space per node, in words.
 TOTAL_WORDS = IMEM_WORDS + EMEM_WORDS
+
+#: Maximum message length the dispatch window accommodates, in words.
+MSG_WINDOW_WORDS = 32
+
+#: Fault vectors occupy the bottom of the SRAM (reserved, unused here).
+_VECTORS_WORDS = 16
+
+#: Fixed SRAM windows exposing the current message at each priority.
+MSG_WINDOW_P0 = _VECTORS_WORDS
+MSG_WINDOW_P1 = MSG_WINDOW_P0 + MSG_WINDOW_WORDS
+
+#: First SRAM address available to loaded programs and data.
+USER_BASE = MSG_WINDOW_P1 + MSG_WINDOW_WORDS
 
 
 class AccessMeter:
@@ -82,18 +96,6 @@ class NodeMemory:
         # few dozen of the 4K SRAM words).  An absent cell reads NIL;
         # the address alone picks the region's cost.
         self._cells: Dict[int, Word] = {}
-
-    def __setstate__(self, state: dict) -> None:
-        # A capture written while the SRAM was a dense list holds it
-        # and the DRAM map separately, plus the retired ``emem_words``.
-        dense = state.pop("_imem_cells", None)
-        if dense is not None:
-            cells = {address: word for address, word in enumerate(dense)
-                     if word != NIL}
-            cells.update(state.pop("_emem_cells"))
-            state["_cells"] = cells
-        state.pop("emem_words", None)
-        self.__dict__.update(state)
 
     # -- classification ------------------------------------------------------
 

@@ -103,15 +103,6 @@ class Message:
             [Word.ip(handler_ip), *args], source=source, dest=dest, priority=priority
         )
 
-    def __setstate__(self, state) -> None:
-        # A capture written before the arrival and dispatch stamps were
-        # retired still holds them.
-        _, slots = state
-        slots.pop("arrive_time", None)
-        slots.pop("dispatch_time", None)
-        for name, value in slots.items():
-            setattr(self, name, value)
-
     def __len__(self) -> int:
         return len(self.words)
 

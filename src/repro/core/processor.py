@@ -49,7 +49,7 @@ from .faults import FaultPolicy, RuntimeFaultPolicy
 from .fastpath import (STATS, BlockTables, bind_block, block_text, context,
                        tables_for)
 from .isa import Imm, Instr, MemIdx, MemOff, Operand, Reg
-from .memory import NodeMemory
+from .memory import MSG_WINDOW_P0, MSG_WINDOW_P1, MSG_WINDOW_WORDS, NodeMemory
 from .message import Message
 from .queues import MessageQueue
 from .registers import Priority, RegisterFile, RegisterSet
@@ -64,26 +64,12 @@ __all__ = [
     "MSG_WINDOW_WORDS",
     "MSG_WINDOW_P0",
     "MSG_WINDOW_P1",
-    "USER_BASE",
 ]
-
-#: Maximum message length the dispatch window accommodates, in words.
-MSG_WINDOW_WORDS = 32
-
-#: Fault vectors occupy the bottom of the SRAM (reserved, unused here).
-_VECTORS_WORDS = 16
-
-#: Fixed SRAM windows exposing the current message at each priority.
-MSG_WINDOW_P0 = _VECTORS_WORDS
-MSG_WINDOW_P1 = MSG_WINDOW_P0 + MSG_WINDOW_WORDS
 
 #: Interned A3 message-window descriptors, keyed (window base, length).
 #: Both coordinates are drawn from a handful of values, and ADDR words
 #: are immutable, so dispatch can reuse them instead of repacking.
 _A3_SEGMENTS: Dict[tuple, "Word"] = {}
-
-#: First SRAM address available to loaded programs and data.
-USER_BASE = MSG_WINDOW_P1 + MSG_WINDOW_WORDS
 
 
 class NetworkInterface:

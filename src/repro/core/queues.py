@@ -45,8 +45,7 @@ class MessageQueue:
     #: ``(cycle, words)`` of each free made ahead of the cycle its
     #: processor was ticked at, possibly not yet visible to the network
     #: (see :meth:`dequeue`): restored state, a list from the first such
-    #: free on.  Until then, and in captures written before it existed,
-    #: this empty default.
+    #: free on.  Until then, this empty default.
     pending_frees: Sequence[Tuple[int, int]] = ()
 
     def __init__(self, capacity_words: int = DEFAULT_QUEUE_WORDS) -> None:
@@ -66,15 +65,6 @@ class MessageQueue:
         self.enqueued = 0
         self.overflows = 0
         self.high_water = 0
-
-    def __getstate__(self) -> dict:
-        # With nothing pending a capture is what it was before pending
-        # frees were recorded, byte for byte.
-        state = self.__dict__
-        if state.get("pending_frees", True):
-            return state
-        return {name: value for name, value in state.items()
-                if name != "pending_frees"}
 
     # -- space accounting ---------------------------------------------------
 

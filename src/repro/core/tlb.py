@@ -57,10 +57,6 @@ class TranslationBuffer:
         self.misses = 0
         self.walks = 0
 
-    def __setstate__(self, state: dict) -> None:
-        state.pop("evictions", None)  # retired: counted, never read
-        self.__dict__.update(state)
-
     # -- management ---------------------------------------------------------
 
     def map(self, virtual: int, physical: int) -> None:
@@ -124,19 +120,6 @@ class NodeTlb(TranslationBuffer):
         super().__init__(sets=sets, ways=ways)
         self.n_nodes = n_nodes
         self._flat = True
-
-    def __setstate__(self, state: dict) -> None:
-        # A capture written while the flat partition was preloaded holds
-        # an identity entry for every node: keep only the remapped ones.
-        if "_flat" not in state:
-            backing = state["_backing"]
-            state["_flat"] = all(node in backing
-                                 for node in range(state["n_nodes"]))
-            if state["_flat"]:
-                state["_backing"] = {virtual: physical for virtual, physical
-                                     in backing.items() if virtual != physical
-                                     or not 0 <= virtual < state["n_nodes"]}
-        super().__setstate__(state)
 
     def _walk(self, virtual: int) -> int:
         if (self._flat and virtual not in self._backing

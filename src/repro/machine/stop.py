@@ -18,7 +18,7 @@ from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.errors import ConfigurationError
-from ..core.processor import USER_BASE
+from ..core.memory import USER_BASE
 
 __all__ = ["StopFlags", "NEVER"]
 

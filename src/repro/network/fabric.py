@@ -88,11 +88,6 @@ AcceptFn = Callable[[int, Message], bool]
 DeliverFn = Callable[[int, Message, int], None]
 
 
-def arbitration_key(pri: int, at_port: bool, seq: int) -> int:
-    """``Worm.akey`` of worm number ``seq`` at priority ``pri``."""
-    return ((1 - pri) * 2 + at_port) * AT_PORT + seq
-
-
 class Worm:
     """One message in flight: a worm of phits snaking through the mesh."""
 
@@ -136,7 +131,7 @@ class Worm:
         #: traffic ahead of worms still at their injection port
         #: (:data:`AT_PORT`, cleared when the head leaves it), then
         #: submission order.
-        self.akey = arbitration_key(self.pri, True, seq)
+        self.akey = ((1 - self.pri) * 2 + 1) * AT_PORT + seq
         #: Sleep state, derived (see :meth:`Fabric.advance`): the next
         #: cycle the kernel visits this worm (:data:`AWAKE`: every
         #: cycle), the cycle of its last full visit, and — while
@@ -153,17 +148,6 @@ class Worm:
         buffers hold the rest (or the message ends first)."""
         return min(self.total_phits,
                    BUFFER_PHITS * (self.head - self.released + 1))
-
-    def __setstate__(self, state) -> None:
-        # A capture written before channel keys became ints also holds
-        # the retired ``path`` slot (Fabric.load_state re-derives keys),
-        # and one written before submission stopped being stamped a
-        # ``submit_time``.
-        _, slots = state
-        slots.pop("path", None)
-        slots.pop("submit_time", None)
-        for name, value in slots.items():
-            setattr(self, name, value)
 
 
 class Fabric:
@@ -900,51 +884,24 @@ class Fabric:
 
         The fabric must have been constructed with the same topology and
         wiring as the captured one; everything in
-        :data:`EXTERNAL_ATTRS` is left untouched.  Only the keys
-        :meth:`state_dict` writes today are read: a capture from an
-        older build may carry keys for since-retired fields, which are
-        ignored (the ``version <= FORMAT_VERSION`` rule; docs/SNAPSHOT.md
-        §1 lists them).
+        :data:`EXTERNAL_ATTRS` is left untouched.  Worms, channel owners
+        and the route memo go in as captured: the capture holds them
+        awake (:meth:`state_dict` syncs first).
         """
+        self._owner = dict(state["owner"])
         self._active = list(state["active"])
         self._pending = {key: deque(queue)
                          for key, queue in state["pending"].items() if queue}
         self._pending_count = state["pending_count"]
         self._staged = list(state["staged"])
+        self._route_cache = dict(state["route_cache"])
         self.route_cache_max = state["route_cache_max"]
         self.route_cache_hits = state["route_cache_hits"]
         self.route_cache_misses = state["route_cache_misses"]
         self._seq = state["seq"]
         self.stats = state["stats"]
         self.stats.mesh = self.mesh
-        # Absent in pre-observatory captures: restore to un-probed.
-        self._probe = state.get("probe")
-        # Channel keys are a pure function of (source, dest, pclass), so
-        # memo entries and worm routes are re-derived; that also converts
-        # a capture written when keys were (node, dim, dir, pclass)
-        # tuples, memo entries included, so later hit/miss counts match
-        # an uninterrupted run.  Every captured worm is awake; a capture
-        # written before the worm kernel lacks the sleep slots altogether.
-        dims = self.mesh.dims
-        self._route_cache = {pair: route_keys(dims, *pair)
-                             for pair in state["route_cache"]}
-        renamed = {}
-        for worms in (self._active, *self._pending.values(),
-                      (entry[2] for entry in self._staged)):
-            for worm in worms:
-                keys, _ = route_keys(dims, worm.message.source,
-                                     worm.message.dest, worm.pri)
-                renamed.update(zip(worm.keys, keys))
-                worm.keys = keys
-                # Earlier builds kept the key as a (-pri, at_port, seq)
-                # tuple; the order is the same.
-                worm.akey = arbitration_key(worm.pri, worm.head < 1,
-                                            worm.seq)
-                worm.wake = AWAKE
-                worm.seen = 0
-                worm.parked = None
-        self._owner = {renamed[key]: worm
-                       for key, worm in state["owner"].items()}
+        self._probe = state["probe"]
         self._waiters = {}
         self._n_parked = 0
         self._cycle = -1

@@ -138,14 +138,6 @@ class NetworkStats:
         self._window_start_cycle = 0
         self.window_bisection_words = 0
 
-    def __setstate__(self, state: dict) -> None:
-        # A capture written before the unread window counters were
-        # retired still holds them.
-        for name in ("window_completed", "window_message_words",
-                     "window_latency"):
-            state.pop(name, None)
-        self.__dict__.update(state)
-
     def record_completion(self, worm: "Worm", now: int) -> None:
         self.completed += 1
         message = worm.message

@@ -397,9 +397,8 @@ class ReliableLayer:
         self.timeout = state["timeout"]
         self.max_retries = state["max_retries"]
         self.backoff = state["backoff"]
-        # Pre-jitter snapshots (format additive within a major version).
-        self.jitter = state.get("jitter", 0.0)
-        self.jitter_seed = state.get("jitter_seed", 0)
+        self.jitter = state["jitter"]
+        self.jitter_seed = state["jitter_seed"]
         self._pending = dict(state["pending"])
         self._next_seq = state["next_seq"]
         self._stream_next = dict(state["stream_next"])

@@ -23,8 +23,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import urllib.error
-import urllib.request
 from typing import Any, Dict, List, Optional
 
 from ..telemetry.live import HOST
@@ -37,6 +35,9 @@ PORT = 8124
 
 def _post(url: str, path: str, body: Dict[str, Any],
           timeout: float = 120.0) -> Dict[str, Any]:
+    import urllib.error
+    import urllib.request  # the clients' import: ``serve`` never loads it
+
     request = urllib.request.Request(
         url.rstrip("/") + path,
         data=json.dumps(body).encode("utf-8"),
@@ -49,6 +50,8 @@ def _post(url: str, path: str, body: Dict[str, Any],
 
 
 def _get(url: str, path: str, timeout: float = 10.0) -> Dict[str, Any]:
+    import urllib.request
+
     with urllib.request.urlopen(url.rstrip("/") + path,
                                 timeout=timeout) as response:
         return json.loads(response.read().decode("utf-8"))
@@ -60,6 +63,7 @@ def _wait_for_job(url: str, digest: str, wait_s: float
     (``GET /jobs/<digest>?wait=``: the *server* does the waiting, one
     request per ``MAX_WAIT_S``); None when ``wait_s`` runs out first."""
     import time
+    import urllib.error
 
     from .http import MAX_WAIT_S
 

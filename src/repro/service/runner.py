@@ -12,7 +12,10 @@ compare against).  The contract:
   cold, and the resumed stream is digest-equal to an undisturbed run
   (PR 7's restore contract).  ``resumed_from`` in the result records
   the checkpoint's capture cycle so callers can verify a retry
-  actually replayed less than the whole run.
+  actually replayed less than the whole run.  A checkpoint this build
+  cannot read — corrupt, or written by another snapshot format
+  version — is deleted and the job runs cold (``resumed_from`` 0):
+  the same file would otherwise fail every resubmission of the spec.
 * **Self-cleaning.**  A successful run deletes its checkpoint; arming
   the checkpoint policy sweeps any ``*.tmp.<pid>`` orphans a killed
   writer left for this job's path.
@@ -23,7 +26,8 @@ from __future__ import annotations
 import os
 from typing import Any, Dict, Optional
 
-from ..snapshot.format import read_header
+from ..core.errors import SnapshotError
+from ..snapshot.format import read_snapshot
 from .spec import JobSpec
 
 __all__ = ["execute_job", "checkpoint_path"]
@@ -35,10 +39,16 @@ def checkpoint_path(workdir: str, digest: str) -> str:
 
 
 def _resume_point(ckpt: Optional[str]) -> Optional[int]:
-    """The capture cycle of an existing checkpoint, else None."""
+    """The capture cycle of an existing checkpoint this build can read,
+    else None; an unreadable one is deleted."""
     if ckpt is None or not os.path.exists(ckpt):
         return None
-    return int(read_header(ckpt)["meta"]["now"])
+    try:
+        header, _ = read_snapshot(ckpt)
+    except SnapshotError:
+        os.unlink(ckpt)
+        return None
+    return int(header["meta"]["now"])
 
 
 def execute_job(spec: JobSpec, ckpt_path: Optional[str] = None,

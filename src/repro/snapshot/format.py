@@ -2,7 +2,7 @@
 
 A snapshot file is::
 
-    #repro-snapshot 1\n          <- ASCII magic + major format version
+    #repro-snapshot 2\n          <- ASCII magic + format version
     {...json header...}\n        <- one line of JSON metadata
     <pickle payload>             <- the state itself, one pickle
 
@@ -19,10 +19,12 @@ between worms, messages referenced from both a staged heap and a node
 queue, and chaos plans referenced from several places come back as the
 same graph shape they had when captured.
 
-Compatibility rule: a reader accepts files whose major version is at
-most its own :data:`FORMAT_VERSION` (the header is additive within a
-major version); anything newer raises :class:`SnapshotError` rather
-than guessing.
+Compatibility rule: a build reads only the files its own
+:data:`FORMAT_VERSION` wrote.  Any other version, older or newer, raises
+:class:`SnapshotError` (capture again); :func:`read_header` still reads
+the header of any version, so such a file can be identified.  A change
+to what a capture holds bumps the version: the live classes carry no
+conversion for older captures.
 """
 
 from __future__ import annotations
@@ -40,11 +42,12 @@ from ..core.errors import SnapshotError
 __all__ = ["FORMAT_VERSION", "MAGIC", "SnapshotError", "write_snapshot",
            "read_header", "read_snapshot", "sweep_stale_tmp"]
 
-#: Major version of the file format this build reads and writes.
-FORMAT_VERSION = 1
+#: Version of the file format and of the capture's shape this build
+#: reads and writes; tests/snapshot/test_shape.py pins the shape to it.
+FORMAT_VERSION = 2
 
-#: First line of every snapshot file (includes the major version).
-MAGIC = b"#repro-snapshot 1\n"
+#: First line of every snapshot file (includes the version).
+MAGIC = b"#repro-snapshot %d\n" % FORMAT_VERSION
 
 #: Fixed pickle protocol: snapshots written on any supported Python
 #: must load on any other, so the protocol is pinned, not "highest".
@@ -137,15 +140,12 @@ def _read_magic_and_header(fh: io.BufferedReader,
     version = header.get("version")
     if not isinstance(version, int) or version < 1:
         raise SnapshotError(f"{path}: malformed snapshot version {version!r}")
-    if version > FORMAT_VERSION:
-        raise SnapshotError(
-            f"{path}: snapshot format version {version} is newer than "
-            f"this build's {FORMAT_VERSION}; upgrade to read it")
     return header
 
 
 def read_header(path: str) -> Dict[str, Any]:
-    """The JSON header alone — cheap, never unpickles the payload."""
+    """The JSON header alone, of any format version — cheap, never
+    unpickles the payload."""
     with open(path, "rb") as fh:
         return _read_magic_and_header(fh, path)
 
@@ -153,19 +153,24 @@ def read_header(path: str) -> Dict[str, Any]:
 def read_snapshot(path: str) -> Tuple[Dict[str, Any], Any]:
     """Load and verify a snapshot; returns ``(header, payload)``.
 
-    The payload's sha256 is checked against the header before
-    unpickling, so a truncated or bit-flipped file fails with a clear
-    error instead of a confusing unpickling exception (or, worse, a
-    silently wrong machine state).
+    Only a file of this build's :data:`FORMAT_VERSION` loads.  The
+    payload's sha256 is checked against the header before unpickling,
+    so a truncated or bit-flipped file fails with a clear error instead
+    of a confusing unpickling exception (or, worse, a silently wrong
+    machine state).
     """
     with open(path, "rb") as fh:
         header = _read_magic_and_header(fh, path)
+        if header["version"] != FORMAT_VERSION:
+            raise SnapshotError(
+                f"{path}: snapshot format version {header['version']}, but "
+                f"this build reads only version {FORMAT_VERSION}; capture "
+                f"it again with this build")
         blob = fh.read()
-    expected = header.get("payload_bytes")
-    if expected is not None and len(blob) != expected:
+    if len(blob) != header.get("payload_bytes"):
         raise SnapshotError(
-            f"{path}: payload is {len(blob)} bytes, header says {expected} "
-            f"(truncated file?)")
+            f"{path}: payload is {len(blob)} bytes, header says "
+            f"{header.get('payload_bytes')} (truncated file?)")
     digest = hashlib.sha256(blob).hexdigest()
     if digest != header.get("sha256"):
         raise SnapshotError(f"{path}: payload sha256 mismatch (corrupt file)")

@@ -36,10 +36,8 @@ instruments (pull sources re-derive from restored counters), and
 from __future__ import annotations
 
 import heapq
-from dataclasses import fields
 from typing import Any, Dict, List, Optional
 
-from ..core.costs import CostModel
 from ..core.errors import SnapshotError
 from ..core.processor import Mdp
 from .format import read_snapshot, write_snapshot
@@ -93,11 +91,6 @@ MACRO_EXTERNAL_ATTRS = frozenset({
     "checkpoint",             # host-side policy
     "sampler",                # host-side live-monitoring rig
 })
-
-#: ``MachineConfig`` fields retired into ``CostModel`` (docs/SNAPSHOT.md
-#: §1), by the cost's name there.
-_RETIRED_CONFIG_COSTS = {"suspend_save_cycles": "suspend_save",
-                         "restart_cycles": "restart"}
 
 #: Placeholder for a reliable-transport retransmit timer in a captured
 #: macro event heap; re-bound to the restored layer by sequence number.
@@ -207,29 +200,10 @@ def capture_machine(machine) -> dict:
     }
 
 
-def _fold_retired_costs(payload: dict) -> None:
-    """Move a capture's retired ``MachineConfig`` costs into a current
-    ``CostModel`` shared, as when captured, by the config, every
-    processor and every memory; the old model's retired fields stay
-    behind."""
-    config = payload["config"].__dict__
-    moved = {new: config.pop(old)
-             for old, new in _RETIRED_CONFIG_COSTS.items() if old in config}
-    if not moved:
-        return
-    old = config["costs"]
-    costs = CostModel(**{field.name: getattr(old, field.name)
-                         for field in fields(CostModel)}).with_overrides(**moved)
-    config["costs"] = costs
-    for node in payload["nodes"]:
-        node["proc"]["costs"] = node["proc"]["memory"].costs = costs
-
-
 def restore_machine(payload: dict):
     """Rebuild a ``JMachine`` from a :func:`capture_machine` payload."""
     from ..machine.jmachine import JMachine
 
-    _fold_retired_costs(payload)
     machine = JMachine(payload["config"],
                        telemetry=_restore_telemetry(payload["telemetry"]))
     if len(payload["nodes"]) != machine.mesh.n_nodes:
@@ -245,8 +219,6 @@ def restore_machine(payload: dict):
         # fabric's accept/deliver callbacks) keeps pointing at it.
         proc = node.proc
         proc.__dict__.update(state["proc"])
-        # Captured by earlier builds; nothing reads it.
-        proc.__dict__.pop("_suspended_by_fault", None)
         proc.drop_compiled()  # bound to the replaced state
         iface = node.interface
         iface._building = {priority: list(words)

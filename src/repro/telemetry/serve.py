@@ -44,7 +44,6 @@ import re
 import selectors
 import socket
 import threading
-import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Iterator, Optional, Tuple
 
@@ -243,6 +242,8 @@ def iter_sse(url: str, timeout: float = 10.0) -> Iterator[dict]:
     Comment keepalives are skipped; the iterator ends when the server
     closes the stream or a read times out.
     """
+    import urllib.request  # a client's import: servers never load it
+
     request = urllib.request.Request(url, headers={"Accept":
                                                    "text/event-stream"})
     with urllib.request.urlopen(request, timeout=timeout) as response:

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from repro.asm.assembler import assemble
 from repro.core.errors import AssemblyError
 from repro.core.isa import Imm, MemIdx, MemOff, Reg
-from repro.core.processor import USER_BASE
+from repro.core.memory import USER_BASE
 from repro.core.tags import Tag
 from repro.core.word import Word
 

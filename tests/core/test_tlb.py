@@ -117,32 +117,3 @@ class TestMachineIntegration:
         machine.run(max_cycles=5_000)
         assert machine.node(3).proc.memory.peek(base).value == 1
 
-
-class TestOldCaptures:
-    """A ``NodeTlb`` pickled while the flat partition was preloaded (and
-    ``evictions`` was still counted) restores to the implicit form."""
-
-    @staticmethod
-    def _old(n_nodes, backing):
-        tlb = NodeTlb.__new__(NodeTlb)
-        tlb.__setstate__({"sets": 16, "ways": 2,
-                          "_table": [[] for _ in range(16)],
-                          "_backing": dict(backing), "hits": 0, "misses": 0,
-                          "walks": 0, "evictions": 3, "n_nodes": n_nodes})
-        return tlb
-
-    def test_preloaded_identity_becomes_implicit(self):
-        fresh = NodeTlb(8)
-        fresh.map(1, 3)
-        fresh.map(20, 2)
-        old = self._old(8, {**{node: node for node in range(8)},
-                            1: 3, 20: 2})
-        assert vars(old) == vars(fresh)
-
-    def test_restricted_partition_stays_explicit(self):
-        fresh = NodeTlb(8)
-        fresh.restrict_partition([4, 5])
-        old = self._old(8, {0: 4, 1: 5})
-        assert vars(old) == vars(fresh)
-        with pytest.raises(XlateMissFault):
-            old.translate(2)

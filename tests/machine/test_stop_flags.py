@@ -29,7 +29,7 @@ from repro.apps.radix_cycle import run_cycle_radix
 from repro.asm.assembler import assemble
 from repro.chaos import ChaosEngine, FaultPlan
 from repro.core.errors import ConfigurationError
-from repro.core.processor import USER_BASE
+from repro.core.memory import USER_BASE
 from repro.core.registers import Priority
 from repro.core.word import Word
 from repro.machine.config import MachineConfig

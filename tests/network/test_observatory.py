@@ -166,13 +166,6 @@ class TestSnapshotCarriesProbe:
         assert fresh.probe is not None
         assert fresh.probe.to_dict() == fabric.probe.to_dict()
 
-    def test_pre_observatory_state_restores_unprobed(self):
-        fabric, _ = _probed_fabric()
-        state = fabric.state_dict()
-        del state["probe"]
-        fabric.load_state(state)
-        assert fabric.probe is None
-
 
 class TestFabricReport:
     def _report(self):

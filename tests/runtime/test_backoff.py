@@ -105,16 +105,3 @@ class TestReliableJitterDeterminism:
         layer2.load_state(state)
         assert layer2.jitter == 0.25
         assert layer2.jitter_seed == 7
-
-    def test_pre_jitter_snapshot_state_loads(self):
-        """Snapshots written before the jitter fields existed load with
-        jitter off — old checkpoints stay restorable."""
-        sim = MacroSimulator(2)
-        layer = ReliableLayer(sim)
-        state = layer.state_dict()
-        del state["jitter"], state["jitter_seed"]
-        sim2 = MacroSimulator(2)
-        layer2 = ReliableLayer(sim2)
-        layer2.load_state(state)
-        assert layer2.jitter == 0.0
-        assert layer2.jitter_seed == 0

@@ -13,9 +13,13 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.apps.scenario import run_scenario
 from repro.service import JobSpec, ServiceConfig, Supervisor
 from repro.service.runner import checkpoint_path, execute_job
+from repro.snapshot import CheckpointPolicy, FORMAT_VERSION
+from repro.telemetry import Telemetry
 from repro.telemetry.live import LiveSampler
+from tests.util import relabel_snapshot
 
 pytestmark = pytest.mark.skipif(os.name != "posix",
                                 reason="SIGKILL semantics required")
@@ -102,6 +106,37 @@ def test_sigkill_mid_job_recovers_with_equal_digest(tmp_path):
     for handle_pids in [w["pid"] for w in supervisor.status()["workers"]]:
         with pytest.raises(ProcessLookupError):
             os.kill(handle_pids, 0)
+
+
+@pytest.mark.parametrize("damage", ["corrupt", "older-version"])
+def test_an_unreadable_checkpoint_is_dropped_and_the_job_runs_cold(
+        tmp_path, damage):
+    """A job's checkpoint this build cannot read — bit rot, or a file the
+    previous snapshot format version wrote — is deleted and the job runs
+    cold to the undisturbed fingerprint, rather than failing (and failing
+    every resubmission of the spec) on the same file."""
+    spec = JobSpec(app="ping", n_nodes=8, checkpoint_every=500)
+    reference = execute_job(spec)
+    ckpt = checkpoint_path(str(tmp_path), spec.digest)
+    os.makedirs(os.path.dirname(ckpt))
+    # A genuine mid-run checkpoint of this job, as a dead worker leaves it.
+    policy = CheckpointPolicy(ckpt, every=spec.checkpoint_every,
+                              meta={"job": spec.digest})
+    run_scenario(spec.app, spec.n_nodes, spec.params, telemetry=Telemetry(),
+                 checkpoint=policy)
+    assert policy.saves >= 1
+    if damage == "corrupt":
+        with open(ckpt, "r+b") as fh:
+            fh.seek(-5, os.SEEK_END)
+            fh.write(b"\x00" * 5)
+    else:
+        relabel_snapshot(ckpt, FORMAT_VERSION - 1)
+
+    result = execute_job(spec, ckpt_path=ckpt)
+    assert result["resumed_from"] == 0
+    assert result["fingerprint"] == reference["fingerprint"]
+    assert result["cycles"] == reference["cycles"]
+    assert not os.path.exists(ckpt)
 
 
 def test_hung_worker_is_detected_and_revoked(tmp_path):

@@ -132,35 +132,3 @@ class TestSerialResume:
         third.run(max_cycles=20_000)
         assert _digest(third) == _digest(reference)
 
-
-class TestRetiredFabricFields:
-    def test_older_fabric_capture_still_restores(self, tmp_path):
-        """A capture from the build that still had the numpy lanes and
-        the per-channel load counters carries three fabric keys this
-        build no longer has; restore ignores them (the
-        ``version <= FORMAT_VERSION`` rule) and the resumed run
-        finishes digest-equal, fabric mid-flight."""
-        from repro.snapshot import read_snapshot, restore_machine
-
-        reference = _build()
-        reference.run(max_cycles=20_000)
-        path = str(tmp_path / "old-{cycle}.ckpt")
-        machine = _build()
-        # The loop top first meets worms in the mesh at cycle 27
-        # (earlier windows are batched through Fabric.advance).
-        machine.checkpoint = CheckpointPolicy(path, every=27)
-        machine.run(max_cycles=20_000)
-        first = min(tmp_path.iterdir(),
-                    key=lambda p: int(p.stem.split("-")[1]))
-        _header, payload = read_snapshot(str(first))
-        assert payload["fabric"]["active"], "capture is not mid-flight"
-        payload["fabric"].update({
-            "vector_threshold": 24,
-            "track_channel_load": True,
-            "channel_phits": {(0, 0, 1): 6},
-        })
-        resumed = restore_machine(payload)
-        assert resumed.fabric.worms_in_flight > 0
-        resumed.run(max_cycles=20_000)
-        assert _digest(resumed) == _digest(reference)
-

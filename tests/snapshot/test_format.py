@@ -1,6 +1,6 @@
 """The snapshot file format: self-describing, versioned, verified."""
 
-import pickle
+import json
 
 import pytest
 
@@ -73,6 +73,34 @@ class TestValidation:
             read_snapshot(path)
         assert "version" in str(info.value)
 
+    def test_older_version_refused_everywhere(self, tmp_path, capsys):
+        """A build reads only its own version: a file one version older
+        is refused by the reader, by ``JMachine.restore`` and by
+        ``snapshot resume``, each naming both versions."""
+        from repro.machine.jmachine import JMachine
+        from repro.snapshot import __main__ as cli
+
+        path = _older_capture(tmp_path)
+        for load in (read_snapshot, JMachine.restore):
+            with pytest.raises(SnapshotError) as info:
+                load(path)
+            message = str(info.value)
+            assert f"version {FORMAT_VERSION - 1}" in message
+            assert f"version {FORMAT_VERSION};" in message
+            assert "capture it again" in message
+        assert cli.main(["resume", path]) != 0
+        assert "capture it again" in capsys.readouterr().err
+
+    def test_older_version_header_still_prints(self, tmp_path, capsys):
+        from repro.snapshot import __main__ as cli
+
+        path = _older_capture(tmp_path)
+        assert cli.main(["info", path]) == 0
+        header = json.loads(capsys.readouterr().out)
+        assert header["version"] == FORMAT_VERSION - 1
+        assert header["kind"] == "cycle"
+        assert header["meta"]["n_nodes"] == 8
+
     def test_corrupt_payload_detected_before_unpickling(self, tmp_path):
         path, header = _write(tmp_path)
         with open(path, "rb") as fh:
@@ -111,6 +139,18 @@ class TestValidation:
                 fh.write(mutilated)
             with pytest.raises(SnapshotError):
                 read_snapshot(path)
+
+
+def _older_capture(tmp_path):
+    """A real cycle-level capture, relabelled as the previous format
+    version wrote it."""
+    from repro.machine.jmachine import JMachine
+    from tests.util import relabel_snapshot
+
+    path = str(tmp_path / "old.ckpt")
+    JMachine.build(8).save(path)
+    relabel_snapshot(path, FORMAT_VERSION - 1)
+    return path
 
 
 class TestTmpHygiene:

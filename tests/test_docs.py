@@ -244,13 +244,11 @@ def test_until_probe_stays_deleted():
 def test_sharded_backend_stays_deleted():
     """The multi-process backend is gone (docs/PERFORMANCE.md §3 keeps
     the negative result): no source, tool or user-facing doc offers it
-    again.  Its names may appear in that section, in docs/SNAPSHOT.md §1
-    (the payload keys old files still carry), and in the project
+    again.  Its names may appear in that section and in the project
     history (CHANGES.md, ROADMAP.md); ``benchmarks/e2e`` is the frozen
     yardstick and reports the units as missing."""
     gone = re.compile(r"parallel_shards|repro\.parallel|parallel-smoke")
-    sections = {DOCS / "PERFORMANCE.md": ("## 3.", "## 4."),
-                DOCS / "SNAPSHOT.md": ("## 1.", "## 2.")}
+    sections = {DOCS / "PERFORMANCE.md": ("## 3.", "## 4.")}
     paths = [ROOT / name for name in ("README.md", "DESIGN.md",
                                       "EXPERIMENTS.md", "Makefile")]
     paths.append(ROOT / ".claude" / "skills" / "verify" / "SKILL.md")
@@ -266,6 +264,23 @@ def test_sharded_backend_stays_deleted():
             assert gone.search(text[start:end]), path
             text = text[:start] + text[end:]
         assert not gone.search(text), path
+
+
+def test_simulator_classes_convert_no_old_capture():
+    """A build reads only the snapshot files of its own ``FORMAT_VERSION``
+    (docs/SNAPSHOT.md §1), so no simulator class converts an older
+    capture while it unpickles: a change to what a capture holds bumps
+    the version instead (tests/snapshot/test_shape.py pins the shape)."""
+    import ast
+
+    for package in ("core", "network", "machine", "jsim"):
+        for path in (ROOT / "src" / "repro" / package).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                assert not (isinstance(node, ast.FunctionDef) and node.name
+                            in ("__setstate__", "__getstate__")), (
+                    f"{path}:{node.lineno} defines {node.name}; bump "
+                    "FORMAT_VERSION in src/repro/snapshot/format.py "
+                    "instead of converting old captures")
 
 
 def test_every_export_resolves():

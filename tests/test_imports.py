@@ -1,11 +1,13 @@
 """Import budgets: an entry point loads the layers it runs and no heavier.
 
 Each case imports one module in a fresh interpreter and reads which
-``repro`` modules that left loaded.  A package ``__init__`` loads none of
-its submodules, and a layer imports a heavier one only inside the
-function that needs it (docs/ARCHITECTURE.md, "Imports"), so a process
-that validates a job spec, serves the service's HTTP API or runs a
-macro application never compiles the cycle-level simulator.
+``repro`` modules (and whether ``urllib.request``) that left loaded.  A
+package ``__init__`` loads none of its submodules, and a layer imports a
+heavier one only inside the function that needs it
+(docs/ARCHITECTURE.md, "Imports"), so a process that validates a job
+spec, serves the service's HTTP API or runs a macro application never
+compiles the cycle-level simulator, an assembler never loads the MDP,
+and a server never loads the HTTP client its CLI's clients use.
 """
 
 import json
@@ -28,15 +30,21 @@ CYCLE_LEVEL = ("repro.core.processor", "repro.network.fabric",
                "repro.machine")
 MACRO_APPS = ("repro.apps.lcs", "repro.apps.radix_sort", "repro.apps.nqueens",
               "repro.apps.tsp")
+#: What a server never needs: the HTTP client.
+CLIENT = ("urllib.request",)
 
 #: entry point -> modules (a package stands for all of it) it must not load.
 BUDGETS = {
     **dict.fromkeys(("repro.apps.scenario", "repro.service.spec",
-                     "repro.service.supervisor", "repro.service.__main__"),
-                    SIMULATORS),
+                     "repro.service.supervisor"), SIMULATORS),
+    "repro.service.__main__": SIMULATORS + CLIENT,
+    "repro.telemetry.serve": CLIENT,
     **dict.fromkeys(("repro.jsim.sim",) + MACRO_APPS, CYCLE_LEVEL),
     "repro.network.traffic": ("repro.core.processor", "repro.machine",
                               "repro.jsim"),
+    "repro.asm.assembler": ("repro.core.processor", "repro.core.fastpath",
+                            "repro.core.amt", "repro.core.queues",
+                            "repro.machine"),
 }
 
 PACKAGES = ("repro.asm", "repro.bench", "repro.chaos", "repro.core",
@@ -58,7 +66,7 @@ def _loaded_by(module: str):
     return set(_fresh(
         f"import json, sys, {module}\n"
         f"print(json.dumps([m for m in sys.modules "
-        f"if m.split('.')[0] == 'repro']))"))
+        f"if m.split('.')[0] == 'repro' or m in {CLIENT!r}]))"))
 
 
 def _within(module: str, layers) -> bool:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import collections
 import enum
+import json
 from typing import Optional, Tuple
 
 from repro.asm.assembler import Program, assemble
@@ -16,7 +17,7 @@ from repro.core.word import Word
 from repro.snapshot.state import capture_machine
 
 __all__ = ["run_background", "load_processor", "machine_state",
-           "assert_same_state"]
+           "assert_same_state", "relabel_snapshot"]
 
 
 def load_processor(
@@ -123,3 +124,17 @@ def assert_same_state(fast, slow):
         for (name, a), (_, b) in zip(fast, slow):
             assert a == b, name
     assert fast == slow
+
+
+def relabel_snapshot(path: str, version: int) -> None:
+    """Rewrite the snapshot file at ``path`` as format ``version`` wrote
+    it: the magic line and the header's ``version``, payload unchanged."""
+    with open(path, "rb") as fh:
+        fh.readline()
+        header = json.loads(fh.readline())
+        blob = fh.read()
+    header["version"] = version
+    with open(path, "wb") as fh:
+        fh.write(b"#repro-snapshot %d\n" % version)
+        fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
+        fh.write(blob)
