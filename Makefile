@@ -2,8 +2,8 @@
 
 .PHONY: install test bench perfsmoke telemetry-gate chaos-smoke \
 	trace-smoke snapshot-smoke live-smoke service-smoke \
-	fabric-smoke bench-e2e census importcost kernel-deep trajectory check paper \
-	report examples clean
+	fabric-smoke bench-e2e census importcost kernel-deep chaos-deep \
+	trajectory check paper report examples clean
 
 install:
 	pip install -e .
@@ -106,16 +106,24 @@ importcost:
 kernel-deep:
 	PYTHONPATH=src python -m pytest -m slow tests/network/test_kernel_properties.py
 
+# The fast path against the interpreter under drawn cycle-level fault
+# plans, free and under a stop condition, and batched against stepped
+# (the default test run deselects -m slow; chaos-smoke covers only the
+# macro level).
+chaos-deep:
+	PYTHONPATH=src python -m pytest -m slow tests/chaos/test_fast_path_under_chaos.py
+
 # Render the committed perf-trajectory artifacts and gate the newest
 # point against the median of its priors (docs/PERFORMANCE.md).
 trajectory:
 	PYTHONPATH=src python -m repro.bench trajectory
 
-# The full gate: correctness, the worm kernel's long property run, the
-# paper scorecard, throughput, telemetry overhead, chaos, causal
-# tracing, checkpoint/restore, live monitoring, fault-tolerant service,
-# fabric observatory, the repo benchmark's selfcheck.
-check: test kernel-deep bench telemetry-gate chaos-smoke trace-smoke \
+# The full gate: correctness, the long property runs of the worm kernel
+# and of the fast path under chaos, the paper scorecard, throughput,
+# telemetry overhead, chaos, causal tracing, checkpoint/restore, live
+# monitoring, fault-tolerant service, fabric observatory, the repo
+# benchmark's selfcheck.
+check: test kernel-deep chaos-deep bench telemetry-gate chaos-smoke trace-smoke \
 	snapshot-smoke live-smoke service-smoke fabric-smoke bench-e2e
 
 # Regenerate every table and figure at the paper's sizes (slow).

@@ -20,6 +20,9 @@ Design rules:
   injection site is behind an ``is None`` guard; with no engine attached
   the instruction streams are bit-identical to a build without this
   module (enforced in tests/test_fastpath_equivalence.py).
+* **One run loop.**  The cycle schedule is a run-loop observer
+  (:mod:`repro.core.hooks`) whose ``next_due`` bounds every run-ahead;
+  otherwise a chaos run takes the plain run's path.
 * **Observable.**  Every injected fault increments a ``chaos.*`` counter,
   lands in the engine's own bounded :attr:`log`, and — when telemetry is
   wired — emits a ``chaos`` event that renders on the Perfetto timeline
@@ -28,6 +31,7 @@ Design rules:
 
 from __future__ import annotations
 
+import sys
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..network.routing import decode_key
@@ -50,6 +54,9 @@ COUNTER_NAMES = (
 #: Entries the fault log keeps; later faults are still counted.
 LOG_LIMIT = 100_000
 
+#: The machine schedule's last entry: due at no cycle.
+NEVER_DUE = (sys.maxsize, None)
+
 
 class ChaosEngine:
     """Injects a :class:`FaultPlan` into a machine or macro simulator."""
@@ -63,7 +70,7 @@ class ChaosEngine:
         self._events = None  # telemetry EventBus, when bound
 
         # Rate-driven specs, split by level.
-        self._fabric_rate_specs: List[FaultSpec] = plan.by_kind(
+        self.fabric_rate_specs: List[FaultSpec] = plan.by_kind(
             "drop", "corrupt")
         self._macro_rate_specs: List[FaultSpec] = plan.by_kind(
             "drop", "delay")
@@ -85,9 +92,10 @@ class ChaosEngine:
             prev = self._kill_at.get(spec.node)
             if prev is None or spec.start < prev:
                 self._kill_at[spec.node] = spec.start
-        #: One-shot / windowed machine actions, drained by machine_tick:
-        #: (cycle, fn) sorted ascending.
-        self._machine_schedule: List[Tuple[int, Any]] = []
+        #: Every cycle at which the engine changes what a node sees, as
+        #: (cycle, action) sorted ascending and drained by :meth:`poll`,
+        #: closed by a never-due sentinel.
+        self._machine_schedule: List[Tuple[int, Any]] = [NEVER_DUE]
         self._schedule_pos = 0
         self._stall_recorded: set = set()
         self._kill_recorded: set = set()
@@ -96,18 +104,6 @@ class ChaosEngine:
         self._inbound: Optional[List[int]] = None
 
     # ------------------------------------------------------------ observation
-
-    @property
-    def inert(self) -> bool:
-        """True when the plan can never inject anything (no specs).
-
-        The run loop treats an inert engine exactly like no engine:
-        chaos hooks gate fast-path run-ahead and quiet-window batching,
-        both of which reorder same-cycle event emissions, and the
-        determinism contract says an attached-but-empty plan must not
-        perturb the event stream.
-        """
-        return not self.plan.specs
 
     def record(self, kind: str, now: int, node: int, counter: str,
                amount: int = 1, **detail: Any) -> None:
@@ -150,7 +146,7 @@ class ChaosEngine:
         for spec in self.plan.by_kind("queue"):
             node = machine.nodes[spec.node]
 
-            def press(m, now, node=node, words=spec.words):
+            def press(now, node=node, words=spec.words):
                 for queue in node.proc.queues.values():
                     queue.pressure_words = max(queue.pressure_words, words)
                 self.record("queue-pressure", now, node.node_id,
@@ -159,7 +155,7 @@ class ChaosEngine:
             actions.append((spec.start, press))
             if spec.stop is not None:
 
-                def release(m, now, node=node):
+                def release(now, node=node):
                     for queue in node.proc.queues.values():
                         queue.pressure_words = 0
 
@@ -167,27 +163,38 @@ class ChaosEngine:
         for spec in self.plan.by_kind("poison"):
             node = machine.nodes[spec.node]
 
-            def poison(m, now, node=node, fraction=spec.rate or 1.0):
+            def poison(now, node=node, fraction=spec.rate or 1.0):
                 evicted = node.proc.amt.poison(self._schedule_rng, fraction)
                 self.record("amt-poison", now, node.node_id,
                             "poisoned_entries", amount=evicted,
                             evicted=evicted)
 
             actions.append((spec.start, poison))
+        # Stalls and kills act when the node is popped; their first
+        # cycles are entries with no action only so that no block runs
+        # past them.
+        for windows in self._stall_windows.values():
+            actions += [(start, None) for start, _ in windows]
+        actions += [(kill_at, None) for kill_at in self._kill_at.values()]
         actions.sort(key=lambda item: item[0])
-        self._machine_schedule = actions
+        self._machine_schedule = actions + [NEVER_DUE]
         self._schedule_pos = 0
 
     # -------------------------------------------------------- cycle-level hooks
 
-    def machine_tick(self, machine, now: int) -> None:
+    def arm(self, now: int) -> None:
+        """Run start: due at the first undrained entry."""
+        self.next_due = self._machine_schedule[self._schedule_pos][0]
+
+    def poll(self, target, now: int, run_limit: Optional[int] = None) -> None:
         """Apply every scheduled action whose cycle has been reached."""
         schedule = self._machine_schedule
-        pos = self._schedule_pos
-        while pos < len(schedule) and schedule[pos][0] <= now:
-            schedule[pos][1](machine, now)
-            pos += 1
-        self._schedule_pos = pos
+        while self.next_due <= now:
+            action = schedule[self._schedule_pos][1]
+            if action is not None:
+                action(now)
+            self._schedule_pos += 1
+            self.arm(now)
 
     def link_blocked(self, key: int, now: int) -> bool:
         """True if the owning router of channel ``key`` (a fabric key,
@@ -233,7 +240,7 @@ class ChaosEngine:
     def fabric_verdict(self, message, now: int) -> int:
         """Decide one arriving worm's fate: OK, DROP, or CORRUPT."""
         rng = self._fabric_rng.random
-        for spec in self._fabric_rate_specs:
+        for spec in self.fabric_rate_specs:
             if not spec.active(now):
                 continue
             if spec.node is not None and spec.node != message.dest:
@@ -277,11 +284,12 @@ class ChaosEngine:
     #: Attributes re-derived from the plan by ``__init__`` /
     #: ``attach_*`` rather than captured: the rate-spec lists, the
     #: window/kill indexes, the schedule closures (which close over live
-    #: node objects), and the telemetry binding.
+    #: node objects), and the telemetry binding; ``next_due`` is
+    #: re-derived from the position by :meth:`arm` at run start.
     DERIVED_ATTRS = frozenset({
-        "plan", "_events", "_fabric_rate_specs", "_macro_rate_specs",
+        "plan", "_events", "fabric_rate_specs", "_macro_rate_specs",
         "_link_windows", "_stall_windows", "_kill_at", "_machine_schedule",
-        "_inbound",
+        "_inbound", "next_due",
     })
 
     def state_dict(self) -> dict:

@@ -245,7 +245,7 @@ class JMachine:
             self.nodes[node_id].proc.deliver(message, now)
             self._schedule_proc(node_id, now)
 
-    def _tick_procs(self, limit: int, inj_bound: Optional[int] = None,
+    def _tick_procs(self, ahead: int, inj_bound: Optional[int] = None,
                     stop: Optional[StopFlags] = None, chaos=None) -> None:
         now = self.now
         heap = self._proc_heap
@@ -274,8 +274,8 @@ class JMachine:
                 # between passes), so compute them once and pick per pop.
                 if deadlines is None:
                     deadlines = (
-                        self._block_deadline(limit, False, inj_bound),
-                        self._block_deadline(limit, True, inj_bound, chaos))
+                        self._block_deadline(ahead, False, inj_bound),
+                        self._block_deadline(ahead, True, inj_bound))
                 nxt = proc.tick(now, deadlines[fabric.active])
             else:
                 # A per-node deadline replaces virtual-time lockstep
@@ -298,30 +298,32 @@ class JMachine:
                                 else max(now + inj_bound, now + 1))
                     staged_at, inbound = self._staged, self._inbound
                     injecting, window = self._injecting, stop.window
+                    # Events in virtual-time order (window 0): a fabric
+                    # that drops or corrupts worms emits as they complete,
+                    # so while busy it is a peer due at now + 1.
+                    emits = (now + 1 if window == 0 and chaos is not None
+                             and chaos.fabric_rate_specs else horizon)
                 busy = fabric.active
-                commit = horizon if busy and horizon < head else head
+                commit = emits if busy and emits < head else head
                 peer = heap[0][0] if heap else NEVER
                 first = peer if peer < commit else commit
-                if busy and chaos is not None:
-                    deadline = now + 1  # chaos hooks may act any cycle
-                else:
-                    deadline = limit
-                    staged = staged_at[node_id]
-                    if staged and staged[0][0] < deadline:
-                        deadline = staged[0][0]
-                    if inbound[node_id] and horizon < deadline:
-                        deadline = horizon
-                    if injecting[node_id] and injected < deadline:
-                        deadline = injected
-                    if first + window < deadline:
-                        deadline = max(first + window, now + 1)
+                deadline = ahead
+                staged = staged_at[node_id]
+                if staged and staged[0][0] < deadline:
+                    deadline = staged[0][0]
+                if inbound[node_id] and horizon < deadline:
+                    deadline = horizon
+                if injecting[node_id] and injected < deadline:
+                    deadline = injected
+                if first + window < deadline:
+                    deadline = max(first + window, now + 1)
                 nxt = proc.tick(now, stop.cap(node_id, deadline, horizon),
                                 first if first > now else now + 1)
             if nxt is not None:
                 self._schedule_proc(node_id, max(nxt, now + 1))
 
-    def _block_deadline(self, limit: int, fabric_busy: bool,
-                        inj_bound: Optional[int] = None, chaos=None) -> int:
+    def _block_deadline(self, ahead: int, fabric_busy: bool,
+                        inj_bound: Optional[int] = None) -> int:
         """How far a fast-path block may run ahead of the global clock in
         a free run (no stop condition).
 
@@ -342,17 +344,13 @@ class JMachine:
           (sends are block boundaries), so the bound computed at
           iteration start stays valid for every pop of the pass.
 
-        When fault injection is live (``chaos``: None for no engine or
-        an inert one), chaos hooks may perturb any cycle, so blocks
-        collapse to the reference's one-step-per-pass.  A run under a
-        stop condition bounds each processor by the traffic that can
-        reach *it* instead (:meth:`_tick_procs`, docs/PERFORMANCE.md
-        "Stop conditions").
+        ``ahead`` is the run limit or the fault schedule's next action,
+        whichever comes first.  A run under a stop condition bounds each
+        processor by the traffic that can reach *it* instead
+        (:meth:`_tick_procs`, docs/PERFORMANCE.md "Stop conditions").
         """
         now = self.now
-        if fabric_busy and chaos is not None:
-            return now + 1
-        deadline = limit
+        deadline = ahead
         if self._delivery_heap and self._delivery_heap[0][0] < deadline:
             deadline = self._delivery_heap[0][0]
         if fabric_busy:
@@ -406,7 +404,8 @@ class JMachine:
         Two hook sites, because the observers read two different states:
         checkpoints and live frames are taken *between* passes (loop
         top, where a restored machine would resume), the deadlock
-        watchdog looks *after* the pass at ``now`` has ticked.
+        watchdog looks *after* the pass at ``now`` has ticked.  Chaos acts
+        after checkpoints; no run-ahead passes its ``next_due``.
 
         An armed ``stop`` condition is told of every store to its flag
         words and keeps ``stop_at``: the cycle the run ends at once all
@@ -415,14 +414,9 @@ class JMachine:
         per-step reference has executed when it stops there.
         """
         hooks = RunHooks(self, self.now, limit, self.checkpoint, self.sampler)
+        acting = RunHooks(self, self.now, limit, self.chaos)
         pass_hooks = RunHooks(self, self.now, limit, self.watchdog)
         chaos = self.chaos
-        if chaos is not None and chaos.inert:
-            # An attached-but-empty plan must not perturb the event
-            # stream: its hooks are all no-ops, so let the loop batch
-            # and run ahead exactly as if no engine were attached.
-            # Decided once here and passed down to every chaos site.
-            chaos = None
         fabric = self.fabric
         # Quiet-window batching: while nothing but the fabric has
         # work scheduled, hand it a whole window of cycles at once
@@ -433,25 +427,26 @@ class JMachine:
         while self.now < limit:
             if self.now >= hooks.next_due:
                 # Saving and sampling are read-only, so an observed run
-                # stays bit-identical to a bare one.  Neither gates
-                # quiet-window batching: they see whatever cycle the
-                # loop lands on.
+                # stays bit-identical to a bare one.  Neither bounds
+                # run-ahead: they see whatever cycle the loop lands on.
                 hooks.fire(self.now)
-            if chaos is not None:
-                chaos.machine_tick(self, self.now)
+            if self.now >= acting.next_due:
+                acting.fire(self.now)
+            ahead = acting.next_due if acting.next_due < limit else limit
             self._commit_deliveries(chaos)
             stop_at = NEVER if stop is None else stop.stop_at
             inj_bound = None
             if fabric.active:
-                # Chaos ticks and return-to-sender bounces have
-                # per-cycle effects outside the fabric, so those runs
-                # take one step per pass.
-                if (batchable and chaos is None
-                        and fabric.flow_control == "block"):
+                end = self.now + 1
+                # Return-to-sender bounces have per-cycle effects
+                # outside the fabric, so those runs take one step per
+                # pass.
+                if batchable and fabric.flow_control == "block":
                     # The passes that decide where the run ends — at
                     # stop_at, and the last one before the limit, whose
-                    # quiet jump may overshoot it — are ordinary ones.
-                    horizon = limit - 1
+                    # quiet jump may overshoot it — are ordinary ones,
+                    # and so is the pass a scheduled fault acts at.
+                    horizon = ahead if ahead < limit else limit - 1
                     if stop_at < horizon:
                         horizon = stop_at
                     heap = self._delivery_heap
@@ -460,12 +455,17 @@ class JMachine:
                     heap = self._proc_heap
                     if heap and heap[0][0] < horizon:
                         horizon = heap[0][0]
-                    if horizon > self.now + 1:
-                        self.now = fabric.advance(self.now, horizon)
-                        continue
-                fabric.step(self.now)
+                    end = horizon if horizon > end else end
+                end = fabric.advance(self.now, end)
+                if end > self.now + 1 and fabric.active:
+                    self.now = end
+                    continue
+                # This pass ends at the fabric's last cycle: a step, or a
+                # window the fabric drained inside, which then jumps on
+                # from that cycle as stepping would.
+                self.now = end - 1
                 inj_bound = fabric.injection_quiet_cycles()
-            self._tick_procs(limit, inj_bound, stop, chaos)
+            self._tick_procs(ahead, inj_bound, stop, chaos)
             if self.now >= pass_hooks.next_due:
                 pass_hooks.fire(self.now)
             if stop is not None:

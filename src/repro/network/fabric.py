@@ -216,7 +216,7 @@ class Fabric:
         self.route_cache_hits = 0
         self.route_cache_misses = 0
         self._seq = 0
-        self.stats = NetworkStats(mesh)
+        self.stats = NetworkStats()
         #: Optional callback fired once per worm when its tail has fully
         #: left the sending interface (frees the node's send buffer).
         self.on_injected: Optional[Callable[[Message], None]] = None
@@ -900,7 +900,6 @@ class Fabric:
         self.route_cache_misses = state["route_cache_misses"]
         self._seq = state["seq"]
         self.stats = state["stats"]
-        self.stats.mesh = self.mesh
         self._probe = state["probe"]
         self._waiters = {}
         self._n_parked = 0

@@ -18,7 +18,6 @@ from ..core.costs import CLOCK_HZ, WORD_BITS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .fabric import Worm
-    from .topology import Mesh3D
 
 __all__ = ["NetworkStats", "LatencySummary", "SUMMARY_FIELDS"]
 
@@ -124,8 +123,7 @@ class NetworkStats:
     then measure a clean steady-state interval (Figure 3).
     """
 
-    def __init__(self, mesh: "Mesh3D") -> None:
-        self.mesh = mesh
+    def __init__(self) -> None:
         self.submitted = 0
         self.completed = 0
         self.block_cycles = 0

@@ -26,9 +26,7 @@ from ..telemetry import Telemetry
 from . import (CheckpointPolicy, bisect_deadlock, load_machine, read_header)
 
 #: The instances ``save`` runs where the catalogue default is not the
-#: one wanted: LCS at the paper's 1024 x 4096.  Also what ``resume``
-#: assumes for a header without ``params`` (files written before the
-#: header carried them).
+#: one wanted: LCS at the paper's 1024 x 4096.
 _CLI_PARAMS = {"lcs": {"scale": 1.0}}
 
 
@@ -80,10 +78,11 @@ def _cmd_resume(args) -> int:
             f"cannot resume a macro snapshot for scenario {scenario!r}; "
             "re-run your application with restore_from=, or use "
             f"`save --scenario` checkpoints ({', '.join(CATALOGUE)})")
-    run = run_scenario(
-        scenario, meta["n_nodes"],
-        meta.get("params", _CLI_PARAMS.get(scenario, {})),
-        telemetry=Telemetry(), restore_from=args.path)
+    if "params" not in meta:
+        raise SimulationError(f"macro snapshot header names {scenario!r} "
+                              "but no 'params': capture with `save`")
+    run = run_scenario(scenario, meta["n_nodes"], meta["params"],
+                       telemetry=Telemetry(), restore_from=args.path)
     print(f"resumed t={meta.get('now')} -> t={run.cycles} "
           f"(output {run.output})")
     print(f"final digest: {_digest(run.target.telemetry)}")

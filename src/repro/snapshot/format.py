@@ -44,7 +44,7 @@ __all__ = ["FORMAT_VERSION", "MAGIC", "SnapshotError", "write_snapshot",
 
 #: Version of the file format and of the capture's shape this build
 #: reads and writes; tests/snapshot/test_shape.py pins the shape to it.
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 #: First line of every snapshot file (includes the version).
 MAGIC = b"#repro-snapshot %d\n" % FORMAT_VERSION

@@ -137,14 +137,14 @@ class TestMerge:
 
 class TestWindow:
     def test_window_reset(self):
-        stats = NetworkStats(Mesh3D(4, 4, 4))
+        stats = NetworkStats()
         stats.window_bisection_words = 100
         stats.open_window(500)
         assert stats.window_bisection_words == 0
         assert stats.window_cycles(600) == 100
 
     def test_window_cycles_floor(self):
-        stats = NetworkStats(Mesh3D(2, 2, 2))
+        stats = NetworkStats()
         stats.open_window(100)
         assert stats.window_cycles(100) == 1  # never zero
 
@@ -152,7 +152,7 @@ class TestWindow:
         """Both-direction crossings are halved to match the one-direction
         capacity convention."""
         mesh = Mesh3D(8, 8, 8)
-        stats = NetworkStats(mesh)
+        stats = NetworkStats()
         stats.open_window(0)
         stats.window_bisection_words = 64  # words crossing, both dirs
         # 32 words/cycle one-direction is exactly peak (64ch * 0.5).

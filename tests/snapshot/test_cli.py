@@ -13,7 +13,6 @@ from repro.apps import lcs
 from repro.apps.scenario import CATALOGUE
 from repro.snapshot import CheckpointPolicy, read_header
 from repro.snapshot import __main__ as cli
-from repro.telemetry import Telemetry
 
 #: (nodes, checkpoint interval) small enough that each entry saves at
 #: least twice at the size the CLI runs it.
@@ -65,22 +64,18 @@ def test_paper_size_lcs_resumes_to_the_parent_digest(tmp_path, capsys):
     assert got == want == PARENT_LCS_DIGEST
 
 
-def test_header_without_params_means_the_cli_instance(
-        tmp_path, capsys, monkeypatch):
-    """Checkpoints written before the header carried ``params`` hold
-    only ``scenario: lcs``; ``resume`` rebuilds the instance ``save``
-    runs (shrunk here — test_paper_size_lcs… runs the real one)."""
-    monkeypatch.setitem(cli._CLI_PARAMS, "lcs", {"scale": 0.05})
-    path = str(tmp_path / "old.ckpt")
-    telemetry = Telemetry()
-    policy = CheckpointPolicy(path, every=10_000, meta={"scenario": "lcs"})
-    lcs.run_parallel(8, lcs.LcsParams().scaled(0.05), telemetry=telemetry,
-                     checkpoint=policy)
-    assert policy.saves >= 2
+def test_macro_header_without_params_is_refused(tmp_path, capsys):
+    """A header naming a scenario but no ``params`` (a hand-stamped
+    ``meta``) says nothing of the instance: restoring it into another
+    one would pass the handler and node checks and run the wrong app."""
+    path = str(tmp_path / "stamped.ckpt")
+    policy = CheckpointPolicy(path, every=5_000, meta={"scenario": "lcs"})
+    lcs.run_parallel(4, lcs.LcsParams().scaled(0.02), checkpoint=policy)
+    assert policy.saves >= 1
     assert "params" not in read_header(path)["meta"]
-    assert cli.main(["resume", path]) == 0
-    assert _final_digest(capsys.readouterr().out) \
-        == telemetry.events.fingerprint()
+    assert cli.main(["resume", path]) == 2
+    err = capsys.readouterr().err
+    assert "'params'" in err and "'lcs'" in err
 
 
 def test_macro_snapshot_of_an_unknown_scenario_is_refused(tmp_path, capsys):

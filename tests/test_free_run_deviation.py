@@ -12,12 +12,9 @@ The gap is small and the work done is identical; closing it costs the
 compute-bound workloads 2.5x (docs/PERFORMANCE.md "Stop conditions"),
 so it is pinned here rather than fixed (EXPERIMENTS.md, ROADMAP 4c).
 
-A second, larger one is a defect, pinned until it is fixed (ROADMAP
-item 1): in a free run the block deadline collapses under a chaos engine
-only while the fabric is busy (``JMachine._block_deadline``), so with an
-idle fabric a compiled block runs past a scheduled AMT ``poison`` and
-the eviction lands after the node already made the lookups it should
-have missed.
+A fault schedule is not such a peer: every block stops at its next
+action, so a scheduled AMT ``poison`` lands at its cycle on both paths
+even while the fabric is idle.
 """
 
 import random
@@ -108,9 +105,6 @@ def test_the_interpreter_misses_after_every_poisoning(poisoned):
     assert all(count > 0 for count in misses)
 
 
-@pytest.mark.xfail(strict=True,
-                   reason="an idle-fabric block runs past a scheduled chaos "
-                          "action (ROADMAP item 1)")
 def test_a_poisoning_lands_at_its_cycle_on_the_fast_path(poisoned):
     fast, reference = poisoned
     assert fast == reference
