@@ -90,10 +90,13 @@ bench-e2e:
 # block binds and how ticks ended, per cycle_apps / cycle_compute
 # machine at the benchmark's default seed (docs/PERFORMANCE.md §1); then
 # the worm kernel's visits per fabric_traffic load point, by what each
-# visit was for (docs/PERFORMANCE.md §2, "One worm kernel").
+# visit was for (docs/PERFORMANCE.md §2, "One worm kernel"); then the
+# macro engine's bytecodes and Python calls per message, by function,
+# for relay16, radix64 and radix512 (§2, "The macro engine"; ~1 min).
 census:
 	PYTHONPATH=src python benchmarks/run_ahead_census.py
 	PYTHONPATH=src python benchmarks/fabric_census.py
+	PYTHONPATH=src python benchmarks/macro_census.py
 
 # What importing each entry point costs a fresh process: the repro
 # modules it loads, the source lines they compile and the median

@@ -9,7 +9,8 @@ seconds of the import itself over ``REPS`` fresh interpreters started
 with ``PYTHONDONTWRITEBYTECODE=1``: no ``.pyc`` is read or written, so
 every import compiles its source, as in a fresh checkout.  The
 interpreters inherit ``PYTHONPATH``, so pointing it at another
-checkout's ``src`` measures that checkout.  Gates nothing; the numbers
+checkout's ``src`` measures that checkout; without one they import
+this checkout's ``src``.  Gates nothing; the numbers
 in docs/PERFORMANCE.md §8 come from it.
 """
 
@@ -22,6 +23,11 @@ import subprocess
 import sys
 import textwrap
 from typing import Dict, List, Tuple
+
+#: This checkout's ``src``: what the probes import unless ``PYTHONPATH``
+#: names another.
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
 
 #: Fresh interpreters per entry point.
 REPS = 9
@@ -57,6 +63,7 @@ print(json.dumps([seconds, {{name: getattr(mod, "__file__", None)
 
 def _probe(module: str) -> Tuple[float, Dict[str, str]]:
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env.setdefault("PYTHONPATH", SRC)
     done = subprocess.run([sys.executable, "-c", PROBE.format(module=module)],
                           env=env, capture_output=True, text=True,
                           check=True)

@@ -338,8 +338,12 @@ class ChaosEngine:
     # ------------------------------------------------------------- summaries
 
     def summary(self) -> Dict[str, int]:
-        """Non-zero counters, for reports and the replay CLI."""
-        return {k: v for k, v in self.counters.items() if v}
+        """Non-zero counters, for reports and the replay CLI, and the
+        scheduled actions not yet applied (docs/ROBUSTNESS.md)."""
+        out = {k: v for k, v in self.counters.items() if v}
+        unapplied = sum(action is not None for _, action in
+                        self._machine_schedule[self._schedule_pos:])
+        return out | {"unapplied": unapplied} if unapplied else out
 
     def __repr__(self) -> str:
         active = ", ".join(f"{k}={v}" for k, v in self.summary().items())

@@ -85,25 +85,6 @@ class LatencyModel:
         #: arithmetic.
         self._rows: dict = {}
 
-    # -- utilization metering ------------------------------------------------
-
-    def _utilization(self, now: int) -> float:
-        start = self._bucket_start
-        words = self._bucket_words
-        window = _WINDOW_CYCLES
-        elapsed = now - start
-        if elapsed >= window:
-            self._prev_rate = words / (elapsed if elapsed > 1 else 1)
-            self._bucket_start = now
-            self._bucket_words = 0.0
-            words = 0.0
-            elapsed = 0
-        if elapsed < 1:
-            elapsed = 1
-        blended = (words + self._prev_rate * window) / (elapsed + window)
-        u = blended / self.capacity_words_per_cycle
-        return u if u < 0.999 else 0.999
-
     # -- the model ------------------------------------------------------------
 
     def _build_row(self, src: int) -> list:
@@ -136,7 +117,20 @@ class LatencyModel:
             self.mesh.coord(dst)
             packed = self._build_row(src)[dst]
         base = (packed >> 1) + self._phits_per_word * length_words
-        u = self._utilization(now)
+        # Utilization: crossing words per cycle over the current window
+        # blended with the previous window's rate, against capacity.
+        elapsed = now - self._bucket_start
+        if elapsed >= _WINDOW_CYCLES:
+            self._prev_rate = self._bucket_words / elapsed
+            self._bucket_start = now
+            self._bucket_words = 0.0
+            elapsed = 1
+        elif elapsed < 1:
+            elapsed = 1
+        u = ((self._bucket_words + self._prev_rate * _WINDOW_CYCLES)
+             / (elapsed + _WINDOW_CYCLES) / self.capacity_words_per_cycle)
+        if u > 0.999:
+            u = 0.999
         cap = CONTENTION_CAP
         if not packed & 1:
             # Local traffic sees only mild contention.

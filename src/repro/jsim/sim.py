@@ -114,35 +114,27 @@ class SimNode:
 class Context:
     """The handler's window onto its node and the machine.
 
-    A fresh context is passed to every handler invocation.  Charges go
-    to the task's one ledger — ``charged`` cycles, ``instructions`` and
-    ``cats`` (cycles per Figure 6 category, keys in first-charge order)
-    — which :meth:`fold` adds to the node's profile and the handler's
-    stats when the handler returns; sends are timestamped at the charge
-    level reached when they are issued, so a message sent after 1000
-    charged cycles leaves 1000 cycles into the task.
+    One context serves every task of a :meth:`MacroSimulator.run`,
+    which before each handler points it at the task — ``node``,
+    ``node_id``, ``state`` (``SimNode.state``), ``start_time`` and
+    ``trace`` (the creating message's trace context, parent of the
+    task's sends) — and clears the task's one ledger: ``charged``
+    cycles, ``instructions`` and ``cats`` (cycles per Figure 6 category,
+    keys in first-charge order).  A context is therefore valid only
+    inside the handler it is passed to: keep ``ctx.state``, never
+    ``ctx``.  The loop adds the ledger to the node's profile and the
+    handler's stats when the handler returns.  Sends are timestamped at
+    the charge level reached when they are issued, so a message sent
+    after 1000 charged cycles leaves 1000 cycles into the task.
     """
 
     __slots__ = ("sim", "node", "node_id", "state", "start_time", "charged",
-                 "instructions", "cats", "_config", "trace")
+                 "instructions", "cats", "_instr_cycles", "trace")
 
-    def __init__(self, sim: "MacroSimulator", node: SimNode, start_time: int,
-                 trace: Optional[tuple] = None) -> None:
+    def __init__(self, sim: "MacroSimulator") -> None:
         self.sim = sim
-        self.node = node
-        self.node_id = node.node_id
-        #: The node's application-owned storage (``SimNode.state``).
-        self.state = node.state
-        self.start_time = start_time
-        self.charged = 0
-        self.instructions = 0
-        self.cats: Dict[str, int] = {}
-        # Hoisted once per task: charge()/send() run millions of times
-        # per application.
-        self._config = sim.config
-        #: Trace context of the message that created this task; sends
-        #: become child spans of it (:mod:`repro.telemetry.trace`).
-        self.trace = trace
+        # Hoisted: charge() runs millions of times per application.
+        self._instr_cycles = sim._instr_cycles
 
     # -- identity ----------------------------------------------------------
 
@@ -165,7 +157,12 @@ class Context:
     ) -> None:
         """Account for ``instructions`` of work (or explicit ``cycles``)."""
         if cycles is None:
-            cycles = int(round(instructions * self._config.cycles_per_instruction))
+            table = self._instr_cycles
+            try:
+                cycles = table[instructions]
+            except KeyError:
+                cycles = table[instructions] = int(round(
+                    instructions * self.sim.config.cycles_per_instruction))
         if category not in _CATEGORY_SET:
             raise ValueError(f"unknown profile category {category!r}")
         cats = self.cats
@@ -175,7 +172,7 @@ class Context:
 
     def xlate(self, count: int = 1, fault: bool = False) -> None:
         """Charge ``count`` name translations (Table 5's xlate columns)."""
-        costs = self._config.costs
+        costs = self.sim.config.costs
         cycles = count * (costs.xlate_miss if fault else costs.xlate_hit)
         profile = self.node.profile
         profile.xlate_count += count
@@ -187,7 +184,7 @@ class Context:
 
     def nnr(self, count: int = 1) -> None:
         """Charge node-index-to-router-address conversions (Figure 6)."""
-        cycles = count * self._config.nnr_cycles
+        cycles = count * self.sim.config.nnr_cycles
         cats = self.cats
         cats["nnr"] = cats.get("nnr", 0) + cycles
         self.charged += cycles
@@ -197,16 +194,6 @@ class Context:
         cats = self.cats
         cats["sync"] = cats.get("sync", 0) + cycles
         self.charged += cycles
-
-    def fold(self, stats: HandlerStats) -> None:
-        """Book the finished task: add its ledger to the node's profile
-        and to its handler's ``stats``."""
-        profile = self.node.profile.__dict__
-        for category, cycles in self.cats.items():
-            profile[category] += cycles
-        profile["instructions"] += self.instructions
-        stats.instructions += self.instructions
-        stats.cycles += self.charged
 
     # -- communication ----------------------------------------------------------
 
@@ -225,7 +212,7 @@ class Context:
         try:
             overhead = sim._send_cost[length]
         except KeyError:
-            config = self._config
+            config = sim.config
             overhead = sim._send_cost[length] = config.send_overhead_cycles \
                 + int(round(length / config.costs.inject_words_per_cycle))
         cats = self.cats
@@ -258,6 +245,9 @@ class MacroSimulator:
         self.n_nodes = n_nodes
         self.config = config if config is not None else MacroConfig()
         self.network = LatencyModel(self.mesh, self.config.costs)
+        #: ``network.latency``, bound once (the model is never replaced:
+        #: a restore loads its state into it).
+        self._latency = self.network.latency
         self.nodes = [SimNode(i) for i in range(n_nodes)]
         self.handlers: Dict[str, Handler] = {}
         self.handler_stats: Dict[str, HandlerStats] = {}
@@ -267,6 +257,9 @@ class MacroSimulator:
         #: message length -> sender-side cycles, filled on first use
         #: (``config`` is read when a length is first sent).
         self._send_cost: Dict[int, int] = {}
+        #: instructions -> cycles at ``config.cycles_per_instruction``,
+        #: filled on first use by :meth:`Context.charge`.
+        self._instr_cycles: Dict[int, int] = {}
         self.now = 0
         self.end_time = 0
         self.messages_sent = 0
@@ -332,8 +325,7 @@ class MacroSimulator:
             self._ebus.emit("send", send_time, source, 1 if priority else 0,
                             name=handler, dest=dest, words=length,
                             trace=trace)
-        arrival = send_time + self.network.latency(source, dest, length,
-                                                   send_time)
+        arrival = send_time + self._latency(source, dest, length, send_time)
         if self._chaos is not None:
             dropped, extra = self._chaos.macro_verdict(
                 source, dest, handler, length, send_time)
@@ -415,6 +407,7 @@ class MacroSimulator:
         complete = self._COMPLETE
         ebus = self._ebus
         dispatch = self.config.costs.dispatch
+        ctx = Context(self)  # every task's (see Context)
         # This run processes what is ordered before ``run_end``:
         # everything up to and including ``max_time``.
         limit = sys.maxsize if max_time is None else max_time
@@ -485,13 +478,28 @@ class MacroSimulator:
                 args[0](time)  # a schedule_call timer
             if fn is not None:
                 # The one place a task starts: 4-cycle hardware dispatch,
-                # then the handler.
+                # then the handler, given the run's context pointed at
+                # this task.
                 stats.invocations += 1
-                node.profile.__dict__["comm"] += dispatch
-                ctx = Context(self, node, time + dispatch, trace)
+                profile = node.profile.__dict__
+                profile["comm"] += dispatch
+                ctx.node = node
+                ctx.node_id = dest
+                ctx.state = node.state
+                ctx.start_time = start = time + dispatch
+                ctx.charged = 0
+                ctx.instructions = 0
+                ctx.cats = {}
+                ctx.trace = trace
                 fn(ctx, *args)
-                ctx.fold(stats)
-                end = ctx.start_time + ctx.charged
+                # Book the finished task: its ledger goes to the node's
+                # profile and the handler's stats.
+                for category, cycles in ctx.cats.items():
+                    profile[category] += cycles
+                profile["instructions"] += ctx.instructions
+                stats.instructions += ctx.instructions
+                stats.cycles += ctx.charged
+                end = start + ctx.charged
                 if ebus is not None:
                     if trace is None:
                         ebus.emit("task", time, dest, priority,

@@ -405,7 +405,7 @@ class JMachine:
         checkpoints and live frames are taken *between* passes (loop
         top, where a restored machine would resume), the deadlock
         watchdog looks *after* the pass at ``now`` has ticked.  Chaos acts
-        after checkpoints; no run-ahead passes its ``next_due``.
+        after checkpoints; no run-ahead or quiet jump passes its ``next_due``.
 
         An armed ``stop`` condition is told of every store to its flag
         words and keeps ``stop_at``: the cycle the run ends at once all
@@ -481,10 +481,10 @@ class JMachine:
             if self._delivery_heap:
                 next_times.append(self._delivery_heap[0][0])
             if not next_times:
-                return self.now  # quiescent
-            upcoming = min(next_times)
-            if stop_at < upcoming:
-                upcoming = stop_at
+                # Quiescent, even with faults still due: they stay
+                # unapplied (docs/ROBUSTNESS.md).
+                return self.now
+            upcoming = min(min(next_times), stop_at, acting.next_due)
             self.now = max(self.now + 1, upcoming)
         return self.now
 

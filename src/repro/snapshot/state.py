@@ -85,7 +85,8 @@ MACRO_CAPTURED_ATTRS = frozenset({
 MACRO_EXTERNAL_ATTRS = frozenset({
     "mesh",                   # derived from n_nodes
     "_bound",                 # handlers + handler_stats, paired by register()
-    "_send_cost",             # derived from config, filled on use
+    "_send_cost", "_instr_cycles",  # derived from config, filled on use
+    "_latency",               # network.latency, bound at construction
     "_ebus", "_trace",        # telemetry wiring
     "post",                   # ReliableLayer's shadow, handled explicitly
     "checkpoint",             # host-side policy

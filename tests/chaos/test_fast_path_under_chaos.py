@@ -199,6 +199,12 @@ DROP_BEHIND_A_BLOCK = ("STORM", 2, True, 54, (
     FaultSpec(kind="stall", node=0, start=41, duration=76),
     FaultSpec(kind="drop", rate=0.2)))
 
+#: The only thread's next instruction issues at 511 and the poison is
+#: due at 500: the quiet jump landed past it, so it acted (and was
+#: logged) at 511.
+PARKED_POISON = ("NAMES", 1, False, 0, (
+    FaultSpec(kind="poison", node=0, start=500, rate=0.5),))
+
 
 @settings(deadline=None, max_examples=20,
           suppress_health_check=[HealthCheck.too_slow])
@@ -210,8 +216,39 @@ DROP_BEHIND_A_BLOCK = ("STORM", 2, True, 54, (
 @example(RELEASED_ECHO)
 @example(ALL_DROPPED)
 @example(DROP_BEHIND_A_BLOCK)
+@example(PARKED_POISON)
 def test_fast_path_equals_the_interpreter_under_chaos(case):
     check(case)
+
+
+def _names_with_poison(fast, start):
+    """NAMES on node 0 of 2x2x2 with one poison there at ``start``,
+    run free: (end, engine)."""
+    machine, program, _, _ = _loaded(names(8, 50), None, dims=(2, 2, 2),
+                                     fast_path=fast)
+    engine = ChaosEngine(FaultPlan(seed=0, specs=(
+        FaultSpec(kind="poison", node=0, start=start, rate=0.5),)))
+    engine.attach_machine(machine)
+    _start_names(machine, program, 1)
+    return machine.run(max_cycles=LIMIT), engine
+
+
+@pytest.mark.parametrize("fast", [True, False])
+def test_a_fault_due_while_every_node_is_parked_acts_at_its_cycle(fast):
+    end, engine = _names_with_poison(fast, 500)
+    assert [entry[:2] for entry in engine.log] == [(500, "amt-poison")]
+    assert end == 1_275
+    assert "unapplied" not in engine.summary()
+
+
+@pytest.mark.parametrize("fast", [True, False])
+def test_a_quiescent_run_ends_with_its_later_faults_unapplied(fast):
+    """The run is not stretched to the schedule's last action; what it
+    left is counted."""
+    end, engine = _names_with_poison(fast, 5_000)
+    assert end == 1_123
+    assert engine.log == []
+    assert engine.summary() == {"unapplied": 1}
 
 
 @pytest.mark.slow

@@ -11,8 +11,8 @@ latency model, chaos and the snapshot code are the shared
 the two is a difference in *which events the loop schedules and when it
 visits a node*, which is exactly what the engine changes.  The bodies
 below are the former ``MacroSimulator._start_task`` / ``run`` verbatim
-(a task's charges now reach the profile and the handler's stats through
-the shared ``Context.fold``); do not optimise them.
+(a task's charges reach the profile and the handler's stats through
+:func:`fold`, which the engine does inline); do not optimise them.
 """
 
 import heapq
@@ -38,6 +38,17 @@ def observable_state(sim: MacroSimulator) -> dict:
     return tree
 
 
+def fold(ctx: Context, stats) -> None:
+    """Book a finished task: add its ledger to the node's profile and to
+    its handler's ``stats``."""
+    profile = ctx.node.profile.__dict__
+    for category, cycles in ctx.cats.items():
+        profile[category] += cycles
+    profile["instructions"] += ctx.instructions
+    stats.instructions += ctx.instructions
+    stats.cycles += ctx.charged
+
+
 class ReferenceSimulator(MacroSimulator):
     """Two heap events and one ``deque`` round trip per message."""
 
@@ -58,9 +69,12 @@ class ReferenceSimulator(MacroSimulator):
         self.handler_stats[handler_name].invocations += 1
         dispatch = self.config.costs.dispatch
         node.profile.__dict__["comm"] += dispatch
-        ctx = Context(self, node, start + dispatch, trace)
+        ctx = Context(self)
+        ctx.node, ctx.node_id, ctx.state = node, node.node_id, node.state
+        ctx.start_time, ctx.trace = start + dispatch, trace
+        ctx.charged, ctx.instructions, ctx.cats = 0, 0, {}
         self.handlers[handler_name](ctx, *args)
-        ctx.fold(self.handler_stats[handler_name])
+        fold(ctx, self.handler_stats[handler_name])
         end = ctx.start_time + ctx.charged
         if self._ebus is not None:
             if trace is None:

@@ -5,7 +5,10 @@ import random
 import pytest
 
 from repro.core.errors import ConfigurationError
-from repro.jsim.netmodel import INTERFACE_CYCLES, LatencyModel
+from repro.jsim import netmodel
+from repro.jsim.calibrate import CalibrationResult
+from repro.jsim.netmodel import (CONTENTION_CAP, CONTENTION_SCALE,
+                                 INTERFACE_CYCLES, LatencyModel)
 from repro.network.topology import Mesh3D
 
 
@@ -105,6 +108,19 @@ def test_rows_are_built_on_first_send_only():
     assert list(m._rows) == [5]
 
 
+def test_contention_scale_is_per_model():
+    """The calibrator installs its fit on one live model; another model
+    of the shape keeps the default scale's latencies."""
+    def latencies(m):
+        return [m.latency(0, 3, 8, now=i // 4) for i in range(2000)]
+
+    fitted = CalibrationResult(points=[], scale=40.0,
+                               default_scale=CONTENTION_SCALE,
+                               cap=CONTENTION_CAP).apply(model())
+    loaded = latencies(fitted)
+    assert latencies(model()) == latencies(model()) != loaded
+
+
 @pytest.mark.parametrize("src, dst", [
     (0, 64), (64, 0), (0, -1), (-1, 0), (3, 1000), (-64, -64),
 ])
@@ -130,3 +146,22 @@ def test_benchmark_latency_sum_unchanged():
         total += m.latency(rng.randrange(512), rng.randrange(512), 4, now)
         now += 3
     assert total == 1_242_837
+
+
+def test_utilization_bits_unchanged(monkeypatch):
+    """The utilization window's float expressions, bit for bit.  The
+    integer latencies above truncate its last bits away (the benchmark
+    sum survives ``a / b / c`` rewritten as ``a / c / b``); with a
+    contention scale of 2**60 and no cap every bit of ``u`` reaches the
+    result.  Pinned from the two-function model this one inlines."""
+    monkeypatch.setattr(netmodel, "CONTENTION_CAP", float("inf"))
+    rng = random.Random("1993/macro_apps")
+    for _ in range(3):
+        rng.getrandbits(31)
+    m = model((8, 8, 8))
+    m.contention_scale = 2.0 ** 60
+    now = total = 0
+    for _ in range(20_000):
+        total += m.latency(rng.randrange(512), rng.randrange(512), 4, now)
+        now += 3
+    assert total == 221_293_731_652_575_097_767

@@ -204,6 +204,29 @@ class TestAccounting:
         # send overhead = 4 + 0.5 * 8 = 8, plus the dispatch charge of 4.
         assert sim.nodes[0].profile.comm == 12
 
+    def test_raising_handler_is_booked_as_the_reference_books_it(self):
+        """A handler that raises was dispatched: its invocation and the
+        dispatch cycles are on the books, its unfinished ledger is not."""
+        from .reference_engine import ReferenceSimulator
+
+        def h(ctx):
+            ctx.charge(instructions=10)
+            raise RuntimeError("handler fault")
+
+        books = []
+        for cls in (MacroSimulator, ReferenceSimulator):
+            sim = cls(2)
+            sim.register("h", h)
+            sim.inject(0, "h")
+            with pytest.raises(RuntimeError):
+                sim.run()
+            books.append((sim.handler_stats["h"].invocations,
+                          vars(sim.nodes[0].profile)))
+        assert books[0] == books[1]
+        assert books[0][0] == 1
+        assert books[0][1]["comm"] == sim.config.costs.dispatch
+        assert books[0][1]["compute"] == 0
+
 
 class TestConfig:
     def test_custom_cpi(self):
