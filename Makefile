@@ -89,12 +89,16 @@ bench-e2e:
 # What bounds compiled-block run-ahead: Mdp.tick calls, run-loop passes,
 # block binds and how ticks ended, per cycle_apps / cycle_compute
 # machine at the benchmark's default seed (docs/PERFORMANCE.md §1); then
-# the worm kernel's visits per fabric_traffic load point, by what each
-# visit was for (docs/PERFORMANCE.md §2, "One worm kernel"); then the
-# macro engine's bytecodes and Python calls per message, by function,
-# for relay16, radix64 and radix512 (§2, "The macro engine"; ~1 min).
+# the cycle machine's bytecodes and Python calls per fabric message, by
+# function, for the five cycle_apps units (§1, "A message on the cycle
+# machine"; ~45 s); then the worm kernel's visits per fabric_traffic
+# load point, by what each visit was for (docs/PERFORMANCE.md §2, "One
+# worm kernel"); then the macro engine's bytecodes and Python calls per
+# message, by function, for relay16, radix64 and radix512 (§2, "The
+# macro engine"; ~1 min).
 census:
 	PYTHONPATH=src python benchmarks/run_ahead_census.py
+	PYTHONPATH=src python benchmarks/cycle_census.py
 	PYTHONPATH=src python benchmarks/fabric_census.py
 	PYTHONPATH=src python benchmarks/macro_census.py
 

@@ -22,7 +22,6 @@ from .errors import (
     CfutFault,
     FutUseFault,
     SegmentationFault,
-    SendFault,
     TypeFault,
     XlateMissFault,
 )
@@ -113,7 +112,7 @@ def _namespace() -> Dict[str, object]:
             INT=Tag.INT, BOOL=Tag.BOOL, CFUT=Tag.CFUT, FUT=Tag.FUT,
             NUMERIC=_NUMERIC, Tag=Tag, Word=Word, TRUE=TRUE, FALSE=FALSE,
             SMALL=_SMALL_INTS, ZERO=Word.from_int(0),
-            SendFault=SendFault, XlateMissFault=XlateMissFault,
+            XlateMissFault=XlateMissFault,
             use_fault=_use_fault, cfut_read=_cfut_read,
             seg_fault=_seg_fault, type_fault=_type_fault)
     return _NAMESPACE
@@ -636,14 +635,9 @@ class _Generator:
             second = self.read(ops[1], "read", 2)
             word1, word2 = self.word(first), self.word(second)
             self.risky = True
-            self.emit("network = proc.network; priority = proc._active_priority")
-            self.emit("if not network.can_accept(priority, 2): "
-                      'raise SendFault("send buffer full")')
-            self.emit(f"retire = vnow + meter.cycles + {costs.reg_op}")
-            self.emit(f"network.send_word(priority, {word1}, end=False, "
-                      "now=retire)")
-            self.emit(f"network.send_word(priority, {word2}, "
-                      f"end={op == 'SEND2E'}, now=retire)")
+            self.emit(f"proc.network.send_two(proc._active_priority, {word1}, "
+                      f"{word2}, {op == 'SEND2E'}, "
+                      f"vnow + meter.cycles + {costs.reg_op})")
             self.sent(2, op == "SEND2E")
         elif op == "ENTER":
             key = self.read(ops[0], "read", 1)

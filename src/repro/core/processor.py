@@ -84,7 +84,10 @@ class NetworkInterface:
     def send_word(self, priority: Priority, word: Word, end: bool, now: int) -> None:
         raise NotImplementedError
 
-    def can_accept(self, priority: Priority, nwords: int) -> bool:
+    def send_two(self, priority: Priority, first: Word, second: Word,
+                 end: bool, now: int) -> None:
+        """``SEND2``/``SEND2E``: both words or, with room for fewer than
+        two, neither (a :class:`~repro.core.errors.SendFault`)."""
         raise NotImplementedError
 
 
@@ -94,8 +97,9 @@ class NullNetworkInterface(NetworkInterface):
     def send_word(self, priority: Priority, word: Word, end: bool, now: int) -> None:
         raise IllegalInstructionFault("this processor has no network attached")
 
-    def can_accept(self, priority: Priority, nwords: int) -> bool:
-        return False
+    def send_two(self, priority: Priority, first: Word, second: Word,
+                 end: bool, now: int) -> None:
+        raise IllegalInstructionFault("this processor has no network attached")
 
 
 @dataclass
@@ -210,6 +214,9 @@ _ALU_FUNCS: Dict[str, Callable[[int, int], int]] = {
 
 _COMPARE = {"EQ", "NE", "LT", "LE", "GT", "GE"}
 _MULTICYCLE_ALU = {"MUL": 1, "DIV": 12, "MOD": 12}
+
+#: The message levels in preference order (P1 preempts P0).
+_MESSAGE_LEVELS = (Priority.P1, Priority.P0)
 
 
 def _div(a: int, b: int) -> int:
@@ -379,19 +386,6 @@ class Mdp:
 
     # --------------------------------------------------------------- delivery
 
-    def can_accept(self, message: Message) -> bool:
-        """True if the target queue has room (network flow control).
-
-        With :attr:`spill_enabled` the processor never refuses: overflow
-        messages go to the software-managed spill area instead (the
-        paper's "system-level queue overflow fault handler", Section
-        4.3.3 — "relatively expensive and ... intended for transient
-        traffic overruns").
-        """
-        if self.spill_enabled:
-            return True
-        return self.queues[message.priority].would_fit(message)
-
     def deliver(self, message: Message, now: int) -> None:
         """Accept an arriving message into its priority queue."""
         queue = self.queues[message.priority]
@@ -495,7 +489,7 @@ class Mdp:
         Within a priority, a thread already running continues, restartable
         suspended threads go next, then new messages are dispatched.
         """
-        for priority in (Priority.P1, Priority.P0):
+        for priority in _MESSAGE_LEVELS:
             if self._current[priority] is not None:
                 return priority, "run"
             if self._runnable[priority]:
@@ -540,23 +534,52 @@ class Mdp:
             refill_cost = self._refill_from_spill()
             if refill_cost:
                 return now + refill_cost
-        selection = self._select()
-        if selection is None:
-            return None
-        priority, action = selection
-
+        # :meth:`_select`'s choice, made in place: a running thread, then
+        # a restart, then a dispatch, per level; then the background.
+        current = self._current
         vnow = now
-        if action == "dispatch":
-            vnow += self._do_dispatch(priority, now)
-        elif action == "restart":
-            vnow += self._do_restart(priority, now)
-        if action != "run" and deadline is not None and vnow >= deadline:
-            return vnow
+        for priority in _MESSAGE_LEVELS:
+            if current[priority] is not None:
+                break
+            if self._runnable[priority]:
+                vnow += self._do_restart(priority, now)
+            elif self.queues[priority]._messages:  # MessageQueue.__bool__, uncalled
+                vnow += self._do_dispatch(priority, now)
+            else:
+                continue
+            if deadline is not None and vnow >= deadline:
+                return vnow
+            break
+        else:
+            priority = Priority.BACKGROUND
+            if self._background_ip is None:
+                return None
+            if current[priority] is None:
+                current[priority] = _Thread(priority)
 
-        if priority is Priority.BACKGROUND and self._current[priority] is None:
-            self._current[priority] = _Thread(Priority.BACKGROUND)
-        assert self._current[priority] is not None
-        return self._run_blocks(priority, vnow, deadline, send_before)
+        # The block chain.  A block replicates :meth:`_execute_one` per
+        # instruction — same charge order, same fault handling, same
+        # counter updates — and returns ``(vnow, stop)``: ``stop`` after
+        # a boundary op, a fault, a watched store or a send held back by
+        # ``send_before``; otherwise the block at the new ``ip`` runs
+        # next, without re-entering the scheduler.
+        regset = self.registers.sets[priority]
+        events = self._events is not None
+        blocks = self._blocks[events]
+        ctx = self._context
+        if ctx is None:
+            ctx = self._context = context(self)
+        end = deadline if deadline is not None else sys.maxsize
+        self._active_priority = priority
+        self._woke = False
+        stop = False
+        while vnow < end and not stop:
+            block = blocks.get(regset.ip)
+            if block is None:
+                block = blocks[regset.ip] = (
+                    bind_block(self, regset.ip, events) or _step_block)
+            vnow, stop = block(regset, vnow, end, send_before, ctx)
+        return vnow
 
     def _tick_reference(self, now: int) -> Optional[int]:
         """The per-step scheduler: one dispatch/restart/instruction."""
@@ -583,40 +606,6 @@ class Mdp:
             self._current[Priority.BACKGROUND] = thread
         assert thread is not None
         return now + self._execute_one(priority, thread, now)
-
-    def _run_blocks(
-        self,
-        priority: Priority,
-        vnow: int,
-        deadline: Optional[int],
-        send_before: int,
-    ) -> int:
-        """Run compiled blocks, chained, until one must stop.
-
-        A block replicates :meth:`_execute_one` per instruction — same
-        charge order, same fault handling, same counter updates — and
-        returns ``(vnow, stop)``: ``stop`` after a boundary op, a fault,
-        a watched store or a send held back by ``send_before``;
-        otherwise the block at the new ``ip`` runs next, without
-        re-entering the scheduler.
-        """
-        regset = self.registers[priority]
-        events = self._events is not None
-        blocks = self._blocks[events]
-        ctx = self._context
-        if ctx is None:
-            ctx = self._context = context(self)
-        end = deadline if deadline is not None else sys.maxsize
-        self._active_priority = priority
-        self._woke = False
-        stop = False
-        while vnow < end and not stop:
-            block = blocks.get(regset.ip)
-            if block is None:
-                block = blocks[regset.ip] = (
-                    bind_block(self, regset.ip, events) or _step_block)
-            vnow, stop = block(regset, vnow, end, send_before, ctx)
-        return vnow
 
     def _block_fault(self, exc: BaseException, regset: RegisterSet, addr: int,
                      vnow: int, instructions: int,
@@ -659,16 +648,19 @@ class Mdp:
         queue = self.queues[priority]
         message = queue.head()
         assert message is not None
-        window = self._window_base(priority)
-        for i, word in enumerate(message.words[:MSG_WINDOW_WORDS]):
-            self.memory.poke(window + i, word)
-        regset = self.registers[priority]
+        window = MSG_WINDOW_P1 if priority is Priority.P1 else MSG_WINDOW_P0
+        # The window is SRAM below USER_BASE: one store of its words, as
+        # poke would make them one by one.
+        words = message.words
+        self.memory._cells.update(
+            zip(range(window, window + MSG_WINDOW_WORDS), words))
+        regset = self.registers.sets[priority]
         regset.ip = message.handler_ip
-        seg_key = (window, min(len(message.words), MSG_WINDOW_WORDS))
+        seg_key = (window, min(len(words), MSG_WINDOW_WORDS))
         seg = _A3_SEGMENTS.get(seg_key)
         if seg is None:
             seg = _A3_SEGMENTS[seg_key] = Word.segment(*seg_key)
-        regset.write("A3", seg)
+        regset.regs["A3"] = seg
         self._current[priority] = _Thread(priority, message=message,
                                           trace=message.trace)
         counters = self.counters
@@ -954,11 +946,8 @@ class Mdp:
             end = op == "SEND2E"
             w1 = self._read_operand(ops[0], regset, use=False)
             w2 = self._read_operand(ops[1], regset, use=False)
-            if not self.network.can_accept(priority, 2):
-                raise SendFault("send buffer full")
             retire = now + self.memory.meter.cycles + self.costs.reg_op
-            self.network.send_word(priority, w1, end=False, now=retire)
-            self.network.send_word(priority, w2, end=end, now=retire)
+            self.network.send_two(priority, w1, w2, end, retire)
             self.counters.words_sent += 2
             if end:
                 self.counters.messages_sent += 1

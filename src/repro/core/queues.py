@@ -105,13 +105,20 @@ class MessageQueue:
     # -- queue operations -----------------------------------------------------
 
     def enqueue(self, message: Message) -> None:
-        """Append a message; raises :class:`QueueOverflowFault` if full."""
+        """Append a message; raises :class:`QueueOverflowFault` if full.
+
+        :attr:`pressure_words` does not apply here: a press withholds
+        rows from what the network may still accept (:meth:`would_fit`,
+        :meth:`free_words_at`), never the rows of a message accepted
+        before it.
+        """
         need = self.footprint(message)
-        if need > self.free_words:
+        free = self.capacity_words - self._used_words
+        if need > free:
             self.overflows += 1
             raise QueueOverflowFault(
                 f"message of {message.length} words needs {need}, "
-                f"only {self.free_words} free"
+                f"only {free} free"
             )
         self._messages.append(message)
         self._used_words += need

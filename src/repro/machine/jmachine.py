@@ -16,7 +16,7 @@ nodes costs barely more to simulate than a 2-node machine.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..asm.assembler import Program
@@ -181,7 +181,7 @@ class JMachine:
         """Stage a delivered message until its arrival cycle is reached."""
         self._staged[node_id].append((arrival, message))
         self._inbound[node_id] -= 1
-        heapq.heappush(self._delivery_heap, (arrival, node_id))
+        heappush(self._delivery_heap, (arrival, node_id))
 
     def _injection_finished(self, message: Message) -> None:
         self._injecting[message.source] -= 1
@@ -215,13 +215,13 @@ class JMachine:
         if node.next_tick is not None and node.next_tick <= when:
             return
         node.next_tick = when
-        heapq.heappush(self._proc_heap, (when, node_id))
+        heappush(self._proc_heap, (when, node_id))
 
     def _commit_deliveries(self, chaos) -> None:
         heap = self._delivery_heap
         now = self.now
         while heap and heap[0][0] <= now:
-            _, node_id = heapq.heappop(heap)
+            _, node_id = heappop(heap)
             message = self._staged[node_id].pop(0)[1]
             self.deliveries_committed += 1
             if chaos is not None:
@@ -245,15 +245,26 @@ class JMachine:
             self.nodes[node_id].proc.deliver(message, now)
             self._schedule_proc(node_id, now)
 
-    def _tick_procs(self, ahead: int, inj_bound: Optional[int] = None,
-                    stop: Optional[StopFlags] = None, chaos=None) -> None:
+    def _tick_procs(self, ahead: int, busy: bool,
+                    stop: Optional[StopFlags] = None, chaos=None) -> bool:
+        """Tick every processor due at ``now``; ``busy``: whether the
+        fabric holds worms.  Returns whether it holds worms after the
+        ticks (a tick only ever adds one)."""
         now = self.now
         heap = self._proc_heap
+        if not heap or heap[0][0] > now:
+            return busy
         fabric = self.fabric
-        deadlines = horizon = None
+        nodes = self.nodes
+        # Taken before the first pop, so worms this pass launches do not
+        # lower it: they bound only their own source, whose block has
+        # ended (:meth:`_block_deadline`).
+        inj_bound = fabric.injection_quiet_cycles() if busy else None
+        deadlines = [None, None]  # free run: (idle, busy), on first use
+        horizon = None
         while heap and heap[0][0] <= now:
-            when, node_id = heapq.heappop(heap)
-            node = self.nodes[node_id]
+            when, node_id = heappop(heap)
+            node = nodes[node_id]
             if node.next_tick != when:
                 continue  # stale entry
             node.next_tick = None
@@ -268,15 +279,17 @@ class JMachine:
             if not proc.fast_path:
                 nxt = proc.tick(now)
             elif stop is None:
-                # fabric.active re-read per pop: an earlier block in this
-                # same pass may have launched a worm.  The two possible
+                # busy re-read per pop while idle: an earlier block in
+                # this same pass may have launched a worm.  Both possible
                 # deadlines are pass-constant (deliveries only commit
-                # between passes), so compute them once and pick per pop.
-                if deadlines is None:
-                    deadlines = (
-                        self._block_deadline(ahead, False, inj_bound),
-                        self._block_deadline(ahead, True, inj_bound))
-                nxt = proc.tick(now, deadlines[fabric.active])
+                # between passes), so each is computed at most once.
+                if not busy:
+                    busy = fabric.active
+                deadline = deadlines[busy]
+                if deadline is None:
+                    deadline = deadlines[busy] = self._block_deadline(
+                        ahead, busy, inj_bound)
+                nxt = proc.tick(now, deadline)
             else:
                 # A per-node deadline replaces virtual-time lockstep
                 # (docs/PERFORMANCE.md "Stop conditions"): the block
@@ -287,9 +300,9 @@ class JMachine:
                 # before the stop.  A SEND starts only before ``first``,
                 # or at ``now`` ahead of higher-numbered peers due this
                 # pass, so sends reach the fabric in reference order.
-                # Pass-constant terms are computed once; fabric.active
-                # and the counts are read per pop, since an earlier
-                # block in this pass may have sent.
+                # Pass-constant terms are computed once; busy and the
+                # counts are read per pop, since an earlier block in
+                # this pass may have sent.
                 if horizon is None:
                     horizon = now + 1 + fabric.eject_latency
                     head = (self._delivery_heap[0][0] if self._delivery_heap
@@ -303,7 +316,8 @@ class JMachine:
                     # so while busy it is a peer due at now + 1.
                     emits = (now + 1 if window == 0 and chaos is not None
                              and chaos.fabric_rate_specs else horizon)
-                busy = fabric.active
+                if not busy:
+                    busy = fabric.active
                 commit = emits if busy and emits < head else head
                 peer = heap[0][0] if heap else NEVER
                 first = peer if peer < commit else commit
@@ -320,7 +334,11 @@ class JMachine:
                 nxt = proc.tick(now, stop.cap(node_id, deadline, horizon),
                                 first if first > now else now + 1)
             if nxt is not None:
-                self._schedule_proc(node_id, max(nxt, now + 1))
+                # Popped, so not scheduled: no earlier entry to keep.
+                when = nxt if nxt > now else now + 1
+                node.next_tick = when
+                heappush(heap, (when, node_id))
+        return busy or fabric.active
 
     def _block_deadline(self, ahead: int, fabric_busy: bool,
                         inj_bound: Optional[int] = None) -> int:
@@ -424,6 +442,8 @@ class JMachine:
         # observer is installed, which keeps those paths on the
         # exact reference interleaving.
         batchable = not pass_hooks.observers
+        # Whether worms are in the fabric; only a pass changes it.
+        busy = fabric.active
         while self.now < limit:
             if self.now >= hooks.next_due:
                 # Saving and sampling are read-only, so an observed run
@@ -435,8 +455,7 @@ class JMachine:
             ahead = acting.next_due if acting.next_due < limit else limit
             self._commit_deliveries(chaos)
             stop_at = NEVER if stop is None else stop.stop_at
-            inj_bound = None
-            if fabric.active:
+            if busy:
                 end = self.now + 1
                 # Return-to-sender bounces have per-cycle effects
                 # outside the fabric, so those runs take one step per
@@ -457,22 +476,22 @@ class JMachine:
                         horizon = heap[0][0]
                     end = horizon if horizon > end else end
                 end = fabric.advance(self.now, end)
-                if end > self.now + 1 and fabric.active:
+                busy = fabric.active
+                if end > self.now + 1 and busy:
                     self.now = end
                     continue
                 # This pass ends at the fabric's last cycle: a step, or a
                 # window the fabric drained inside, which then jumps on
                 # from that cycle as stepping would.
                 self.now = end - 1
-                inj_bound = fabric.injection_quiet_cycles()
-            self._tick_procs(ahead, inj_bound, stop, chaos)
+            busy = self._tick_procs(ahead, busy, stop, chaos)
             if self.now >= pass_hooks.next_due:
                 pass_hooks.fire(self.now)
             if stop is not None:
                 stop_at = stop.stop_at  # a store in this pass may move it
                 if self.now >= stop_at:
                     return self.now
-            if self.fabric.active:
+            if busy:
                 self.now += 1
                 continue
             next_times = []

@@ -47,7 +47,10 @@ class NodeNetworkInterface(NetworkInterface):
         self._inbound = inbound
         self._injecting = injecting
         self._building: dict = {Priority.P0: [], Priority.P1: []}
-        self._outstanding_words = 0
+        #: Send-buffer words in use: those of launched messages whose
+        #: tail has not left (freed by :meth:`injection_finished`) plus
+        #: those of the messages being built.
+        self._used_words = 0
         #: Optional automatic virtual-node-id translation (the paper's
         #: proposed node TLB): VNODE-tagged destinations are translated
         #: in the interface, for free on a hit.
@@ -61,36 +64,40 @@ class NodeNetworkInterface(NetworkInterface):
         self.trace_state = None
         self.trace_parent: Optional[Callable[[], Optional[tuple]]] = None
 
-    # -- buffer accounting (freed when the fabric finishes injecting) -------
-
-    def _used_words(self) -> int:
-        building = self._building
-        return (self._outstanding_words
-                + len(building[Priority.P0])
-                + len(building[Priority.P1]))
-
-    def can_accept(self, priority: Priority, nwords: int) -> bool:
-        return self._used_words() + nwords <= self.capacity_words
-
     def injection_finished(self, message: Message) -> None:
         """Fabric callback: the worm's tail has left this interface."""
-        self._outstanding_words -= len(message.words) + 1  # +1 dest word
+        self._used_words -= len(message.words) + 1  # +1 dest word
 
     # -- the SEND contract ----------------------------------------------------
 
     def send_word(self, priority: Priority, word: Word, end: bool, now: int) -> None:
         if priority is Priority.BACKGROUND:
             priority = Priority.P0  # background threads send normal messages
-        if not self.can_accept(priority, 1):
+        if self._used_words >= self.capacity_words:
             raise SendFault("send buffer full")
-        building: List[Word] = self._building[priority]
-        building.append(word)
+        self._building[priority].append(word)
+        self._used_words += 1
+        if end:
+            self._launch(priority, now)
+
+    def send_two(self, priority: Priority, first: Word, second: Word,
+                 end: bool, now: int) -> None:
+        if priority is Priority.BACKGROUND:
+            priority = Priority.P0
+        if self._used_words + 2 > self.capacity_words:
+            raise SendFault("send buffer full")
+        building = self._building[priority]
+        building.append(first)
+        building.append(second)
+        self._used_words += 2
         if end:
             self._launch(priority, now)
 
     def _launch(self, priority: Priority, now: int) -> None:
         words = self._building[priority]
         self._building[priority] = []
+        # Until submitted, a message that fails to launch frees its words.
+        self._used_words -= len(words)
         if len(words) < 2:
             raise TypeFault("a message needs a destination word and a header")
         dest_word, body = words[0], words[1:]
@@ -98,7 +105,7 @@ class NodeNetworkInterface(NetworkInterface):
         message = Message(body, source=self.node_id, dest=dest, priority=priority)
         if self.trace_state is not None:
             message.trace = self.trace_state.derive(self.trace_parent())
-        self._outstanding_words += len(words)
+        self._used_words += len(words)
         self._submit(message, now)
         self._inbound[dest] += 1
         self._injecting[self.node_id] += 1

@@ -166,7 +166,8 @@ def capture_machine(machine) -> dict:
             "proc": state,
             "building": {priority: list(words)
                          for priority, words in iface._building.items()},
-            "outstanding_words": iface._outstanding_words,
+            "outstanding_words": iface._used_words - sum(
+                len(words) for words in iface._building.values()),
             "node_tlb": iface.node_tlb,
             "next_tick": node.next_tick,
         })
@@ -224,7 +225,8 @@ def restore_machine(payload: dict):
         iface = node.interface
         iface._building = {priority: list(words)
                            for priority, words in state["building"].items()}
-        iface._outstanding_words = state["outstanding_words"]
+        iface._used_words = state["outstanding_words"] + sum(
+            len(words) for words in iface._building.values())
         iface.node_tlb = state["node_tlb"]
         node.next_tick = state["next_tick"]
     # A copied heap is a valid heap; stale entries are preserved on

@@ -542,9 +542,6 @@ class _Recorder(NetworkInterface):
     def send_word(self, priority, word, end, now):
         self.seen.append(("send", repr(word), _registers(self.proc)))
 
-    def can_accept(self, priority, nwords):
-        return True
-
 
 class _PeekingPolicy(RuntimeFaultPolicy):
     """Records the registers at an XLATE miss, then writes R0 (a policy

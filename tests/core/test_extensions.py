@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.errors import QueueOverflowFault
 from repro.core.message import Message
 from repro.core.processor import Mdp
 from repro.core.registers import Priority
@@ -53,14 +54,15 @@ class TestSpillMode:
         first = Message.build(program.entry("handler"), [], 0, 0)
         proc.deliver(first, 0)
         second = Message.build(program.entry("handler"), [], 0, 0)
-        assert not proc.can_accept(second)
+        assert not proc.queues[Priority.P0].would_fit(second)
+        with pytest.raises(QueueOverflowFault):
+            proc.deliver(second, 0)
 
     def test_spill_mode_always_accepts(self):
         proc, program = self._proc_with_tiny_queue(spill=True)
         for _ in range(5):
-            message = Message.build(program.entry("handler"), [], 0, 0)
-            assert proc.can_accept(message)
-            proc.deliver(message, 0)
+            proc.deliver(Message.build(program.entry("handler"), [], 0, 0), 0)
+        assert len(proc.queues[Priority.P0]) == 1
         assert proc.counters.spills == 4
 
     def test_spilled_messages_eventually_run(self):

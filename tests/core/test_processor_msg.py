@@ -6,9 +6,11 @@ from repro.core.costs import DEFAULT_COSTS
 from repro.core.errors import CfutFault
 from repro.core.faults import AbortFaultPolicy
 from repro.core.message import Message
-from repro.core.processor import MSG_WINDOW_P0, Mdp
+from repro.core.processor import (MSG_WINDOW_P0, MSG_WINDOW_P1,
+                                  MSG_WINDOW_WORDS, Mdp)
 from repro.core.registers import Priority
 from repro.core.tags import Tag
+from repro.asm.assembler import assemble
 from repro.core.word import Word
 
 from tests.util import load_processor
@@ -222,3 +224,25 @@ class TestPresenceTags:
         drive(proc)
         assert proc.memory.peek(base + 1).value == 2
         assert proc.counters.restarts == 2
+
+
+@pytest.mark.parametrize("fast", [True, False], ids=["fast", "reference"])
+@pytest.mark.parametrize("priority", [Priority.P0, Priority.P1])
+def test_dispatch_of_a_long_message_fills_exactly_the_window(priority, fast):
+    """A message longer than the window: dispatch stores its first
+    MSG_WINDOW_WORDS words, no more, and A3 spans the window."""
+    proc = Mdp(node_id=0, fast_path=fast)
+    program = assemble("handler:\n    SUSPEND\n")
+    program.load(proc)
+    window = MSG_WINDOW_P1 if priority is Priority.P1 else MSG_WINDOW_P0
+    sentinel = Word.from_int(-7)
+    proc.memory.poke(window + MSG_WINDOW_WORDS, sentinel)
+    args = [Word.from_int(100 + i) for i in range(MSG_WINDOW_WORDS + 2)]
+    message = Message.build(program.entry("handler"), args, 0, 0, priority)
+    proc.deliver(message, 0)
+    assert proc.tick(0, 1) == DEFAULT_COSTS.dispatch  # the dispatch alone
+    assert proc.memory.dump_block(window, MSG_WINDOW_WORDS) == \
+        list(message.words[:MSG_WINDOW_WORDS])
+    assert proc.memory.peek(window + MSG_WINDOW_WORDS) is sentinel
+    assert proc.registers[priority].read("A3") == Word.segment(
+        window, min(len(message.words), MSG_WINDOW_WORDS))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.errors import SendFault
+from repro.core.errors import IllegalInstructionFault, SendFault
 from repro.core.processor import Mdp, NetworkInterface
 from repro.core.registers import Priority
 from repro.core.tags import Tag
@@ -23,8 +23,11 @@ class RecordingInterface(NetworkInterface):
             raise SendFault("stub refused")
         self.events.append((priority, word, end, now))
 
-    def can_accept(self, priority, nwords):
-        return not self.refuse and len(self.events) + nwords <= self.capacity
+    def send_two(self, priority, first, second, end, now):
+        if self.refuse or len(self.events) + 2 > self.capacity:
+            raise SendFault("stub refused")
+        self.events += [(priority, first, False, now),
+                        (priority, second, end, now)]
 
 
 def run_program(source, interface, setup=None, max_cycles=1000):
@@ -170,3 +173,20 @@ class TestSendFaults:
         # Neither word was accepted: all-or-nothing for the pair.
         assert net.events == []
         assert proc.counters.send_faults > 0
+
+
+@pytest.mark.parametrize("fast", [True, False], ids=["fast", "reference"])
+@pytest.mark.parametrize("send", ["SEND #1", "SENDE #1", "SEND2 #1, #2",
+                                  "SEND2E #1, #2"])
+def test_every_send_without_a_network_is_illegal(send, fast):
+    """A processor with no network (NullNetworkInterface) raises on the
+    first send of every form; SEND2 used to take a send fault on every
+    tick instead, for ever."""
+    proc = Mdp(node_id=0, fast_path=fast)
+    program = assemble(f"start:\n    {send}\n    HALT\n")
+    program.load(proc)
+    proc.set_background(program.entry("start"))
+    with pytest.raises(IllegalInstructionFault):
+        proc.tick(0)
+    assert proc.counters.send_faults == 0
+    assert proc.counters.words_sent == 0
