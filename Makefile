@@ -3,6 +3,7 @@
 .PHONY: install test bench perfsmoke telemetry-gate chaos-smoke \
 	trace-smoke snapshot-smoke live-smoke service-smoke \
 	fabric-smoke bench-e2e census importcost kernel-deep chaos-deep \
+	fastpath-deep \
 	trajectory check paper report examples clean
 
 install:
@@ -120,17 +121,24 @@ kernel-deep:
 chaos-deep:
 	PYTHONPATH=src python -m pytest -m slow tests/chaos/test_fast_path_under_chaos.py
 
+# The compiled blocks against the interpreter over many more drawn
+# loops: promoted loops cut at every deadline, and counted loops jumped
+# in O(1) cut near the jump and the exit (~1 min; the default test run
+# deselects -m slow).
+fastpath-deep:
+	PYTHONPATH=src python -m pytest -m slow tests/test_fastpath_equivalence.py
+
 # Render the committed perf-trajectory artifacts and gate the newest
 # point against the median of its priors (docs/PERFORMANCE.md).
 trajectory:
 	PYTHONPATH=src python -m repro.bench trajectory
 
-# The full gate: correctness, the long property runs of the worm kernel
-# and of the fast path under chaos, the paper scorecard, throughput,
-# telemetry overhead, chaos, causal tracing, checkpoint/restore, live
-# monitoring, fault-tolerant service, fabric observatory, the repo
-# benchmark's selfcheck.
-check: test kernel-deep chaos-deep bench telemetry-gate chaos-smoke trace-smoke \
+# The full gate: correctness, the long property runs of the worm kernel,
+# of the compiled blocks and of the fast path under chaos, the paper
+# scorecard, throughput, telemetry overhead, chaos, causal tracing,
+# checkpoint/restore, live monitoring, fault-tolerant service, fabric
+# observatory, the repo benchmark's selfcheck.
+check: test kernel-deep fastpath-deep chaos-deep bench telemetry-gate chaos-smoke trace-smoke \
 	snapshot-smoke live-smoke service-smoke fabric-smoke bench-e2e
 
 # Regenerate every table and figure at the paper's sizes (slow).

@@ -20,7 +20,10 @@ per instance:
   deadline test per iteration, registers held raw across iterations);
 * ``metered%`` — the share retired in a loop block with a memory
   operand or call-out, which has no steady-state body: every iteration
-  stores its registers and reruns the one per-instruction body.
+  stores its registers and reruns the one per-instruction body;
+* ``jumped%`` — the share retired inside a steady-state body's
+  closed-form jump (an affine counted loop's iterations applied in
+  O(1), ``codegen._Generator.jump``); part of ``static%``.
 
 Then the same instruction shares per benchmark workload.
 
@@ -28,12 +31,15 @@ The source is not instrumented: ``Mdp.tick`` and
 ``_commit_deliveries`` are wrapped for the duration of the census and
 restored afterwards, and the blocks are generated afresh with one
 counting statement per instruction in each steady-state body and each
-metered loop, then dropped.  Simulated results are unaffected.
+metered loop, and one per jump, then dropped.  Simulated results are
+unaffected.
 
 The last table gives the MDP layer's own rate: simulated instructions
 per host second for the benchmark's LOOP program (one processor,
 28 000 iterations of ``ADD``/``SUB``/``BT``) and its WORK grid (64
 nodes, 1 400 iterations each), compiled and with ``fast_path=False``.
+Both loops are jumped in O(1) (``jumped%``), so a compiled rate is the
+jump's, not per-instruction execution.
 Only the run is timed, not assembling or building the machine (as the
 repo benchmark times ``mdp_loop`` for ``core.instr_per_host_s``); each
 cell is the best of :data:`REPEAT` runs.
@@ -210,12 +216,13 @@ def instances(seed: int) -> List[Tuple[str, Callable[[], object]]]:
 @contextmanager
 def _loops_counted(counts: Dict[str, int]):
     """Blocks generated inside count each instruction retired in a static
-    loop's steady-state body into ``counts["static"]`` and each retired
-    in a metered loop into ``counts["metered"]``; the code cache is
-    emptied on entry and exit, so no block generated without the count
-    runs inside and none generated with it runs after."""
+    loop's steady-state body into ``counts["static"]`` — and those of
+    the iterations its jump applies also into ``counts["jumped"]`` — and
+    each retired in a metered loop into ``counts["metered"]``; the code
+    cache is emptied on entry and exit, so no block generated without
+    the count runs inside and none generated with it runs after."""
     generator = codegen._Generator
-    charge = generator.charge
+    charge, jump = generator.charge, generator.jump
 
     def counted_charge(gen, category, extra, metered):
         last = gen.run[-1]
@@ -226,14 +233,22 @@ def _loops_counted(counts: Dict[str, int]):
             gen.emit('LOOPS["metered"] += 1')
         charge(gen, category, extra, metered)
 
+    def counted_jump(gen):
+        lines = jump(gen)
+        if lines:  # the last line charges the k iterations jumped
+            pad = lines[-1][:len(lines[-1]) - len(lines[-1].lstrip())]
+            lines.append(f'{pad}LOOPS["static"] += k * {gen.lap[0]}; '
+                         f'LOOPS["jumped"] += k * {gen.lap[0]}\n')
+        return lines
+
     namespace = codegen._namespace()
     namespace["LOOPS"] = counts
     fastpath._CACHE.clear()
-    generator.charge = counted_charge
+    generator.charge, generator.jump = counted_charge, counted_jump
     try:
         yield
     finally:
-        generator.charge = charge
+        generator.charge, generator.jump = charge, jump
         del namespace["LOOPS"]
         fastpath._CACHE.clear()
 
@@ -242,7 +257,8 @@ def census(run: Callable[[], object]) -> Dict[str, int]:
     """Run ``run()`` once with ``Mdp.tick``, the run-loop pass and the
     loop blocks counted; return the counts."""
     counts = dict.fromkeys(("ticks", "passes", "binds", "at_deadline",
-                            "at_op", "instrs", "static", "metered"), 0)
+                            "at_op", "instrs", "static", "metered",
+                            "jumped"), 0)
     tick = Mdp.tick
     commit = JMachine._commit_deliveries
 
@@ -276,6 +292,15 @@ def _share(part: int, whole: int) -> str:
     return f"{100 * part / whole:.1f}" if whole else "-"
 
 
+#: The instruction shares printed per unit and per workload.
+SHARES = ("static%", "metered%", "jumped%")
+
+
+def _shares(counts: Dict[str, int]) -> str:
+    return "".join(f"{_share(counts[share[:-1]], counts['instrs']):>9}"
+                   for share in SHARES)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1993,
@@ -284,20 +309,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     columns = ("ticks", "passes", "binds", "at_deadline", "at_op", "instrs")
     print(f"{'unit':<14}" + "".join(f"{name:>12}" for name in columns)
-          + f"{'static%':>9}{'metered%':>9}")
+          + "".join(f"{share:>9}" for share in SHARES))
     by_unit = {}
     for name, run in instances(args.seed):
         counts = by_unit[name] = census(run)
         print(f"{name:<14}" + "".join(f"{counts[c]:>12}" for c in columns)
-              + f"{_share(counts['static'], counts['instrs']):>9}"
-              f"{_share(counts['metered'], counts['instrs']):>9}")
-    print(f"\n{'workload':<14}{'instrs':>12}{'static%':>9}{'metered%':>9}")
+              + _shares(counts))
+    print(f"\n{'workload':<14}{'instrs':>12}"
+          + "".join(f"{share:>9}" for share in SHARES))
     for workload, names in WORKLOADS.items():
         total = {key: sum(by_unit[name][key] for name in names)
-                 for key in ("instrs", "static", "metered")}
-        print(f"{workload:<14}{total['instrs']:>12}"
-              f"{_share(total['static'], total['instrs']):>9}"
-              f"{_share(total['metered'], total['instrs']):>9}")
+                 for key in ("instrs", "static", "metered", "jumped")}
+        print(f"{workload:<14}{total['instrs']:>12}" + _shares(total))
     print(f"\n{'program':<14}{'compiled/s':>14}{'reference/s':>14}"
           f"{'speedup':>10}")
     for name, build in (("LOOP", lambda fast: _loop(28_000, fast)),

@@ -50,6 +50,10 @@ _IN_RANGE = frozenset(("AND", "OR", "XOR") + COMPARE_OPS)
 _WRAP = ("if not -2147483648 <= {v} <= 2147483647: "
          "{v} = (({v} + 2147483648) & 4294967295) - 2147483648")
 
+#: The back-edge test of ``BF`` after a compare: the compare negated.
+_NEGATED = {"LT": "GE", "GE": "LT", "LE": "GT", "GT": "LE", "EQ": "NE",
+            "NE": "EQ"}
+
 #: The guards a read mode applies (``Mdp._read_operand``), as the level a
 #: register's word must have passed: "raw" none, "read" not CFUT, "use"
 #: neither presence tag.  Level 3 is an ALU's numeric check.
@@ -99,6 +103,33 @@ def _type_fault(op: str, tag1: Tag, tag2: Tag) -> TypeFault:
     return TypeFault(f"{op} on non-numeric tags {tag1.name},{tag2.name}")
 
 
+def trip_count(first: int, step: int, op: str, limit: int) -> int:
+    """The trip-count solver: how many iterations j = 0, 1, ... in a row,
+    at most ``limit``, pass ``first + j * step <op> 0`` in unbounded
+    integers (``op`` a compare's name)."""
+    if op in ("LT", "LE"):  # x < 0 is -x > 0
+        first, step, op = -first, -step, "G" + op[1]
+    if op == "GE":  # on integers x >= 0 is x + 1 > 0
+        first, op = first + 1, "GT"
+    if op == "GT":
+        trips = (0 if first <= 0 else limit if step >= 0
+                 else (first - 1) // -step + 1)
+    elif op == "NE":  # the first j with first + j * step == 0, if any
+        trips = (-first // step if first and step and not first % step
+                 and (first > 0) != (step > 0) else limit if first else 0)
+    else:  # EQ
+        trips = 0 if first else 1 if step else limit
+    return min(trips, limit)
+
+
+def _plus(a: dict, b: dict, times: int = 1) -> dict:
+    """``a + times * b`` on linear forms (atom -> coefficient)."""
+    total = dict(a)
+    for atom, coef in b.items():
+        total[atom] = total.get(atom, 0) + times * coef
+    return {atom: coef for atom, coef in total.items() if coef}
+
+
 _NAMESPACE: Dict[str, object] = {}
 
 
@@ -114,7 +145,7 @@ def _namespace() -> Dict[str, object]:
             SMALL=_SMALL_INTS, ZERO=Word.from_int(0),
             XlateMissFault=XlateMissFault,
             use_fault=_use_fault, cfut_read=_cfut_read,
-            seg_fault=_seg_fault, type_fault=_type_fault)
+            seg_fault=_seg_fault, type_fault=_type_fault, trips=trip_count)
     return _NAMESPACE
 
 
@@ -227,6 +258,7 @@ class _Generator:
         self.offset = 0        # folded: the last instruction's start
         self.risky = False     # the guarded code being emitted can raise
         self.back: Optional[Dict[str, RegState]] = None  # at the back edge
+        self.lap: tuple = ()   # a steady iteration's charges (pending())
         self.loop_state: Optional[Dict[str, RegState]] = None  # steady entry
 
     def line(self, text: str) -> str:
@@ -511,15 +543,106 @@ class _Generator:
         iteration's back edge in :attr:`loop_state`: one deadline test
         per iteration stands for the per-instruction tests; when it fails
         the registers go back and the first-iteration code (which tests
-        per instruction) runs again."""
+        per instruction) runs again.  An affine body is preceded by
+        its closed-form :meth:`jump`."""
         entry = self.loop_state
         body = self.body(entry, True)
         pad = "    " * 2
         test = f"vnow + {self.offset} < end" if self.offset else "vnow < end"
-        return ([f"{pad}while {test}:\n"] + body
+        return (self.jump() + [f"{pad}while {test}:\n"] + body
                 + [f"{pad}else:\n",
                    f"{pad}    " + "; ".join(self.stores(entry) + ["continue"])
                    + "\n", f"{pad}break\n"])
+
+    def jump(self) -> List[str]:
+        """Before an affine steady body, all but the last of the ``k``
+        iterations that branch back and start before ``end``, applied in
+        O(1); else nothing.  Affine: it ends in ``BT``/``BF`` and writes
+        only induction variables (``x ± c``, ``c`` an immediate or a
+        register it does not write), accumulators of them (``x ± y``) and
+        the compare the branch alone reads, as linear forms of the
+        registers at the iteration's start ("" the constant term)."""
+        state, branch, (lap_n, cats, time) = (self.loop_state, self.run[-1],
+                                              self.lap)
+        forms: Dict[str, object] = {}  # a compare's result: (op, a, b)
+
+        def read(operand) -> dict:
+            if isinstance(operand, Imm) and operand.word.tag in _NUMERIC:
+                return {"": operand.word.value}
+            form = (isinstance(operand, Reg) and state[operand.name][1] == 3
+                    and forms.get(operand.name, {operand.name: 1}))
+            if not isinstance(form, dict):
+                raise KeyError(operand)  # not affine
+            return form
+
+        def rise(form: dict) -> dict:  # its change per iteration
+            total: dict = {}
+            for atom, coef in form.items():
+                if atom in forms:  # KeyError unless an induction variable
+                    total = _plus(total, steps[atom], coef)
+            return total
+
+        values = {name: f"w{name}.value" if kind == "w" else f"v{name}"
+                  for name, (kind, _, _) in state.items()}
+
+        def expr(form: dict) -> str:
+            terms = [("" if coef == 1 else f"{coef} * ") + values[atom] if atom
+                     else str(coef) for atom, coef in form.items()]
+            return f"({' + '.join(terms)})" if terms else "0"
+
+        if branch.op not in ("BT", "BF") or sum(time) <= 0:
+            return []
+        try:
+            for instr in self.run[:-1]:
+                op, ops = instr.op, instr.operands
+                if op in ("ADD", "SUB"):
+                    forms[ops[2].name] = _plus(read(ops[0]), read(ops[1]),
+                                               1 if op == "ADD" else -1)
+                elif op in COMPARE_OPS:
+                    forms[ops[2].name] = (op, read(ops[0]), read(ops[1]))
+                elif op != "NOP":
+                    return []
+            test = forms.get(getattr(branch.operands[0], "name", None))
+            compare = test if isinstance(test, tuple) else None
+            op, a, b = compare or ("NE", read(branch.operands[0]), {})
+            op = _NEGATED[op] if branch.op == "BF" else op
+            written = [name for name in forms if forms[name] is not compare]
+            if not written or any(not isinstance(forms[name], dict)
+                                  or forms[name].get(name) != 1
+                                  for name in written):
+                return []
+            firsts = {name: _plus(forms[name], {name: 1}, -1)
+                      for name in written}
+            steps = {name: first for name, first in firsts.items()
+                     if not forms.keys() & first.keys()}
+            # k times the first iteration's rise, plus an accumulator's ramp
+            new = [f"v{name} + k * {expr(first)}" + (
+                f" + k * (k - 1) // 2 * {expr(rise(first))}"
+                if rise(first) else "") for name, first in firsts.items()]
+            diff = _plus(a, b, -1)
+            solve = (f"k = trips({expr(diff)}, {expr(rise(diff))}, "
+                     f'"{op}", (end - vnow - {self.offset + 1}) '
+                     f"// {sum(time)})")
+            bounds = [f"-2147483648 <= {expr(form)}{term} <= 2147483647"
+                      for form in (a, b) if forms.keys() & form.keys()
+                      for term in ("", f" + (k - 1) * {expr(rise(form))}")]
+        except KeyError:
+            return []
+        self.lines, self.indent, self.tail = [], 2, ""
+        self.emit(solve)
+        with self.nested(" and ".join(["if k > 0"] + bounds) + ":"):
+            self.emit(", ".join(f"v{name}" for name in written) + " = "
+                      + ", ".join(new))
+            for name in written:
+                self.emit(_WRAP.format(v=f"v{name}"))
+            if compare:  # the compare the branch took
+                self.emit(f"v{branch.operands[0].name} = "
+                          f"{int(branch.op == 'BT')}")
+            self.emit("; ".join(self.settled((
+                f"k * {lap_n}", {category: [f"k * {sum(terms)}"]
+                                 for category, terms in cats.items()},
+                [f"k * {sum(time)}"]))))
+        return self.lines
 
     def instruction(self, addr: int, instr: Instr) -> None:
         from .processor import _KIND_CATEGORY
@@ -699,6 +822,7 @@ class _Generator:
         if target != self.start:
             self.leave("regset.ip" if target is None else target)
             return
+        self.lap = self.pending()
         self.settle()
         if not self.static:
             self.emit("; ".join(self.stores() + ["continue"]))

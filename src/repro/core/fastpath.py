@@ -29,6 +29,11 @@ the test fails the registers are stored back and the first-iteration
 code, which tests the deadline per instruction, runs again to the cut.
 A loop with a run-time cost has the one body: its back edge stores the
 dirty registers and goes round to the top, which loads them again.
+When the steady body is affine — it ends in ``BT``/``BF`` and writes
+only induction variables, accumulators of them and the compare the
+branch alone reads — a closed-form jump before it applies in O(1) the
+iterations that all branch back and all start before the deadline, at
+most all but the last one the body would run.
 
 What a generated function keeps (the contract is cycle- and fault-
 exactness against the reference, enforced by
@@ -56,6 +61,12 @@ exactness against the reference, enforced by
   (tested per instruction, or per steady iteration as above), and a
   SEND-family op only before ``send_before``, whose order into the
   fabric the machine must control under a stop condition;
+* a jump leaves the registers, counters and virtual time the steady
+  body leaves after as many iterations, and always leaves the steady
+  body at least one more, which takes the exit or meets the deadline:
+  it jumps nothing when a compared or branched-on value could leave the
+  signed 32-bit range inside it (its compares would then differ from
+  the wrapped words'), and wraps every register it writes;
 * a raise from instruction *k* leaves instructions ``0..k-1`` charged,
   ``regset.ip == addr_k + 1``, ``_current_instr_addr == addr_k`` and
   virtual time at the start of *k* (each instruction that can raise has

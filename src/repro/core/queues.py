@@ -71,8 +71,7 @@ class MessageQueue:
     @staticmethod
     def footprint(message: Message) -> int:
         """Words of queue space a message occupies (row granularity)."""
-        rows = (message.length + MIN_MESSAGE_WORDS - 1) // MIN_MESSAGE_WORDS
-        return rows * MIN_MESSAGE_WORDS
+        return -(-len(message.words) // MIN_MESSAGE_WORDS) * MIN_MESSAGE_WORDS
 
     @property
     def used_words(self) -> int:

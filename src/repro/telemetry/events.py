@@ -183,14 +183,12 @@ class EventBus:
         truncated stream would otherwise be indistinguishable from a
         complete one.
         """
-        count = 0
+        encode = json.JSONEncoder(sort_keys=True).encode
         with open(path, "w", encoding="utf-8") as fh:
-            for record in self.iter_dicts():
-                fh.write(json.dumps(record, sort_keys=True))
-                fh.write("\n")
-                count += 1
+            fh.writelines(encode(record) + "\n"
+                          for record in self.iter_dicts())
         self._warn_if_truncated(path)
-        return count
+        return len(self.events)
 
     # -- Chrome trace-event format -------------------------------------------
 

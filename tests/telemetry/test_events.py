@@ -86,6 +86,22 @@ class TestJsonl:
                             "priority": 1, "name": "handler@64", "src": 2}
         assert lines[1]["dest"] == 7 and lines[1]["words"] == 4
 
+    def test_bytes_are_one_sorted_dumps_per_record(self, tmp_path):
+        """The export is byte for byte ``json.dumps(record,
+        sort_keys=True)`` per line, and a truncated bus still warns."""
+        bus = EventBus(limit=4)
+        bus.emit("dispatch", 10, 3, 1, name="handler@64", src=2, zeta=None)
+        bus.emit("send", 12, 3, 0, dest=7, words=4, label="é\n\"")
+        bus.emit("task", 13, 0, 1, dur=2, ratio=0.5, flags=[1, "x"])
+        bus.emit("deliver", 14, 1, 0)
+        bus.emit("send", 15, 1, 0, dest=0)  # past the limit: dropped
+        path = tmp_path / "events.jsonl"
+        with pytest.warns(RuntimeWarning, match="dropped 1 events"):
+            assert bus.write_jsonl(str(path)) == 4
+        want = "".join(json.dumps(record, sort_keys=True) + "\n"
+                       for record in bus.iter_dicts())
+        assert path.read_bytes() == want.encode("utf-8")
+
 
 class TestChromeTrace:
     def test_structure(self, tmp_path):

@@ -12,7 +12,7 @@ Hypothesis — on randomly generated straight-line programs.
 """
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.asm.assembler import assemble
 from repro.core.processor import Mdp
@@ -770,3 +770,220 @@ def test_promoted_loops_identical_at_every_deadline(case):
 @given(_LOOP_CASE)
 def test_promoted_loops_identical_at_every_deadline_long(case):
     _check_loop(case)
+
+
+# ---------------------------------------------------- counted loops in O(1)
+#
+# A static loop whose body is affine — induction variables, accumulators,
+# a compare only the back edge reads — jumps its steady body over every
+# iteration the exit and the deadline allow (``_Generator.jump`` in
+# repro.core.codegen).  R2 counts by a step from an immediate or A1, R1
+# holds the compare of R2 with a bound from an immediate or A2, R0 sums
+# R2 (a triangular sum) and R3 is a second accumulator or induction
+# variable.  Start values near +-2**31 make the counter wrap inside the
+# loop, where the jump must refuse; big steps make the accumulators wrap.
+
+_JUMP_STEPS = st.one_of(st.integers(1, 5), st.sampled_from(
+    (1000, 2**20, 2**30 + 5)))
+_JUMP_BOUNDS = st.one_of(st.integers(-50, 50), st.sampled_from(
+    (2**31 - 1, 2**31 - 4, -(2**31), -(2**31) + 3)))
+_TAKEN = {"LT": int.__lt__, "LE": int.__le__, "GT": int.__gt__,
+          "GE": int.__ge__, "NE": int.__ne__, "EQ": int.__eq__}
+_NOT = {"LT": "GE", "GE": "LT", "LE": "GT", "GT": "LE", "EQ": "NE",
+        "NE": "EQ"}
+
+
+def _wrap(value):
+    return ((value + 2**31) & (2**32 - 1)) - 2**31
+
+
+def _jump_trips(value, step, bound, taken, cap, compare_first):
+    """The loop's trips, stepped in Python with ``Word``'s wrap; None
+    past ``cap``."""
+    for trip in range(1, cap + 1):
+        before, value = value, _wrap(value + step)
+        if not _TAKEN[taken](before if compare_first else value, bound):
+            return trip
+    return None
+
+
+@st.composite
+def _jump_cases(draw, cap=10_000):
+    """A loop that ends within ``cap`` trips: its lines, back edge and
+    registers; A1 holds the step, A3 its negation, A2 the bound."""
+    test = draw(st.sampled_from(("LT", "LE", "GT", "GE", "NE", "R2")))
+    branch = draw(st.sampled_from(("BT", "BF")))
+    bound = 0 if test == "R2" else draw(_JUMP_BOUNDS)
+    taken = "NE" if test == "R2" else test
+    taken = taken if branch == "BT" else _NOT[taken]
+    step = draw(_JUMP_STEPS)
+    if taken in ("GT", "GE") or taken in ("NE", "EQ") and draw(st.booleans()):
+        step = -step  # toward the exit
+    trips = draw(st.integers(1, cap))
+    slack = 0 if taken == "NE" else draw(st.integers(-abs(step), abs(step)))
+    update = draw(st.sampled_from((f"ADD R2, #{step}, R2",
+                                   f"SUB R2, #{-step}, R2",
+                                   "ADD R2, A1, R2", "SUB R2, A3, R2")))
+    lines = [update] + draw(st.lists(st.sampled_from((
+        "ADD R0, R2, R0", "SUB R0, R2, R0", "SUB R3, #1073741829, R3",
+        "ADD R3, A1, R3", "ADD R3, R2, R3", "NOP")), max_size=2,
+        unique_by=lambda line: line[4:6]))
+    compare = None
+    if test != "R2":
+        operand = draw(st.sampled_from((f"#{bound}", "A2")))
+        compare = f"{test} R2, {operand}, R1"
+        lines.append(compare)
+    lines = draw(st.permutations(lines))
+    start = _wrap(bound - trips * step + slack)
+    assume(_jump_trips(start, step, bound, taken, cap, compare is not None
+                       and lines.index(compare) < lines.index(update)))
+    return _jump_case(lines, f"{branch} {'R1' if compare else 'R2'}",
+                      R2=start, A1=step, A2=bound, A3=-step,
+                      R0=draw(st.sampled_from((0, 7, 2**31 - 1))),
+                      R3=draw(st.sampled_from((0, -5, -(2**31) + 9))))
+
+
+def _jump_case(lines, branch, **registers):
+    return {"lines": list(lines), "branch": branch, "registers": registers}
+
+
+def _render_jump(case):
+    return "\n".join(["start:", "loop:"] + [
+        f"    {line}" for line in case["lines"] + [f"{case['branch']}, loop",
+                                                  "HALT"]]) + "\n"
+
+
+#: Past every drawn loop's exit: a compiled run cut here has not stopped.
+_JUMP_BOUND = 1_000_000
+
+
+def _check_jump(case):
+    """Cut at every cycle of the first three iterations and of the last
+    two before the exit, the compiled loop leaves what stepping leaves,
+    and resumed it ends where stepping does."""
+    program = assemble(_render_jump(case))
+    loop = program.entry("loop")
+    registers = [(name, Word.from_int(value))
+                 for name, value in case["registers"].items()]
+
+    def fresh(fast):
+        return _cf_proc(program, fast, registers=registers)
+
+    proc, regs, base = fresh(True)
+    end = _run_to_end(proc, regs, base, 0, _JUMP_BOUND)
+    # Stepping keeps the states a cut can land on: up to the fourth
+    # entry to the loop, and from a few iterations before the end.
+    width = 4 * (len(case["lines"]) + 4)
+    proc, regs, base = fresh(False)
+    now, entries, trace = 0, [], [_cf_state(proc, regs, base, 0)]
+    while not proc.halted:
+        now = proc.tick(now)
+        if len(entries) < 4 or now >= end[0] - width:
+            trace.append(_cf_state(proc, regs, base, now))
+        if regs.ip == loop:
+            entries.append(now)
+    final = _cf_state(proc, regs, base, now)
+    assert end == final
+    period = entries[1] - entries[0] if len(entries) > 1 else 1
+    deadlines = set(range(1, min(entries[3:4] or [now]) + 1)) | set(
+        range(max(1, now - 2 * period - 1), now + 1))
+    for deadline in sorted(deadlines):
+        proc, regs, base = fresh(True)
+        reached = _run_to_end(proc, regs, base, 0, deadline)
+        assert reached == next(
+            state for state in trace if state[0] >= deadline), deadline
+        assert _run_to_end(proc, regs, base, reached[0], now + 1) == final, \
+            deadline
+
+
+# Each case below fails under one hand mutation of the jump, named in
+# its comment.
+#: ``k`` one past the iterations the steady test admits at the
+#: deadline: the jump runs an iteration whose branch the cut stops.
+_JUMP_PAST_THE_CUT = _jump_case(["ADD R2, #-1, R2", "GT R2, #0, R1"],
+                                "BT R1", R2=40)
+#: ``k`` one too many at the exit (the solver counting the first
+#: iteration that falls through): the triangular sum of ``mdp_loop``.
+_JUMP_PAST_THE_EXIT = _jump_case(["ADD R0, R2, R0", "SUB R2, #1, R2"],
+                                 "BT R2", R2=30, R0=0)
+#: No wrap after the jump: the compare reads the counter's start value,
+#: which leaves the jump at 2**31 and must be -2**31 when compared.
+_JUMP_UNWRAPPED = _jump_case(["GE R2, #0, R1", "ADD R2, #1, R2"],
+                             "BT R1", R2=2**31 - 5)
+#: No range test on a compared counter: counting up past 2**31 ends
+#: the loop, which in unbounded integers never ends.
+_JUMP_ACROSS_2_31 = _jump_case(["ADD R2, A1, R2", "ADD R0, R2, R0",
+                                "GT R2, #-7, R1"], "BT R1",
+                               R2=2**31 - 300, A1=7, R0=5)
+#: ``cc`` not advanced by the jumped iterations.
+_JUMP_UNCHARGED = _jump_case(["SUB R3, #1073741829, R3", "SUB R2, A3, R2",
+                              "GT R2, A2, R1"], "BF R1",
+                             R2=-90, A2=12, A3=-3, R3=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_jump_cases())
+@example(_JUMP_PAST_THE_CUT)
+@example(_JUMP_PAST_THE_EXIT)
+@example(_JUMP_UNWRAPPED)
+@example(_JUMP_ACROSS_2_31)
+@example(_JUMP_UNCHARGED)
+def test_counted_loops_jump_exactly(case):
+    """Affine loops of up to 10**4 trips — steps of both signs from
+    immediates and invariant registers, LT/LE/GT/GE/NE compares and the
+    counter itself under BT and BF, triangular and wrapping accumulators,
+    counters that wrap — leave at every deadline near the jump's start
+    and near the exit what stepping leaves."""
+    _check_jump(case)
+
+
+@pytest.mark.slow
+@settings(max_examples=1000, deadline=None)
+@given(_jump_cases())
+def test_counted_loops_jump_exactly_long(case):
+    _check_jump(case)
+
+
+_COUNT_AND_REPORT = assemble("""
+count:                          ; [IP:count, n, peer]: sum n..1, send it
+    MOVE  [A3+1], R2
+    MOVE  #0, R0
+loop:
+    ADD   R0, R2, R0
+    SUB   R2, #1, R2
+    GT    R2, #0, R1
+    BT    R1, loop
+    SEND  [A3+2]
+    SEND2E #IP:report, R0
+    SUSPEND
+report:                         ; [IP:report, sum]
+    MOVE  [A3+1], [A0+0]
+    SUSPEND
+""")
+
+
+def test_jumped_loops_under_a_stop_with_events():
+    """Two nodes run jumpable loops of different lengths and report to
+    each other under a stop condition with an event bus attached (every
+    block cut at the next peer): the same state and the same stream."""
+    from repro.telemetry import Telemetry
+
+    def run(fast):
+        telemetry = Telemetry()
+        machine = JMachine(MachineConfig(dims=(2, 1, 1), fast_path=fast),
+                           telemetry=telemetry)
+        machine.load(_COUNT_AND_REPORT)
+        base = _COUNT_AND_REPORT.end + 4
+        for node in machine.nodes:
+            node.proc.registers[Priority.P0].write("A0", Word.segment(base, 2))
+        entry = _COUNT_AND_REPORT.entry("count")
+        for node, trips in ((0, 3000), (1, 1700)):
+            machine.inject(node, entry, [Word.from_int(trips),
+                                         Word.from_int(1 - node)])
+        returned = machine.run(until=StopFlags([(1, base, 3000 * 3001 // 2)]))
+        return (machine_state(machine, returned),
+                telemetry.events.fingerprint())
+
+    (fast_state, fast_events), (slow_state, slow_events) = _both(run)
+    assert_same_state(fast_state, slow_state)
+    assert fast_events == slow_events
